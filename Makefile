@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint lint-policies-smoke dataplane-lint-smoke federation-smoke bench bench-results bench-compare perf-smoke examples docs telemetry-smoke fuzz soak-smoke chaos-smoke monitor-smoke clean
+.PHONY: install test lint lint-policies-smoke dataplane-lint-smoke federation-smoke bench bench-results bench-compare perf-smoke sdxbench-check examples docs telemetry-smoke fuzz soak-smoke chaos-smoke monitor-smoke clean
 
 # Differential fuzzing session knobs (see docs/TESTING.md).
 FUZZ_SEED ?= 0
@@ -77,8 +77,9 @@ dataplane-lint-smoke:
 # Multi-SDX federation cross-validation: a time-boxed federated fuzz
 # session (SDX008/SDX009 witness contracts + real-vs-reference walk
 # differential at every churn step) over 2- and 3-exchange shapes, plus
-# the federation defect-recall gate. Failure artifacts (raw federated
-# scenario JSON) land under artifacts/federation for CI upload.
+# the federation defect-recall gate. Failure artifacts (shrunk,
+# replayable with `repro fuzz --replay`) land under artifacts/federation
+# for CI upload.
 FEDERATION_SEED ?= 0
 FEDERATION_BUDGET ?= 60
 FEDERATION_ARTIFACTS ?= artifacts/federation
@@ -121,6 +122,12 @@ perf-smoke: bench-compare
 	PYTHONPATH=src $(PYTHON) -m repro profile --participants 40 \
 		--prefixes 400 --updates 20 --min-coverage 0.9 --json \
 		--output artifacts/profile-smoke.json
+
+# The contract benchmark's self-test on a tiny exchange: every workload
+# runs, every output check holds, and the `repro.verification` names
+# benchmarks/sdxbench imports still resolve (see docs/PERFORMANCE.md).
+sdxbench-check:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/sdxbench/check_harness.py -q
 
 examples:
 	@for script in examples/*.py; do \

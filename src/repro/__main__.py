@@ -178,23 +178,30 @@ def _parser() -> argparse.ArgumentParser:
     trace.add_argument("--json", action="store_true",
                        help="emit the span forest as JSON instead of a tree")
 
+    def session_arguments(parser, *, scenarios, steps, policies):
+        """The flags every budgeted harness session shares."""
+        parser.add_argument("--scenarios", type=int, default=scenarios,
+                            help=f"independent scenarios (default {scenarios})")
+        parser.add_argument("--steps", type=int, default=steps,
+                            help=f"BGP trace steps per scenario "
+                                 f"(default {steps})")
+        parser.add_argument("--policies", type=int, default=policies,
+                            help="generated policies per scenario")
+        parser.add_argument("--artifact-dir", default=None,
+                            help="directory for replayable failure artifacts")
+        parser.add_argument("--time-budget", type=float, default=None,
+                            help="wall-clock budget in seconds")
+        parser.add_argument("--no-shrink", action="store_true",
+                            help="skip fault/trace minimisation on failure")
+        parser.add_argument("--replay", default=None, metavar="ARTIFACT",
+                            help="replay any saved failure artifact (fuzz, "
+                                 "federated or chaos) under the checks it "
+                                 "recorded, instead of running a session")
+
     fuzz = common("fuzz")
-    fuzz.add_argument("--scenarios", type=int, default=5,
-                      help="independent scenarios to run (default 5)")
-    fuzz.add_argument("--steps", type=int, default=12,
-                      help="BGP trace steps per scenario (default 12)")
+    session_arguments(fuzz, scenarios=5, steps=12, policies=5)
     fuzz.add_argument("--participants", type=int, default=4)
     fuzz.add_argument("--prefixes", type=int, default=4)
-    fuzz.add_argument("--policies", type=int, default=5)
-    fuzz.add_argument("--artifact-dir", default=None,
-                      help="directory for replayable failure artifacts")
-    fuzz.add_argument("--time-budget", type=float, default=None,
-                      help="wall-clock budget in seconds")
-    fuzz.add_argument("--no-shrink", action="store_true",
-                      help="skip trace minimisation on failure")
-    fuzz.add_argument("--replay", default=None, metavar="ARTIFACT",
-                      help="replay a saved failure artifact instead of "
-                           "fuzzing")
     fuzz.add_argument("--runtime", action="store_true",
                       help="also replay each scenario through the "
                            "control-plane runtime and check equivalence")
@@ -210,7 +217,9 @@ def _parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--federation", action="store_true",
                       help="fuzz multi-exchange federations instead: "
                            "SDX008/SDX009 witness contracts plus the "
-                           "real-vs-reference federated walk comparison")
+                           "real-vs-reference federated walk comparison; "
+                           "the other checks then run per member "
+                           "exchange")
     fuzz.add_argument("--exchanges", type=int, default=2,
                       help="exchanges per federated scenario "
                            "(with --federation; default 2)")
@@ -241,29 +250,14 @@ def _parser() -> argparse.ArgumentParser:
     soak.add_argument("--chaos", action="store_true",
                       help="run the BGP session fault-injection soak "
                            "instead of the clean burst soak")
-    soak.add_argument("--scenarios", type=int, default=3,
-                      help="chaos: independent scenarios (default 3)")
-    soak.add_argument("--steps", type=int, default=16,
-                      help="chaos: trace steps per scenario (default 16)")
-    soak.add_argument("--policies", type=int, default=4,
-                      help="chaos: generated policies per scenario")
-    soak.add_argument("--faults", type=int, default=6,
-                      help="chaos: faults per schedule (default 6, one "
-                           "of each class)")
-    soak.add_argument("--fault-kinds", default=None,
-                      help="chaos: comma-separated subset of the fault "
-                           "classes (default: all six)")
-    soak.add_argument("--artifact-dir", default=None,
-                      help="chaos: directory for replayable failure "
-                           "artifacts")
-    soak.add_argument("--time-budget", type=float, default=None,
-                      help="chaos: wall-clock budget in seconds")
-    soak.add_argument("--no-shrink", action="store_true",
-                      help="chaos: skip schedule/trace minimisation on "
-                           "failure")
-    soak.add_argument("--replay", default=None, metavar="ARTIFACT",
-                      help="chaos: replay a saved chaos artifact instead "
-                           "of soaking")
+    chaos = soak.add_argument_group("--chaos session")
+    session_arguments(chaos, scenarios=3, steps=16, policies=4)
+    chaos.add_argument("--faults", type=int, default=6,
+                       help="faults per schedule (default 6, one of each "
+                            "class)")
+    chaos.add_argument("--fault-kinds", default=None,
+                       help="comma-separated subset of the fault classes "
+                            "(default: all six)")
 
     monitor = common("monitor")
     monitor.add_argument("--scenario", choices=("shifting", "skewed"),
@@ -442,24 +436,32 @@ def _run_trace(args) -> str:
     return tracer.render()
 
 
+def _replay_artifact(path: str) -> int:
+    """``--replay`` for both harness commands: any artifact, its checks."""
+    from repro.verification import replay_artifact
+
+    failure = replay_artifact(path)
+    if failure is None:
+        print(f"replay {path}: no failure reproduced")
+        return 0
+    print(f"replay {path}: {failure}")
+    return 1
+
+
 def _run_fuzz(args) -> int:
-    from repro.verification import FuzzConfig, replay_artifact, run_fuzz
+    from repro.verification import FuzzConfig, run_fuzz
 
     if args.replay is not None:
-        failure = replay_artifact(args.replay)
-        if failure is None:
-            print(f"replay {args.replay}: no failure reproduced")
-            return 0
-        print(f"replay {args.replay}: {failure}")
-        return 1
+        return _replay_artifact(args.replay)
     report = run_fuzz(FuzzConfig(
         seed=args.seed, scenarios=args.scenarios, steps=args.steps,
         participants=args.participants, prefixes=args.prefixes,
         policies=args.policies, artifact_dir=args.artifact_dir,
         time_budget_seconds=args.time_budget, shrink=not args.no_shrink,
-        runtime=args.runtime, statics=args.statics,
-        dataplane=args.dataplane,
-        federation=args.federation, exchanges=args.exchanges))
+        checks=tuple(
+            name for name in ("runtime", "statics", "dataplane",
+                              "federation") if getattr(args, name)),
+        exchanges=args.exchanges))
     print(report.summary())
     return 0 if report.ok else 1
 
@@ -720,20 +722,11 @@ def _run_lint_dataplane(args) -> int:
 
 
 def _run_chaos_soak(args) -> int:
-    from repro.chaos import (
-        ChaosSoakConfig,
-        replay_chaos_artifact,
-        run_chaos_soak,
-    )
+    from repro.chaos import ChaosSoakConfig, run_chaos_soak
     from repro.workloads.churn import FAULT_KINDS
 
     if args.replay is not None:
-        failure = replay_chaos_artifact(args.replay)
-        if failure is None:
-            print(f"replay {args.replay}: no failure reproduced")
-            return 0
-        print(f"replay {args.replay}: {failure}")
-        return 1
+        return _replay_artifact(args.replay)
     kinds = FAULT_KINDS
     if args.fault_kinds is not None:
         kinds = tuple(kind.strip() for kind in args.fault_kinds.split(",")

@@ -7,47 +7,31 @@ traces operators actually see: sessions failing mid-burst, flap storms
 with damping holds, correlated multi-peer outages, wedged routes, and
 resets racing the southbound two-phase swap.
 
-Faults are data (:class:`~repro.workloads.churn.ChaosSchedule`), the
-driver replays them against two arms (inline controller vs runtime) and
-checks settle assertions after every fault, failures shrink to minimal
-schedules and save as replayable JSON artifacts, and the whole loop runs
-budgeted soak sessions exactly like ``repro fuzz``.
+Faults are data (:class:`~repro.workloads.churn.ChaosSchedule`) and the
+driver is one more :class:`~repro.verification.kernel.Check`: it holds
+two arms (inline controller vs runtime) and checks settle assertions
+after every fault. Replay, shrinking to minimal schedules, replayable
+JSON artifacts and the budgeted soak session are the shared harness
+kernel's (:mod:`repro.verification.kernel`), the same ones ``repro
+fuzz`` runs.
 """
 
-from repro.chaos.artifact import (
-    CHAOS_ARTIFACT_VERSION,
-    ChaosArtifact,
-    replay_chaos_artifact,
-)
 from repro.chaos.driver import (
-    ChaosConfig,
     ChaosReport,
     ChaosRunner,
-    FaultOutcome,
-    chaos_failure,
-    run_chaos,
-)
-from repro.chaos.shrink import shrink_chaos
-from repro.chaos.soak import (
-    ChaosFinding,
     ChaosSoakConfig,
     ChaosSoakReport,
+    FaultOutcome,
+    run_chaos,
     run_chaos_soak,
 )
 
 __all__ = [
-    "CHAOS_ARTIFACT_VERSION",
-    "ChaosArtifact",
-    "ChaosConfig",
-    "ChaosFinding",
     "ChaosReport",
     "ChaosRunner",
     "ChaosSoakConfig",
     "ChaosSoakReport",
     "FaultOutcome",
-    "chaos_failure",
-    "replay_chaos_artifact",
     "run_chaos",
     "run_chaos_soak",
-    "shrink_chaos",
 ]

@@ -1,11 +1,14 @@
 """The chaos driver: replay a fault schedule against two lockstep arms.
 
-One :class:`ChaosRunner` executes a PR-3 :class:`~repro.verification
-.scenario.Scenario` trace twice — inline (direct ``submit_update`` per
-event, the oracle's incremental arm) and through a deterministic
+One :class:`ChaosRunner` holds a PR-3 :class:`~repro.verification
+.scenario.Scenario` trace in two arms — inline (direct ``submit_update``
+per event, the oracle's incremental arm) and through a deterministic
 :class:`~repro.runtime.loop.ControlPlaneRuntime` — while injecting the
 faults of a :class:`~repro.workloads.churn.ChaosSchedule` into *both*
-arms at the same trace positions. Because every fault is applied
+arms at the same trace positions. It is the ``chaos``
+:class:`~repro.verification.kernel.Check` — the ``runtime`` check's two
+arms plus faults — and the trace loop is
+:func:`repro.verification.kernel.replay`. Because every fault is applied
 symmetrically, the runtime-vs-inline equivalence contract of PR-4 must
 keep holding at every quiesce point, fault or no fault.
 
@@ -28,53 +31,51 @@ pause BGP because one exchange session died), trace steps from a down
 peer are skipped at the exchange, and recovery re-announces the intended
 table as a storm through the runtime's ingest queue. All activity is
 recorded as ``sdx_chaos_*`` metrics.
+
+:func:`run_chaos_soak` (``python -m repro soak --chaos``) derives an
+independent (scenario, schedule) pair per iteration and hands it to
+:func:`repro.verification.kernel.run_session` — the budgeted replay /
+shrink / artifact loop ``repro fuzz`` runs (``sdx_harness_*`` counters,
+labelled ``chaos``).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.bgp.asn import AsPath
 from repro.bgp.attributes import RouteAttributes
 from repro.bgp.messages import Update
 from repro.net.addresses import IPv4Prefix
-from repro.net.packet import Packet
-from repro.runtime.clock import ManualClock
-from repro.runtime.loop import ControlPlaneRuntime, RuntimeConfig
 from repro.telemetry import Telemetry, get_telemetry
-from repro.verification.corpus import generate_corpus
-from repro.verification.invariants import SwapMonitor, check_all
-from repro.verification.oracle import OracleFailure, compare_controllers
-from repro.verification.runtime import canonical_state
-from repro.verification.scenario import Scenario
-from repro.workloads.churn import ChaosFault, ChaosSchedule
+from repro.verification.invariants import SwapMonitor
+from repro.verification.kernel import (
+    Case,
+    Check,
+    OracleFailure,
+    SessionConfig,
+    SessionReport,
+    replay,
+    run_session,
+)
+from repro.verification.runtime import (
+    RuntimeEquivalence,
+    canonical_state,
+    settled_divergence,
+)
+from repro.verification.scenario import Scenario, generate_scenario
+from repro.workloads.churn import (
+    FAULT_KINDS,
+    ChaosFault,
+    ChaosSchedule,
+    generate_chaos_schedule,
+)
+from repro.workloads.seeding import derive_seed
 
 #: An intended route at a peer: (as-path, MED) for one prefix.
 IntendedRoute = Tuple[Tuple[int, ...], int]
-
-
-@dataclass(frozen=True)
-class ChaosConfig:
-    """Tunables for one chaos run.
-
-    ``drain_every`` is the background quiesce cadence between faults
-    (matching the PR-3 oracle's ``recompile_every``); ``runtime_config``
-    overrides the runtime arm's queueing configuration (coalescing,
-    overload policy); ``check_swaps`` attaches :class:`SwapMonitor`
-    around single-transition regions; ``recover_at_end`` brings every
-    still-down peer back (with its re-announcement storm) before the
-    final settle so the end state is fault-free; ``final_flush`` runs
-    the explicit full recompilation that un-wedges stuck routes.
-    """
-
-    drain_every: int = 4
-    corpus_size: int = 12
-    runtime_config: Optional[RuntimeConfig] = None
-    check_swaps: bool = True
-    recover_at_end: bool = True
-    final_flush: bool = True
 
 
 @dataclass(frozen=True)
@@ -93,17 +94,33 @@ class FaultOutcome:
     step: int
     participants: Tuple[str, ...]
     applied: bool
-    events: int
-    batches: int
-    storm_updates: int
-    wall_seconds: float
+    events: int = 0
+    batches: int = 0
+    storm_updates: int = 0
+    wall_seconds: float = 0.0
+
+
+def convergence_by_kind(outcomes: Iterable[FaultOutcome]
+                        ) -> Dict[str, Dict[str, float]]:
+    """Faults, runtime events, batches and wall time per applied kind."""
+    out: Dict[str, Dict[str, float]] = {}
+    for outcome in outcomes:
+        if not outcome.applied:
+            continue
+        slot = out.setdefault(outcome.kind, {
+            "faults": 0.0, "events": 0.0, "batches": 0.0,
+            "wall_seconds": 0.0})
+        slot["faults"] += 1.0
+        slot["events"] += outcome.events
+        slot["batches"] += outcome.batches
+        slot["wall_seconds"] += outcome.wall_seconds
+    return out
 
 
 @dataclass
 class ChaosReport:
     """The outcome of one chaos run."""
 
-    scenario: Scenario
     schedule: ChaosSchedule
     outcomes: List[FaultOutcome] = field(default_factory=list)
     failure: Optional[OracleFailure] = None
@@ -111,7 +128,6 @@ class ChaosReport:
     steps_skipped: int = 0
     storm_updates: int = 0
     settle_checks: int = 0
-    elapsed_seconds: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -120,19 +136,7 @@ class ChaosReport:
 
     def convergence_by_kind(self) -> Dict[str, Dict[str, float]]:
         """Per-fault-kind convergence aggregates (for the bench family)."""
-        grouped: Dict[str, List[FaultOutcome]] = {}
-        for outcome in self.outcomes:
-            if outcome.applied:
-                grouped.setdefault(outcome.kind, []).append(outcome)
-        out: Dict[str, Dict[str, float]] = {}
-        for kind, outcomes in grouped.items():
-            out[kind] = {
-                "faults": float(len(outcomes)),
-                "events": float(sum(o.events for o in outcomes)),
-                "batches": float(sum(o.batches for o in outcomes)),
-                "wall_seconds": sum(o.wall_seconds for o in outcomes),
-            }
-        return out
+        return convergence_by_kind(self.outcomes)
 
     def summary(self) -> str:
         """A deterministic multi-line summary (no wall-clock numbers)."""
@@ -157,27 +161,30 @@ class ChaosReport:
         return "\n".join(lines)
 
 
-class ChaosRunner:
-    """Execute one scenario + schedule; see the module docstring."""
+class ChaosRunner(RuntimeEquivalence):
+    """The ``chaos`` check over one scenario + schedule; see the module
+    docstring. ``report`` carries the run's accounting.
 
-    def __init__(self, scenario: Scenario, schedule: ChaosSchedule, *,
-                 config: Optional[ChaosConfig] = None,
+    The quiesce cadence between faults and the probe corpus size are the
+    case's ``recompile_every`` / ``corpus_size``. ``recover_at_end``
+    brings every still-down peer back (with its re-announcement storm)
+    before the final settle so the end state is fault-free.
+    """
+
+    name = "chaos"
+
+    def __init__(self, *, recover_at_end: bool = True,
                  telemetry: Optional[Telemetry] = None):
-        self.scenario = scenario
-        self.schedule = schedule
-        self.config = config if config is not None else ChaosConfig()
+        super().__init__()
+        self.recover_at_end = recover_at_end
         self.telemetry = telemetry if telemetry is not None else get_telemetry()
+
+    def start(self, case: Case) -> Optional[OracleFailure]:
+        """Build both arms, bind the schedule, reset the peer model."""
+        super().start(case)
+        scenario, schedule = case.scenario, case.schedule
+        self.schedule = schedule
         registry = self.telemetry.registry
-        self._fault_counters = {
-            kind: registry.counter(
-                "sdx_chaos_faults_total", "Chaos faults injected", kind=kind)
-            for kind in set(fault.kind for fault in schedule.faults)}
-        self._convergence_counters = {
-            kind: registry.counter(
-                "sdx_chaos_convergence_events_total",
-                "Runtime events processed converging after a fault",
-                kind=kind)
-            for kind in set(fault.kind for fault in schedule.faults)}
         self._skipped_faults_counter = registry.counter(
             "sdx_chaos_faults_skipped_total",
             "Faults skipped by a determinism guard")
@@ -193,32 +200,20 @@ class ChaosRunner:
         self._assertion_failures_counter = registry.counter(
             "sdx_chaos_assertion_failures_total",
             "Settle assertions that failed")
-        self._report = ChaosReport(scenario=scenario, schedule=schedule)
+        self.report = ChaosReport(schedule=schedule)
         self._down: Set[str] = set()
         self._pending_recovery: Dict[int, List[str]] = {}
-        self._needs_flush = False
         self._port_ips = scenario.port_ips()
         self._intended: Dict[str, Dict[str, IntendedRoute]] = {
             name: {} for name in scenario.participant_names()}
         for announcement in scenario.announcements:
             self._intended[announcement.participant][announcement.prefix] = (
                 tuple(announcement.as_path), 0)
+        return None
 
     # ------------------------------------------------------------------
     # Arm plumbing
     # ------------------------------------------------------------------
-
-    def _build_arms(self) -> None:
-        self.inline = self.scenario.build_controller()
-        self.routed = self.scenario.build_controller()
-        self.runtime = ControlPlaneRuntime(
-            self.routed,
-            config=(self.config.runtime_config
-                    if self.config.runtime_config is not None
-                    else RuntimeConfig()),
-            clock=ManualClock())
-        self.probes: Tuple[Packet, ...] = tuple(generate_corpus(
-            self.scenario, size=self.config.corpus_size))
 
     def _quiesce(self) -> List[str]:
         """Drain both arms; returns swap violations seen on the routed arm."""
@@ -227,17 +222,10 @@ class ChaosRunner:
         return violations
 
     def _swap_guarded(self, region: Callable[[], object]) -> List[str]:
-        """Run ``region`` under a :class:`SwapMonitor` when enabled."""
-        if not self.config.check_swaps:
-            region()
-            return []
+        """Run ``region`` under a :class:`SwapMonitor`."""
         with SwapMonitor(self.routed, self.probes) as monitor:
             region()
         return [str(violation) for violation in monitor.violations()]
-
-    def _submit_both(self, update: Update) -> None:
-        self.inline.submit_update(update)
-        self.runtime.submit_update(update)
 
     def _runtime_counts(self) -> Tuple[int, int]:
         stats = self.runtime.stats()
@@ -247,15 +235,18 @@ class ChaosRunner:
     # Peer lifecycle helpers
     # ------------------------------------------------------------------
 
-    def _storm_updates_for(self, peer: str) -> List[Update]:
-        """The peer's intended table as a re-announcement storm."""
-        out: List[Update] = []
-        for prefix, (as_path, med) in sorted(self._intended[peer].items()):
+    def _storm(self, peer: str) -> int:
+        """Re-announce the peer's intended table on both arms."""
+        table = sorted(self._intended[peer].items())
+        for prefix, (as_path, med) in table:
             attributes = RouteAttributes(
                 next_hop=self._port_ips[peer], as_path=AsPath(as_path),
                 med=med)
-            out.append(Update.announce(peer, IPv4Prefix(prefix), attributes))
-        return out
+            self._submit(
+                Update.announce(peer, IPv4Prefix(prefix), attributes))
+        self._storm_counter.inc(len(table))
+        self.report.storm_updates += len(table)
+        return len(table)
 
     def _fail_one(self, peer: str) -> List[str]:
         """Fail ``peer`` on both arms; returns routed-arm swap violations.
@@ -276,12 +267,7 @@ class ChaosRunner:
         self.routed.route_server.recover_peer(peer)
         self.inline.route_server.recover_peer(peer)
         self._down.discard(peer)
-        storm = self._storm_updates_for(peer)
-        for update in storm:
-            self._submit_both(update)
-        self._storm_counter.inc(len(storm))
-        self._report.storm_updates += len(storm)
-        return len(storm)
+        return self._storm(peer)
 
     # ------------------------------------------------------------------
     # Fault application
@@ -299,13 +285,7 @@ class ChaosRunner:
         """
         swap_violations: List[str] = []
         storms = 0
-        if fault.kind == "peer_down":
-            targets = [p for p in fault.participants if p not in self._down]
-            if not targets:
-                return False, 0, []
-            for peer in targets:
-                swap_violations += self._fail_one(peer)
-        elif fault.kind == "correlated_failure":
+        if fault.kind in ("peer_down", "correlated_failure"):
             targets = [p for p in fault.participants if p not in self._down]
             if not targets:
                 return False, 0, []
@@ -317,12 +297,7 @@ class ChaosRunner:
                     storms += self._recover_one(peer)
                 else:
                     # Already up: a pure (idempotent) announcement storm.
-                    storm = self._storm_updates_for(peer)
-                    for update in storm:
-                        self._submit_both(update)
-                    self._storm_counter.inc(len(storm))
-                    self._report.storm_updates += len(storm)
-                    storms += len(storm)
+                    storms += self._storm(peer)
         elif fault.kind == "flap":
             peer = fault.participants[0]
             if peer in self._down:
@@ -351,7 +326,6 @@ class ChaosRunner:
             self.routed.route_server.inject_unnotified(update)
             self.inline.route_server.inject_unnotified(update)
             self._intended[peer][fault.prefix] = (fault.as_path, 0)
-            self._needs_flush = True
         elif fault.kind == "midswap_reset":
             peer = fault.participants[0]
             if peer in self._down:
@@ -382,12 +356,7 @@ class ChaosRunner:
             finally:
                 controller.southbound.remove_observer(observer)
         # The reset flushed the peer's table; it re-announces as usual.
-        storm = self._storm_updates_for(peer)
-        for update in storm:
-            self._submit_both(update)
-        self._storm_counter.inc(len(storm))
-        self._report.storm_updates += len(storm)
-        return len(storm)
+        return self._storm(peer)
 
     # ------------------------------------------------------------------
     # Assertions
@@ -397,7 +366,7 @@ class ChaosRunner:
                            swap_violations: List[str]) -> Optional[OracleFailure]:
         """The per-fault settle assertion: swaps clean + states equal."""
         self._settle_checks_counter.inc()
-        self._report.settle_checks += 1
+        self.report.settle_checks += 1
         if swap_violations:
             return OracleFailure(f"chaos-swap:{label}", step,
                                  swap_violations[0])
@@ -409,21 +378,16 @@ class ChaosRunner:
         return None
 
     def _check_final(self, step: int) -> Optional[OracleFailure]:
-        """The end-of-run assertions: forwarding + standing invariants."""
-        failure = self._check_equivalence(step, "final", [])
-        if failure is not None:
-            return failure
-        violations = compare_controllers(self.inline, self.routed,
-                                         self.probes)
-        if violations:
-            return OracleFailure("chaos-forwarding", step,
-                                 violations[0].detail)
-        violations = check_all(self.routed, self.probes)
-        if violations:
-            first = violations[0]
-            return OracleFailure(f"chaos-invariant:{first.invariant}", step,
-                                 first.detail)
-        return None
+        """The end-of-run assertions: state, forwarding, invariants."""
+        self._settle_checks_counter.inc()
+        self.report.settle_checks += 1
+        found = settled_divergence(self.inline, self.routed, self.probes)
+        if found is None:
+            return None
+        aspect, detail = found
+        return OracleFailure(
+            "chaos-equivalence:final" if aspect == "state"
+            else f"chaos-{aspect}", step, detail)
 
     # ------------------------------------------------------------------
     # Main loop
@@ -437,17 +401,20 @@ class ChaosRunner:
             applied, storms, swap_violations = self._apply_fault(fault, index)
             if not applied:
                 self._skipped_faults_counter.inc()
-                self._report.outcomes.append(FaultOutcome(
+                self.report.outcomes.append(FaultOutcome(
                     kind=fault.kind, step=fault.step,
-                    participants=fault.participants, applied=False,
-                    events=0, batches=0, storm_updates=0, wall_seconds=0.0))
+                    participants=fault.participants, applied=False))
                 continue
             swap_violations += self._quiesce()
             events_after, batches_after = self._runtime_counts()
-            self._fault_counters[fault.kind].inc()
-            self._convergence_counters[fault.kind].inc(
-                events_after - events_before)
-            self._report.outcomes.append(FaultOutcome(
+            registry = self.telemetry.registry
+            registry.counter("sdx_chaos_faults_total",
+                             "Chaos faults injected", kind=fault.kind).inc()
+            registry.counter(
+                "sdx_chaos_convergence_events_total",
+                "Runtime events processed converging after a fault",
+                kind=fault.kind).inc(events_after - events_before)
+            self.report.outcomes.append(FaultOutcome(
                 kind=fault.kind, step=fault.step,
                 participants=fault.participants, applied=True,
                 events=events_after - events_before,
@@ -470,55 +437,49 @@ class ChaosRunner:
             if peer in self._down:
                 self._recover_one(peer)
 
-    def run(self) -> ChaosReport:
-        """Execute the schedule; never raises on an assertion failure."""
-        started = time.monotonic()
-        self._build_arms()
-        report = self._report
-        trace = self.scenario.trace
-        with self.telemetry.span("chaos.run", seed=self.schedule.seed,
-                                 faults=len(self.schedule.faults)):
-            for index, step in enumerate(trace):
-                if step.participant in self._down:
-                    self._steps_skipped_counter.inc()
-                    report.steps_skipped += 1
-                else:
-                    self._submit_both(self.scenario.step_update(step))
-                    report.steps_executed += 1
-                self._note_intended(step)
-                if (index + 1) % self.config.drain_every == 0:
-                    self._quiesce()
-                self._fire_pending(index)
-                report.failure = self._fire_faults(
-                    index, self.schedule.faults_at(index))
-                if report.failure is not None:
-                    break
-            if report.failure is None:
-                # Post-trace faults, oldest step first (schedule order).
-                report.failure = self._fire_faults(
-                    len(trace), self.schedule.faults_after(len(trace)))
-            if report.failure is None:
-                for pending in sorted(self._pending_recovery):
-                    self._fire_pending(pending)
-                if self.config.recover_at_end:
-                    for peer in sorted(self._down):
-                        self._recover_one(peer)
-                self._quiesce()
-                if self.config.final_flush:
-                    swap_violations = self._swap_guarded(
-                        self.routed.recompile)
-                    self.inline.recompile()
-                    self._needs_flush = False
-                    if swap_violations:
-                        report.failure = OracleFailure(
-                            "chaos-swap:final-flush", len(trace),
-                            swap_violations[0])
-                if report.failure is None:
-                    report.failure = self._check_final(len(trace))
-            if report.failure is not None:
-                self._assertion_failures_counter.inc()
-        report.elapsed_seconds = time.monotonic() - started
-        return report
+    def _verdict(self, failure: Optional[OracleFailure]
+                 ) -> Optional[OracleFailure]:
+        """Record ``failure`` (if any) on the report and its counter."""
+        self.report.failure = failure
+        if failure is not None:
+            self._assertion_failures_counter.inc()
+        return failure
+
+    def after_step(self, index: int, step, update: Update
+                   ) -> Optional[OracleFailure]:
+        """Submit (or skip) the step, then fire the faults due after it."""
+        if step.participant in self._down:
+            self._steps_skipped_counter.inc()
+            self.report.steps_skipped += 1
+        else:
+            self._submit(update)
+            self.report.steps_executed += 1
+        self._note_intended(step)
+        if (index + 1) % self.drain_every == 0:
+            self._quiesce()
+        self._fire_pending(index)
+        return self._verdict(self._fire_faults(
+            index, self.schedule.faults_at(index)))
+
+    def at_settle(self, last: int) -> Optional[OracleFailure]:
+        """Post-trace faults, recoveries, final flush, final assertions."""
+        end = last + 1
+        # Post-trace faults, oldest step first (schedule order).
+        failure = self._fire_faults(end, self.schedule.faults_after(end))
+        if failure is None:
+            for pending in sorted(self._pending_recovery):
+                self._fire_pending(pending)
+            if self.recover_at_end:
+                for peer in sorted(self._down):
+                    self._recover_one(peer)
+            self._quiesce()
+            # The explicit full recompilation that un-wedges stuck routes.
+            swap_violations = self._swap_guarded(self.routed.recompile)
+            self.inline.recompile()
+            failure = (OracleFailure("chaos-swap:final-flush", end,
+                                     swap_violations[0])
+                       if swap_violations else self._check_final(end))
+        return self._verdict(failure)
 
     def _note_intended(self, step) -> None:
         """Advance the sender's intended table, down or not."""
@@ -530,19 +491,99 @@ class ChaosRunner:
 
 
 def run_chaos(scenario: Scenario, schedule: ChaosSchedule, *,
-              config: Optional[ChaosConfig] = None,
+              recover_at_end: bool = True,
               telemetry: Optional[Telemetry] = None) -> ChaosReport:
-    """Run one chaos schedule against ``scenario``; see :class:`ChaosRunner`."""
-    return ChaosRunner(scenario, schedule, config=config,
-                       telemetry=telemetry).run()
+    """Replay one chaos schedule against ``scenario``; the full report."""
+    runner = ChaosRunner(recover_at_end=recover_at_end, telemetry=telemetry)
+    replay(Case(scenario, schedule), [runner])
+    return runner.report
 
 
-def chaos_failure(scenario: Scenario, schedule: ChaosSchedule, *,
-                  config: Optional[ChaosConfig] = None
-                  ) -> Optional[OracleFailure]:
-    """The first assertion failure of a chaos run, or ``None``.
+@dataclass(frozen=True)
+class ChaosSoakConfig(SessionConfig):
+    """Tunables for one chaos soak session.
 
-    The shrinker's runner: a full :class:`ChaosReport` reduced to the
-    pass/fail signal.
+    ``faults`` and ``fault_kinds`` shape each derived schedule (the
+    default schedule length covers every kind, see
+    :func:`~repro.workloads.churn.generate_chaos_schedule`).
     """
-    return run_chaos(scenario, schedule, config=config).failure
+
+    scenarios: int = 3
+    steps: int = 16
+    policies: int = 4
+    faults: int = 6
+    fault_kinds: Tuple[str, ...] = FAULT_KINDS
+
+
+@dataclass
+class ChaosSoakReport(SessionReport):
+    """The outcome of one chaos soak session."""
+
+    settle_checks: int = 0
+    outcomes: List[FaultOutcome] = field(default_factory=list)
+
+    @property
+    def faults_applied(self) -> int:
+        """Faults actually injected (not skipped by a determinism guard)."""
+        return sum(1 for outcome in self.outcomes if outcome.applied)
+
+    @property
+    def convergence(self) -> Dict[str, Dict[str, float]]:
+        """Per-fault-kind convergence aggregates over the session."""
+        return convergence_by_kind(self.outcomes)
+
+    def kinds_covered(self) -> Tuple[str, ...]:
+        """Fault kinds applied at least once, in canonical order."""
+        return tuple(kind for kind in FAULT_KINDS
+                     if kind in self.convergence)
+
+    def record(self, case: Case, checks: Sequence[Check],
+               failure: Optional[OracleFailure]) -> None:
+        """Fold one chaos run's accounting into the session totals."""
+        run = checks[0].report  # type: ignore[attr-defined]
+        self.outcomes.extend(run.outcomes)
+        self.steps_executed += run.steps_executed
+        self.settle_checks += run.settle_checks
+
+    def headline(self) -> List[str]:
+        """Session totals, then per-fault-kind convergence work."""
+        lines = [
+            f"chaos seed={self.config.seed}: {self.scenarios_run} "
+            f"scenario(s), {self.faults_applied} fault(s) applied, "
+            f"{self.steps_executed} step(s), {self.settle_checks} "
+            f"settle check(s)",
+        ]
+        convergence = self.convergence
+        covered = self.kinds_covered()
+        if covered:
+            lines.append("fault kinds covered: " + ", ".join(covered))
+        for kind in covered:
+            stats = convergence[kind]
+            lines.append(
+                f"  {kind}: {int(stats['faults'])} fault(s), "
+                f"{int(stats['events'])} convergence event(s), "
+                f"{int(stats['batches'])} batch(es)")
+        return lines
+
+
+def run_chaos_soak(config: ChaosSoakConfig,
+                   telemetry: Optional[Telemetry] = None) -> ChaosSoakReport:
+    """Run one chaos soak session; never raises on a finding."""
+    telemetry = telemetry if telemetry is not None else get_telemetry()
+
+    def make_case(index: int) -> Case:
+        scenario = generate_scenario(
+            derive_seed(config.seed, f"chaos-scenario-{index}"),
+            participants=config.participants, prefixes=config.prefixes,
+            policies=config.policies, steps=config.steps)
+        return Case(scenario, generate_chaos_schedule(
+            derive_seed(config.seed, f"chaos-schedule-{index}"),
+            scenario.participant_names(), prefixes=scenario.prefixes,
+            trace_length=len(scenario.trace), faults=config.faults,
+            kinds=config.fault_kinds))
+
+    report = ChaosSoakReport(config)
+    run_session(config, report, make_case, harness="chaos",
+                checks_for=lambda case: [ChaosRunner(telemetry=telemetry)],
+                telemetry=telemetry)
+    return report

@@ -68,7 +68,7 @@ PHASE_BY_SPAN: Mapping[str, str] = {
     # Pre-compilation static analysis.
     "statics.analyze": "statics",
     # Verification harness driver.
-    "fuzz.scenario": "verification",
+    "harness.scenario": "verification",
 }
 
 

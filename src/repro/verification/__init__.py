@@ -7,6 +7,9 @@ correctness"), and the southbound table swap is *consistency preserving*
 (every packet follows the old or the new path at every intermediate
 state). This package turns both claims into executable oracles:
 
+- :mod:`repro.verification.kernel` — the one harness kernel: cases,
+  the ``Check`` protocol, the lockstep ``replay`` driver, the shrinker,
+  replayable failure artifacts, and the budgeted session loop;
 - :mod:`repro.verification.scenario` — seeded, replayable scenarios:
   a small exchange, a policy mix, and a BGP update trace drawn from the
   same calibrated distributions as :mod:`repro.workloads.updates`;
@@ -17,44 +20,37 @@ state). This package turns both claims into executable oracles:
   interpreter built on the real :class:`~repro.dataplane.switch
   .SoftwareSwitch` / :class:`~repro.dataplane.flowtable.FlowTable`
   machinery but sharing no compiler code;
-- :mod:`repro.verification.oracle` — three lockstep executions per trace
-  (full recompilation, incremental engine, reference interpreter) diffed
-  after every update, plus standing invariants;
 - :mod:`repro.verification.invariants` — isolation, BGP consistency,
   default-route conformance via VNH/VMAC tags, and loss-free two-phase
   southbound swaps;
-- :mod:`repro.verification.runtime` — runtime-vs-inline equivalence:
-  canonical (VNH/VMAC-renaming-insensitive) state snapshots and the
-  coalescing oracle behind ``python -m repro fuzz --runtime``;
-- :mod:`repro.verification.statics` — cross-validation of the static
-  policy verifier: dead-clause and route-less-forward verdicts checked
+- :mod:`repro.verification.fuzz` — the fuzzing session behind
+  ``python -m repro fuzz`` and ``make fuzz``;
+
+and the checks the kernel drives (:class:`repro.chaos.ChaosRunner` is
+the sixth):
+
+- :mod:`repro.verification.oracle` — ``oracle``: three lockstep
+  executions per trace (full recompilation, incremental engine,
+  reference interpreter) diffed after every update, plus the standing
+  invariants;
+- :mod:`repro.verification.runtime` — ``runtime``: runtime-vs-inline
+  equivalence over canonical (VNH/VMAC-renaming-insensitive) state
+  snapshots (``python -m repro fuzz --runtime``);
+- :mod:`repro.verification.statics` — ``statics``: dead-clause and
+  route-less-forward verdicts of the static policy verifier checked
   packet-by-packet against the reference interpreter
   (``python -m repro fuzz --statics``);
-- :mod:`repro.verification.dataplane` — cross-validation of the
-  incremental dataplane verifier: byte-identity with a fresh
-  whole-table analysis plus the SDX010-SDX012 witness contracts,
-  checked against the real flow table on every trace step
-  (``python -m repro fuzz --dataplane``);
-- :mod:`repro.verification.federation` — cross-validation of the
-  federation layer: SDX008/SDX009 witness contracts plus the
-  real-vs-reference federated walk comparison
-  (``python -m repro fuzz --federation``);
-- :mod:`repro.verification.shrink` — trace minimisation to a minimal
-  failing prefix (truncate, then greedy event removal);
-- :mod:`repro.verification.artifact` — replayable JSON failure
-  artifacts (seed + shrunk trace);
-- :mod:`repro.verification.fuzz` — the budgeted fuzzing loop behind
-  ``python -m repro fuzz`` and ``make fuzz``.
+- :mod:`repro.verification.dataplane` — ``dataplane``: the incremental
+  dataplane verifier held byte-identical to a fresh whole-table
+  analysis, plus the SDX010-SDX012 witness contracts against the real
+  flow table (``python -m repro fuzz --dataplane``);
+- :mod:`repro.verification.federation` — ``federation``: SDX008/SDX009
+  witness contracts plus the real-vs-reference federated walk
+  comparison (``python -m repro fuzz --federation``).
 """
 
-from repro.verification.artifact import FailureArtifact, replay_artifact
 from repro.verification.corpus import generate_corpus
-from repro.verification.dataplane import dataplane_crosscheck
-from repro.verification.federation import (
-    FederationCrosscheckResult,
-    federation_crosscheck,
-)
-from repro.verification.fuzz import FuzzConfig, FuzzReport, run_fuzz
+from repro.verification.fuzz import FuzzConfig, run_fuzz
 from repro.verification.invariants import (
     SwapMonitor,
     Violation,
@@ -63,18 +59,24 @@ from repro.verification.invariants import (
     check_default_conformance,
     check_single_delivery,
 )
+from repro.verification.kernel import (
+    Case,
+    Check,
+    FailureArtifact,
+    OracleFailure,
+    SessionReport,
+    replay,
+    replay_artifact,
+    run_session,
+    shrink,
+)
 from repro.verification.oracle import (
     DifferentialOracle,
-    OracleFailure,
     compare_controllers,
     forwarding_outcomes,
 )
 from repro.verification.reference import ReferenceInterpreter
-from repro.verification.runtime import (
-    CanonicalState,
-    canonical_state,
-    check_runtime_equivalence,
-)
+from repro.verification.runtime import CanonicalState, canonical_state
 from repro.verification.scenario import (
     Scenario,
     ScenarioAnnouncement,
@@ -83,22 +85,21 @@ from repro.verification.scenario import (
     TraceStep,
     generate_scenario,
 )
-from repro.verification.shrink import shrink_scenario
-from repro.verification.statics import statics_crosscheck
 
 __all__ = [
     "CanonicalState",
+    "Case",
+    "Check",
     "DifferentialOracle",
     "FailureArtifact",
-    "FederationCrosscheckResult",
     "FuzzConfig",
-    "FuzzReport",
     "OracleFailure",
     "ReferenceInterpreter",
     "Scenario",
     "ScenarioAnnouncement",
     "ScenarioParticipant",
     "ScenarioPolicy",
+    "SessionReport",
     "SwapMonitor",
     "TraceStep",
     "Violation",
@@ -106,16 +107,14 @@ __all__ = [
     "check_all",
     "check_bgp_consistency",
     "check_default_conformance",
-    "check_runtime_equivalence",
     "check_single_delivery",
     "compare_controllers",
-    "dataplane_crosscheck",
-    "federation_crosscheck",
     "forwarding_outcomes",
     "generate_corpus",
     "generate_scenario",
+    "replay",
     "replay_artifact",
     "run_fuzz",
-    "shrink_scenario",
-    "statics_crosscheck",
+    "run_session",
+    "shrink",
 ]

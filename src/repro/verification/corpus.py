@@ -10,7 +10,7 @@ compares exactly the same packets.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Set, Tuple, Union
+from typing import List, Set, Tuple, Union
 
 from repro.net.addresses import IPv4Prefix
 from repro.net.packet import Packet
@@ -90,7 +90,3 @@ def senders_for(scenario: Scenario) -> Tuple[str, ...]:
 
 __all__ = ["generate_corpus", "senders_for"]
 
-
-def describe_corpus(packets: Sequence[Packet]) -> str:
-    """A one-line summary used in fuzz reports."""
-    return f"{len(packets)} probe packets"

@@ -21,9 +21,9 @@ every scenario state:
   must carry a probe packet per ingress port without falling to the
   miss (the covering half of the partition property).
 
-:func:`dataplane_crosscheck` replays a scenario's BGP trace with the
-incremental verifier riding the live southbound engine, re-checking all
-three contracts at the base table and after every step.
+:class:`DataplaneContracts` holds them with the incremental verifier
+riding the live southbound engine, re-checking all three contracts at
+the base table and after every trace step.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ from typing import Any, Optional
 from repro.net.mac import MacAddress
 from repro.statics.dataplane import analyze_controller_dataplane
 from repro.statics.diagnostics import Diagnostic, Severity
-from repro.verification.oracle import OracleFailure
-from repro.verification.scenario import Scenario
+from repro.verification.kernel import Case, Check, OracleFailure
 
 
 def _diag_rule(controller, diag: Diagnostic):
@@ -148,25 +147,28 @@ def _check_state(controller, verifier: Any,
             or _check_covered(controller, fresh, step))
 
 
-def dataplane_crosscheck(scenario: Scenario) -> Optional[OracleFailure]:
-    """Cross-validate the dataplane verifier against the real table.
+class DataplaneContracts(Check):
+    """The dataplane verifier held against the real table.
 
     Builds the scenario's controller with the incremental verifier
     attached to the live southbound engine (``warn`` mode, so findings
     never gate the replay itself), then checks the byte-identity,
     witness, false-alarm, and covering contracts at the base table and
-    after every trace step. Returns the first breach as an
-    :class:`OracleFailure` (``step`` is ``-1`` for the base state), or
-    ``None`` when every contract held.
+    after every trace step (``step`` is ``-1`` for the base state).
     """
-    controller = scenario.build_controller(dataplane_statics_mode="warn")
-    verifier = controller.dataplane_verifier
-    failure = _check_state(controller, verifier, step=-1)
-    if failure is not None:
-        return failure
-    for step_index, step in enumerate(scenario.trace):
-        controller.submit_update(scenario.step_update(step))
-        failure = _check_state(controller, verifier, step=step_index)
-        if failure is not None:
-            return failure
-    return None
+
+    name = "dataplane"
+
+    def start(self, case: Case) -> Optional[OracleFailure]:
+        """Build the verified controller; check the base table."""
+        self.controller = case.scenario.build_controller(
+            dataplane_statics_mode="warn")
+        return _check_state(
+            self.controller, self.controller.dataplane_verifier, step=-1)
+
+    def after_step(self, index: int, step: Any,
+                   update: Any) -> Optional[OracleFailure]:
+        """Apply ``update`` and re-check every contract."""
+        self.controller.submit_update(update)
+        return _check_state(
+            self.controller, self.controller.dataplane_verifier, step=index)

@@ -21,35 +21,21 @@ every BGP trace step, so verdicts are held against churning RIB state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional
 
-from repro.net.packet import Packet
-from repro.verification.oracle import OracleFailure
+from repro.verification.kernel import Case, Check, OracleFailure
 
 if TYPE_CHECKING:  # the federation package imports verification modules,
     # so runtime imports here must stay lazy to avoid a cycle
     from repro.federation.reference import FederatedReferenceInterpreter
-    from repro.federation.scenario import FederatedScenario
 
 
-@dataclass
-class FederationCrosscheckResult:
-    """The outcome of one federated cross-validation run."""
-
-    failure: Optional[OracleFailure] = None
-    steps_executed: int = 0
-    comparisons: int = 0
-
-    @property
-    def ok(self) -> bool:
-        """True when every verdict held and both arms agreed."""
-        return self.failure is None
-
-
-def _data_map(diagnostic) -> dict:
-    """The diagnostic's payload as a plain dict."""
-    return dict(diagnostic.data)
+#: (check id, failure noun, claim, predicate the reference walk must meet).
+_WITNESS_CONTRACTS = (
+    ("SDX008", "loop", "loops from", lambda outcome: outcome.is_loop),
+    ("SDX009", "blackhole", "blackholes beyond",
+     lambda outcome: outcome.kind == "dropped" and len(outcome.hops) >= 2),
+)
 
 
 def _check_statics(federation, reference: "FederatedReferenceInterpreter",
@@ -58,93 +44,77 @@ def _check_statics(federation, reference: "FederatedReferenceInterpreter",
     from repro.federation.checks import analyze_federation
 
     report = analyze_federation(federation)
-    for diagnostic in report.by_check("SDX008"):
-        payload = _data_map(diagnostic)
-        outcome = reference.forward(
-            payload["origin_exchange"], payload["origin_participant"],
-            diagnostic.witness)
-        if not outcome.is_loop:
-            return OracleFailure(
-                kind="statics-loop-not-reproduced", step=step,
-                detail=f"SDX008 at [{diagnostic.location.describe()}] "
-                       f"claimed witness {diagnostic.witness!r} loops from "
-                       f"{payload['origin_exchange']}:"
-                       f"{payload['origin_participant']}, but the federated "
-                       f"reference resolves it to {outcome.describe()}")
-    for diagnostic in report.by_check("SDX009"):
-        payload = _data_map(diagnostic)
-        outcome = reference.forward(
-            payload["origin_exchange"], payload["origin_participant"],
-            diagnostic.witness)
-        if outcome.kind != "dropped" or len(outcome.hops) < 2:
-            return OracleFailure(
-                kind="statics-blackhole-not-reproduced", step=step,
-                detail=f"SDX009 at [{diagnostic.location.describe()}] "
-                       f"claimed witness {diagnostic.witness!r} blackholes "
-                       f"beyond {payload['origin_exchange']}:"
-                       f"{payload['origin_participant']}, but the federated "
-                       f"reference resolves it to {outcome.describe()}")
+    for check_id, noun, claim, holds in _WITNESS_CONTRACTS:
+        for diagnostic in report.by_check(check_id):
+            payload = dict(diagnostic.data)
+            origin = (payload["origin_exchange"],
+                      payload["origin_participant"])
+            outcome = reference.forward(*origin, diagnostic.witness)
+            if not holds(outcome):
+                return OracleFailure(
+                    kind=f"statics-{noun}-not-reproduced", step=step,
+                    detail=f"{check_id} at "
+                           f"[{diagnostic.location.describe()}] claimed "
+                           f"witness {diagnostic.witness!r} {claim} "
+                           f"{origin[0]}:{origin[1]}, but the federated "
+                           f"reference resolves it to {outcome.describe()}")
     return None
 
 
-def _check_differential(scenario: "FederatedScenario", federation,
-                        reference: "FederatedReferenceInterpreter",
-                        corpus: Sequence[Packet], step: int,
-                        result: FederationCrosscheckResult
-                        ) -> Optional[OracleFailure]:
-    """Compare both arms' walks for every (exchange, sender, packet)."""
-    for exchange in scenario.exchanges:
-        for spec in scenario.participants_at(exchange):
-            for packet in corpus:
-                real = federation.forward(exchange, spec.name, packet)
-                naive = reference.forward(exchange, spec.name, packet)
-                result.comparisons += 1
-                if real.comparable() != naive.comparable():
-                    return OracleFailure(
-                        kind="federated-forwarding-divergence", step=step,
-                        detail=f"{exchange}:{spec.name} x {packet!r}: "
-                               f"real dataplane {real.describe()} != "
-                               f"reference {naive.describe()}")
-    return None
-
-
-def federation_crosscheck(scenario: "FederatedScenario",
-                          corpus: Sequence[Packet] = ()
-                          ) -> FederationCrosscheckResult:
-    """Cross-validate one federated scenario end to end.
+class FederatedWalk(Check):
+    """SDX008/SDX009 witnesses plus the real-vs-naive walk differential.
 
     Builds the real federation (compiled fabrics) and the naive
     federated reference from the same scenario, verifies their derived
     topology facts align, then runs the statics-witness and differential
-    batteries at the base table and after every trace step. The first
-    breach stops the run.
+    batteries at the base table and after every trace step.
     """
-    from repro.federation.reference import FederatedReferenceInterpreter
 
-    result = FederationCrosscheckResult()
-    federation = scenario.build_controller(with_dataplane=True)
-    reference = FederatedReferenceInterpreter(scenario)
-    problem = reference.verify_alignment(federation)
-    if problem is not None:
-        result.failure = OracleFailure(
-            kind="federated-alignment", step=-1, detail=problem)
-        return result
+    name = "federation"
 
-    def check(step: int) -> Optional[OracleFailure]:
-        return (_check_statics(federation, reference, step)
-                or _check_differential(scenario, federation, reference,
-                                       corpus, step, result))
+    def _differential(self, step: int) -> Optional[OracleFailure]:
+        """Compare both arms' walks for every (exchange, sender, packet)."""
+        for exchange in self.scenario.exchanges:
+            for spec in self.scenario.participants_at(exchange):
+                for packet in self.corpus:
+                    real = self.federation.forward(
+                        exchange, spec.name, packet)
+                    naive = self.reference.forward(
+                        exchange, spec.name, packet)
+                    self.comparisons += 1
+                    if real.comparable() != naive.comparable():
+                        return OracleFailure(
+                            kind="federated-forwarding-divergence",
+                            step=step,
+                            detail=f"{exchange}:{spec.name} x {packet!r}: "
+                                   f"real dataplane {real.describe()} != "
+                                   f"reference {naive.describe()}")
+        return None
 
-    result.failure = check(-1)
-    if result.failure is not None:
-        return result
-    for index, step in enumerate(scenario.trace):
-        update = scenario.step_update(step)
-        federation.submit_update(step.exchange, update)
-        reference.apply(step.exchange, update)
-        federation.settle()
-        result.steps_executed += 1
-        result.failure = check(index)
-        if result.failure is not None:
-            return result
-    return result
+    def _check(self, step: int) -> Optional[OracleFailure]:
+        return (_check_statics(self.federation, self.reference, step)
+                or self._differential(step))
+
+    def start(self, case: Case) -> Optional[OracleFailure]:
+        """Build both arms, verify alignment, check the base table."""
+        from repro.federation.reference import FederatedReferenceInterpreter
+        from repro.federation.scenario import generate_federated_corpus
+
+        self.scenario = case.scenario
+        self.corpus = generate_federated_corpus(
+            case.scenario, size=case.corpus_size)
+        self.federation = case.scenario.build_controller(with_dataplane=True)
+        self.reference = FederatedReferenceInterpreter(case.scenario)
+        problem = self.reference.verify_alignment(self.federation)
+        if problem is not None:
+            return OracleFailure(
+                kind="federated-alignment", step=-1, detail=problem)
+        return self._check(-1)
+
+    def after_step(self, index: int, step: Any,
+                   update: Any) -> Optional[OracleFailure]:
+        """Apply ``update`` at its exchange on both arms and re-check."""
+        self.federation.submit_update(step.exchange, update)
+        self.reference.apply(step.exchange, update)
+        self.federation.settle()
+        return self._check(index)

@@ -1,331 +1,84 @@
-"""The budgeted fuzzing loop behind ``python -m repro fuzz``.
+"""The fuzzing session behind ``python -m repro fuzz``.
 
 Each iteration derives an independent scenario seed from the session
-seed, generates a scenario + corpus, runs the differential oracle, and —
-on failure — shrinks the trace and saves a replayable artifact. The loop
-stops at the configured scenario count or when the wall-clock budget is
-spent, whichever comes first. All activity is recorded into the
-telemetry registry (``sdx_fuzz_*`` counters), so a fuzzing session shows
-up in the same ``repro stats`` snapshot as the pipeline it exercises.
+seed and hands the case to :func:`repro.verification.kernel
+.run_session`, which replays it under the configured checks and — on
+failure — shrinks the case and saves a replayable artifact. All activity
+is recorded into the telemetry registry (``sdx_harness_*`` labelled
+``fuzz`` / ``federation``, plus ``sdx_fuzz_steps_total`` and
+``sdx_fuzz_comparisons_total``), so a fuzzing session shows up in the
+same ``repro stats`` snapshot as the pipeline it exercises.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from repro.telemetry import Telemetry, get_telemetry
-from repro.verification.artifact import FailureArtifact
-from repro.verification.corpus import generate_corpus
-from repro.verification.oracle import DifferentialOracle, OracleFailure
-from repro.verification.scenario import Scenario, generate_scenario
-from repro.verification.shrink import shrink_scenario
+from repro.verification.kernel import (
+    Case,
+    SessionConfig,
+    SessionReport,
+    run_session,
+)
+from repro.verification.scenario import generate_scenario
 from repro.workloads.seeding import derive_seed
 
 
 @dataclass(frozen=True)
-class FuzzConfig:
+class FuzzConfig(SessionConfig):
     """Tunables for one fuzzing session.
 
-    ``time_budget_seconds`` bounds wall-clock time (checked between
-    scenarios and before shrinking); ``artifact_dir`` enables failure
-    artifacts; ``shrink`` can be disabled for quick triage runs.
-    ``runtime`` additionally replays each passing scenario through the
-    deterministic control-plane runtime and asserts equivalence with
-    the inline execution (see
-    :func:`repro.verification.runtime.check_runtime_equivalence`).
-    ``statics`` cross-validates the static policy verifier's dead-clause
-    and route-less-forward verdicts against the reference interpreter on
-    every scenario (see
-    :func:`repro.verification.statics.statics_crosscheck`).
-    ``dataplane`` cross-validates the incremental dataplane verifier on
-    every scenario: incremental-vs-full byte identity, the
-    SDX010-SDX012 witness contracts, and the no-false-alarm and
-    covering contracts (see
-    :func:`repro.verification.dataplane.dataplane_crosscheck`).
-    ``federation`` switches the session to multi-exchange scenarios:
-    each iteration generates a federated scenario over ``exchanges``
-    exchanges and runs
-    :func:`repro.verification.federation.federation_crosscheck` (the
-    SDX008/SDX009 witness contracts plus the real-vs-reference federated
-    walk comparison) instead of the single-exchange oracle. Federated
-    failures are saved as raw scenario JSON without shrinking.
+    ``checks`` names what rides along with the differential oracle on
+    every scenario: ``runtime``
+    (:class:`~repro.verification.runtime.RuntimeEquivalence`),
+    ``statics`` (:class:`~repro.verification.statics.StaticsWitnesses`)
+    and ``dataplane``
+    (:class:`~repro.verification.dataplane.DataplaneContracts`).
+    ``federation`` switches the session to multi-exchange scenarios over
+    ``exchanges`` exchanges: the base check becomes
+    :class:`~repro.verification.federation.FederatedWalk` and every
+    other named check runs once per member exchange.
     """
 
-    seed: int = 0
-    scenarios: int = 5
-    steps: int = 12
-    participants: int = 4
-    prefixes: int = 4
-    policies: int = 5
     corpus_size: int = 12
     recompile_every: int = 4
-    artifact_dir: Optional[str] = None
-    time_budget_seconds: Optional[float] = None
-    shrink: bool = True
-    runtime: bool = False
-    statics: bool = False
-    dataplane: bool = False
-    federation: bool = False
+    checks: Tuple[str, ...] = ()
     exchanges: int = 2
 
 
-@dataclass(frozen=True)
-class FuzzFinding:
-    """One failing scenario: where it came from and what it broke."""
-
-    scenario_index: int
-    scenario_seed: int
-    failure: OracleFailure
-    shrunk_trace_length: int
-    original_trace_length: int
-    artifact_path: Optional[str]
-
-
-@dataclass
-class FuzzReport:
-    """The outcome of one fuzzing session."""
-
-    config: FuzzConfig
-    scenarios_run: int = 0
-    steps_executed: int = 0
-    comparisons: int = 0
-    shrink_runs: int = 0
-    findings: List[FuzzFinding] = field(default_factory=list)
-    budget_exhausted: bool = False
-    elapsed_seconds: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        """True when no scenario failed."""
-        return not self.findings
-
-    def summary(self) -> str:
-        """A deterministic multi-line summary (no wall-clock numbers)."""
-        lines = [
-            f"fuzz seed={self.config.seed}: {self.scenarios_run} "
-            f"scenario(s), {self.steps_executed} step(s), "
-            f"{self.comparisons} forwarding comparison(s)",
-        ]
-        if self.budget_exhausted:
-            lines.append("time budget exhausted before the scenario count")
-        if not self.findings:
-            lines.append("no divergence found")
-        for finding in self.findings:
-            lines.append(
-                f"FAIL scenario#{finding.scenario_index} "
-                f"(seed {finding.scenario_seed}): {finding.failure.kind} "
-                f"after step {finding.failure.step}, trace shrunk "
-                f"{finding.original_trace_length} -> "
-                f"{finding.shrunk_trace_length} step(s)")
-            lines.append(f"  {finding.failure.detail}")
-            if finding.artifact_path:
-                lines.append(f"  artifact: {finding.artifact_path}")
-        return "\n".join(lines)
-
-
-def _scenario_for(config: FuzzConfig, index: int) -> Scenario:
-    """The ``index``-th scenario of a session, independently seeded."""
-    return generate_scenario(
-        derive_seed(config.seed, f"scenario-{index}"),
-        participants=config.participants,
-        prefixes=config.prefixes,
-        policies=config.policies,
-        steps=config.steps)
-
-
-def _run_federation_fuzz(config: FuzzConfig,
-                         telemetry: Telemetry) -> FuzzReport:
-    """The federated fuzzing loop: one cross-check per scenario.
-
-    Findings are not shrunk (the federated walk has no shrinking
-    machinery yet); instead the failing scenario is written verbatim as
-    replayable JSON next to the usual artifacts.
-    """
-    import json
-    import os
-
-    from repro.federation.scenario import (
-        generate_federated_corpus,
-        generate_federated_scenario,
-    )
-    from repro.verification.federation import federation_crosscheck
-
-    registry = telemetry.registry
-    scenarios_counter = registry.counter(
-        "sdx_fuzz_federation_scenarios_total",
-        "Federated fuzz scenarios executed")
-    failures_counter = registry.counter(
-        "sdx_fuzz_federation_failures_total",
-        "Federated scenarios that broke a witness contract or diverged")
-
-    report = FuzzReport(config=config)
-    started = time.monotonic()
-    for index in range(config.scenarios):
-        if (config.time_budget_seconds is not None
-                and time.monotonic() - started
-                >= config.time_budget_seconds):
-            report.budget_exhausted = True
-            break
-        scenario = generate_federated_scenario(
-            derive_seed(config.seed, f"federation-{index}"),
-            exchanges=config.exchanges,
-            participants=config.participants,
-            prefixes=config.prefixes,
-            policies=config.policies,
-            steps=config.steps)
-        corpus = generate_federated_corpus(
-            scenario, size=config.corpus_size)
-        with telemetry.span("fuzz.federation", index=index,
-                            seed=scenario.seed):
-            result = federation_crosscheck(scenario, corpus)
-        report.scenarios_run += 1
-        report.steps_executed += result.steps_executed
-        report.comparisons += result.comparisons
-        scenarios_counter.inc()
-        if result.failure is None:
-            continue
-        failures_counter.inc()
-        artifact_path: Optional[str] = None
-        if config.artifact_dir is not None:
-            os.makedirs(config.artifact_dir, exist_ok=True)
-            slug = "".join(ch if ch.isalnum() else "-"
-                           for ch in result.failure.kind)
-            artifact_path = os.path.join(
-                config.artifact_dir,
-                f"federated-seed{scenario.seed}-{slug}.json")
-            payload = {
-                "kind": result.failure.kind,
-                "step": result.failure.step,
-                "detail": result.failure.detail,
-                "scenario": scenario.to_dict(),
-            }
-            with open(artifact_path, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(payload, indent=2, sort_keys=True)
-                             + "\n")
-        report.findings.append(FuzzFinding(
-            scenario_index=index,
-            scenario_seed=scenario.seed,
-            failure=result.failure,
-            shrunk_trace_length=len(scenario.trace),
-            original_trace_length=len(scenario.trace),
-            artifact_path=artifact_path))
-    report.elapsed_seconds = time.monotonic() - started
-    return report
-
-
 def run_fuzz(config: FuzzConfig,
-             telemetry: Optional[Telemetry] = None) -> FuzzReport:
+             telemetry: Optional[Telemetry] = None) -> SessionReport:
     """Run one fuzzing session; never raises on a finding."""
     telemetry = telemetry if telemetry is not None else get_telemetry()
-    if config.federation:
-        return _run_federation_fuzz(config, telemetry)
-    registry = telemetry.registry
-    scenarios_counter = registry.counter(
-        "sdx_fuzz_scenarios_total", "Fuzz scenarios executed")
-    steps_counter = registry.counter(
-        "sdx_fuzz_steps_total", "Trace steps executed across executions")
-    comparisons_counter = registry.counter(
-        "sdx_fuzz_comparisons_total", "Forwarding outcomes compared")
-    failures_counter = registry.counter(
-        "sdx_fuzz_failures_total", "Scenarios that diverged or broke an "
-        "invariant")
-    shrink_counter = registry.counter(
-        "sdx_fuzz_shrink_runs_total", "Oracle executions spent shrinking")
-    runtime_checks_counter = registry.counter(
-        "sdx_fuzz_runtime_checks_total",
-        "Runtime-vs-inline equivalence replays")
-    statics_checks_counter = registry.counter(
-        "sdx_fuzz_statics_checks_total",
-        "Statics-vs-reference cross-validation replays")
-    dataplane_checks_counter = registry.counter(
-        "sdx_fuzz_dataplane_checks_total",
-        "Dataplane-verifier cross-validation replays")
+    federated = "federation" in config.checks
+    shape = dict(participants=config.participants, prefixes=config.prefixes,
+                 policies=config.policies, steps=config.steps)
 
-    report = FuzzReport(config=config)
-    started = time.monotonic()
-
-    def out_of_budget() -> bool:
-        if config.time_budget_seconds is None:
-            return False
-        return time.monotonic() - started >= config.time_budget_seconds
-
-    def runtime_check(scenario: Scenario) -> Optional[OracleFailure]:
-        if not config.runtime:
-            return None
-        from repro.verification.runtime import check_runtime_equivalence
-        runtime_checks_counter.inc()
-        return check_runtime_equivalence(
-            scenario, drain_every=config.recompile_every,
-            corpus=generate_corpus(scenario, size=config.corpus_size))
-
-    def statics_check(scenario: Scenario) -> Optional[OracleFailure]:
-        if not config.statics:
-            return None
-        from repro.verification.statics import statics_crosscheck
-        statics_checks_counter.inc()
-        return statics_crosscheck(
-            scenario, corpus=generate_corpus(scenario,
-                                             size=config.corpus_size))
-
-    def dataplane_check(scenario: Scenario) -> Optional[OracleFailure]:
-        if not config.dataplane:
-            return None
-        from repro.verification.dataplane import dataplane_crosscheck
-        dataplane_checks_counter.inc()
-        return dataplane_crosscheck(scenario)
-
-    def runner(scenario: Scenario) -> Optional[OracleFailure]:
-        oracle = DifferentialOracle(
-            scenario, generate_corpus(scenario, size=config.corpus_size),
+    def make_case(index: int) -> Case:
+        if federated:
+            from repro.federation.scenario import generate_federated_scenario
+            scenario = generate_federated_scenario(
+                derive_seed(config.seed, f"federation-{index}"),
+                exchanges=config.exchanges, **shape)
+        else:
+            scenario = generate_scenario(
+                derive_seed(config.seed, f"scenario-{index}"), **shape)
+        return Case(
+            scenario,
+            checks=tuple(n for n in config.checks if n != "federation"),
+            corpus_size=config.corpus_size,
             recompile_every=config.recompile_every)
-        return (oracle.run() or runtime_check(scenario)
-                or statics_check(scenario) or dataplane_check(scenario))
 
-    for index in range(config.scenarios):
-        if out_of_budget():
-            report.budget_exhausted = True
-            break
-        scenario = _scenario_for(config, index)
-        with telemetry.span("fuzz.scenario", index=index,
-                            seed=scenario.seed):
-            oracle = DifferentialOracle(
-                scenario,
-                generate_corpus(scenario, size=config.corpus_size),
-                recompile_every=config.recompile_every)
-            failure = (oracle.run() or runtime_check(scenario)
-                       or statics_check(scenario)
-                       or dataplane_check(scenario))
-        report.scenarios_run += 1
-        report.steps_executed += oracle.steps_executed
-        report.comparisons += oracle.comparisons
-        scenarios_counter.inc()
-        steps_counter.inc(oracle.steps_executed)
-        comparisons_counter.inc(oracle.comparisons)
-        if failure is None:
-            continue
-        failures_counter.inc()
-        original_length = len(scenario.trace)
-        shrunk, final_failure, runs = (
-            shrink_scenario(scenario, failure, runner=runner)
-            if config.shrink and not out_of_budget()
-            else (scenario, failure, 0))
-        report.shrink_runs += runs
-        shrink_counter.inc(runs)
-        artifact_path: Optional[str] = None
-        if config.artifact_dir is not None:
-            artifact = FailureArtifact(
-                scenario=shrunk, kind=final_failure.kind,
-                step=final_failure.step, detail=final_failure.detail,
-                original_trace_length=original_length)
-            artifact_path = artifact.save(config.artifact_dir)
-        report.findings.append(FuzzFinding(
-            scenario_index=index,
-            scenario_seed=shrunk.seed,
-            failure=final_failure,
-            shrunk_trace_length=len(shrunk.trace),
-            original_trace_length=original_length,
-            artifact_path=artifact_path))
-    report.elapsed_seconds = time.monotonic() - started
+    report = run_session(
+        config, SessionReport(config), make_case,
+        harness="federation" if federated else "fuzz", telemetry=telemetry)
+    registry = telemetry.registry
+    registry.counter(
+        "sdx_fuzz_steps_total",
+        "Trace steps executed across executions").inc(report.steps_executed)
+    registry.counter(
+        "sdx_fuzz_comparisons_total",
+        "Forwarding outcomes compared").inc(report.comparisons)
     return report

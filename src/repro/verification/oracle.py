@@ -1,6 +1,6 @@
 """The differential oracle: three lockstep executions per trace.
 
-For one scenario, :class:`DifferentialOracle` drives three executions of
+For one scenario, :class:`DifferentialOracle` holds three executions of
 the same BGP update trace:
 
 * **full** — an :class:`~repro.core.controller.SdxController` that runs
@@ -20,13 +20,14 @@ delivery port) per (sender, packet); the standing invariants of
 :mod:`repro.verification.invariants` run on the incremental controller,
 and every background swap is watched by a
 :class:`~repro.verification.invariants.SwapMonitor`. The first
-discrepancy is returned as an :class:`OracleFailure`.
+discrepancy is returned as an :class:`OracleFailure`. The oracle is a
+:class:`~repro.verification.kernel.Check`; the trace loop itself is
+:func:`repro.verification.kernel.replay`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.controller import SdxController
 from repro.net.packet import Packet
@@ -37,24 +38,8 @@ from repro.verification.invariants import (
     check_all,
     outcome_of,
 )
+from repro.verification.kernel import Case, Check, OracleFailure
 from repro.verification.reference import ReferenceInterpreter
-from repro.verification.scenario import Scenario
-
-
-@dataclass(frozen=True)
-class OracleFailure:
-    """The first divergence or invariant breach found in a run.
-
-    ``step`` is the index of the trace step after which the failure was
-    observed; ``-1`` means the scenario's initial state already fails.
-    """
-
-    kind: str
-    step: int
-    detail: str
-
-    def __str__(self) -> str:
-        return f"{self.kind} after step {self.step}: {self.detail}"
 
 
 def forwarding_outcomes(controller: SdxController,
@@ -94,37 +79,17 @@ def compare_controllers(expected: SdxController, actual: SdxController,
     ]
 
 
-class DifferentialOracle:
-    """Runs one scenario through the three executions and compares."""
+class DifferentialOracle(Check):
+    """Holds one scenario's three executions in lockstep and compares."""
 
-    def __init__(self, scenario: Scenario,
-                 corpus: Optional[Sequence[Packet]] = None, *,
-                 recompile_every: int = 4,
-                 check_invariants: bool = True,
-                 check_swaps: bool = True):
-        self.scenario = scenario
-        self.corpus: Tuple[Packet, ...] = tuple(
-            corpus if corpus is not None else generate_corpus(scenario))
-        self.recompile_every = recompile_every
-        self.check_invariants = check_invariants
-        self.check_swaps = check_swaps
-        #: Forwarding comparisons performed (for fuzz accounting).
-        self.comparisons = 0
-        #: Trace steps actually executed before returning.
-        self.steps_executed = 0
+    name = "oracle"
 
-    # ------------------------------------------------------------------
-    # Comparison helpers
-    # ------------------------------------------------------------------
-
-    def _compare(self, step: int, reference: ReferenceInterpreter,
-                 full: SdxController,
-                 incremental: SdxController) -> Optional[OracleFailure]:
-        expected = reference.outcomes(self.corpus)
+    def _compare(self, step: int) -> Optional[OracleFailure]:
+        expected = self.reference.outcomes(self.corpus)
         for (sender, index), want in expected.items():
             probe = self.corpus[index]
-            got_full = outcome_of(full, sender, probe)
-            got_incremental = outcome_of(incremental, sender, probe)
+            got_full = outcome_of(self.full, sender, probe)
+            got_incremental = outcome_of(self.incremental, sender, probe)
             self.comparisons += 1
             if got_full != want:
                 return OracleFailure(
@@ -138,73 +103,51 @@ class DifferentialOracle:
                     f"{want}, incremental engine says {got_incremental}")
         return None
 
-    def _check_invariants(self, step: int,
-                          incremental: SdxController
-                          ) -> Optional[OracleFailure]:
-        if not self.check_invariants:
-            return None
-        violations = check_all(incremental, self.corpus)
+    def _check_invariants(self, step: int) -> Optional[OracleFailure]:
+        violations = check_all(self.incremental, self.corpus)
         if violations:
             first = violations[0]
             return OracleFailure(
                 f"invariant:{first.invariant}", step, first.detail)
         return None
 
-    def _background_swap(self, step: int,
-                         incremental: SdxController
-                         ) -> Optional[OracleFailure]:
-        if not self.check_swaps:
-            incremental.run_background_recompilation()
-            return None
-        probes = self.corpus[:8]
-        with SwapMonitor(incremental, probes) as monitor:
-            incremental.run_background_recompilation()
+    def _background_swap(self, step: int) -> Optional[OracleFailure]:
+        with SwapMonitor(self.incremental, self.corpus[:8]) as monitor:
+            self.incremental.run_background_recompilation()
         violations = monitor.violations()
         if violations:
             return OracleFailure("invariant:two-phase-swap", step,
                                  violations[0].detail)
         return None
 
-    # ------------------------------------------------------------------
-    # The run
-    # ------------------------------------------------------------------
-
-    def run(self) -> Optional[OracleFailure]:
-        """Execute the trace in lockstep; returns the first failure."""
-        incremental = self.scenario.build_controller()
-        full = self.scenario.build_controller()
-        reference = ReferenceInterpreter(self.scenario)
-
-        mismatch = reference.verify_alignment(incremental)
+    def start(self, case: Case) -> Optional[OracleFailure]:
+        """Build the three executions and compare the base state."""
+        scenario = case.scenario
+        self.corpus: Tuple[Packet, ...] = generate_corpus(
+            scenario, size=case.corpus_size)
+        self.recompile_every = case.recompile_every
+        self.incremental = scenario.build_controller()
+        self.full = scenario.build_controller()
+        self.reference = ReferenceInterpreter(scenario)
+        mismatch = self.reference.verify_alignment(self.incremental)
         if mismatch is not None:
             return OracleFailure("harness-misalignment", -1, mismatch)
+        return self._compare(-1) or self._check_invariants(-1)
 
-        failure = (self._compare(-1, reference, full, incremental)
-                   or self._check_invariants(-1, incremental))
-        if failure is not None:
-            return failure
+    def after_step(self, index: int, step: Any,
+                   update: Any) -> Optional[OracleFailure]:
+        """Feed ``update`` to all three executions and compare."""
+        self.incremental.submit_update(update)
+        self.full.submit_update(update)
+        self.full.recompile()
+        self.reference.apply(update)
+        failure = self._compare(index) or self._check_invariants(index)
+        if failure is None and (index + 1) % self.recompile_every == 0:
+            failure = (self._background_swap(index)
+                       or self._compare(index))
+        return failure
 
-        for index, step in enumerate(self.scenario.trace):
-            update = self.scenario.step_update(step)
-            incremental.submit_update(update)
-            full.submit_update(update)
-            full.recompile()
-            reference.apply(update)
-            self.steps_executed += 1
-
-            failure = (self._compare(index, reference, full, incremental)
-                       or self._check_invariants(index, incremental))
-            if failure is not None:
-                return failure
-
-            if (index + 1) % self.recompile_every == 0:
-                failure = (self._background_swap(index, incremental)
-                           or self._compare(index, reference, full,
-                                            incremental))
-                if failure is not None:
-                    return failure
-
-        last = len(self.scenario.trace) - 1
-        return (self._background_swap(last, incremental)
-                or self._compare(last, reference, full, incremental)
-                or self._check_invariants(last, incremental))
+    def at_settle(self, last: int) -> Optional[OracleFailure]:
+        """Final background swap, comparison and invariants."""
+        return (self._background_swap(last) or self._compare(last)
+                or self._check_invariants(last))

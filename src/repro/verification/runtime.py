@@ -13,10 +13,10 @@ precisely and checks it:
   *partition* of prefixes into shared-VNH groups rather than the
   addresses themselves, alongside the exact Adj-RIBs-In, per-participant
   best routes, policy state, and table size.
-* :func:`check_runtime_equivalence` — replays one
-  :class:`~repro.verification.scenario.Scenario` trace twice: inline
-  (direct :meth:`~repro.core.controller.SdxController.submit_update`
-  per event, periodic background recompilation — the
+* :class:`RuntimeEquivalence` — the check that holds one
+  :class:`~repro.verification.scenario.Scenario` trace in two arms:
+  inline (direct :meth:`~repro.core.controller.SdxController
+  .submit_update` per event, periodic background recompilation — the
   :class:`~repro.verification.oracle.DifferentialOracle`'s incremental
   arm) and through a deterministic step-driven
   :class:`~repro.runtime.loop.ControlPlaneRuntime` with coalescing on.
@@ -32,7 +32,7 @@ burst drained.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.controller import SdxController
 from repro.net.packet import Packet
@@ -40,8 +40,8 @@ from repro.runtime.clock import ManualClock
 from repro.runtime.loop import ControlPlaneRuntime, RuntimeConfig
 from repro.verification.corpus import generate_corpus
 from repro.verification.invariants import check_all
-from repro.verification.oracle import OracleFailure, compare_controllers
-from repro.verification.scenario import Scenario
+from repro.verification.kernel import Case, Check, OracleFailure
+from repro.verification.oracle import compare_controllers
 
 #: A hashable summary of one RIB entry (attributes spelled out so two
 #: value-equal routes from different executions compare equal).
@@ -153,52 +153,72 @@ def canonical_state(controller: SdxController) -> CanonicalState:
     )
 
 
-def check_runtime_equivalence(
-        scenario: Scenario, *,
-        drain_every: int = 4,
-        config: Optional[RuntimeConfig] = None,
-        corpus: Optional[Sequence[Packet]] = None) -> Optional[OracleFailure]:
-    """Replay ``scenario`` inline and through the runtime; compare.
+def settled_divergence(inline: SdxController, routed: SdxController,
+                       probes: Sequence[Packet]
+                       ) -> Optional[Tuple[str, str]]:
+    """``(aspect, detail)`` of the first way two settled arms differ.
 
-    The inline execution submits every trace update directly and runs
-    the background recompilation every ``drain_every`` steps and at the
-    end. The runtime execution submits the same updates into a
-    deterministic (step-driven, :class:`~repro.runtime.clock
-    .ManualClock`) :class:`~repro.runtime.loop.ControlPlaneRuntime`
-    with coalescing enabled, draining on the same cadence, then
-    settles. Returns the first discrepancy as an
-    :class:`~repro.verification.oracle.OracleFailure`, or ``None``.
+    ``aspect`` is ``state`` (canonical snapshots), ``forwarding`` (the
+    probe corpus), or ``invariant:<name>`` (a standing invariant broken
+    on the routed arm); ``None`` when the arms are equivalent.
     """
-    inline = scenario.build_controller()
-    routed = scenario.build_controller()
-    runtime = ControlPlaneRuntime(
-        routed,
-        config=config if config is not None else RuntimeConfig(),
-        clock=ManualClock())
-    probes: Tuple[Packet, ...] = tuple(
-        corpus if corpus is not None else generate_corpus(scenario))
-
-    last = len(scenario.trace) - 1
-    for index, step in enumerate(scenario.trace):
-        update = scenario.step_update(step)
-        inline.submit_update(update)
-        runtime.submit_update(update)
-        if (index + 1) % drain_every == 0:
-            inline.run_background_recompilation()
-            runtime.settle()
-    inline.run_background_recompilation()
-    runtime.settle()
-
-    want, got = canonical_state(inline), canonical_state(routed)
-    problems = want.diff(got)
+    problems = canonical_state(inline).diff(canonical_state(routed))
     if problems:
-        return OracleFailure("runtime-state", last, problems[0])
+        return "state", problems[0]
     violations = compare_controllers(inline, routed, probes)
     if violations:
-        return OracleFailure("runtime-forwarding", last, violations[0].detail)
+        return "forwarding", violations[0].detail
     violations = check_all(routed, probes)
     if violations:
-        first = violations[0]
-        return OracleFailure(f"runtime-invariant:{first.invariant}", last,
-                             first.detail)
+        return f"invariant:{violations[0].invariant}", violations[0].detail
     return None
+
+
+class RuntimeEquivalence(Check):
+    """Inline vs runtime arms over one trace, compared once settled.
+
+    The inline arm submits every trace update directly and runs the
+    background recompilation every ``case.recompile_every`` steps and
+    at the end. The runtime arm submits the same updates into a
+    deterministic (step-driven, :class:`~repro.runtime.clock
+    .ManualClock`) :class:`~repro.runtime.loop.ControlPlaneRuntime`
+    configured by ``config`` (coalescing on by default), draining on
+    the same cadence, then settles.
+    """
+
+    name = "runtime"
+
+    def __init__(self, config: Optional[RuntimeConfig] = None):
+        self.config = config if config is not None else RuntimeConfig()
+
+    def _submit(self, update: Any) -> None:
+        self.inline.submit_update(update)
+        self.runtime.submit_update(update)
+
+    def _drain(self) -> None:
+        self.inline.run_background_recompilation()
+        self.runtime.settle()
+
+    def start(self, case: Case) -> Optional[OracleFailure]:
+        """Build both arms; the base state is compared at settle."""
+        self.inline = case.scenario.build_controller()
+        self.routed = case.scenario.build_controller()
+        self.runtime = ControlPlaneRuntime(
+            self.routed, config=self.config, clock=ManualClock())
+        self.probes = generate_corpus(case.scenario, size=case.corpus_size)
+        self.drain_every = case.recompile_every
+        return None
+
+    def after_step(self, index: int, step: Any,
+                   update: Any) -> Optional[OracleFailure]:
+        """Submit ``update`` to both arms; drain on the cadence."""
+        self._submit(update)
+        if (index + 1) % self.drain_every == 0:
+            self._drain()
+        return None
+
+    def at_settle(self, last: int) -> Optional[OracleFailure]:
+        """Settle both arms and compare state, forwarding, invariants."""
+        self._drain()
+        found = settled_divergence(self.inline, self.routed, self.probes)
+        return found and OracleFailure(f"runtime-{found[0]}", last, found[1])

@@ -12,23 +12,22 @@ shares no code with the analyzer's region algebra):
   set the BGP join erased must never fire either: its traffic falls to
   the sender's best-route default (or is dropped at the border).
 
-:func:`statics_crosscheck` replays a scenario's BGP trace, re-running
-the analysis on the live controller state at the base table and after
-every step, so the verdicts are checked against *churning* RIB state,
-not just the initial one.
+:class:`StaticsWitnesses` re-runs the analysis on the live controller
+state at the base table and after every trace step, so the verdicts are
+checked against *churning* RIB state, not just the initial one.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from repro.net.packet import Packet
 from repro.policy.headerspace import HeaderSpace
 from repro.statics.checks import StaticsContext, dead_clause_map
 from repro.statics.regions import witness_packet
-from repro.verification.oracle import OracleFailure
+from repro.verification.corpus import generate_corpus
+from repro.verification.kernel import Case, Check, OracleFailure
 from repro.verification.reference import ReferenceInterpreter
-from repro.verification.scenario import Scenario
 
 
 def _routeless_indices(context: StaticsContext, participant
@@ -127,26 +126,28 @@ def _check_state(controller, reference: ReferenceInterpreter,
     return None
 
 
-def statics_crosscheck(scenario: Scenario,
-                       corpus: Sequence[Packet] = ()
-                       ) -> Optional[OracleFailure]:
-    """Cross-validate analyzer verdicts against the reference interpreter.
+class StaticsWitnesses(Check):
+    """Analyzer verdicts held against the reference at every state.
 
     Runs the analysis at the base table and after every trace step,
-    firing witness and corpus packets at the reference each time.
-    Returns the first breach as an :class:`OracleFailure` (``step`` is
-    ``-1`` for the base state), or ``None`` when every verdict held.
+    firing witness and corpus packets at the reference each time; the
+    first breach is the failure (``step`` is ``-1`` for the base state).
     """
-    controller = scenario.build_controller(with_dataplane=False)
-    reference = ReferenceInterpreter(scenario)
-    failure = _check_state(controller, reference, corpus, step=-1)
-    if failure is not None:
-        return failure
-    for step_index, step in enumerate(scenario.trace):
-        update = scenario.step_update(step)
-        controller.submit_update(update)
-        reference.apply(update)
-        failure = _check_state(controller, reference, corpus, step=step_index)
-        if failure is not None:
-            return failure
-    return None
+
+    name = "statics"
+
+    def start(self, case: Case) -> Optional[OracleFailure]:
+        """Build the controller and reference; check the base table."""
+        self.controller = case.scenario.build_controller(
+            with_dataplane=False)
+        self.reference = ReferenceInterpreter(case.scenario)
+        self.corpus = generate_corpus(case.scenario, size=case.corpus_size)
+        return _check_state(self.controller, self.reference, self.corpus, -1)
+
+    def after_step(self, index: int, step: Any,
+                   update: Any) -> Optional[OracleFailure]:
+        """Apply ``update`` to both and re-check every verdict."""
+        self.controller.submit_update(update)
+        self.reference.apply(update)
+        return _check_state(self.controller, self.reference, self.corpus,
+                            index)

@@ -1,22 +1,22 @@
 """The chaos driver end-to-end: clean runs across every fault class,
-determinism guards, convergence accounting, the soak loop, and — with a
-deliberately lossy runtime queue — a failure caught and shrunk. The
-subsystem's acceptance test, mirroring tests/verification/test_oracle.py.
+determinism guards, convergence accounting, the soak session, and — with
+a deliberately lossy runtime queue — a failure caught, shrunk and saved.
+The subsystem's acceptance test, mirroring
+tests/verification/test_oracle.py. (Shrinker, artifact and budget
+contracts are the kernel's: see tests/verification/test_kernel.py.)
 """
 
 import pytest
 
 from repro.chaos import (
-    ChaosConfig,
     ChaosRunner,
     ChaosSoakConfig,
-    chaos_failure,
     run_chaos,
     run_chaos_soak,
-    shrink_chaos,
 )
 from repro.runtime.queue import OfferOutcome, RuntimeQueue
 from repro.telemetry import Telemetry
+from repro.verification.kernel import Case, replay
 from repro.verification.scenario import generate_scenario
 from repro.workloads.churn import (
     FAULT_KINDS,
@@ -85,11 +85,9 @@ class TestCleanRuns:
         peer = scenario.participant_names()[0]
         schedule = targeted(scenario, ChaosFault(
             kind="peer_down", step=3, participants=(peer,)))
-        runner = ChaosRunner(scenario, schedule,
-                             config=ChaosConfig(recover_at_end=False),
+        runner = ChaosRunner(recover_at_end=False,
                              telemetry=Telemetry())
-        report = runner.run()
-        assert report.ok, report.summary()
+        assert replay(Case(scenario, schedule), [runner]) is None
         for controller in (runner.inline, runner.routed):
             session = controller.route_server.session(peer)
             assert session.is_down
@@ -100,9 +98,9 @@ class TestCleanRuns:
         peer = scenario.participant_names()[0]
         schedule = targeted(scenario, ChaosFault(
             kind="peer_down", step=3, participants=(peer,)))
-        runner = ChaosRunner(scenario, schedule, telemetry=Telemetry())
-        report = runner.run()
-        assert report.ok, report.summary()
+        runner = ChaosRunner(telemetry=Telemetry())
+        assert replay(Case(scenario, schedule), [runner]) is None
+        report = runner.report
         assert runner.routed.route_server.session(peer).is_established
         assert report.storm_updates > 0
 
@@ -130,7 +128,7 @@ class TestGuardsAndAccounting:
         schedule = targeted(scenario, ChaosFault(
             kind="peer_down", step=0, participants=(peer,)))
         report = run_chaos(scenario, schedule,
-                           config=ChaosConfig(recover_at_end=False),
+                           recover_at_end=False,
                            telemetry=Telemetry())
         assert report.ok, report.summary()
         expected = sum(1 for step in scenario.trace[1:]
@@ -181,14 +179,6 @@ class TestSoak:
         second = run_chaos_soak(config, telemetry=Telemetry())
         assert first.summary() == second.summary()
 
-    def test_time_budget_stops_early(self):
-        report = run_chaos_soak(
-            ChaosSoakConfig(seed=0, scenarios=50, steps=12,
-                            time_budget_seconds=0.0),
-            telemetry=Telemetry())
-        assert report.budget_exhausted
-        assert report.scenarios_run == 0
-
 
 class TestInjectedDefect:
     def failing_pair(self):
@@ -198,52 +188,33 @@ class TestInjectedDefect:
     def test_lossy_queue_is_caught(self, monkeypatch):
         scenario, schedule, prefix = self.failing_pair()
         lose_announcements(monkeypatch, prefix)
-        failure = chaos_failure(scenario, schedule)
+        failure = replay(Case(scenario, schedule))
         assert failure is not None
         assert failure.kind.startswith("chaos-")
 
-    def test_failure_shrinks_to_fixpoint(self, monkeypatch):
-        scenario, schedule, prefix = self.failing_pair()
-        lose_announcements(monkeypatch, prefix)
-        shrunk_scenario, shrunk_schedule, failure, runs = shrink_chaos(
-            scenario, schedule)
-        assert failure is not None
-        assert runs >= 1
-        assert len(shrunk_scenario.trace) <= len(scenario.trace)
-        assert len(shrunk_schedule.faults) <= len(schedule.faults)
-        # Minimality: the shrunk pair still reproduces the failure.
-        assert chaos_failure(shrunk_scenario, shrunk_schedule) is not None
-
-    def test_shrink_refuses_passing_run(self):
-        scenario, schedule = make_pair(seed=0)
-        with pytest.raises(ValueError):
-            shrink_chaos(scenario, schedule)
-
-    def test_shrink_run_budget_respected(self, monkeypatch):
-        scenario, schedule, prefix = self.failing_pair()
-        lose_announcements(monkeypatch, prefix)
-        calls = []
-
-        def runner(candidate_scenario, candidate_schedule):
-            calls.append(len(candidate_scenario.trace))
-            return chaos_failure(candidate_scenario, candidate_schedule)
-
-        *_, runs = shrink_chaos(scenario, schedule, runner=runner,
-                                max_runs=3)
-        assert runs <= 3
-        assert len(calls) == runs
-
     def test_soak_finds_shrinks_and_saves(self, tmp_path, monkeypatch):
-        from repro.chaos.soak import _scenario_for
+        from repro.workloads.seeding import derive_seed
 
         config = ChaosSoakConfig(seed=0, scenarios=1, steps=12,
                                  artifact_dir=str(tmp_path))
-        prefix = _scenario_for(config, 0).prefixes[0]
+        prefix = generate_scenario(
+            derive_seed(0, "chaos-scenario-0"), participants=4, prefixes=4,
+            policies=4, steps=12).prefixes[0]
         lose_announcements(monkeypatch, prefix)
-        report = run_chaos_soak(config, telemetry=Telemetry())
+        telemetry = Telemetry()
+        report = run_chaos_soak(config, telemetry=telemetry)
         assert report.findings, report.summary()
         finding = report.findings[0]
+        artifact = finding.artifact
         assert finding.artifact_path is not None
-        assert finding.shrunk_trace_length <= finding.original_trace_length
+        assert (len(artifact.case.scenario.trace)
+                <= artifact.original_trace_length)
+        assert (len(artifact.case.schedule.faults)
+                <= artifact.original_fault_count)
         assert report.shrink_runs > 0
         assert "FAIL" in report.summary()
+        registry = telemetry.registry
+        assert registry.get("sdx_harness_failures_total",
+                            harness="chaos").value == 1
+        assert registry.get("sdx_harness_shrink_runs_total",
+                            harness="chaos").value == report.shrink_runs

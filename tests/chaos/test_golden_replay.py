@@ -22,12 +22,12 @@ import pathlib
 
 import pytest
 
-from repro.chaos import (
-    ChaosArtifact,
-    replay_chaos_artifact,
-    shrink_chaos,
-)
 from repro.runtime.queue import OfferOutcome, RuntimeQueue
+from repro.verification.kernel import (
+    FailureArtifact,
+    replay_artifact,
+    shrink,
+)
 from repro.workloads.churn import ChaosFault
 
 GOLDEN = (pathlib.Path(__file__).parent / "data" /
@@ -56,12 +56,12 @@ def lose_storm(monkeypatch):
 
 @pytest.fixture()
 def artifact():
-    return ChaosArtifact.load(GOLDEN)
+    return FailureArtifact.load(GOLDEN)
 
 
 class TestFormat:
     def test_round_trips_exactly(self, artifact):
-        assert ChaosArtifact.from_json(artifact.to_json()) == artifact
+        assert FailureArtifact.from_json(artifact.to_json()) == artifact
         assert GOLDEN.read_text().strip() == artifact.to_json().strip()
 
     def test_file_name_is_deterministic(self, artifact):
@@ -69,8 +69,8 @@ class TestFormat:
 
     def test_records_the_shrunk_shape(self, artifact):
         assert artifact.kind == "chaos-equivalence:final"
-        assert len(artifact.scenario.trace) == 0
-        assert artifact.schedule.faults == (ChaosFault(
+        assert len(artifact.case.scenario.trace) == 0
+        assert artifact.case.schedule.faults == (ChaosFault(
             kind="peer_down", step=0, participants=(LOST_PEER,)),)
         assert artifact.original_trace_length == 12
         assert artifact.original_fault_count == 6
@@ -85,12 +85,12 @@ class TestFormat:
 
 class TestReplay:
     def test_clean_on_the_healthy_tree(self):
-        assert replay_chaos_artifact(GOLDEN) is None
+        assert replay_artifact(GOLDEN) is None
 
     def test_reproduces_exactly_under_the_defect(self, artifact,
                                                  monkeypatch):
         lose_storm(monkeypatch)
-        failure = replay_chaos_artifact(GOLDEN)
+        failure = replay_artifact(GOLDEN)
         assert failure is not None
         assert failure.kind == artifact.kind
         assert failure.step == artifact.step
@@ -110,15 +110,21 @@ class TestReplay:
         assert main(["soak", "--chaos", "--replay", str(GOLDEN)]) == 1
         assert "chaos-equivalence:final" in capsys.readouterr().out
 
+    def test_fuzz_cli_replays_it_too(self, capsys, monkeypatch):
+        """One replay path: ``repro fuzz --replay`` takes any artifact."""
+        from repro.__main__ import main
+
+        lose_storm(monkeypatch)
+        assert main(["fuzz", "--replay", str(GOLDEN)]) == 1
+        assert "chaos-equivalence:final" in capsys.readouterr().out
+
 
 class TestShrinkerLock:
     def test_golden_is_a_shrinker_fixpoint(self, artifact, monkeypatch):
         lose_storm(monkeypatch)
-        scenario, schedule, failure, runs = shrink_chaos(
-            artifact.scenario, artifact.schedule)
+        case, failure, runs = shrink(artifact.case)
         # Already minimal: one confirming run plus one (failed) attempt
         # to drop the only fault, no trace steps left to try.
         assert runs == 2
-        assert scenario == artifact.scenario
-        assert schedule == artifact.schedule
+        assert case == artifact.case
         assert failure.kind == artifact.kind

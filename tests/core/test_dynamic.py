@@ -118,10 +118,13 @@ class TestDynamicThroughSdx:
         assert clone.egress_of("Edge", packet("61.0.0.1")) == "Transit"
 
     def test_analysis_skips_dynamic_regions(self):
-        from repro.core.analysis import find_clause_overlaps
+        from repro.statics.checks import clause_overlaps
+        from repro.statics.regions import clause_regions
         sdx, edge = youtube_exchange()
         edge.add_outbound(
             rib_match("dstip", "as_path", rf".*{YOUTUBE_ASN}$")
             >> fwd("Transcoder"))
         edge.add_outbound(match(dstport=80) >> fwd("Transit"))
-        assert find_clause_overlaps(edge.participant) == []
+        clauses = edge.participant.outbound_clauses()
+        assert clause_overlaps(
+            clauses, [clause_regions(clause) for clause in clauses]) == []

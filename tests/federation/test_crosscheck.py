@@ -1,10 +1,8 @@
 """Tests for the federated fuzzer cross-validation battery."""
 
-from repro.federation import (
-    generate_federated_corpus,
-    generate_federated_scenario,
-)
-from repro.verification.federation import federation_crosscheck
+from repro.federation import generate_federated_scenario
+from repro.verification.federation import FederatedWalk
+from repro.verification.kernel import Case, replay
 
 from tests.federation.scenarios import (
     blackhole_scenario,
@@ -13,25 +11,27 @@ from tests.federation.scenarios import (
 )
 
 
+def crosscheck(scenario, size):
+    walk = FederatedWalk()
+    return replay(Case(scenario, corpus_size=size), [walk]), walk
+
+
 class TestHandScenarios:
     def test_loop_scenario_holds(self):
         scenario = loop_scenario()
-        result = federation_crosscheck(
-            scenario, generate_federated_corpus(scenario, size=6))
-        assert result.ok, result.failure
-        assert result.comparisons > 0
+        failure, walk = crosscheck(scenario, 6)
+        assert failure is None, failure
+        assert walk.comparisons > 0
 
     def test_blackhole_scenario_holds(self):
         scenario = blackhole_scenario()
-        result = federation_crosscheck(
-            scenario, generate_federated_corpus(scenario, size=6))
-        assert result.ok, result.failure
+        failure, _walk = crosscheck(scenario, 6)
+        assert failure is None, failure
 
     def test_clean_scenario_holds(self):
         scenario = clean_scenario()
-        result = federation_crosscheck(
-            scenario, generate_federated_corpus(scenario, size=6))
-        assert result.ok, result.failure
+        failure, _walk = crosscheck(scenario, 6)
+        assert failure is None, failure
 
 
 class TestGeneratedScenarios:
@@ -39,14 +39,11 @@ class TestGeneratedScenarios:
         for seed in (101, 202, 303):
             scenario = generate_federated_scenario(
                 seed, exchanges=2, participants=6, policies=5, steps=4)
-            result = federation_crosscheck(
-                scenario, generate_federated_corpus(scenario, size=4))
-            assert result.ok, (seed, result.failure)
-            assert result.steps_executed == len(scenario.trace)
+            failure, _walk = crosscheck(scenario, 4)
+            assert failure is None, (seed, failure)
 
     def test_three_exchange_scenario_holds(self):
         scenario = generate_federated_scenario(
             404, exchanges=3, participants=8, shared=3, policies=6, steps=3)
-        result = federation_crosscheck(
-            scenario, generate_federated_corpus(scenario, size=4))
-        assert result.ok, result.failure
+        failure, _walk = crosscheck(scenario, 4)
+        assert failure is None, failure

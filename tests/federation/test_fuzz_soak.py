@@ -16,7 +16,7 @@ def test_two_hundred_scenario_soak_is_clean():
     config = FuzzConfig(
         seed=2014, scenarios=200, steps=6, participants=6,
         prefixes=4, policies=6, corpus_size=6,
-        federation=True, exchanges=2)
+        checks=("federation",), exchanges=2)
     report = run_fuzz(config)
     assert report.scenarios_run == 200
     assert report.ok, report.summary()
@@ -26,6 +26,6 @@ def test_three_exchange_soak_is_clean():
     config = FuzzConfig(
         seed=2015, scenarios=25, steps=6, participants=8,
         prefixes=4, policies=7, corpus_size=6,
-        federation=True, exchanges=3)
+        checks=("federation",), exchanges=3)
     report = run_fuzz(config)
     assert report.ok, report.summary()

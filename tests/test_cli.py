@@ -146,6 +146,41 @@ class TestCli:
                      "--exchanges", "3"]) == 0
         assert "no divergence found" in capsys.readouterr().out
 
+    def test_fuzz_federation_finding_shrinks_and_replays(self, tmp_path,
+                                                         capsys, monkeypatch):
+        """A federated finding goes through the same kernel as any
+        other: shrunk, saved versioned, replayable by path."""
+        from repro.federation.controller import FederatedController
+        real_submit = FederatedController.submit_update
+
+        def lossy_submit(federation, exchange, update):
+            if not update.withdrawals:  # the defect: withdrawals vanish
+                real_submit(federation, exchange, update)
+
+        monkeypatch.setattr(FederatedController, "submit_update",
+                            lossy_submit)
+        assert main(["fuzz", "--seed", "7", "--scenarios", "1",
+                     "--steps", "6", "--federation",
+                     "--artifact-dir", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL scenario#0" in out
+        assert "federated-forwarding-divergence" in out
+        assert "trace shrunk 6 -> 1 step(s)" in out
+        artifacts = list(tmp_path.glob("federated-*.json"))
+        assert len(artifacts) == 1
+
+        assert main(["fuzz", "--replay", str(artifacts[0])]) == 1
+        assert "federated-forwarding-divergence" in capsys.readouterr().out
+        monkeypatch.undo()
+        assert main(["fuzz", "--replay", str(artifacts[0])]) == 0
+        assert "no failure reproduced" in capsys.readouterr().out
+
+    def test_fuzz_federation_runs_the_other_checks_per_exchange(self, capsys):
+        assert main(["fuzz", "--seed", "7", "--scenarios", "1",
+                     "--steps", "4", "--federation", "--runtime",
+                     "--statics", "--dataplane"]) == 0
+        assert "no divergence found" in capsys.readouterr().out
+
     def test_soak_step_driven(self, capsys):
         assert main(["soak", "--participants", "8", "--prefixes", "60",
                      "--updates", "80", "--burst-size", "40",

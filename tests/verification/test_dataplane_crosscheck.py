@@ -4,16 +4,18 @@ from repro.core.vnh import vmac_for_fec
 from repro.policy.classifier import Action
 from repro.policy.flowrules import FlowRule
 from repro.policy.headerspace import HeaderSpace
-from repro.verification.dataplane import (
-    _check_state,
-    dataplane_crosscheck,
-)
+from repro.verification.dataplane import DataplaneContracts, _check_state
+from repro.verification.kernel import Case, replay
 from repro.verification.scenario import generate_scenario
 
 
 def small_scenario(seed=0, steps=4):
     return generate_scenario(seed, participants=3, prefixes=3, policies=3,
                              steps=steps)
+
+
+def dataplane_crosscheck(scenario):
+    return replay(Case(scenario), [DataplaneContracts()])
 
 
 class TestDataplaneCrosscheck:

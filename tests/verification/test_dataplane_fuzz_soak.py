@@ -17,7 +17,7 @@ pytestmark = pytest.mark.fuzz
 def test_two_hundred_scenario_soak_is_clean():
     config = FuzzConfig(
         seed=2014, scenarios=200, steps=8, participants=4,
-        prefixes=4, policies=4, corpus_size=6, dataplane=True)
+        prefixes=4, policies=4, corpus_size=6, checks=("dataplane",))
     report = run_fuzz(config)
     assert report.scenarios_run == 200
     assert report.ok, report.summary()
@@ -26,6 +26,6 @@ def test_two_hundred_scenario_soak_is_clean():
 def test_churn_heavy_soak_is_clean():
     config = FuzzConfig(
         seed=2015, scenarios=30, steps=14, participants=6,
-        prefixes=6, policies=6, corpus_size=6, dataplane=True)
+        prefixes=6, policies=6, corpus_size=6, checks=("dataplane",))
     report = run_fuzz(config)
     assert report.ok, report.summary()

@@ -1,26 +1,33 @@
-"""The differential oracle end-to-end: clean runs, a deliberately
-injected incremental-engine bug caught + shrunk + replayed from its
-artifact — the subsystem's acceptance test.
+"""The differential oracle end-to-end: clean runs, and a deliberately
+injected incremental-engine bug caught and replayed from its artifact —
+the subsystem's acceptance test. (Shrinking, artifact round-trips and
+session budgets are the kernel's: see test_kernel.py.)
 """
 
 import pytest
 
 from repro.core.incremental import IncrementalEngine
-from repro.verification.artifact import FailureArtifact, replay_artifact
 from repro.verification.corpus import generate_corpus
 from repro.verification.invariants import SwapMonitor, check_all
+from repro.verification.kernel import (
+    Case,
+    FailureArtifact,
+    SessionConfig,
+    SessionReport,
+    replay,
+    replay_artifact,
+    shrink,
+)
 from repro.verification.oracle import DifferentialOracle
 from repro.verification.scenario import generate_scenario
-from repro.verification.shrink import shrink_scenario
 
 #: A seed whose scenario diverges at step 0 once the fast path is broken
 #: (keeps the acceptance test fast); see test_injected_bug_is_caught.
 BUGGY_SEED = 3
 
 
-def small_oracle(scenario, **kwargs):
-    return DifferentialOracle(
-        scenario, generate_corpus(scenario, size=6), **kwargs)
+def small_case(scenario, **kwargs):
+    return Case(scenario, corpus_size=6, **kwargs)
 
 
 def break_fast_path(monkeypatch):
@@ -34,14 +41,16 @@ def break_fast_path(monkeypatch):
 class TestCleanRuns:
     def test_no_false_positives(self):
         scenario = generate_scenario(0, steps=8)
-        assert small_oracle(scenario).run() is None
+        assert replay(small_case(scenario)) is None
 
     def test_counts_work(self):
-        scenario = generate_scenario(0, steps=8)
-        oracle = small_oracle(scenario)
-        assert oracle.run() is None
-        assert oracle.steps_executed == 8
-        assert oracle.comparisons > 0
+        case = small_case(generate_scenario(0, steps=8))
+        oracle = DifferentialOracle()
+        assert replay(case, [oracle]) is None
+        report = SessionReport(SessionConfig())
+        report.record(case, [oracle], None)
+        assert report.steps_executed == 8
+        assert report.comparisons == oracle.comparisons > 0
 
     def test_invariants_clean_on_scenario_controller(self):
         scenario = generate_scenario(2, steps=4)
@@ -64,83 +73,20 @@ class TestInjectedBug:
     def test_injected_bug_is_caught(self, monkeypatch):
         break_fast_path(monkeypatch)
         scenario = generate_scenario(BUGGY_SEED, steps=12)
-        failure = small_oracle(scenario, recompile_every=100).run()
+        failure = replay(small_case(scenario, recompile_every=100))
         assert failure is not None
         assert failure.kind == "incremental-vs-reference"
         assert failure.step == 0
-
-    def test_shrinks_to_minimal_failing_trace(self, monkeypatch):
-        break_fast_path(monkeypatch)
-        scenario = generate_scenario(BUGGY_SEED, steps=12)
-
-        def runner(candidate):
-            return small_oracle(candidate, recompile_every=100).run()
-
-        failure = runner(scenario)
-        shrunk, final_failure, runs = shrink_scenario(
-            scenario, failure, runner=runner)
-        assert len(shrunk.trace) == 1
-        assert final_failure.kind == "incremental-vs-reference"
-        assert runs >= 1
-        # Minimality: the shrunk trace still fails, so no further
-        # one-step removal can succeed (the empty trace is the base
-        # state, which even the broken engine gets right).
-        assert runner(shrunk) is not None
-
-    def test_artifact_replays_to_same_failure(self, tmp_path, monkeypatch):
-        break_fast_path(monkeypatch)
-        scenario = generate_scenario(BUGGY_SEED, steps=12)
-
-        def runner(candidate):
-            return small_oracle(candidate, recompile_every=100).run()
-
-        shrunk, failure, _runs = shrink_scenario(scenario, runner=runner)
-        artifact = FailureArtifact(
-            scenario=shrunk, kind=failure.kind, step=failure.step,
-            detail=failure.detail, original_trace_length=len(scenario.trace))
-        path = artifact.save(tmp_path)
-        loaded = FailureArtifact.load(path)
-        assert loaded == artifact
-
-        replayed = replay_artifact(path)
-        assert replayed is not None
-        assert replayed.kind == failure.kind
-        assert replayed.step == failure.step
 
     def test_artifact_clean_once_bug_is_fixed(self, tmp_path):
         """The same artifact on an unpatched tree replays clean — the
         fix-verification workflow ``repro fuzz --replay`` automates."""
         with pytest.MonkeyPatch.context() as patcher:
             break_fast_path(patcher)
-            scenario = generate_scenario(BUGGY_SEED, steps=12)
-            shrunk, failure, _runs = shrink_scenario(
-                scenario,
-                runner=lambda s: small_oracle(s, recompile_every=100).run())
-            path = FailureArtifact(
-                scenario=shrunk, kind=failure.kind, step=failure.step,
-                detail=failure.detail,
-                original_trace_length=len(scenario.trace)).save(tmp_path)
+            original = small_case(generate_scenario(BUGGY_SEED, steps=12),
+                                  recompile_every=100)
+            shrunk, failure, _runs = shrink(original)
+            path = FailureArtifact.of(shrunk, failure, original).save(
+                tmp_path)
+            assert replay_artifact(path) == failure
         assert replay_artifact(path) is None
-
-
-class TestShrinkContract:
-    def test_refuses_passing_scenario(self):
-        scenario = generate_scenario(0, steps=4)
-        with pytest.raises(ValueError):
-            shrink_scenario(
-                scenario,
-                runner=lambda s: small_oracle(s).run())
-
-    def test_run_budget_respected(self, monkeypatch):
-        break_fast_path(monkeypatch)
-        scenario = generate_scenario(BUGGY_SEED, steps=12)
-        calls = []
-
-        def runner(candidate):
-            calls.append(len(candidate.trace))
-            return small_oracle(candidate, recompile_every=100).run()
-
-        _shrunk, _failure, runs = shrink_scenario(
-            scenario, runner=runner, max_runs=3)
-        assert runs <= 3
-        assert len(calls) == runs

@@ -10,20 +10,21 @@ import pytest
 
 from repro.runtime import RuntimeConfig
 from repro.runtime.queue import OfferOutcome, RuntimeQueue
-from repro.verification.corpus import generate_corpus
+from repro.verification.kernel import Case, replay
 from repro.verification.runtime import (
     CanonicalState,
+    RuntimeEquivalence,
     canonical_state,
-    check_runtime_equivalence,
 )
 from repro.verification.scenario import generate_scenario
 
 from tests.core.scenarios import figure1_controller
 
 
-def small_check(scenario, **kwargs):
-    kwargs.setdefault("corpus", generate_corpus(scenario, size=6))
-    return check_runtime_equivalence(scenario, **kwargs)
+def small_check(scenario, config=None, drain_every=4):
+    return replay(
+        Case(scenario, corpus_size=6, recompile_every=drain_every),
+        [RuntimeEquivalence(config)])
 
 
 class TestCanonicalState:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net.packet import Packet
-from repro.verification.corpus import generate_corpus
+from repro.verification.kernel import Case, replay
 from repro.verification.reference import ReferenceInterpreter
 from repro.verification.scenario import (
     Scenario,
@@ -12,7 +12,7 @@ from repro.verification.scenario import (
     ScenarioPolicy,
     generate_scenario,
 )
-from repro.verification.statics import statics_crosscheck
+from repro.verification.statics import StaticsWitnesses
 
 
 def hand_scenario():
@@ -57,11 +57,11 @@ class TestWinningOutboundClause:
 
 class TestStaticsCrosscheck:
     def test_hand_scenario_holds(self):
-        assert statics_crosscheck(hand_scenario()) is None
+        assert replay(Case(hand_scenario()), [StaticsWitnesses()]) is None
 
     @pytest.mark.parametrize("seed", (1, 2, 3))
     def test_generated_scenarios_hold(self, seed):
         scenario = generate_scenario(
             seed, participants=4, prefixes=4, policies=5, steps=6)
-        corpus = generate_corpus(scenario, size=8)
-        assert statics_crosscheck(scenario, corpus=corpus) is None
+        assert replay(Case(scenario, corpus_size=8),
+                      [StaticsWitnesses()]) is None
