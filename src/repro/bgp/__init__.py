@@ -13,9 +13,9 @@ from repro.bgp.asn import AsPath, AsPathPattern
 from repro.bgp.attributes import Origin, RouteAttributes
 from repro.bgp.messages import Announcement, Update, Withdrawal
 from repro.bgp.rib import AdjRibIn, PrefixTrie, RibView, RouteEntry
-from repro.bgp.decision import best_route
+from repro.bgp.decision import rank_routes
 from repro.bgp.session import BgpSession, SessionState
-from repro.bgp.routeserver import BestRouteChange, RouteServer
+from repro.bgp.routeserver import BestRouteChange, Decision, RouteServer
 
 __all__ = [
     "AdjRibIn",
@@ -24,6 +24,7 @@ __all__ = [
     "AsPathPattern",
     "BestRouteChange",
     "BgpSession",
+    "Decision",
     "Origin",
     "PrefixTrie",
     "RibView",
@@ -33,5 +34,5 @@ __all__ = [
     "SessionState",
     "Update",
     "Withdrawal",
-    "best_route",
+    "rank_routes",
 ]

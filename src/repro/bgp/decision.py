@@ -18,7 +18,7 @@ when recompiling policies incrementally, and one the tests assert.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 from repro.bgp.rib import RouteEntry
 
@@ -36,17 +36,9 @@ def preference_key(entry: RouteEntry) -> Tuple:
     )
 
 
-def best_route(candidates: Iterable[RouteEntry]) -> Optional[RouteEntry]:
-    """The single best route among ``candidates`` (``None`` if empty)."""
-    best: Optional[RouteEntry] = None
-    best_key: Optional[Tuple] = None
-    for entry in candidates:
-        key = preference_key(entry)
-        if best_key is None or key < best_key:
-            best, best_key = entry, key
-    return best
-
-
 def rank_routes(candidates: Iterable[RouteEntry]) -> List[RouteEntry]:
-    """All candidates ordered best-first (used by tests and diagnostics)."""
-    return sorted(candidates, key=preference_key)
+    """All candidates ordered best-first — the route server's one ranking."""
+    ranked = list(candidates)
+    if len(ranked) > 1:  # most prefixes have a single announcer
+        ranked.sort(key=preference_key)
+    return ranked

@@ -149,17 +149,16 @@ class AdjRibIn:
         if update.sender != self.peer:
             raise BgpError(
                 f"update from {update.sender!r} applied to Adj-RIB-In of {self.peer!r}")
-        changed: List[IPv4Prefix] = []
+        changed: Dict[IPv4Prefix, None] = {}  # first-seen order, O(1) dedupe
         for withdrawal in update.withdrawals:
             if self._routes.pop(withdrawal.prefix, None) is not None:
-                changed.append(withdrawal.prefix)
+                changed[withdrawal.prefix] = None
         for announcement in update.announcements:
             entry = RouteEntry(announcement.prefix, announcement.attributes, self.peer)
             if self._routes.get(announcement.prefix) != entry:
                 self._routes[announcement.prefix] = entry
-                if announcement.prefix not in changed:
-                    changed.append(announcement.prefix)
-        return changed
+                changed[announcement.prefix] = None
+        return list(changed)
 
     def route(self, prefix: IPv4Prefix) -> Optional[RouteEntry]:
         """The current route for ``prefix``, if announced."""

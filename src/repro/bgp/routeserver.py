@@ -11,28 +11,36 @@ extensions sit on top of the conventional behaviour:
   SDX uses to substitute the virtual next-hop (VNH) of the prefix's
   forwarding equivalence class (Section 4.2).
 
-Per-participant views share the per-prefix candidate index rather than
-materialising a Loc-RIB per participant, keeping memory linear in the
-number of announcements instead of participants × prefixes.
+The decision process runs once per *prefix*: :meth:`RouteServer.decide`
+ranks the prefix's routes and returns a :class:`Decision`, a partition of
+the receivers in which everyone gets the best route except the few it may
+not be exported to, who fall through to the next one. Ingest diffs two
+partitions, re-advertisement sends one shared UPDATE per cell, and a
+one-receiver read (:meth:`~RouteServer.best_route_for`) takes the first
+entry of the same ranking it may have; no Loc-RIB is ever materialised.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from types import MappingProxyType
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set,
+    Tuple)
 
-from repro.bgp.decision import best_route
-from repro.bgp.messages import Announcement, Update, Withdrawal
+from repro.bgp.decision import rank_routes
+from repro.bgp.messages import Update, Withdrawal
 from repro.bgp.rib import AdjRibIn, RibView, RouteEntry
 from repro.bgp.session import BgpSession
 from repro.exceptions import BgpError, ParticipantError
 from repro.net.addresses import IPv4Address, IPv4Prefix
 from repro.telemetry import Telemetry
 
-#: Hook rewriting the next hop of a route re-advertised to a participant.
-#: Receives (participant, prefix, chosen route) and returns the next-hop
-#: address to place in the announcement.
-NextHopRewriter = Callable[[str, IPv4Prefix, RouteEntry], IPv4Address]
+#: Hook rewriting the next hop of a re-advertised route. Receives (prefix,
+#: chosen route) and returns the next-hop address to announce — the same
+#: for every receiver of that route, since a VNH belongs to the prefix's
+#: forwarding equivalence class (Section 4.2), not to a receiver.
+NextHopRewriter = Callable[[IPv4Prefix, RouteEntry], IPv4Address]
 
 #: Listener invoked with the per-participant best-route changes caused by
 #: one inbound update.
@@ -59,6 +67,34 @@ class BestRouteChange:
             return "none" if entry is None else f"via {entry.learned_from}"
         return (f"BestRouteChange({self.participant}: {self.prefix} "
                 f"{render(self.old)} -> {render(self.new)})")
+
+
+@dataclass(frozen=True)
+class Decision:
+    """The decision process's answer for one prefix, for every receiver.
+
+    ``ranked`` holds every announced route, best first. Each of ``peers``
+    (a snapshot of the peer names, so a kept decision stays what it was)
+    receives ``ranked[0]`` except the keys of ``exceptions`` — its
+    announcer, peers whose AS is on its path, peers its export policy or
+    communities exclude — which map to the first later route they may
+    have (``None`` when there is none).
+    """
+
+    ranked: Tuple[RouteEntry, ...]
+    exceptions: Mapping[str, Optional[RouteEntry]]
+    peers: FrozenSet[str]
+
+    @property
+    def best(self) -> Optional[RouteEntry]:
+        """The route every non-excepted peer receives."""
+        return self.ranked[0] if self.ranked else None
+
+    def route_for(self, receiver: str) -> Optional[RouteEntry]:
+        """The route ``receiver`` is given (``None`` for a non-peer)."""
+        if receiver in self.exceptions:
+            return self.exceptions[receiver]
+        return self.best if receiver in self.peers else None
 
 
 #: ASN conventionally used in blocking communities ("0:peer-asn").
@@ -94,6 +130,9 @@ class RouteServer:
         self._changes_counter = registry.counter(
             "sdx_bgp_best_route_changes_total",
             "Per-participant best-route changes produced by the decision process")
+        self._decision_runs_counter = registry.counter(
+            "sdx_bgp_decision_runs_total",
+            "Per-prefix rankings computed by the decision process")
         self._readvertised_counter = registry.counter(
             "sdx_bgp_readvertised_total", "UPDATEs re-advertised to participants")
         self._readvertise_skipped_counter = registry.counter(
@@ -113,7 +152,9 @@ class RouteServer:
             "Updates applied to the Adj-RIB-In without listener "
             "notification (chaos stuck-route injection)")
         self._sessions: Dict[str, BgpSession] = {}
+        self._peer_names: FrozenSet[str] = frozenset()
         self._adj_in: Dict[str, AdjRibIn] = {}
+        self._peers_by_asn: Dict[int, List[str]] = {}
         self._announcers: Dict[IPv4Prefix, Set[str]] = {}
         self._export_deny: Dict[str, Set[str]] = {}
         self._export_allow: Dict[str, Optional[Set[str]]] = {}
@@ -141,7 +182,9 @@ class RouteServer:
         session = BgpSession(name, asn, on_update=self._process_update,
                              on_down=self._session_down)
         self._sessions[name] = session
+        self._peer_names = frozenset(self._sessions)
         self._adj_in[name] = AdjRibIn(name)
+        self._peers_by_asn.setdefault(asn, []).append(name)
         if connect:
             session.connect()
         return session
@@ -151,11 +194,13 @@ class RouteServer:
         session = self._sessions.pop(name, None)
         if session is None:
             raise ParticipantError(f"unknown peer {name!r}")
+        self._peer_names = frozenset(self._sessions)
         adj = self._adj_in[name]
         update = Update(sender=name, withdrawals=tuple(
             Withdrawal(p) for p in adj.prefixes()))
-        changes = self._apply_and_diff(name, update)
+        changes = self._apply_and_diff(update)
         del self._adj_in[name]
+        self._peers_by_asn[session.asn].remove(name)
         self._export_deny.pop(name, None)
         self._export_allow.pop(name, None)
         self._notify(update, changes)
@@ -226,7 +271,7 @@ class RouteServer:
         with self.telemetry.span("bgp.session_down", sender=update.sender,
                                  reason=reason):
             self._count_update(update)
-            changes = self._apply_and_diff(update.sender, update)
+            changes = self._apply_and_diff(update)
             self._changes_counter.inc(len(changes))
             self.updates_processed += 1
             self._notify(update, changes)
@@ -365,11 +410,18 @@ class RouteServer:
         Shared by :meth:`bulk_load` (initial table transfer) and
         :meth:`inject_unnotified` (chaos stuck-route injection).
         """
-        self.state_version += 1
         self._count_update(update)
+        self._apply(update)
+        self.updates_processed += 1
+
+    def _apply(self, update: Update) -> List[IPv4Prefix]:
+        """Write ``update`` into the sender's Adj-RIB-In and the announcer
+        index; returns the prefixes whose entry actually changed."""
+        self.state_version += 1
         self._note_community_filters(update)
         adj = self._adj_in[update.sender]
-        for prefix in adj.apply(update):
+        changed = adj.apply(update)
+        for prefix in changed:
             announcers = self._announcers.setdefault(prefix, set())
             if adj.route(prefix) is None:
                 announcers.discard(update.sender)
@@ -377,7 +429,7 @@ class RouteServer:
                     del self._announcers[prefix]
             else:
                 announcers.add(update.sender)
-        self.updates_processed += 1
+        return changed
 
     def inject_unnotified(self, update: Update) -> None:
         """Chaos hook: apply ``update`` without notifying any listener.
@@ -407,8 +459,11 @@ class RouteServer:
     def _process_update(self, update: Update) -> None:
         with self.telemetry.span("bgp.ingest", sender=update.sender) as span:
             self._count_update(update)
-            with self.telemetry.span("bgp.decision"):
-                changes = self._apply_and_diff(update.sender, update)
+            with self.telemetry.span("bgp.decision") as decision:
+                runs = self._decision_runs_counter.value
+                changes = self._apply_and_diff(update)
+                decision.set_tag(
+                    runs=self._decision_runs_counter.value - runs)
             self._changes_counter.inc(len(changes))
             span.set_tag(changes=len(changes))
             self.updates_processed += 1
@@ -422,51 +477,87 @@ class RouteServer:
         for listener in self._update_listeners:
             listener(update, changes)
 
-    def _apply_and_diff(self, sender: str, update: Update) -> List[BestRouteChange]:
+    def _apply_and_diff(self, update: Update) -> List[BestRouteChange]:
         """Apply ``update`` to the sender's Adj-RIB-In and report every
-        per-participant best-route change it caused."""
-        self.state_version += 1
-        self._note_community_filters(update)
-        adj = self._adj_in[sender]
-        receivers = [name for name in self._sessions
-                     if self.exports_to(sender, name)]
+        per-participant best-route change it caused: each touched prefix
+        is decided once before and once after the write, and the changes
+        are reported peer by peer (in peering order), as the per-session
+        UPDATE streams they become."""
         touched = set(update.prefixes)
-        before: Dict[Tuple[str, IPv4Prefix], Optional[RouteEntry]] = {
-            (receiver, prefix): self.best_route_for(receiver, prefix)
-            for receiver in receivers
-            for prefix in touched
-        }
-        changed_prefixes = adj.apply(update)
-        for prefix in changed_prefixes:
-            announcers = self._announcers.setdefault(prefix, set())
-            if adj.route(prefix) is None:
-                announcers.discard(sender)
-                if not announcers:
-                    del self._announcers[prefix]
-            else:
-                announcers.add(sender)
-        changes: List[BestRouteChange] = []
-        for receiver in receivers:
-            for prefix in touched:
-                old = before[(receiver, prefix)]
-                new = self.best_route_for(receiver, prefix)
-                if old != new:
-                    changes.append(BestRouteChange(receiver, prefix, old, new))
-        return changes
+        before = {prefix: self.decide(prefix) for prefix in touched}
+        diffs: Dict[IPv4Prefix, Dict[str, BestRouteChange]] = {}
+        for prefix in self._apply(update):
+            old, new = before[prefix], self.decide(prefix)
+            excepted = old.exceptions.keys() | new.exceptions.keys()
+            moved = diffs[prefix] = {}
+            if old.best != new.best:  # the common cell moves as one
+                for peer in self._sessions:
+                    if peer not in excepted:
+                        moved[peer] = BestRouteChange(
+                            peer, prefix, old.best, new.best)
+            for peer in excepted:
+                was, now = old.route_for(peer), new.route_for(peer)
+                if was != now:
+                    moved[peer] = BestRouteChange(peer, prefix, was, now)
+        order = [prefix for prefix in touched if diffs.get(prefix)]
+        return [diffs[prefix][peer] for peer in self._sessions
+                for prefix in order if peer in diffs[prefix]]
 
     # ------------------------------------------------------------------
     # Route queries (the SDX controller's read API)
     # ------------------------------------------------------------------
 
+    def ranked_routes(self, prefix: IPv4Prefix) -> Tuple[RouteEntry, ...]:
+        """Every route announced for ``prefix``, best first — one run of
+        the decision process (``sdx_bgp_decision_runs_total``)."""
+        self._decision_runs_counter.inc()
+        return tuple(rank_routes(self.all_routes_for(prefix)))
+
+    def decide(self, prefix: IPv4Prefix) -> Decision:
+        """Which route every peer gets for ``prefix``, decided once.
+
+        :data:`~repro.bgp.decision.preference_key` is a total order, so a
+        peer's best route is the first of the one ranking it may be given;
+        only peers the top entry may be withheld from are asked one by one.
+        """
+        ranked = self.ranked_routes(prefix)
+        exceptions: Dict[str, Optional[RouteEntry]] = {}
+        if ranked:
+            best, rest = ranked[0], ranked[1:]
+            for peer in self._possibly_withheld(best):
+                if not self.route_exported(best, peer):
+                    exceptions[peer] = self._first_exported(rest, peer)
+        return Decision(ranked, MappingProxyType(exceptions), self._peer_names)
+
+    def _first_exported(self, ranked: Sequence[RouteEntry],
+                        receiver: str) -> Optional[RouteEntry]:
+        """The first (hence best) of ``ranked`` ``receiver`` may be given."""
+        for entry in ranked:
+            if self.route_exported(entry, receiver):
+                return entry
+        return None
+
+    def _possibly_withheld(self, entry: RouteEntry) -> Iterable[str]:
+        """A superset of the peers :meth:`route_exported` refuses ``entry``."""
+        announcer = entry.learned_from
+        communities = entry.attributes.communities
+        if self._export_allow.get(announcer) is not None or any(
+                community[0] == self.asn
+                or community == (BLOCK_COMMUNITY_ASN, 0)
+                for community in communities):
+            return self._sessions  # allow-list or blanket block: ask everyone
+        peers = {announcer, *self._export_deny.get(announcer, ())}
+        named = [peer_asn for _block, peer_asn in communities]
+        for asn in (*entry.attributes.as_path.asns, *named):
+            if asn in self._peers_by_asn:
+                peers.update(self._peers_by_asn[asn])
+        return peers
+
     def candidates_for(self, participant: str,
                        prefix: IPv4Prefix) -> List[RouteEntry]:
-        """Routes for ``prefix`` that ``participant`` may use."""
-        out: List[RouteEntry] = []
-        for announcer in self._announcers.get(prefix, ()):
-            entry = self._adj_in[announcer].route(prefix)
-            if entry is not None and self.route_exported(entry, participant):
-                out.append(entry)
-        return out
+        """Routes for ``prefix`` that ``participant`` may use, best first."""
+        return [entry for entry in self.ranked_routes(prefix)
+                if self.route_exported(entry, participant)]
 
     def all_routes_for(self, prefix: IPv4Prefix) -> List[RouteEntry]:
         """Every route announced for ``prefix``, regardless of export policy.
@@ -484,8 +575,9 @@ class RouteServer:
 
     def best_route_for(self, participant: str,
                        prefix: IPv4Prefix) -> Optional[RouteEntry]:
-        """The best route the server selects for ``participant``."""
-        return best_route(self.candidates_for(participant, prefix))
+        """The best route the server selects for ``participant`` (one
+        receiver off the ranking; :meth:`decide` settles all of them)."""
+        return self._first_exported(self.ranked_routes(prefix), participant)
 
     def reachable_prefixes(self, participant: str,
                            via: str) -> Tuple[IPv4Prefix, ...]:
@@ -569,30 +661,35 @@ class RouteServer:
 
         Each change produces an announcement (or withdrawal) on the
         affected participant's session, with the next hop rewritten by the
-        installed hook.
+        installed hook. Every peer given the same route is sent the same
+        (immutable) :class:`Update` object.
         """
         sent: List[Update] = []
+        shared: Dict[Tuple[IPv4Prefix, int], Update] = {}
         for change in changes:
             session = self._sessions.get(change.participant)
             if session is None or not session.is_established:
-                self._readvertise_skipped_counter.inc()
                 continue
-            if change.new is None:
-                update = Update(sender="route-server",
-                                withdrawals=(Withdrawal(change.prefix),))
-            else:
-                next_hop = change.new.attributes.next_hop
-                if self._next_hop_rewriter is not None:
-                    next_hop = self._next_hop_rewriter(
-                        change.participant, change.prefix, change.new)
-                attributes = change.new.attributes.with_next_hop(next_hop)
-                update = Update(
-                    sender="route-server",
-                    announcements=(Announcement(change.prefix, attributes),))
+            key = (change.prefix, id(change.new))
+            update = shared.get(key)
+            if update is None:
+                update = shared[key] = self._outbound(change.prefix, change.new)
             session.send(update)
-            self._readvertised_counter.inc()
             sent.append(update)
+        self._readvertised_counter.inc(len(sent))
+        self._readvertise_skipped_counter.inc(len(changes) - len(sent))
         return sent
+
+    def _outbound(self, prefix: IPv4Prefix,
+                  route: Optional[RouteEntry]) -> Update:
+        """The UPDATE telling a peer its route for ``prefix`` is ``route``."""
+        if route is None:
+            return Update.withdraw("route-server", prefix)
+        next_hop = route.attributes.next_hop
+        if self._next_hop_rewriter is not None:
+            next_hop = self._next_hop_rewriter(prefix, route)
+        return Update.announce("route-server", prefix,
+                               route.attributes.with_next_hop(next_hop))
 
     def __repr__(self) -> str:
         return (f"RouteServer({len(self._sessions)} peers, "

@@ -36,7 +36,7 @@ from typing import (
 
 from repro.bgp.asn import AsPath
 from repro.bgp.attributes import RouteAttributes
-from repro.bgp.messages import Announcement, Update, Withdrawal
+from repro.bgp.messages import Update, Withdrawal
 from repro.bgp.rib import RouteEntry
 from repro.bgp.routeserver import BestRouteChange, RouteServer
 from repro.core.compiler import CompilationResult, SdxCompiler
@@ -497,7 +497,7 @@ class SdxController:
     # Route advertisement toward border routers
     # ------------------------------------------------------------------
 
-    def _rewrite_next_hop(self, participant: str, prefix: IPv4Prefix,
+    def _rewrite_next_hop(self, prefix: IPv4Prefix,
                           route: RouteEntry) -> IPv4Address:
         vnh = self.allocator.next_hop_for_prefix(prefix)
         return vnh if vnh is not None else route.attributes.next_hop
@@ -507,24 +507,23 @@ class SdxController:
         if self.fabric is None:
             return
         with self.telemetry.span("controller.advertise"):
-            self._advertise_routers()
+            self._advertise_routers(self.route_server.all_prefixes())
 
-    def _advertise_routers(self) -> None:
-        for participant in self.topology.participants():
-            router = participant.router
-            if router is None:
-                continue
-            announcements = []
-            for prefix in self.route_server.all_prefixes():
-                best = self.route_server.best_route_for(participant.name, prefix)
+    def _advertise_routers(self, prefixes: Iterable[IPv4Prefix]) -> None:
+        """Give every border router its route for each of ``prefixes``,
+        decided once per prefix and fanned out to the routers."""
+        routers = [(participant.name, participant.router)
+                   for participant in self.topology.participants()
+                   if participant.router is not None]
+        for prefix in prefixes:
+            decision = self.route_server.decide(prefix)
+            for name, router in routers:
+                best = decision.route_for(name)
                 if best is None:
                     router.withdraw_route(prefix)
-                    continue
-                next_hop = self._rewrite_next_hop(participant.name, prefix, best)
-                announcements.append(
-                    Announcement(prefix, best.attributes.with_next_hop(next_hop)))
-            router.receive_update(Update(
-                sender="route-server", announcements=tuple(announcements)))
+                else:
+                    router.install_route(
+                        prefix, self._rewrite_next_hop(prefix, best))
 
     def _on_update(self, update: Update, changes: List[BestRouteChange]) -> None:
         if not self.started:
@@ -542,19 +541,7 @@ class SdxController:
             # Push the touched prefixes to *every* border router: even
             # participants whose best route is unchanged must learn the
             # fresh VNH so their tags line up with the fast-path rules.
-            for participant in self.topology.participants():
-                router = participant.router
-                if router is None:
-                    continue
-                for prefix in prefixes:
-                    best = self.route_server.best_route_for(
-                        participant.name, prefix)
-                    if best is None:
-                        router.withdraw_route(prefix)
-                    else:
-                        next_hop = self._rewrite_next_hop(
-                            participant.name, prefix, best)
-                        router.install_route(prefix, next_hop)
+            self._advertise_routers(prefixes)
 
     # ------------------------------------------------------------------
     # What-if preview

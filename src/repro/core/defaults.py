@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
-from repro.bgp.routeserver import RouteServer
+from repro.bgp.routeserver import Decision, RouteServer
 from repro.core.clauses import Clause
 from repro.core.fec import PrefixGroup
 from repro.core.participant import Participant
@@ -38,15 +38,15 @@ from repro.policy.policies import Conjunction, match
 from repro.policy.predicates import match_any_value
 
 
-def default_next_hop(group: PrefixGroup, participant: str,
-                     route_server: RouteServer) -> Optional[str]:
+def default_next_hop(decision: Decision, participant: str) -> Optional[str]:
     """The participant's default next hop for a prefix group.
 
-    Computed as the route server's best-route selection for the group's
-    representative prefix — sound because grouping guarantees identical
-    selection (same ranking, same export behaviour) for every member.
+    ``decision`` is the route server's decision for the group's
+    representative prefix, taken once per group — sound because grouping
+    guarantees identical selection (same ranking, same export behaviour)
+    for every member.
     """
-    best = route_server.best_route_for(participant, group.representative)
+    best = decision.route_for(participant)
     return None if best is None else best.learned_from
 
 
@@ -94,6 +94,7 @@ def build_default_forwarding(participants: Sequence[Participant],
         vmac = allocator.vmac_for_group(group.group_id)
         ranking = group.ranked_announcers
         common = ranking[0] if ranking else None
+        decision = route_server.decide(group.representative)
         if common is not None:
             shared.append(Clause(predicate=match(dstmac=vmac),
                                  target=topology.vport(common)))
@@ -106,7 +107,7 @@ def build_default_forwarding(participants: Sequence[Participant],
         else:
             candidates = [p for p in physical if p.name == common]
         for participant in candidates:
-            specific = default_next_hop(group, participant.name, route_server)
+            specific = default_next_hop(decision, participant.name)
             if specific == common:
                 continue
             predicate = Conjunction((
@@ -140,7 +141,9 @@ def build_participant_defaults(participant: Participant,
     clauses: List[Clause] = []
     for group in groups:
         vmac = allocator.vmac_for_group(group.group_id)
-        next_hop = default_next_hop(group, participant.name, route_server)
+        best = route_server.best_route_for(
+            participant.name, group.representative)
+        next_hop = None if best is None else best.learned_from
         predicate = Conjunction((guard, match(dstmac=vmac)))
         if next_hop is None:
             clauses.append(Clause(predicate=predicate, drops=True))

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Tuple
 
-from repro.bgp.decision import rank_routes
 from repro.bgp.routeserver import RouteServer
 from repro.core.participant import Participant
 from repro.net.addresses import IPv4Prefix
@@ -132,7 +131,7 @@ def compute_prefix_groups(participants: Iterable[Participant],
         for prefix in contexts[context_id]:
             membership.setdefault(prefix, []).append(context_id)
     for prefix, context_ids in membership.items():
-        ranked_routes = rank_routes(route_server.all_routes_for(prefix))
+        ranked_routes = route_server.ranked_routes(prefix)
         ranked = tuple(entry.learned_from for entry in ranked_routes)
         # Export-control communities — and participant ASNs appearing in
         # a route's path (loop prevention withholds such routes from that

@@ -21,8 +21,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.bgp.decision import rank_routes
-from repro.bgp.routeserver import BestRouteChange, RouteServer
+from repro.bgp.routeserver import BestRouteChange, Decision, RouteServer
 from repro.core.compiler import (
     CompilationResult,
     SdxCompiler,
@@ -201,8 +200,8 @@ class IncrementalEngine:
         with self.telemetry.span("fastpath.prefix",
                                  prefix=str(prefix)) as span:
             self.allocator.drop_ephemeral(prefix)
-            routes = self.route_server.all_routes_for(prefix)
-            if not routes:
+            decision = self.route_server.decide(prefix)
+            if not decision.ranked:
                 # Fully withdrawn: routers drop the route themselves; the
                 # stale rules die at the next background re-optimisation.
                 return 0
@@ -210,7 +209,7 @@ class IncrementalEngine:
             with self.telemetry.span("compile.fastpath"):
                 vmac_filter = match(dstmac=vmac)
 
-                default_layer = self._default_layer(prefix, vmac_filter, routes)
+                default_layer = self._default_layer(vmac_filter, decision)
                 pairs: List[Tuple[Predicate, Tuple[Action, ...]]] = []
                 for participant in self.topology.participants():
                     if participant.is_remote or not participant.outbound_clauses():
@@ -244,11 +243,10 @@ class IncrementalEngine:
             span.set_tag(rules=len(flow_rules))
         return len(flow_rules)
 
-    def _default_layer(self, prefix: IPv4Prefix, vmac_filter: Predicate,
-                       routes) -> Classifier:
+    def _default_layer(self, vmac_filter: Predicate,
+                       decision: Decision) -> Classifier:
         """Default forwarding for the prefix's fresh singleton group."""
-        ranking = [entry.learned_from for entry in rank_routes(routes)]
-        common = ranking[0]
+        common = decision.ranked[0].learned_from
         shared_pairs: List[Tuple[Predicate, Tuple[Action, ...]]] = [
             (vmac_filter, (Action(port=self.topology.vport(common)),))]
         exception_pairs: List[Tuple[Predicate, Tuple[Action, ...]]] = []
@@ -258,7 +256,7 @@ class IncrementalEngine:
                 continue
             if participant.name != common and not restricted:
                 continue
-            best = self.route_server.best_route_for(participant.name, prefix)
+            best = decision.route_for(participant.name)
             specific = None if best is None else best.learned_from
             if specific == common:
                 continue

@@ -558,6 +558,7 @@ class UnreachableDefaultCheck(Check):
     def run(self, context: StaticsContext) -> Iterator[Diagnostic]:
         server = context.route_server
         all_prefixes = server.all_prefixes()
+        decisions = {prefix: server.decide(prefix) for prefix in all_prefixes}
         for participant in context.participants():
             if participant.is_remote:
                 continue
@@ -566,7 +567,7 @@ class UnreachableDefaultCheck(Check):
             unrouted = [
                 prefix for prefix in all_prefixes
                 if prefix not in own
-                and server.best_route_for(participant.name, prefix) is None
+                and decisions[prefix].route_for(participant.name) is None
             ]
             if not unrouted:
                 continue

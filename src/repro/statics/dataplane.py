@@ -352,11 +352,11 @@ def committed_spaces_from_controller(controller: Any) -> List[CommittedSpace]:
         if vmac is None:
             continue
         ports: List[int] = []
+        decision = controller.route_server.decide(prefix)
         for participant in controller.topology.participants():
             if participant.is_remote:
                 continue
-            if controller.route_server.best_route_for(
-                    participant.name, prefix) is None:
+            if decision.route_for(participant.name) is None:
                 continue
             ports.extend(participant.switch_ports)
         if not ports:

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.bgp.rib import PrefixTrie
 from repro.core.controller import SdxController
 from repro.net.packet import Packet
 
@@ -121,22 +122,25 @@ def check_default_conformance(controller: SdxController) -> List[Violation]:
     if controller.fabric is None:
         return violations
     server = controller.route_server
-    announced = sorted(server.all_prefixes())
+    prefixes = server.all_prefixes()
+    announced: PrefixTrie[None] = PrefixTrie()
+    for prefix in prefixes:
+        announced.insert(prefix, None)
+    # Only check prefixes that are the most specific cover of their own
+    # probe address, so overlapping announcements don't cross-talk; the
+    # cover and the route server's decision are per-prefix facts.
+    checked = []
+    for prefix in prefixes:
+        probe_ip = prefix.first_address + 1
+        cover = announced.longest_match(probe_ip)
+        if cover is not None and cover[0] == prefix:
+            checked.append((prefix, probe_ip, server.decide(prefix)))
     for participant in controller.topology.participants():
         router = participant.router
         if router is None:
             continue
-        for prefix in announced:
-            # Only check prefixes this prefix is the most specific cover
-            # for, so overlapping announcements don't cross-talk.
-            probe_ip = prefix.first_address + 1
-            specific = max(
-                (candidate for candidate in announced
-                 if candidate.contains_address(probe_ip)),
-                key=lambda candidate: candidate.length)
-            if specific != prefix:
-                continue
-            best = server.best_route_for(participant.name, prefix)
+        for prefix, probe_ip, decision in checked:
+            best = decision.route_for(participant.name)
             emitted = router.emit(Packet(dstip=probe_ip))
             if best is None:
                 if emitted is not None:

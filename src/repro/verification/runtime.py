@@ -125,9 +125,10 @@ def canonical_state(controller: SdxController) -> CanonicalState:
                       for entry in route_server.all_routes_for(prefix))))
         for prefix in prefixes)
     best_routes: List[Tuple[str, str, Optional[RouteSummary]]] = []
+    decisions = {prefix: route_server.decide(prefix) for prefix in prefixes}
     for participant in controller.topology.participants():
         for prefix in prefixes:
-            best = route_server.best_route_for(participant.name, prefix)
+            best = decisions[prefix].route_for(participant.name)
             best_routes.append((
                 participant.name, str(prefix),
                 None if best is None else _route_summary(best)))

@@ -1,0 +1,56 @@
+"""The per-(receiver, prefix) decision process, kept as the tests' oracle.
+
+This is the algorithm the route server ran before it decided once per
+prefix: build the receiver's own candidate list, take the minimum. It
+shares only ``all_routes_for`` (the raw announcer index), the export
+predicate and ``preference_key`` with the implementation under test —
+not the ranking, the partition or the diff.
+"""
+
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+from repro.bgp.decision import preference_key
+from repro.bgp.messages import Update
+from repro.bgp.rib import RouteEntry
+from repro.bgp.routeserver import BestRouteChange, RouteServer
+from repro.net.addresses import IPv4Prefix
+
+BestTable = Dict[Tuple[str, IPv4Prefix], Optional[RouteEntry]]
+
+
+def best_route(candidates: Iterable[RouteEntry]) -> Optional[RouteEntry]:
+    """The single best route among ``candidates`` (``None`` if empty)."""
+    best: Optional[RouteEntry] = None
+    best_key: Optional[Tuple] = None
+    for entry in candidates:
+        key = preference_key(entry)
+        if best_key is None or key < best_key:
+            best, best_key = entry, key
+    return best
+
+
+def reference_best(server: RouteServer, receiver: str,
+                   prefix: IPv4Prefix) -> Optional[RouteEntry]:
+    """``best_route(candidates_for(receiver, prefix))``, the old way."""
+    return best_route(entry for entry in server.all_routes_for(prefix)
+                      if server.route_exported(entry, receiver))
+
+
+def reference_table(server: RouteServer, receivers: Sequence[str],
+                    prefixes: Sequence[IPv4Prefix]) -> BestTable:
+    """Every receiver's best route for every prefix."""
+    return {(receiver, prefix): reference_best(server, receiver, prefix)
+            for receiver in receivers for prefix in prefixes}
+
+
+def reference_changes(before: BestTable, after: BestTable,
+                      receivers: Sequence[str],
+                      update: Update) -> List[BestRouteChange]:
+    """The before/after diff over (receiver, prefix), in the order the
+    old ``_apply_and_diff`` reported it: peering order, then the touched
+    set's own iteration order."""
+    touched = set(update.prefixes)
+    return [BestRouteChange(receiver, prefix, before[receiver, prefix],
+                            after[receiver, prefix])
+            for receiver in receivers for prefix in touched
+            if before[receiver, prefix] != after[receiver, prefix]]

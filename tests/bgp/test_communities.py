@@ -66,6 +66,13 @@ class TestBlockingCommunities:
         server.announce("B", P1, attrs([65002], communities={(0, 65001)}))
         assert server.has_export_restrictions("B")
 
+    def test_blocked_peer_is_an_exception_of_the_decision(self):
+        server = make_server()
+        server.announce("B", P1, attrs([65002]))
+        assert set(server.decide(P1).exceptions) == {"B"}
+        server.announce("B", P1, attrs([65002], communities={(0, 65001)}))
+        assert server.decide(P1).exceptions == {"A": None, "B": None}
+
     def test_export_control_communities_helper(self):
         server = make_server()
         mixed = attrs([65002], communities={(0, 65001), (65002, 7)})

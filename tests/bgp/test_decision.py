@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from repro.bgp.asn import AsPath
 from repro.bgp.attributes import Origin, RouteAttributes
-from repro.bgp.decision import best_route, preference_key, rank_routes
+from repro.bgp.decision import preference_key, rank_routes
 from repro.bgp.rib import RouteEntry
 from repro.net.addresses import IPv4Address, IPv4Prefix
+from tests.bgp.reference import best_route
 
 PREFIX = IPv4Prefix("10.0.0.0/8")
 

@@ -1,0 +1,155 @@
+"""The once-per-prefix decision equals the once-per-(receiver, prefix) one.
+
+The route server ranks a prefix's routes once and hands out a partition
+of the receivers (:meth:`RouteServer.decide`). These properties hold it
+to the algorithm it replaced — ``best_route(candidates_for(r, p))`` for
+every receiver, kept in :mod:`tests.bgp.reference` — over random
+announcers, LOCAL_PREF / path-length / MED ties, session allow and deny
+lists, blocking and allow-list communities, participant ASNs planted in
+paths, two sessions of one AS, and session teardowns.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.bgp.asn import AsPath
+from repro.bgp.attributes import RouteAttributes
+from repro.bgp.messages import Announcement, Update, Withdrawal
+from repro.bgp.routeserver import RouteServer
+from repro.net.addresses import IPv4Address, IPv4Prefix
+from tests.bgp.reference import (
+    reference_best,
+    reference_changes,
+    reference_table,
+)
+
+#: P3 and P4 are two sessions of one AS: loop prevention and ``(0, asn)``
+#: communities must catch both.
+PEERS = (("P0", 65000), ("P1", 65001), ("P2", 65002),
+         ("P3", 65003), ("P4", 65003))
+NAMES = tuple(name for name, _asn in PEERS)
+#: A name with no session reads as "no route" everywhere.
+RECEIVERS = NAMES + ("ghost",)
+PREFIXES = tuple(IPv4Prefix(f"10.{index}.0.0/16") for index in range(3))
+SERVER_ASN = RouteServer().asn
+PATH_ASNS = (65000, 65001, 65003, 3356, 1299)
+COMMUNITIES = ((0, 0), (0, 65000), (0, 65003), (SERVER_ASN, 65001),
+               (SERVER_ASN, 65002), (3356, 7))
+
+peer_index = st.integers(0, len(PEERS) - 1)
+route_attributes = st.builds(
+    lambda tail, local_pref, med, communities: (tail, local_pref, med,
+                                                frozenset(communities)),
+    st.lists(st.sampled_from(PATH_ASNS), max_size=3),
+    st.sampled_from((100, 100, 200)),
+    st.sampled_from((0, 0, 10)),
+    st.lists(st.sampled_from(COMMUNITIES), max_size=2))
+nlri = st.lists(
+    st.tuples(st.integers(0, len(PREFIXES) - 1),
+              st.one_of(st.none(), route_attributes)),
+    min_size=1, max_size=4)
+names = st.lists(st.sampled_from(RECEIVERS), max_size=2)
+operations = st.lists(st.one_of(
+    st.tuples(st.just("update"), peer_index, nlri),
+    st.tuples(st.just("export"), peer_index, names,
+              st.one_of(st.none(), names)),
+    st.tuples(st.sampled_from(("reset", "fail", "recover")), peer_index),
+), max_size=25)
+
+
+def build_update(sender: int, items) -> Update:
+    """One UPDATE from peer ``sender``; a prefix may be both withdrawn
+    and (re-)announced in it."""
+    name, asn = PEERS[sender]
+    announcements, withdrawals = [], []
+    for prefix_index, attributes in items:
+        prefix = PREFIXES[prefix_index]
+        if attributes is None:
+            withdrawals.append(Withdrawal(prefix))
+            continue
+        tail, local_pref, med, communities = attributes
+        announcements.append(Announcement(prefix, RouteAttributes(
+            next_hop=IPv4Address(f"172.0.0.{sender + 1}"),
+            as_path=AsPath((asn, *tail)), local_pref=local_pref, med=med,
+            communities=communities)))
+    return Update(sender=name, announcements=tuple(announcements),
+                  withdrawals=tuple(withdrawals))
+
+
+def make_server():
+    server = RouteServer()
+    for name, asn in PEERS:
+        server.add_peer(name, asn)
+    notified = []
+    server.add_update_listener(
+        lambda update, changes: notified.append((update, changes)))
+    return server, notified
+
+
+def assert_partition_matches(server):
+    """(a) every read of the decision equals the per-receiver oracle."""
+    for prefix in PREFIXES:
+        decision = server.decide(prefix)
+        for receiver in RECEIVERS:
+            expected = reference_best(server, receiver, prefix)
+            assert decision.route_for(receiver) == expected
+            assert server.best_route_for(receiver, prefix) == expected
+            candidates = server.candidates_for(receiver, prefix)
+            assert (candidates[0] if candidates else None) == expected
+            assert server.view_for(receiver).route(prefix) == expected
+
+
+def apply_operation(server, operation) -> None:
+    """Drive one generated operation, skipping what the FSM forbids."""
+    kind, index = operation[0], operation[1]
+    name = NAMES[index]
+    session = server.session(name)
+    if kind == "update":
+        if session.is_established:
+            server.submit(build_update(index, operation[2]))
+    elif kind == "export":
+        server.set_export_policy(name, deny=operation[2], allow=operation[3])
+    elif kind == "reset" and session.is_established:
+        server.reset_session(name)
+    elif kind == "fail" and session.is_established:
+        server.fail_peer(name)
+    elif kind == "recover" and session.is_down:
+        server.recover_peer(name)
+
+
+@settings(max_examples=200, deadline=None)
+@given(operations)
+def test_partition_and_change_list_match_the_per_receiver_oracle(ops):
+    server, notified = make_server()
+    for operation in ops:
+        before = reference_table(server, RECEIVERS, PREFIXES)
+        del notified[:]
+        apply_operation(server, operation)
+        assert_partition_matches(server)
+        after = reference_table(server, RECEIVERS, PREFIXES)
+        # (b) whatever was processed — an UPDATE or a teardown's implied
+        # withdrawal — reported exactly the brute-force diff, in order.
+        for update, changes in notified:
+            assert changes == reference_changes(
+                before, after, RECEIVERS, update)
+        if not notified:
+            assert before == after or operation[0] == "export"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(peer_index, nlri), max_size=20))
+def test_bulk_load_equals_one_by_one(updates):
+    """(c) the table-transfer path and the live path agree."""
+    bulk, _ = make_server()
+    live, _ = make_server()
+    batch = [build_update(sender, items) for sender, items in updates]
+    assert bulk.bulk_load(batch) == len(batch)
+    for update in batch:
+        live.submit(update)
+    assert bulk.all_prefixes() == live.all_prefixes()
+    for prefix in PREFIXES:
+        assert bulk.decide(prefix).ranked == live.decide(prefix).ranked
+    assert (reference_table(bulk, RECEIVERS, PREFIXES)
+            == reference_table(live, RECEIVERS, PREFIXES))
+    assert_partition_matches(bulk)
+    assert bulk.updates_processed == live.updates_processed

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.bgp.asn import AsPath
 from repro.bgp.attributes import RouteAttributes
-from repro.bgp.messages import Update
+from repro.bgp.messages import Announcement, Update, Withdrawal
 from repro.bgp.rib import AdjRibIn, PrefixTrie, RibView, RouteEntry
 from repro.exceptions import BgpError
 from repro.net.addresses import IPv4Address, IPv4Prefix
@@ -140,12 +140,52 @@ class TestAdjRibIn:
         prefix = IPv4Prefix("10.0.0.0/8")
         attributes = entry_for("10.0.0.0/8").attributes
         adj.apply(Update.announce("A", prefix, attributes))
-        from repro.bgp.messages import Announcement, Withdrawal
         update = Update(sender="A",
                         announcements=(Announcement(prefix, attributes),),
                         withdrawals=(Withdrawal(prefix),))
         adj.apply(update)
         assert adj.route(prefix) is not None
+
+    def test_changed_prefixes_reported_once_in_first_seen_order(self):
+        adj = AdjRibIn("A")
+        first, second, third = (IPv4Prefix(f"10.{i}.0.0/16") for i in range(3))
+        old = entry_for("10.0.0.0/16").attributes
+        new = entry_for("10.0.0.0/16", path=(65001, 65009)).attributes
+        adj.apply(Update(sender="A", announcements=tuple(
+            Announcement(prefix, old) for prefix in (first, second))))
+        update = Update(
+            sender="A",
+            withdrawals=(Withdrawal(second), Withdrawal(first)),
+            announcements=(Announcement(third, new), Announcement(second, new),
+                           Announcement(third, old)))
+        # second: withdrawn then re-announced, reported where first seen.
+        assert adj.apply(update) == [second, first, third]
+        assert adj.route(first) is None
+        assert adj.route(second).attributes == new
+        assert adj.route(third).attributes == old
+
+    def test_apply_is_linear_in_update_size(self, monkeypatch):
+        """One table-transfer UPDATE must not compare every announced
+        prefix with every other (it did: 12.5 M comparisons for 5 000)."""
+        size = 5_000
+        attributes = entry_for("10.0.0.0/8").attributes
+        update = Update(sender="A", announcements=tuple(
+            Announcement(IPv4Prefix(network=(10 << 24) + (i << 8), length=24),
+                         attributes)
+            for i in range(size)))
+        comparisons = 0
+        original = IPv4Prefix.__eq__
+
+        def counting_eq(self, other):
+            nonlocal comparisons
+            comparisons += 1
+            return original(self, other)
+
+        monkeypatch.setattr(IPv4Prefix, "__eq__", counting_eq)
+        changed = AdjRibIn("A").apply(update)
+        monkeypatch.undo()
+        assert len(changed) == size
+        assert comparisons <= 4 * size
 
 
 class TestRibView:

@@ -250,7 +250,7 @@ class TestReadvertisement:
     def test_next_hop_rewriter_applies(self):
         server = make_server()
         server.set_next_hop_rewriter(
-            lambda participant, prefix, route: IPv4Address("192.0.2.77"))
+            lambda prefix, route: IPv4Address("192.0.2.77"))
         server.announce("B", P1, attrs("172.0.0.2", [65002]))
         change = BestRouteChange("A", P1, None, server.best_route_for("A", P1))
         sent = server.readvertise([change])
@@ -265,3 +265,159 @@ class TestReadvertisement:
         assert view.prefixes() == (P1, P2)
         own_view = server.view_for("B")
         assert own_view.prefixes() == (P2,)
+
+
+def make_exchange(members):
+    """``members`` peers; M0 announces P1, so M1's shorter path wins it."""
+    server = RouteServer()
+    for index in range(members):
+        server.add_peer(f"M{index}", 65_000 + index)
+    server.announce("M0", P1, attrs("172.0.0.1", [65_000, 3356, 1299]))
+    return server
+
+
+def decision_runs(server):
+    return server.telemetry.registry.counter(
+        "sdx_bgp_decision_runs_total").value
+
+
+class TestDecidesOncePerPrefix:
+    def test_decision_runs_do_not_grow_with_membership(self):
+        runs = []
+        for members in (10, 100):
+            server = make_exchange(members)
+            before = decision_runs(server)
+            server.announce("M1", P1, attrs("172.0.0.2", [65_001]))
+            runs.append(decision_runs(server) - before)
+            assert server.best_route_for("M7", P1).learned_from == "M1"
+        # One ranking before the write, one after: per prefix, not per peer.
+        assert runs[0] == runs[1]
+        assert 1 <= runs[0] <= 2
+
+    def test_decision_span_is_tagged_with_its_runs(self):
+        server = make_exchange(10)
+        server.announce("M1", P1, attrs("172.0.0.2", [65_001]))
+        span = [s for s in server.telemetry.tracer.finished()
+                if s.name == "bgp.decision"][-1]
+        assert span.tags["runs"] == 2
+
+    def test_decision_partitions_the_receivers(self):
+        server = make_exchange(10)
+        server.announce("M1", P1, attrs("172.0.0.2", [65_001, 65_004]))
+        decision = server.decide(P1)
+        assert [entry.learned_from for entry in decision.ranked] == ["M1", "M0"]
+        # Everyone gets M1's route but its announcer and the AS on its path.
+        assert set(decision.exceptions) == {"M1", "M4"}
+        assert decision.route_for("M1").learned_from == "M0"
+        assert decision.route_for("M4").learned_from == "M0"
+        assert decision.route_for("M9") is decision.best
+        assert decision.route_for("nobody") is None
+
+    def test_one_update_object_per_partition_cell(self):
+        server = make_exchange(300)
+        server.set_next_hop_rewriter(
+            lambda prefix, route: IPv4Address("192.0.2.77"))
+        sent = []
+        server.add_listener(
+            lambda changes: sent.extend(server.readvertise(changes)))
+        server.announce("M1", P1, attrs("172.0.0.2", [65_001]))
+        # M1 keeps M0's route; the other 299 move to M1's together.
+        assert len(sent) == 299
+        assert all(update is sent[0] for update in sent)
+        for index in (0, 2, 299):
+            assert server.session(f"M{index}").sent_log[-1] is sent[0]
+        assert server.session("M1").sent_log == []
+        assert sent[0].announcements[0].attributes.next_hop == IPv4Address(
+            "192.0.2.77")
+
+
+def count_export_checks(server, monkeypatch):
+    """Count ``route_exported`` calls on ``server``; returns the tally list."""
+    calls = []
+    real = server.route_exported
+
+    def counted(entry, receiver):
+        calls.append(receiver)
+        return real(entry, receiver)
+    monkeypatch.setattr(server, "route_exported", counted)
+    return calls
+
+
+def restrict_by_allow_list(server):
+    server.set_export_policy("M1", allow=["M2", "M3"])
+    return frozenset()
+
+
+def restrict_by_allow_community(server):
+    return frozenset({(server.asn, 65_002), (server.asn, 65_003)})
+
+
+def restrict_by_blanket_block(server):
+    return frozenset({(0, 0)})
+
+
+RESTRICTIONS = [restrict_by_allow_list, restrict_by_allow_community,
+                restrict_by_blanket_block]
+
+
+class TestExportRestrictedWork:
+    """The side of the traffic on which :meth:`RouteServer.decide` must
+    ask every peer: the top route's announcer has an allow-list, or the
+    route carries a ``(server-asn, x)`` or ``(0, 0)`` community."""
+
+    @staticmethod
+    def restricted_exchange(members, restrict):
+        server = make_exchange(members)
+        communities = restrict(server)
+        server.announce("M1", P1, RouteAttributes(
+            next_hop=IPv4Address("172.0.0.2"), as_path=AsPath([65_001]),
+            communities=communities))
+        return server
+
+    @pytest.mark.parametrize("restrict", RESTRICTIONS)
+    def test_one_receiver_read_does_not_grow_with_membership(
+            self, restrict, monkeypatch):
+        checks = []
+        for members in (10, 100):
+            server = self.restricted_exchange(members, restrict)
+            calls = count_export_checks(server, monkeypatch)
+            best = server.best_route_for("M7", P1)
+            assert best.learned_from == "M0"  # M1's route is withheld from M7
+            assert set(calls) == {"M7"}
+            checks.append(len(calls))
+        assert checks[0] == checks[1] <= 2  # one per ranked route, at most
+
+    @pytest.mark.parametrize("restrict", RESTRICTIONS)
+    def test_view_for_asks_only_about_its_own_receiver(
+            self, restrict, monkeypatch):
+        server = self.restricted_exchange(100, restrict)
+        calls = count_export_checks(server, monkeypatch)
+        assert server.view_for("M2").prefixes() == (P1,)
+        assert set(calls) == {"M2"} and len(calls) <= 2
+
+    @pytest.mark.parametrize("restrict", RESTRICTIONS)
+    def test_update_costs_no_more_than_the_per_receiver_decision(
+            self, restrict, monkeypatch):
+        members = 50
+        server = self.restricted_exchange(members, restrict)
+        calls = count_export_checks(server, monkeypatch)
+        changes = []
+        server.add_listener(changes.extend)
+        server.withdraw("M1", P1)
+        # The per-(receiver, prefix) algorithm asked about every candidate
+        # for every receiver, before and after: 2 routes, then 1.
+        assert len(calls) <= members * 2 + members * 1
+        moved = {change.participant for change in changes}
+        if restrict is restrict_by_blanket_block:
+            assert moved == set()  # nobody had M1's route
+        else:
+            assert moved == {"M2", "M3"}
+
+    def test_kept_decision_is_a_snapshot(self):
+        server = make_exchange(10)
+        decision = server.decide(P1)
+        server.add_peer("late", 65_999)
+        assert decision.route_for("late") is None
+        assert server.decide(P1).route_for("late") is decision.best
+        with pytest.raises(TypeError):
+            decision.exceptions["M5"] = None

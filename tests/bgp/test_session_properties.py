@@ -15,6 +15,11 @@ random operation sequences:
 
 Illegal transitions must raise ``SessionStateError`` and leave every
 observable unchanged.
+
+3. *A teardown is decided like any other update* — the best-route
+   changes a route server reports for a reset or failed session equal
+   the brute-force per-receiver before/after diff of the implied
+   withdrawal (the once-per-prefix decision has no teardown shortcut).
 """
 
 from hypothesis import given, settings
@@ -23,9 +28,11 @@ from hypothesis import strategies as st
 from repro.bgp.asn import AsPath
 from repro.bgp.attributes import RouteAttributes
 from repro.bgp.messages import Update
+from repro.bgp.routeserver import RouteServer
 from repro.bgp.session import BgpSession
 from repro.exceptions import SessionStateError
 from repro.net.addresses import IPv4Address, IPv4Prefix
+from tests.bgp.reference import reference_changes, reference_table
 
 PEER = "A"
 PREFIXES = [IPv4Prefix(f"10.{index}.0.0/16") for index in range(8)]
@@ -183,3 +190,50 @@ def test_every_path_to_teardown_implies_full_withdrawal(ops, final):
         assert {w.prefix for w in update.withdrawals} == announced
         # Deterministic rendering: withdrawals arrive sorted.
         assert [w.prefix for w in update.withdrawals] == sorted(announced)
+
+
+# ----------------------------------------------------------------------
+# A teardown's implied withdrawal goes through the same decision path
+# ----------------------------------------------------------------------
+
+SERVER_PEERS = (("A", 65001), ("B", 65002), ("C", 65003))
+
+peer_announcements = st.lists(
+    st.tuples(st.integers(0, len(SERVER_PEERS) - 1), st.integers(0, 7),
+              st.integers(0, 2)),
+    max_size=24)
+
+
+@settings(max_examples=100, deadline=None)
+@given(peer_announcements, st.integers(0, len(SERVER_PEERS) - 1),
+       st.sampled_from(["reset", "fail"]))
+def test_teardown_changes_equal_the_per_receiver_diff(announcements, victim,
+                                                      verb):
+    server = RouteServer()
+    for name, asn in SERVER_PEERS:
+        server.add_peer(name, asn)
+    for sender, index, extra_hops in announcements:
+        name, asn = SERVER_PEERS[sender]
+        server.announce(name, PREFIXES[index], RouteAttributes(
+            next_hop=IPv4Address(f"172.0.0.{sender + 1}"),
+            as_path=AsPath((asn,) + (64000,) * extra_hops)))
+    names = [name for name, _asn in SERVER_PEERS]
+    name = names[victim]
+    notified = []
+    server.add_update_listener(
+        lambda update, changes: notified.append((update, changes)))
+    before = reference_table(server, names, PREFIXES)
+    announced = server.session(name).announced
+    changes = (server.reset_session(name) if verb == "reset"
+               else server.fail_peer(name))
+    after = reference_table(server, names, PREFIXES)
+    if not announced:
+        assert changes == [] and not notified and before == after
+        return
+    (update, reported), = notified
+    assert reported == changes
+    assert {w.prefix for w in update.withdrawals} == announced
+    assert changes == reference_changes(before, after, names, update)
+    assert all(entry is None or entry.learned_from != name
+               for entry in after.values())
+    assert server.announced_by(name) == ()

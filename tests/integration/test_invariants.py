@@ -15,10 +15,13 @@ suite drives them over hypothesis-generated exchanges and keeps direct
 stay honest.
 """
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bgp.asn import AsPath
+from repro.bgp.messages import Update
 from repro.core.controller import SdxController
 from repro.net.addresses import IPv4Prefix
 from repro.net.packet import Packet
@@ -29,6 +32,7 @@ from repro.verification.invariants import (
     check_single_delivery,
 )
 from repro.verification.oracle import compare_controllers
+from tests.bgp.reference import reference_best
 
 NAMES = ["A", "B", "C", "D"]
 PREFIXES = [IPv4Prefix(f"{n}.0.0.0/8") for n in (30, 40, 50, 60)]
@@ -171,3 +175,101 @@ class TestInvariants:
             for probe in probes[::4]:
                 assert (sdx.egress_of("A", probe)
                         == reference.egress_of("A", probe))
+
+
+def reference_default_conformance(controller):
+    """The participants x prefixes^2 triple loop ``check_default_conformance``
+    used to be (most-specific cover rescanned inside the participant loop,
+    best route asked per (participant, prefix)) — the oracle."""
+    server = controller.route_server
+    announced = sorted(server.all_prefixes())
+    found = []
+    for participant in controller.topology.participants():
+        router = participant.router
+        if router is None:
+            continue
+        for prefix in announced:
+            probe_ip = prefix.first_address + 1
+            specific = max(
+                (candidate for candidate in announced
+                 if candidate.contains_address(probe_ip)),
+                key=lambda candidate: candidate.length)
+            if specific != prefix:
+                continue
+            best = reference_best(server, participant.name, prefix)
+            emitted = router.emit(Packet(dstip=probe_ip))
+            if best is None:
+                if emitted is not None:
+                    found.append((participant.name, prefix, "routes"))
+            elif emitted is None:
+                found.append((participant.name, prefix, "no FIB entry"))
+            else:
+                vmac = controller.allocator.vmac_for_prefix(prefix)
+                if vmac is not None and emitted.get("dstmac") != vmac:
+                    found.append((participant.name, prefix, "tags"))
+    return found
+
+
+def nested_exchange(members=12, prefixes=60, seed=7):
+    """A started exchange whose announcements overlap: every third
+    prefix is a /24 inside an announced /16, often from another member."""
+    rng = random.Random(seed)
+    sdx = SdxController()
+    names = [f"M{index:02d}" for index in range(members)]
+    for index, name in enumerate(names):
+        sdx.add_participant(name, 65001 + index)
+    announced = []
+    for index in range(prefixes):
+        if index % 3 == 2:
+            prefix = IPv4Prefix(f"20.{index - 1}.{index}.0/24")
+        else:
+            prefix = IPv4Prefix(f"20.{index}.0.0/16")
+        announced.append(prefix)
+        for sender in rng.sample(names, rng.choice((1, 1, 2, 3))):
+            asn = 65001 + names.index(sender)
+            tail = [rng.choice((3356, 1299, 65001 + rng.randrange(members)))
+                    for _ in range(rng.randrange(3))]
+            sdx.announce_route(sender, prefix, AsPath([asn] + tail))
+    sdx.route_server.set_export_policy(names[0], deny=(names[1], names[2]))
+    for owner, target, port in ((1, 0, 80), (2, 3, 443), (4, 0, 53)):
+        sdx.participant(names[owner]).add_outbound(
+            match(dstport=port) >> fwd(names[target]))
+    sdx.start()
+    return sdx, names, announced
+
+
+class TestDefaultConformanceIsPerPrefix:
+    def test_agrees_with_the_triple_loop_on_nested_prefixes(self, monkeypatch):
+        sdx, names, announced = nested_exchange()
+        # Break three routers three ways (a member denied a nested /24
+        # already "routes" it through the covering /16); both must name
+        # the same (participant, prefix, kind) breaches in the same order.
+        nested = next(p for p in announced if p.length == 24)
+        sdx.topology.participant(names[5]).router.withdraw_route(announced[0])
+        sdx.topology.participant(names[6]).router.install_route(
+            nested, sdx.topology.participant(names[7]).ports[0].ip)
+        sdx.route_server.inject_unnotified(
+            Update.withdraw(names[8], announced[3]))
+        expected = reference_default_conformance(sdx)
+        assert expected
+        scans = 0
+        original = IPv4Prefix.contains_address
+
+        def counting(self, address):
+            nonlocal scans
+            scans += 1
+            return original(self, address)
+
+        monkeypatch.setattr(IPv4Prefix, "contains_address", counting)
+        violations = check_default_conformance(sdx)
+        monkeypatch.undo()
+        assert len(violations) == len(expected)
+        for violation, (name, prefix, kind) in zip(violations, expected):
+            assert violation.detail.startswith(f"{name} ")
+            assert str(prefix) in violation.detail
+            assert kind in violation.detail
+        assert {kind for _name, _prefix, kind in expected} == {
+            "routes", "no FIB entry", "tags"}
+        # The most specific cover is a trie lookup per prefix, not a scan
+        # of every prefix per (participant, prefix).
+        assert scans <= len(announced)
