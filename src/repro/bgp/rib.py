@@ -96,12 +96,28 @@ class PrefixTrie(Generic[ValueT]):
         return found
 
     def covered_by(self, prefix: IPv4Prefix) -> List[Tuple[IPv4Prefix, ValueT]]:
-        """Every stored prefix contained in ``prefix`` (including itself)."""
-        return [
-            (stored, value)
-            for stored, value in self.items()
-            if prefix.contains_prefix(stored)
-        ]
+        """Every stored prefix contained in ``prefix`` (including itself).
+
+        Per stored length, probes the candidate networks inside ``prefix``
+        or scans that length's table, whichever is fewer steps — so the
+        cost is bounded by the query, not by what is stored elsewhere.
+        """
+        found: List[Tuple[IPv4Prefix, ValueT]] = []
+        for length, table in self._by_length.items():
+            if length < prefix.length:
+                continue
+            candidates = 1 << (length - prefix.length)
+            if candidates <= len(table):
+                step = 1 << (32 - length)
+                start = prefix.network_int
+                for network in range(start, start + candidates * step, step):
+                    entry = table.get(network)
+                    if entry is not None:
+                        found.append(entry)
+            else:
+                found.extend(entry for entry in table.values()
+                             if prefix.contains_prefix(entry[0]))
+        return found
 
     def items(self) -> Iterator[Tuple[IPv4Prefix, ValueT]]:
         """Iterate (prefix, value) pairs in no particular order."""

@@ -586,13 +586,19 @@ class RouteServer:
         This is the BGP-consistency filter of Section 4.1: only prefixes
         ``via`` announced *and* exports to ``participant`` are eligible.
         """
+        return tuple(sorted(self.reachable_prefix_set(participant, via)))
+
+    def reachable_prefix_set(self, participant: str,
+                             via: str) -> FrozenSet[IPv4Prefix]:
+        """:meth:`reachable_prefixes` as a set, for callers (the FEC
+        computation) that need membership, not order."""
         if via not in self._adj_in:
             raise ParticipantError(f"unknown peer {via!r}")
         if not self.exports_to(via, participant):
-            return ()
-        return tuple(sorted(
+            return frozenset()
+        return frozenset(
             entry.prefix for entry in self._adj_in[via].routes()
-            if self.route_exported(entry, participant)))
+            if self.route_exported(entry, participant))
 
     def is_reachable(self, participant: str, prefix: IPv4Prefix,
                      via: str) -> bool:

@@ -12,12 +12,20 @@ Runs the four syntactic transformations of Section 4.1 with the Section
    isolation guard and a VMAC (or prefix) eligibility guard per clause;
    traffic failing a clause's predicate or guard falls through to the
    default layer exactly (the paper's ``if_(matched, policy, default)``).
-4. **Inbound pipelines** — per participant, memoized across compilations
-   (the paper's caching of partial compilation results); remote
-   participants' pipelines are composed through the physical ones.
+4. **Inbound pipelines** — per participant; remote participants'
+   pipelines are composed through the physical ones.
 5. **Composition** — disjoint stacking plus index-pruned sequential
-   composition (:mod:`repro.core.composition`), or the naive cross
-   product when ``optimized=False`` (ablation).
+   composition (:mod:`repro.core.composition`), block by block — each
+   participant's outbound part, then the default layer — or the naive
+   cross product when ``optimized=False`` (ablation).
+6. **Reduction** — rules covered by an earlier rule are removed, again
+   block by block (:meth:`SdxCompiler._reduce`).
+
+Every stage is reused from the previous compilation when what it reads
+has not changed (:meth:`SdxCompiler._reuse`, the paper's "memoize all the
+intermediate compilation results"): a one-clause policy change rebuilds
+one participant's block, a BGP update grouping and defaults but no
+inbound pipeline.
 
 Flags:
 
@@ -27,23 +35,27 @@ Flags:
     data plane whose rule explosion the MDS ablation quantifies.
 ``optimized=False``
     disables the control-plane composition optimisations (Section 4.3).
+``reduce_table=False``
+    skips shadow elimination, this library's own addition (Figures 7/8).
 """
 
 from __future__ import annotations
 
 import os
 import time
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple)
 
+from repro.bgp.rib import PrefixTrie
 from repro.bgp.routeserver import RouteServer
 from repro.core.clauses import Clause, clause_dstip
 from repro.core.dynamic import contains_dynamic, resolve_dynamic
 from repro.core.composition import (
     CompositionReport,
     compose_naive,
-    compose_optimized,
     sequential_compose_indexed,
     stack_disjoint,
     stack_fallback,
@@ -52,28 +64,26 @@ from repro.core.defaults import (
     build_default_forwarding,
     build_participant_defaults,
 )
-from repro.core.fec import PrefixGroup, compute_prefix_groups
+from repro.core.fec import ContextId, PrefixGroup, compute_prefix_groups
 from repro.core.participant import Participant
 from repro.core.vnh import VnhAllocator
 from repro.core.vswitch import VirtualTopology
 from repro.exceptions import CompilationError
 from repro.policy.classifier import Action, Classifier, ComposeStats, Rule
-from repro.policy.optimize import merge_drop_tail, remove_shadowed
-from repro.policy.policies import Conjunction, Predicate, match, modify
-from repro.policy.predicates import match_any_value
+from repro.policy.optimize import ShadowIndex, merge_drop_tail, remove_shadowed
+from repro.policy.policies import Conjunction, Predicate, match
+from repro.policy.predicates import match_any_prefix, match_any_value
 from repro.telemetry import Telemetry
 
-#: Above this rule count the quadratic shadow-elimination pass is skipped.
-REDUCTION_LIMIT = 4_000
+#: The stages :meth:`SdxCompiler._reuse` carries from one compilation to
+#: the next (the ``stage`` label of ``sdx_compile_reuse_total``).
+REUSE_STAGES = ("rankings", "groups", "defaults", "inbound", "stage2",
+                "outbound", "composition", "reduction")
 
 #: Env var (milliseconds) that injects a synthetic sleep into every
 #: compilation — the perf gate's self-test that a real compile-hot-path
 #: regression is caught by `repro bench compare` (docs/PERFORMANCE.md).
 SELFTEST_SLOWDOWN_ENV = "SDX_BENCH_SELFTEST_SLOWDOWN_MS"
-
-#: A guard factory: (participant, target, optional dstip constraint) ->
-#: eligibility predicate.
-GuardFactory = Callable[..., Predicate]
 
 
 def compile_clause_rules(predicate: Predicate, actions: Tuple[Action, ...],
@@ -164,6 +174,13 @@ class CompilationResult:
     groups: Tuple[PrefixGroup, ...]
     report: CompositionReport
     timings: Dict[str, float] = field(default_factory=dict)
+    #: The inbound stage the table was composed with.
+    stage2: Optional[Classifier] = None
+    #: ``(stage, name) -> (inputs, result)``, what the next compilation may
+    #: reuse (:meth:`SdxCompiler._reuse`) — kept here, not on the compiler,
+    #: so a compilation nobody holds takes its artefacts with it.
+    reuse: Dict[tuple, Tuple[Any, Any]] = field(
+        default_factory=dict, repr=False, compare=False)
 
     @property
     def flow_rule_count(self) -> int:
@@ -207,9 +224,23 @@ class SdxCompiler:
             for stage in ("fec", "vnh", "defaults", "outbound",
                           "inbound", "composition", "reduction")
         }
+        self._reuse_counters = {
+            (stage, hit): registry.counter(
+                "sdx_compile_reuse_total",
+                "Stage results reused from the previous compilation (hit) "
+                "or rebuilt (miss)",
+                stage=stage, outcome="hit" if hit else "miss")
+            for stage in REUSE_STAGES for hit in (True, False)
+        }
         self._rules_gauge = registry.gauge(
             "sdx_compile_rules", "Rules produced by the latest compilation")
-        self._inbound_cache: Dict[str, Tuple[int, Classifier]] = {}
+        # The latest result, reached weakly: while someone holds it, its
+        # ``reuse`` entries seed the next compilation.
+        self._last: Callable[[], Optional[CompilationResult]] = lambda: None
+        # The entries of the result under construction (``None`` outside a
+        # compilation) and the stages it had to rebuild.
+        self._kept: Optional[dict] = None
+        self._rebuilt: set = set()
         # Lazily materialised Loc-RIB views for dynamic predicates,
         # valid for one compilation only.
         self._rib_views: Dict[str, object] = {}
@@ -235,11 +266,50 @@ class SdxCompiler:
     def compile(self) -> CompilationResult:
         """Run the full pipeline against current state."""
         with self.telemetry.span("compile") as span:
-            result = self._compile(span)
+            self._kept, self._rebuilt = {}, set()
+            try:
+                result = self._compile(span)
+            finally:
+                self._kept = None
+            span.set_tag(rebuilt=",".join(sorted(self._rebuilt)))
+        self._last = weakref.ref(result)
         self._compiles_counter.inc()
         self._compile_latency.observe(result.timings["total"])
         self._rules_gauge.set(len(result.classifier))
         return result
+
+    def _reuse(self, stage: str, name: Optional[str], inputs: Any,
+               build: Callable[[], Any]) -> Any:
+        """``build()`` — or what it returned last time, if ``inputs`` equal
+        what it was built from then. The compiler's one memo.
+
+        ``inputs`` must hold everything ``build`` reads, by value (an
+        earlier stage's result stands for itself: classifiers compare by
+        identity); ``None`` opts out, for RIB-tracking predicates that
+        resolve anew every time. A compilation carries on only the entries
+        it asks for; outside one, the latest result's entries are read and
+        extended in place.
+        """
+        last = self._last()
+        previous = last.reuse if last is not None else {}
+        entry = previous.get((stage, name))
+        hit = (inputs is not None and entry is not None
+               and entry[0] == inputs)
+        if not hit:
+            entry = (inputs, build())
+            self._rebuilt.add(stage)
+        (previous if self._kept is None else self._kept)[stage, name] = entry
+        self._reuse_counters[stage, hit].inc()
+        return entry[1]
+
+    def invalidate_inbound_cache(self, name: Optional[str] = None) -> None:
+        """Forget one participant's inbound pipeline — or, with no argument,
+        every reuse entry, so that the next compilation is cold."""
+        last = self._last()
+        if name is None:
+            self._last = lambda: None
+        elif last is not None:
+            last.reuse.pop(("inbound", name), None)
 
     def _compile(self, span) -> CompilationResult:
         timings: Dict[str, float] = {}
@@ -257,132 +327,149 @@ class SdxCompiler:
             # ``timings["total"]`` exactly like a real slowdown would.
             time.sleep(float(delay_ms) / 1000.0)
 
+        participants = self.topology.participants()
+        # Everything grouping and defaults read of routing and membership.
+        routing = (self.route_server.state_version, tuple(
+            (p.name, p.asn, p.switch_ports) for p in participants))
+
         with self._stage("fec", timings):
-            groups = self._compute_groups()
+            groups, trie, by_context = self._grouping(participants, routing)
 
         with self._stage("vnh", timings):
             if self.use_vnh:
                 self.allocator.assign_groups(groups)
 
         with self._stage("defaults", timings):
-            defaults = build_default_forwarding(
-                self.topology.participants(), groups, self.allocator,
-                self.topology, self.route_server)
-            defaults_classifier = stack_fallback([
-                compile_guarded_clauses(
-                    ((c.predicate, clause_action(c, c.target))
-                     for c in defaults.exceptions),
-                    None, stats),
-                compile_guarded_clauses(
-                    ((c.predicate, clause_action(c, c.target))
-                     for c in defaults.shared),
-                    None, stats),
-            ])
+            defaults_classifier = self._reuse(
+                "defaults", None,
+                (routing, tuple(
+                    (group.ranked_announcers, group.representative,
+                     self.allocator.vmac_for_group(group.group_id))
+                    for group in groups)),
+                lambda: self._defaults(participants, groups, stats))
 
         with self._stage("outbound", timings):
-            guard_for = self._guard_factory(groups)
-            policy_parts = [
-                self._outbound_part(participant, guard_for, defaults_classifier, stats)
-                for participant in self.topology.participants()
-                if not participant.is_remote and participant.outbound_clauses()
-            ]
+            eligible = self._eligibility(trie, by_context)
+            # One block per policy holder, then (``None``) the default layer.
+            owners = [p for p in participants
+                      if not p.is_remote and p.outbound_clauses()] + [None]
+            if self.optimized:
+                parts = [self._outbound_part(p, eligible, defaults_classifier,
+                                             stats) for p in owners[:-1]]
+                parts.append(defaults_classifier)
+            else:
+                parts = self._naive_out_parts(groups, eligible, stats)
 
         with self._stage("inbound", timings):
             inbound_parts = self._inbound_parts(stats)
+            stage2 = self._reuse("stage2", None, inbound_parts,
+                                 lambda: stack_disjoint(inbound_parts))
 
         with self._stage("composition", timings):
             if self.optimized:
-                stage1 = stack_fallback(
-                    [stack_disjoint(policy_parts), defaults_classifier])
-                stage2 = stack_disjoint(inbound_parts)
-                classifier = compose_optimized(stage1, stage2, report)
+                # ``>>`` maps stage-1 rules one at a time, so it distributes
+                # over the disjoint stack: compose block by block.
+                blocks = [
+                    self._reuse("composition", owner and owner.name,
+                                (part, stage2),
+                                lambda: sequential_compose_indexed(
+                                    part, stage2, stats))
+                    for owner, part in zip(owners, parts)]
+                report.stage1_rules = sum(map(len, parts))
+                report.stage2_rules = len(stage2)
+                report.final_rules = sum(map(len, blocks))
             else:
-                out_parts = self._naive_out_parts(groups, guard_for, stats)
-                classifier = compose_naive(out_parts, inbound_parts, report)
+                owners = [None]
+                blocks = [compose_naive(parts, inbound_parts, report)]
 
         with self._stage("reduction", timings):
-            classifier = merge_drop_tail(classifier)
-            if self.reduce_table and len(classifier) <= REDUCTION_LIMIT:
-                classifier = remove_shadowed(classifier)
+            classifier = self._reduce(owners, blocks)
 
         timings["total"] = time.perf_counter() - started
         span.set_tag(rules=len(classifier), groups=len(groups))
         return CompilationResult(
-            classifier=classifier,
-            groups=tuple(groups),
-            report=report,
-            timings=timings)
+            classifier=classifier, groups=tuple(groups), report=report,
+            timings=timings, stage2=stage2, reuse=self._kept)
 
     # ------------------------------------------------------------------
     # Pipeline pieces
     # ------------------------------------------------------------------
 
-    def _compute_groups(self) -> List[PrefixGroup]:
+    def _grouping(self, participants: Sequence[Participant], routing: tuple
+                  ) -> Tuple[List[PrefixGroup], PrefixTrie, dict]:
+        """The prefix groups, a prefix -> group id trie and the groups
+        eligible under each outbound context — reused while routing and the
+        set of contexts stand. A first clause toward a new target regroups,
+        but on the ranking signatures kept since routing last changed."""
         if not self.use_vnh:
-            return []
-        return compute_prefix_groups(self.topology.participants(), self.route_server)
+            return [], PrefixTrie(), {}
+        rankings = self._reuse("rankings", None, routing, dict)
 
-    def _guard_factory(self, groups: Sequence[PrefixGroup]) -> GuardFactory:
-        if self.use_vnh:
-            group_trie = self._group_trie(groups)
+        def build():
+            groups = compute_prefix_groups(
+                participants, self.route_server, rankings)
+            trie: "PrefixTrie[int]" = PrefixTrie()
+            by_context: Dict[ContextId, List[PrefixGroup]] = {}
+            for group in groups:
+                for prefix in group.prefixes:
+                    trie.insert(prefix, group.group_id)
+                for context in group.contexts:
+                    by_context.setdefault(context, []).append(group)
+            return groups, trie, by_context
 
-            def vnh_guard(participant: str, target: str,
-                          dstip_limit=None) -> Predicate:
-                eligible = [
-                    group for group in groups
-                    if (participant, target) in group.contexts
-                ]
+        contexts = frozenset((p.name, target) for p in participants
+                             for target in p.outbound_targets())
+        return self._reuse("groups", None, (routing, contexts), build)
+
+    def _defaults(self, participants: Sequence[Participant],
+                  groups: Sequence[PrefixGroup],
+                  stats: Optional[ComposeStats]) -> Classifier:
+        defaults = build_default_forwarding(
+            participants, groups, self.allocator, self.topology,
+            self.route_server)
+        return stack_fallback([
+            compile_guarded_clauses(
+                ((c.predicate, clause_action(c, c.target)) for c in layer),
+                None, stats)
+            for layer in (defaults.exceptions, defaults.shared)])
+
+    def _eligibility(self, trie: PrefixTrie,
+                     by_context: dict) -> Callable[..., tuple]:
+        """(participant, target, optional dstip constraint) -> the tags a
+        clause toward ``target`` may match: the VMACs of the eligible prefix
+        groups, or — without VNHs — the eligible prefixes themselves."""
+        if not self.use_vnh:
+            def prefixes(participant: str, target: str,
+                         dstip_limit=None) -> tuple:
+                reachable = self.route_server.reachable_prefixes(
+                    participant, via=target)
                 if dstip_limit is not None:
-                    allowed = self._groups_overlapping(
-                        group_trie, groups, dstip_limit)
-                    if allowed is not None:
-                        eligible = [g for g in eligible if g.group_id in allowed]
-                vmacs = [self.allocator.vmac_for_group(g.group_id)
-                         for g in eligible]
-                from repro.policy.predicates import match_any_value as mav
-                return mav("dstmac", vmacs)
+                    reachable = tuple(
+                        p for p in reachable if p.overlaps(dstip_limit))
+                return reachable
 
-            return vnh_guard
+            return prefixes
 
-        def naive_guard(participant: str, target: str,
-                        dstip_limit=None) -> Predicate:
-            from repro.policy.predicates import match_any_prefix
-            prefixes = self.route_server.reachable_prefixes(
-                participant, via=target)
+        def vmacs(participant: str, target: str, dstip_limit=None) -> tuple:
+            eligible = by_context.get((participant, target), ())
             if dstip_limit is not None:
-                prefixes = tuple(
-                    p for p in prefixes if p.overlaps(dstip_limit))
-            return match_any_prefix("dstip", prefixes)
+                allowed = self._groups_overlapping(trie, dstip_limit)
+                eligible = [g for g in eligible if g.group_id in allowed]
+            return tuple(self.allocator.vmac_for_group(g.group_id)
+                         for g in eligible)
 
-        return naive_guard
-
-    @staticmethod
-    def _group_trie(groups: Sequence[PrefixGroup]):
-        from repro.bgp.rib import PrefixTrie
-        trie: "PrefixTrie[int]" = PrefixTrie()
-        for group in groups:
-            for prefix in group.prefixes:
-                trie.insert(prefix, group.group_id)
-        return trie
+        return vmacs
 
     @staticmethod
-    def _groups_overlapping(group_trie, groups: Sequence[PrefixGroup],
-                            dstip_limit) -> Optional[set]:
-        """Group ids whose prefixes overlap ``dstip_limit``.
-
-        The common case — the clause pins an exactly-announced prefix or
-        a subnet of one — resolves with O(1) trie probes; a shorter
-        constraint falls back to a covered-by scan.
-        """
-        allowed = set()
-        exact = group_trie.exact(dstip_limit)
-        if exact is not None:
-            allowed.add(exact)
-        for _prefix, group_id in group_trie.covering(dstip_limit):
-            allowed.add(group_id)
+    def _groups_overlapping(group_trie: "PrefixTrie[int]", dstip_limit) -> set:
+        """Group ids whose prefixes overlap ``dstip_limit``: the groups of
+        the stored prefixes that contain it and of those it contains."""
+        allowed = {group_id
+                   for _prefix, group_id in group_trie.covering(dstip_limit)}
         if dstip_limit.length < 32:
-            for _prefix, group_id in group_trie.covered_by(dstip_limit):
-                allowed.add(group_id)
+            allowed.update(
+                group_id
+                for _prefix, group_id in group_trie.covered_by(dstip_limit))
         return allowed
 
     def _resolved_predicate(self, participant: Participant,
@@ -401,28 +488,42 @@ class SdxCompiler:
             self._rib_views[participant.name] = view
         return resolve_dynamic(clause.predicate, view)
 
-    def _outbound_part(self, participant: Participant, guard_for: GuardFactory,
+    def _outbound_part(self, participant: Participant, eligible: Callable[..., tuple],
                        fallback: Classifier,
                        stats: Optional[ComposeStats]) -> Classifier:
-        """One participant's outbound clauses as a partial classifier."""
-        ingress = match_any_value("port", participant.switch_ports)
-        pairs: List[Tuple[Predicate, Tuple[Action, ...]]] = []
-        for clause in participant.outbound_clauses():
-            resolved = self._resolved_predicate(participant, clause)
-            if clause.drops:
-                predicate = Conjunction((ingress, resolved))
-                pairs.append((predicate, ()))
-                continue
-            target = str(clause.target)
-            guard = guard_for(participant.name, target,
-                              clause_dstip(resolved))
-            predicate = Conjunction((ingress, resolved, guard))
-            actions = clause_action(clause, self.topology.vport(target))
-            pairs.append((predicate, actions))
-        return compile_guarded_clauses(pairs, fallback, stats)
+        """One participant's outbound clauses as a partial classifier,
+        reused while its clauses, the tags each one's eligibility guard
+        resolves to and the default layer below it are the same."""
+        clauses = participant.outbound_clauses()
+        resolved = [self._resolved_predicate(participant, clause)
+                    for clause in clauses]
+        tags = tuple(
+            None if clause.drops else eligible(
+                participant.name, str(clause.target), clause_dstip(predicate))
+            for clause, predicate in zip(clauses, resolved))
+
+        def build() -> Classifier:
+            ingress = match_any_value("port", participant.switch_ports)
+            pairs: List[Tuple[Predicate, Tuple[Action, ...]]] = []
+            for clause, predicate, allowed in zip(clauses, resolved, tags):
+                if clause.drops:
+                    pairs.append((Conjunction((ingress, predicate)), ()))
+                    continue
+                guard = (match_any_value("dstmac", allowed) if self.use_vnh
+                         else match_any_prefix("dstip", allowed))
+                pairs.append((
+                    Conjunction((ingress, predicate, guard)),
+                    clause_action(
+                        clause, self.topology.vport(str(clause.target)))))
+            return compile_guarded_clauses(pairs, fallback, stats)
+
+        dynamic = any(contains_dynamic(c.predicate) for c in clauses)
+        return self._reuse(
+            "outbound", participant.name,
+            None if dynamic else (clauses, tags, fallback), build)
 
     def _naive_out_parts(self, groups: Sequence[PrefixGroup],
-                         guard_for: GuardFactory,
+                         eligible: Callable[..., tuple],
                          stats: Optional[ComposeStats]) -> List[Classifier]:
         """Per-participant total outbound classifiers (ablation path).
 
@@ -444,12 +545,13 @@ class SdxCompiler:
             layers: List[Classifier] = []
             if participant.outbound_clauses():
                 layers.append(self._outbound_part(
-                    participant, guard_for, defaults_classifier, stats))
+                    participant, eligible, defaults_classifier, stats))
             layers.append(defaults_classifier)
             parts.append(stack_fallback(layers))
         return parts
 
-    def _inbound_parts(self, stats: Optional[ComposeStats]) -> List[Classifier]:
+    def _inbound_parts(self, stats: Optional[ComposeStats]
+                       ) -> Tuple[Classifier, ...]:
         physical: List[Classifier] = []
         remote_sources: List[Participant] = []
         for participant in self.topology.participants():
@@ -459,53 +561,57 @@ class SdxCompiler:
                 continue
             physical.append(self._inbound_pipeline(participant, stats))
         if not remote_sources:
-            return physical
-        physical_stage = stack_disjoint(physical)
-        parts = list(physical)
-        for participant in remote_sources:
-            parts.append(self._remote_pipeline(participant, physical_stage, stats))
-        return parts
+            return tuple(physical)
+        pipelines = tuple(physical)
+        physical_stage = self._reuse("stage2", "physical", pipelines,
+                                     lambda: stack_disjoint(pipelines))
+        return pipelines + tuple(
+            self._remote_pipeline(participant, physical_stage, stats)
+            for participant in remote_sources)
+
+    def _inbound_pairs(self, participant: Participant,
+                       clauses: Sequence[Clause],
+                       port_of: Callable[[Clause], int]
+                       ) -> List[Tuple[Predicate, Tuple[Action, ...]]]:
+        """``clauses`` guarded on the participant's virtual port, each
+        forwarding to ``port_of(clause)`` (or dropping)."""
+        vport_guard = match(port=self.topology.vport(participant.name))
+        return [
+            (Conjunction((vport_guard,
+                          self._resolved_predicate(participant, clause))),
+             () if clause.drops else clause_action(clause, port_of(clause)))
+            for clause in clauses]
 
     def _inbound_pipeline(self, participant: Participant,
-                          stats: Optional[ComposeStats]) -> Classifier:
+                          stats: Optional[ComposeStats] = None) -> Classifier:
         """Build (or reuse) one physical participant's inbound pipeline.
 
-        Memoized on the participant's policy generation: BGP updates never
-        invalidate it, so recompilations after routing churn reuse it —
-        the paper's "memoize all the intermediate compilation results".
+        It reads nothing but the participant's own inbound clauses: BGP
+        updates and outbound policy changes never rebuild it — the
+        paper's "memoize all the intermediate compilation results".
         """
-        dynamic = any(contains_dynamic(clause.predicate)
-                      for clause in participant.inbound_clauses())
-        cached = self._inbound_cache.get(participant.name)
-        if (cached is not None and not dynamic
-                and cached[0] == participant.policy_generation):
-            return cached[1]
-        vport_guard = match(port=self.topology.vport(participant.name))
-        delivery = compile_guarded_clauses(
-            [(vport_guard, (Action(port=participant.main_port),))], None, stats)
-        pairs: List[Tuple[Predicate, Tuple[Action, ...]]] = []
-        for clause in participant.inbound_clauses():
-            resolved = self._resolved_predicate(participant, clause)
-            predicate = Conjunction((vport_guard, resolved))
-            if clause.drops:
-                pairs.append((predicate, ()))
-                continue
-            port = clause.target if clause.target is not None else participant.main_port
-            pairs.append((predicate, clause_action(clause, port)))
-        delivery_total = stack_fallback([delivery])
-        selected = stack_fallback(
-            [compile_guarded_clauses(pairs, delivery_total, stats), delivery])
-        rewrite = stack_fallback([compile_guarded_clauses(
-            [(match(port=port.switch_port), (Action(dstmac=port.mac),))
-             for port in participant.router.ports],
-            None, stats)])
-        pipeline = sequential_compose_indexed(selected, rewrite, stats)
-        if not dynamic:
-            # RIB-tracking inbound policies must re-resolve every
-            # compilation, so they opt out of memoization.
-            self._inbound_cache[participant.name] = (
-                participant.policy_generation, pipeline)
-        return pipeline
+        clauses = participant.inbound_clauses()
+
+        def build() -> Classifier:
+            delivery = compile_guarded_clauses(
+                [(match(port=self.topology.vport(participant.name)),
+                  (Action(port=participant.main_port),))], None, stats)
+            pairs = self._inbound_pairs(
+                participant, clauses,
+                lambda clause: (clause.target if clause.target is not None
+                                else participant.main_port))
+            selected = stack_fallback(
+                [compile_guarded_clauses(
+                    pairs, stack_fallback([delivery]), stats), delivery])
+            rewrite = stack_fallback([compile_guarded_clauses(
+                [(match(port=port.switch_port), (Action(dstmac=port.mac),))
+                 for port in participant.router.ports],
+                None, stats)])
+            return sequential_compose_indexed(selected, rewrite, stats)
+
+        dynamic = any(contains_dynamic(c.predicate) for c in clauses)
+        return self._reuse("inbound", participant.name,
+                           None if dynamic else clauses, build)
 
     def _remote_pipeline(self, participant: Participant,
                          physical_stage: Classifier,
@@ -516,22 +622,51 @@ class SdxCompiler:
         virtual port the result is composed with the physical inbound
         stage so B's own inbound policies and MAC rewrite still apply.
         """
-        vport_guard = match(port=self.topology.vport(participant.name))
-        pairs: List[Tuple[Predicate, Tuple[Action, ...]]] = []
-        for clause in participant.inbound_clauses():
-            resolved = self._resolved_predicate(participant, clause)
-            predicate = Conjunction((vport_guard, resolved))
-            if clause.drops:
-                pairs.append((predicate, ()))
-                continue
-            vport = self.topology.vport(str(clause.target))
-            pairs.append((predicate, clause_action(clause, vport)))
-        own = stack_fallback([compile_guarded_clauses(pairs, None, stats)])
-        return sequential_compose_indexed(own, physical_stage, stats)
+        clauses = participant.inbound_clauses()
 
-    def invalidate_inbound_cache(self, name: Optional[str] = None) -> None:
-        """Drop memoized inbound pipelines (all, or one participant's)."""
-        if name is None:
-            self._inbound_cache.clear()
-        else:
-            self._inbound_cache.pop(name, None)
+        def build() -> Classifier:
+            pairs = self._inbound_pairs(
+                participant, clauses,
+                lambda clause: self.topology.vport(str(clause.target)))
+            own = stack_fallback([compile_guarded_clauses(pairs, None, stats)])
+            return sequential_compose_indexed(own, physical_stage, stats)
+
+        dynamic = any(contains_dynamic(c.predicate) for c in clauses)
+        return self._reuse(
+            "inbound", participant.name,
+            None if dynamic else (clauses, physical_stage), build)
+
+    def _reduce(self, owners: Sequence[Optional[Participant]],
+                blocks: Sequence[Classifier]) -> Classifier:
+        """The final table: ``blocks`` stacked, trailing drops merged and —
+        unless ``reduce_table`` is off — shadowed rules removed.
+
+        Each block but the last matches only its owner's ingress ports, so
+        it is reduced on its own. The last (the default layer, or the whole
+        naive table) lies below them; of its rules only an exception
+        guarded on a holder's port can be covered from above, and only by
+        that holder's block.
+        """
+        *above, tail = blocks
+        rules = [rule for block in above for rule in block.rules]
+        if not self.reduce_table:
+            return Classifier(rules + list(merge_drop_tail(tail).rules))
+
+        def reduced(block: Classifier) -> Tuple[Classifier, ShadowIndex]:
+            index = ShadowIndex()
+            return remove_shadowed(block, index), index
+
+        rules = []
+        index_above: Dict[int, ShadowIndex] = {}
+        for owner, block in zip(owners, above):
+            kept, index = self._reuse("reduction", owner.name, block,
+                                      lambda: reduced(block))
+            rules.extend(kept.rules)
+            index_above.update(dict.fromkeys(owner.switch_ports, index))
+        tail = self._reuse("reduction", None, tail,
+                           lambda: remove_shadowed(merge_drop_tail(tail)))
+        for rule in tail.rules:
+            index = index_above.get(rule.match.get("port"))
+            if index is None or not index.covers(rule.match):
+                rules.append(rule)
+        return Classifier(rules)

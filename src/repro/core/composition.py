@@ -20,15 +20,15 @@ the ablation benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.policy.classifier import (
+    Action,
     Classifier,
     ComposeStats,
     Rule,
-    _pullback,
-    _cross_rules,
     parallel_compose_many,
+    sequence_rule,
     sequential_compose,
 )
 from repro.policy.headerspace import WILDCARD
@@ -76,70 +76,23 @@ def sequential_compose_indexed(left: Classifier, right: Classifier,
     """``left >> right`` with stage-2 rules indexed by their port guard.
 
     Semantically identical to
-    :func:`repro.policy.classifier.sequential_compose`; the index merely
+    :func:`repro.policy.classifier.sequential_compose`; the index
+    (:meth:`~repro.policy.classifier.Classifier.rules_for_port`) merely
     skips (rule, rule) pairs whose port constraints are provably
-    incompatible. Left rules that multicast or leave the port unset fall
-    back to scanning every right rule.
+    incompatible. Actions that leave the port unset fall back to scanning
+    every right rule.
     """
     if stats is not None:
         stats.sequential_ops += 1
-    indexed: Dict[int, List[Tuple[int, Rule]]] = {}
-    port_wildcards: List[Tuple[int, Rule]] = []
-    for position, rule in enumerate(right.rules):
-        port_constraint = rule.match.get("port")
-        if port_constraint is None:
-            port_wildcards.append((position, rule))
-        else:
-            indexed.setdefault(port_constraint, []).append((position, rule))
+
+    def candidates(action: Action) -> Sequence[Rule]:
+        port = action.output_port
+        return right.rules if port is None else right.rules_for_port(port)
 
     out: List[Rule] = []
     for rule_l in left.rules:
-        if rule_l.is_drop:
-            out.append(rule_l)
-            continue
-        single = rule_l.actions[0] if len(rule_l.actions) == 1 else None
-        if single is None or single.output_port is None:
-            out.extend(_generic_sequence(rule_l, right, stats))
-            continue
-        candidates = sorted(
-            indexed.get(single.output_port, []) + port_wildcards,
-            key=lambda pair: pair[0])
-        for _position, rule_r in candidates:
-            if stats is not None:
-                stats.rule_pairs_examined += 1
-            pulled = _pullback(single, rule_r.match)
-            if pulled is None:
-                continue
-            combined = rule_l.match.intersect(pulled)
-            if combined is None:
-                continue
-            out.append(Rule(combined,
-                            tuple(single.then(a) for a in rule_r.actions)))
+        out.extend(sequence_rule(rule_l, candidates, stats))
     return Classifier(out)
-
-
-def _generic_sequence(rule_l: Rule, right: Classifier,
-                      stats: Optional[ComposeStats]) -> List[Rule]:
-    """The unindexed per-rule sequential composition (multicast path)."""
-    per_action: List[List[Rule]] = []
-    for action in rule_l.actions:
-        rules_a: List[Rule] = []
-        for rule_r in right.rules:
-            if stats is not None:
-                stats.rule_pairs_examined += 1
-            pulled = _pullback(action, rule_r.match)
-            if pulled is None:
-                continue
-            combined = rule_l.match.intersect(pulled)
-            if combined is None:
-                continue
-            rules_a.append(Rule(combined,
-                                tuple(action.then(a) for a in rule_r.actions)))
-        per_action.append(rules_a)
-    combined_rules = per_action[0]
-    for more in per_action[1:]:
-        combined_rules = _cross_rules(combined_rules, more, stats)
-    return combined_rules
 
 
 @dataclass
@@ -150,18 +103,6 @@ class CompositionReport:
     stage1_rules: int = 0
     stage2_rules: int = 0
     final_rules: int = 0
-
-
-def compose_optimized(stage1: Classifier, stage2: Classifier,
-                      report: Optional[CompositionReport] = None) -> Classifier:
-    """The optimised two-stage composition (index-pruned)."""
-    stats = report.stats if report is not None else None
-    result = sequential_compose_indexed(stage1, stage2, stats)
-    if report is not None:
-        report.stage1_rules = len(stage1)
-        report.stage2_rules = len(stage2)
-        report.final_rules = len(result)
-    return result
 
 
 def compose_naive(out_parts: Sequence[Classifier], in_parts: Sequence[Classifier],

@@ -439,7 +439,6 @@ class SdxController:
         (the offending policy stays installed — remove it and the next
         change recompiles cleanly).
         """
-        self.compiler.invalidate_inbound_cache(name)
         self._statics_gate()
         if self.started:
             self.recompile()
@@ -474,7 +473,6 @@ class SdxController:
         changed = False
         for participant in self.topology.participants():
             if participant.set_policies_suspended(suspended):
-                self.compiler.invalidate_inbound_cache(participant.name)
                 changed = True
         if changed:
             logger.info("degrade %s", kv(

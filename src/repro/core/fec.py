@@ -26,7 +26,8 @@ server" for them).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
 
 from repro.bgp.routeserver import RouteServer
 from repro.core.participant import Participant
@@ -49,7 +50,7 @@ class PrefixGroup:
     contexts: FrozenSet[ContextId]
     ranked_announcers: Tuple[str, ...]
 
-    @property
+    @cached_property
     def representative(self) -> IPv4Prefix:
         """A deterministic member prefix.
 
@@ -101,8 +102,8 @@ def policy_contexts(participants: Iterable[Participant],
         for target in participant.outbound_targets():
             key = (participant.name, target)
             if key not in contexts:
-                contexts[key] = frozenset(
-                    route_server.reachable_prefixes(participant.name, via=target))
+                contexts[key] = route_server.reachable_prefix_set(
+                    participant.name, via=target)
         if participant.is_remote:
             # Prefixes originated by a remote participant have no physical
             # next-hop MAC, so they must always be VNH-tagged: give them a
@@ -114,15 +115,23 @@ def policy_contexts(participants: Iterable[Participant],
 
 
 def compute_prefix_groups(participants: Iterable[Participant],
-                          route_server: RouteServer) -> List[PrefixGroup]:
+                          route_server: RouteServer,
+                          rankings: Optional[Dict[IPv4Prefix, tuple]] = None
+                          ) -> List[PrefixGroup]:
     """The forwarding equivalence classes of the current SDX state.
 
     Groups are deterministic: sorted by their smallest member prefix and
     numbered from 0, so repeated compilations assign identical VMACs for
-    identical state.
+    identical state. ``rankings`` carries each prefix's ranking signature
+    over from earlier calls; it reads only route-server state and the
+    participants' AS numbers, so the caller drops it when either moves.
     """
     participant_list = list(participants)
     participant_asns = {p.asn for p in participant_list}
+    if rankings is None:
+        rankings = {}
+    # Thousands of prefixes share a few hundred signatures: keep one each.
+    shared = {signature: signature for signature in rankings.values()}
     contexts = policy_contexts(participant_list, route_server)
     signature_to_prefixes: Dict[Hashable, List[IPv4Prefix]] = {}
     signature_parts: Dict[Hashable, Tuple[FrozenSet[ContextId], Tuple[str, ...]]] = {}
@@ -131,20 +140,25 @@ def compute_prefix_groups(participants: Iterable[Participant],
         for prefix in contexts[context_id]:
             membership.setdefault(prefix, []).append(context_id)
     for prefix, context_ids in membership.items():
-        ranked_routes = route_server.ranked_routes(prefix)
-        ranked = tuple(entry.learned_from for entry in ranked_routes)
-        # Export-control communities — and participant ASNs appearing in
-        # a route's path (loop prevention withholds such routes from that
-        # participant) — make otherwise-identical rankings behave
-        # differently per receiver, so they join the signature.
-        export_marks = tuple(
-            (route_server.export_control_communities(entry.attributes),
-             frozenset(asn for asn in entry.attributes.as_path.asns
-                       if asn in participant_asns))
-            for entry in ranked_routes)
-        signature = (tuple(context_ids), ranked, export_marks)
+        ranking = rankings.get(prefix)
+        if ranking is None:
+            ranked_routes = route_server.ranked_routes(prefix)
+            # Export-control communities — and participant ASNs appearing
+            # in a route's path (loop prevention withholds such routes
+            # from that participant) — make otherwise-identical rankings
+            # behave differently per receiver, so they join the signature.
+            signature = (
+                tuple(entry.learned_from for entry in ranked_routes),
+                tuple(
+                    (route_server.export_control_communities(entry.attributes),
+                     frozenset(asn for asn in entry.attributes.as_path.asns
+                               if asn in participant_asns))
+                    for entry in ranked_routes))
+            ranking = rankings[prefix] = shared.setdefault(
+                signature, signature)
+        signature = (tuple(context_ids), ranking)
         signature_to_prefixes.setdefault(signature, []).append(prefix)
-        signature_parts[signature] = (frozenset(context_ids), ranked)
+        signature_parts[signature] = (frozenset(context_ids), ranking[0])
     groups: List[PrefixGroup] = []
     ordered = sorted(signature_to_prefixes.items(),
                      key=lambda item: min(item[1]))

@@ -101,7 +101,9 @@ class IncrementalEngine:
         self._recompiles_counter = registry.counter(
             "sdx_recompile_total", "Background re-optimisations that swapped the table")
         self.last_delta: Optional[Delta] = None
-        self._stage2: Optional[Classifier] = None
+        #: The compilation whose table is installed; fast-path rules are
+        #: completed against its inbound stage.
+        self.installed: Optional[CompilationResult] = None
         self._fast_priority = FAST_PATH_BASE
         self.dirty = False
         self.fast_path_invocations = 0
@@ -134,17 +136,10 @@ class IncrementalEngine:
             # Every rule tagged with a retired VMAC is gone: the allocator
             # may recycle the quarantined (VNH, VMAC) pairs from here on.
             self.allocator.finish_swap()
-        self._stage2 = None  # rebuilt lazily from current inbound pipelines
+        self.installed = result
         self._fast_priority = FAST_PATH_BASE
         self.fast_path_rules_live = 0
         self.dirty = False
-
-    def _stage2_classifier(self) -> Classifier:
-        """The (cached) inbound stage used to complete fast-path rules."""
-        if self._stage2 is None:
-            from repro.core.composition import stack_disjoint
-            self._stage2 = stack_disjoint(self.compiler._inbound_parts(None))
-        return self._stage2
 
     # ------------------------------------------------------------------
     # Fast path
@@ -232,7 +227,7 @@ class IncrementalEngine:
 
                 stage1 = stack_fallback([policy_layer, default_layer])
                 composed = sequential_compose_indexed(
-                    stage1, self._stage2_classifier())
+                    stage1, self.installed.stage2)
                 rules = strip_drop_tail(composed)
             if not rules:
                 return 0

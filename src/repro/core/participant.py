@@ -179,20 +179,20 @@ class Participant:
                 f"remote participant {self.name!r} cannot have outbound policies")
         self._validate_clauses(normalize_policy(policy), inbound=False)
         self._outbound.append(policy)
-        self.policy_generation += 1
+        self._policies_changed("out")
 
     def add_inbound(self, policy: Policy) -> None:
         """Install an inbound policy (applies to traffic sent to this AS)."""
         self._validate_clauses(normalize_policy(policy), inbound=True)
         self._inbound.append(policy)
-        self.policy_generation += 1
+        self._policies_changed("in")
 
     def clear_policies(self) -> None:
         """Remove every installed policy."""
         if self._outbound or self._inbound:
             self._outbound.clear()
             self._inbound.clear()
-            self.policy_generation += 1
+            self._policies_changed("out", "in")
 
     def remove_outbound(self, policy: Policy) -> None:
         """Remove one previously installed outbound policy."""
@@ -201,7 +201,7 @@ class Participant:
         except ValueError:
             raise PolicyError(
                 f"policy not installed for participant {self.name!r}") from None
-        self.policy_generation += 1
+        self._policies_changed("out")
 
     def remove_inbound(self, policy: Policy) -> None:
         """Remove one previously installed inbound policy."""
@@ -210,7 +210,7 @@ class Participant:
         except ValueError:
             raise PolicyError(
                 f"policy not installed for participant {self.name!r}") from None
-        self.policy_generation += 1
+        self._policies_changed("in")
 
     @property
     def outbound_policies(self) -> Tuple[Policy, ...]:
@@ -231,13 +231,13 @@ class Participant:
         forgetting the installed policies. The runtime's degrade mode
         (:class:`~repro.runtime.events.OverloadPolicy`) flips this under
         sustained overload and flips it back once the queue drains.
-        Returns True if the state actually changed; the policy
-        generation is bumped so memoized compilations are invalidated.
+        Returns True if the state actually changed (the compiler sees
+        the clauses vanish or return and rebuilds what read them).
         """
         if self.policies_suspended == suspended:
             return False
         self.policies_suspended = suspended
-        self.policy_generation += 1
+        self._policies_changed()
         return True
 
     def outbound_clauses(self) -> Tuple[Clause, ...]:
@@ -257,13 +257,20 @@ class Participant:
         return self._clauses("in", self._inbound)
 
     def _clauses(self, kind: str, policies: List[Policy]) -> Tuple[Clause, ...]:
-        cached = self._clause_cache.get(kind)
-        if cached is not None and cached[0] == self.policy_generation:
-            return cached[1]
-        clauses = tuple(
-            clause for policy in policies for clause in normalize_policy(policy))
-        self._clause_cache[kind] = (self.policy_generation, clauses)
+        clauses = self._clause_cache.get(kind)
+        if clauses is None:
+            clauses = self._clause_cache[kind] = tuple(
+                clause for policy in policies
+                for clause in normalize_policy(policy))
         return clauses
+
+    def _policies_changed(self, *kinds: str) -> None:
+        """Bump the generation and drop the normalised clauses of the
+        changed direction(s) only: the other direction's clauses — and
+        everything the compiler built from them — stay as they are."""
+        self.policy_generation += 1
+        for kind in kinds:
+            self._clause_cache.pop(kind, None)
 
     @property
     def has_policies(self) -> bool:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import PolicyError
 from repro.net.addresses import IPv4Prefix
@@ -160,15 +160,36 @@ class Classifier:
     indicates a compiler bug rather than a user error.
     """
 
-    __slots__ = ("_rules",)
+    __slots__ = ("_rules", "_by_port")
 
     def __init__(self, rules: Sequence[Rule]):
         self._rules = tuple(rules)
+        self._by_port: Optional[Dict[Any, List[Rule]]] = None
 
     @property
     def rules(self) -> Tuple[Rule, ...]:
         """The rules, highest priority first."""
         return self._rules
+
+    def rules_for_port(self, port: int) -> Sequence[Rule]:
+        """The rules a packet located at ``port`` can match, in priority
+        order: those guarded on that port or on none. Indexed on first
+        use, so composing many stages through one classifier (every
+        outbound block and every fast-path burst through the same inbound
+        stage) walks it once."""
+        if self._by_port is None:
+            guarded: Dict[Any, List[Tuple[int, Rule]]] = {}
+            unguarded: List[Tuple[int, Rule]] = []
+            for item in enumerate(self._rules):
+                guard = item[1].match.get("port")
+                (unguarded if guard is None
+                 else guarded.setdefault(guard, [])).append(item)
+            self._by_port = {
+                guard: [rule for _position, rule in sorted(
+                    items + unguarded, key=lambda item: item[0])]
+                for guard, items in guarded.items()}
+            self._by_port[None] = [rule for _position, rule in unguarded]
+        return self._by_port.get(port, self._by_port[None])
 
     def __len__(self) -> int:
         return len(self._rules)
@@ -289,11 +310,17 @@ def _pullback(action: Action, match: HeaderSpace) -> Optional[HeaderSpace]:
 
 
 def _sequence_action(rule_match: HeaderSpace, action: Action,
-                     right: Classifier,
+                     candidates: Iterable[Rule],
                      stats: Optional[ComposeStats]) -> List[Rule]:
-    """Rules for packets in ``rule_match`` that take ``action`` then ``right``."""
+    """Rules for packets in ``rule_match`` that take ``action`` and are
+    then classified, first match wins, by ``candidates``.
+
+    Stops at the first candidate whose pulled-back match covers
+    ``rule_match``: it catches every packet the rule passes on, so any
+    rule emitted after it could never fire.
+    """
     out: List[Rule] = []
-    for rule_r in right.rules:
+    for rule_r in candidates:
         if stats is not None:
             stats.rule_pairs_examined += 1
         pulled = _pullback(action, rule_r.match)
@@ -303,7 +330,32 @@ def _sequence_action(rule_match: HeaderSpace, action: Action,
         if match is None:
             continue
         out.append(Rule(match, tuple(action.then(a) for a in rule_r.actions)))
+        if pulled.covers(rule_match):
+            break
     return out
+
+
+def sequence_rule(rule_l: Rule,
+                  candidates: Callable[[Action], Iterable[Rule]],
+                  stats: Optional[ComposeStats]) -> List[Rule]:
+    """One left-hand rule pushed through a right-hand classifier — the
+    inner loop of every sequential composition.
+
+    ``candidates(action)`` are the right-hand rules, in priority order,
+    that packets leaving through ``action`` can reach (all of them, or an
+    index's sound subset). Multicast rules combine their per-action
+    results in parallel.
+    """
+    if rule_l.is_drop:
+        return [rule_l]
+    per_action = [
+        _sequence_action(rule_l.match, action, candidates(action), stats)
+        for action in rule_l.actions
+    ]
+    combined = per_action[0]
+    for more in per_action[1:]:
+        combined = _cross_rules(combined, more, stats)
+    return combined
 
 
 def sequential_compose(left: Classifier, right: Classifier,
@@ -311,24 +363,17 @@ def sequential_compose(left: Classifier, right: Classifier,
     """The classifier for ``p_left >> p_right``.
 
     Each left rule's actions are pushed through the right classifier by
-    pulling the right-hand matches back through the action's assignments.
-    Multicast left rules combine their per-action results in parallel.
+    pulling the right-hand matches back through the action's assignments
+    (:func:`sequence_rule`).
     """
     if stats is not None:
         stats.sequential_ops += 1
+    def candidates(_action: Action) -> Sequence[Rule]:
+        return right.rules
+
     out: List[Rule] = []
     for rule_l in left.rules:
-        if rule_l.is_drop:
-            out.append(rule_l)
-            continue
-        per_action = [
-            _sequence_action(rule_l.match, action, right, stats)
-            for action in rule_l.actions
-        ]
-        combined = per_action[0]
-        for more in per_action[1:]:
-            combined = _cross_rules(combined, more, stats)
-        out.extend(combined)
+        out.extend(sequence_rule(rule_l, candidates, stats))
     return Classifier(out)
 
 

@@ -101,6 +101,11 @@ class HeaderSpace(Mapping[str, Constraint]):
     def __getitem__(self, field: str) -> Constraint:
         return self._constraints[field]
 
+    def get(self, field: str, default: Any = None) -> Any:
+        # Mapping.get goes through __getitem__ and a KeyError; matches are
+        # probed per rule on the compile path.
+        return self._constraints.get(field, default)
+
     def __iter__(self) -> Iterator[str]:
         return iter(self._constraints)
 

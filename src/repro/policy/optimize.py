@@ -10,24 +10,74 @@ transformations here preserve first-match semantics exactly.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Optional, Set, Tuple
 
+from repro.net.addresses import IPv4Prefix
 from repro.policy.classifier import Classifier, Rule
+from repro.policy.headerspace import HeaderSpace
 
 
-def remove_shadowed(classifier: Classifier) -> Classifier:
+class ShadowIndex:
+    """Matches already emitted, found by what could cover a later one.
+
+    A covering match names a subset of the covered one's fields, with the
+    same exact values and containing prefixes. Matches are bucketed by the
+    constraints nearly every SDX rule carries — ingress ``port``,
+    ``dstmac`` tag and, in the tag-less data plane, ``dstip`` — so a
+    lookup visits only the buckets that leave each of the three as it is,
+    widened (``dstip``) or unconstrained, instead of scanning the table.
+    """
+
+    def __init__(self) -> None:
+        self._buckets: Dict[tuple, List[HeaderSpace]] = {}
+        self._dstip_lengths: Set[int] = set()
+
+    def add(self, match: HeaderSpace) -> None:
+        """Record ``match`` as emitted."""
+        dstip = match.get("dstip")
+        if isinstance(dstip, IPv4Prefix):
+            self._dstip_lengths.add(dstip.length)
+            net = (dstip.length, dstip.network_int)
+        else:
+            net = None
+        self._buckets.setdefault(
+            (match.get("port"), match.get("dstmac"), net), []).append(match)
+
+    def covers(self, match: HeaderSpace) -> bool:
+        """True if some recorded match covers ``match``."""
+        port, dstmac, dstip = (
+            match.get("port"), match.get("dstmac"), match.get("dstip"))
+        nets: List[Optional[Tuple[int, int]]] = [None]
+        if isinstance(dstip, IPv4Prefix):
+            nets += [
+                (length, dstip.network_int & IPv4Prefix._mask_for(length))
+                for length in self._dstip_lengths if length <= dstip.length]
+        for p in (port, None) if port is not None else (None,):
+            for m in (dstmac, None) if dstmac is not None else (None,):
+                for net in nets:
+                    for earlier in self._buckets.get((p, m, net), ()):
+                        if earlier.covers(match):
+                            return True
+        return False
+
+
+def remove_shadowed(classifier: Classifier,
+                    index: Optional[ShadowIndex] = None) -> Classifier:
     """Drop rules fully covered by a single earlier rule.
 
     A rule whose match is a subset of an earlier rule's match can never be
     the first match, whatever its actions, so removing it is always safe.
     (Covers-by-union shadowing is not detected; it is rare in SDX output
-    and detecting it is NP-hard in general.)
+    and detecting it is NP-hard in general.) Pass ``index`` to get the
+    kept matches back, so a table installed below can be checked too.
     """
+    index = ShadowIndex() if index is None else index
     kept: List[Rule] = []
     for rule in classifier.rules:
-        if any(earlier.match.covers(rule.match) for earlier in kept):
+        if index.covers(rule.match):
             continue
         kept.append(rule)
+        index.add(rule.match)
     return Classifier(kept)
 
 

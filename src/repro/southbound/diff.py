@@ -190,6 +190,17 @@ def compute_delta(installed: Sequence[FlowRule],
                  deletes=tuple(deletes), unchanged=unchanged)
 
 
+def _shared_run(left: Iterable[HeaderSpace],
+                right: Iterable[HeaderSpace]) -> int:
+    """How many leading positions of the two sequences hold equal matches."""
+    count = 0
+    for one, other in zip(left, right):
+        if one is not other and one != other:
+            break
+        count += 1
+    return count
+
+
 def align_flow_rules(installed: Sequence[FlowRule], classifier: Classifier,
                      base_priority: int = 0,
                      ceiling: int = PRIORITY_CEILING) -> List[FlowRule]:
@@ -216,13 +227,23 @@ def align_flow_rules(installed: Sequence[FlowRule], classifier: Classifier,
         if base_priority < rule.priority < ceiling and (
                 not anchors or rule.priority < anchors[-1].priority):
             anchors.append(rule)
+    old = [fr.match for fr in anchors]
+    new = [r.match for r in rules]
+    # A recompilation rewrites one stretch of the table: peel the head
+    # and tail both sides share and align only the middle.
+    head = _shared_run(old, new)
+    tail = _shared_run(reversed(old[head:]), reversed(new[head:]))
     matcher = difflib.SequenceMatcher(
-        a=[fr.match for fr in anchors],
-        b=[r.match for r in rules], autojunk=False)
-    anchored: Dict[int, int] = {}
+        a=old[head:len(old) - tail], b=new[head:len(new) - tail],
+        autojunk=False)
+    anchored: Dict[int, int] = {
+        index: anchors[index].priority for index in range(head)}
+    for offset in range(1, tail + 1):
+        anchored[len(new) - offset] = anchors[-offset].priority
     for block in matcher.get_matching_blocks():
         for offset in range(block.size):
-            anchored[block.b + offset] = anchors[block.a + offset].priority
+            anchored[head + block.b + offset] = (
+                anchors[head + block.a + offset].priority)
 
     priorities = [0] * len(rules)
     upper = ceiling  # exclusive bound for everything still unassigned

@@ -20,6 +20,37 @@ prefix_strategy = st.builds(
 )
 
 
+#: Prefixes nested inside one /16, so random tries actually nest.
+clustered_prefixes = st.builds(
+    lambda bits, l: IPv4Prefix(network=(10 << 24) + (1 << 16) + bits, length=l),
+    st.integers(min_value=0, max_value=0xFFFF),
+    st.integers(min_value=14, max_value=32),
+)
+
+
+class CountingTable(dict):
+    """One per-length table of a trie, counting reads."""
+
+    steps = 0
+
+    def get(self, key, default=None):
+        CountingTable.steps += 1
+        return super().get(key, default)
+
+    def values(self):
+        CountingTable.steps += len(self)
+        return super().values()
+
+
+def count_steps(trie, query):
+    """Probes plus scanned entries of one ``covered_by(query)``."""
+    trie._by_length = {length: CountingTable(table)
+                       for length, table in trie._by_length.items()}
+    CountingTable.steps = 0
+    trie.covered_by(query)
+    return CountingTable.steps
+
+
 def entry_for(prefix_text, learned_from="A", path=(65001,), next_hop="172.0.0.1", **kw):
     return RouteEntry(
         prefix=IPv4Prefix(prefix_text),
@@ -78,6 +109,37 @@ class TestPrefixTrie:
         trie.insert(IPv4Prefix("11.0.0.0/8"), "c")
         covered = dict(trie.covered_by(IPv4Prefix("10.0.0.0/8")))
         assert set(covered.values()) == {"a", "b"}
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.one_of(prefix_strategy, clustered_prefixes),
+                    max_size=40),
+           st.one_of(prefix_strategy, clustered_prefixes))
+    def test_covered_by_agrees_with_the_linear_scan(self, prefixes, query):
+        trie = PrefixTrie()
+        for index, prefix in enumerate(prefixes):
+            trie.insert(prefix, index)
+        scanned = {stored: value for stored, value in trie.items()
+                   if query.contains_prefix(stored)}
+        found = trie.covered_by(query)
+        assert dict(found) == scanned
+        assert len(found) == len(scanned)
+
+    def test_covered_by_work_is_bounded_by_the_query(self):
+        """Steps — hash probes plus entries scanned — must not grow with
+        what is stored outside the queried prefix (the old linear scan
+        visited every stored prefix on every call)."""
+        inside = [IPv4Prefix(f"10.1.{third}.0/24") for third in range(16)]
+        trie = PrefixTrie()
+        for prefix in [IPv4Prefix("10.1.0.0/16"), *inside]:
+            trie.insert(prefix, str(prefix))
+        query = IPv4Prefix("10.1.0.0/20")
+        few = count_steps(trie, query)
+        for index in range(10_000):
+            trie.insert(IPv4Prefix(
+                network=(20 << 24) + (index << 8), length=24), "outside")
+        many = count_steps(trie, query)
+        assert many <= few
+        assert {p for p, _ in trie.covered_by(query)} == set(inside)
 
     def test_iteration(self):
         trie = PrefixTrie()

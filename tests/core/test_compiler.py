@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from tests.policy.strategies import packets, predicates
 
-from repro.core.compiler import REDUCTION_LIMIT, compile_clause_rules
+from repro.core.compiler import compile_clause_rules
 from repro.exceptions import CompilationError
 from repro.net.packet import Packet
 from repro.policy.classifier import Action, Classifier, Rule
@@ -192,7 +192,57 @@ class TestCompilerModes:
     def test_inbound_cache_reused(self):
         sdx, *_ = figure1_controller()
         sdx.start()
-        cache_before = dict(sdx.compiler._inbound_cache)
+        physical = [p for p in sdx.topology.participants() if not p.is_remote]
+        before = [sdx.compiler._inbound_pipeline(p) for p in physical]
         sdx.recompile()
-        for name, (generation, classifier) in cache_before.items():
-            assert sdx.compiler._inbound_cache[name][1] is classifier
+        after = [sdx.compiler._inbound_pipeline(p) for p in physical]
+        assert all(new is old for new, old in zip(after, before))
+
+
+def covered_rules(classifier):
+    """Rules covered by an earlier rule — the quadratic loop, kept here as
+    the independent oracle for the compiler's indexed, per-block pass."""
+    seen, covered = [], []
+    for rule in classifier.rules:
+        if any(earlier.covers(rule.match) for earlier in seen):
+            covered.append(rule)
+        seen.append(rule.match)
+    return covered
+
+
+class TestOnlyRulesThatCanFire:
+    def test_large_table_is_reduced(self):
+        """250 x 8 000 compiled to 4 885 rules at the parent — above the
+        old 4 000-rule limit, so none of its dead rules were removed."""
+        from repro.workloads.policies import generate_policies, install_assignments
+        from repro.workloads.topology import generate_ixp
+        ixp = generate_ixp(250, 8_000, seed=0)
+        sdx = ixp.build_controller(with_dataplane=False)
+        install_assignments(sdx, generate_policies(ixp, seed=1))
+        result = sdx.start()
+        assert result.prefix_group_count > 300
+        assert covered_rules(result.classifier) == []
+
+    def test_default_exception_under_a_catch_all_clause(self):
+        """B is the best announcer of p3, so the default layer carries an
+        exception for B's own ports; B's catch-all clause covers it. The
+        two sit in different blocks — only the final pass sees both."""
+        sdx, _a, b, *_ = figure1_controller()
+        b.add_outbound(match() >> fwd("C"))
+        unreduced, *_ = figure1_controller(reduce_table=False)
+        unreduced.participant("B").add_outbound(match() >> fwd("C"))
+        table = sdx.start().classifier
+        assert covered_rules(table) == []
+        assert any(
+            rule.match.get("port") in b.participant.switch_ports
+            for rule in covered_rules(unreduced.start().classifier))
+        assert sdx.egress_of("B", packet("13.0.0.1", dstport=22)) == "C"
+
+    def test_composition_emits_no_rule_below_a_covering_one(self):
+        """Every stage-1 rule used to be followed by stage 2's fall-through
+        drop pulled back to the same match."""
+        sdx, *_ = figure1_controller(reduce_table=False)
+        rules = sdx.start().classifier.rules
+        assert not any(
+            later.is_drop and later.match == earlier.match
+            for earlier, later in zip(rules, rules[1:]))

@@ -103,7 +103,13 @@ class TestDynamicThroughSdx:
         transit.add_inbound(
             rib_match("srcip", "as_path", r".*2906$") >> fwd(transit.port(0)))
         sdx.start()
-        assert "Transit" not in sdx.compiler._inbound_cache
+        # RIB-tracking clauses opt out of reuse: the pipeline is resolved
+        # anew every time, the static ones are not.
+        pipeline = sdx.compiler._inbound_pipeline
+        participant = sdx.topology.participant
+        assert (pipeline(participant("Transit"))
+                is not pipeline(participant("Transit")))
+        assert pipeline(participant("Edge")) is pipeline(participant("Edge"))
 
     def test_config_round_trip(self):
         from repro.config import controller_from_config, export_config

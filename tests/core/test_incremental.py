@@ -133,3 +133,23 @@ class TestBurstBehaviour:
         sdx.withdraw_route("B", P3)
         double = sdx.engine.fast_path_rules_live
         assert double > single
+
+
+class TestFastPathInstallsNoDeadRules:
+    def test_no_shadowed_rule_after_a_trace(self):
+        """The fast path never ran a reduction pass, and composition
+        followed every rule with same-match drops: more than half of the
+        installed shadow rules could never fire (SDX010)."""
+        from repro.statics.dataplane import analyze_controller_dataplane
+        from repro.workloads.policies import generate_policies, install_assignments
+        from repro.workloads.topology import generate_ixp
+        from repro.workloads.updates import generate_trace
+        ixp = generate_ixp(12, 120, seed=0)
+        sdx = ixp.build_controller()
+        install_assignments(sdx, generate_policies(ixp, seed=1))
+        sdx.start()
+        for event in generate_trace(ixp, seed=2, max_updates=40):
+            sdx.submit_update(event.update)
+        assert sdx.engine.fast_path_rules_live > 0
+        report = analyze_controller_dataplane(sdx)
+        assert [d for d in report.sorted() if d.check_id == "SDX010"] == []

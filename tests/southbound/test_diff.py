@@ -150,6 +150,43 @@ class TestDiffClassifier:
         assert kept <= set(priorities)  # survivors keep their keys
 
 
+    def test_only_the_rewritten_stretch_is_aligned(self, monkeypatch):
+        """A recompilation rewrites one stretch of the table; the shared
+        head and tail are peeled off before the (quadratic-ish) matcher
+        sees anything, and the delta is what aligning everything gives."""
+        import difflib
+        ports = list(range(1_000, 1_400))
+        old = Classifier([Rule(HeaderSpace(dstport=p), FWD1) for p in ports]
+                         + [Rule(WILDCARD, ())])
+        installed = align_flow_rules([], old)
+        middle = ([Rule(HeaderSpace(dstport=p), FWD1) for p in ports[:200]]
+                  + [Rule(HeaderSpace(dstport=5_000 + p), FWD2)
+                     for p in range(5)]
+                  + [Rule(HeaderSpace(dstport=p), FWD1) for p in ports[203:]])
+        new = Classifier(middle + [Rule(WILDCARD, ())])
+        seen = []
+        matcher = difflib.SequenceMatcher
+
+        def recording(a, b, autojunk):
+            seen.append((len(a), len(b)))
+            return matcher(a=a, b=b, autojunk=autojunk)
+
+        monkeypatch.setattr(difflib, "SequenceMatcher", recording)
+        delta = diff_classifier(installed, new)
+        assert seen == [(3, 5)]
+        assert len(delta.adds) == 5 and len(delta.deletes) == 3
+        assert not delta.modifies and delta.unchanged == 398
+
+    def test_peeling_handles_pure_growth_and_shrinkage(self):
+        rules = [Rule(HeaderSpace(dstport=p), FWD1) for p in (80, 443, 22)]
+        installed = align_flow_rules([], Classifier(rules))
+        repeated = Classifier(rules[:2] + [rules[1]] + rules[2:])
+        delta = diff_classifier(installed, repeated)
+        assert delta.unchanged == 3 and not delta.deletes
+        shorter = diff_classifier(installed, Classifier(rules[:1] + rules[2:]))
+        assert len(shorter.deletes) == 1 and shorter.unchanged == 2
+
+
 class TestFlowMod:
     def test_key_and_rule_round_trip(self):
         base = rule(5, FWD1, dstport=80)
