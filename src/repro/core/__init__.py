@@ -3,17 +3,27 @@
 The pipeline (Figure 3) turns per-participant Pyretic-style policies plus
 live BGP state into one flow table for the IXP switch:
 
-1. :mod:`repro.core.isolation` — restrict each policy to the owner's
-   virtual switch (Section 4.1, transformation 1);
-2. :mod:`repro.core.augmentation` — insert BGP reachability guards on
-   every outbound forwarding action (transformation 2);
-3. :mod:`repro.core.defaults` — default forwarding along the best BGP
-   route via virtual-MAC tags (transformation 3, Section 4.2);
-4. :mod:`repro.core.composition` — compose all participants into one
-   policy with the Section 4.3 optimisations (transformation 4);
+1. isolate — restrict each policy to the owner's virtual switch
+   (Section 4.1, transformation 1): :func:`repro.core.defaults.ingress_guard`
+   on every outbound clause and per-ingress default, the virtual-port
+   guard of ``SdxCompiler._inbound_pairs`` on every inbound clause;
+2. join — a forward applies only to traffic its next hop announced and
+   exported (transformation 2): ``SdxCompiler._eligibility`` picks the
+   eligible tags, ``SdxCompiler._eligibility_guard`` matches them, both
+   called from ``SdxCompiler._outbound_part``;
+3. default — forwarding along the best BGP route via virtual-MAC tags
+   (transformation 3, Section 4.2):
+   :func:`repro.core.defaults.build_default_forwarding`;
+4. compose — all participants into one policy with the Section 4.3
+   optimisations (transformation 4):
+   :func:`repro.core.composition.sequential_compose_indexed`, block by
+   block;
 
-supported by :mod:`repro.core.fec` (prefix grouping / minimum disjoint
-subsets), :mod:`repro.core.vnh` (virtual next-hop and VMAC allocation),
+each written once and run both by a full compilation over every prefix
+group and by the fast path over one fresh singleton group
+(:meth:`repro.core.compiler.SdxCompiler.compile_prefix`); supported by
+:mod:`repro.core.fec` (prefix grouping / minimum disjoint subsets),
+:mod:`repro.core.vnh` (virtual next-hop and VMAC allocation),
 :mod:`repro.core.incremental` (the two-stage update path), and
 :mod:`repro.core.controller` (the top-level :class:`SdxController`).
 """

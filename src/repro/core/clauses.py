@@ -31,9 +31,11 @@ keeps that behaviour predictable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.core.dynamic import contains_dynamic
 from repro.exceptions import PolicyError
 from repro.policy.policies import (
     Drop,
@@ -62,6 +64,19 @@ class Clause:
     def has_action(self) -> bool:
         """True if the clause rewrites, forwards, or drops."""
         return bool(self.modifications) or self.target is not None or self.drops
+
+    @cached_property
+    def dynamic(self) -> bool:
+        """True if the predicate tracks the RIB (:mod:`repro.core.dynamic`)
+        and has to be resolved anew at every compilation — decided once
+        per clause, not per use."""
+        return contains_dynamic(self.predicate)
+
+    @cached_property
+    def dstip(self):
+        """:func:`clause_dstip` of the predicate — the same before and after
+        dynamic nodes are resolved, which never become a plain ``match``."""
+        return clause_dstip(self.predicate)
 
     def describe(self) -> str:
         """A compact human-readable rendering."""

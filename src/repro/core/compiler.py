@@ -50,25 +50,30 @@ from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple)
 
 from repro.bgp.rib import PrefixTrie
-from repro.bgp.routeserver import RouteServer
-from repro.core.clauses import Clause, clause_dstip
-from repro.core.dynamic import contains_dynamic, resolve_dynamic
+from repro.bgp.routeserver import Decision, RouteServer
+from repro.core.clauses import Clause
+from repro.core.dynamic import resolve_dynamic
 from repro.core.composition import (
     CompositionReport,
     compose_naive,
     sequential_compose_indexed,
     stack_disjoint,
     stack_fallback,
+    strip_drop_tail,
 )
 from repro.core.defaults import (
+    Entry,
     build_default_forwarding,
     build_participant_defaults,
+    ingress_guard,
 )
 from repro.core.fec import ContextId, PrefixGroup, compute_prefix_groups
 from repro.core.participant import Participant
 from repro.core.vnh import VnhAllocator
 from repro.core.vswitch import VirtualTopology
 from repro.exceptions import CompilationError
+from repro.net.addresses import IPv4Prefix
+from repro.net.mac import MacAddress
 from repro.policy.classifier import Action, Classifier, ComposeStats, Rule
 from repro.policy.optimize import ShadowIndex, merge_drop_tail, remove_shadowed
 from repro.policy.policies import Conjunction, Predicate, match
@@ -339,6 +344,13 @@ class SdxCompiler:
             if self.use_vnh:
                 self.allocator.assign_groups(groups)
 
+        def entries() -> List[Entry]:
+            # What stage 1 is built over, one (tag, Decision) per group —
+            # decided only when a stage that reads them is rebuilt.
+            return [(self.allocator.vmac_for_group(group.group_id),
+                     self.route_server.decide(group.representative))
+                    for group in groups]
+
         with self._stage("defaults", timings):
             defaults_classifier = self._reuse(
                 "defaults", None,
@@ -346,19 +358,18 @@ class SdxCompiler:
                     (group.ranked_announcers, group.representative,
                      self.allocator.vmac_for_group(group.group_id))
                     for group in groups)),
-                lambda: self._defaults(participants, groups, stats))
+                lambda: self._defaults(participants, entries(), stats))
 
         with self._stage("outbound", timings):
             eligible = self._eligibility(trie, by_context)
             # One block per policy holder, then (``None``) the default layer.
-            owners = [p for p in participants
-                      if not p.is_remote and p.outbound_clauses()] + [None]
+            owners = [*self._policy_holders(participants), None]
             if self.optimized:
                 parts = [self._outbound_part(p, eligible, defaults_classifier,
                                              stats) for p in owners[:-1]]
                 parts.append(defaults_classifier)
             else:
-                parts = self._naive_out_parts(groups, eligible, stats)
+                parts = self._naive_out_parts(entries(), eligible, stats)
 
         with self._stage("inbound", timings):
             inbound_parts = self._inbound_parts(stats)
@@ -421,36 +432,47 @@ class SdxCompiler:
                              for target in p.outbound_targets())
         return self._reuse("groups", None, (routing, contexts), build)
 
-    def _defaults(self, participants: Sequence[Participant],
-                  groups: Sequence[PrefixGroup],
-                  stats: Optional[ComposeStats]) -> Classifier:
-        defaults = build_default_forwarding(
-            participants, groups, self.allocator, self.topology,
-            self.route_server)
+    @staticmethod
+    def _policy_holders(participants: Sequence[Participant]
+                        ) -> List[Participant]:
+        """The participants stage 1 has an outbound block for."""
+        return [p for p in participants
+                if not p.is_remote and p.outbound_clauses()]
+
+    @staticmethod
+    def _default_layers(layers: Iterable[Iterable[Clause]],
+                        stats: Optional[ComposeStats]) -> Classifier:
+        """Default clauses — priority layers, top first — as a classifier."""
         return stack_fallback([
             compile_guarded_clauses(
                 ((c.predicate, clause_action(c, c.target)) for c in layer),
                 None, stats)
-            for layer in (defaults.exceptions, defaults.shared)])
+            for layer in layers])
+
+    def _defaults(self, participants: Sequence[Participant],
+                  entries: Iterable[Entry], stats: Optional[ComposeStats],
+                  mac_learning: bool = True) -> Classifier:
+        return self._default_layers(build_default_forwarding(
+            participants, entries, self.topology, self.route_server,
+            mac_learning), stats)
 
     def _eligibility(self, trie: PrefixTrie,
-                     by_context: dict) -> Callable[..., tuple]:
+                     by_context: dict) -> Callable[..., Optional[tuple]]:
         """(participant, target, optional dstip constraint) -> the tags a
         clause toward ``target`` may match: the VMACs of the eligible prefix
-        groups, or — without VNHs — the eligible prefixes themselves."""
-        if not self.use_vnh:
-            def prefixes(participant: str, target: str,
-                         dstip_limit=None) -> tuple:
+        groups, or — without VNHs — the eligible prefixes themselves. A drop
+        clause (``target`` ``None``) applies whatever the tag: ``None``."""
+        def tags(participant: str, target: Optional[str],
+                 dstip_limit=None) -> Optional[tuple]:
+            if target is None:
+                return None
+            if not self.use_vnh:
                 reachable = self.route_server.reachable_prefixes(
                     participant, via=target)
                 if dstip_limit is not None:
                     reachable = tuple(
                         p for p in reachable if p.overlaps(dstip_limit))
                 return reachable
-
-            return prefixes
-
-        def vmacs(participant: str, target: str, dstip_limit=None) -> tuple:
             eligible = by_context.get((participant, target), ())
             if dstip_limit is not None:
                 allowed = self._groups_overlapping(trie, dstip_limit)
@@ -458,7 +480,7 @@ class SdxCompiler:
             return tuple(self.allocator.vmac_for_group(g.group_id)
                          for g in eligible)
 
-        return vmacs
+        return tags
 
     @staticmethod
     def _groups_overlapping(group_trie: "PrefixTrie[int]", dstip_limit) -> set:
@@ -472,58 +494,111 @@ class SdxCompiler:
                 for _prefix, group_id in group_trie.covered_by(dstip_limit))
         return allowed
 
-    def _resolved_predicate(self, participant: Participant,
-                            clause: Clause) -> Predicate:
+    def _resolved_predicate(self, participant: Participant, clause: Clause,
+                            views: Optional[dict] = None) -> Predicate:
         """The clause predicate with live RIB filters bound to the owner.
 
         The Loc-RIB view is materialised lazily, once per participant per
-        compilation, and only when some clause actually uses a dynamic
+        compilation (per fast-path invocation, which brings its own
+        ``views``), and only when some clause actually uses a dynamic
         predicate.
         """
-        if not contains_dynamic(clause.predicate):
+        if not clause.dynamic:
             return clause.predicate
-        view = self._rib_views.get(participant.name)
+        if views is None:
+            views = self._rib_views
+        view = views.get(participant.name)
         if view is None:
-            view = self.route_server.view_for(participant.name)
-            self._rib_views[participant.name] = view
+            view = views[participant.name] = self.route_server.view_for(
+                participant.name)
         return resolve_dynamic(clause.predicate, view)
 
-    def _outbound_part(self, participant: Participant, eligible: Callable[..., tuple],
-                       fallback: Classifier,
-                       stats: Optional[ComposeStats]) -> Classifier:
-        """One participant's outbound clauses as a partial classifier,
-        reused while its clauses, the tags each one's eligibility guard
-        resolves to and the default layer below it are the same."""
+    @staticmethod
+    def _unless_dynamic(clauses: Sequence[Clause], inputs: Any) -> Any:
+        """``inputs`` as a :meth:`_reuse` key for something built from
+        ``clauses`` — ``None`` (never reused) if one of them tracks the RIB."""
+        return None if any(c.dynamic for c in clauses) else inputs
+
+    @staticmethod
+    def _eligibility_guard(tags: tuple) -> Predicate:
+        """Transformation 2, the BGP join: the packet carries one of the
+        tags the clause is eligible for — the VMACs of prefix groups, or
+        (the ``use_vnh=False`` table) the destination prefixes themselves."""
+        if isinstance(tags[0], IPv4Prefix):
+            return match_any_prefix("dstip", tags)
+        return match_any_value("dstmac", tags)
+
+    def _outbound_part(self, participant: Participant,
+                       eligible: Callable[..., Optional[tuple]],
+                       fallback: Classifier, stats: Optional[ComposeStats],
+                       views: Optional[dict] = None) -> Classifier:
+        """One participant's outbound clauses as a partial classifier: each
+        one isolated to its owner's ports, joined with BGP through the tags
+        ``eligible`` allows it, and falling through to ``fallback``.
+
+        A compilation reuses the block while its clauses, those tags and
+        the default layer below it are the same; the fast path — which
+        brings its own Loc-RIB ``views`` — builds it for its one fresh
+        group and leaves the memo alone.
+        """
         clauses = participant.outbound_clauses()
-        resolved = [self._resolved_predicate(participant, clause)
-                    for clause in clauses]
         tags = tuple(
-            None if clause.drops else eligible(
-                participant.name, str(clause.target), clause_dstip(predicate))
-            for clause, predicate in zip(clauses, resolved))
+            eligible(participant.name,
+                     None if clause.drops else str(clause.target), clause.dstip)
+            for clause in clauses)
 
         def build() -> Classifier:
-            ingress = match_any_value("port", participant.switch_ports)
+            ingress = ingress_guard(participant)
             pairs: List[Tuple[Predicate, Tuple[Action, ...]]] = []
-            for clause, predicate, allowed in zip(clauses, resolved, tags):
-                if clause.drops:
-                    pairs.append((Conjunction((ingress, predicate)), ()))
-                    continue
-                guard = (match_any_value("dstmac", allowed) if self.use_vnh
-                         else match_any_prefix("dstip", allowed))
-                pairs.append((
-                    Conjunction((ingress, predicate, guard)),
-                    clause_action(
-                        clause, self.topology.vport(str(clause.target)))))
+            for clause, allowed in zip(clauses, tags):
+                if allowed is not None and not allowed:
+                    continue  # eligible nowhere: the clause cannot fire
+                guarded = [ingress,
+                           self._resolved_predicate(participant, clause, views)]
+                if allowed is not None:
+                    guarded.append(self._eligibility_guard(allowed))
+                pairs.append((Conjunction(guarded), clause_action(
+                    clause, None if clause.drops
+                    else self.topology.vport(str(clause.target)))))
             return compile_guarded_clauses(pairs, fallback, stats)
 
-        dynamic = any(contains_dynamic(c.predicate) for c in clauses)
+        if views is not None:
+            return build()
         return self._reuse(
             "outbound", participant.name,
-            None if dynamic else (clauses, tags, fallback), build)
+            self._unless_dynamic(clauses, (clauses, tags, fallback)), build)
 
-    def _naive_out_parts(self, groups: Sequence[PrefixGroup],
-                         eligible: Callable[..., tuple],
+    def compile_prefix(self, prefix: IPv4Prefix, vmac: MacAddress,
+                       decision: Decision, stage2: Classifier,
+                       views: dict) -> List[Rule]:
+        """The fast path's rules for one updated prefix (Section 4.3.2).
+
+        The same policy recompiled for the singleton group ``{prefix}``
+        under its fresh ``vmac``: stage 1 from the builders a full
+        compilation uses, restricted to that one tag — a clause gets it iff
+        it can fire for ``prefix`` — then composed with the installed
+        ``stage2``. Pure: reads no memo, leaves none. ``views`` holds the
+        Loc-RIB views of one fast-path invocation.
+        """
+        def eligible(participant: str, target: Optional[str],
+                     dstip_limit=None) -> tuple:
+            if dstip_limit is not None and not dstip_limit.overlaps(prefix):
+                return ()
+            if target is not None and not self.route_server.is_reachable(
+                    participant, prefix, via=target):
+                return ()
+            return (vmac,)
+
+        participants = self.topology.participants()
+        defaults = self._defaults(
+            participants, [(vmac, decision)], None, mac_learning=False)
+        parts = [self._outbound_part(p, eligible, defaults, None, views)
+                 for p in self._policy_holders(participants)]
+        return strip_drop_tail(sequential_compose_indexed(
+            stack_fallback(parts + [defaults]), stage2))
+
+    def _naive_out_parts(self, entries: Sequence[Entry],
+                         eligible: Callable[..., Optional[tuple]],
                          stats: Optional[ComposeStats]) -> List[Classifier]:
         """Per-participant total outbound classifiers (ablation path).
 
@@ -536,12 +611,10 @@ class SdxCompiler:
         for participant in participants:
             if participant.is_remote:
                 continue
-            own_defaults = build_participant_defaults(
-                participant, participants, groups, self.allocator,
-                self.topology, self.route_server)
-            defaults_classifier = stack_fallback([compile_guarded_clauses(
-                ((c.predicate, clause_action(c, c.target)) for c in own_defaults),
-                None, stats)])
+            defaults_classifier = self._default_layers(
+                [build_participant_defaults(
+                    participant, participants, entries, self.topology)],
+                stats)
             layers: List[Classifier] = []
             if participant.outbound_clauses():
                 layers.append(self._outbound_part(
@@ -609,9 +682,8 @@ class SdxCompiler:
                 None, stats)])
             return sequential_compose_indexed(selected, rewrite, stats)
 
-        dynamic = any(contains_dynamic(c.predicate) for c in clauses)
         return self._reuse("inbound", participant.name,
-                           None if dynamic else clauses, build)
+                           self._unless_dynamic(clauses, clauses), build)
 
     def _remote_pipeline(self, participant: Participant,
                          physical_stage: Classifier,
@@ -631,10 +703,9 @@ class SdxCompiler:
             own = stack_fallback([compile_guarded_clauses(pairs, None, stats)])
             return sequential_compose_indexed(own, physical_stage, stats)
 
-        dynamic = any(contains_dynamic(c.predicate) for c in clauses)
         return self._reuse(
             "inbound", participant.name,
-            None if dynamic else (clauses, physical_stage), build)
+            self._unless_dynamic(clauses, (clauses, physical_stage)), build)
 
     def _reduce(self, owners: Sequence[Optional[Participant]],
                 blocks: Sequence[Classifier]) -> Classifier:

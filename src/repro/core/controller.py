@@ -22,9 +22,11 @@ makes it an explicit, deterministic call).
 from __future__ import annotations
 
 import logging
+from collections import deque
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
+    Deque,
     Dict,
     Iterable,
     List,
@@ -70,6 +72,9 @@ ROUTER_MAC_BASE = 0x02_00_00_00_00_00
 
 #: Next-hop address used when a remote participant originates a prefix.
 SDX_ORIGIN_IP = IPv4Address("172.0.255.254")
+
+#: How many of the latest fast-path results ``fast_path_log`` keeps.
+FAST_PATH_LOG_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -150,9 +155,7 @@ class SdxController:
             use_vnh=use_vnh, optimized=optimized, reduce_table=reduce_table,
             telemetry=self.telemetry)
         self.engine = IncrementalEngine(
-            self.topology, self.route_server, self.allocator,
-            self.compiler, self.table, self.southbound,
-            telemetry=self.telemetry)
+            self.compiler, self.southbound, self.telemetry)
         self.dataplane_verifier = None
         self._committed_spaces_cache: Optional[Tuple[Tuple[int, int], list]] = None
         if dataplane_statics_mode != "off":
@@ -171,7 +174,10 @@ class SdxController:
         self.ownership = OwnershipRegistry()
         self.started = False
         self.last_compilation: Optional[CompilationResult] = None
-        self.fast_path_log: List[FastPathResult] = []
+        #: The latest fast-path results, newest last — a window, not a
+        #: history: memory stays flat however long the controller runs.
+        self.fast_path_log: Deque[FastPathResult] = deque(
+            maxlen=FAST_PATH_LOG_SIZE)
         self._handles: Dict[str, ParticipantHandle] = {}
         self._next_switch_port = 1
         self._next_host = 1

@@ -25,17 +25,25 @@ defaults identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.bgp.routeserver import Decision, RouteServer
 from repro.core.clauses import Clause
-from repro.core.fec import PrefixGroup
 from repro.core.participant import Participant
-from repro.core.vnh import VnhAllocator
 from repro.core.vswitch import VirtualTopology
-from repro.policy.policies import Conjunction, match
+from repro.net.mac import MacAddress
+from repro.policy.policies import Conjunction, Predicate, match
 from repro.policy.predicates import match_any_value
+
+#: One prefix group as the default layer sees it: its VMAC tag and the
+#: route server's decision for (a representative of) its prefixes.
+Entry = Tuple[MacAddress, Decision]
+
+
+def ingress_guard(participant: Participant) -> Predicate:
+    """Transformation 1 for outbound traffic: the packet entered on one of
+    the participant's own physical ports."""
+    return match_any_value("port", participant.switch_ports)
 
 
 def default_next_hop(decision: Decision, participant: str) -> Optional[str]:
@@ -50,19 +58,16 @@ def default_next_hop(decision: Decision, participant: str) -> Optional[str]:
     return None if best is None else best.learned_from
 
 
-@dataclass
-class DefaultForwarding:
-    """The two priority layers of the default-forwarding policy."""
-
-    #: Per-(ingress, group) overrides; must shadow the shared layer.
-    exceptions: List[Clause]
-    #: Ingress-wildcard per-group clauses plus per-port MAC-learning clauses.
-    shared: List[Clause]
-
-    @property
-    def clause_count(self) -> int:
-        """Total number of default clauses (for table-size accounting)."""
-        return len(self.exceptions) + len(self.shared)
+def default_clause(ingress: Predicate, tag: MacAddress,
+                   next_hop: Optional[str],
+                   topology: VirtualTopology) -> Clause:
+    """One participant's own default for traffic tagged ``tag`` (``ingress``
+    is its :func:`ingress_guard`): on to ``next_hop``'s virtual switch, or
+    dropped when it has no route."""
+    predicate = Conjunction((ingress, match(dstmac=tag)))
+    if next_hop is None:
+        return Clause(predicate=predicate, drops=True)
+    return Clause(predicate=predicate, target=topology.vport(next_hop))
 
 
 def _mac_learning_clauses(participants: Sequence[Participant],
@@ -81,54 +86,49 @@ def _mac_learning_clauses(participants: Sequence[Participant],
 
 
 def build_default_forwarding(participants: Sequence[Participant],
-                             groups: Sequence[PrefixGroup],
-                             allocator: VnhAllocator,
+                             entries: Iterable[Entry],
                              topology: VirtualTopology,
-                             route_server: RouteServer) -> DefaultForwarding:
-    """Build the shared default-forwarding clauses for the current state."""
+                             route_server: RouteServer,
+                             mac_learning: bool = True
+                             ) -> Tuple[List[Clause], List[Clause]]:
+    """The default layer for ``entries``, as two priority layers.
+
+    First the per-(ingress, group) exceptions, which must shadow the
+    second: one ingress-wildcard clause per group plus — for a whole
+    table, not for the fast path's single fresh group — the per-port
+    MAC-learning clauses.
+    """
     exceptions: List[Clause] = []
     shared: List[Clause] = []
-    physical = [p for p in participants if not p.is_remote]
+    physical = {p.name: p for p in participants if not p.is_remote}
 
-    for group in groups:
-        vmac = allocator.vmac_for_group(group.group_id)
-        ranking = group.ranked_announcers
-        common = ranking[0] if ranking else None
-        decision = route_server.decide(group.representative)
-        if common is not None:
-            shared.append(Clause(predicate=match(dstmac=vmac),
-                                 target=topology.vport(common)))
+    for tag, decision in entries:
+        if decision.best is None:
+            continue
+        common = decision.best.learned_from
+        shared.append(Clause(predicate=match(dstmac=tag),
+                             target=topology.vport(common)))
         # Participants whose best differs from the shared choice: always
         # the common announcer itself; everyone when it restricts exports.
-        if common is None:
-            candidates: Iterable[Participant] = ()
-        elif route_server.has_export_restrictions(common):
-            candidates = physical
+        if route_server.has_export_restrictions(common):
+            candidates: Iterable[Participant] = physical.values()
         else:
-            candidates = [p for p in physical if p.name == common]
+            candidates = [physical[common]] if common in physical else []
         for participant in candidates:
             specific = default_next_hop(decision, participant.name)
-            if specific == common:
-                continue
-            predicate = Conjunction((
-                match_any_value("port", participant.switch_ports),
-                match(dstmac=vmac)))
-            if specific is None:
-                exceptions.append(Clause(predicate=predicate, drops=True))
-            else:
-                exceptions.append(Clause(
-                    predicate=predicate, target=topology.vport(specific)))
+            if specific != common:
+                exceptions.append(default_clause(
+                    ingress_guard(participant), tag, specific, topology))
 
-    shared.extend(_mac_learning_clauses(physical, topology))
-    return DefaultForwarding(exceptions=exceptions, shared=shared)
+    if mac_learning:
+        shared.extend(_mac_learning_clauses(participants, topology))
+    return exceptions, shared
 
 
 def build_participant_defaults(participant: Participant,
                                participants: Sequence[Participant],
-                               groups: Sequence[PrefixGroup],
-                               allocator: VnhAllocator,
-                               topology: VirtualTopology,
-                               route_server: RouteServer) -> List[Clause]:
+                               entries: Iterable[Entry],
+                               topology: VirtualTopology) -> List[Clause]:
     """One participant's fully ingress-guarded default clauses.
 
     This is the paper's literal ``defA`` construction (Section 4.1): every
@@ -137,19 +137,10 @@ def build_participant_defaults(participant: Participant,
     is groups × participants total clauses — the redundancy the shared
     layer of :func:`build_default_forwarding` eliminates.
     """
-    guard = match_any_value("port", participant.switch_ports)
-    clauses: List[Clause] = []
-    for group in groups:
-        vmac = allocator.vmac_for_group(group.group_id)
-        best = route_server.best_route_for(
-            participant.name, group.representative)
-        next_hop = None if best is None else best.learned_from
-        predicate = Conjunction((guard, match(dstmac=vmac)))
-        if next_hop is None:
-            clauses.append(Clause(predicate=predicate, drops=True))
-        else:
-            clauses.append(Clause(predicate=predicate,
-                                  target=topology.vport(next_hop)))
-    clauses.extend(_mac_learning_clauses(
-        [p for p in participants if not p.is_remote], topology, guard=guard))
+    guard = ingress_guard(participant)
+    clauses = [
+        default_clause(guard, tag,
+                       default_next_hop(decision, participant.name), topology)
+        for tag, decision in entries]
+    clauses.extend(_mac_learning_clauses(participants, topology, guard=guard))
     return clauses

@@ -3,44 +3,33 @@
 BGP updates arrive in bursts separated by quiet periods, so the SDX
 trades space for time:
 
-* **Fast path** (:meth:`IncrementalEngine.handle_changes`): for every
-  prefix whose best route changed, immediately allocate a fresh singleton
-  VNH/VMAC (skipping the FEC computation entirely), recompile *only* the
-  policy clauses that can touch that prefix, and push the resulting
+* **Fast path** (:meth:`IncrementalEngine.handle_prefixes`): for every
+  prefix an update touched, immediately allocate a fresh singleton
+  VNH/VMAC (skipping the FEC computation entirely), have the compiler
+  recompile the same policy for that one group
+  (:meth:`~repro.core.compiler.SdxCompiler.compile_prefix` — *only* the
+  clauses that can touch the prefix yield rules), and push the resulting
   rules at a priority above the main table. Sub-second, but the extra
   rules are redundant with what an optimal grouping would produce.
 * **Background re-optimisation**
   (:meth:`IncrementalEngine.background_recompile`): between bursts, run
   the full compiler, swap the main table, and reclaim every fast-path
   rule and ephemeral VNH.
+
+The engine is bookkeeping only — ephemeral VNHs, shadow priorities, the
+push and the swap; every clause → rule decision is the compiler's.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
-from repro.bgp.routeserver import BestRouteChange, Decision, RouteServer
-from repro.core.compiler import (
-    CompilationResult,
-    SdxCompiler,
-    clause_action,
-    compile_guarded_clauses,
-)
-from repro.core.composition import (
-    sequential_compose_indexed,
-    stack_fallback,
-    strip_drop_tail,
-)
-from repro.core.vnh import VnhAllocator
-from repro.core.vswitch import VirtualTopology
-from repro.dataplane.flowtable import FlowTable
+from repro.core.compiler import CompilationResult, SdxCompiler
 from repro.net.addresses import IPv4Prefix
-from repro.policy.classifier import Action, Classifier
+from repro.policy.classifier import Classifier
 from repro.policy.flowrules import to_flow_rules
-from repro.policy.policies import Conjunction, Predicate, match
-from repro.policy.predicates import match_any_value
 from repro.southbound.diff import Delta, PRIORITY_CEILING
 from repro.southbound.engine import SouthboundEngine
 from repro.telemetry import Telemetry
@@ -77,21 +66,12 @@ class RecompilePressure:
 class IncrementalEngine:
     """Owns the fast path and the background re-optimisation."""
 
-    def __init__(self, topology: VirtualTopology, route_server: RouteServer,
-                 allocator: VnhAllocator, compiler: SdxCompiler,
-                 table: FlowTable,
-                 southbound: Optional[SouthboundEngine] = None,
-                 telemetry: Optional[Telemetry] = None):
-        self.topology = topology
-        self.route_server = route_server
-        self.allocator = allocator
+    def __init__(self, compiler: SdxCompiler, southbound: SouthboundEngine,
+                 telemetry: Telemetry):
         self.compiler = compiler
-        self.table = table
-        self.southbound = (southbound if southbound is not None
-                           else SouthboundEngine(table, telemetry=telemetry))
-        self.telemetry = (telemetry if telemetry is not None
-                          else self.southbound.telemetry)
-        registry = self.telemetry.registry
+        self.southbound = southbound
+        self.telemetry = telemetry
+        registry = telemetry.registry
         self._fastpath_counter = registry.counter(
             "sdx_fastpath_invocations_total", "Fast-path bursts handled")
         self._fastpath_rules_counter = registry.counter(
@@ -135,7 +115,7 @@ class IncrementalEngine:
             self.southbound.flush()
             # Every rule tagged with a retired VMAC is gone: the allocator
             # may recycle the quarantined (VNH, VMAC) pairs from here on.
-            self.allocator.finish_swap()
+            self.compiler.allocator.finish_swap()
         self.installed = result
         self._fast_priority = FAST_PATH_BASE
         self.fast_path_rules_live = 0
@@ -144,11 +124,6 @@ class IncrementalEngine:
     # ------------------------------------------------------------------
     # Fast path
     # ------------------------------------------------------------------
-
-    def handle_changes(self, changes: Sequence[BestRouteChange]) -> FastPathResult:
-        """React to a burst of best-route changes, prefix by prefix."""
-        return self.handle_prefixes(
-            tuple(dict.fromkeys(change.prefix for change in changes)))
 
     def handle_prefixes(self, touched: Sequence[IPv4Prefix]) -> FastPathResult:
         """Fast-path recompilation for prefixes touched by an update.
@@ -177,58 +152,21 @@ class IncrementalEngine:
         return FastPathResult(prefixes=prefixes, rules_installed=installed,
                               seconds=elapsed)
 
-    def _resolved(self, participant, clause, views: dict):
-        from repro.core.dynamic import contains_dynamic, resolve_dynamic
-        if not contains_dynamic(clause.predicate):
-            return clause.predicate
-        view = views.get(participant.name)
-        if view is None:
-            view = self.route_server.view_for(participant.name)
-            views[participant.name] = view
-        return resolve_dynamic(clause.predicate, view)
-
-    def _fast_path_for_prefix(self, prefix: IPv4Prefix,
-                              views: Optional[dict] = None) -> int:
+    def _fast_path_for_prefix(self, prefix: IPv4Prefix, views: dict) -> int:
         """Allocate a fresh VNH for one prefix and install its rules."""
-        if views is None:
-            views = {}
+        allocator = self.compiler.allocator
         with self.telemetry.span("fastpath.prefix",
                                  prefix=str(prefix)) as span:
-            self.allocator.drop_ephemeral(prefix)
-            decision = self.route_server.decide(prefix)
+            allocator.drop_ephemeral(prefix)
+            decision = self.compiler.route_server.decide(prefix)
             if not decision.ranked:
                 # Fully withdrawn: routers drop the route themselves; the
                 # stale rules die at the next background re-optimisation.
                 return 0
-            _vnh, vmac = self.allocator.assign_ephemeral(prefix)
+            _vnh, vmac = allocator.assign_ephemeral(prefix)
             with self.telemetry.span("compile.fastpath"):
-                vmac_filter = match(dstmac=vmac)
-
-                default_layer = self._default_layer(vmac_filter, decision)
-                pairs: List[Tuple[Predicate, Tuple[Action, ...]]] = []
-                for participant in self.topology.participants():
-                    if participant.is_remote or not participant.outbound_clauses():
-                        continue
-                    ingress = match_any_value("port", participant.switch_ports)
-                    for clause in participant.outbound_clauses():
-                        resolved = self._resolved(participant, clause, views)
-                        if clause.drops:
-                            pairs.append((
-                                Conjunction((ingress, resolved, vmac_filter)), ()))
-                            continue
-                        target = str(clause.target)
-                        if not self.route_server.is_reachable(
-                                participant.name, prefix, via=target):
-                            continue
-                        predicate = Conjunction((ingress, resolved, vmac_filter))
-                        pairs.append((predicate, clause_action(
-                            clause, self.topology.vport(target))))
-                policy_layer = compile_guarded_clauses(pairs, default_layer)
-
-                stage1 = stack_fallback([policy_layer, default_layer])
-                composed = sequential_compose_indexed(
-                    stage1, self.installed.stage2)
-                rules = strip_drop_tail(composed)
+                rules = self.compiler.compile_prefix(
+                    prefix, vmac, decision, self.installed.stage2, views)
             if not rules:
                 return 0
             self._fast_priority += len(rules) + 1
@@ -238,40 +176,11 @@ class IncrementalEngine:
             span.set_tag(rules=len(flow_rules))
         return len(flow_rules)
 
-    def _default_layer(self, vmac_filter: Predicate,
-                       decision: Decision) -> Classifier:
-        """Default forwarding for the prefix's fresh singleton group."""
-        common = decision.ranked[0].learned_from
-        shared_pairs: List[Tuple[Predicate, Tuple[Action, ...]]] = [
-            (vmac_filter, (Action(port=self.topology.vport(common)),))]
-        exception_pairs: List[Tuple[Predicate, Tuple[Action, ...]]] = []
-        restricted = self.route_server.has_export_restrictions(common)
-        for participant in self.topology.participants():
-            if participant.is_remote:
-                continue
-            if participant.name != common and not restricted:
-                continue
-            best = decision.route_for(participant.name)
-            specific = None if best is None else best.learned_from
-            if specific == common:
-                continue
-            guard = Conjunction((
-                match_any_value("port", participant.switch_ports), vmac_filter))
-            if specific is None:
-                exception_pairs.append((guard, ()))
-            else:
-                exception_pairs.append(
-                    (guard, (Action(port=self.topology.vport(specific)),)))
-        return stack_fallback([
-            compile_guarded_clauses(exception_pairs, None),
-            compile_guarded_clauses(shared_pairs, None),
-        ])
-
     def pressure(self) -> RecompilePressure:
         """The current fast-path debt (rules, ephemeral VNHs, dirtiness)."""
         return RecompilePressure(
             fast_path_rules=self.fast_path_rules_live,
-            ephemeral_vnhs=len(self.allocator.ephemeral_prefixes()),
+            ephemeral_vnhs=len(self.compiler.allocator.ephemeral_prefixes()),
             dirty=self.dirty,
         )
 

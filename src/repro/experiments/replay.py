@@ -80,10 +80,11 @@ class TraceReplayer:
                 controller.run_background_recompilation()
                 stats.background_seconds.append(_time.perf_counter() - started)
                 stats.background_runs += 1
-            log_length = len(controller.fast_path_log)
+            invocations = controller.engine.fast_path_invocations
             controller.submit_update(event.update)
-            for entry in controller.fast_path_log[log_length:]:
-                stats.fast_path_seconds.append(entry.seconds)
+            if controller.engine.fast_path_invocations > invocations:
+                stats.fast_path_seconds.append(
+                    controller.fast_path_log[-1].seconds)
             stats.updates_replayed += 1
             stats.peak_extra_rules = max(
                 stats.peak_extra_rules,

@@ -66,9 +66,7 @@ class ClauseRegions:
 
 def clause_regions(clause: Clause) -> ClauseRegions:
     """Region summary for one clause (empty region set when dynamic)."""
-    from repro.core.dynamic import contains_dynamic
-
-    if contains_dynamic(clause.predicate):
+    if clause.dynamic:
         return ClauseRegions(clause=clause, regions=(), exact=False, dynamic=True)
     return ClauseRegions(
         clause=clause,

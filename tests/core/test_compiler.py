@@ -11,7 +11,7 @@ from repro.exceptions import CompilationError
 from repro.net.packet import Packet
 from repro.policy.classifier import Action, Classifier, Rule
 from repro.policy.headerspace import WILDCARD, HeaderSpace
-from repro.policy.policies import fwd, match, modify
+from repro.policy.policies import drop, fwd, match, modify
 
 from tests.core.scenarios import P1, P2, P3, P4, P5, figure1_controller, packet
 
@@ -246,3 +246,98 @@ class TestOnlyRulesThatCanFire:
         assert not any(
             later.is_drop and later.match == earlier.match
             for earlier, later in zip(rules, rules[1:]))
+
+
+class TestStageOneIsCompositional:
+    """What the fast path rests on: stage 1 built for one group alone is the
+    full table's stage 1 under that group's VMAC."""
+
+    @staticmethod
+    def slices(*extra_clauses):
+        """Per group of a compiled 40 x 400 exchange: its VMAC, stage 1
+        built for it alone, and the full table's stage 1 restricted to it.
+
+        The generated Section 6.1 mix only forwards on positive matches, so
+        a holder and a member without policies also get a drop, a drop
+        pinned to one prefix and ``extra_clauses(target)``.
+        """
+        from repro.core.composition import strip_drop_tail
+        from repro.workloads.policies import (
+            generate_policies, install_assignments)
+        from repro.workloads.topology import generate_ixp
+        ixp = generate_ixp(40, 400, seed=3)
+        sdx = ixp.build_controller(with_dataplane=False)
+        install_assignments(sdx, generate_policies(ixp, seed=4))
+        compiler = sdx.compiler
+        holder = compiler._policy_holders(sdx.topology.participants())[0]
+        target = holder.outbound_targets()[0]
+        pinned = sdx.route_server.reachable_prefixes(holder.name, via=target)[0]
+        for name in (holder.name, "AS1"):
+            sdx.participant(name).add_outbound(
+                (match(dstport=4321) >> drop)
+                + ((match(dstip=pinned) & match(dstport=4322)) >> drop))
+            for clause in extra_clauses:
+                sdx.participant(name).add_outbound(clause(target))
+        result = sdx.start()
+        participants = sdx.topology.participants()
+        holders = compiler._policy_holders(participants)
+        assert len(result.groups) > 20 and len(holders) == 3
+
+        def built(stage, name):
+            return result.reuse[stage, name][1]
+
+        def stacked(parts):
+            return [rule for part in parts for rule in strip_drop_tail(part)]
+
+        full_stage1 = stacked([built("outbound", p.name) for p in holders]
+                              + [built("defaults", None)])
+        _groups, trie, by_context = built("groups", None)
+        everywhere = compiler._eligibility(trie, by_context)
+
+        for group in result.groups:
+            vmac = sdx.allocator.vmac_for_group(group.group_id)
+            tag = HeaderSpace(dstmac=vmac)
+
+            def eligible(participant, target, dstip_limit=None):
+                tags = everywhere(participant, target, dstip_limit)
+                return (vmac,) if tags is None or vmac in tags else ()
+
+            defaults = compiler._defaults(
+                participants,
+                [(vmac, sdx.route_server.decide(group.representative))],
+                None, mac_learning=False)
+            alone = stacked(
+                [compiler._outbound_part(p, eligible, defaults, None, {})
+                 for p in holders] + [defaults])
+            under_tag = [
+                Rule(space, rule.actions) for rule in full_stage1
+                for space in [rule.match.intersect(tag)] if space is not None]
+            yield group, vmac, holders, alone, under_tag
+
+    def test_each_group_alone_gives_its_slice_of_the_full_table(self):
+        """Same rules, same order."""
+        for group, _vmac, _holders, alone, under_tag in self.slices():
+            assert alone == under_tag, group
+
+    def test_negation_agrees_packet_by_packet(self):
+        """A negation's masks are expanded against everything below the
+        clause — in the full table also under tags the clause is not
+        eligible for, where the copies repeat what lies below them. There
+        the rule lists differ, the first match of every packet does not."""
+        differ = 0
+        for group, vmac, holders, alone, under_tag in self.slices(
+                lambda target: (~match(srcport=7) & match(dstport=4323))
+                >> fwd(target)):
+            differ += alone != under_tag
+            one, whole = (Classifier(rules + [Rule(WILDCARD, ())])
+                          for rules in (alone, under_tag))
+            address = str(group.representative.first_address + 1)
+            ports = [p.switch_ports[0] for p in holders] + [39]
+            for port in ports:
+                for dstport in (80, 443, 4321, 4322, 4323, 22):
+                    for srcport in (7, 8):
+                        probe = packet(address, dstport=dstport, port=port,
+                                       srcport=srcport, dstmac=vmac)
+                        assert one.eval(probe) == whole.eval(probe), (
+                            group, probe)
+        assert differ

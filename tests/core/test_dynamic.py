@@ -54,6 +54,21 @@ class TestRibPrefixSet:
         assert resolved.holds(packet("60.0.0.1", dstport=80))
         assert not resolved.holds(packet("61.0.0.1", dstport=80))
 
+    def test_clause_decides_once_and_resolution_keeps_the_dstip_pin(self):
+        """``Clause.dynamic`` / ``Clause.dstip`` are read off the unresolved
+        predicate: a dynamic ``dstip`` node never resolves to a plain
+        ``match``, so resolving cannot change what the clause pins."""
+        from repro.core.clauses import clause_dstip, normalize_policy
+        sdx, edge = youtube_exchange()
+        dynamic, static = normalize_policy(
+            ((match(dstip="60.0.0.0/8") & rib_match(
+                "dstip", "as_path", r".*43515$")) >> fwd("Transcoder"))
+            + (match(dstport=80) >> fwd("Transit")))
+        assert dynamic.dynamic and not static.dynamic
+        assert static.dstip is None
+        assert dynamic.dstip == IPv4Prefix("60.0.0.0/8") == clause_dstip(
+            resolve_dynamic(dynamic.predicate, edge.rib))
+
     def test_static_predicate_passthrough(self):
         predicate = match(dstport=80)
         sdx, edge = youtube_exchange()

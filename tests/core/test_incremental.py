@@ -135,21 +135,82 @@ class TestBurstBehaviour:
         assert double > single
 
 
+def churned_exchange(updates=40, pin_last=False):
+    """A generated 12 x 120 exchange with the Section 6.1 policy mix after
+    ``updates`` trace updates, and the prefix each fast-path VMAC tags.
+    ``pin_last`` adds one clause pinned to the prefix announced last."""
+    from repro.policy.policies import fwd, match
+    from repro.workloads.policies import generate_policies, install_assignments
+    from repro.workloads.topology import generate_ixp
+    from repro.workloads.updates import generate_trace
+    ixp = generate_ixp(12, 120, seed=0)
+    sdx = ixp.build_controller()
+    install_assignments(sdx, generate_policies(ixp, seed=1))
+    events = generate_trace(ixp, seed=2, max_updates=updates)
+    if pin_last:
+        last = events[-1].update
+        holder = next(handle for handle in sdx.participants()
+                      if handle.name != last.sender)
+        holder.add_outbound(
+            match(dstip=last.announcements[0].prefix) >> fwd(last.sender))
+    sdx.start()
+    tagged = {}
+    for event in events:
+        sdx.submit_update(event.update)
+        for prefix in event.update.prefixes:
+            tagged[sdx.allocator.vmac_for_prefix(prefix)] = prefix
+    assert sdx.engine.fast_path_rules_live > 0
+    return sdx, tagged
+
+
 class TestFastPathInstallsNoDeadRules:
     def test_no_shadowed_rule_after_a_trace(self):
         """The fast path never ran a reduction pass, and composition
         followed every rule with same-match drops: more than half of the
         installed shadow rules could never fire (SDX010)."""
         from repro.statics.dataplane import analyze_controller_dataplane
-        from repro.workloads.policies import generate_policies, install_assignments
-        from repro.workloads.topology import generate_ixp
-        from repro.workloads.updates import generate_trace
-        ixp = generate_ixp(12, 120, seed=0)
-        sdx = ixp.build_controller()
-        install_assignments(sdx, generate_policies(ixp, seed=1))
-        sdx.start()
-        for event in generate_trace(ixp, seed=2, max_updates=40):
-            sdx.submit_update(event.update)
-        assert sdx.engine.fast_path_rules_live > 0
+        sdx, _tagged = churned_exchange()
         report = analyze_controller_dataplane(sdx)
         assert [d for d in report.sorted() if d.check_id == "SDX010"] == []
+
+    def test_no_rule_pinned_to_another_prefix(self):
+        """A clause pinned to ``dstip=q`` cannot fire under the VMAC of a
+        prefix disjoint from ``q`` — the full compiler never emitted such a
+        rule; the fast path's own clause loop did."""
+        sdx, tagged = churned_exchange(pin_last=True)
+        pinned = [rule for rule in sdx.table.rules
+                  if rule.priority > FAST_PATH_BASE
+                  and rule.match.get("dstip") is not None]
+        assert pinned
+        for rule in pinned:
+            prefix = tagged[rule.match.get("dstmac")]
+            assert rule.match.get("dstip").overlaps(prefix), (rule, prefix)
+
+
+class TestFastPathLeavesTheMemoAlone:
+    def test_reuse_entries_survive_an_update(self):
+        """The fast path runs the compiler's builders outside a
+        compilation; going through the memo there would overwrite the
+        installed result's entries with singleton blocks."""
+        sdx, *_ = figure1_controller()
+        sdx.start()
+        before = dict(sdx.last_compilation.reuse)
+        assert ("outbound", "A") in before
+        sdx.withdraw_route("C", P1)
+        sdx.announce_route("B", P4, AsPath([65002, 500]))
+        after = sdx.last_compilation.reuse
+        assert after.keys() == before.keys()
+        assert all(after[key] is before[key] for key in before)
+
+
+class TestFastPathLogIsBounded:
+    def test_log_keeps_a_window_not_a_history(self):
+        from repro.core.controller import FAST_PATH_LOG_SIZE
+        sdx, *_ = figure1_controller(with_dataplane=False)
+        sdx.start()
+        paths = (AsPath([65003, 100]), AsPath([65003, 101]))
+        for index in range(5000):
+            sdx.announce_route("C", P1, paths[index % 2])
+        assert sdx.engine.fast_path_invocations == 5000
+        assert len(sdx.fast_path_log) == FAST_PATH_LOG_SIZE < 5000
+        assert sdx.fast_path_log[-1].prefixes == (P1,)

@@ -88,6 +88,24 @@ class TestDocFiles:
         for bench in bench_dir.glob("bench_fig*.py"):
             assert bench.name in text or bench.stem.split("_")[1] in text
 
+    def test_design_lists_exactly_the_core_modules(self):
+        """The ``core/`` block of DESIGN.md's tree names the files that
+        exist — no row for a deleted module, none missing."""
+        lines = (REPO_ROOT / "DESIGN.md").read_text().splitlines()
+        start = next(index for index, line in enumerate(lines)
+                     if line.startswith("  core/"))
+        listed = set()
+        for line in lines[start + 1:]:
+            if not line.startswith("    "):
+                break
+            first = line.split()[0]
+            if line[4] != " " and first.endswith(".py"):
+                listed.add(first)
+        on_disk = {path.name for path in
+                   (REPO_ROOT / "src" / "repro" / "core").glob("*.py")
+                   if path.name != "__init__.py"}
+        assert listed == on_disk
+
     def test_api_doc_generator_runs_clean(self, tmp_path):
         import tools.gen_api_docs as generator
         original = generator.OUTPUT

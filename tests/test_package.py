@@ -1,9 +1,48 @@
 """Tests for the top-level package surface and the exception hierarchy."""
 
+import ast
+import pathlib
+
 import pytest
 
 import repro
 from repro import exceptions
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def imported_modules(path):
+    """Every dotted name a file imports (``from a import b`` gives ``a`` and
+    ``a.b``: ``b`` may be a submodule)."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            found.add(node.module)
+            found.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return found
+
+
+class TestNoOrphanModules:
+    def test_every_module_is_imported_somewhere(self):
+        """A module nothing imports is dead however well documented —
+        ``core/isolation.py`` and ``core/augmentation.py`` were the
+        transformations' documented home for 17 PRs and ran nowhere."""
+        src = REPO_ROOT / "src"
+        modules = {
+            ".".join(path.relative_to(src).with_suffix("").parts): path
+            for path in src.rglob("*.py")
+            if path.stem not in ("__init__", "__main__")}
+        imports = {
+            path: imported_modules(path)
+            for top in ("src", "tests", "examples", "benchmarks")
+            for path in (REPO_ROOT / top).rglob("*.py")}
+        orphans = sorted(
+            name for name, own in modules.items()
+            if not any(name in found for path, found in imports.items()
+                       if path != own))
+        assert orphans == []
 
 
 class TestLazyExports:
