@@ -14,6 +14,7 @@ policy API exposes to participants as ``RIB.filter('as_path', ...)``).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Generic, Iterable, Iterator, List, Optional, Tuple, TypeVar, Union
 
@@ -24,6 +25,51 @@ from repro.exceptions import BgpError
 from repro.net.addresses import IPv4Address, IPv4Prefix
 
 ValueT = TypeVar("ValueT")
+KeyT = TypeVar("KeyT")
+
+#: How many keys a :class:`ChangeLog` remembers the last change of.
+CHANGE_LOG_SIZE = 4096
+
+
+class ChangeLog(Generic[KeyT]):
+    """A version counter that remembers which keys it moved for.
+
+    :meth:`since` names the keys changed after a version — or answers
+    ``None`` for *unknown*: something unnamed changed (:meth:`record` with
+    no keys), or the version lies further back than the
+    :data:`CHANGE_LOG_SIZE` keys remembered. One entry per key, the version
+    of its last change, oldest first: bounded state, not history.
+    """
+
+    def __init__(self) -> None:
+        self.version = 0
+        self._changed_at: "OrderedDict[KeyT, int]" = OrderedDict()
+        self._known_from = 0
+
+    def record(self, keys: Optional[Iterable[KeyT]] = None) -> None:
+        """One change, to ``keys`` — or, with none given, to anything."""
+        self.version += 1
+        keys = None if keys is None else list(keys)
+        if keys is None or len(keys) > CHANGE_LOG_SIZE:
+            self._changed_at.clear()
+            self._known_from = self.version
+            return
+        for key in keys:
+            self._changed_at[key] = self.version
+            self._changed_at.move_to_end(key)
+        while len(self._changed_at) > CHANGE_LOG_SIZE:
+            self._known_from = self._changed_at.popitem(last=False)[1]
+
+    def since(self, version: int) -> Optional[List[KeyT]]:
+        """The keys changed after ``version``, latest first; ``None``: unknown."""
+        if version < self._known_from:
+            return None
+        changed: List[KeyT] = []
+        for key, at in reversed(self._changed_at.items()):
+            if at <= version:
+                break
+            changed.append(key)
+        return changed
 
 
 class PrefixTrie(Generic[ValueT]):
@@ -38,6 +84,13 @@ class PrefixTrie(Generic[ValueT]):
         # One {masked_network_int: (prefix, value)} map per prefix length.
         self._by_length: Dict[int, Dict[int, Tuple[IPv4Prefix, ValueT]]] = {}
         self._size = 0
+
+    def copy(self) -> "PrefixTrie[ValueT]":
+        """An independent trie holding the same entries."""
+        twin: "PrefixTrie[ValueT]" = PrefixTrie()
+        twin._by_length = {n: dict(table) for n, table in self._by_length.items()}
+        twin._size = self._size
+        return twin
 
     def insert(self, prefix: IPv4Prefix, value: ValueT) -> None:
         """Store ``value`` under ``prefix``, replacing any previous value."""

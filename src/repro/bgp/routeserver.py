@@ -30,7 +30,7 @@ from typing import (
 
 from repro.bgp.decision import rank_routes
 from repro.bgp.messages import Update, Withdrawal
-from repro.bgp.rib import AdjRibIn, RibView, RouteEntry
+from repro.bgp.rib import AdjRibIn, ChangeLog, RibView, RouteEntry
 from repro.bgp.session import BgpSession
 from repro.exceptions import BgpError, ParticipantError
 from repro.net.addresses import IPv4Address, IPv4Prefix
@@ -163,13 +163,18 @@ class RouteServer:
         self._update_listeners: List[UpdateListener] = []
         self._next_hop_rewriter: Optional[NextHopRewriter] = None
         self.updates_processed = 0
-        #: Monotone counter bumped by every mutation that can change a
-        #: ``best_route_for`` / ``route_exported`` answer — RIB writes
-        #: (diffed or silent) and export-policy edits. Cheap cache key
-        #: for derived views of routing state (the dataplane verifier's
-        #: committed-space provider memoizes on it).
-        self.state_version = 0
+        #: Every mutation that can change a ``decide`` / ``route_exported``
+        #: answer: a RIB write (diffed or silent) names the prefixes whose
+        #: entry changed; a bulk table transfer, an export-policy edit or a
+        #: peering change nothing ("anything"). What is derived from routing —
+        #: grouping, defaults, committed spaces, re-advertisement — follows it.
+        self.rib_changes: ChangeLog[IPv4Prefix] = ChangeLog()
         self._last_down_changes: List[BestRouteChange] = []
+
+    @property
+    def state_version(self) -> int:
+        """The version counter of :attr:`rib_changes`."""
+        return self.rib_changes.version
 
     # ------------------------------------------------------------------
     # Peering management
@@ -185,6 +190,7 @@ class RouteServer:
         self._peer_names = frozenset(self._sessions)
         self._adj_in[name] = AdjRibIn(name)
         self._peers_by_asn.setdefault(asn, []).append(name)
+        self.rib_changes.record()
         if connect:
             session.connect()
         return session
@@ -203,6 +209,7 @@ class RouteServer:
         self._peers_by_asn[session.asn].remove(name)
         self._export_deny.pop(name, None)
         self._export_allow.pop(name, None)
+        self.rib_changes.record()
         self._notify(update, changes)
         return changes
 
@@ -292,7 +299,7 @@ class RouteServer:
         """
         if announcer not in self._sessions:
             raise ParticipantError(f"unknown peer {announcer!r}")
-        self.state_version += 1
+        self.rib_changes.record()
         self._export_deny[announcer] = set(deny)
         self._export_allow[announcer] = None if allow is None else set(allow)
 
@@ -400,27 +407,31 @@ class RouteServer:
             if not session.is_established:
                 raise BgpError(f"bulk load from unestablished peer {update.sender!r}")
             session.note_update(update)
-            self._apply_silent(update)
+            self._apply_silent(update, named=False)
             count += 1
+        # A table transfer is one unnamed change: what follows it starts over.
+        self.rib_changes.record()
         return count
 
-    def _apply_silent(self, update: Update) -> None:
+    def _apply_silent(self, update: Update, named: bool = True) -> None:
         """Apply one update to the Adj-RIB-In with no diffing or notify.
 
         Shared by :meth:`bulk_load` (initial table transfer) and
         :meth:`inject_unnotified` (chaos stuck-route injection).
         """
         self._count_update(update)
-        self._apply(update)
+        self._apply(update, named)
         self.updates_processed += 1
 
-    def _apply(self, update: Update) -> List[IPv4Prefix]:
+    def _apply(self, update: Update, named: bool = True) -> List[IPv4Prefix]:
         """Write ``update`` into the sender's Adj-RIB-In and the announcer
-        index; returns the prefixes whose entry actually changed."""
-        self.state_version += 1
+        index; returns the prefixes whose entry actually changed — which
+        the change log is told, unless the caller records the change."""
         self._note_community_filters(update)
         adj = self._adj_in[update.sender]
         changed = adj.apply(update)
+        if named:
+            self.rib_changes.record(changed)
         for prefix in changed:
             announcers = self._announcers.setdefault(prefix, set())
             if adj.route(prefix) is None:
@@ -615,6 +626,12 @@ class RouteServer:
     def announced_by(self, participant: str) -> Tuple[IPv4Prefix, ...]:
         """Prefixes currently announced by ``participant``."""
         return tuple(sorted(self._adj_in[participant].prefixes()))
+
+    def announced_set(self, participant: str) -> Iterable[IPv4Prefix]:
+        """:meth:`announced_by` unordered, for callers that only take unions."""
+        if participant not in self._adj_in:
+            raise ParticipantError(f"unknown peer {participant!r}")
+        return self._adj_in[participant].prefixes()
 
     def routes_from(self, participant: str) -> Tuple[RouteEntry, ...]:
         """Every route ``participant`` currently announces, sorted."""

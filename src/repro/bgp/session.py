@@ -26,7 +26,8 @@ route server applies through its normal decision/notify pipeline.
 from __future__ import annotations
 
 import enum
-from typing import Callable, FrozenSet, List, Optional
+from collections import deque
+from typing import Callable, Deque, FrozenSet, List, Optional
 
 from repro.bgp.messages import Update, Withdrawal
 from repro.exceptions import SessionStateError
@@ -44,6 +45,10 @@ class SessionState(enum.Enum):
 
 #: States a session may be torn down from (reset or fail).
 _UP_STATES = (SessionState.OPEN_SENT, SessionState.ESTABLISHED)
+
+#: How many of the latest updates each of a session's two logs keeps — a
+#: window for inspection, not a history: memory stays flat under churn.
+SESSION_LOG_SIZE = 256
 
 #: Hook invoked with (implied withdrawal, reason) on every teardown.
 #: The route server wires this to its RIB-flush pipeline so a session
@@ -72,8 +77,8 @@ class BgpSession:
         self.failures = 0
         self._on_update = on_update
         self._on_down = on_down
-        self._sent_log: List[Update] = []
-        self._received_log: List[Update] = []
+        self._sent_log: Deque[Update] = deque(maxlen=SESSION_LOG_SIZE)
+        self._received_log: Deque[Update] = deque(maxlen=SESSION_LOG_SIZE)
         self._announced: set = set()
 
     def open(self) -> None:
@@ -141,12 +146,12 @@ class BgpSession:
 
     @property
     def sent_log(self) -> List[Update]:
-        """Updates sent on this session, oldest first."""
+        """The latest updates sent on this session, oldest first."""
         return list(self._sent_log)
 
     @property
     def received_log(self) -> List[Update]:
-        """Updates received on this session, oldest first."""
+        """The latest updates received on this session, oldest first."""
         return list(self._received_log)
 
     @property

@@ -24,8 +24,8 @@ Runs the four syntactic transformations of Section 4.1 with the Section
 Every stage is reused from the previous compilation when what it reads
 has not changed (:meth:`SdxCompiler._reuse`, the paper's "memoize all the
 intermediate compilation results"): a one-clause policy change rebuilds
-one participant's block, a BGP update grouping and defaults but no
-inbound pipeline.
+one participant's block; a BGP update patches grouping and the default
+layer for the prefixes it named and touches no inbound pipeline.
 
 Flags:
 
@@ -66,8 +66,9 @@ from repro.core.defaults import (
     build_default_forwarding,
     build_participant_defaults,
     ingress_guard,
+    mac_learning_clauses,
 )
-from repro.core.fec import ContextId, PrefixGroup, compute_prefix_groups
+from repro.core.fec import ContextId, Grouping, PrefixGroup, compute_prefix_groups
 from repro.core.participant import Participant
 from repro.core.vnh import VnhAllocator
 from repro.core.vswitch import VirtualTopology
@@ -75,6 +76,7 @@ from repro.exceptions import CompilationError
 from repro.net.addresses import IPv4Prefix
 from repro.net.mac import MacAddress
 from repro.policy.classifier import Action, Classifier, ComposeStats, Rule
+from repro.policy.headerspace import WILDCARD
 from repro.policy.optimize import ShadowIndex, merge_drop_tail, remove_shadowed
 from repro.policy.policies import Conjunction, Predicate, match
 from repro.policy.predicates import match_any_prefix, match_any_value
@@ -82,7 +84,7 @@ from repro.telemetry import Telemetry
 
 #: The stages :meth:`SdxCompiler._reuse` carries from one compilation to
 #: the next (the ``stage`` label of ``sdx_compile_reuse_total``).
-REUSE_STAGES = ("rankings", "groups", "defaults", "inbound", "stage2",
+REUSE_STAGES = ("groups", "defaults", "inbound", "stage2",
                 "outbound", "composition", "reduction")
 
 #: Env var (milliseconds) that injects a synthetic sleep into every
@@ -246,6 +248,7 @@ class SdxCompiler:
         # compilation) and the stages it had to rebuild.
         self._kept: Optional[dict] = None
         self._rebuilt: set = set()
+        self._work: Dict[str, int] = {}
         # Lazily materialised Loc-RIB views for dynamic predicates,
         # valid for one compilation only.
         self._rib_views: Dict[str, object] = {}
@@ -272,11 +275,12 @@ class SdxCompiler:
         """Run the full pipeline against current state."""
         with self.telemetry.span("compile") as span:
             self._kept, self._rebuilt = {}, set()
+            self._work = dict(dirty_prefixes=0, groups_rebuilt=0)
             try:
                 result = self._compile(span)
             finally:
                 self._kept = None
-            span.set_tag(rebuilt=",".join(sorted(self._rebuilt)))
+            span.set_tag(rebuilt=",".join(sorted(self._rebuilt)), **self._work)
         self._last = weakref.ref(result)
         self._compiles_counter.inc()
         self._compile_latency.observe(result.timings["total"])
@@ -284,16 +288,18 @@ class SdxCompiler:
         return result
 
     def _reuse(self, stage: str, name: Optional[str], inputs: Any,
-               build: Callable[[], Any]) -> Any:
+               build: Callable[..., Any], patch: bool = False) -> Any:
         """``build()`` — or what it returned last time, if ``inputs`` equal
         what it was built from then. The compiler's one memo.
 
         ``inputs`` must hold everything ``build`` reads, by value (an
         earlier stage's result stands for itself: classifiers compare by
         identity); ``None`` opts out, for RIB-tracking predicates that
-        resolve anew every time. A compilation carries on only the entries
-        it asks for; outside one, the latest result's entries are read and
-        extended in place.
+        resolve anew every time. A stage that can ``patch`` is handed the
+        kept entry, ``(inputs, result)`` or ``None``, to start from what
+        still holds of it — copying what it changes: the entry stays the
+        previous result's. A compilation carries on only the entries it asks
+        for; outside one, the latest result's are read and extended in place.
         """
         last = self._last()
         previous = last.reuse if last is not None else {}
@@ -301,7 +307,7 @@ class SdxCompiler:
         hit = (inputs is not None and entry is not None
                and entry[0] == inputs)
         if not hit:
-            entry = (inputs, build())
+            entry = (inputs, build(entry) if patch else build())
             self._rebuilt.add(stage)
         (previous if self._kept is None else self._kept)[stage, name] = entry
         self._reuse_counters[stage, hit].inc()
@@ -333,35 +339,22 @@ class SdxCompiler:
             time.sleep(float(delay_ms) / 1000.0)
 
         participants = self.topology.participants()
-        # Everything grouping and defaults read of routing and membership.
-        routing = (self.route_server.state_version, tuple(
-            (p.name, p.asn, p.switch_ports) for p in participants))
+        # What grouping and defaults read of membership; what they read of
+        # routing they follow through the route server's change log.
+        members = tuple((p.name, p.asn, p.switch_ports) for p in participants)
 
         with self._stage("fec", timings):
-            groups, trie, by_context = self._grouping(participants, routing)
+            groups, grouping, by_context = self._grouping(participants, members)
 
         with self._stage("vnh", timings):
             if self.use_vnh:
                 self.allocator.assign_groups(groups)
 
-        def entries() -> List[Entry]:
-            # What stage 1 is built over, one (tag, Decision) per group —
-            # decided only when a stage that reads them is rebuilt.
-            return [(self.allocator.vmac_for_group(group.group_id),
-                     self.route_server.decide(group.representative))
-                    for group in groups]
-
         with self._stage("defaults", timings):
-            defaults_classifier = self._reuse(
-                "defaults", None,
-                (routing, tuple(
-                    (group.ranked_announcers, group.representative,
-                     self.allocator.vmac_for_group(group.group_id))
-                    for group in groups)),
-                lambda: self._defaults(participants, entries(), stats))
+            defaults_classifier = self._defaults(participants, members, groups, stats)
 
         with self._stage("outbound", timings):
-            eligible = self._eligibility(trie, by_context)
+            eligible = self._eligibility(grouping.signatures, by_context)
             # One block per policy holder, then (``None``) the default layer.
             owners = [*self._policy_holders(participants), None]
             if self.optimized:
@@ -369,7 +362,10 @@ class SdxCompiler:
                                              stats) for p in owners[:-1]]
                 parts.append(defaults_classifier)
             else:
-                parts = self._naive_out_parts(entries(), eligible, stats)
+                parts = self._naive_out_parts([
+                    (self.allocator.vmac_for_group(group.group_id),
+                     self.route_server.decide(group.representative))
+                    for group in groups], eligible, stats)
 
         with self._stage("inbound", timings):
             inbound_parts = self._inbound_parts(stats)
@@ -381,11 +377,11 @@ class SdxCompiler:
                 # ``>>`` maps stage-1 rules one at a time, so it distributes
                 # over the disjoint stack: compose block by block.
                 blocks = [
-                    self._reuse("composition", owner and owner.name,
-                                (part, stage2),
+                    self._reuse("composition", owner.name, (part, stage2),
                                 lambda: sequential_compose_indexed(
                                     part, stage2, stats))
-                    for owner, part in zip(owners, parts)]
+                    for owner, part in zip(owners, parts[:-1])]
+                blocks.append(self._composed_defaults(parts[-1], stage2, stats))
                 report.stage1_rules = sum(map(len, parts))
                 report.stage2_rules = len(stage2)
                 report.final_rules = sum(map(len, blocks))
@@ -406,31 +402,40 @@ class SdxCompiler:
     # Pipeline pieces
     # ------------------------------------------------------------------
 
-    def _grouping(self, participants: Sequence[Participant], routing: tuple
-                  ) -> Tuple[List[PrefixGroup], PrefixTrie, dict]:
-        """The prefix groups, a prefix -> group id trie and the groups
-        eligible under each outbound context — reused while routing and the
-        set of contexts stand. A first clause toward a new target regroups,
-        but on the ranking signatures kept since routing last changed."""
+    def _grouping(self, participants: Sequence[Participant], members: tuple
+                  ) -> Tuple[List[PrefixGroup], Grouping, dict]:
+        """The prefix groups, what they were grouped on (which finds the
+        groups a ``dstip`` overlaps) and the groups eligible under each
+        outbound context — patched for the prefixes the route server's log
+        names since they were built and those a context that appeared or
+        vanished reaches; from scratch on a membership or unnamed change."""
         if not self.use_vnh:
-            return [], PrefixTrie(), {}
-        rankings = self._reuse("rankings", None, routing, dict)
-
-        def build():
-            groups = compute_prefix_groups(
-                participants, self.route_server, rankings)
-            trie: "PrefixTrie[int]" = PrefixTrie()
-            by_context: Dict[ContextId, List[PrefixGroup]] = {}
-            for group in groups:
-                for prefix in group.prefixes:
-                    trie.insert(prefix, group.group_id)
-                for context in group.contexts:
-                    by_context.setdefault(context, []).append(group)
-            return groups, trie, by_context
-
+            return [], Grouping(), {}
+        log = self.route_server.rib_changes
         contexts = frozenset((p.name, target) for p in participants
                              for target in p.outbound_targets())
-        return self._reuse("groups", None, (routing, contexts), build)
+
+        def build(previous: Optional[tuple]) -> tuple:
+            grouping, dirty = Grouping(), None
+            if previous is not None and previous[0][1] == members:
+                dirty = log.since(previous[0][0])
+            if dirty is not None:
+                grouping = previous[1][1].copy()
+                dirty = set(dirty).union(*(
+                    self.route_server.reachable_prefix_set(holder, via=target)
+                    for holder, target in previous[0][2] ^ contexts))
+            groups = compute_prefix_groups(
+                participants, self.route_server, grouping, dirty)
+            self._work["dirty_prefixes"] = (
+                len(grouping.signatures) if dirty is None else len(dirty))
+            by_context: Dict[ContextId, List[PrefixGroup]] = {}
+            for group in groups:
+                for context in group.contexts:
+                    by_context.setdefault(context, []).append(group)
+            return groups, grouping, by_context
+
+        return self._reuse("groups", None, (log.version, members, contexts),
+                           build, patch=True)
 
     @staticmethod
     def _policy_holders(participants: Sequence[Participant]
@@ -440,23 +445,94 @@ class SdxCompiler:
                 if not p.is_remote and p.outbound_clauses()]
 
     @staticmethod
-    def _default_layers(layers: Iterable[Iterable[Clause]],
-                        stats: Optional[ComposeStats]) -> Classifier:
-        """Default clauses — priority layers, top first — as a classifier."""
-        return stack_fallback([
-            compile_guarded_clauses(
-                ((c.predicate, clause_action(c, c.target)) for c in layer),
-                None, stats)
-            for layer in layers])
+    def _clause_rules(clauses: Iterable[Clause],
+                      stats: Optional[ComposeStats]) -> Tuple[Rule, ...]:
+        """Default clauses, top first, as rules. They match positively —
+        no masks to expand against what lies below — so each stands alone."""
+        return tuple(
+            rule for clause in clauses for rule in compile_clause_rules(
+                clause.predicate, clause_action(clause, clause.target), None,
+                stats))
 
-    def _defaults(self, participants: Sequence[Participant],
-                  entries: Iterable[Entry], stats: Optional[ComposeStats],
-                  mac_learning: bool = True) -> Classifier:
-        return self._default_layers(build_default_forwarding(
-            participants, entries, self.topology, self.route_server,
-            mac_learning), stats)
+    def _default_pieces(self, participants: Sequence[Participant],
+                        entries: Iterable[Entry],
+                        stats: Optional[ComposeStats]) -> List[tuple]:
+        """Per entry, its (exception rules, shared rules)."""
+        layers = list(build_default_forwarding(
+            participants, entries, self.topology, self.route_server))
+        # One layer after the other: like clauses compile faster together.
+        return list(zip(
+            [self._clause_rules(above, stats) for above, _shared in layers],
+            [self._clause_rules(shared, stats) for _above, shared in layers]))
 
-    def _eligibility(self, trie: PrefixTrie,
+    @staticmethod
+    def _stack_pieces(pieces: Iterable[tuple],
+                      below: Iterable[Rule] = ()) -> Classifier:
+        """The default layer of ``pieces``: every exception over every
+        shared rule, then ``below`` and the catch-all drop."""
+        pieces = list(pieces)
+        return Classifier([
+            *(rule for exceptions, _shared in pieces for rule in exceptions),
+            *(rule for _exceptions, shared in pieces for rule in shared),
+            *below, Rule(WILDCARD, ())])
+
+    def _defaults(self, participants: Sequence[Participant], members: tuple,
+                  groups: Sequence[PrefixGroup],
+                  stats: Optional[ComposeStats]) -> Classifier:
+        """The default layer, group by group. A group's piece — what its
+        ``Decision`` comes to under its tag — is kept while its VMAC, its
+        ranking signature and whether its best announcer restricts exports
+        (sticky and announcer-wide: one community-bearing announcement
+        changes other groups' clauses) stand, so only new or changed groups
+        are decided; none is kept across a membership or unnamed change."""
+        log = self.route_server.rib_changes
+        tags = tuple(
+            (self.allocator.vmac_for_group(group.group_id),
+             (group.signature[1], self.route_server.has_export_restrictions(
+                 group.ranked_announcers[0])))
+            for group in groups)
+
+        def build(previous: Optional[tuple]) -> tuple:
+            kept: dict = {}
+            if (previous is not None and previous[0][1] == members
+                    and log.since(previous[0][0]) is not None):
+                if previous[0][2] == tags:
+                    return previous[1]  # same pieces, same order
+                kept = previous[1][1]
+            pieces = {vmac: kept.get(vmac) for vmac, _basis in tags}
+            missing = [(vmac, basis, group)
+                       for (vmac, basis), group in zip(tags, groups)
+                       if pieces[vmac] is None or pieces[vmac][0] != basis]
+            self._work["groups_rebuilt"] = len(missing)
+            for (vmac, basis, _group), piece in zip(
+                    missing, self._default_pieces(participants, (
+                        (vmac, self.route_server.decide(group.representative))
+                        for vmac, _basis, group in missing), stats)):
+                pieces[vmac] = (basis, piece)
+            learning = (previous[1][2] if kept else self._clause_rules(
+                mac_learning_clauses(participants, self.topology), stats))
+            return (self._stack_pieces(
+                (piece for _basis, piece in pieces.values()), learning),
+                pieces, learning)
+
+        return self._reuse("defaults", None, (log.version, members, tags),
+                           build, patch=True)[0]
+
+    def _composed_defaults(self, part: Classifier, stage2: Classifier,
+                           stats: Optional[ComposeStats]) -> Classifier:
+        """The default layer through stage 2 — rule by rule, so what the
+        kept composition with the same stage 2 made of a rule stands."""
+        def build(previous: Optional[tuple]) -> tuple:
+            kept = (previous[1][1] if previous is not None
+                    and previous[0][1] is stage2 else None)
+            by_rule: dict = {}
+            return sequential_compose_indexed(
+                part, stage2, stats, kept, by_rule), by_rule
+
+        return self._reuse("composition", None, (part, stage2), build,
+                           patch=True)[0]
+
+    def _eligibility(self, signatures: PrefixTrie,
                      by_context: dict) -> Callable[..., Optional[tuple]]:
         """(participant, target, optional dstip constraint) -> the tags a
         clause toward ``target`` may match: the VMACs of the eligible prefix
@@ -475,23 +551,24 @@ class SdxCompiler:
                 return reachable
             eligible = by_context.get((participant, target), ())
             if dstip_limit is not None:
-                allowed = self._groups_overlapping(trie, dstip_limit)
-                eligible = [g for g in eligible if g.group_id in allowed]
+                allowed = self._groups_overlapping(signatures, dstip_limit)
+                eligible = [g for g in eligible if g.signature in allowed]
             return tuple(self.allocator.vmac_for_group(g.group_id)
                          for g in eligible)
 
         return tags
 
     @staticmethod
-    def _groups_overlapping(group_trie: "PrefixTrie[int]", dstip_limit) -> set:
-        """Group ids whose prefixes overlap ``dstip_limit``: the groups of
-        the stored prefixes that contain it and of those it contains."""
-        allowed = {group_id
-                   for _prefix, group_id in group_trie.covering(dstip_limit)}
+    def _groups_overlapping(signatures: PrefixTrie, dstip_limit) -> set:
+        """The signatures of the groups whose prefixes overlap
+        ``dstip_limit``: those of the stored prefixes that contain it and
+        of those it contains."""
+        allowed = {signature
+                   for _prefix, signature in signatures.covering(dstip_limit)}
         if dstip_limit.length < 32:
             allowed.update(
-                group_id
-                for _prefix, group_id in group_trie.covered_by(dstip_limit))
+                signature
+                for _prefix, signature in signatures.covered_by(dstip_limit))
         return allowed
 
     def _resolved_predicate(self, participant: Participant, clause: Clause,
@@ -590,8 +667,8 @@ class SdxCompiler:
             return (vmac,)
 
         participants = self.topology.participants()
-        defaults = self._defaults(
-            participants, [(vmac, decision)], None, mac_learning=False)
+        defaults = self._stack_pieces(self._default_pieces(
+            participants, [(vmac, decision)], None))
         parts = [self._outbound_part(p, eligible, defaults, None, views)
                  for p in self._policy_holders(participants)]
         return strip_drop_tail(sequential_compose_indexed(
@@ -611,10 +688,10 @@ class SdxCompiler:
         for participant in participants:
             if participant.is_remote:
                 continue
-            defaults_classifier = self._default_layers(
-                [build_participant_defaults(
-                    participant, participants, entries, self.topology)],
-                stats)
+            defaults_classifier = self._stack_pieces([((), self._clause_rules(
+                build_participant_defaults(
+                    participant, participants, entries, self.topology),
+                stats))])
             layers: List[Classifier] = []
             if participant.outbound_clauses():
                 layers.append(self._outbound_part(

@@ -20,7 +20,7 @@ the ablation benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.policy.classifier import (
     Action,
@@ -72,7 +72,10 @@ def stack_disjoint(parts: Sequence[Classifier]) -> Classifier:
 
 
 def sequential_compose_indexed(left: Classifier, right: Classifier,
-                               stats: Optional[ComposeStats] = None) -> Classifier:
+                               stats: Optional[ComposeStats] = None,
+                               kept: Optional[Dict[int, tuple]] = None,
+                               by_rule: Optional[Dict[int, tuple]] = None
+                               ) -> Classifier:
     """``left >> right`` with stage-2 rules indexed by their port guard.
 
     Semantically identical to
@@ -81,6 +84,12 @@ def sequential_compose_indexed(left: Classifier, right: Classifier,
     skips (rule, rule) pairs whose port constraints are provably
     incompatible. Actions that leave the port unset fall back to scanning
     every right rule.
+
+    ``by_rule``, when given, collects ``id(rule) -> (rule, what it
+    became)`` for every left rule, and ``kept`` — an earlier call's
+    ``by_rule`` for the same ``right`` — answers for the rule *objects* it
+    holds (an entry keeps its rule alive, so an id names one rule; hashing
+    a default layer by value would cost more than composing what changed).
     """
     if stats is not None:
         stats.sequential_ops += 1
@@ -91,7 +100,12 @@ def sequential_compose_indexed(left: Classifier, right: Classifier,
 
     out: List[Rule] = []
     for rule_l in left.rules:
-        out.extend(sequence_rule(rule_l, candidates, stats))
+        entry = kept.get(id(rule_l)) if kept else None
+        if entry is None:
+            entry = (rule_l, sequence_rule(rule_l, candidates, stats))
+        if by_rule is not None:
+            by_rule[id(rule_l)] = entry
+        out.extend(entry[1])
     return Classifier(out)
 
 

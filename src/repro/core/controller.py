@@ -22,6 +22,7 @@ makes it an explicit, deterministic call).
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import (
@@ -157,7 +158,8 @@ class SdxController:
         self.engine = IncrementalEngine(
             self.compiler, self.southbound, self.telemetry)
         self.dataplane_verifier = None
-        self._committed_spaces_cache: Optional[Tuple[Tuple[int, int], list]] = None
+        self._committed_spaces_cache: Optional[tuple] = None
+        self._advertised_at: Optional[List[int]] = None
         if dataplane_statics_mode != "off":
             # Verifies every southbound apply window against the installed
             # table (SDX010-SDX014); strict mode rolls offending windows
@@ -185,23 +187,47 @@ class SdxController:
         self.route_server.add_update_listener(self._on_update)
         self.route_server.set_next_hop_rewriter(self._rewrite_next_hop)
 
+    def _changed_since(self, versions: Optional[List[int]]
+                       ) -> Tuple[List[int], Optional[set]]:
+        """The versions of the route server's and the allocator's change
+        logs now, and the prefixes either names since ``versions`` — whose
+        routes or whose tag moved; ``None`` when either cannot say."""
+        logs = (self.route_server.rib_changes, self.allocator.changes)
+        named = [None] if versions is None else [
+            log.since(version) for log, version in zip(logs, versions)]
+        return ([log.version for log in logs],
+                None if None in named else set().union(*named))
+
     def _committed_spaces(self) -> list:
-        """Committed-traffic spaces, memoized on routing/allocator state.
+        """Committed-traffic spaces, in prefix order.
 
-        Deriving the population walks every (prefix, participant) best
-        route — far too hot to redo on every FlowMod delta the dataplane
-        verifier checks. The answer only changes when the route server's
-        RIBs/export policies or the allocator's assignments do, so the
-        walk is cached on their version counters.
+        Deriving the population decides every tagged prefix — far too hot
+        to redo on every FlowMod delta the dataplane verifier checks. A
+        prefix's space only changes when its routes or its tag do, so only
+        the prefixes a change log names since the last call are derived
+        again; everything, when a log cannot say.
         """
-        from repro.statics.dataplane import committed_spaces_from_controller
+        from repro.statics.dataplane import (
+            committed_space, committed_spaces_from_controller, member_ports)
 
-        key = (self.route_server.state_version, self.allocator.generation)
-        cached = self._committed_spaces_cache
-        if cached is None or cached[0] != key:
-            cached = (key, committed_spaces_from_controller(self))
-            self._committed_spaces_cache = cached
-        return cached[1]
+        cache = self._committed_spaces_cache
+        versions, changed = self._changed_since(cache and cache[0])
+        if changed is None:
+            spaces = committed_spaces_from_controller(self)
+            keys = [space.space["dstip"] for space in spaces]
+            ports = member_ports(self)
+        else:
+            _versions, keys, spaces, ports = cache
+            for prefix in changed:
+                at = bisect_left(keys, prefix)
+                if at < len(keys) and keys[at] == prefix:
+                    del keys[at], spaces[at]
+                space = committed_space(self, prefix, ports)
+                if space is not None:
+                    keys.insert(at, prefix)
+                    spaces.insert(at, space)
+        self._committed_spaces_cache = (versions, keys, spaces, ports)
+        return list(spaces)
 
     # ------------------------------------------------------------------
     # Construction
@@ -395,7 +421,7 @@ class SdxController:
             self.engine.install_full(result)
             self.last_compilation = result
             self.started = True
-            self._advertise_full()
+            self._advertise_moved()
         logger.info("started %s", kv(
             participants=len(self._handles),
             rules=len(self.table),
@@ -416,7 +442,7 @@ class SdxController:
             result = self.compiler.compile()
             self.engine.install_full(
                 result,
-                before_deletes=self._advertise_full if self.started else None)
+                before_deletes=self._advertise_moved if self.started else None)
         self.last_compilation = result
         logger.info("recompiled %s", kv(
             rules=len(self.table), seconds=result.total_seconds))
@@ -432,7 +458,7 @@ class SdxController:
         :meth:`~repro.core.incremental.IncrementalEngine.install_full`).
         """
         result = self.engine.background_recompile(
-            before_deletes=self._advertise_full)
+            before_deletes=self._advertise_moved)
         if result is not None:
             self.last_compilation = result
         return result
@@ -506,12 +532,17 @@ class SdxController:
         vnh = self.allocator.next_hop_for_prefix(prefix)
         return vnh if vnh is not None else route.attributes.next_hop
 
-    def _advertise_full(self) -> None:
-        """Push every participant's full table to its border router."""
+    def _advertise_moved(self) -> None:
+        """Bring every border router's table up to date: push what the
+        change logs name since the last push — a route or a VNH that moved,
+        an ephemeral reclaimed, a stuck route nobody was told about — and
+        every prefix the first time or when a log cannot say."""
         if self.fabric is None:
             return
+        self._advertised_at, changed = self._changed_since(self._advertised_at)
         with self.telemetry.span("controller.advertise"):
-            self._advertise_routers(self.route_server.all_prefixes())
+            self._advertise_routers(self.route_server.all_prefixes()
+                                    if changed is None else changed)
 
     def _advertise_routers(self, prefixes: Iterable[IPv4Prefix]) -> None:
         """Give every border router its route for each of ``prefixes``,

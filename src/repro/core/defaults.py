@@ -25,7 +25,7 @@ defaults identically.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.bgp.routeserver import Decision, RouteServer
 from repro.core.clauses import Clause
@@ -70,10 +70,11 @@ def default_clause(ingress: Predicate, tag: MacAddress,
     return Clause(predicate=predicate, target=topology.vport(next_hop))
 
 
-def _mac_learning_clauses(participants: Sequence[Participant],
-                          topology: VirtualTopology,
-                          guard=None) -> Iterable[Clause]:
-    """One clause per physical port: real next-hop MAC → owner's vswitch."""
+def mac_learning_clauses(participants: Sequence[Participant],
+                         topology: VirtualTopology,
+                         guard=None) -> Iterable[Clause]:
+    """One clause per physical port: real next-hop MAC → owner's vswitch.
+    They go under a whole table's shared default clauses."""
     for participant in participants:
         if participant.is_remote:
             continue
@@ -88,26 +89,25 @@ def _mac_learning_clauses(participants: Sequence[Participant],
 def build_default_forwarding(participants: Sequence[Participant],
                              entries: Iterable[Entry],
                              topology: VirtualTopology,
-                             route_server: RouteServer,
-                             mac_learning: bool = True
-                             ) -> Tuple[List[Clause], List[Clause]]:
-    """The default layer for ``entries``, as two priority layers.
+                             route_server: RouteServer
+                             ) -> Iterator[Tuple[List[Clause], List[Clause]]]:
+    """The default layer, entry by entry, as two priority layers each.
 
-    First the per-(ingress, group) exceptions, which must shadow the
-    second: one ingress-wildcard clause per group plus — for a whole
-    table, not for the fast path's single fresh group — the per-port
-    MAC-learning clauses.
+    First an entry's per-ingress exceptions, which must shadow the second:
+    its one ingress-wildcard clause. ``entries`` is consumed lazily — an
+    entry is decided when its clauses are asked for — and every entry's
+    clauses stand alone, so a table's default layer is the exceptions of
+    all its groups stacked over their shared clauses, whichever of them
+    were built when.
     """
-    exceptions: List[Clause] = []
-    shared: List[Clause] = []
     physical = {p.name: p for p in participants if not p.is_remote}
 
     for tag, decision in entries:
+        exceptions: List[Clause] = []
         if decision.best is None:
+            yield exceptions, []
             continue
         common = decision.best.learned_from
-        shared.append(Clause(predicate=match(dstmac=tag),
-                             target=topology.vport(common)))
         # Participants whose best differs from the shared choice: always
         # the common announcer itself; everyone when it restricts exports.
         if route_server.has_export_restrictions(common):
@@ -119,10 +119,8 @@ def build_default_forwarding(participants: Sequence[Participant],
             if specific != common:
                 exceptions.append(default_clause(
                     ingress_guard(participant), tag, specific, topology))
-
-    if mac_learning:
-        shared.extend(_mac_learning_clauses(participants, topology))
-    return exceptions, shared
+        yield exceptions, [Clause(predicate=match(dstmac=tag),
+                                  target=topology.vport(common))]
 
 
 def build_participant_defaults(participant: Participant,
@@ -142,5 +140,5 @@ def build_participant_defaults(participant: Participant,
         default_clause(guard, tag,
                        default_next_hop(decision, participant.name), topology)
         for tag, decision in entries]
-    clauses.extend(_mac_learning_clauses(participants, topology, guard=guard))
+    clauses.extend(mac_learning_clauses(participants, topology, guard=guard))
     return clauses

@@ -25,10 +25,11 @@ server" for them).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from collections import defaultdict
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
 
+from repro.bgp.rib import PrefixTrie
 from repro.bgp.routeserver import RouteServer
 from repro.core.participant import Participant
 from repro.net.addresses import IPv4Prefix
@@ -43,22 +44,25 @@ class PrefixGroup:
 
     ``contexts`` records which policy contexts the whole group is eligible
     for; ``ranked_announcers`` is the shared default-routing signature.
+    ``signature`` — the contexts plus the full ranking signature, export
+    control included — is what makes the group: it names the same class
+    from one compilation to the next, whereas ``group_id`` renumbers
+    whenever a group appears or vanishes before it.
     """
 
     group_id: int
     prefixes: FrozenSet[IPv4Prefix]
     contexts: FrozenSet[ContextId]
     ranked_announcers: Tuple[str, ...]
+    signature: Hashable = None
+    #: The smallest member prefix. Grouping guarantees identical forwarding
+    #: behaviour for every member, so per-participant questions about the
+    #: group (e.g. its default next hop) can be answered for this one.
+    representative: IPv4Prefix = None  # type: ignore[assignment]
 
-    @cached_property
-    def representative(self) -> IPv4Prefix:
-        """A deterministic member prefix.
-
-        Because grouping guarantees identical forwarding behaviour for
-        every member, per-participant questions about the group (e.g.
-        its default next hop) can be answered for the representative.
-        """
-        return min(self.prefixes)
+    def __post_init__(self) -> None:
+        if self.representative is None:
+            object.__setattr__(self, "representative", min(self.prefixes))
 
     def __len__(self) -> int:
         return len(self.prefixes)
@@ -67,6 +71,20 @@ class PrefixGroup:
         sample = ", ".join(str(p) for p in sorted(self.prefixes)[:3])
         suffix = ", ..." if len(self.prefixes) > 3 else ""
         return f"PrefixGroup(#{self.group_id}, {{{sample}{suffix}}})"
+
+
+@dataclass
+class Grouping:
+    """What :func:`compute_prefix_groups` keeps to patch its last answer:
+    every policy-touched prefix's signature (as a trie, which also finds
+    the groups a ``dstip`` constraint overlaps) and each signature's group."""
+
+    signatures: "PrefixTrie[Hashable]" = field(default_factory=PrefixTrie)
+    groups: Dict[Hashable, PrefixGroup] = field(default_factory=dict)
+
+    def copy(self) -> "Grouping":
+        """An independent copy (the groups themselves are immutable)."""
+        return Grouping(self.signatures.copy(), dict(self.groups))
 
 
 def minimum_disjoint_subsets(
@@ -87,89 +105,90 @@ def minimum_disjoint_subsets(
     return [frozenset(prefixes) for prefixes in grouped.values()]
 
 
-def policy_contexts(participants: Iterable[Participant],
-                    route_server: RouteServer) -> Dict[ContextId, FrozenSet[IPv4Prefix]]:
-    """The eligible-prefix set for every (participant, next-hop) pair that
-    appears in some outbound policy.
-
-    Multiple policies of one participant toward the same next hop share a
-    context: their eligibility filter is identical (it depends only on
-    what the next hop exported), so splitting them would only fragment
-    groups without changing behaviour.
-    """
-    contexts: Dict[ContextId, FrozenSet[IPv4Prefix]] = {}
-    for participant in participants:
-        for target in participant.outbound_targets():
-            key = (participant.name, target)
-            if key not in contexts:
-                contexts[key] = route_server.reachable_prefix_set(
-                    participant.name, via=target)
-        if participant.is_remote:
-            # Prefixes originated by a remote participant have no physical
-            # next-hop MAC, so they must always be VNH-tagged: give them a
-            # synthetic context even when no outbound policy names them.
-            originated = frozenset(route_server.announced_by(participant.name))
-            if originated:
-                contexts[("@origin", participant.name)] = originated
-    return contexts
-
-
 def compute_prefix_groups(participants: Iterable[Participant],
                           route_server: RouteServer,
-                          rankings: Optional[Dict[IPv4Prefix, tuple]] = None
+                          kept: Optional[Grouping] = None,
+                          dirty: Optional[Iterable[IPv4Prefix]] = None
                           ) -> List[PrefixGroup]:
     """The forwarding equivalence classes of the current SDX state.
 
     Groups are deterministic: sorted by their smallest member prefix and
     numbered from 0, so repeated compilations assign identical VMACs for
-    identical state. ``rankings`` carries each prefix's ranking signature
-    over from earlier calls; it reads only route-server state and the
-    participants' AS numbers, so the caller drops it when either moves.
+    identical state.
+
+    Each dirty prefix is given the *signature* of which contexts contain it
+    (asked of the routes that announce it: only a context's target can make
+    it eligible) plus its ranking, and moved to that signature's group.
+    ``kept``, updated in place, is what an earlier call left and ``dirty``
+    the prefixes whose routes or contexts may have changed since; without
+    ``dirty`` every prefix is, which is the computation from scratch.
+    Signatures also read the participants' AS numbers and the export
+    policy: the caller starts over when those move.
     """
     participant_list = list(participants)
     participant_asns = {p.asn for p in participant_list}
-    if rankings is None:
-        rankings = {}
+    toward: Dict[str, List[ContextId]] = {}
+    for participant in participant_list:
+        for target in participant.outbound_targets():
+            toward.setdefault(target, []).append((participant.name, target))
+        if participant.is_remote:
+            # Prefixes originated by a remote participant have no physical
+            # next-hop MAC, so they must always be VNH-tagged: give them a
+            # synthetic context even when no outbound policy names them.
+            toward.setdefault(participant.name, []).append(
+                ("@origin", participant.name))
+    kept = kept if kept is not None else Grouping()
+    if dirty is None:  # whatever is grouped or a context's target announces
+        dirty = set().union(kept.signatures, *map(route_server.announced_set, toward))
     # Thousands of prefixes share a few hundred signatures: keep one each.
-    shared = {signature: signature for signature in rankings.values()}
-    contexts = policy_contexts(participant_list, route_server)
-    signature_to_prefixes: Dict[Hashable, List[IPv4Prefix]] = {}
-    signature_parts: Dict[Hashable, Tuple[FrozenSet[ContextId], Tuple[str, ...]]] = {}
-    membership: Dict[IPv4Prefix, List[ContextId]] = {}
-    for context_id in sorted(contexts):
-        for prefix in contexts[context_id]:
-            membership.setdefault(prefix, []).append(context_id)
-    for prefix, context_ids in membership.items():
-        ranking = rankings.get(prefix)
-        if ranking is None:
-            ranked_routes = route_server.ranked_routes(prefix)
-            # Export-control communities — and participant ASNs appearing
-            # in a route's path (loop prevention withholds such routes
-            # from that participant) — make otherwise-identical rankings
-            # behave differently per receiver, so they join the signature.
-            signature = (
-                tuple(entry.learned_from for entry in ranked_routes),
-                tuple(
-                    (route_server.export_control_communities(entry.attributes),
-                     frozenset(asn for asn in entry.attributes.as_path.asns
-                               if asn in participant_asns))
-                    for entry in ranked_routes))
-            ranking = rankings[prefix] = shared.setdefault(
-                signature, signature)
-        signature = (tuple(context_ids), ranking)
-        signature_to_prefixes.setdefault(signature, []).append(prefix)
-        signature_parts[signature] = (frozenset(context_ids), ranking[0])
-    groups: List[PrefixGroup] = []
-    ordered = sorted(signature_to_prefixes.items(),
-                     key=lambda item: min(item[1]))
-    for group_id, (signature, prefixes) in enumerate(ordered):
-        context_ids, ranked = signature_parts[signature]
-        groups.append(PrefixGroup(
-            group_id=group_id,
-            prefixes=frozenset(prefixes),
-            contexts=context_ids,
-            ranked_announcers=ranked))
-    return groups
+    shared = {signature: signature for signature in kept.groups}
+
+    def signature_of(prefix: IPv4Prefix) -> Optional[Hashable]:
+        ranked = route_server.ranked_routes(prefix)
+        contexts = frozenset(
+            context for entry in ranked
+            for context in toward.get(entry.learned_from, ())
+            if context[0] == "@origin"
+            or route_server.route_exported(entry, context[0]))
+        if not contexts:
+            return None  # untouched by policy: keeps its real next hop
+        # Export-control communities — and participant ASNs appearing in a
+        # route's path (loop prevention withholds such routes from that
+        # participant) — make otherwise-identical rankings behave
+        # differently per receiver, so they join the signature.
+        signature = (contexts, (
+            tuple(entry.learned_from for entry in ranked),
+            tuple((route_server.export_control_communities(entry.attributes),
+                   frozenset(asn for asn in entry.attributes.as_path.asns
+                             if asn in participant_asns))
+                  for entry in ranked)))
+        return shared.setdefault(signature, signature)
+
+    # signature -> (the prefixes that left it, those that joined it)
+    moved: Dict[Hashable, Tuple[set, set]] = defaultdict(lambda: (set(), set()))
+    for prefix in dirty:
+        old, new = kept.signatures.exact(prefix), signature_of(prefix)
+        if old == new:
+            continue
+        if old is not None:
+            moved[old][0].add(prefix)
+            kept.signatures.remove(prefix)
+        if new is not None:
+            moved[new][1].add(prefix)
+            kept.signatures.insert(prefix, new)
+    for signature, (left, joined) in moved.items():
+        group = kept.groups.pop(signature, None)
+        prefixes = (group.prefixes - left if group else frozenset()) | joined
+        if prefixes:
+            kept.groups[signature] = PrefixGroup(
+                -1, prefixes, signature[0], signature[1][0], signature)
+    ordered = sorted(kept.groups.values(), key=lambda g: g.representative)
+    for group_id, group in enumerate(ordered):
+        if group.group_id != group_id:
+            ordered[group_id] = kept.groups[group.signature] = PrefixGroup(
+                group_id, group.prefixes, group.contexts,
+                group.ranked_announcers, group.signature, group.representative)
+    return ordered
 
 
 def groups_for_context(groups: Iterable[PrefixGroup],

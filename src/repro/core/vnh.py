@@ -16,8 +16,10 @@ re-optimisation releases them when the full FEC computation catches up.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.bgp.rib import ChangeLog
 from repro.core.fec import PrefixGroup
 from repro.dataplane.arp import ArpResponder
 from repro.exceptions import CompilationError
@@ -48,11 +50,10 @@ class VnhAllocator:
             "sdx_vnh_recycled_total", "Quarantined pairs released for reuse")
         self._live_gauge = registry.gauge(
             "sdx_vnh_live", "Live (VNH, VMAC) pairs, groups plus ephemerals")
-        #: Monotone counter bumped by every assignment mutation (group
-        #: reassignment, ephemeral grant/drop) — anything that can
-        #: change ``vmac_for_prefix`` / ``vmac_index`` answers. Cache
-        #: key for derived views of allocator state.
-        self.generation = 0
+        #: Every assignment mutation, naming the prefixes whose ``(VNH,
+        #: VMAC)`` pair it moved: an ephemeral grant or drop its prefix, a
+        #: group reassignment the prefixes whose pair changed.
+        self.changes: ChangeLog[IPv4Prefix] = ChangeLog()
         self._next_offset = 1  # skip the network address
         self._next_tag = 1
         self._vnh_by_group: Dict[int, IPv4Address] = {}
@@ -65,6 +66,11 @@ class VnhAllocator:
         # confirmed rule-free (the recycling free list).
         self._pending_retire: List[Tuple[IPv4Address, MacAddress]] = []
         self._free: List[Tuple[IPv4Address, MacAddress]] = []
+
+    @property
+    def generation(self) -> int:
+        """The version counter of :attr:`changes`."""
+        return self.changes.version
 
     # ------------------------------------------------------------------
     # Steady-state assignment
@@ -98,7 +104,6 @@ class VnhAllocator:
         self._live_gauge.set(self.assignments)
 
     def _assign_groups(self, groups: Iterable[PrefixGroup]) -> None:
-        self.generation += 1
         previous: Dict[frozenset, Tuple[IPv4Address, MacAddress]] = {
             group.prefixes: (self._vnh_by_group[gid], self._vmac_by_group[gid])
             for gid, group in self._groups.items()
@@ -122,6 +127,9 @@ class VnhAllocator:
                 chosen[group.group_id] = pair
             else:
                 unmatched.append(group)
+        # Whose pair moves: every override, every prefix of a group given a
+        # fresh pair, and what an unmatched old group loses to no group.
+        moved, unmatched_before = [overridden], list(previous)
         # A shrunken group may also keep its pair: its new population is a
         # subset of the packets the old tag carried, so old rules can only
         # give those packets their old forwarding, never a stale stranger's.
@@ -130,6 +138,8 @@ class VnhAllocator:
             donor = (next((old_prefixes for old_prefixes in previous
                            if group.prefixes <= old_prefixes), None)
                      if group.prefixes.isdisjoint(overridden) else None)
+            if donor is None:
+                moved.append(group.prefixes)
             chosen[group.group_id] = (
                 previous.pop(donor) if donor is not None else self._allocate())
         for group in incoming:
@@ -141,6 +151,9 @@ class VnhAllocator:
                 self._group_of_prefix[prefix] = group.group_id
             self.responder.bind(vnh, vmac)
         self._pending_retire.extend(previous.values())
+        moved.extend(prefixes.difference(self._group_of_prefix)
+                     for prefixes in unmatched_before)
+        self.changes.record(itertools.chain.from_iterable(moved))
 
     def finish_swap(self) -> int:
         """Release quarantined pairs: the phased table swap completed.
@@ -182,9 +195,9 @@ class VnhAllocator:
         group binding stays valid for other prefixes in the group.
         """
         with self.telemetry.span("vnh.assign", prefix=str(prefix)):
-            self.generation += 1
             vnh, vmac = self._allocate()
             self._ephemeral[prefix] = (vnh, vmac)
+            self.changes.record((prefix,))
             self.responder.bind(vnh, vmac)
         self._ephemeral_counter.inc()
         self._live_gauge.set(self.assignments)
@@ -200,7 +213,7 @@ class VnhAllocator:
         """
         assigned = self._ephemeral.pop(prefix, None)
         if assigned is not None:
-            self.generation += 1
+            self.changes.record((prefix,))
             self.responder.unbind(assigned[0])
             self._pending_retire.append(assigned)
             self._live_gauge.set(self.assignments)

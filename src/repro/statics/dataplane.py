@@ -332,40 +332,60 @@ class CommittedSpace:
     ports: Tuple[int, ...]
 
 
-def committed_spaces_from_controller(controller: Any) -> List[CommittedSpace]:
-    """Derive the committed-traffic population from live controller state.
+def member_ports(controller: Any) -> Tuple[Dict[str, Tuple[int, ...]],
+                                           Tuple[int, ...]]:
+    """Each physical peer's switch ports, and all of them sorted."""
+    peers = set(controller.route_server.peers())
+    ports_of = {participant.name: participant.switch_ports
+                for participant in controller.topology.participants()
+                if not participant.is_remote and participant.name in peers}
+    return ports_of, tuple(sorted({
+        port for ports in ports_of.values() for port in ports}))
 
-    Walks the allocator's group and fast-path assignments prefix by
-    prefix (an ephemeral override retags only its own prefix, so each
-    prefix is attributed to the tag its senders actually stamp) and
-    admits a sender's switch ports only when the route server gives it a
-    best route — a sender without one never reaches the fabric.
+
+def committed_space(controller: Any, prefix: IPv4Prefix,
+                    ports: Tuple[Dict[str, Tuple[int, ...]], Tuple[int, ...]]
+                    ) -> Optional[CommittedSpace]:
+    """The committed space of one prefix (``ports`` from
+    :func:`member_ports`), or ``None`` when it carries no tag or nobody
+    holds a route for it.
+
+    The prefix is attributed to the tag its senders actually stamp (an
+    ephemeral override retags only its own prefix), and the senders are
+    read off the shape of the route server's ``Decision``: every physical
+    port but those of the excepted members left without a route — a
+    sender without one never reaches the fabric.
     """
+    vmac = controller.allocator.vmac_for_prefix(prefix)
+    if vmac is None:
+        return None
+    decision = controller.route_server.decide(prefix)
+    if decision.best is None:
+        return None
+    ports_of, senders = ports
+    routeless = {port for name, route in decision.exceptions.items()
+                 if route is None for port in ports_of.get(name, ())}
+    if routeless:
+        senders = tuple(port for port in senders if port not in routeless)
+    if not senders:
+        return None
+    return CommittedSpace(label=f"{vmac}->{prefix}",
+                          space=HeaderSpace(dstmac=vmac, dstip=prefix),
+                          ports=senders)
+
+
+def committed_spaces_from_controller(controller: Any) -> List[CommittedSpace]:
+    """Derive the committed-traffic population from live controller state:
+    the :func:`committed_space` of every prefix the allocator's group and
+    fast-path assignments tag, in prefix order."""
     allocator = controller.allocator
-    prefixes: Set[IPv4Prefix] = set()
+    prefixes: Set[IPv4Prefix] = set(allocator.ephemeral_prefixes())
     for group in allocator.groups():
         prefixes.update(group.prefixes)
-    prefixes.update(allocator.ephemeral_prefixes())
-    spaces: List[CommittedSpace] = []
-    for prefix in sorted(prefixes):
-        vmac = allocator.vmac_for_prefix(prefix)
-        if vmac is None:
-            continue
-        ports: List[int] = []
-        decision = controller.route_server.decide(prefix)
-        for participant in controller.topology.participants():
-            if participant.is_remote:
-                continue
-            if decision.route_for(participant.name) is None:
-                continue
-            ports.extend(participant.switch_ports)
-        if not ports:
-            continue
-        spaces.append(CommittedSpace(
-            label=f"{vmac}->{prefix}",
-            space=HeaderSpace(dstmac=vmac, dstip=prefix),
-            ports=tuple(sorted(set(ports)))))
-    return spaces
+    ports = member_ports(controller)
+    spaces = (committed_space(controller, prefix, ports)
+              for prefix in sorted(prefixes))
+    return [space for space in spaces if space is not None]
 
 
 # ----------------------------------------------------------------------

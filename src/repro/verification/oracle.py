@@ -4,8 +4,8 @@ For one scenario, :class:`DifferentialOracle` holds three executions of
 the same BGP update trace:
 
 * **full** — an :class:`~repro.core.controller.SdxController` that runs
-  a complete recompilation after every update (the slow, obviously
-  correct path);
+  a complete recompilation after every update, from nothing kept (the
+  slow, obviously correct path);
 * **incremental** — an identical controller left on the two-stage fast
   path, with a consistency-preserving background re-optimisation every
   few steps and at the end;
@@ -139,6 +139,8 @@ class DifferentialOracle(Check):
         """Feed ``update`` to all three executions and compare."""
         self.incremental.submit_update(update)
         self.full.submit_update(update)
+        # The arm that judges the patching compiler never patches.
+        self.full.compiler.invalidate_inbound_cache()
         self.full.recompile()
         self.reference.apply(update)
         failure = self._compare(index) or self._check_invariants(index)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from repro.bgp.asn import AsPath
 from repro.bgp.attributes import RouteAttributes
 from repro.bgp.messages import Announcement, Update, Withdrawal
-from repro.bgp.rib import AdjRibIn, PrefixTrie, RibView, RouteEntry
+from repro.bgp.rib import (
+    CHANGE_LOG_SIZE, AdjRibIn, ChangeLog, PrefixTrie, RibView, RouteEntry)
 from repro.exceptions import BgpError
 from repro.net.addresses import IPv4Address, IPv4Prefix
 
@@ -286,3 +287,60 @@ class TestRibView:
         assert view.route(IPv4Prefix("10.0.0.0/8")).learned_from == "A"
         assert view.route(IPv4Prefix("99.0.0.0/8")) is None
         assert len(view) == 3
+
+
+class TestChangeLog:
+    def test_names_what_changed_since_a_version_latest_first(self):
+        log = ChangeLog()
+        log.record("a")
+        log.record("bc")
+        seen = log.version
+        log.record("ad")
+        assert log.version == 3
+        assert log.since(seen) == ["d", "a"]
+        assert log.since(1) == ["d", "a", "c", "b"]
+        assert log.since(0) == ["d", "a", "c", "b"]
+        assert log.since(log.version) == []
+
+    def test_a_key_is_kept_once_under_its_last_change(self):
+        log = ChangeLog()
+        for _ in range(3 * CHANGE_LOG_SIZE):  # a flap storm is one entry
+            log.record("a")
+        assert log.since(0) == ["a"]
+        assert log.since(log.version - 1) == ["a"]
+
+    def test_an_unnamed_change_is_unknown_to_whoever_looked_before(self):
+        log = ChangeLog()
+        log.record("a")
+        before = log.version
+        log.record()
+        assert log.since(before) is None and log.since(0) is None
+        assert log.since(log.version) == []
+        log.record("b")
+        assert log.since(before + 1) == ["b"]
+
+    def test_past_the_cap_is_unknown(self):
+        log = ChangeLog()
+        log.record([0])
+        for key in range(1, CHANGE_LOG_SIZE + 1):
+            log.record([key])
+        # Key 0 fell off: a reader from before it cannot be answered ...
+        assert log.since(0) is None
+        # ... one from after it can, in full.
+        assert log.since(1) == list(range(CHANGE_LOG_SIZE, 0, -1))
+        assert len(log._changed_at) == CHANGE_LOG_SIZE
+
+    def test_one_change_naming_more_than_the_cap_is_unknown(self):
+        log = ChangeLog()
+        log.record(range(CHANGE_LOG_SIZE + 1))
+        assert log.since(0) is None and not log._changed_at
+        assert log.since(1) == []
+
+    def test_trie_copy_is_independent(self):
+        trie = PrefixTrie()
+        trie.insert(IPv4Prefix("10.0.0.0/8"), 1)
+        twin = trie.copy()
+        twin.insert(IPv4Prefix("10.0.0.0/8"), 2)
+        twin.insert(IPv4Prefix("11.0.0.0/8"), 3)
+        assert trie.exact(IPv4Prefix("10.0.0.0/8")) == 1 and len(trie) == 1
+        assert twin.exact(IPv4Prefix("10.0.0.0/8")) == 2 and len(twin) == 2

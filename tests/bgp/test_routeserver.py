@@ -28,6 +28,50 @@ def make_server():
     return server
 
 
+class TestChangeLog:
+    """``RouteServer.rib_changes``: every RIB write names its prefixes,
+    whatever path it took; what cannot be named answers ``None``."""
+
+    def test_every_rib_write_path_names_its_prefixes(self):
+        server = make_server()
+        log = server.rib_changes
+
+        def named_by(action):
+            version = server.state_version
+            action()
+            assert server.state_version > version
+            return log.since(version)
+
+        assert named_by(lambda: server.announce(
+            "B", P1, attrs("172.0.0.2", [65002, 100]))) == [P1]
+        # A table transfer is one unnamed change: a full pass follows it.
+        assert named_by(lambda: server.bulk_load([Update.announce(
+            "C", P2, attrs("172.0.0.3", [65003, 100]))])) is None
+        # A stuck route moves the RIB with no listener told: still named.
+        assert named_by(lambda: server.inject_unnotified(
+            Update.withdraw("C", P2))) == [P2]
+        # Withdrawn to nothing, the prefix is gone from the RIB, not the log.
+        assert named_by(lambda: server.withdraw("B", P1)) == [P1]
+        assert server.all_prefixes() == ()
+        # An update that changes no entry names nothing.
+        assert named_by(lambda: server.withdraw("B", P1)) == []
+        server.announce("B", P1, attrs("172.0.0.2", [65002, 100]))
+        server.announce("B", P4, attrs("172.0.0.2", [65002, 100]))
+        assert set(named_by(lambda: server.reset_session("B"))) == {P1, P4}
+
+    def test_what_cannot_be_named_is_unknown(self):
+        server = make_server()
+        server.announce("B", P1, attrs("172.0.0.2", [65002, 100]))
+        for change in (
+                lambda: server.set_export_policy("B", deny=["A"]),
+                lambda: server.add_peer("D", 65004),
+                lambda: server.remove_peer("D")):
+            version = server.state_version
+            change()
+            assert server.rib_changes.since(version) is None
+            assert server.rib_changes.since(server.state_version) == []
+
+
 class TestPeering:
     def test_add_and_list_peers(self):
         server = make_server()

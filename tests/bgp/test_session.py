@@ -5,7 +5,7 @@ import pytest
 from repro.bgp.asn import AsPath
 from repro.bgp.attributes import RouteAttributes
 from repro.bgp.messages import Update
-from repro.bgp.session import BgpSession, SessionState
+from repro.bgp.session import SESSION_LOG_SIZE, BgpSession, SessionState
 from repro.exceptions import SessionStateError
 from repro.net.addresses import IPv4Address, IPv4Prefix
 
@@ -140,6 +140,22 @@ class TestTeardown:
         assert session.received_log == []
         assert session.announced == frozenset()
         assert session.updates_received == 1  # counters survive the reset
+
+    def test_logs_are_windows_not_histories(self):
+        """Each log keeps the latest updates only — memory stays flat
+        however long the session lives — and teardown still clears them."""
+        session = BgpSession("A", 65001)
+        session.connect()
+        outbound = Update.withdraw("route-server", IPv4Prefix("9.0.0.0/8"))
+        for index in range(5_000):
+            session.receive(announce("A", f"10.{index % 200}.0.0/16"))
+            session.send(outbound)
+        assert len(session._received_log) == SESSION_LOG_SIZE
+        assert len(session._sent_log) == SESSION_LOG_SIZE
+        assert session.received_log[-1] == announce("A", "10.199.0.0/16")
+        assert session.updates_received == session.updates_sent == 5_000
+        session.fail()
+        assert session.sent_log == session.received_log == []
 
     def test_teardown_emits_implied_withdrawal(self):
         down = []

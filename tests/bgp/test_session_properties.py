@@ -22,6 +22,8 @@ observable unchanged.
    withdrawal (the once-per-prefix decision has no teardown shortcut).
 """
 
+from collections import deque
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +31,7 @@ from repro.bgp.asn import AsPath
 from repro.bgp.attributes import RouteAttributes
 from repro.bgp.messages import Update
 from repro.bgp.routeserver import RouteServer
-from repro.bgp.session import BgpSession
+from repro.bgp.session import SESSION_LOG_SIZE, BgpSession
 from repro.exceptions import SessionStateError
 from repro.net.addresses import IPv4Address, IPv4Prefix
 from tests.bgp.reference import reference_changes, reference_table
@@ -66,8 +68,8 @@ class Model:
     def __init__(self):
         self.state = "idle"
         self.announced = set()
-        self.received = []
-        self.sent = []
+        self.received = deque(maxlen=SESSION_LOG_SIZE)
+        self.sent = deque(maxlen=SESSION_LOG_SIZE)
         self.totals = {"received": 0, "sent": 0, "resets": 0, "failures": 0}
 
     def legal(self, op):
@@ -115,8 +117,8 @@ def drive(op, index, session):
 def assert_matches(session, model):
     assert session.state.value == model.state
     assert session.announced == frozenset(model.announced)
-    assert session.received_log == model.received
-    assert session.sent_log == model.sent
+    assert session.received_log == list(model.received)
+    assert session.sent_log == list(model.sent)
     assert session.updates_received == model.totals["received"]
     assert session.updates_sent == model.totals["sent"]
     assert session.resets == model.totals["resets"]

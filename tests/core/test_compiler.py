@@ -290,9 +290,9 @@ class TestStageOneIsCompositional:
             return [rule for part in parts for rule in strip_drop_tail(part)]
 
         full_stage1 = stacked([built("outbound", p.name) for p in holders]
-                              + [built("defaults", None)])
-        _groups, trie, by_context = built("groups", None)
-        everywhere = compiler._eligibility(trie, by_context)
+                              + [built("defaults", None)[0]])
+        _groups, grouping, by_context = built("groups", None)
+        everywhere = compiler._eligibility(grouping.signatures, by_context)
 
         for group in result.groups:
             vmac = sdx.allocator.vmac_for_group(group.group_id)
@@ -302,10 +302,10 @@ class TestStageOneIsCompositional:
                 tags = everywhere(participant, target, dstip_limit)
                 return (vmac,) if tags is None or vmac in tags else ()
 
-            defaults = compiler._defaults(
+            defaults = compiler._stack_pieces(compiler._default_pieces(
                 participants,
                 [(vmac, sdx.route_server.decide(group.representative))],
-                None, mac_learning=False)
+                None))
             alone = stacked(
                 [compiler._outbound_part(p, eligible, defaults, None, {})
                  for p in holders] + [defaults])

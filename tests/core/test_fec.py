@@ -16,7 +16,6 @@ from repro.core.fec import (
     compute_prefix_groups,
     groups_for_context,
     minimum_disjoint_subsets,
-    policy_contexts,
 )
 from repro.core.participant import Participant
 from repro.dataplane.router import BorderRouter, RouterPort
@@ -135,10 +134,11 @@ class TestComputePrefixGroups:
 
     def test_contexts_derived_from_policies(self):
         server, participants = self.make_scene()
-        contexts = policy_contexts(participants, server)
-        assert set(contexts) == {("A", "B"), ("A", "C")}
-        assert len(contexts[("A", "B")]) == 3
-        assert len(contexts[("A", "C")]) == 4
+        groups = compute_prefix_groups(participants, server)
+        assert set().union(*(g.contexts for g in groups)) == {
+            ("A", "B"), ("A", "C")}
+        for context, eligible in ((("A", "B"), 3), (("A", "C"), 4)):
+            assert sum(map(len, groups_for_context(groups, context))) == eligible
 
     def test_untouched_prefix_excluded(self):
         server, participants = self.make_scene()

@@ -13,13 +13,14 @@ import random
 import pytest
 
 from repro.bgp.asn import AsPath
+from repro.bgp.messages import Update
 from repro.core.compiler import REUSE_STAGES
 from repro.net.addresses import IPv4Prefix
 from repro.policy.policies import drop, fwd, match
 
 from tests.core.scenarios import P1, P2, figure1_controller
 
-ALL = {"rankings", "groups", "defaults", "inbound", "stage2", "outbound",
+ALL = {"groups", "defaults", "inbound", "stage2", "outbound",
        "composition", "reduction"}
 
 
@@ -28,6 +29,13 @@ def reuse_counts(sdx):
     return {(stage, outcome): registry.get(
                 "sdx_compile_reuse_total", stage=stage, outcome=outcome).value
             for stage in REUSE_STAGES for outcome in ("hit", "miss")}
+
+
+def compile_work(sdx):
+    """The unit counts the latest ``compile`` span reports."""
+    span = [s for s in sdx.telemetry.tracer.finished()
+            if s.name == "compile"][-1]
+    return {key: span.tags[key] for key in ("dirty_prefixes", "groups_rebuilt")}
 
 
 def misses(sdx, operation):
@@ -81,22 +89,56 @@ class TestWhatAChangeRebuilds:
 
     def test_bgp_announcement_rebuilds_what_reads_routing(self, started):
         sdx = started[0]
+        touched = sum(map(len, sdx.last_compilation.groups))
 
         def announce():
             sdx.announce_route("C", P1, AsPath([65003, 100, 7]))
             sdx.run_background_recompilation()
 
         change = misses(sdx, announce)
+        # Every stage but the inbound side is gone through again ...
         assert set(change) == ALL - {"inbound", "stage2"}
+        # ... for the one prefix the update named and the one group it left.
+        work = compile_work(sdx)
+        assert work["dirty_prefixes"] == 1 < touched
+        assert 1 <= work["groups_rebuilt"] < len(sdx.last_compilation.groups)
+
+    def test_update_that_moves_no_group_keeps_the_blocks(self, started):
+        sdx = started[0]
+
+        def announce():  # E's p5 is touched by no policy
+            sdx.announce_route("E", IPv4Prefix("15.0.0.0/8"),
+                               AsPath([65005, 300, 9]))
+            sdx.run_background_recompilation()
+
+        assert set(misses(sdx, announce)) == {"groups", "defaults"}
+        assert compile_work(sdx) == {"dirty_prefixes": 1, "groups_rebuilt": 0}
 
     def test_export_policy_rebuilds_what_reads_routing(self, started):
         sdx = started[0]
+        groups = sdx.last_compilation.groups
 
         def restrict():
             sdx.route_server.set_export_policy("C", deny=["A"])
             sdx.recompile()
 
         assert set(misses(sdx, restrict)) == ALL - {"inbound", "stage2"}
+        # The log cannot name what an export edit moved: nothing is kept.
+        assert compile_work(sdx) == {
+            "dirty_prefixes": sum(map(len, sdx.last_compilation.groups)),
+            "groups_rebuilt": len(sdx.last_compilation.groups)}
+        assert not {id(g) for g in groups} & {
+            id(g) for g in sdx.last_compilation.groups}
+
+    def test_untouched_groups_keep_their_objects(self, started):
+        sdx = started[0]
+        before = {g.signature: g for g in sdx.last_compilation.groups}
+        sdx.withdraw_route("B", P1)
+        sdx.run_background_recompilation()
+        after = {g.signature: g for g in sdx.last_compilation.groups}
+        kept = [s for s in after if s in before
+                and after[s].prefixes is before[s].prefixes]
+        assert kept and len(kept) < len(after)
 
     def test_new_participant_rebuilds_all_but_the_others_pipelines(
             self, started):
@@ -115,7 +157,7 @@ class TestWhatAChangeRebuilds:
         suspended = misses(sdx, sdx.suspend_policies)
         # Only B had an inbound policy to mask; no outbound part is left.
         assert suspended["inbound"] == 1
-        assert "outbound" not in suspended and "rankings" not in suspended
+        assert "outbound" not in suspended
         restored = misses(sdx, sdx.restore_policies)
         assert restored["inbound"] == 1 and restored["outbound"] == 1
 
@@ -284,3 +326,297 @@ def test_reuse_is_indistinguishable_from_recompiling_everything(seed):
     # The run exercised reuse at all.
     assert any(count for (_stage, outcome), count
                in reuse_counts(shipped).items() if outcome == "hit")
+
+
+# ----------------------------------------------------------------------
+# Soundness at scale: patching == a cold compile, on a generated exchange
+# ----------------------------------------------------------------------
+
+BGP_STEPS = {"burst", "withdraw", "reannounce", "community", "stuck"}
+
+
+class Twins:
+    """A generated 40-member exchange with the Section 6.1 policy mix,
+    twice: as shipped, and with a compiler that forgets everything before
+    every compilation — and must then miss at every stage it runs."""
+
+    def __init__(self, seed, prefixes=400):
+        from repro.workloads import (
+            generate_burst_trace, generate_ixp, generate_policies)
+        from repro.workloads.policies import install_assignments
+        self.rng = random.Random(seed)
+        self.ixp = generate_ixp(40, prefixes, seed=3)
+        self.pair = []
+        for _ in range(2):
+            sdx = self.ixp.build_controller(with_dataplane=False)
+            install_assignments(sdx, generate_policies(self.ixp, seed=4))
+            sdx.start()
+            self.pair.append(sdx)
+        self.shipped, self.forgetful = self.pair
+        self._forget_before_every_compile(self.forgetful)
+        self.trace = iter([event.update for event in generate_burst_trace(
+            self.ixp, bursts=40, burst_size=20, hot_prefixes=10, seed=seed)])
+        self.names = [spec.name for spec in self.ixp.participants]
+        self.policies, self.withdrawn, self.down = [], [], []
+        self.joined = 0
+
+    @staticmethod
+    def _forget_before_every_compile(sdx):
+        compile_ = sdx.compiler.compile
+
+        def cold():
+            sdx.compiler.invalidate_inbound_cache()
+            before = reuse_counts(sdx)
+            result = compile_()
+            after = reuse_counts(sdx)
+            assert all(after[stage, "hit"] == before[stage, "hit"]
+                       for stage in REUSE_STAGES)
+            assert all(after[stage, "miss"] > before[stage, "miss"]
+                       for stage in ("groups", "defaults", "composition"))
+            return result
+
+        sdx.compiler.compile = cold
+
+    def touched(self):
+        return sorted(prefix for group in self.shipped.last_compilation.groups
+                      for prefix in group.prefixes)
+
+    def both(self, action):
+        for sdx in self.pair:
+            action(sdx)
+
+    def operation(self):
+        """Draw one operation: ``(kind, apply)`` or ``None``."""
+        rng, server = self.rng, self.shipped.route_server
+        up = [name for name in self.names if name not in self.down]
+        kind = rng.choice([
+            "burst", "burst", "burst", "withdraw", "reannounce", "context+",
+            "context-", "pinned", "negated", "export", "community", "reset",
+            "fail", "recover", "stuck", "join", "leave"])
+        if kind == "burst":
+            updates = [update for update in (next(self.trace) for _ in range(20))
+                       if update.sender not in self.down]
+
+            def burst(sdx):
+                for update in updates:
+                    sdx.submit_update(update)
+                sdx.run_background_recompilation()
+            return kind, burst
+        if kind == "withdraw":  # to nothing: every announcer lets go
+            prefix = rng.choice(self.touched())
+            routes = server.all_routes_for(prefix)
+            self.withdrawn.append(routes)
+
+            def withdraw(sdx):
+                for route in routes:
+                    sdx.withdraw_route(route.learned_from, prefix)
+                sdx.run_background_recompilation()
+            return kind, withdraw
+        if kind == "reannounce":
+            if not self.withdrawn:
+                return None
+            routes = [route for route in self.withdrawn.pop()
+                      if route.learned_from not in self.down]
+
+            def reannounce(sdx):
+                for route in routes:
+                    sdx.submit_update(Update.announce(
+                        route.learned_from, route.prefix, route.attributes))
+                sdx.run_background_recompilation()
+            return kind, reannounce
+        if kind in ("context+", "pinned", "negated"):
+            holder = rng.choice([p for p in self.shipped.topology.participants()
+                                 if p.outbound_clauses()])
+            targets = [name for name in up if name != holder.name
+                       and (kind != "context+"
+                            or name not in holder.outbound_targets())
+                       and server.reachable_prefix_set(holder.name, via=name)]
+            if not targets:
+                return None
+            target = rng.choice(targets)
+            predicate = match(dstport=rng.randrange(1024, 4096))
+            if kind == "pinned":
+                predicate = predicate & match(dstip=rng.choice(
+                    server.reachable_prefixes(holder.name, via=target)))
+            if kind == "negated":
+                predicate = predicate & ~match(srcip="10.0.0.0/8")
+            policy = predicate >> fwd(target)
+            self.policies.append((holder.name, policy))
+            return kind, lambda sdx: sdx.participant(
+                holder.name).add_outbound(policy)
+        if kind == "context-":  # often the last clause toward its target
+            if not self.policies:
+                return None
+            holder, policy = self.policies.pop(
+                rng.randrange(len(self.policies)))
+            return kind, lambda sdx: sdx.participant(
+                holder).remove_outbound(policy)
+        if kind == "export":
+            name = rng.choice(up)
+            denied = rng.sample([n for n in self.names if n != name],
+                                rng.randint(0, 3))
+
+            def restrict(sdx):
+                sdx.route_server.set_export_policy(name, deny=denied)
+                sdx.recompile()
+            return kind, restrict
+        if kind == "community":  # sticky, announcer-wide (trap ii)
+            route = rng.choice(server.all_routes_for(
+                rng.choice(self.touched())))
+            if route.learned_from in self.down:
+                return None
+            blocked = self.ixp.by_name(rng.choice(
+                [n for n in self.names if n != route.learned_from])).asn
+
+            def tag(sdx):
+                sdx.announce_route(
+                    route.learned_from, route.prefix,
+                    route.attributes.as_path, communities=[(0, blocked)])
+                sdx.run_background_recompilation()
+            return kind, tag
+        if kind in ("reset", "fail"):
+            name = rng.choice(up)
+            if kind == "fail":
+                self.down.append(name)
+
+            def tear_down(sdx):
+                getattr(sdx.route_server, {"reset": "reset_session",
+                                           "fail": "fail_peer"}[kind])(name)
+                sdx.run_background_recompilation()
+            return kind, tear_down
+        if kind == "recover":
+            if not self.down:
+                return None
+            name = self.down.pop()
+            routes = [(prefix, path) for sender, prefix, path
+                      in self.ixp.announcements if sender == name]
+
+            def recover(sdx):
+                sdx.route_server.recover_peer(name)
+                for prefix, path in routes:
+                    sdx.announce_route(name, prefix, path)
+                sdx.run_background_recompilation()
+            return kind, recover
+        if kind == "stuck":  # the RIB moves, nobody is told (trap iv)
+            route = rng.choice(server.all_routes_for(
+                rng.choice(self.touched())))
+            if route.learned_from in self.down:
+                return None
+            update = Update.withdraw(route.learned_from, route.prefix)
+
+            def stuck(sdx):
+                sdx.route_server.inject_unnotified(update)
+                sdx.recompile()
+            return kind, stuck
+        if kind == "join":
+            self.joined += 1
+            name, asn = f"NEW{self.joined}", 64000 + self.joined
+            prefix = rng.choice(self.touched())
+
+            def join(sdx):
+                sdx.add_participant(name, asn)
+                sdx.announce_route(name, prefix, AsPath([asn, 7]))
+                sdx.recompile()
+            return kind, join
+        if kind == "leave":
+            if not self.joined or f"NEW{self.joined}" not in server.peers():
+                return None
+            name = f"NEW{self.joined}"
+
+            def leave(sdx):
+                sdx.route_server.remove_peer(name)
+                sdx.recompile()
+            return kind, leave
+        raise AssertionError(kind)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_patching_is_indistinguishable_from_a_cold_compile_at_scale(seed):
+    twins = Twins(seed)
+    history, patched = [], 0
+    while len(history) < 40:
+        drawn = twins.operation()
+        if drawn is None:
+            continue
+        kind, apply = drawn
+        history.append(kind)
+        table = len(twins.touched())
+        twins.both(apply)
+        assert observable(twins.shipped) == observable(twins.forgetful), history
+        if kind in BGP_STEPS:  # the shipped arm really patched
+            assert compile_work(twins.shipped)["dirty_prefixes"] < table, history
+            patched += 1
+    assert patched
+
+
+@pytest.mark.parametrize("prefixes", [400, 1600])
+def test_a_burst_costs_a_burst_sized_recompile(prefixes, monkeypatch):
+    """Work counts, not timings: after a burst naming k prefixes the
+    recompilation runs the decision process and the export predicate for
+    those prefixes and the groups they changed — not once per
+    policy-touched prefix, whatever the table size."""
+    from repro.bgp.routeserver import RouteServer
+    sdx = Twins(0, prefixes).shipped
+    registry = sdx.telemetry.registry
+    updates = [next(Twins(0, prefixes).trace) for _ in range(20)]
+    for update in updates:
+        sdx.submit_update(update)
+    named = {prefix for update in updates for prefix in update.prefixes}
+    exported = []
+    route_exported = RouteServer.route_exported
+    monkeypatch.setattr(
+        RouteServer, "route_exported",
+        lambda *args: exported.append(1) or route_exported(*args))
+    runs = registry.get("sdx_bgp_decision_runs_total").value
+    sdx.run_background_recompilation()
+    runs = registry.get("sdx_bgp_decision_runs_total").value - runs
+    work = compile_work(sdx)
+    touched = sum(map(len, sdx.last_compilation.groups))
+    members = len(sdx.topology.participants())
+    assert work["dirty_prefixes"] == len(named)
+    assert runs == len(named) + work["groups_rebuilt"]
+    assert len(exported) <= members * (len(named) + work["groups_rebuilt"])
+    # The parent read at least one ranking per policy-touched prefix.
+    assert runs < touched / 4
+
+
+def test_a_compile_that_raises_leaves_the_kept_result_as_it_was(monkeypatch):
+    """Patching is transactional: a compilation that dies in the
+    default-piece builder changes nothing of what the previous result
+    keeps, and the next one still equals a cold compile."""
+    from repro.core import compiler as compiler_module
+    twins = Twins(1)
+    sdx = twins.shipped
+    for _ in range(20):
+        sdx.submit_update(next(twins.trace))
+    gone = twins.touched()[0]  # withdrawn to nothing: its group changes
+    for route in sdx.route_server.all_routes_for(gone):
+        sdx.withdraw_route(route.learned_from, gone)
+
+    def snapshot():
+        reuse = sdx.last_compilation.reuse
+        _groups, grouping, _by_context = reuse["groups", None][1]
+        return (dict(reuse), sorted(grouping.signatures.items()),
+                dict(grouping.groups), dict(reuse["defaults", None][1][1]),
+                dict(reuse["composition", None][1][1]))
+
+    before = snapshot()
+    build = compiler_module.build_default_forwarding
+
+    def dies_midway(*args):
+        yield next(build(*args))  # one group's piece is built, then:
+        raise RuntimeError("mid-compile")
+
+    monkeypatch.setattr(compiler_module, "build_default_forwarding", dies_midway)
+    with pytest.raises(RuntimeError, match="mid-compile"):
+        sdx.run_background_recompilation()
+    monkeypatch.undo()
+    assert snapshot() == before
+    assert sdx.compiler._last() is sdx.last_compilation
+
+    patched = sdx.run_background_recompilation()
+    assert compile_work(sdx)["dirty_prefixes"] < sum(map(len, patched.groups))
+    sdx.compiler.invalidate_inbound_cache()
+    cold = sdx.compiler.compile()
+    assert cold.classifier.rules == patched.classifier.rules
+    assert cold.groups == patched.groups

@@ -156,6 +156,52 @@ class TestVnhAllocator:
         assert len(vmacs) == 50
 
 
+class TestAllocatorChangeLog:
+    """``VnhAllocator.changes`` names exactly the prefixes whose tag moved,
+    checked against a before/after walk of every prefix seen so far."""
+
+    @staticmethod
+    def moved_by(allocator, seen, action):
+        before = {p: allocator.next_hop_for_prefix(p) for p in seen}
+        version = allocator.generation
+        action()
+        assert allocator.generation > version
+        named = set(allocator.changes.since(version))
+        assert named == {p for p in seen
+                         if allocator.next_hop_for_prefix(p) != before[p]}
+        return {str(p) for p in named}
+
+    def test_every_assignment_names_what_it_moved(self):
+        allocator = VnhAllocator()
+        texts = [f"{10 + i}.0.0.0/8" for i in range(8)]
+        seen = [IPv4Prefix(t) for t in texts]
+        moved = lambda action: self.moved_by(allocator, seen, action)
+        first = [group_of(0, *texts[:3]), group_of(1, *texts[3:5])]
+        assert moved(lambda: allocator.assign_groups(first)) == set(texts[:5])
+        # The same groups again: nothing moves (the version still does).
+        assert moved(lambda: allocator.assign_groups(first)) == set()
+        # A group shrinks (keeps its pair), one grows (fresh pair), a
+        # prefix drops out of every group, a new group appears.
+        second = [group_of(0, *texts[:2]), group_of(1, *texts[3:6]),
+                  group_of(2, texts[7])]
+        assert moved(lambda: allocator.assign_groups(second)) == {
+            texts[2], *texts[3:6], texts[7]}
+        # Renumbering alone moves nothing.
+        third = [group_of(0, texts[7]), group_of(1, *texts[:2]),
+                 group_of(2, *texts[3:6])]
+        assert moved(lambda: allocator.assign_groups(third)) == set()
+        assert moved(lambda: allocator.assign_ephemeral(seen[0])) == {texts[0]}
+        assert moved(lambda: allocator.assign_ephemeral(seen[6])) == {texts[6]}
+        assert moved(lambda: allocator.drop_ephemeral(seen[6])) == {texts[6]}
+        # An override's whole group takes a fresh pair at the next regroup.
+        assert moved(lambda: allocator.assign_groups(third)) == set(texts[:2])
+
+    def test_dropping_nothing_is_no_change(self):
+        allocator = VnhAllocator()
+        allocator.drop_ephemeral(IPv4Prefix("10.0.0.0/8"))
+        assert allocator.generation == 0
+
+
 class TestVirtualTopology:
     def test_register_assigns_vports(self):
         topology = VirtualTopology()
