@@ -25,6 +25,7 @@ from repro.experiments.harness import (
     run_table1,
 )
 from repro.experiments.metrics import render_series, render_table
+from repro.statics.diagnostics import GATE_MODES
 
 EXPERIMENTS = {
     "table1": "Table 1 - IXP dataset statistics",
@@ -276,7 +277,7 @@ def _parser() -> argparse.ArgumentParser:
                          help="monitor sampling cadence in simulated "
                               "seconds (default 1.0)")
     monitor.add_argument("--statics-mode", default="strict",
-                         choices=("off", "warn", "strict"),
+                         choices=GATE_MODES,
                          help="statics gate for reactive policy changes "
                               "(default strict)")
     monitor.add_argument("--json", action="store_true",

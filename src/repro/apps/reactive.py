@@ -4,9 +4,10 @@ Two apps consume :class:`~repro.monitoring.events.MonitoringEvent`\\ s
 (delivered through
 :meth:`~repro.runtime.loop.ControlPlaneRuntime.add_monitoring_handler`)
 and react by changing policies through the *normal* participant API —
-one batched mutation plus a single ``notify_policy_change`` — so the
-statics verifier and the runtime-equivalence oracle gate every reactive
-decision exactly like a hand-written one:
+one batched :meth:`~repro.core.sdxpolicy.ParticipantHandle.edit`, a
+single change transaction — so the statics verifier and the
+runtime-equivalence oracle gate every reactive decision exactly like a
+hand-written one, and a refused one leaves policies and app state alone:
 
 * :class:`ReactiveInboundBalancer` — generalises the paper's fig5b
   inbound TE: the source-address space is carved into equal slices,
@@ -86,17 +87,20 @@ class ReactiveInboundBalancer:
             for slice_index, port_index in sorted(assignment.items())
         ]
 
-    def _apply_assignment(self, assignment: Dict[int, int]) -> None:
-        """Swap the installed partition for ``assignment`` in one change."""
-        participant = self.handle.participant
-        for policy in self._installed:
-            participant.remove_inbound(policy)
-        fresh = self._policies_for(assignment)
-        for policy in fresh:
-            participant.add_inbound(policy)
+    def _replace_installed(self, fresh: List[Policy]) -> None:
+        """Swap the installed partition for ``fresh`` in one change."""
+        def swap(participant) -> None:
+            for policy in self._installed:
+                participant.remove_inbound(policy)
+            for policy in fresh:
+                participant.add_inbound(policy)
+
+        self.handle.edit(swap)
         self._installed = fresh
+
+    def _apply_assignment(self, assignment: Dict[int, int]) -> None:
+        self._replace_installed(self._policies_for(assignment))
         self.assignment = dict(assignment)
-        self.handle._controller.notify_policy_change(self.handle.name)
 
     def install(self) -> None:
         """Install the initial round-robin partition."""
@@ -104,11 +108,7 @@ class ReactiveInboundBalancer:
 
     def uninstall(self) -> None:
         """Remove every policy the balancer owns."""
-        participant = self.handle.participant
-        for policy in self._installed:
-            participant.remove_inbound(policy)
-        self._installed = []
-        self.handle._controller.notify_policy_change(self.handle.name)
+        self._replace_installed([])
 
     def make_watch(self, *, high_ratio: float = 1.5,
                    low_ratio: float = 1.15,
@@ -222,12 +222,11 @@ class HeavyHitterSteering:
 
     def install(self) -> None:
         """Install the per-prefix baseline (everything via primary)."""
-        participant = self.handle.participant
-        for prefix in self.prefixes:
-            policy = match(dstip=prefix) >> fwd(self.primary)
-            participant.add_outbound(policy)
-            self._routes[str(prefix)] = policy
-        self.handle._controller.notify_policy_change(self.handle.name)
+        routes = {str(prefix): match(dstip=prefix) >> fwd(self.primary)
+                  for prefix in self.prefixes}
+        self.handle.edit(lambda participant: [
+            participant.add_outbound(policy) for policy in routes.values()])
+        self._routes.update(routes)
 
     def offloaded(self) -> Tuple[str, ...]:
         """Currently steered prefixes, sorted."""
@@ -264,11 +263,12 @@ class HeavyHitterSteering:
 
     def _swap_route(self, label: str, policy: Policy) -> None:
         """Replace the live policy for ``label`` in one batched change."""
-        participant = self.handle.participant
-        participant.remove_outbound(self._routes[label])
-        participant.add_outbound(policy)
+        def swap(participant) -> None:
+            participant.remove_outbound(self._routes[label])
+            participant.add_outbound(policy)
+
+        self.handle.edit(swap)
         self._routes[label] = policy
-        self.handle._controller.notify_policy_change(self.handle.name)
 
     def _offload(self, event: HeavyHitter,
                  controller: SdxController) -> None:

@@ -370,19 +370,6 @@ class RouteServer:
         """Deliver an update through the sender's session."""
         self.session(update.sender).receive(update)
 
-    def submit_many(self, updates: Iterable[Update]) -> int:
-        """Deliver a batch of updates in order; returns the count.
-
-        The runtime drains coalesced event batches through here: each
-        update still goes through the full per-update decision/notify
-        pipeline (batching is a queueing concern, not a semantics one).
-        """
-        count = 0
-        for update in updates:
-            self.submit(update)
-            count += 1
-        return count
-
     def announce(self, sender: str, prefix: IPv4Prefix, attributes) -> None:
         """Convenience: submit a single announcement."""
         self.submit(Update.announce(sender, prefix, attributes))

@@ -281,7 +281,7 @@ class SdxCompiler:
             finally:
                 self._kept = None
             span.set_tag(rebuilt=",".join(sorted(self._rebuilt)), **self._work)
-        self._last = weakref.ref(result)
+        self.resume(result)
         self._compiles_counter.inc()
         self._compile_latency.observe(result.timings["total"])
         self._rules_gauge.set(len(result.classifier))
@@ -313,12 +313,16 @@ class SdxCompiler:
         self._reuse_counters[stage, hit].inc()
         return entry[1]
 
+    def resume(self, result: Optional[CompilationResult]) -> None:
+        """Reuse from ``result`` next: the memo's part of undoing a change."""
+        self._last = weakref.ref(result) if result is not None else lambda: None
+
     def invalidate_inbound_cache(self, name: Optional[str] = None) -> None:
         """Forget one participant's inbound pipeline — or, with no argument,
         every reuse entry, so that the next compilation is cold."""
         last = self._last()
         if name is None:
-            self._last = lambda: None
+            self.resume(None)
         elif last is not None:
             last.reuse.pop(("inbound", name), None)
 

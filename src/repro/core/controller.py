@@ -17,19 +17,27 @@ path installs shadow rules and the new VNH is advertised to the affected
 border routers → :meth:`run_background_recompilation` later swaps in the
 optimal table (the paper runs this between update bursts; the simulation
 makes it an explicit, deterministic call).
+
+Every change of the main table — the start, a policy edit, an explicit or
+background recompilation, degrade mode — is one *change transaction*
+(:meth:`SdxController._transaction`), and whatever raises inside one is
+undone by its one undo.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Deque,
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -51,7 +59,7 @@ from repro.core.vswitch import VirtualTopology
 from repro.dataplane.fabric import Delivery, Fabric
 from repro.dataplane.flowtable import FlowTable
 from repro.dataplane.router import BorderRouter, RouterPort
-from repro.exceptions import ParticipantError
+from repro.exceptions import ParticipantError, StaticDataplaneError, StaticPolicyError
 from repro.net.addresses import IPv4Address, IPv4Prefix
 from repro.net.mac import MacAddress
 from repro.net.packet import Packet
@@ -128,16 +136,12 @@ class SdxController:
                  telemetry: Optional[Telemetry] = None,
                  statics_mode: str = "off",
                  dataplane_statics_mode: str = "off"):
-        if statics_mode not in ("off", "warn", "strict"):
-            raise ValueError(
-                f"statics_mode must be 'off', 'warn', or 'strict', "
-                f"got {statics_mode!r}")
-        if dataplane_statics_mode not in ("off", "warn", "strict"):
-            raise ValueError(
-                f"dataplane_statics_mode must be 'off', 'warn', or 'strict', "
-                f"got {dataplane_statics_mode!r}")
-        self.statics_mode = statics_mode
-        self.dataplane_statics_mode = dataplane_statics_mode
+        # Imported lazily, like the verifier below, so repro.core keeps no
+        # hard dependency on repro.statics.
+        from repro.statics.diagnostics import gate_mode
+        self.statics_mode = gate_mode(statics_mode)
+        self.dataplane_statics_mode = gate_mode(
+            dataplane_statics_mode, "dataplane_statics_mode")
         self.last_statics_report = None
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.route_server = RouteServer(telemetry=self.telemetry)
@@ -162,9 +166,8 @@ class SdxController:
         self._advertised_at: Optional[List[int]] = None
         if dataplane_statics_mode != "off":
             # Verifies every southbound apply window against the installed
-            # table (SDX010-SDX014); strict mode rolls offending windows
-            # back and raises StaticDataplaneError. Imported lazily so
-            # repro.core keeps no hard dependency on repro.statics.
+            # table (SDX010-SDX014); strict mode raises StaticDataplaneError
+            # for a window that introduces an error, which undoes the change.
             from repro.statics.dataplane import DataplaneVerifier
             self.dataplane_verifier = DataplaneVerifier(
                 self.table,
@@ -175,7 +178,6 @@ class SdxController:
             self.southbound.add_observer(self.dataplane_verifier)
         self.ownership = OwnershipRegistry()
         self.started = False
-        self.last_compilation: Optional[CompilationResult] = None
         #: The latest fast-path results, newest last — a window, not a
         #: history: memory stays flat however long the controller runs.
         self.fast_path_log: Deque[FastPathResult] = deque(
@@ -331,11 +333,19 @@ class SdxController:
         self.submit_update(Update.withdraw(name, prefix))
 
     def submit_update(self, update: Update) -> None:
-        """Deliver one BGP update into the SDX."""
-        if self.started:
-            self.route_server.submit(update)
-        else:
+        """Deliver one BGP update into the SDX. It is a fact: the route
+        server keeps it even if reacting to it fails (a listener raises, a
+        strict dataplane gate refuses the fast path's window) — what was
+        derived from it is undone, and the next background recompilation
+        picks the prefix up."""
+        if not self.started:
             self.route_server.bulk_load([update])
+            return
+        try:
+            self._transaction(None, lambda: self.route_server.submit(update))
+        except BaseException:
+            self.engine.dirty = True
+            raise
 
     def load_routes(self, updates: Iterable[Update]) -> int:
         """Bulk-load an initial routing table (pre-start only path)."""
@@ -361,27 +371,27 @@ class SdxController:
     # Lifecycle
     # ------------------------------------------------------------------
 
+    @property
+    def last_compilation(self) -> Optional[CompilationResult]:
+        """The compilation whose table is installed."""
+        return self.engine.installed
+
     def lint_policies(self, *, enforce: bool = False):
-        """Run the static policy verifier over the current exchange state.
+        """Run the static policy verifier over the current state — of the
+        exchange, or (this is ``FederatedController.lint_policies`` too) of
+        the federation, SDX008/SDX009 included.
 
         Returns the :class:`~repro.statics.diagnostics.StaticsReport`
-        (also stored as ``last_statics_report``). With ``enforce=True``,
-        error-severity findings raise
+        (also stored as ``last_statics_report``); error-severity findings
+        are logged and, with ``enforce=True``, raise
         :class:`~repro.exceptions.StaticPolicyError`.
         """
-        from repro.statics import analyze_controller
+        from repro.statics import analyze_controller, diagnostics
 
         report = analyze_controller(self, telemetry=self.telemetry)
         self.last_statics_report = report
-        for diagnostic in report.sorted():
-            if diagnostic.severity.value == "error":
-                logger.warning("statics %s", diagnostic.describe())
-        if enforce and report.has_errors:
-            from repro.exceptions import StaticPolicyError
-            raise StaticPolicyError(
-                f"static policy verification failed with "
-                f"{len(report.errors)} error(s); first: "
-                f"{report.errors[0].describe()}", report=report)
+        diagnostics.enforce(report.errors, "statics",
+                            StaticPolicyError if enforce else None, report)
         return report
 
     def lint_dataplane(self, *, enforce: bool = False):
@@ -393,87 +403,97 @@ class SdxController:
         ``enforce=True``, error-severity findings raise
         :class:`~repro.exceptions.StaticDataplaneError`.
         """
-        from repro.statics.dataplane import analyze_controller_dataplane
+        from repro.statics import analyze_controller_dataplane, diagnostics
 
         report = analyze_controller_dataplane(self)
-        for diagnostic in report.sorted():
-            if diagnostic.severity.value == "error":
-                logger.warning("dataplane statics %s", diagnostic.describe())
-        if enforce and report.has_errors:
-            from repro.exceptions import StaticDataplaneError
-            raise StaticDataplaneError(
-                f"dataplane verification failed with "
-                f"{len(report.errors)} error(s); first: "
-                f"{report.errors[0].describe()}", report=report)
+        diagnostics.enforce(report.errors, "dataplane statics",
+                            StaticDataplaneError if enforce else None, report)
         return report
 
-    def _statics_gate(self) -> None:
-        """Run the analyzer per ``statics_mode`` (no-op when off)."""
-        if self.statics_mode == "off":
-            return
-        self.lint_policies(enforce=self.statics_mode == "strict")
+    def _transaction(self, span: Optional[str],
+                     stage: Optional[Callable[[], object]] = None,
+                     participants: Sequence[Participant] = (),
+                     gate: Optional[object] = None
+                     ) -> Optional[CompilationResult]:
+        """One change, whole or not at all: the only compile-and-install
+        sequence there is, under the one undo.
+
+        *Stage*: ``stage()`` edits the policies of ``participants``, or
+        takes a BGP update in; a start or a recompilation stages nothing.
+        *Admit*: the policy gate of ``gate`` — this controller, or its
+        federation — refuses an edit that introduces an error finding, a
+        start any that stands (:func:`repro.statics.diagnostics.admit`).
+        *Compile*, under ``span`` (an update has none: its background swap
+        comes later; nor has an edit before :meth:`start`). *Southbound
+        window*: the new rules go in, the border routers are re-pointed at
+        the next hops that moved, only then are the superseded rules
+        deleted — every packet follows the old path or the new one
+        throughout — and the dataplane gate judges each half. *Commit* is
+        getting that far: whatever raises first, the participants'
+        policies, all :meth:`IncrementalEngine.atomic` covers and the
+        border routers' tables are as before. Only the RIB and the change
+        logs keep what happened; the logs name the prefixes that moved and
+        moved back, so who follows them re-derives a few too many, never
+        one too few.
+        """
+        def put(states: list) -> None:
+            for participant, state in states:
+                participant.restore_policy_state(state)
+
+        @contextlib.contextmanager
+        def unstaged() -> Iterator[None]:
+            staged = [(p, p.policy_state()) for p in participants]
+            put(before)
+            try:
+                yield
+            finally:
+                put(staged)
+
+        before = [(p, p.policy_state()) for p in participants]
+        advertised = self._advertised_at
+        try:
+            with self.engine.atomic():
+                if stage is not None:
+                    stage()
+                if gate is not None:
+                    from repro.statics.diagnostics import admit
+                    admit(gate, unstaged if stage is not None else None)
+                if span is None or not (self.started
+                                        or span == "controller.start"):
+                    return None
+                with self.telemetry.span(span):
+                    result = self.compiler.compile()
+                    self.engine.install_full(
+                        result, before_deletes=self._advertise_moved)
+        except BaseException:
+            put(before)
+            self._advertised_at = advertised
+            if self.started:
+                self._advertise_moved()  # from the old marker: what moved
+            raise
+        self.started = True
+        logger.info("%s %s", span, kv(
+            participants=len(self._handles), rules=len(self.table),
+            groups=result.prefix_group_count, seconds=result.total_seconds))
+        return result
 
     def start(self) -> CompilationResult:
-        """Compile and install the initial table, then advertise routes."""
-        self._statics_gate()
-        with self.telemetry.span("controller.start"):
-            result = self.compiler.compile()
-            self.engine.install_full(result)
-            self.last_compilation = result
-            self.started = True
-            self._advertise_moved()
-        logger.info("started %s", kv(
-            participants=len(self._handles),
-            rules=len(self.table),
-            groups=result.prefix_group_count,
-            seconds=result.total_seconds))
-        return result
+        """Admit the configured policies, compile and install the initial
+        table, then advertise routes."""
+        return self._transaction("controller.start", gate=self)
 
-    def recompile(self) -> CompilationResult:
-        """Force a full recompilation and table swap.
-
-        Once started, the swap is consistency-preserving: new rules are
-        installed first, border routers are re-pointed at the new virtual
-        next hops, and only then are the superseded rules deleted — so at
-        every intermediate state each packet follows the old path or the
-        new path.
-        """
-        with self.telemetry.span("controller.recompile"):
-            result = self.compiler.compile()
-            self.engine.install_full(
-                result,
-                before_deletes=self._advertise_moved if self.started else None)
-        self.last_compilation = result
-        logger.info("recompiled %s", kv(
-            rules=len(self.table), seconds=result.total_seconds))
-        return result
+    def recompile(self) -> Optional[CompilationResult]:
+        """Force a full recompilation and a consistency-preserving table
+        swap (:meth:`_transaction`); nothing, before :meth:`start`."""
+        return self._transaction("controller.recompile")
 
     def run_background_recompilation(self) -> Optional[CompilationResult]:
-        """The background stage of the two-stage update path.
-
-        Re-groups prefixes, swaps the optimal table in, reclaims fast-path
-        rules and ephemeral VNHs, and re-advertises next hops that moved.
-        The re-advertisement happens *between* the install and delete
-        phases of the southbound flush (see
-        :meth:`~repro.core.incremental.IncrementalEngine.install_full`).
-        """
-        result = self.engine.background_recompile(
-            before_deletes=self._advertise_moved)
-        if result is not None:
-            self.last_compilation = result
-        return result
-
-    def notify_policy_change(self, name: str) -> None:
-        """React to a policy installation/removal by ``name``.
-
-        In ``warn``/``strict`` statics mode the verifier runs before the
-        recompilation; strict mode raises on error-severity findings
-        (the offending policy stays installed — remove it and the next
-        change recompiles cleanly).
-        """
-        self._statics_gate()
-        if self.started:
-            self.recompile()
+        """The background stage of the two-stage update path: if the fast
+        path left anything behind, the same :meth:`_transaction` re-groups
+        prefixes, swaps the optimal table in, reclaims fast-path rules and
+        ephemeral VNHs, and re-advertises next hops that moved."""
+        return self.engine.background_recompile(
+            lambda: self._transaction("recompile"))
 
     # ------------------------------------------------------------------
     # Degrade mode (runtime overload)
@@ -502,16 +522,16 @@ class SdxController:
         return self._set_policies_suspended(False)
 
     def _set_policies_suspended(self, suspended: bool) -> bool:
-        changed = False
-        for participant in self.topology.participants():
-            if participant.set_policies_suspended(suspended):
-                changed = True
-        if changed:
+        participants = [p for p in self.topology.participants()
+                        if p.policies_suspended != suspended]
+        if participants:
             logger.info("degrade %s", kv(
                 policies="suspended" if suspended else "restored"))
-            if self.started:
-                self.recompile()
-        return changed
+            self._transaction(
+                "controller.recompile",
+                lambda: [p.set_policies_suspended(suspended)
+                         for p in participants], participants)
+        return bool(participants)
 
     def build_runtime(self, config: Optional["RuntimeConfig"] = None,
                       clock: Optional["Clock"] = None) -> "ControlPlaneRuntime":

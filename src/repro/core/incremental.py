@@ -17,14 +17,16 @@ trades space for time:
   rule and ephemeral VNH.
 
 The engine is bookkeeping only — ephemeral VNHs, shadow priorities, the
-push and the swap; every clause → rule decision is the compiler's.
+push, the swap and their undo; every clause → rule decision is the
+compiler's.
 """
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from repro.core.compiler import CompilationResult, SdxCompiler
 from repro.net.addresses import IPv4Prefix
@@ -89,29 +91,41 @@ class IncrementalEngine:
         self.fast_path_invocations = 0
         self.fast_path_rules_live = 0
 
+    @contextlib.contextmanager
+    def atomic(self) -> Iterator[None]:
+        """What the block compiles, assigns, pushes and swaps stands whole
+        or, if it raises, not at all: installed compilation (which the next
+        one reuses from, as warm as before), fast-path debt, allocator and
+        southbound (table, queue, verifier caches) are as before."""
+        kept = (self.installed, self.last_delta, self._fast_priority,
+                self.fast_path_rules_live, self.dirty)
+        try:
+            with self.southbound.atomic(), self.compiler.allocator.atomic():
+                yield
+        except BaseException:
+            (self.installed, self.last_delta, self._fast_priority,
+             self.fast_path_rules_live, self.dirty) = kept
+            self.compiler.resume(self.installed)
+            raise
+
     def install_full(self, result: CompilationResult,
-                     before_deletes: Optional[Callable[[], None]] = None) -> None:
+                     before_deletes: Callable[[], None]) -> None:
         """Swap in a fresh full compilation and drop every fast-path rule.
 
         Routed through the southbound engine: rules shared with the old
         table are untouched (counters survive), the rest arrive as a
         batched, priority-safe add/modify/delete delta, and every live
-        fast-path shadow rule is reclaimed as a delete.
-
-        ``before_deletes`` runs between the two flush phases — after the
-        new rules are installed but before the superseded ones are
-        removed. The controller re-advertises virtual next hops there, so
-        packets tagged with old VMACs still ride the old rules while
-        border routers flip to the new tags; only then is the old state
-        reclaimed.
+        fast-path shadow rule is reclaimed as a delete. ``before_deletes``
+        runs between the two flush phases — the controller re-advertises
+        virtual next hops there, so packets tagged with old VMACs ride the
+        old rules until their border router has flipped to the new tags.
         """
         with self.telemetry.span("install_full",
                                  rules=len(result.classifier)):
             self.last_delta = self.southbound.sync_classifier(
                 result.classifier, flush=False)
             self.southbound.flush_installs()
-            if before_deletes is not None:
-                before_deletes()
+            before_deletes()
             self.southbound.flush()
             # Every rule tagged with a retired VMAC is gone: the allocator
             # may recycle the quarantined (VNH, VMAC) pairs from here on.
@@ -188,19 +202,12 @@ class IncrementalEngine:
     # Background re-optimisation
     # ------------------------------------------------------------------
 
-    def background_recompile(
-            self,
-            before_deletes: Optional[Callable[[], None]] = None,
-    ) -> Optional[CompilationResult]:
-        """Run the optimal compilation and swap it in, if anything changed.
-
-        ``before_deletes`` is forwarded to :meth:`install_full` — it runs
-        between the install and delete phases of the table swap.
-        """
+    def background_recompile(self, swap: Callable[[], CompilationResult]
+                             ) -> Optional[CompilationResult]:
+        """Run ``swap`` — the controller's change transaction — if the
+        fast path left anything to re-optimise."""
         if not self.dirty:
             return None
-        with self.telemetry.span("recompile"):
-            result = self.compiler.compile()
-            self.install_full(result, before_deletes=before_deletes)
+        result = swap()
         self._recompiles_counter.inc()
         return result

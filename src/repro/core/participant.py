@@ -222,6 +222,20 @@ class Participant:
         """Installed inbound policies, oldest first."""
         return tuple(self._inbound)
 
+    def policy_state(self) -> tuple:
+        """The installed policies, the suspension and what is derived from
+        them: the undo record :meth:`restore_policy_state` puts back."""
+        return (list(self._outbound), list(self._inbound),
+                self.policies_suspended, self.policy_generation,
+                dict(self._clause_cache))
+
+    def restore_policy_state(self, state: tuple) -> None:
+        """Put back an earlier :meth:`policy_state` — the same clause tuples,
+        so what the compiler built from them is reused."""
+        (self._outbound[:], self._inbound[:], self.policies_suspended,
+         self.policy_generation, cache) = state
+        self._clause_cache = dict(cache)
+
     def set_policies_suspended(self, suspended: bool) -> bool:
         """Temporarily mask (or unmask) the participant's policies.
 

@@ -11,7 +11,7 @@ Section 3.2: "the SDX would verify that AS D indeed owns the IP prefix".
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from repro.bgp.asn import AsPath
 from repro.bgp.attributes import Origin, RouteAttributes
@@ -107,32 +107,39 @@ class ParticipantHandle:
                 f"policy of {self.name!r} forwards to unknown "
                 f"participant(s) {unknown}; known: {sorted(known)}")
 
-    def add_outbound(self, policy: Policy) -> None:
+    def edit(self, change: Callable[["Participant"], object],
+             gate: Optional[object] = None) -> None:
+        """Run ``change(participant)`` — any number of policy additions and
+        removals — as one change transaction: admitted by the controller's
+        policy gate (or that of ``gate``, its federation), compiled and
+        swapped in or, if any of it fails, undone whole
+        (:meth:`SdxController._transaction`). Every policy edit enters here."""
+        participant = self._participant
+        self._controller._transaction(
+            "controller.recompile", lambda: change(participant),
+            (participant,), gate or self._controller)
+
+    def add_outbound(self, policy: Policy, gate=None) -> None:
         """Install an outbound policy and trigger recompilation."""
         self._check_targets(policy)
-        self._participant.add_outbound(policy)
-        self._controller.notify_policy_change(self.name)
+        self.edit(lambda participant: participant.add_outbound(policy), gate)
 
-    def add_inbound(self, policy: Policy) -> None:
+    def add_inbound(self, policy: Policy, gate=None) -> None:
         """Install an inbound policy and trigger recompilation."""
         self._check_targets(policy)
-        self._participant.add_inbound(policy)
-        self._controller.notify_policy_change(self.name)
+        self.edit(lambda participant: participant.add_inbound(policy), gate)
 
     def remove_outbound(self, policy: Policy) -> None:
         """Remove an outbound policy and trigger recompilation."""
-        self._participant.remove_outbound(policy)
-        self._controller.notify_policy_change(self.name)
+        self.edit(lambda participant: participant.remove_outbound(policy))
 
     def remove_inbound(self, policy: Policy) -> None:
         """Remove an inbound policy and trigger recompilation."""
-        self._participant.remove_inbound(policy)
-        self._controller.notify_policy_change(self.name)
+        self.edit(lambda participant: participant.remove_inbound(policy))
 
     def clear_policies(self) -> None:
         """Remove every policy of this participant."""
-        self._participant.clear_policies()
-        self._controller.notify_policy_change(self.name)
+        self.edit(lambda participant: participant.clear_policies())
 
     # ------------------------------------------------------------------
     # BGP interaction

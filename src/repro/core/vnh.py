@@ -16,8 +16,9 @@ re-optimisation releases them when the full FEC computation catches up.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.bgp.rib import ChangeLog
 from repro.core.fec import PrefixGroup
@@ -56,8 +57,7 @@ class VnhAllocator:
         self.changes: ChangeLog[IPv4Prefix] = ChangeLog()
         self._next_offset = 1  # skip the network address
         self._next_tag = 1
-        self._vnh_by_group: Dict[int, IPv4Address] = {}
-        self._vmac_by_group: Dict[int, MacAddress] = {}
+        self._pair_by_group: Dict[int, Tuple[IPv4Address, MacAddress]] = {}
         self._group_of_prefix: Dict[IPv4Prefix, int] = {}
         self._groups: Dict[int, PrefixGroup] = {}
         self._ephemeral: Dict[IPv4Prefix, Tuple[IPv4Address, MacAddress]] = {}
@@ -71,6 +71,33 @@ class VnhAllocator:
     def generation(self) -> int:
         """The version counter of :attr:`changes`."""
         return self.changes.version
+
+    @contextlib.contextmanager
+    def atomic(self) -> Iterator[None]:
+        """If the block raises, group and ephemeral pairs, quarantine and
+        free lists, pool cursor and ARP bindings are as before it — at no
+        copy per grouped prefix: :meth:`assign_groups` builds new maps, and
+        the replaced ones are the undo record. Only :attr:`changes` moves
+        on, naming what the block moved once more, for having moved back."""
+        version = self.changes.version
+        maps = (self._pair_by_group, self._group_of_prefix, self._groups)
+        rest = (dict(self._ephemeral), list(self._pending_retire),
+                list(self._free), self._next_offset, self._next_tag)
+        try:
+            yield
+        except BaseException:
+            self._pair_by_group, self._group_of_prefix, self._groups = maps
+            (self._ephemeral, self._pending_retire, self._free,
+             self._next_offset, self._next_tag) = rest
+            self._rebind()
+            self.changes.record(self.changes.since(version))
+            raise
+
+    def _rebind(self) -> None:
+        """The responder answers for the live pairs, and no other."""
+        self.responder.replace(dict(
+            [*self._pair_by_group.values(), *self._ephemeral.values()]))
+        self._live_gauge.set(self.assignments)
 
     # ------------------------------------------------------------------
     # Steady-state assignment
@@ -101,24 +128,18 @@ class VnhAllocator:
         """
         with self.telemetry.span("vnh.assign_groups"):
             self._assign_groups(groups)
-        self._live_gauge.set(self.assignments)
 
     def _assign_groups(self, groups: Iterable[PrefixGroup]) -> None:
         previous: Dict[frozenset, Tuple[IPv4Address, MacAddress]] = {
-            group.prefixes: (self._vnh_by_group[gid], self._vmac_by_group[gid])
+            group.prefixes: self._pair_by_group[gid]
             for gid, group in self._groups.items()
         }
         overridden = frozenset(self._ephemeral)
         self._pending_retire.extend(self._ephemeral.values())
-        for vnh in list(self.responder.bindings()):
-            self.responder.unbind(vnh)
-        self._vnh_by_group.clear()
-        self._vmac_by_group.clear()
-        self._group_of_prefix.clear()
-        self._groups.clear()
-        self._ephemeral.clear()
+        # New maps, not the old ones emptied: :meth:`atomic` keeps those.
+        chosen = self._pair_by_group = {}
+        self._group_of_prefix, self._groups, self._ephemeral = {}, {}, {}
         incoming = list(groups)
-        chosen: Dict[int, Tuple[IPv4Address, MacAddress]] = {}
         unmatched: List[PrefixGroup] = []
         for group in incoming:
             pair = (previous.pop(group.prefixes, None)
@@ -143,13 +164,10 @@ class VnhAllocator:
             chosen[group.group_id] = (
                 previous.pop(donor) if donor is not None else self._allocate())
         for group in incoming:
-            vnh, vmac = chosen[group.group_id]
-            self._vnh_by_group[group.group_id] = vnh
-            self._vmac_by_group[group.group_id] = vmac
             self._groups[group.group_id] = group
             for prefix in group.prefixes:
                 self._group_of_prefix[prefix] = group.group_id
-            self.responder.bind(vnh, vmac)
+        self._rebind()
         self._pending_retire.extend(previous.values())
         moved.extend(prefixes.difference(self._group_of_prefix)
                      for prefixes in unmatched_before)
@@ -234,14 +252,14 @@ class VnhAllocator:
     def vnh_for_group(self, group_id: int) -> IPv4Address:
         """The VNH of a group."""
         try:
-            return self._vnh_by_group[group_id]
+            return self._pair_by_group[group_id][0]
         except KeyError:
             raise CompilationError(f"no VNH assigned to group {group_id}") from None
 
     def vmac_for_group(self, group_id: int) -> MacAddress:
         """The VMAC of a group."""
         try:
-            return self._vmac_by_group[group_id]
+            return self._pair_by_group[group_id][1]
         except KeyError:
             raise CompilationError(f"no VMAC assigned to group {group_id}") from None
 
@@ -258,7 +276,7 @@ class VnhAllocator:
         group_id = self._group_of_prefix.get(prefix)
         if group_id is None:
             return None
-        return self._vnh_by_group[group_id]
+        return self._pair_by_group[group_id][0]
 
     def vmac_for_prefix(self, prefix: IPv4Prefix) -> Optional[MacAddress]:
         """The VMAC tag carried by packets destined into ``prefix``."""
@@ -268,7 +286,7 @@ class VnhAllocator:
         group_id = self._group_of_prefix.get(prefix)
         if group_id is None:
             return None
-        return self._vmac_by_group[group_id]
+        return self._pair_by_group[group_id][1]
 
     def groups(self) -> Tuple[PrefixGroup, ...]:
         """Every assigned group, by id."""
@@ -285,7 +303,7 @@ class VnhAllocator:
         """
         index: Dict[MacAddress, str] = {}
         for gid, group in self._groups.items():
-            index[self._vmac_by_group[gid]] = str(group.representative)
+            index[self._pair_by_group[gid][1]] = str(group.representative)
         for prefix, (_vnh, vmac) in self._ephemeral.items():
             index[vmac] = str(prefix)
         return index
@@ -293,8 +311,8 @@ class VnhAllocator:
     @property
     def assignments(self) -> int:
         """Total live (VNH, VMAC) pairs, groups plus ephemerals."""
-        return len(self._vnh_by_group) + len(self._ephemeral)
+        return len(self._pair_by_group) + len(self._ephemeral)
 
     def __repr__(self) -> str:
-        return (f"VnhAllocator(pool={self.pool}, {len(self._vnh_by_group)} groups, "
+        return (f"VnhAllocator(pool={self.pool}, {len(self._pair_by_group)} groups, "
                 f"{len(self._ephemeral)} ephemeral)")

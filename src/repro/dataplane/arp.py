@@ -57,6 +57,10 @@ class ArpResponder:
             raise FabricError(f"VNH {vnh} outside responder pool {self.pool}")
         self._bindings[vnh] = vmac
 
+    def replace(self, bindings: Dict[IPv4Address, MacAddress]) -> None:
+        """Answer for exactly ``bindings`` (pairs drawn from the pool)."""
+        self._bindings = dict(bindings)
+
     def unbind(self, vnh: IPv4Address) -> None:
         """Remove the binding for ``vnh`` (no-op if absent)."""
         self._bindings.pop(vnh, None)

@@ -49,8 +49,8 @@ class CompilationError(ReproError):
 class StaticPolicyError(PolicyError):
     """The static policy verifier found error-severity diagnostics.
 
-    Raised by :class:`~repro.core.controller.SdxController` in strict
-    statics mode; carries the offending
+    Raised by an enforcing lint call, and by a strict policy gate for a
+    change that introduces one (the change is undone); carries the
     :class:`~repro.statics.diagnostics.StaticsReport` as ``report``.
     """
 
@@ -63,8 +63,8 @@ class StaticDataplaneError(FabricError):
     """The dataplane verifier rejected a FlowMod apply window.
 
     Raised by :class:`~repro.statics.dataplane.DataplaneVerifier` in
-    strict mode after rolling the offending window back out of the flow
-    table; carries the verification
+    strict mode for a window that introduces an error (the southbound
+    engine takes the window back out of the table); carries the
     :class:`~repro.statics.diagnostics.StaticsReport` as ``report``.
     """
 

@@ -412,14 +412,16 @@ def run_fig5b(duration: float = 600.0, policy_time: float = 246.0,
     sdx = _fig5b_controller()
 
     def install_balancer(controller: SdxController) -> None:
-        tenant = controller.participant("Tenant")
-        tenant.participant.clear_policies()
-        tenant.participant.add_inbound(
-            (match(dstip="74.125.1.1") & match(srcip="204.57.0.67"))
-            >> modify(dstip=INSTANCE_2) >> fwd("B"))
-        tenant.participant.add_inbound(
-            match(dstip="74.125.1.1") >> modify(dstip=INSTANCE_1) >> fwd("B"))
-        controller.notify_policy_change("Tenant")
+        def balance(tenant) -> None:
+            tenant.clear_policies()
+            tenant.add_inbound(
+                (match(dstip="74.125.1.1") & match(srcip="204.57.0.67"))
+                >> modify(dstip=INSTANCE_2) >> fwd("B"))
+            tenant.add_inbound(
+                match(dstip="74.125.1.1") >> modify(dstip=INSTANCE_1)
+                >> fwd("B"))
+
+        controller.participant("Tenant").edit(balance)
 
     flows = [
         FlowSpec(name="client-1", source="A",

@@ -7,11 +7,11 @@ one API, so a single ``statics_mode`` gate can reason about the *whole*
 federation (including the cross-exchange SDX008/SDX009 checks) before
 any exchange compiles the change into its fabric.
 
-Per-exchange controllers always run with their own statics gate off: a
-single exchange cannot see an inter-exchange loop, and double-gating
-would re-report every single-exchange finding. The federated gate runs
-:func:`repro.federation.checks.analyze_federation`, which includes the
-full single-exchange check battery per member exchange.
+A policy install is the member exchange's own change transaction, admitted
+by the federated gate in place of the member's: a single exchange cannot
+see an inter-exchange loop, and :func:`repro.federation.checks.\
+analyze_federation` includes the full single-exchange check battery per
+member. A refused install is undone like any other failed change.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.bgp.messages import Update
 from repro.core.controller import SdxController
 from repro.core.sdxpolicy import ParticipantHandle
-from repro.exceptions import ParticipantError, StaticPolicyError
+from repro.exceptions import ParticipantError
 from repro.federation.dataplane import FederatedDataPlane, FederatedOutcome
 from repro.federation.topology import (
     ExchangePresence,
@@ -31,9 +31,7 @@ from repro.federation.topology import (
 from repro.net.addresses import IPv4Address, IPv4Prefix
 from repro.net.packet import Packet
 from repro.policy.policies import Policy
-
-#: Valid federated statics gate modes (same surface as SdxController).
-STATICS_MODES = ("off", "warn", "strict")
+from repro.statics import diagnostics
 
 
 class FederatedController:
@@ -41,11 +39,7 @@ class FederatedController:
 
     def __init__(self, *, statics_mode: str = "off", telemetry=None,
                  with_dataplane: bool = True, **controller_kwargs) -> None:
-        if statics_mode not in STATICS_MODES:
-            raise ValueError(
-                f"statics_mode must be one of {STATICS_MODES}, "
-                f"got {statics_mode!r}")
-        self.statics_mode = statics_mode
+        self.statics_mode = diagnostics.gate_mode(statics_mode)
         self.telemetry = telemetry
         self.with_dataplane = with_dataplane
         self.topology = FederationTopology()
@@ -70,7 +64,6 @@ class FederatedController:
         kwargs.update(overrides)
         kwargs.setdefault("with_dataplane", self.with_dataplane)
         kwargs.setdefault("telemetry", self.telemetry)
-        kwargs["statics_mode"] = "off"
         controller = SdxController(**kwargs)
         self._controllers[name] = controller
         return controller
@@ -163,75 +156,21 @@ class FederatedController:
     # ------------------------------------------------------------------
 
     def add_outbound(self, exchange: str, name: str, policy: Policy) -> None:
-        """Install an outbound policy at one exchange, gated federation-wide.
-
-        In strict mode a gate failure rolls the policy back out before
-        re-raising, so a rejected change never reaches any fabric.
-        """
-        self._install(exchange, name, policy, direction="out")
+        """Install an outbound policy at one exchange, gated federation-wide:
+        a refused change never reaches any fabric."""
+        self.handle(exchange, name).add_outbound(policy, gate=self)
 
     def add_inbound(self, exchange: str, name: str, policy: Policy) -> None:
         """Install an inbound policy at one exchange, gated federation-wide."""
-        self._install(exchange, name, policy, direction="in")
-
-    def _install(self, exchange: str, name: str, policy: Policy,
-                 *, direction: str) -> None:
-        handle = self.handle(exchange, name)
-        if direction == "out":
-            handle.add_outbound(policy)
-        else:
-            handle.add_inbound(policy)
-        try:
-            self._statics_gate()
-        except StaticPolicyError:
-            participant = handle.participant
-            if direction == "out":
-                participant.remove_outbound(policy)
-            else:
-                participant.remove_inbound(policy)
-            self.exchange(exchange).notify_policy_change(name)
-            raise
-
-    def notify_policy_change(self, exchange: str, name: str) -> None:
-        """Re-gate and recompile after an out-of-band policy edit."""
-        self._statics_gate()
-        self.exchange(exchange).notify_policy_change(name)
+        self.handle(exchange, name).add_inbound(policy, gate=self)
 
     # ------------------------------------------------------------------
     # Statics gating
     # ------------------------------------------------------------------
 
-    def lint_policies(self, *, enforce: bool = False):
-        """Run the full federation analysis (per-exchange + SDX008/SDX009).
-
-        Stores and returns the :class:`~repro.statics.diagnostics.\
-StaticsReport`; with ``enforce`` raises
-        :class:`~repro.exceptions.StaticPolicyError` on any
-        error-severity finding.
-        """
-        from repro.federation.checks import analyze_federation
-
-        report = analyze_federation(self, telemetry=self.telemetry)
-        self.last_statics_report = report
-        if enforce and report.has_errors:
-            heads = "; ".join(
-                diagnostic.describe() for diagnostic in report.sorted()[:3])
-            raise StaticPolicyError(
-                f"federated static policy verification failed with "
-                f"{len(report.errors)} error(s): {heads}", report=report)
-        return report
-
-    def _statics_gate(self) -> None:
-        """Apply ``statics_mode`` to the current federation state."""
-        if self.statics_mode == "off":
-            return
-        if self.statics_mode == "strict":
-            self.lint_policies(enforce=True)
-            return
-        report = self.lint_policies(enforce=False)
-        if report.diagnostics:  # pragma: no branch - trivial guard
-            for diagnostic in report.sorted():
-                print(f"statics: {diagnostic.describe()}")
+    #: The federation analysis (per-exchange + SDX008/SDX009): the member's
+    #: method, whose ``analyze_controller`` answers for either controller.
+    lint_policies = SdxController.lint_policies
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -243,7 +182,7 @@ StaticsReport`; with ``enforce`` raises
         Returns the per-exchange
         :class:`~repro.core.compile_pipeline.CompilationResult` map.
         """
-        self._statics_gate()
+        diagnostics.admit(self)
         results = {
             name: self._controllers[name].start()
             for name in self.exchanges()

@@ -48,6 +48,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.bgp.messages import Update
 from repro.core.controller import SdxController
+from repro.exceptions import StaticDataplaneError, StaticPolicyError
 from repro.runtime.clock import Clock, MonotonicClock
 from repro.runtime.events import (
     EventClass,
@@ -76,10 +77,8 @@ class RuntimeConfig:
     many consecutive saturated submissions are tolerated before
     policies are suspended, and how many consecutive calm drain steps
     (queue empty, no saturation) are required before they are restored.
-    ``defer_southbound`` processes each batch inside one southbound
-    flush window. ``poll_interval_seconds`` is the threaded worker's
-    idle heartbeat (it also bounds how stale the idle-recompile check
-    can get).
+    ``poll_interval_seconds`` is the threaded worker's idle heartbeat
+    (it also bounds how stale the idle-recompile check can get).
     """
 
     max_queue_depth: int = 1024
@@ -90,7 +89,6 @@ class RuntimeConfig:
     degrade_high_fraction: float = 0.75
     degrade_low_fraction: float = 0.25
     degrade_patience: int = 16
-    defer_southbound: bool = True
     poll_interval_seconds: float = 0.01
 
 
@@ -136,6 +134,9 @@ class ControlPlaneRuntime:
             "Events shed under overload (includes absorbed events)")
         self._processed_counter = telemetry.counter(
             "sdx_runtime_processed_total", "Events drained into the controller")
+        self._rejected_counter = telemetry.counter(
+            "sdx_runtime_policy_rejected_total",
+            "Drained events whose change a strict gate refused (and undid)")
         self._batch_counter = telemetry.counter(
             "sdx_runtime_batches_total", "Drain batches processed")
         self._blocked_counter = telemetry.counter(
@@ -364,11 +365,7 @@ class ControlPlaneRuntime:
 
     def _process_batch(self, batch: List[RuntimeEvent]) -> None:
         with self.telemetry.span("runtime.step", events=len(batch)):
-            if self.config.defer_southbound:
-                with self.controller.southbound.deferred():
-                    for event in batch:
-                        self._process_event(event)
-            else:
+            with self.controller.southbound.deferred():
                 for event in batch:
                     self._process_event(event)
         self._batch_counter.inc()
@@ -377,13 +374,19 @@ class ControlPlaneRuntime:
         self._space.notify_all()
 
     def _process_event(self, event: RuntimeEvent) -> None:
-        if event.update is not None:
-            self.controller.submit_update(event.update)
-        elif event.apply is not None:
-            event.apply(self.controller)
-        elif event.monitoring is not None:
-            for handler in self._monitoring_handlers:
-                handler(event.monitoring, self.controller)
+        try:
+            if event.update is not None:
+                self.controller.submit_update(event.update)
+            elif event.apply is not None:
+                event.apply(self.controller)
+            elif event.monitoring is not None:
+                for handler in self._monitoring_handlers:
+                    handler(event.monitoring, self.controller)
+        except (StaticPolicyError, StaticDataplaneError) as error:
+            # Already undone by the controller: the batch goes on.
+            self._rejected_counter.inc()
+            logger.warning("rejected %s", kv(event=event.describe(),
+                                             error=error))
         self._ingest_histogram.observe(
             time.perf_counter() - event.enqueued_wall)
 

@@ -39,7 +39,7 @@ import contextlib
 import logging
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, List, Optional, Sequence
 
 from repro.policy.classifier import Classifier
 from repro.policy.flowrules import FlowRule
@@ -66,16 +66,14 @@ class SouthboundConfig:
     """Tunables for the southbound engine.
 
     ``max_batch_size`` bounds FlowMods per batch (per apply-latency
-    sample); ``max_pending`` is the queue's backpressure threshold;
-    ``auto_flush`` makes every submission flush synchronously (the
-    simulation default — rules are visible as soon as the submitting call
-    returns). Set it false to coalesce across several submissions and
-    flush explicitly.
+    sample); ``max_pending`` is the queue's backpressure threshold. Every
+    submission flushes synchronously — rules are visible as soon as the
+    submitting call returns — except inside
+    :meth:`SouthboundEngine.deferred`, which coalesces several.
     """
 
     max_batch_size: int = 128
     max_pending: int = 4096
-    auto_flush: bool = True
 
 
 def schedule_two_phase(mods: Iterable[FlowMod]) -> List[FlowMod]:
@@ -100,9 +98,10 @@ def schedule_two_phase(mods: Iterable[FlowMod]) -> List[FlowMod]:
 #: engine dispatches by duck typing around each apply window (one
 #: :meth:`SouthboundEngine._apply` call): ``on_apply_begin()`` before the
 #: first batch, ``on_batch_pending(batch)`` immediately *before* each
-#: batch reaches the table (the dataplane verifier records inverse mods
-#: there for strict-mode rollback), and ``on_apply_end()`` after the last
-#: batch — where a verifying observer may raise to reject the window.
+#: batch reaches the table, and ``on_apply_end()`` after the last batch —
+#: where a verifying observer may raise to reject the window — and
+#: ``on_rollback()`` once :meth:`SouthboundEngine.atomic` has put the table
+#: back, for one that caches verdicts about it.
 BatchObserver = Callable[[Sequence[FlowMod]], None]
 
 
@@ -111,16 +110,16 @@ class SouthboundEngine:
 
     def __init__(self, table: "FlowTable",
                  config: Optional[SouthboundConfig] = None,
-                 stats: Optional[SouthboundStats] = None,
                  telemetry: Optional[Telemetry] = None):
         self.table = table
         self.config = config or SouthboundConfig()
         self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self.stats = (stats if stats is not None
-                      else SouthboundStats(registry=self.telemetry.registry))
+        self.stats = SouthboundStats(registry=self.telemetry.registry)
         self.queue = UpdateQueue(max_pending=self.config.max_pending)
         self._observers: List[BatchObserver] = []
         self._defer_depth = 0
+        # Inside an atomic block: (mod applied, rule its key held before).
+        self._journal: Optional[List[tuple]] = None
 
     # ------------------------------------------------------------------
     # Submission
@@ -128,20 +127,19 @@ class SouthboundEngine:
 
     def sync_classifier(self, classifier: Classifier,
                         base_priority: int = 0,
-                        flush: Optional[bool] = None) -> Delta:
+                        flush: bool = True) -> Delta:
         """Reconcile the live table with a compiled classifier.
 
         Computes the minimal delta against what is currently installed
         (including any fast-path shadow rules, which the delta reclaims as
-        deletes), enqueues it, and — under ``auto_flush`` — applies it.
+        deletes), enqueues it, and — unless deferred — applies it.
         Returns the delta for the caller's accounting.
 
-        With ``auto_flush`` off (or ``flush=False``), the diff is taken
-        against the *projected* table — live rules plus pending mods — so
-        back-to-back syncs queued inside one flush window stay correct
-        while coalescing. ``flush`` overrides the configured auto-flush
-        for this call: the caller intends to stage the delta and drive
-        the two flush phases itself.
+        The diff is taken against the *projected* table — live rules plus
+        pending mods — so back-to-back syncs queued inside one
+        :meth:`deferred` window stay correct while coalescing. With
+        ``flush=False`` the caller stages the delta and drives the two
+        flush phases itself.
         """
         with self.telemetry.span("southbound.sync",
                                  rules=len(classifier)) as span:
@@ -149,13 +147,10 @@ class SouthboundEngine:
                 delta = diff_classifier(self._projected_rules(), classifier,
                                         base_priority)
             span.set_tag(mods=delta.total, unchanged=delta.unchanged)
-            self.stats.syncs += 1
-            self.stats.rules_unchanged += delta.unchanged
+            self.stats.counters["syncs"].inc()
+            self.stats.counters["rules_unchanged"].inc(delta.unchanged)
             self.queue.enqueue_many(delta.mods)
-        if flush is False:
-            self.stats.mods_coalesced = self.queue.coalesced
-        else:
-            self._after_submit()
+        self._after_submit(flush)
         return delta
 
     def push_rules(self, rules: Iterable[FlowRule]) -> int:
@@ -192,12 +187,14 @@ class SouthboundEngine:
                 keyed[mod.key] = mod.rule
         return list(keyed.values())
 
-    def _after_submit(self) -> None:
-        self.stats.mods_coalesced = self.queue.coalesced
+    def _after_submit(self, flush: bool = True) -> None:
+        self.stats.counters["mods_coalesced"].set(self.queue.coalesced)
+        if not flush:
+            return
         if self.queue.needs_flush:
-            self.stats.backpressure_flushes += 1
+            self.stats.counters["backpressure_flushes"].inc()
             self.flush()
-        elif self.config.auto_flush and not self._defer_depth:
+        elif not self._defer_depth:
             self.flush()
 
     @contextlib.contextmanager
@@ -217,7 +214,7 @@ class SouthboundEngine:
             yield self
         finally:
             self._defer_depth -= 1
-            if not self._defer_depth and self.config.auto_flush:
+            if not self._defer_depth:
                 self.flush()
 
     # ------------------------------------------------------------------
@@ -256,10 +253,7 @@ class SouthboundEngine:
         installs = [mod for mod in mods if mod.op is not FlowModOp.DELETE]
         deletes = [mod for mod in mods if mod.op is FlowModOp.DELETE]
         applied = self._apply(schedule_two_phase(installs))
-        self.queue.enqueue_many(deletes)
-        # Re-queueing deletes is bookkeeping, not new traffic: undo the
-        # enqueue/coalesce accounting the queue just recorded for them.
-        self.queue.enqueued -= len(deletes)
+        self.queue.restore(deletes)
         return applied
 
     def flush(self) -> int:
@@ -273,32 +267,63 @@ class SouthboundEngine:
             if hook is not None:
                 hook(*args)
 
+    @contextlib.contextmanager
+    def atomic(self) -> Iterator[None]:
+        """If the block raises, every key it touched gets back the rule it
+        held (put back, a deleted rule counts from zero) and the queue its
+        pending mods; observers hear ``on_rollback()``. Each apply window
+        is such a block: a hook or observer that raises — a strict verifier
+        refusing the window — leaves no half of it behind, and its mods are
+        dropped, not retried. Inside an open block another adds nothing:
+        the outermost undoes it all.
+        """
+        if self._journal is not None:
+            yield
+            return
+        journal = self._journal = []
+        pending = self.queue.pending_mods()
+        try:
+            yield
+        except BaseException:
+            for mod, held in reversed(journal):
+                self.table.apply_mod(FlowMod.delete(mod.rule) if held is None
+                                     else FlowMod.add(held))
+            self.queue.restore(pending)
+            self._dispatch_hook("on_rollback")
+            raise
+        finally:
+            self._journal = None
+
     def _apply(self, ordered: Sequence[FlowMod]) -> int:
         if not ordered:
             return 0
         size = self.config.max_batch_size
-        self._dispatch_hook("on_apply_begin")
-        with self.telemetry.span("southbound.apply", mods=len(ordered)):
-            for start in range(0, len(ordered), size):
-                batch = ordered[start:start + size]
-                self._dispatch_hook("on_batch_pending", batch)
-                began = time.perf_counter()
-                with self.telemetry.span("flowtable.apply", mods=len(batch)):
-                    self.table.apply_delta(batch)
-                self.stats.record_batch(len(batch),
-                                        time.perf_counter() - began)
-                for mod in batch:
-                    if mod.op is FlowModOp.ADD:
-                        self.stats.adds_sent += 1
-                    elif mod.op is FlowModOp.MODIFY:
-                        self.stats.modifies_sent += 1
-                    else:
-                        self.stats.deletes_sent += 1
-                for observer in self._observers:
-                    observer(batch)
-        # After the spans close so a strict verifier's rejection (raised
-        # from the hook) does not leave a span open.
-        self._dispatch_hook("on_apply_end")
+        counters = self.stats.counters
+        with self.atomic():
+            self._dispatch_hook("on_apply_begin")
+            with self.telemetry.span("southbound.apply", mods=len(ordered)):
+                for start in range(0, len(ordered), size):
+                    batch = ordered[start:start + size]
+                    self._dispatch_hook("on_batch_pending", batch)
+                    self._journal.extend(
+                        (mod, self.table.rule_for_key(mod.priority, mod.match))
+                        for mod in batch)
+                    began = time.perf_counter()
+                    with self.telemetry.span("flowtable.apply",
+                                             mods=len(batch)):
+                        self.table.apply_delta(batch)
+                    self.stats.record_batch(len(batch),
+                                            time.perf_counter() - began)
+                    deletes = sum(mod.op is FlowModOp.DELETE for mod in batch)
+                    adds = sum(mod.op is FlowModOp.ADD for mod in batch)
+                    counters["adds_sent"].inc(adds)
+                    counters["deletes_sent"].inc(deletes)
+                    counters["modifies_sent"].inc(len(batch) - adds - deletes)
+                    for observer in self._observers:
+                        observer(batch)
+            # After the spans close so a strict verifier's rejection (raised
+            # from the hook) does not leave a span open.
+            self._dispatch_hook("on_apply_end")
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug("apply %s", kv(mods=len(ordered),
                                         table_rules=len(self.table)))

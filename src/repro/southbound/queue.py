@@ -97,6 +97,11 @@ class UpdateQueue:
         """The pending mods (first-enqueued order), without draining."""
         return list(self._pending.values())
 
+    def restore(self, mods: List[FlowMod]) -> None:
+        """Make ``mods`` — an earlier :meth:`pending_mods`, or part of a
+        :meth:`drain` — the pending set again; nothing is counted."""
+        self._pending = {mod.key: mod for mod in mods}
+
     def drain(self) -> List[FlowMod]:
         """Remove and return every pending mod (first-enqueued order)."""
         mods = list(self._pending.values())

@@ -1,199 +1,113 @@
-"""Counters and latency histograms for the southbound engine.
+"""Counters and latency distributions of the southbound engine.
 
-Everything the Figure 9/10 update-cost benchmarks need to report the
-delta engine's behaviour: FlowMods sent per kind, coalescing savings,
-batch sizes, per-batch apply latency, and how many rules each sync left
-untouched (the counter-preserving majority).
-
-Since the telemetry PR, :class:`SouthboundStats` is a *facade over the
-metrics registry*: every scalar below is stored in a
-:class:`~repro.telemetry.registry.Counter` (``sdx_southbound_*``
-families), so the same numbers appear verbatim in ``repro stats``, the
-JSON snapshot, and the Prometheus exposition. The attribute API —
-including augmented assignment like ``stats.adds_sent += 1`` — is
-unchanged, and distributions still come back as
-:class:`~repro.experiments.metrics.Cdf` so they plug straight into the
-existing rendering machinery.
+What the Figure 9/10 update-cost benchmarks report of the delta engine:
+FlowMods sent per kind, coalescing savings, batch sizes, per-batch apply
+latency, and how many rules each sync left untouched (the
+counter-preserving majority). The scalars *are* the registry's
+``sdx_southbound_*`` counters — the engine increments them, ``repro
+stats`` and the Prometheus exposition read the same objects — and
+``stats.adds_sent`` and friends read their values.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from collections import deque
+from typing import Deque, Dict, Optional, Tuple
 
-from repro.telemetry.registry import MetricsRegistry
+from repro.telemetry.registry import Counter, MetricsRegistry
 
+#: How many of the latest batches the two CDFs are taken over: a window,
+#: so a day of churn holds no more than a minute of it.
+BATCH_WINDOW = 4096
 
 class SouthboundStats:
-    """Cumulative southbound-engine measurements, registry-backed.
+    """Cumulative southbound-engine measurements, held in the registry.
 
     Pass the controller's registry to share one namespace with the rest
     of the pipeline; the default is a private registry so standalone
     engines (and tests) stay isolated.
     """
 
+    # Counting goes through ``counters``: ``stats.adds_sent = n`` raises.
+    __slots__ = ("registry", "counters", "_batch_size", "_apply_latency",
+                 "_batches")
+
     def __init__(self, registry: Optional[MetricsRegistry] = None):
         self.registry = registry if registry is not None else MetricsRegistry()
-        flowmods = "FlowMods applied to the table, by kind"
-        self._adds = self.registry.counter(
-            "sdx_southbound_flowmods_total", flowmods, op="add")
-        self._modifies = self.registry.counter(
-            "sdx_southbound_flowmods_total", flowmods, op="modify")
-        self._deletes = self.registry.counter(
-            "sdx_southbound_flowmods_total", flowmods, op="delete")
-        self._coalesced = self.registry.counter(
-            "sdx_southbound_coalesced_total",
-            "Mods absorbed by per-key coalescing before reaching the switch")
-        self._syncs = self.registry.counter(
-            "sdx_southbound_syncs_total",
-            "Classifier syncs processed (one per recompile swap)")
-        self._unchanged = self.registry.counter(
-            "sdx_southbound_rules_unchanged_total",
-            "Rules a sync left untouched (counters preserved)")
-        self._batches = self.registry.counter(
-            "sdx_southbound_batches_total", "Batches applied to the table")
-        self._backpressure = self.registry.counter(
-            "sdx_southbound_backpressure_flushes_total",
-            "Flushes forced by queue backpressure")
-        self._batch_size = self.registry.histogram(
+        counter, histogram = self.registry.counter, self.registry.histogram
+        flowmods = ("sdx_southbound_flowmods_total",
+                    "FlowMods applied to the table, by kind")
+        #: Snapshot key -> its registry counter; the engine calls ``inc``.
+        self.counters: Dict[str, Counter] = {
+            "adds_sent": counter(*flowmods, op="add"),
+            "modifies_sent": counter(*flowmods, op="modify"),
+            "deletes_sent": counter(*flowmods, op="delete"),
+            "mods_coalesced": counter(
+                "sdx_southbound_coalesced_total",
+                "Mods absorbed by per-key coalescing before reaching the switch"),
+            "syncs": counter("sdx_southbound_syncs_total",
+                             "Classifier syncs processed (one per recompile swap)"),
+            "rules_unchanged": counter(
+                "sdx_southbound_rules_unchanged_total",
+                "Rules a sync left untouched (counters preserved)"),
+            "batches_applied": counter("sdx_southbound_batches_total",
+                                       "Batches applied to the table"),
+            "backpressure_flushes": counter(
+                "sdx_southbound_backpressure_flushes_total",
+                "Flushes forced by queue backpressure"),
+        }
+        self._batch_size = histogram(
             "sdx_southbound_batch_size", "FlowMods per applied batch")
-        self._apply_latency = self.registry.histogram(
-            "sdx_southbound_apply_seconds",
-            "Wall-clock seconds per applied batch")
-        #: Size of every batch applied, in order (exact, for the CDFs).
-        self.batch_sizes: List[int] = []
-        #: Wall-clock seconds each batch took to apply, in order.
-        self.apply_seconds: List[float] = []
+        self._apply_latency = histogram(
+            "sdx_southbound_apply_seconds", "Wall-clock seconds per applied batch")
+        #: ``(size, seconds)`` of the latest batches, in order.
+        self._batches: Deque[Tuple[int, float]] = deque(maxlen=BATCH_WINDOW)
 
-    # ------------------------------------------------------------------
-    # Scalar counters (registry-backed attributes)
-    # ------------------------------------------------------------------
-
-    @property
-    def adds_sent(self) -> int:
-        """ADD FlowMods sent to the table."""
-        return self._adds.value
-
-    @adds_sent.setter
-    def adds_sent(self, value: int) -> None:
-        self._adds.set(value)
-
-    @property
-    def modifies_sent(self) -> int:
-        """MODIFY FlowMods sent to the table."""
-        return self._modifies.value
-
-    @modifies_sent.setter
-    def modifies_sent(self, value: int) -> None:
-        self._modifies.set(value)
-
-    @property
-    def deletes_sent(self) -> int:
-        """DELETE FlowMods sent to the table."""
-        return self._deletes.value
-
-    @deletes_sent.setter
-    def deletes_sent(self, value: int) -> None:
-        self._deletes.set(value)
-
-    @property
-    def mods_coalesced(self) -> int:
-        """Mods absorbed by per-key coalescing before the switch saw them."""
-        return self._coalesced.value
-
-    @mods_coalesced.setter
-    def mods_coalesced(self, value: int) -> None:
-        self._coalesced.set(value)
-
-    @property
-    def syncs(self) -> int:
-        """Classifier syncs processed (one per recompile swap)."""
-        return self._syncs.value
-
-    @syncs.setter
-    def syncs(self, value: int) -> None:
-        self._syncs.set(value)
-
-    @property
-    def rules_unchanged(self) -> int:
-        """Rules syncs left untouched (counters preserved), cumulative."""
-        return self._unchanged.value
-
-    @rules_unchanged.setter
-    def rules_unchanged(self, value: int) -> None:
-        self._unchanged.set(value)
-
-    @property
-    def batches_applied(self) -> int:
-        """Batches applied to the table."""
-        return self._batches.value
-
-    @batches_applied.setter
-    def batches_applied(self, value: int) -> None:
-        self._batches.set(value)
-
-    @property
-    def backpressure_flushes(self) -> int:
-        """Flushes forced by queue backpressure."""
-        return self._backpressure.value
-
-    @backpressure_flushes.setter
-    def backpressure_flushes(self, value: int) -> None:
-        self._backpressure.set(value)
+    def __getattr__(self, key: str) -> int:
+        """``stats.adds_sent`` and the other snapshot keys, as numbers."""
+        if key == "counters" or key not in self.counters:
+            raise AttributeError(key)
+        return self.counters[key].value
 
     @property
     def mods_sent(self) -> int:
         """Total FlowMods actually applied to the table."""
         return self.adds_sent + self.modifies_sent + self.deletes_sent
 
-    # ------------------------------------------------------------------
-    # Distributions
-    # ------------------------------------------------------------------
-
     def record_batch(self, size: int, seconds: float) -> None:
         """Account one applied batch."""
-        self._batches.inc()
-        self.batch_sizes.append(size)
-        self.apply_seconds.append(seconds)
+        self.counters["batches_applied"].inc()
+        self._batches.append((size, seconds))
         self._batch_size.observe(size)
         self._apply_latency.observe(seconds)
 
     def batch_size_cdf(self):
-        """Distribution of batch sizes (a :class:`~repro.experiments.metrics.Cdf`)."""
+        """Distribution of the latest :data:`BATCH_WINDOW` batch sizes (a
+        :class:`~repro.experiments.metrics.Cdf`)."""
         from repro.experiments.metrics import Cdf
-        return Cdf(self.batch_sizes)
+        return Cdf(size for size, _seconds in self._batches)
 
     def apply_time_cdf(self):
-        """Distribution of per-batch apply latencies."""
+        """Distribution of the latest per-batch apply latencies."""
         from repro.experiments.metrics import Cdf
-        return Cdf(self.apply_seconds)
+        return Cdf(seconds for _size, seconds in self._batches)
 
     def snapshot(self) -> Dict[str, int]:
         """The scalar counters as a plain dict (for logs and diffing)."""
-        return {
-            "adds_sent": self.adds_sent,
-            "modifies_sent": self.modifies_sent,
-            "deletes_sent": self.deletes_sent,
-            "mods_sent": self.mods_sent,
-            "mods_coalesced": self.mods_coalesced,
-            "syncs": self.syncs,
-            "rules_unchanged": self.rules_unchanged,
-            "batches_applied": self.batches_applied,
-            "backpressure_flushes": self.backpressure_flushes,
-        }
+        values = {key: counter.value for key, counter in self.counters.items()}
+        return {**values, "mods_sent": self.mods_sent}
 
     def render(self) -> str:
         """A printable table of counters plus latency quantiles."""
         from repro.experiments.metrics import render_table
         rows = [[name, value] for name, value in self.snapshot().items()]
-        if self.apply_seconds:
-            latency = self.apply_time_cdf()
-            rows.append(["apply ms (median)", f"{latency.median * 1000:.3f}"])
-            rows.append(["apply ms (p99)",
-                         f"{latency.quantile(0.99) * 1000:.3f}"])
-        if self.batch_sizes:
-            sizes = self.batch_size_cdf()
-            rows.append(["batch size (median)", f"{sizes.median:g}"])
-            rows.append(["batch size (max)", f"{max(self.batch_sizes)}"])
+        if self._batches:
+            latency, sizes = self.apply_time_cdf(), self.batch_size_cdf()
+            rows += [
+                ["apply ms (median)", f"{latency.median * 1000:.3f}"],
+                ["apply ms (p99)", f"{latency.quantile(0.99) * 1000:.3f}"],
+                ["batch size (median)", f"{sizes.median:g}"],
+                ["batch size (max)", f"{sizes.quantile(1.0):g}"]]
         return render_table(["counter", "value"], rows)
 
     def __repr__(self) -> str:

@@ -36,7 +36,6 @@ reference machinery to enforce each check's soundness contract.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from itertools import product
 from typing import (
@@ -52,16 +51,22 @@ from typing import (
     Tuple,
 )
 
+from repro.exceptions import StaticDataplaneError
 from repro.net.addresses import IPv4Prefix
 from repro.net.mac import MacAddress
 from repro.net.packet import IP_FIELDS, Packet
 from repro.policy.flowrules import FlowRule
 from repro.policy.headerspace import Constraint, HeaderSpace
 from repro.southbound.diff import FlowMod, FlowModOp, RuleKey, rule_key
-from repro.statics.diagnostics import Diagnostic, Severity, SourceLocation, StaticsReport
+from repro.statics.diagnostics import (
+    Diagnostic,
+    Severity,
+    SourceLocation,
+    StaticsReport,
+    enforce,
+    gate_mode,
+)
 from repro.telemetry import Telemetry, get_telemetry
-
-logger = logging.getLogger("repro.statics.dataplane")
 
 #: Above this many equivalence classes a per-rule subpartition falls back
 #: to the conservative single-cover test (sound: it only *misses* union
@@ -422,10 +427,12 @@ class DataplaneVerifier:
     Attach an instance as a :class:`SouthboundEngine` batch observer and
     it re-verifies exactly the rules each apply window touched, keeping
     a diagnostic cache whose rendering is byte-identical to a fresh
-    whole-table analysis. ``mode`` mirrors the PR 5 ``statics_mode``
-    gate: ``"warn"`` logs error findings, ``"strict"`` rolls the
-    offending window's mods back out of the table and raises
-    :class:`~repro.exceptions.StaticDataplaneError`.
+    whole-table analysis. ``mode`` is the gate contract of
+    :func:`repro.statics.diagnostics.admit`, applied to an apply window:
+    ``"warn"`` logs the error findings the window introduced, ``"strict"``
+    raises :class:`~repro.exceptions.StaticDataplaneError` for them —
+    and the engine, every apply window being atomic, takes the window
+    back out of the table and has this cache start over from it.
 
     ``committed_spaces`` / ``vmac_index`` are zero-argument callables so
     the verifier always sees current allocator and routing state;
@@ -442,11 +449,8 @@ class DataplaneVerifier:
                  switch: str = "table",
                  class_budget: int = DEFAULT_CLASS_BUDGET,
                  telemetry: Optional[Telemetry] = None):
-        if mode not in ("off", "warn", "strict"):
-            raise ValueError(
-                f"dataplane statics mode must be off/warn/strict, got {mode!r}")
         self.table = table
-        self.mode = mode
+        self.mode = gate_mode(mode, "dataplane statics mode")
         self.switch = switch
         self.class_budget = class_budget
         self._committed_spaces = committed_spaces or (lambda: ())
@@ -477,6 +481,14 @@ class DataplaneVerifier:
         self._batches_counter = registry.counter(
             "sdx_statics_dataplane_batches_total",
             "Southbound apply windows verified")
+        self._budget_counters = {
+            check_id: registry.counter(
+                "sdx_statics_dataplane_budget_exceeded_total",
+                "Checks degraded because a class enumeration passed the "
+                "class budget: SDX010 falls back to the single-cover test, "
+                "SDX011 is skipped for that space", check=check_id)
+            for check_id in ("SDX010", "SDX011")
+        }
         # State diagnostics, keyed so incremental updates replace exactly
         # the findings their rules own.
         self._diags: Dict[_DiagKey, Diagnostic] = {}
@@ -485,10 +497,6 @@ class DataplaneVerifier:
         self._vmac_snapshot: Set[MacAddress] = set()
         # Apply-window bookkeeping (observer protocol).
         self._window: Optional[List[FlowMod]] = None
-        self._inverse: List[FlowMod] = []
-        self._window_snapshot: Optional[Tuple[
-            Dict[_DiagKey, Diagnostic], Dict[RuleKey, int],
-            Dict[str, CommittedSpace], Set[MacAddress]]] = None
         self._pre_window_errors: Set[_DiagKey] = set()
         self.last_report: Optional[StaticsReport] = None
         self.refresh_full()
@@ -527,15 +535,7 @@ class DataplaneVerifier:
             rules = self.table.rules
             affected = {rule_key(rule) for rule in rules
                         if self._references_vmac(rule, changed)}
-            if affected:
-                self._invalidate_rules(affected)
-                index_of: Dict[RuleKey, int] = {}
-                for index, rule in enumerate(rules):
-                    index_of.setdefault(rule_key(rule), index)
-                for key in affected:
-                    index = index_of.get(key)
-                    if index is not None:
-                        self._verify_rule(rules, index)
+            self._reverify(rules, affected)
         self._verify_committed(set())
 
     # ------------------------------------------------------------------
@@ -593,14 +593,7 @@ class DataplaneVerifier:
             reused = sum(count for key, count in self._rule_classes.items()
                          if key not in affected)
             self._reused_counter.inc(reused)
-            self._invalidate_rules(affected)
-            index_of: Dict[RuleKey, int] = {}
-            for index, rule in enumerate(rules):
-                index_of.setdefault(rule_key(rule), index)
-            for key in affected:
-                index = index_of.get(key)
-                if index is not None:
-                    self._verify_rule(rules, index)
+            self._reverify(rules, affected)
             self._verify_committed(set(mod_spaces))
             self._verify_loops()
         self._runs_counter.inc()
@@ -624,7 +617,9 @@ class DataplaneVerifier:
             return True
         return any(action.get("dstmac") in vmacs for action in rule.actions)
 
-    def _invalidate_rules(self, keys: Set[RuleKey]) -> None:
+    def _reverify(self, rules: Sequence[FlowRule], keys: Set[RuleKey]) -> None:
+        """Drop the per-rule verdicts of ``keys`` and take them again for
+        those still installed (a key's first instance)."""
         stale = [diag_key for diag_key in self._diags
                  if diag_key[0] in ("SDX010", "SDX012")
                  and (diag_key[1], diag_key[2]) in keys]
@@ -632,6 +627,12 @@ class DataplaneVerifier:
             del self._diags[diag_key]
         for key in keys:
             self._rule_classes.pop(key, None)
+        seen: Set[RuleKey] = set()
+        for index, rule in enumerate(rules):
+            key = rule_key(rule)
+            if key in keys and key not in seen:
+                seen.add(key)
+                self._verify_rule(rules, index)
 
     # ------------------------------------------------------------------
     # SDX010 + SDX012: per-rule verdicts
@@ -657,6 +658,7 @@ class DataplaneVerifier:
             partition = Subpartition(rule.match, earlier,
                                      budget=self.class_budget)
         except ClassBudgetExceeded:
+            self._budget_counters["SDX010"].inc()
             self._rule_classes[rule_key(rule)] = 0
             for other in earlier:
                 if other.match.covers(rule.match):
@@ -765,6 +767,7 @@ class DataplaneVerifier:
                 committed.space, rules, port_domain=committed.ports,
                 budget=self.class_budget)
         except ClassBudgetExceeded:
+            self._budget_counters["SDX011"].inc()
             return None
         self._classes_counter.inc(len(partition.classes))
         eaten = 0
@@ -905,36 +908,24 @@ class DataplaneVerifier:
     # Southbound observer protocol
     # ------------------------------------------------------------------
 
+    def on_rollback(self) -> None:
+        """The engine put the table back as it was before a failed change:
+        take every verdict again from what is installed. Costs a full pass,
+        and only then — accepting a window costs no copy of the cache."""
+        self._window = None
+        self.refresh_full()
+
     def on_apply_begin(self) -> None:
         """An apply window opens: start accumulating its batches."""
         self._window = []
-        self._inverse = []
-        self._window_snapshot = (dict(self._diags), dict(self._rule_classes),
-                                 dict(self._space_snapshot),
-                                 set(self._vmac_snapshot))
         self._pre_window_errors = {
             key for key, diag in self._diags.items()
             if diag.severity is Severity.ERROR}
-
-    def on_batch_pending(self, batch: Sequence[FlowMod]) -> None:
-        """Record the inverse of a batch before the table applies it."""
-        if self._window is None:
-            self.on_apply_begin()
-        for mod in batch:
-            existing = self.table.rule_for_key(mod.priority, mod.match)
-            if mod.op is FlowModOp.DELETE:
-                if existing is not None:
-                    self._inverse.append(FlowMod.add(existing))
-            elif existing is not None:
-                self._inverse.append(FlowMod.modify(existing))
-            else:
-                self._inverse.append(FlowMod.delete(mod.rule))
 
     def __call__(self, batch: Sequence[FlowMod]) -> None:
         """BatchObserver entry point: accumulate one applied batch."""
         if self._window is None:
             self.on_apply_begin()
-        assert self._window is not None
         self._window.extend(batch)
 
     def on_apply_end(self) -> None:
@@ -945,11 +936,9 @@ class DataplaneVerifier:
         batches; the two-phase schedule only promises safety for the
         window's end state.
         """
-        if self._window is None or self.mode == "off":
-            self._window = None
+        mods, self._window = self._window, None
+        if mods is None or self.mode == "off":
             return
-        mods = self._window
-        self._window = None
         self._batches_counter.inc()
         report = self.verify_delta(mods)
         new_errors = [
@@ -959,29 +948,9 @@ class DataplaneVerifier:
         ]
         new_errors.extend(d for d in report.diagnostics
                           if d.check_id == "SDX014")
-        if not new_errors:
-            return
-        if self.mode == "warn":
-            for diag in sorted(new_errors, key=_diag_sort_key):
-                logger.warning("dataplane statics: %s", diag.describe())
-            return
-        # Strict: roll the window back out of the table, restore the
-        # cache to its pre-window rendering, and refuse the batch.
-        from repro.exceptions import StaticDataplaneError
-
-        for mod in reversed(self._inverse):
-            self.table.apply_mod(mod)
-        if self._window_snapshot is not None:
-            snapshot = self._window_snapshot
-            self._diags = dict(snapshot[0])
-            self._rule_classes = dict(snapshot[1])
-            self._space_snapshot = dict(snapshot[2])
-            self._vmac_snapshot = set(snapshot[3])
-        worst = sorted(new_errors, key=_diag_sort_key)[0]
-        raise StaticDataplaneError(
-            f"strict dataplane statics rejected an apply window: "
-            f"{len(new_errors)} new error(s), first: {worst.describe()}",
-            report=report)
+        enforce(new_errors, "dataplane statics gate",
+                StaticDataplaneError if self.mode == "strict" else None,
+                report)
 
     def _count(self, diag: Diagnostic) -> None:
         counter = self._diag_counters.get(diag.check_id)

@@ -13,13 +13,30 @@ from __future__ import annotations
 
 import enum
 import json
+import logging
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Any, Callable, ContextManager, Dict, Iterable, List, Mapping,
+                    Optional, Sequence, Tuple)
 
+from repro.exceptions import StaticPolicyError
 from repro.net.packet import Packet
+
+logger = logging.getLogger("repro.statics")
 
 #: Rendering / sort order: most severe first.
 _SEVERITY_RANK = {"error": 0, "warning": 1, "info": 2}
+
+#: What a gate does about the error findings a change introduces: nothing,
+#: log them, or refuse the change — for both gates and both controllers.
+GATE_MODES = ("off", "warn", "strict")
+
+
+def gate_mode(mode: str, name: str = "statics_mode") -> str:
+    """``mode``, checked to be one of :data:`GATE_MODES`."""
+    if mode not in GATE_MODES:
+        raise ValueError(f"{name} must be one of {GATE_MODES}, got {mode!r}")
+    return mode
 
 
 class Severity(str, enum.Enum):
@@ -196,6 +213,21 @@ class StaticsReport:
         """Findings of one check, in report order."""
         return [d for d in self.diagnostics if d.check_id == check_id]
 
+    def introduced(self, standing: Iterable[Diagnostic]) -> List[Diagnostic]:
+        """The error findings a change introduced: this report's, less one
+        for each of ``standing`` — those of the state before it — that says
+        the same of the same participant and direction (clause numbers
+        aside: removing a clause renumbers the ones after it)."""
+        left = Counter(_same_finding(diag) for diag in standing)
+        fresh = []
+        for diag in self.errors:
+            key = _same_finding(diag)
+            if left[key]:
+                left[key] -= 1
+            else:
+                fresh.append(diag)
+        return fresh
+
     def counts(self) -> Dict[str, int]:
         """Finding counts per severity value."""
         out = {"error": 0, "warning": 0, "info": 0}
@@ -233,3 +265,47 @@ class StaticsReport:
     def to_json(self, indent: int = 2) -> str:
         """The report as a JSON document."""
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+
+
+def _same_finding(diag: Diagnostic) -> Tuple[Any, ...]:
+    return (diag.check_id, diag.location.participant,
+            diag.location.direction, diag.message)
+
+
+def enforce(findings: Iterable[Diagnostic], what: str,
+            error: Optional[Callable[..., Exception]] = None,
+            report: Optional[StaticsReport] = None) -> None:
+    """Report and enforce, the one body under every lint call and gate:
+    log each of ``findings`` (errors, the caller's selection) and, given
+    the ``error`` class to refuse with, raise it if there are any."""
+    findings = list(findings)
+    for diag in findings:
+        logger.warning("%s: %s", what, diag.describe())
+    if error is not None and findings:
+        raise error(
+            f"{what} verification failed with {len(findings)} error(s); "
+            f"first: {findings[0].describe()}", report=report)
+
+
+def admit(owner: Any,
+          unstaged: Optional[Callable[[], ContextManager]] = None) -> None:
+    """The policy gate of ``owner`` — a controller, single or federated —
+    as the admit stage of a change transaction. ``owner.lint_policies()``
+    analyses the staged state, logs its error findings (all ``warn`` does)
+    and keeps the report. The contract, the dataplane gate's too: ``strict``
+    refuses a change iff it introduces an error finding the state before it
+    lacked — analysed only if the staged one has errors, inside
+    ``unstaged()``, which sets the edit aside; a start has none, so any
+    error refuses. What a BGP update caused is in both, and vetoes nothing.
+    """
+    if owner.statics_mode == "off":
+        return
+    report = owner.lint_policies()
+    if owner.statics_mode != "strict" or not report.has_errors:
+        return
+    fresh = report.errors
+    if unstaged is not None:
+        with unstaged():
+            fresh = report.introduced(owner.lint_policies().errors)
+        owner.last_statics_report = report
+    enforce(fresh, "strict statics gate", StaticPolicyError, report)

@@ -76,9 +76,8 @@ class TestStitchedBlackhole:
         # The egress's inbound policy refuses the packet at the very
         # first exchange: single-exchange territory (SDX005), not SDX009.
         federation = build(clean_scenario())
-        transit = federation.handle("IXP-B", "Transit")
-        transit.participant.add_inbound(match(dstport=PORT) >> drop)
-        federation.exchange("IXP-B").notify_policy_change("Transit")
+        federation.handle("IXP-B", "Transit").add_inbound(
+            match(dstport=PORT) >> drop)
         report = analyze_federation(federation)
         assert report.by_check("SDX009") == []
 
@@ -93,12 +92,9 @@ class TestStitchedBlackhole:
         scenario = blackhole_scenario()
         federation = scenario.build_controller(with_dataplane=False)
         transit = federation.handle("IXP-B", "Transit")
-        transit.participant.remove_outbound(
-            transit.participant.outbound_policies[0])
-        relay = federation.handle("IXP-B", "Relay")
-        relay.participant.add_inbound(match(dstport=PORT) >> drop)
-        federation.exchange("IXP-B").notify_policy_change("Transit")
-        federation.exchange("IXP-B").notify_policy_change("Relay")
+        transit.remove_outbound(transit.participant.outbound_policies[0])
+        federation.handle("IXP-B", "Relay").add_inbound(
+            match(dstport=PORT) >> drop)
         report = analyze_federation(federation)
         payload = dict(report.by_check("SDX009")[0].data)
         assert payload["drop_reason"] == "inbound-drop"
@@ -111,13 +107,14 @@ class TestSoundnessContract:
         """The loop federation, with a dynamic clause ahead of West's
         steering clause at IXP-B."""
         federation = build(loop_scenario())
-        west = federation.handle("IXP-B", "West").participant
-        west.clear_policies()
-        west.add_outbound(
-            (match(dstport=22) & rib_match("dstip", "as_path", r".*64700$"))
-            >> fwd("East"))
-        west.add_outbound(match(dstport=PORT) >> fwd("East"))
-        federation.exchange("IXP-B").notify_policy_change("West")
+        def make_dynamic(west):
+            west.clear_policies()
+            west.add_outbound(
+                (match(dstport=22)
+                 & rib_match("dstip", "as_path", r".*64700$")) >> fwd("East"))
+            west.add_outbound(match(dstport=PORT) >> fwd("East"))
+
+        federation.handle("IXP-B", "West").edit(make_dynamic)
         return federation
 
     def test_dynamic_clause_aborts_the_walk(self):

@@ -195,13 +195,39 @@ class TestLifecycle:
         assert "configured" in repr(federation)
 
 
-class TestNotifyPolicyChange:
-    def test_out_of_band_edit_is_regated(self):
-        federation = loop_scenario().build_controller(
-            with_dataplane=False)
+class TestGateJudgesTheDelta:
+    """The strict gate refuses what a change introduces — not what stood."""
+
+    def standing_loop(self):
+        # Built with the gate off, so the port-80 loop pair stands.
+        federation = loop_scenario().build_controller(with_dataplane=False)
         federation.statics_mode = "strict"
-        handle = federation.handle("IXP-A", "East")
-        handle.participant.add_outbound(match(dstport=443) >> drop)
+        return federation
+
+    def test_unrelated_edit_passes_a_standing_loop(self):
+        federation = self.standing_loop()
+        federation.add_outbound("IXP-A", "East", match(dstport=443) >> drop)
+        east = federation.handle("IXP-A", "East").participant
+        assert len(east.outbound_policies) == 2
+        # The standing loop is still reported, just not held against it.
+        assert federation.last_statics_report.by_check("SDX008")
+
+    def test_a_second_loop_is_still_refused_and_not_left_installed(self):
+        federation = self.standing_loop()
+        west = federation.handle("IXP-B", "West").participant
+        before = west.outbound_policies
+        with pytest.raises(StaticPolicyError) as refusal:
+            # Port 443 rides the default route back to East: a new cycle.
+            federation.add_outbound(
+                "IXP-B", "West", match(dstport=443) >> fwd("East"))
+        assert "dstport=443" in str(refusal.value)
+        assert west.outbound_policies == before
+        assert refusal.value.report is federation.last_statics_report
+
+    def test_start_refuses_any_standing_error(self):
+        federation = loop_scenario().build_controller(
+            with_dataplane=False, start=False)
+        federation.statics_mode = "strict"
         with pytest.raises(StaticPolicyError):
-            # Re-gating sees the pre-existing loop pair.
-            federation.notify_policy_change("IXP-A", "East")
+            federation.start()
+        assert not federation.started

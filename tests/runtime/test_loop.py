@@ -103,6 +103,36 @@ class TestDeterministicMode:
         assert not canonical_state(inline).diff(canonical_state(sdx))
 
 
+class TestRejectedPolicyEvent:
+    """A strict gate refusing one event's change undoes that change only:
+    the batch it was popped with goes on, and the accounting holds."""
+
+    def test_the_rest_of_the_batch_is_processed_and_counted(self):
+        from repro.policy.policies import fwd, match
+
+        sdx, a, *_ = figure1_controller(statics_mode="strict")
+        sdx.start()
+        runtime = sdx.build_runtime(RuntimeConfig(), clock=ManualClock())
+        rules, policies = sdx.table.rules, a.participant.outbound_policies
+        runtime.submit_policy("dead", lambda controller: a.add_outbound(
+            (match(dstport=80) & match(protocol=6)) >> fwd("B")))  # SDX001
+        sound = match(dstport=8080) >> fwd("B")
+        runtime.submit_policy("sound", lambda controller: a.add_outbound(sound))
+        runtime.submit_update(announce(sdx, "C", FRESH[5], [65003, 111]))
+        assert runtime.step() == 3
+        stats = runtime.stats()
+        assert stats["submitted_total"] == (
+            stats["processed"] + stats["coalesced"] + stats["dropped"]) == 3
+        assert stats["batches"] == 1
+        assert sdx.telemetry.registry.get(
+            "sdx_runtime_policy_rejected_total").value == 1
+        # The refused edit is gone, the two events after it happened.
+        assert a.participant.outbound_policies == policies + (sound,)
+        assert sdx.route_server.best_route_for("A", FRESH[5]) is not None
+        runtime.settle()
+        assert sdx.table.rules != rules and sdx.southbound.pending == 0
+
+
 class TestBlockPolicy:
     def test_blocks_by_draining_synchronously(self):
         sdx, runtime = started_runtime(

@@ -78,19 +78,19 @@ class TestEngine:
 
     def test_manual_flush_coalesces_across_syncs(self):
         table = FlowTable()
-        engine = SouthboundEngine(
-            table, SouthboundConfig(auto_flush=False))
+        engine = SouthboundEngine(table)
         first = Classifier([Rule(HeaderSpace(dstport=80), FWD1),
                             Rule(HeaderSpace(), ())])
         second = Classifier([Rule(HeaderSpace(dstport=80), FWD2),
                              Rule(HeaderSpace(), ())])
-        engine.sync_classifier(first)
-        assert len(table) == 0 and engine.pending == 2
-        engine.sync_classifier(second)
-        # The dstport=80 add was rewritten in place: still two pending.
-        assert engine.pending == 2
-        assert engine.stats.mods_coalesced >= 1
-        engine.flush()
+        with engine.deferred():
+            engine.sync_classifier(first)
+            assert len(table) == 0 and engine.pending == 2
+            engine.sync_classifier(second)
+            # The dstport=80 add was rewritten in place: still two pending.
+            assert engine.pending == 2
+            assert engine.stats.mods_coalesced >= 1
+            engine.flush()
         fresh = FlowTable()
         fresh.install_classifier(second)
         assert _semantics(table) == _semantics(fresh)
@@ -104,17 +104,17 @@ class TestEngine:
             + [Rule(HeaderSpace(), ())])
         engine.sync_classifier(classifier)
         assert engine.stats.batches_applied == 2
-        assert engine.stats.batch_sizes == [2, 2]
+        assert engine.stats.batch_size_cdf().samples == [2, 2]
 
     def test_backpressure_forces_flush(self):
         table = FlowTable()
-        engine = SouthboundEngine(
-            table, SouthboundConfig(auto_flush=False, max_pending=2))
-        engine.push_rules([rule(5, FWD1, dstport=80),
-                           rule(4, FWD1, dstport=443)])
-        assert engine.stats.backpressure_flushes == 1
-        assert engine.pending == 0
-        assert len(table) == 2
+        engine = SouthboundEngine(table, SouthboundConfig(max_pending=2))
+        with engine.deferred():
+            engine.push_rules([rule(5, FWD1, dstport=80),
+                               rule(4, FWD1, dstport=443)])
+            assert engine.stats.backpressure_flushes == 1
+            assert engine.pending == 0
+            assert len(table) == 2
 
     def test_observer_sees_batches_in_order(self):
         table = FlowTable()
@@ -194,11 +194,11 @@ def test_coalesced_burst_equals_fresh_install(old, mid, new):
     """The burst path: two queued syncs flushed once ≡ installing the last."""
     table = FlowTable()
     table.install_classifier(old)
-    engine = SouthboundEngine(table, SouthboundConfig(auto_flush=False))
-    engine.sync_classifier(mid)
-    engine.sync_classifier(new)
-    assert len(table) == len(old.rules)  # nothing applied yet
-    engine.flush()
+    engine = SouthboundEngine(table)
+    with engine.deferred():
+        engine.sync_classifier(mid)
+        engine.sync_classifier(new)
+        assert len(table) == len(old.rules)  # nothing applied yet
     fresh = FlowTable()
     fresh.install_classifier(new)
     assert _semantics(table) == _semantics(fresh)

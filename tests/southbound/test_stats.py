@@ -1,13 +1,13 @@
-"""The registry-backed SouthboundStats must preserve the legacy counters
-verbatim: every attribute, snapshot key, and render row reports exactly
-what the pre-telemetry implementation reported, while the same numbers
-are simultaneously visible through the metrics registry."""
+"""SouthboundStats holds the registry's ``sdx_southbound_*`` counters:
+every readable attribute, snapshot key, and render row reports what the
+registry reports, and the batch distributions are a bounded window."""
 
 from repro.dataplane.flowtable import FlowTable
 from repro.policy.classifier import Action, Classifier, Rule
 from repro.policy.predicates import match
 from repro.southbound.engine import SouthboundConfig, SouthboundEngine
 from repro.southbound.stats import SouthboundStats
+from repro.telemetry import Telemetry
 from repro.telemetry.registry import MetricsRegistry
 
 
@@ -32,12 +32,12 @@ class TestFacadeSemantics:
         assert stats.batches_applied == 0
         assert stats.backpressure_flushes == 0
 
-    def test_augmented_assignment_mirrors_into_registry(self):
+    def test_counters_are_the_registrys(self):
         registry = MetricsRegistry()
         stats = SouthboundStats(registry=registry)
-        stats.adds_sent += 3
-        stats.modifies_sent += 1
-        stats.deletes_sent += 2
+        stats.counters["adds_sent"].inc(3)
+        stats.counters["modifies_sent"].inc()
+        stats.counters["deletes_sent"].inc(2)
         assert stats.mods_sent == 6
         assert registry.get("sdx_southbound_flowmods_total", op="add").value == 3
         assert registry.get("sdx_southbound_flowmods_total",
@@ -45,20 +45,21 @@ class TestFacadeSemantics:
         assert registry.get("sdx_southbound_flowmods_total",
                             op="delete").value == 2
 
-    def test_plain_assignment_sets_the_counter(self):
-        registry = MetricsRegistry()
-        stats = SouthboundStats(registry=registry)
-        stats.mods_coalesced = 7  # the engine mirrors queue.coalesced
-        assert stats.mods_coalesced == 7
-        assert registry.get("sdx_southbound_coalesced_total").value == 7
+    def test_assignment_is_refused(self):
+        import pytest
+        stats = SouthboundStats()
+        with pytest.raises(AttributeError):
+            stats.mods_coalesced = 7  # would shadow the counter's value
+        with pytest.raises(AttributeError):
+            stats.no_such_counter
 
-    def test_record_batch_feeds_lists_and_histograms(self):
+    def test_record_batch_feeds_window_and_histograms(self):
         registry = MetricsRegistry()
         stats = SouthboundStats(registry=registry)
         stats.record_batch(4, 0.002)
         stats.record_batch(2, 0.001)
-        assert stats.batch_sizes == [4, 2]
-        assert stats.apply_seconds == [0.002, 0.001]
+        assert stats.batch_size_cdf().samples == [2, 4]
+        assert stats.apply_time_cdf().samples == [0.001, 0.002]
         assert stats.batches_applied == 2
         assert registry.get("sdx_southbound_batch_size").count == 2
         assert registry.get("sdx_southbound_batch_size").max == 4
@@ -71,10 +72,21 @@ class TestFacadeSemantics:
         assert stats.batch_size_cdf().quantile(1.0) == 4
         assert stats.apply_time_cdf().quantile(0.0) == 0.001
 
+    def test_batch_window_is_bounded(self):
+        from repro.southbound.stats import BATCH_WINDOW
+        stats = SouthboundStats()
+        for size in range(BATCH_WINDOW + 10):
+            stats.record_batch(size, 0.001)
+        # Memory stays flat under day-long churn: the latest window only,
+        # while the counter and the histograms keep the whole count.
+        assert len(stats.batch_size_cdf()) == BATCH_WINDOW
+        assert stats.batch_size_cdf().quantile(0.0) == 10
+        assert stats.batches_applied == BATCH_WINDOW + 10
+
     def test_private_registries_are_isolated(self):
         first = SouthboundStats()
         second = SouthboundStats()
-        first.adds_sent += 5
+        first.counters["adds_sent"].inc(5)
         assert second.adds_sent == 0
 
     def test_snapshot_keys_unchanged(self):
@@ -87,7 +99,7 @@ class TestFacadeSemantics:
 
     def test_render_rows_unchanged(self):
         stats = SouthboundStats()
-        stats.adds_sent += 1
+        stats.counters["adds_sent"].inc()
         stats.record_batch(1, 0.001)
         text = stats.render()
         assert "mods_sent" in text
@@ -128,29 +140,27 @@ class TestEnginePreservation:
 
     def test_backpressure_flush_counted_in_both_views(self):
         table = FlowTable()
-        config = SouthboundConfig(max_pending=2, auto_flush=False)
-        engine = SouthboundEngine(table, config)
-        engine.sync_classifier(_classifier(80, 443, 8080))
+        engine = SouthboundEngine(table, SouthboundConfig(max_pending=2))
+        with engine.deferred():
+            engine.sync_classifier(_classifier(80, 443, 8080))
         assert engine.stats.backpressure_flushes == 1
         assert engine.telemetry.registry.get(
             "sdx_southbound_backpressure_flushes_total").value == 1
 
     def test_coalescing_counted_in_both_views(self):
         table = FlowTable()
-        config = SouthboundConfig(auto_flush=False)
-        engine = SouthboundEngine(table, config)
-        engine.sync_classifier(_classifier(80))
-        engine.sync_classifier(_classifier(80, 443))
-        engine.flush()
+        engine = SouthboundEngine(table)
+        with engine.deferred():
+            engine.sync_classifier(_classifier(80))
+            engine.sync_classifier(_classifier(80, 443))
         assert engine.stats.mods_coalesced == engine.queue.coalesced
         assert engine.telemetry.registry.get(
             "sdx_southbound_coalesced_total").value == engine.queue.coalesced
 
     def test_shared_registry_injection(self):
         registry = MetricsRegistry()
-        stats = SouthboundStats(registry=registry)
         table = FlowTable()
-        engine = SouthboundEngine(table, stats=stats)
+        engine = SouthboundEngine(table, telemetry=Telemetry(registry=registry))
         engine.sync_classifier(_classifier(80))
         assert registry.get(
             "sdx_southbound_flowmods_total", op="add").value == 1

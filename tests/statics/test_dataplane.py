@@ -171,6 +171,49 @@ class TestCommittedMiss:
         assert winner is None or (winner.is_drop and winner.match.is_wildcard)
 
 
+class TestClassBudget:
+    """Past ``class_budget`` a check degrades to a conservative answer —
+    counted per site, never silent."""
+
+    def exceeded(self, telemetry, check):
+        return telemetry.registry.get(
+            "sdx_statics_dataplane_budget_exceeded_total", check=check).value
+
+    def test_reachability_falls_back_to_single_cover(self):
+        from repro.telemetry import Telemetry
+
+        # Two halves shadow rule 5 only as a union; rule 8 alone covers 4.
+        table = table_of(
+            rule(10, FWD1, dstip=IPv4Prefix("10.0.0.0/9")),
+            rule(9, FWD1, dstip=IPv4Prefix("10.128.0.0/9")),
+            rule(8, FWD1, dstport=80),
+            rule(5, FWD2, dstip=IPv4Prefix("10.0.0.0/8")),
+            rule(4, FWD2, dstip=IPv4Prefix("10.0.0.0/8"), dstport=80))
+        assert [d.location.clause_index for d in diags(
+            analyze_flowtable(table), "SDX010")] == [4, 5]
+        telemetry = Telemetry()
+        report = analyze_flowtable(table, class_budget=1, telemetry=telemetry)
+        # The union shadow is missed — never a false one reported — and the
+        # single cover is still found.
+        assert [d.location.clause_index
+                for d in diags(report, "SDX010")] == [4]
+        assert self.exceeded(telemetry, "SDX010") == 3  # rules 8, 5 and 4
+        assert self.exceeded(telemetry, "SDX011") == 0
+
+    def test_committed_space_check_is_skipped_and_counted(self):
+        from repro.telemetry import Telemetry
+
+        table = table_of(rule(10, FWD1, dstport=80), rule(9, FWD1, dstport=443))
+        telemetry = Telemetry()
+        report = analyze_flowtable(
+            table, committed_spaces=[TestCommittedMiss.SPACE], class_budget=1,
+            telemetry=telemetry)
+        assert not diags(report, "SDX011")  # a real miss, not looked for
+        assert self.exceeded(telemetry, "SDX011") == 1
+        assert diags(analyze_flowtable(
+            table, committed_spaces=[TestCommittedMiss.SPACE]), "SDX011")
+
+
 class TestDeadVmac:
     LIVE = vmac_for_fec(1)
     DEAD = vmac_for_fec(999)

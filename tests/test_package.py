@@ -45,6 +45,65 @@ class TestNoOrphanModules:
         assert orphans == []
 
 
+def _src_trees():
+    return {path: ast.parse(path.read_text())
+            for path in (REPO_ROOT / "src").rglob("*.py")}
+
+
+class TestOneChangePath:
+    """A second compile-and-install path, a second gate-mode spelling or a
+    renamed benchmark binding point would be easy to regrow and hard to
+    notice: the transaction stays the one way in."""
+
+    def test_install_full_has_one_call_site(self):
+        calls = [path.name for path, tree in _src_trees().items()
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "install_full"]
+        assert calls == ["controller.py"]
+
+    def test_gate_modes_are_spelled_once(self):
+        spellings = [path.name for path, tree in _src_trees().items()
+                     for node in ast.walk(tree)
+                     if isinstance(node, (ast.Tuple, ast.List, ast.Set))
+                     and {getattr(item, "value", None) for item in node.elts}
+                     == {"off", "warn", "strict"}]
+        assert spellings == ["diagnostics.py"]
+
+    def test_only_core_reaches_through_a_handle(self):
+        core = REPO_ROOT / "src" / "repro" / "core"
+        reaches = [str(path.relative_to(REPO_ROOT))
+                   for path, tree in _src_trees().items()
+                   if core not in path.parents
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and node.attr == "_controller"]
+        assert reaches == []
+
+    def test_every_sdxbench_shim_binds_to_its_own_class(self):
+        """``benchmarks/sdxbench/spans.py`` wraps ``cls.__dict__[method]``:
+        a method moved to a base class or renamed breaks the traced
+        benchmark. The file is parsed, not imported."""
+        import importlib
+
+        tree = ast.parse(
+            (REPO_ROOT / "benchmarks" / "sdxbench" / "spans.py").read_text())
+        modules = {alias.asname or alias.name: node.module
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module
+                   for alias in node.names}
+        (shims,) = [node.value for node in ast.walk(tree)
+                    if isinstance(node, ast.AnnAssign)
+                    and getattr(node.target, "id", None) == "SHIMS"]
+        rows = [(row.elts[0].id, row.elts[1].value) for row in shims.elts]
+        assert len(rows) >= 19
+        for class_name, method in rows:
+            cls = getattr(
+                importlib.import_module(modules[class_name]), class_name)
+            assert method in cls.__dict__, f"{class_name}.{method}"
+
+
 class TestLazyExports:
     def test_version(self):
         assert repro.__version__ == "1.0.0"
