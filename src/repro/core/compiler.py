@@ -18,8 +18,8 @@ Runs the four syntactic transformations of Section 4.1 with the Section
    composition (:mod:`repro.core.composition`), block by block — each
    participant's outbound part, then the default layer — or the naive
    cross product when ``optimized=False`` (ablation).
-6. **Reduction** — rules covered by an earlier rule are removed, again
-   block by block (:meth:`SdxCompiler._reduce`).
+6. **Reduction** — rules covered by an earlier rule are removed and the
+   rest given their priorities, block by block (:meth:`SdxCompiler._reduce`).
 
 Every stage is reused from the previous compilation when what it reads
 has not changed (:meth:`SdxCompiler._reuse`, the paper's "memoize all the
@@ -46,6 +46,7 @@ import time
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple)
 
@@ -76,10 +77,12 @@ from repro.exceptions import CompilationError
 from repro.net.addresses import IPv4Prefix
 from repro.net.mac import MacAddress
 from repro.policy.classifier import Action, Classifier, ComposeStats, Rule
+from repro.policy.flowrules import FlowRule
 from repro.policy.headerspace import WILDCARD
-from repro.policy.optimize import ShadowIndex, merge_drop_tail, remove_shadowed
+from repro.policy.optimize import ShadowIndex, merge_drop_tail
 from repro.policy.policies import Conjunction, Predicate, match
 from repro.policy.predicates import match_any_prefix, match_any_value
+from repro.southbound.diff import DEFAULT_BAND_TOP, DROP_PRIORITY, PRIORITY_CEILING
 from repro.telemetry import Telemetry
 
 #: The stages :meth:`SdxCompiler._reuse` carries from one compilation to
@@ -177,7 +180,9 @@ def clause_action(clause: Clause, port: Optional[int]) -> Tuple[Action, ...]:
 class CompilationResult:
     """Everything one compiler run produced."""
 
-    classifier: Classifier
+    #: The table, top first — holders' blocks, default layer, catch-all drop
+    #: — each rule with the priority :meth:`SdxCompiler._reduce` keys it by.
+    rules: Tuple[FlowRule, ...]
     groups: Tuple[PrefixGroup, ...]
     report: CompositionReport
     timings: Dict[str, float] = field(default_factory=dict)
@@ -189,10 +194,15 @@ class CompilationResult:
     reuse: Dict[tuple, Tuple[Any, Any]] = field(
         default_factory=dict, repr=False, compare=False)
 
+    @cached_property
+    def classifier(self) -> Classifier:
+        """The table as a classifier: ``rules`` in order, priorities aside."""
+        return Classifier([Rule(r.match, r.actions) for r in self.rules])
+
     @property
     def flow_rule_count(self) -> int:
         """Rules in the final table."""
-        return len(self.classifier)
+        return len(self.rules)
 
     @property
     def prefix_group_count(self) -> int:
@@ -284,7 +294,7 @@ class SdxCompiler:
         self.resume(result)
         self._compiles_counter.inc()
         self._compile_latency.observe(result.timings["total"])
-        self._rules_gauge.set(len(result.classifier))
+        self._rules_gauge.set(len(result.rules))
         return result
 
     def _reuse(self, stage: str, name: Optional[str], inputs: Any,
@@ -394,12 +404,12 @@ class SdxCompiler:
                 blocks = [compose_naive(parts, inbound_parts, report)]
 
         with self._stage("reduction", timings):
-            classifier = self._reduce(owners, blocks)
+            rules = self._reduce(owners, blocks)
 
         timings["total"] = time.perf_counter() - started
-        span.set_tag(rules=len(classifier), groups=len(groups))
+        span.set_tag(rules=len(rules), groups=len(groups))
         return CompilationResult(
-            classifier=classifier, groups=tuple(groups), report=report,
+            rules=rules, groups=tuple(groups), report=report,
             timings=timings, stage2=stage2, reuse=self._kept)
 
     # ------------------------------------------------------------------
@@ -789,36 +799,44 @@ class SdxCompiler:
             self._unless_dynamic(clauses, (clauses, physical_stage)), build)
 
     def _reduce(self, owners: Sequence[Optional[Participant]],
-                blocks: Sequence[Classifier]) -> Classifier:
-        """The final table: ``blocks`` stacked, trailing drops merged and —
-        unless ``reduce_table`` is off — shadowed rules removed.
+                blocks: Sequence[Classifier]) -> Tuple[FlowRule, ...]:
+        """The final table: ``blocks`` stacked, trailing drops merged, —
+        unless ``reduce_table`` is off — shadowed rules removed, and every
+        rule keyed: the top of its block's band less its overlap depth in
+        the block (:meth:`ShadowIndex.add`), so of two rules that overlap
+        the earlier wins and a key moves only when something it overlaps does.
 
         Each block but the last matches only its owner's ingress ports, so
-        it is reduced on its own. The last (the default layer, or the whole
-        naive table) lies below them; of its rules only an exception
-        guarded on a holder's port can be covered from above, and only by
-        that holder's block.
+        it is reduced and numbered on its own, and they share a band. The
+        last (the default layer, or the whole naive table) has the band
+        below; of its rules only an exception guarded on a holder's port
+        can be covered from above, and only by that holder's block. The
+        last rule of all, the catch-all drop, has one priority under both.
         """
-        *above, tail = blocks
-        rules = [rule for block in above for rule in block.rules]
-        if not self.reduce_table:
-            return Classifier(rules + list(merge_drop_tail(tail).rules))
-
-        def reduced(block: Classifier) -> Tuple[Classifier, ShadowIndex]:
+        def numbered(rules: Sequence[Rule], top: int, floor: int) -> tuple:
             index = ShadowIndex()
-            return remove_shadowed(block, index), index
+            out = [FlowRule(top - depth, rule.match, rule.actions)
+                   for rule in rules if (depth := index.add(
+                       rule.match, self.reduce_table)) is not None]
+            if any(rule.priority <= floor for rule in out):
+                raise CompilationError(f"a block overlaps more than "
+                                       f"{top - floor} deep: its band is full")
+            return out, index
 
-        rules = []
+        *above, tail = blocks
+        rules: List[FlowRule] = []
         index_above: Dict[int, ShadowIndex] = {}
         for owner, block in zip(owners, above):
-            kept, index = self._reuse("reduction", owner.name, block,
-                                      lambda: reduced(block))
-            rules.extend(kept.rules)
-            index_above.update(dict.fromkeys(owner.switch_ports, index))
-        tail = self._reuse("reduction", None, tail,
-                           lambda: remove_shadowed(merge_drop_tail(tail)))
-        for rule in tail.rules:
+            kept, index = self._reuse(
+                "reduction", owner.name, block, lambda: numbered(
+                    block.rules, PRIORITY_CEILING - 1, DEFAULT_BAND_TOP))
+            rules.extend(kept)
+            if self.reduce_table:
+                index_above.update(dict.fromkeys(owner.switch_ports, index))
+        *body, last = merge_drop_tail(tail).rules
+        for rule in self._reuse("reduction", None, tail, lambda: numbered(
+                body, DEFAULT_BAND_TOP, DROP_PRIORITY))[0]:
             index = index_above.get(rule.match.get("port"))
             if index is None or not index.covers(rule.match):
                 rules.append(rule)
-        return Classifier(rules)
+        return (*rules, FlowRule(DROP_PRIORITY, last.match, last.actions))

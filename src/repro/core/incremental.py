@@ -37,8 +37,8 @@ from repro.southbound.engine import SouthboundEngine
 from repro.telemetry import Telemetry
 
 #: Fast-path rules are installed above this priority so they always shadow
-#: the main table (the southbound priority aligner keeps every main-table
-#: rule strictly below this same value).
+#: the main table (the compiler numbers every main-table rule strictly
+#: below this same value).
 FAST_PATH_BASE = PRIORITY_CEILING
 
 
@@ -120,10 +120,9 @@ class IncrementalEngine:
         virtual next hops there, so packets tagged with old VMACs ride the
         old rules until their border router has flipped to the new tags.
         """
-        with self.telemetry.span("install_full",
-                                 rules=len(result.classifier)):
+        with self.telemetry.span("install_full", rules=len(result.rules)):
             self.last_delta = self.southbound.sync_classifier(
-                result.classifier, flush=False)
+                result.rules, flush=False)
             self.southbound.flush_installs()
             before_deletes()
             self.southbound.flush()

@@ -1,16 +1,23 @@
 """A priority flow table with OpenFlow-like first-match semantics.
 
-Rules are kept sorted by descending priority (insertion order breaks
-ties, matching OpenFlow's undefined-but-stable behaviour in practice).
+A rule's identity is its ``(priority, match)`` key, and the table is
+shaped the way compiled SDX tables are: a short stack of priority levels,
+each holding many rules that cannot match the same packet. A level files
+its rules under their *guard* — the ingress ``port`` and ``dstmac`` tag
+nearly every rule pins — so a FlowMod is dictionary work whatever the
+size of its level, and :meth:`FlowTable.lookup` visits, level by level
+from the top, only the four guards a packet can satisfy. Rules of one
+level that do overlap (reference tables, tests) resolve to the one
+installed first — OpenFlow's undefined-but-stable behaviour in practice.
 Per-rule packet *and byte* counters support the rule-utilisation
 measurements in the benchmark harness and the data-plane monitoring
 subsystem (:mod:`repro.monitoring`), which samples them to estimate
 per-FEC and per-egress traffic rates.
 
-Mutation comes in two granularities: whole-rule installation/removal, and
-:meth:`FlowTable.apply_delta` — the switch-side half of the southbound
-flow-update engine, executing add/modify/delete FlowMods keyed by
-``(priority, match)``. Delta application leaves untouched rules' objects
+Mutation comes in two granularities: whole-rule installation (reference
+tables), and :meth:`FlowTable.apply_delta` — the switch-side half of the
+southbound flow-update engine, executing add/modify/delete FlowMods keyed
+by ``(priority, match)``. Delta application leaves untouched rules' objects
 (and therefore their packet and byte counters) alone, which is what makes
 update cost measurable across recompiles — and what lets the monitoring
 collector's per-rule deltas survive background table swaps.
@@ -29,40 +36,46 @@ modified rule (new object, old counters) for a new one.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort_right
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from operator import itemgetter
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.net.packet import Packet
 from repro.policy.classifier import Classifier
 from repro.policy.flowrules import FlowRule, render_flow_table, to_flow_rules
-from repro.southbound.diff import (
-    Delta,
-    FlowMod,
-    FlowModOp,
-    RuleKey,
-    compute_delta,
-    rule_key,
-)
+from repro.policy.headerspace import HeaderSpace
+from repro.southbound.diff import Delta, FlowMod, FlowModOp
 
 #: Bytes attributed to a processed packet when the caller gives no size.
 #: A full-size Ethernet payload: callers that only care about forwarding
 #: behaviour (tests, examples) keep byte counters plausible for free.
 DEFAULT_PACKET_BYTES = 1500
 
+#: What the table keeps per installed rule, by position in its entry.
+RULE, COOKIE, PACKETS, BYTES = range(4)
+
+
+def _guard(fields: Union[HeaderSpace, Packet]) -> tuple:
+    """The ``(port, dstmac)`` a match pins or a packet carries — the tag as
+    its integer, which hashes without a call."""
+    mac = fields.get("dstmac")
+    return fields.get("port"), None if mac is None else mac.value
+
 
 class FlowTable:
     """An installed set of flow rules plus match counters."""
 
     def __init__(self) -> None:
-        self._rules: List[FlowRule] = []
-        self._counters: Dict[int, int] = {}
-        self._bytes: Dict[int, int] = {}
-        self._cookies: Dict[int, int] = {}
+        # priority -> guard (port, dstmac) -> match -> [rule, cookie,
+        # packets, bytes]; a guard's dict keeps install order.
+        self._levels: Dict[int, Dict[tuple, Dict[HeaderSpace, list]]] = {}
+        self._size = 0
         self._next_cookie = 1
-        # First-instance-wins index: key -> installed rules with that key,
-        # in table order (duplicates are legal but shadowed).
-        self._by_key: Dict[RuleKey, List[FlowRule]] = {}
         self._generation = 0
+        # Derived, rebuilt on demand: the levels' priorities, highest first
+        # (dropped when a level appears or empties), and the rules in table
+        # order (dropped by every mutation).
+        self._priorities: Optional[List[int]] = None
+        self._rules: Optional[Tuple[FlowRule, ...]] = None
         # Telemetry handles, absent until bind_telemetry() is called:
         # standalone tables (property tests, ad-hoc scripts) pay one
         # None-check per operation and record nothing.
@@ -107,28 +120,42 @@ class FlowTable:
         self._misses_counter = registry.counter(
             "sdx_flowtable_misses_total",
             "Packets dropped by a table miss (no rule matched)")
-        self._rules_gauge.set(len(self._rules))
+        self._rules_gauge.set(self._size)
 
-    def _note_size(self) -> None:
+    def _changed(self) -> None:
+        self._generation += 1
+        self._rules = None
         if self._rules_gauge is not None:
-            self._rules_gauge.set(len(self._rules))
+            self._rules_gauge.set(self._size)
 
-    def _issue_cookie(self, rule: FlowRule) -> None:
-        self._cookies[id(rule)] = self._next_cookie
-        self._next_cookie += 1
+    def _entry(self, priority: int, match: HeaderSpace) -> Optional[list]:
+        guards = self._levels.get(priority)
+        bucket = guards and guards.get(_guard(match))
+        return bucket.get(match) if bucket else None
 
     def install(self, rule: FlowRule) -> None:
-        """Add one rule, keeping priority order."""
-        insort_right(self._rules, rule, key=lambda r: -r.priority)
-        self._by_key.setdefault(rule_key(rule), []).append(rule)
-        self._counters[id(rule)] = 0
-        self._bytes[id(rule)] = 0
-        self._issue_cookie(rule)
-        self._generation += 1
-        self._note_size()
+        """Put ``rule`` on its key. A free key gets a fresh entry — a new
+        cookie, counters at zero, last of its priority in table order; a
+        taken one has its actions rewritten in place, which keeps all
+        three (and does nothing at all when the actions are the same)."""
+        guards = self._levels.get(rule.priority)
+        if guards is None:
+            guards = self._levels[rule.priority] = {}
+            self._priorities = None
+        bucket = guards.setdefault(_guard(rule.match), {})
+        entry = bucket.get(rule.match)
+        if entry is None:
+            bucket[rule.match] = [rule, self._next_cookie, 0, 0]
+            self._next_cookie += 1
+            self._size += 1
+        elif entry[RULE].actions == rule.actions:
+            return
+        else:
+            entry[RULE] = rule
+        self._changed()
 
     def install_many(self, rules: Iterable[FlowRule]) -> int:
-        """Install several rules; returns how many were added."""
+        """Install several rules; returns how many were given."""
         count = 0
         for rule in rules:
             self.install(rule)
@@ -140,136 +167,47 @@ class FlowTable:
         """Install a compiled classifier at ``base_priority``."""
         return self.install_many(to_flow_rules(classifier, base_priority))
 
-    def remove_where(self, predicate) -> int:
-        """Remove every rule for which ``predicate(rule)`` is true."""
-        keep = [rule for rule in self._rules if not predicate(rule)]
-        removed = len(self._rules) - len(keep)
-        if removed:
-            removed_ids = {id(rule) for rule in self._rules} - {id(rule) for rule in keep}
-            for rule_id in removed_ids:
-                self._counters.pop(rule_id, None)
-                self._bytes.pop(rule_id, None)
-                self._cookies.pop(rule_id, None)
-            self._rules = keep
-            self._reindex()
-            self._generation += 1
-            self._note_size()
-        return removed
-
     def clear(self) -> None:
         """Remove every rule."""
-        self._rules.clear()
-        self._counters.clear()
-        self._bytes.clear()
-        self._cookies.clear()
-        self._by_key.clear()
-        self._generation += 1
-        self._note_size()
-
-    def replace_with(self, classifier: Classifier, base_priority: int = 0) -> int:
-        """Swap the table for a compiled classifier, via a minimal delta.
-
-        Rules shared verbatim between the old and new tables are not
-        touched, so their packet counters survive the swap; everything
-        else is added, modified, or deleted. Returns the number of rules
-        the classifier compiles to (the resulting table size, matching
-        the historical clear-and-reinstall return value).
-        """
-        target = to_flow_rules(classifier, base_priority)
-        self.apply_delta(compute_delta(self._rules, target))
-        return len(target)
-
-    def _reindex(self) -> None:
-        self._by_key = {}
-        for rule in self._rules:
-            self._by_key.setdefault(rule_key(rule), []).append(rule)
+        self._levels.clear()
+        self._size = 0
+        self._priorities = None
+        self._changed()
 
     # ------------------------------------------------------------------
     # FlowMod application (the southbound engine's switch-side half)
     # ------------------------------------------------------------------
 
     def rule_for_key(self, priority: int, match) -> Optional[FlowRule]:
-        """The live (first-installed) rule at ``(priority, match)``, if any."""
-        instances = self._by_key.get((priority, match))
-        return instances[0] if instances else None
-
-    def _band(self, priority: int) -> Tuple[int, int]:
-        """The index range of rules at exactly ``priority``."""
-        lo = bisect_left(self._rules, -priority, key=lambda r: -r.priority)
-        hi = bisect_right(self._rules, -priority, key=lambda r: -r.priority)
-        return lo, hi
-
-    def _remove_instances(self, key: RuleKey) -> Optional[FlowRule]:
-        """Drop every rule with ``key``; returns the first (live) instance."""
-        instances = self._by_key.pop(key, None)
-        if not instances:
-            return None
-        doomed = {id(rule) for rule in instances}
-        lo, hi = self._band(key[0])
-        self._rules[lo:hi] = [
-            rule for rule in self._rules[lo:hi] if id(rule) not in doomed]
-        for rule_id in doomed:
-            self._counters.pop(rule_id, None)
-            self._bytes.pop(rule_id, None)
-            self._cookies.pop(rule_id, None)
-        return instances[0]
+        """The rule installed at ``(priority, match)``, if any."""
+        entry = self._entry(priority, match)
+        return None if entry is None else entry[RULE]
 
     def apply_mod(self, mod: FlowMod) -> None:
         """Execute one FlowMod.
 
-        * ``ADD`` — install; if the key already exists, behaves as modify
-          (OpenFlow's add-with-overlap semantics for an exact key).
-        * ``MODIFY`` — rewrite the key's actions in place, preserving its
-          packet counter; collapses shadowed duplicate instances; installs
-          if the key is absent.
-        * ``DELETE`` — remove every instance of the key.
+        * ``ADD`` / ``MODIFY`` — :meth:`install` the mod's rule: OpenFlow
+          leaves an add onto an exact existing key to rewrite it, and a
+          modify of an absent key to install it.
+        * ``DELETE`` — free the key.
         """
-        key = mod.key
         counter = self._mod_counters.get(mod.op)
         if counter is not None:
             counter.inc()
-        if mod.op is FlowModOp.DELETE:
-            self._remove_instances(key)
-            self._generation += 1
-            self._note_size()
+        if mod.op is not FlowModOp.DELETE:
+            self.install(mod.rule)
             return
-        previous = self._by_key.get(key)
-        if previous is None:
-            rule = mod.rule
-            insort_right(self._rules, rule, key=lambda r: -r.priority)
-            self._by_key[key] = [rule]
-            self._counters[id(rule)] = 0
-            self._bytes[id(rule)] = 0
-            self._issue_cookie(rule)
-            self._generation += 1
-            self._note_size()
+        guards = self._levels.get(mod.priority, {})
+        guard = _guard(mod.match)
+        if guards.get(guard, {}).pop(mod.match, None) is None:
             return
-        live = previous[0]
-        if live.actions == mod.actions and len(previous) == 1:
-            return  # idempotent modify: leave the rule (and counter) alone
-        replacement = mod.rule
-        lo, hi = self._band(key[0])
-        position = next(
-            index for index in range(lo, hi)
-            if self._rules[index] is live)
-        count = self._counters.pop(id(live), 0)
-        byte_count = self._bytes.pop(id(live), 0)
-        cookie = self._cookies.pop(id(live), 0)
-        doomed = {id(rule) for rule in previous[1:]}
-        self._rules[position] = replacement
-        if doomed:
-            self._rules[lo:hi] = [
-                rule for rule in self._rules[lo:hi] if id(rule) not in doomed]
-            for rule_id in doomed:
-                self._counters.pop(rule_id, None)
-                self._bytes.pop(rule_id, None)
-                self._cookies.pop(rule_id, None)
-        self._by_key[key] = [replacement]
-        self._counters[id(replacement)] = count
-        self._bytes[id(replacement)] = byte_count
-        self._cookies[id(replacement)] = cookie
-        self._generation += 1
-        self._note_size()
+        if not guards[guard]:
+            del guards[guard]
+            if not guards:
+                del self._levels[mod.priority]
+                self._priorities = None
+        self._size -= 1
+        self._changed()
 
     def apply_delta(self, delta: Union[Delta, Iterable[FlowMod]]) -> int:
         """Apply a delta (or any FlowMod sequence) in order; returns mods applied.
@@ -283,25 +221,56 @@ class FlowTable:
             self.apply_mod(mod)
         return len(mods)
 
+    def _descending(self) -> List[int]:
+        if self._priorities is None:
+            self._priorities = sorted(self._levels, reverse=True)
+        return self._priorities
+
+    def _entries(self) -> Iterator[list]:
+        """Every entry in table order: by priority, then as installed."""
+        for priority in self._descending():
+            yield from sorted(
+                (entry for bucket in self._levels[priority].values()
+                 for entry in bucket.values()), key=itemgetter(COOKIE))
+
     @property
     def rules(self) -> Tuple[FlowRule, ...]:
-        """Installed rules, highest priority first."""
-        return tuple(self._rules)
+        """Installed rules, highest priority first and, within a priority,
+        in install order; the same tuple until the table next changes."""
+        if self._rules is None:
+            self._rules = tuple(entry[RULE] for entry in self._entries())
+        return self._rules
 
     def __len__(self) -> int:
-        return len(self._rules)
+        return self._size
 
     @property
     def generation(self) -> int:
         """Bumped on every table mutation (used to detect staleness)."""
         return self._generation
 
+    def _winner(self, packet: Packet) -> Optional[list]:
+        port, mac = _guard(packet)
+        guards = {(port, mac), (port, None), (None, mac), (None, None)}
+        for priority in self._descending():
+            level = self._levels[priority]
+            found = None
+            for guard in guards:
+                # A guard's first match is its oldest; the oldest of the
+                # guards' wins the level.
+                for match, entry in level.get(guard, {}).items():
+                    if match.matches(packet):
+                        if found is None or entry[COOKIE] < found[COOKIE]:
+                            found = entry
+                        break
+            if found is not None:
+                return found
+        return None
+
     def lookup(self, packet: Packet) -> Optional[FlowRule]:
         """The highest-priority rule matching ``packet``, if any."""
-        for rule in self._rules:
-            if rule.match.matches(packet):
-                return rule
-        return None
+        entry = self._winner(packet)
+        return None if entry is None else entry[RULE]
 
     def process(self, packet: Packet, *,
                 size_bytes: Optional[int] = None) -> Tuple[Packet, ...]:
@@ -318,24 +287,28 @@ class FlowTable:
         if self._packets_counter is not None:
             self._packets_counter.inc()
         size = DEFAULT_PACKET_BYTES if size_bytes is None else size_bytes
-        rule = self.lookup(packet)
-        if rule is None:
+        entry = self._winner(packet)
+        if entry is None:
             if self._misses_counter is not None:
                 self._misses_counter.inc()
             return ()
-        self._counters[id(rule)] += 1
-        self._bytes[id(rule)] = self._bytes.get(id(rule), 0) + size
+        entry[PACKETS] += 1
+        entry[BYTES] += size
         if self._bytes_counter is not None:
             self._bytes_counter.inc(size)
-        return tuple(action.apply(packet) for action in rule.actions)
+        return tuple(action.apply(packet) for action in entry[RULE].actions)
+
+    def _kept(self, rule: FlowRule, column: int) -> int:
+        entry = self._entry(rule.priority, rule.match)
+        return entry[column] if entry is not None and entry[RULE] is rule else 0
 
     def packets_matched(self, rule: FlowRule) -> int:
         """How many packets have hit ``rule`` since installation."""
-        return self._counters.get(id(rule), 0)
+        return self._kept(rule, PACKETS)
 
     def bytes_matched(self, rule: FlowRule) -> int:
         """How many bytes have hit ``rule`` since installation."""
-        return self._bytes.get(id(rule), 0)
+        return self._kept(rule, BYTES)
 
     def cookie_of(self, rule: FlowRule) -> int:
         """The installed rule's cookie (0 if the rule is not installed).
@@ -343,7 +316,7 @@ class FlowTable:
         Cookies are unique, never recycled, and survive MODIFY-in-place —
         the stable identity counter consumers key their state by.
         """
-        return self._cookies.get(id(rule), 0)
+        return self._kept(rule, COOKIE)
 
     def counters_snapshot(self) -> Tuple[Tuple[FlowRule, int, int, int], ...]:
         """``(rule, cookie, packets, bytes)`` for every installed rule, in
@@ -352,16 +325,11 @@ class FlowTable:
         unlike ``id(rule)``, a cookie is never recycled and follows the
         rule through MODIFY, so counter continuations and resets are
         unambiguous across samples."""
-        return tuple(
-            (rule,
-             self._cookies.get(id(rule), 0),
-             self._counters.get(id(rule), 0),
-             self._bytes.get(id(rule), 0))
-            for rule in self._rules)
+        return tuple(map(tuple, self._entries()))
 
     def render(self) -> str:
         """The table as ``ovs-ofctl``-style text."""
-        return render_flow_table(self._rules)
+        return render_flow_table(self.rules)
 
     def __repr__(self) -> str:
-        return f"FlowTable({len(self._rules)} rules)"
+        return f"FlowTable({self._size} rules)"

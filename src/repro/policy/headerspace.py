@@ -140,6 +140,17 @@ class HeaderSpace(Mapping[str, Constraint]):
                 merged[field] = constraint
         return HeaderSpace._from_dict(merged)
 
+    def overlaps(self, other: "HeaderSpace") -> bool:
+        """True if some packet matches both: :meth:`intersect` is not
+        ``None``, found without building it."""
+        theirs = other._constraints
+        for field, constraint in self._constraints.items():
+            other_constraint = theirs.get(field, constraint)
+            if other_constraint != constraint and _intersect_constraint(
+                    field, constraint, other_constraint) is None:
+                return False
+        return True
+
     def covers(self, other: "HeaderSpace") -> bool:
         """True if every packet matching ``other`` also matches ``self``."""
         for field, constraint in self._constraints.items():

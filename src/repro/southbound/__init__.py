@@ -7,7 +7,7 @@ OpenFlow runtime, rebuilt here so update cost is measurable and bounded:
 
 * :mod:`repro.southbound.diff` — the minimal delta (adds / modifies /
   deletes, keyed by match + priority) between an installed rule set and a
-  freshly compiled classifier;
+  freshly compiled one, and the priority bands the compiler numbers in;
 * :mod:`repro.southbound.queue` — an update queue that coalesces
   back-to-back mods for the same rule key, batches FlowMods, and applies
   backpressure under bursts;
@@ -23,11 +23,10 @@ from repro.southbound.diff import (
     Delta,
     FlowMod,
     FlowModOp,
+    DEFAULT_BAND_TOP,
+    DROP_PRIORITY,
     PRIORITY_CEILING,
-    PRIORITY_STRIDE,
-    align_flow_rules,
     compute_delta,
-    diff_classifier,
     rule_key,
 )
 from repro.southbound.engine import SouthboundConfig, SouthboundEngine, schedule_two_phase
@@ -35,18 +34,17 @@ from repro.southbound.queue import UpdateQueue
 from repro.southbound.stats import SouthboundStats
 
 __all__ = [
+    "DEFAULT_BAND_TOP",
+    "DROP_PRIORITY",
     "Delta",
     "FlowMod",
     "FlowModOp",
     "PRIORITY_CEILING",
-    "PRIORITY_STRIDE",
     "SouthboundConfig",
     "SouthboundEngine",
     "SouthboundStats",
     "UpdateQueue",
-    "align_flow_rules",
     "compute_delta",
-    "diff_classifier",
     "rule_key",
     "schedule_two_phase",
 ]

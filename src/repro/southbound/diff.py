@@ -16,27 +16,27 @@ the Figure 9/10 update-cost measurements depend on).
 
 from __future__ import annotations
 
-import difflib
 import enum
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.policy.classifier import Action, Classifier
-from repro.policy.flowrules import FlowRule, to_flow_rules
+from repro.policy.classifier import Action
+from repro.policy.flowrules import FlowRule
 from repro.policy.headerspace import HeaderSpace
 
 #: The switch-side identity of a rule: its priority and exact match.
 RuleKey = Tuple[int, HeaderSpace]
 
-#: Exclusive upper bound for aligned main-table priorities. Fast-path
-#: shadow rules live at and above this value, so the aligner never
-#: assigns into that band (the incremental engine's ``FAST_PATH_BASE``
-#: is this same constant).
+#: Exclusive upper bound of main-table priorities. Fast-path shadow rules
+#: live at and above this value (the incremental engine's
+#: ``FAST_PATH_BASE`` is this same constant); the compiler numbers the main
+#: table below it, each rule by its overlap depth under the top of its
+#: band (:meth:`repro.core.compiler.SdxCompiler._reduce`): the policy
+#: holders' blocks from just under the ceiling, the default layer from
+#: ``DEFAULT_BAND_TOP`` and the catch-all drop at ``DROP_PRIORITY``.
 PRIORITY_CEILING = 1_000_000
-
-#: Gap left between freshly assigned priorities so later insertions can
-#: slot between existing rules without renumbering them.
-PRIORITY_STRIDE = 64
+DEFAULT_BAND_TOP = 500_000
+DROP_PRIORITY = 1
 
 
 def rule_key(rule: FlowRule) -> RuleKey:
@@ -188,106 +188,3 @@ def compute_delta(installed: Sequence[FlowRule],
             deletes.append(FlowMod.delete(rule))
     return Delta(adds=tuple(adds), modifies=tuple(modifies),
                  deletes=tuple(deletes), unchanged=unchanged)
-
-
-def _shared_run(left: Iterable[HeaderSpace],
-                right: Iterable[HeaderSpace]) -> int:
-    """How many leading positions of the two sequences hold equal matches."""
-    count = 0
-    for one, other in zip(left, right):
-        if one is not other and one != other:
-            break
-        count += 1
-    return count
-
-
-def align_flow_rules(installed: Sequence[FlowRule], classifier: Classifier,
-                     base_priority: int = 0,
-                     ceiling: int = PRIORITY_CEILING) -> List[FlowRule]:
-    """Assign priorities to ``classifier``, reusing installed ones.
-
-    A rule's key is ``(priority, match)``, so a positional renumbering
-    (what :func:`~repro.policy.flowrules.to_flow_rules` does) turns every
-    shifted-but-otherwise-identical rule into a delete/add pair. This
-    aligner instead matches the target's rule sequence against the
-    installed table (longest common subsequence over the match fields):
-    aligned rules keep their installed priority — diffing to a no-op or a
-    single MODIFY — and only genuinely new rules get fresh priorities,
-    slotted into the gaps :data:`PRIORITY_STRIDE` leaves between existing
-    rules. The assignment always descends strictly in classifier order,
-    stays above ``base_priority`` and below ``ceiling``, and falls back
-    to a plain dense renumbering in the (practically unreachable) case
-    that no gap can hold the insertions.
-    """
-    rules = classifier.rules
-    if not rules:
-        return []
-    anchors: List[FlowRule] = []
-    for rule in sorted(installed, key=lambda fr: -fr.priority):
-        if base_priority < rule.priority < ceiling and (
-                not anchors or rule.priority < anchors[-1].priority):
-            anchors.append(rule)
-    old = [fr.match for fr in anchors]
-    new = [r.match for r in rules]
-    # A recompilation rewrites one stretch of the table: peel the head
-    # and tail both sides share and align only the middle.
-    head = _shared_run(old, new)
-    tail = _shared_run(reversed(old[head:]), reversed(new[head:]))
-    matcher = difflib.SequenceMatcher(
-        a=old[head:len(old) - tail], b=new[head:len(new) - tail],
-        autojunk=False)
-    anchored: Dict[int, int] = {
-        index: anchors[index].priority for index in range(head)}
-    for offset in range(1, tail + 1):
-        anchored[len(new) - offset] = anchors[-offset].priority
-    for block in matcher.get_matching_blocks():
-        for offset in range(block.size):
-            anchored[head + block.b + offset] = (
-                anchors[head + block.a + offset].priority)
-
-    priorities = [0] * len(rules)
-    upper = ceiling  # exclusive bound for everything still unassigned
-    buffered: List[int] = []  # consecutive unanchored target indices
-    for index in range(len(rules)):
-        anchor = anchored.get(index)
-        if anchor is None or anchor >= upper or upper - anchor - 1 < len(buffered):
-            # No anchor, or no room above it for the buffered insertions:
-            # the rule gets a fresh priority (its installed twin, if any,
-            # is deleted by the diff).
-            buffered.append(index)
-            continue
-        step = max(1, (upper - anchor) // (len(buffered) + 1))
-        for position, buffered_index in enumerate(buffered):
-            priorities[buffered_index] = upper - step * (position + 1)
-        priorities[index] = anchor
-        upper = anchor
-        buffered = []
-    if buffered:
-        # The tail below the last anchor: pack it just above
-        # ``base_priority``, strided, leaving room for future growth.
-        stride = min(PRIORITY_STRIDE,
-                     (upper - base_priority - 1) // len(buffered))
-        if stride < 1:
-            return to_flow_rules(classifier, base_priority)
-        for position, buffered_index in enumerate(buffered):
-            priorities[buffered_index] = (
-                base_priority + stride * (len(buffered) - position))
-    return [FlowRule(priority=priorities[index], match=rule.match,
-                     actions=rule.actions)
-            for index, rule in enumerate(rules)]
-
-
-def diff_classifier(installed: Sequence[FlowRule], classifier: Classifier,
-                    base_priority: int = 0) -> Delta:
-    """The delta from ``installed`` to a compiled ``classifier``.
-
-    Target priorities come from :func:`align_flow_rules`, so rules the
-    classifier shares with the installed table keep their keys and diff
-    to nothing (or to a single MODIFY when only the actions changed);
-    applying the delta yields a table equivalent to a fresh
-    :meth:`~repro.dataplane.flowtable.FlowTable.install_classifier` —
-    same rule order, same lookups — though not necessarily the same
-    numeric priorities.
-    """
-    return compute_delta(installed,
-                         align_flow_rules(installed, classifier, base_priority))

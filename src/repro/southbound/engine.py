@@ -15,13 +15,21 @@ by **descending** priority, then deletes sorted by **ascending**
 priority. That order makes every prefix of the mod sequence safe: at any
 intermediate table state, each packet is forwarded exactly as the old
 table or the new table would — never into a transient hole or onto a
-stale mid-priority rule. Sketch of why:
+stale mid-priority rule.
+
+The compiler keys the main table by overlap depth, so a priority is a
+*level* shared by many rules, and old and new rules meet on levels while a
+swap is under way. Two facts carry the argument: within one compilation
+two rules of a level never match the same packet, and between an old and
+a new rule of one level the table lets the older — the old table's — win.
+Read "above" as *strictly higher, or same level and older*:
 
 * *Phase 1, descending:* when a processed (added/modified) rule wins a
-  lookup, every new-table rule above it is already present in new state
-  and did not match, so it is the new table's winner. When an untouched
-  rule wins, every old rule is still present (deletes have not started),
-  so it is the old table's winner.
+  lookup, every new-table rule on a higher level is already present in new
+  state and did not match, and none of its own level can match, so it is
+  the new table's winner. When an untouched rule wins, every old rule is
+  still present (deletes have not started) and the new ones of its level
+  are younger, so it is the old table's winner.
 * *Phase 2, ascending:* the table is the new rules plus a
   highest-priorities-last shrinking remnant of doomed old rules. If a
   remnant rule wins, nothing above it matched on either side, so it is
@@ -41,15 +49,8 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, List, Optional, Sequence
 
-from repro.policy.classifier import Classifier
 from repro.policy.flowrules import FlowRule
-from repro.southbound.diff import (
-    Delta,
-    FlowMod,
-    FlowModOp,
-    diff_classifier,
-    rule_key,
-)
+from repro.southbound.diff import Delta, FlowMod, FlowModOp, compute_delta
 from repro.southbound.queue import UpdateQueue
 from repro.southbound.stats import SouthboundStats
 from repro.telemetry import Telemetry
@@ -125,10 +126,10 @@ class SouthboundEngine:
     # Submission
     # ------------------------------------------------------------------
 
-    def sync_classifier(self, classifier: Classifier,
-                        base_priority: int = 0,
+    def sync_classifier(self, rules: Sequence[FlowRule],
                         flush: bool = True) -> Delta:
-        """Reconcile the live table with a compiled classifier.
+        """Reconcile the live table with a compiled one: ``rules``, keyed
+        as the compiler numbered them.
 
         Computes the minimal delta against what is currently installed
         (including any fast-path shadow rules, which the delta reclaims as
@@ -142,10 +143,9 @@ class SouthboundEngine:
         flush phases itself.
         """
         with self.telemetry.span("southbound.sync",
-                                 rules=len(classifier)) as span:
+                                 rules=len(rules)) as span:
             with self.telemetry.span("southbound.diff"):
-                delta = diff_classifier(self._projected_rules(), classifier,
-                                        base_priority)
+                delta = compute_delta(self._projected_rules(), rules)
             span.set_tag(mods=delta.total, unchanged=delta.unchanged)
             self.stats.counters["syncs"].inc()
             self.stats.counters["rules_unchanged"].inc(delta.unchanged)
@@ -164,22 +164,11 @@ class SouthboundEngine:
             self._after_submit()
         return count
 
-    def retract_rules(self, rules: Iterable[FlowRule]) -> int:
-        """Submit deletes for previously pushed rules."""
-        count = 0
-        for rule in rules:
-            self.queue.enqueue(FlowMod.delete(rule))
-            count += 1
-        self._after_submit()
-        return count
-
-    def _projected_rules(self) -> List[FlowRule]:
+    def _projected_rules(self) -> Sequence[FlowRule]:
         """The table as it will look once pending mods are flushed."""
         if not len(self.queue):
-            return list(self.table.rules)
-        keyed = {}
-        for rule in self.table.rules:
-            keyed.setdefault(rule_key(rule), rule)
+            return self.table.rules
+        keyed = {(rule.priority, rule.match): rule for rule in self.table.rules}
         for mod in self.queue.pending_mods():
             if mod.op is FlowModOp.DELETE:
                 keyed.pop(mod.key, None)

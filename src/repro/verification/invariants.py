@@ -11,6 +11,9 @@ and the migrated integration tests can assert on them directly:
 - :func:`check_default_conformance` — border-router FIBs agree with the
   route server, and emitted packets carry the VNH's virtual MAC tag
   (the Section 4.2 encoding the whole data plane keys on);
+- :func:`check_table_is_compilation` — the main table is exactly the
+  installed compilation's rules under the compiler's keys, and those keys
+  order every pair of overlapping rules as the classifier does;
 - :class:`SwapMonitor` — the southbound two-phase swap never drops a
   probe mid-swap that is deliverable both before and after, and every
   intermediate observation equals the old or the new outcome.
@@ -24,6 +27,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.bgp.rib import PrefixTrie
 from repro.core.controller import SdxController
 from repro.net.packet import Packet
+from repro.policy.flowrules import FlowRule
+from repro.southbound.diff import PRIORITY_CEILING
 
 #: A forwarding outcome: (egress participant, delivery port) or dropped.
 Outcome = Optional[Tuple[str, int]]
@@ -166,12 +171,53 @@ def check_default_conformance(controller: SdxController) -> List[Violation]:
     return violations
 
 
+def check_table_is_compilation(controller: SdxController) -> List[Violation]:
+    """The table is a function of the compilation, not of how it got there.
+
+    Outside a swap (nothing queued: between its two phases the old rules
+    are), the main table — what lies under the fast-path band — holds the
+    installed compilation's rules, key for key and action for action,
+    whether it was started, edited, swapped or rolled back into that state.
+    And the keys mean what the classifier means: of two rules that share a
+    packet the earlier has the higher priority, so no packet's fate hangs
+    on which of two equal-priority rules was installed first.
+    """
+    compiled = controller.last_compilation
+    if compiled is None or controller.southbound.pending:
+        return []
+    violations: List[Violation] = []
+    main = [rule for rule in controller.table.rules
+            if rule.priority < PRIORITY_CEILING]
+    stray = set(main) ^ set(compiled.rules)
+    if stray or len(main) != len(compiled.rules):
+        violations.append(Violation(
+            "table-is-compilation",
+            f"{len(main)} main-table rules vs {len(compiled.rules)} compiled;"
+            f" on one side only: {[r.describe() for r in stray][:3]}"))
+    above: Dict[Optional[int], List[FlowRule]] = {}
+    for rule in compiled.rules:
+        port = rule.match.get("port")
+        for earlier in ([r for rules in above.values() for r in rules]
+                        if port is None
+                        else above.get(port, []) + above.get(None, [])):
+            if (earlier.priority <= rule.priority
+                    and earlier.match.overlaps(rule.match)):
+                violations.append(Violation(
+                    "table-is-compilation",
+                    f"[{earlier.describe()}] precedes [{rule.describe()}] "
+                    "in the classifier, shares packets with it and does not "
+                    "outrank it"))
+        above.setdefault(port, []).append(rule)
+    return violations
+
+
 def check_all(controller: SdxController,
               probes: Sequence[Packet]) -> List[Violation]:
     """Every standing invariant, concatenated."""
     return (check_single_delivery(controller, probes)
             + check_bgp_consistency(controller, probes)
-            + check_default_conformance(controller))
+            + check_default_conformance(controller)
+            + check_table_is_compilation(controller))
 
 
 class SwapMonitor:

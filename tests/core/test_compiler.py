@@ -248,6 +248,88 @@ class TestOnlyRulesThatCanFire:
             for earlier, later in zip(rules, rules[1:]))
 
 
+def misordered(rules):
+    """Pairs the keys get wrong — the quadratic loop, as oracle: an earlier
+    rule that shares packets with a later one and does not outrank it."""
+    return [(earlier, later) for index, later in enumerate(rules)
+            for earlier in rules[:index]
+            if earlier.priority <= later.priority
+            and earlier.match.intersect(later.match) is not None]
+
+
+class TestPrioritiesAreOverlapDepths:
+    """A rule's key is a function of the compilation: band top less the
+    rule's overlap depth within its block."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"use_vnh": False}, {"optimized": False}, {"reduce_table": False},
+        {"use_vnh": False, "optimized": False, "reduce_table": False}],
+        ids=lambda kwargs: ",".join(kwargs) or "default")
+    def test_every_mode_is_numbered_by_the_same_rule(self, kwargs):
+        from repro.southbound.diff import (
+            DEFAULT_BAND_TOP, DROP_PRIORITY, PRIORITY_CEILING)
+        from repro.workloads.policies import generate_policies, install_assignments
+        from repro.workloads.topology import generate_ixp
+        ixp = generate_ixp(30, 300, seed=0)
+        sdx = ixp.build_controller(with_dataplane=False, **kwargs)
+        install_assignments(sdx, generate_policies(ixp, seed=1))
+        rules = sdx.start().rules
+        assert misordered(rules) == []
+        assert len({(r.priority, r.match) for r in rules}) == len(rules)
+        *body, drop = rules
+        assert (drop.priority, drop.match, drop.actions) == (
+            DROP_PRIORITY, WILDCARD, ())
+        assert all(DROP_PRIORITY < r.priority < PRIORITY_CEILING for r in body)
+        if sdx.compiler.optimized:
+            holders = {port for p in sdx.topology.participants()
+                       if p.outbound_clauses() for port in p.switch_ports}
+            upper = [r for r in body if r.priority > DEFAULT_BAND_TOP]
+            assert upper and all(r.match.get("port") in holders for r in upper)
+        else:  # one block, one band
+            assert all(r.priority <= DEFAULT_BAND_TOP for r in body)
+        assert [(r.match, r.actions) for r in rules] == [
+            (r.match, r.actions) for r in sdx.last_compilation.classifier.rules]
+        assert len(sdx.table) == len(rules)
+
+    def test_a_handful_of_levels_hold_the_table(self):
+        """250 x 8 000: thousands of rules, and no chain of overlaps among
+        them longer than a clause list is deep."""
+        from repro.workloads.policies import generate_policies, install_assignments
+        from repro.workloads.topology import generate_ixp
+        ixp = generate_ixp(250, 8_000, seed=0)
+        sdx = ixp.build_controller(with_dataplane=False)
+        install_assignments(sdx, generate_policies(ixp, seed=1))
+        rules = sdx.start().rules
+        assert len(rules) > 2_000
+        assert len({rule.priority for rule in rules}) <= 16
+
+    def test_a_full_band_is_an_error_not_a_renumbering(self, monkeypatch):
+        from repro.core import compiler
+        sdx, a, *_ = figure1_controller()
+        for port in (1, 2, 3):  # each catch-all-ish clause sits one deeper
+            a.add_outbound(match(srcport=port) >> fwd("B"))
+        assert sdx.start() is not None
+        monkeypatch.setattr(compiler, "DEFAULT_BAND_TOP",
+                            compiler.PRIORITY_CEILING - 3)
+        with pytest.raises(CompilationError, match="band is full"):
+            sdx.compiler.invalidate_inbound_cache()
+            sdx.compiler.compile()
+
+    def test_an_untouched_block_keeps_its_rule_objects(self):
+        """Numbers live in the block's ``reduction`` entry: a one-clause
+        change numbers one block."""
+        sdx, a, b, c, _e = figure1_controller()
+        c.add_outbound(match(dstport=22) >> fwd("B"))
+        before = sdx.start().rules
+        c.add_outbound(match(dstport=23) >> fwd("B"))
+        after = sdx.last_compilation.rules
+        kept = {id(rule) for rule in before} & {id(rule) for rule in after}
+        a_port = a.port()
+        assert kept and all(
+            id(rule) in kept for rule in after
+            if rule.match.get("port") == a_port and rule.priority > 500_000)
+
+
 class TestStageOneIsCompositional:
     """What the fast path rests on: stage 1 built for one group alone is the
     full table's stage 1 under that group's VMAC."""

@@ -198,10 +198,19 @@ def verdicts(verifier):
             dict(verifier._space_snapshot), set(verifier._vmac_snapshot))
 
 
+def table_of(sdx):
+    """The installed table as the set of its rules: keys are the
+    compilation's, so a table put back is the same set, though rules that
+    share a priority come back in another install order."""
+    rules = frozenset(sdx.table.rules)
+    assert len(rules) == len(sdx.table)
+    return rules
+
+
 def snapshot(sdx):
     allocator, installed = sdx.allocator, sdx.engine.installed
     return {
-        "rules": sdx.table.rules,
+        "rules": table_of(sdx),
         "policies": [(p.name, p.outbound_policies, p.inbound_policies,
                       p.policies_suspended, p.policy_generation)
                      for p in sdx.topology.participants()],
@@ -277,7 +286,7 @@ def test_a_failed_change_leaves_no_trace_and_the_next_one_is_warm(
             == rebuilt_by(twin, change.run, twin_owner))
     assert sum(hits for hits, _misses in rebuilt_by(
         sdx, lambda s, _o: s.recompile(), owner).values()) > 0
-    assert sdx.table.rules == twin.table.rules
+    assert table_of(sdx) == table_of(twin)
     assert canonical_state(sdx).diff(canonical_state(twin)) == []
     assert check_all(sdx, probes(sdx)) == []
     assert sdx.lint_dataplane().errors == []
@@ -290,12 +299,12 @@ def test_window_end_exception_leaves_the_table_as_it_stood():
     gone from the queue and the policy installed."""
     sdx = exchange(statics_mode="off", dataplane_statics_mode="off")
     holder, target = forwarding_pair(sdx)
-    rules, groups = sdx.table.rules, sdx.allocator.vmac_index()
+    rules, groups = table_of(sdx), sdx.allocator.vmac_index()
     installed, policies = sdx.engine.installed, holder.participant.outbound_policies
     sdx.southbound.add_observer(RaisingObserver("on_apply_end"))
     with pytest.raises(Boom):
         holder.add_outbound(match(dstport=4321) >> fwd(target))
-    assert sdx.table.rules == rules
+    assert table_of(sdx) == rules
     assert sdx.allocator.vmac_index() == groups
     assert sdx.southbound.pending == 0
     assert sdx.last_compilation is sdx.engine.installed is installed
@@ -393,13 +402,13 @@ class TestTheGateJudgesTheDelta:
 
     def test_a_new_routeless_forward_is_still_refused_and_uninstalled(self):
         sdx, a, _c = wedge_exchange()
-        rules, policies = sdx.table.rules, a.participant.outbound_policies
+        rules, policies = table_of(sdx), a.participant.outbound_policies
         with pytest.raises(StaticPolicyError) as refusal:
             a.add_outbound(match(dstport=22) >> fwd("D"))
         assert "SDX003" in str(refusal.value) and "'D'" in str(refusal.value)
         assert refusal.value.report is sdx.last_statics_report
         assert a.participant.outbound_policies == policies
-        assert sdx.table.rules == rules
+        assert table_of(sdx) == rules
         # ... and it blocks nobody: the owner's next, sound edit goes in.
         a.add_outbound(match(dstport=443) >> fwd("C"))
         assert len(a.participant.outbound_policies) == 2
@@ -441,3 +450,53 @@ class TestTheGateJudgesTheDelta:
             sdx.start()
         assert not sdx.started and len(sdx.table) == 0
         assert sdx.last_compilation is None
+
+
+# ----------------------------------------------------------------------
+# The catch-all drop holds one priority: a deeper default layer is not news
+# ----------------------------------------------------------------------
+
+
+def test_a_change_that_deepens_the_default_layer_passes_the_strict_gate():
+    """With the drop numbered like any other rule (one level under
+    whatever it follows), ``gated_changes`` seed 2 lost 2 of 3 192 ops: a
+    regroup made the new default layer one level deeper, so until the
+    delete phase the *old* drop sat on the level of new rules for a fresh
+    VMAC and — older — won their packets; SDX011, which judges the window
+    against the new committed spaces, refused the change. Pinned under
+    both bands, the drop ties with nothing."""
+    from repro.southbound.diff import DEFAULT_BAND_TOP, DROP_PRIORITY
+
+    def default_band(sdx):
+        return [rule for rule in sdx.last_compilation.rules
+                if DROP_PRIORITY < rule.priority <= DEFAULT_BAND_TOP]
+
+    sdx = exchange(dataplane_statics_mode="strict")
+    assert sdx.lint_dataplane().errors == []
+    # The member most tagged prefixes leave through by default: an inbound
+    # clause of its own splits every default rule toward it, one more
+    # level; an update to one of those prefixes first means the swap also
+    # regroups it under a fresh tag.
+    tagged = [prefix for group in sdx.allocator.groups()
+              for prefix in group.prefixes]
+    best = {prefix: sdx.route_server.decide(prefix).best for prefix in tagged}
+    target = max(sdx.topology.participants(), key=lambda p: sum(
+        route.learned_from == p.name for route in best.values()))
+    prefix, route = next((prefix, route) for prefix, route in best.items()
+                         if route.learned_from == target.name)
+    *hops, _origin = route.attributes.as_path.asns
+    sdx.announce_route(target.name, prefix, AsPath([*hops, 64_999]))
+    assert sdx.engine.dirty
+    deepest = min(rule.priority for rule in default_band(sdx))
+    tags = set(sdx.allocator.vmac_index())
+    handle = sdx.participant(target.name)
+    handle.add_inbound(match(srcport=4321) >> fwd(handle.port()))
+    assert min(rule.priority for rule in default_band(sdx)) == deepest - 1
+    fresh = sdx.allocator.vmac_for_prefix(prefix)
+    assert fresh not in tags
+    assert any(rule.priority == deepest - 1  # where the old drop would be
+               and rule.match.get("dstmac") == fresh
+               for rule in default_band(sdx))
+    assert sdx.last_compilation.rules[-1].priority == DROP_PRIORITY
+    assert sdx.dataplane_verifier.state_report().errors == []
+    assert check_all(sdx, probes(sdx)) == []

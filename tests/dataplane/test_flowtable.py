@@ -2,11 +2,11 @@
 
 from repro.net.packet import Packet
 from repro.policy.classifier import Action, Classifier, Rule
-from repro.policy.flowrules import FlowRule
+from repro.policy.flowrules import FlowRule, to_flow_rules
 from repro.policy.headerspace import WILDCARD, HeaderSpace
 from repro.policy.policies import fwd, match
 from repro.dataplane.flowtable import FlowTable
-from repro.southbound.diff import FlowMod
+from repro.southbound.diff import FlowMod, compute_delta
 
 
 def rule(priority, actions=(), **constraints):
@@ -22,31 +22,42 @@ class TestInstallation:
         assert [r.priority for r in table.rules] == [5, 3, 1]
 
     def test_equal_priority_keeps_insertion_order(self):
+        """Across guards too, and for the packet both rules match."""
         table = FlowTable()
         first = rule(5, (Action(port=1),), dstport=80)
-        second = rule(5, (Action(port=2),), dstport=80)
+        second = rule(5, (Action(port=2),), port=1)
+        third = rule(5, (Action(port=3),), dstport=22)
+        table.install_many([first, second, third])
+        assert table.rules == (first, second, third)
+        assert table.lookup(Packet(port=1, dstport=80)) is first
+        table.apply_mod(FlowMod.delete(first))
         table.install(first)
-        table.install(second)
-        assert table.rules == (first, second)
+        assert table.rules == (second, third, first)
+        assert table.lookup(Packet(port=1, dstport=80)) is second
+
+    def test_a_key_holds_one_rule(self):
+        """Installing onto a taken key rewrites it, as an ADD would."""
+        table = FlowTable()
+        table.install(rule(5, (Action(port=1),), dstport=80))
+        table.process(Packet(port=1, dstport=80))
+        again = rule(5, (Action(port=2),), dstport=80)
+        table.install(again)
+        assert table.rules == (again,)
+        assert table.packets_matched(again) == 1
 
     def test_install_classifier(self):
         table = FlowTable()
         installed = table.install_classifier((match(dstport=80) >> fwd(2)).compile())
         assert installed == len(table)
 
-    def test_replace_with_swaps_table(self):
+    def test_emptied_levels_and_guards_are_forgotten(self):
+        """Tags come and go for as long as the exchange runs."""
         table = FlowTable()
-        table.install(rule(9))
-        table.replace_with(fwd(2).compile())
-        assert all(r.actions == (Action(port=2),) for r in table.rules)
-
-    def test_remove_where(self):
-        table = FlowTable()
-        table.install(rule(5, (Action(port=1),)))
-        table.install(rule(9, (Action(port=2),)))
-        removed = table.remove_where(lambda r: r.priority > 6)
-        assert removed == 1
-        assert len(table) == 1
+        for tag in range(50):
+            churned = rule(7 + tag, dstmac=f"a2:00:00:00:00:{tag:02x}", port=1)
+            table.install(churned)
+            table.apply_mod(FlowMod.delete(churned))
+        assert len(table) == 0 and not table._levels and table.rules == ()
 
     def test_generation_bumps_on_mutation(self):
         table = FlowTable()
@@ -115,6 +126,41 @@ class TestApplyMod:
         table.apply_mod(FlowMod.delete(rule(5, (), dstport=80)))
         assert [r.priority for r in table.rules] == [1]
 
+    def test_a_flowmod_is_independent_of_its_level_size(self, monkeypatch):
+        """Hundreds of rules share a priority; adding, modifying, deleting
+        and finding one compares no match with its neighbours'."""
+        table = FlowTable()
+        table.install_many(
+            rule(5, (Action(port=2),), port=1 + index % 7, dstport=index,
+                 dstmac=f"a2:00:00:00:{index % 50:02x}:01")
+            for index in range(700))
+        compared = []
+        monkeypatch.setattr(HeaderSpace, "__eq__", lambda self, other: (
+            compared.append(1), self._constraints == other._constraints)[1])
+        target = rule(5, (Action(port=3),), port=3, dstport=2,
+                      dstmac="a2:00:00:00:02:01")
+        table.apply_mod(FlowMod.modify(target))
+        assert table.rule_for_key(5, target.match) is not None
+        table.apply_mod(FlowMod.delete(target))
+        table.apply_mod(FlowMod.add(target))
+        assert len(table) == 700 and len(compared) <= 8
+
+    def test_lookup_probes_only_the_guards_the_packet_satisfies(self, monkeypatch):
+        table = FlowTable()
+        table.install_many(
+            rule(9 - index % 3, (Action(port=2),), port=1 + index % 7,
+                 dstmac=f"a2:00:00:00:{index % 50:02x}:01", dstport=index)
+            for index in range(700))
+        table.install(rule(1))
+        probed = []
+        original = HeaderSpace.matches
+        monkeypatch.setattr(HeaderSpace, "matches", lambda self, packet: (
+            probed.append(self), original(self, packet))[1])
+        hit = table.lookup(Packet(port=3, dstmac="a2:00:00:00:02:01", dstport=2))
+        assert hit is not None and hit.match.get("dstport") == 2
+        assert len(probed) <= 4
+        assert table.lookup(Packet(port=3, dstmac="a2:00:00:00:02:09")).priority == 1
+
     def test_delete_removes_every_duplicate_instance(self):
         table = FlowTable()
         table.install(rule(5, (Action(port=1),), dstport=80))
@@ -138,6 +184,10 @@ class TestApplyMod:
 
 
 class TestCounterPreservingReplace:
+    @staticmethod
+    def _replace(table, classifier):
+        table.apply_delta(compute_delta(table.rules, to_flow_rules(classifier)))
+
     def _classifier(self, web_port):
         return Classifier([
             Rule(HeaderSpace(dstport=80), (Action(port=web_port),)),
@@ -153,7 +203,7 @@ class TestCounterPreservingReplace:
         ssh = table.lookup(Packet(port=9, dstport=22))
         assert table.packets_matched(ssh) == 2
         # Recompile changes only the web rule; ssh must keep its counter.
-        table.replace_with(self._classifier(web_port=2))
+        self._replace(table, self._classifier(web_port=2))
         assert table.lookup(Packet(port=9, dstport=22)) is ssh
         assert table.packets_matched(ssh) == 2
         assert table.lookup(Packet(port=9, dstport=80)).actions == (Action(port=2),)
@@ -163,14 +213,9 @@ class TestCounterPreservingReplace:
         table.install_classifier(self._classifier(web_port=1))
         generation = table.generation
         rules = table.rules
-        table.replace_with(self._classifier(web_port=1))
-        assert table.rules == rules  # same objects, not just equal rules
+        self._replace(table, self._classifier(web_port=1))
+        assert table.rules is rules  # the very tuple: nothing was touched
         assert table.generation == generation
-
-    def test_replace_return_value_is_new_table_size(self):
-        table = FlowTable()
-        table.install(rule(9))
-        assert table.replace_with(self._classifier(web_port=1)) == 3
 
 
 class TestCookies:
@@ -191,7 +236,7 @@ class TestCookies:
         web = rule(5, (Action(port=1),), dstport=80)
         assert table.cookie_of(web) == 0
         table.install(web)
-        table.remove_where(lambda r: True)
+        table.clear()
         assert table.cookie_of(web) == 0
 
     def test_modify_transfers_the_cookie(self):

@@ -83,6 +83,10 @@ class TestIntersect:
     def test_intersect_symmetric_property(self, left, right):
         assert left.intersect(right) == right.intersect(left)
 
+    @given(header_spaces(), header_spaces())
+    def test_overlaps_is_a_non_empty_intersection_property(self, left, right):
+        assert left.overlaps(right) == (left.intersect(right) is not None)
+
     @given(header_spaces(), header_spaces(), packets())
     def test_intersect_is_conjunction_property(self, left, right, packet):
         merged = left.intersect(right)

@@ -8,6 +8,7 @@ from repro.net.packet import Packet
 from repro.policy.classifier import Action, Classifier, Rule
 from repro.policy.headerspace import WILDCARD, HeaderSpace
 from repro.policy.optimize import (
+    ShadowIndex,
     coalesce_adjacent,
     merge_drop_tail,
     optimize,
@@ -25,6 +26,17 @@ def quadratic_remove_shadowed(classifier):
             continue
         kept.append(rule)
     return Classifier(kept)
+
+
+def quadratic_depths(matches):
+    """The reference: the longest chain of earlier matches, each
+    overlapping the next, that ends in each one."""
+    depths = []
+    for index, match in enumerate(matches):
+        depths.append(1 + max(
+            (depths[earlier] for earlier in range(index)
+             if matches[earlier].intersect(match) is not None), default=-1))
+    return depths
 
 
 #: Matches shaped like SDX rules: ingress port and/or MAC tag, plus the
@@ -107,6 +119,68 @@ class TestIndexedShadowElimination:
 
         monkeypatch.setattr(HeaderSpace, "covers", counting)
         remove_shadowed(table)
+        assert calls <= 8 * len(table)
+
+
+class TestOverlapDepth:
+    """``ShadowIndex.add`` numbers what the compiler keys the table by."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(tagged_spaces, max_size=25))
+    def test_equals_the_longest_chain_on_random_tables(self, spaces):
+        index = ShadowIndex()
+        depths = [index.add(space) for space in spaces]
+        assert depths == quadratic_depths(spaces)
+        for one, depth in zip(spaces, depths):
+            for other, same in zip(spaces, depths):
+                if one is not other and depth == same:
+                    assert one.intersect(other) is None
+
+    def test_equals_the_longest_chain_on_a_compiled_exchange(self):
+        """With tags (port and VMAC buckets) and without (prefixes nest
+        inside one port's bucket, both ways round)."""
+        for use_vnh in (True, False):
+            matches = [rule.match for rule in
+                       compiled_exchange(40, 400, use_vnh=use_vnh).rules]
+            index = ShadowIndex()
+            assert ([index.add(match) for match in matches]
+                    == quadratic_depths(matches))
+
+    def test_a_prefix_length_seen_late_still_finds_what_lies_inside(self):
+        index = ShadowIndex()
+        inner = [HeaderSpace(port=1, dstip=f"10.{n}.0.0/16") for n in range(4)]
+        assert [index.add(match) for match in inner] == [0, 0, 0, 0]
+        assert index.add(HeaderSpace(port=1, dstip="10.0.0.0/8")) == 1
+        assert index.add(HeaderSpace(dstip="10.2.0.0/15")) == 2
+        assert index.add(HeaderSpace(port=2, dstip="10.2.0.0/15")) == 3
+
+    def test_overlap_tests_stay_linear(self, monkeypatch):
+        """The tag-less table keeps thousands of prefixes per port: a
+        depth pass that did not bucket on ``dstip`` would be quadratic."""
+        from repro.policy.policies import fwd, match
+        from repro.workloads.topology import generate_ixp
+        ixp = generate_ixp(60, 1_200, seed=0)
+        sdx = ixp.build_controller(with_dataplane=False, use_vnh=False)
+        big = [spec.name for spec in ixp.top_by_prefixes(2)]
+        client = next(spec.name for spec in ixp.participants
+                      if spec.name not in big)
+        for port, target in ((80, big[0]), (443, big[1]), (8080, big[0])):
+            sdx.participant(client).participant.add_outbound(
+                match(dstport=port) >> fwd(target))
+        table = sdx.start().classifier
+        assert len(table) >= 1_000
+        calls = 0
+        original = HeaderSpace.overlaps
+
+        def counting(self, other):
+            nonlocal calls
+            calls += 1
+            return original(self, other)
+
+        monkeypatch.setattr(HeaderSpace, "overlaps", counting)
+        index = ShadowIndex()
+        for rule in table.rules[:-1]:
+            index.add(rule.match)
         assert calls <= 8 * len(table)
 
 

@@ -1,14 +1,19 @@
 """Tests for classifier diffing (repro.southbound.diff)."""
 
-from repro.policy.classifier import Action, Classifier, Rule
-from repro.policy.flowrules import FlowRule, to_flow_rules
-from repro.policy.headerspace import WILDCARD, HeaderSpace
+from repro.bgp.asn import AsPath
+from repro.core.controller import SdxController
+from repro.net.addresses import IPv4Prefix
+from repro.policy.classifier import Action
+from repro.policy.flowrules import FlowRule
+from repro.policy.headerspace import HeaderSpace
+from repro.policy.policies import fwd, match
 from repro.southbound.diff import (
+    DEFAULT_BAND_TOP,
+    DROP_PRIORITY,
+    PRIORITY_CEILING,
     FlowMod,
     FlowModOp,
-    align_flow_rules,
     compute_delta,
-    diff_classifier,
     rule_key,
 )
 
@@ -93,98 +98,78 @@ class TestComputeDelta:
         assert "+1" in text and "~1" in text and "-1" in text
 
 
+def exchange():
+    """A holds two clauses, C one; B and D announce what they reach."""
+    sdx = SdxController(with_dataplane=False)
+    a = sdx.add_participant("A", 65001)
+    sdx.add_participant("B", 65002)
+    c = sdx.add_participant("C", 65003)
+    sdx.add_participant("D", 65004)
+    for index, prefix in enumerate(("11.0.0.0/8", "12.0.0.0/8", "13.0.0.0/8")):
+        sdx.announce_route("B", IPv4Prefix(prefix), AsPath([65002, 100 + index]))
+        sdx.announce_route("D", IPv4Prefix(prefix), AsPath([65004, 7, 100 + index]))
+    a.add_outbound(match(dstport=80) >> fwd("D"))
+    a.add_outbound(match(dstport=443) >> fwd("D"))
+    c.add_outbound(match(srcport=53) >> fwd("D"))
+    sdx.start()
+    return sdx, a, c
+
+
+def block_of(rules, handle):
+    return [r for r in rules if r.match.get("port") == handle.port()
+            and r.priority > DEFAULT_BAND_TOP]
+
+
 class TestDiffClassifier:
+    """The target's keys are the compiler's own, so the delta of two
+    compilations is the edit between them and nothing else."""
+
     def test_fresh_install_descends_in_classifier_order(self):
-        classifier = Classifier([
-            Rule(HeaderSpace(dstport=80), FWD1),
-            Rule(WILDCARD, ()),
-        ])
-        delta = diff_classifier([], classifier, base_priority=10)
-        assert len(delta.adds) == 2
-        first, second = delta.adds
-        assert first.match == HeaderSpace(dstport=80)
-        assert first.priority > second.priority > 10
-        assert {m.match for m in delta.adds} == {
-            r.match for r in to_flow_rules(classifier, 10)}
+        sdx, _a, _c = exchange()
+        rules = sdx.last_compilation.rules
+        delta = compute_delta([], rules)
+        assert len(delta.adds) == len(rules) and delta.total == len(rules)
+        for index, later in enumerate(rules):
+            assert DROP_PRIORITY <= later.priority < PRIORITY_CEILING
+            for earlier in rules[:index]:
+                if earlier.match.intersect(later.match) is not None:
+                    assert earlier.priority > later.priority
+        assert rules[-1].priority == DROP_PRIORITY
+        assert len({r.priority for r in rules}) < len(rules)  # levels, not ranks
 
     def test_noop_against_installed_classifier(self):
-        classifier = Classifier([
-            Rule(HeaderSpace(dstport=80), FWD1),
-            Rule(WILDCARD, ()),
-        ])
-        installed = to_flow_rules(classifier, 0)
-        assert diff_classifier(installed, classifier).is_empty
+        """An unchanged block emits no FlowMod: a cold recompilation lands
+        on the same keys, and a change to C's block leaves A's rules the
+        very objects they were."""
+        sdx, a, c = exchange()
+        before = sdx.last_compilation.rules
+        sdx.compiler.invalidate_inbound_cache()
+        assert compute_delta(before, sdx.compiler.compile().rules).is_empty
+        before = sdx.recompile().rules
+        c.add_outbound(match(srcport=123) >> fwd("D"))
+        after = sdx.last_compilation.rules
+        assert all(old is new for old, new in zip(
+            block_of(before, a), block_of(after, a), strict=True))
+        delta = sdx.engine.last_delta
+        assert delta.adds and not delta.modifies and not delta.deletes
+        assert all(mod.match.get("srcport") == 123 for mod in delta.adds)
 
     def test_insertion_does_not_renumber_neighbours(self):
-        old = Classifier([
-            Rule(HeaderSpace(dstport=80), FWD1),
-            Rule(HeaderSpace(dstport=22), FWD2),
-            Rule(WILDCARD, ()),
-        ])
-        installed = align_flow_rules([], old)
-        new = Classifier([
-            Rule(HeaderSpace(dstport=80), FWD1),
-            Rule(HeaderSpace(dstport=443), FWD1),
-            Rule(HeaderSpace(dstport=22), FWD2),
-            Rule(WILDCARD, ()),
-        ])
-        delta = diff_classifier(installed, new)
-        # The insertion slots into a priority gap: one add, zero churn.
-        assert len(delta.adds) == 1
-        assert delta.adds[0].match == HeaderSpace(dstport=443)
-        assert not delta.modifies and not delta.deletes
-        assert delta.unchanged == 3
-
-    def test_aligned_priorities_descend_strictly(self):
-        old = Classifier([Rule(HeaderSpace(dstport=p), FWD1)
-                          for p in (80, 443, 22)])
-        installed = align_flow_rules([], old)
-        new = Classifier(
-            [Rule(HeaderSpace(dstport=p), FWD1)
-             for p in (8080, 80, 8443, 443, 22, 53)] + [Rule(WILDCARD, ())])
-        target = align_flow_rules(installed, new)
-        priorities = [r.priority for r in target]
-        assert priorities == sorted(priorities, reverse=True)
-        assert len(set(priorities)) == len(priorities)
-        kept = {r.priority for r in installed}
-        assert kept <= set(priorities)  # survivors keep their keys
-
-
-    def test_only_the_rewritten_stretch_is_aligned(self, monkeypatch):
-        """A recompilation rewrites one stretch of the table; the shared
-        head and tail are peeled off before the (quadratic-ish) matcher
-        sees anything, and the delta is what aligning everything gives."""
-        import difflib
-        ports = list(range(1_000, 1_400))
-        old = Classifier([Rule(HeaderSpace(dstport=p), FWD1) for p in ports]
-                         + [Rule(WILDCARD, ())])
-        installed = align_flow_rules([], old)
-        middle = ([Rule(HeaderSpace(dstport=p), FWD1) for p in ports[:200]]
-                  + [Rule(HeaderSpace(dstport=5_000 + p), FWD2)
-                     for p in range(5)]
-                  + [Rule(HeaderSpace(dstport=p), FWD1) for p in ports[203:]])
-        new = Classifier(middle + [Rule(WILDCARD, ())])
-        seen = []
-        matcher = difflib.SequenceMatcher
-
-        def recording(a, b, autojunk):
-            seen.append((len(a), len(b)))
-            return matcher(a=a, b=b, autojunk=autojunk)
-
-        monkeypatch.setattr(difflib, "SequenceMatcher", recording)
-        delta = diff_classifier(installed, new)
-        assert seen == [(3, 5)]
-        assert len(delta.adds) == 5 and len(delta.deletes) == 3
-        assert not delta.modifies and delta.unchanged == 398
-
-    def test_peeling_handles_pure_growth_and_shrinkage(self):
-        rules = [Rule(HeaderSpace(dstport=p), FWD1) for p in (80, 443, 22)]
-        installed = align_flow_rules([], Classifier(rules))
-        repeated = Classifier(rules[:2] + [rules[1]] + rules[2:])
-        delta = diff_classifier(installed, repeated)
-        assert delta.unchanged == 3 and not delta.deletes
-        shorter = diff_classifier(installed, Classifier(rules[:1] + rules[2:]))
-        assert len(shorter.deletes) == 1 and shorter.unchanged == 2
+        """A clause put in front re-keys the rules it overlaps — they are
+        one deeper now — and no other."""
+        sdx, a, _c = exchange()
+        web, tls = a.participant.outbound_policies
+        front = match(dstport=80, srcport=1234) >> fwd("D")
+        a.edit(lambda p: [p.remove_outbound(web), p.remove_outbound(tls),
+                          p.add_outbound(front), p.add_outbound(web),
+                          p.add_outbound(tls)])
+        delta = sdx.engine.last_delta
+        assert not delta.modifies
+        assert {mod.match.get("dstport") for mod in delta.mods} == {80}
+        moved = [mod for mod in delta.adds if "srcport" not in mod.match]
+        assert moved and {(m.priority + 1, m.match) for m in moved} == {
+            mod.key for mod in delta.deletes}
+        assert delta.unchanged == len(sdx.table) - len(delta.adds)
 
 
 class TestFlowMod:

@@ -3,20 +3,19 @@ every readable attribute, snapshot key, and render row reports what the
 registry reports, and the batch distributions are a bounded window."""
 
 from repro.dataplane.flowtable import FlowTable
-from repro.policy.classifier import Action, Classifier, Rule
-from repro.policy.predicates import match
+from repro.policy.classifier import Action
+from repro.policy.flowrules import FlowRule
+from repro.policy.headerspace import HeaderSpace
 from repro.southbound.engine import SouthboundConfig, SouthboundEngine
 from repro.southbound.stats import SouthboundStats
 from repro.telemetry import Telemetry
 from repro.telemetry.registry import MetricsRegistry
 
 
-def _classifier(*ports: int) -> Classifier:
-    return Classifier([
-        Rule(match(dstport=port).compile().rules[0].match,
-             (Action(port=port),))
-        for port in ports
-    ])
+def _classifier(*ports: int) -> list:
+    """Disjoint rules, so one level — keyed as the compiler would."""
+    return [FlowRule(10, HeaderSpace(dstport=port), (Action(port=port),))
+            for port in ports]
 
 
 class TestFacadeSemantics:

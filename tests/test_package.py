@@ -104,6 +104,52 @@ class TestOneChangePath:
             assert method in cls.__dict__, f"{class_name}.{method}"
 
 
+class TestOneNumbering:
+    """Priorities come from the compiler and from nowhere else: an aligner
+    that recovers them from the switch, or a sorted-list flow table that
+    such keys do not need, would be easy to regrow and hard to notice."""
+
+    def test_nothing_imports_difflib(self):
+        assert [path.name for path in _src_trees()
+                if "difflib" in imported_modules(path)] == []
+
+    def test_the_diff_module_aligns_nothing(self):
+        tree = ast.parse((REPO_ROOT / "src" / "repro" / "southbound"
+                          / "diff.py").read_text())
+        names = {node.name for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        names |= {target.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Assign)
+                  for target in node.targets if isinstance(target, ast.Name)}
+        assert "compute_delta" in names and "PRIORITY_CEILING" in names
+        assert [name for name in names
+                if "align" in name.lower() or "STRIDE" in name] == []
+
+    def test_sync_classifier_has_one_call_site(self):
+        calls = [path.name for path, tree in _src_trees().items()
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "sync_classifier"]
+        assert calls == ["incremental.py"]
+
+    def test_the_flow_table_bisects_nothing(self):
+        path = REPO_ROOT / "src" / "repro" / "dataplane" / "flowtable.py"
+        assert not any(name.startswith("bisect")
+                       for name in imported_modules(path))
+
+    def test_the_compiler_alone_numbers_the_main_table(self):
+        """``to_flow_rules`` numbers by position: fine for fast-path shadow
+        rules and reference tables, wrong anywhere a key must survive."""
+        users = sorted(
+            str(path.relative_to(REPO_ROOT / "src" / "repro"))
+            for path, tree in _src_trees().items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "to_flow_rules")
+        assert users == ["core/incremental.py", "dataplane/flowtable.py"]
+
+
 class TestLazyExports:
     def test_version(self):
         assert repro.__version__ == "1.0.0"
