@@ -229,16 +229,20 @@ class FlowTable:
     def _entries(self) -> Iterator[list]:
         """Every entry in table order: by priority, then as installed."""
         for priority in self._descending():
-            yield from sorted(
-                (entry for bucket in self._levels[priority].values()
-                 for entry in bucket.values()), key=itemgetter(COOKIE))
+            buckets = self._levels[priority].values()
+            if len(buckets) == 1:  # a guard's dict is in install order
+                yield from next(iter(buckets)).values()
+            else:
+                yield from sorted((entry for bucket in buckets
+                                   for entry in bucket.values()),
+                                  key=itemgetter(COOKIE))
 
     @property
     def rules(self) -> Tuple[FlowRule, ...]:
         """Installed rules, highest priority first and, within a priority,
         in install order; the same tuple until the table next changes."""
         if self._rules is None:
-            self._rules = tuple(entry[RULE] for entry in self._entries())
+            self._rules = tuple(map(itemgetter(RULE), self._entries()))
         return self._rules
 
     def __len__(self) -> int:

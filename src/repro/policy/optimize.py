@@ -43,7 +43,9 @@ class ShadowIndex:
 
     def __init__(self) -> None:
         # dstmac -> port -> (dstip -> bucket, dstip -> the buckets of the
-        # prefixes inside it); a constraint a match lacks is ``None``.
+        # prefixes inside it); a constraint a match lacks is ``None``. Tag
+        # first: the default layer's port-less rules then meet the few ports
+        # that except their tag, not every port of the exchange.
         self._by_mac: Dict[Any, Dict[Any, Tuple[dict, dict]]] = {}
         self._dstip_lengths: Set[int] = set()
 

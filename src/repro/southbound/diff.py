@@ -2,8 +2,8 @@
 
 A rule's identity on the switch is its ``(priority, match)`` pair — the
 key OpenFlow's ``OFPFC_MODIFY_STRICT`` / ``OFPFC_DELETE_STRICT`` operate
-on. Diffing the installed table against a newly compiled classifier under
-that key yields the three standard mod kinds:
+on. Diffing the installed table against a newly compiled one under that
+key yields the three standard mod kinds:
 
 * **add** — key present only in the target;
 * **modify** — key present in both with different actions;
@@ -142,12 +142,7 @@ class Delta:
 
 
 def _keyed(rules: Iterable[FlowRule]) -> Tuple[Dict[RuleKey, FlowRule], Dict[RuleKey, int]]:
-    """First-instance-wins key map plus per-key duplicate counts.
-
-    First match wins inside a priority tie, so when two rules share a key
-    only the first is live; the duplicates are shadow copies the delta
-    collapses away.
-    """
+    """First-instance-wins key map plus per-key duplicate counts."""
     keyed: Dict[RuleKey, FlowRule] = {}
     extras: Dict[RuleKey, int] = {}
     for rule in rules:
@@ -163,10 +158,9 @@ def compute_delta(installed: Sequence[FlowRule],
                   target: Sequence[FlowRule]) -> Delta:
     """The minimal delta turning ``installed`` into ``target``.
 
-    Keys duplicated on either side collapse to their first (live)
-    instance: installed shadow copies become a MODIFY (the engine's modify
-    removes every instance of a key before reinstalling one), and target
-    shadow copies are skipped as unreachable.
+    Neither a flow table nor a compilation holds a key twice; in a list
+    that does, the first instance stands for the key: an installed key
+    listed again becomes a MODIFY, a target's repeats are skipped.
     """
     installed_map, installed_extras = _keyed(installed)
     target_map, _target_extras = _keyed(target)

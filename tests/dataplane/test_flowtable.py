@@ -50,6 +50,14 @@ class TestInstallation:
         installed = table.install_classifier((match(dstport=80) >> fwd(2)).compile())
         assert installed == len(table)
 
+    def test_replace_with_swaps_table(self):
+        """What ``replace_with`` did, said the one way left to say it."""
+        table = FlowTable()
+        table.install(rule(9))
+        table.apply_delta(compute_delta(
+            table.rules, to_flow_rules(fwd(2).compile())))
+        assert all(r.actions == (Action(port=2),) for r in table.rules)
+
     def test_emptied_levels_and_guards_are_forgotten(self):
         """Tags come and go for as long as the exchange runs."""
         table = FlowTable()
@@ -216,6 +224,16 @@ class TestCounterPreservingReplace:
         self._replace(table, self._classifier(web_port=1))
         assert table.rules is rules  # the very tuple: nothing was touched
         assert table.generation == generation
+
+    def test_replace_return_value_is_new_table_size(self):
+        """The delta's own count says what was sent; the table's what it
+        holds once the stale rule is reclaimed."""
+        table = FlowTable()
+        table.install(rule(9))
+        delta = compute_delta(table.rules,
+                              to_flow_rules(self._classifier(web_port=1)))
+        assert table.apply_delta(delta) == delta.total == 4
+        assert len(table) == 3
 
 
 class TestCookies:

@@ -154,6 +154,32 @@ class TestOverlapDepth:
         assert index.add(HeaderSpace(dstip="10.2.0.0/15")) == 2
         assert index.add(HeaderSpace(port=2, dstip="10.2.0.0/15")) == 3
 
+    def test_a_port_less_rule_does_not_visit_every_port(self, monkeypatch):
+        """The default layer: per tag a few per-ingress exceptions and one
+        port-less rule under them, over hundreds of ports. Filed by port
+        first, each port-less rule walked them all (639 x 150 000: 1.4 s
+        where tag-first takes 0.13)."""
+        from repro.policy import optimize
+        visited = 0
+        original = optimize._at
+
+        def counting(level, value):
+            nonlocal visited
+            found = list(original(level, value))
+            visited += len(found)
+            return found
+
+        monkeypatch.setattr(optimize, "_at", counting)
+        index = ShadowIndex()
+        tags = [f"a2:00:00:00:{tag // 256:02x}:{tag % 256:02x}"
+                for tag in range(600)]
+        for number, tag in enumerate(tags):
+            for port in (number % 300, (number * 7 + 1) % 300):
+                assert index.add(HeaderSpace(port=port + 1, dstmac=tag)) == 0
+        for tag in tags:
+            assert index.add(HeaderSpace(dstmac=tag)) == 1
+        assert visited <= 6 * 3 * len(tags)
+
     def test_overlap_tests_stay_linear(self, monkeypatch):
         """The tag-less table keeps thousands of prefixes per port: a
         depth pass that did not bucket on ``dstip`` would be quadratic."""

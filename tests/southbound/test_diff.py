@@ -154,6 +154,21 @@ class TestDiffClassifier:
         assert delta.adds and not delta.modifies and not delta.deletes
         assert all(mod.match.get("srcport") == 123 for mod in delta.adds)
 
+    def test_aligned_priorities_descend_strictly(self):
+        """Along every chain of overlaps, before and after an edit — and
+        what the edit does not overlap keeps its key."""
+        sdx, a, _c = exchange()
+        before = {rule_key(r) for r in sdx.last_compilation.rules}
+        a.add_outbound(match(srcport=1234) >> fwd("D"))  # under both clauses
+        after = sdx.last_compilation.rules
+        assert before <= {rule_key(r) for r in after}  # survivors keep keys
+        added = [r for r in after if rule_key(r) not in before]
+        assert added and all(r.match.get("srcport") == 1234 for r in added)
+        for rule in added:
+            above = [r for r in block_of(after, a) if r is not rule
+                     and r.match.intersect(rule.match) is not None]
+            assert above and all(r.priority > rule.priority for r in above)
+
     def test_insertion_does_not_renumber_neighbours(self):
         """A clause put in front re-keys the rules it overlaps — they are
         one deeper now — and no other."""
