@@ -197,11 +197,12 @@ class FlowTable:
         if mod.op is not FlowModOp.DELETE:
             self.install(mod.rule)
             return
-        guards = self._levels.get(mod.priority, {})
+        guards = self._levels.get(mod.priority)
         guard = _guard(mod.match)
-        if guards.get(guard, {}).pop(mod.match, None) is None:
+        bucket = guards and guards.get(guard)
+        if not bucket or bucket.pop(mod.match, None) is None:
             return
-        if not guards[guard]:
+        if not bucket:
             del guards[guard]
             if not guards:
                 del self._levels[mod.priority]
@@ -259,10 +260,10 @@ class FlowTable:
         for priority in self._descending():
             level = self._levels[priority]
             found = None
-            for guard in guards:
+            for guard in guards & level.keys():
                 # A guard's first match is its oldest; the oldest of the
                 # guards' wins the level.
-                for match, entry in level.get(guard, {}).items():
+                for match, entry in level[guard].items():
                     if match.matches(packet):
                         if found is None or entry[COOKIE] < found[COOKIE]:
                             found = entry

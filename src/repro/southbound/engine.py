@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, List, Optional, Sequence
 
 from repro.policy.flowrules import FlowRule
-from repro.southbound.diff import Delta, FlowMod, FlowModOp, compute_delta
+from repro.southbound.diff import Delta, FlowMod, FlowModOp, compute_delta, rule_key
 from repro.southbound.queue import UpdateQueue
 from repro.southbound.stats import SouthboundStats
 from repro.telemetry import Telemetry
@@ -168,7 +168,7 @@ class SouthboundEngine:
         """The table as it will look once pending mods are flushed."""
         if not len(self.queue):
             return self.table.rules
-        keyed = {(rule.priority, rule.match): rule for rule in self.table.rules}
+        keyed = {rule_key(rule): rule for rule in self.table.rules}
         for mod in self.queue.pending_mods():
             if mod.op is FlowModOp.DELETE:
                 keyed.pop(mod.key, None)

@@ -22,6 +22,7 @@ and the migrated integration tests can assert on them directly:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bgp.rib import PrefixTrie
@@ -197,9 +198,9 @@ def check_table_is_compilation(controller: SdxController) -> List[Violation]:
     above: Dict[Optional[int], List[FlowRule]] = {}
     for rule in compiled.rules:
         port = rule.match.get("port")
-        for earlier in ([r for rules in above.values() for r in rules]
-                        if port is None
-                        else above.get(port, []) + above.get(None, [])):
+        for earlier in chain.from_iterable(
+                above.values() if port is None
+                else (above.get(port, ()), above.get(None, ()))):
             if (earlier.priority <= rule.priority
                     and earlier.match.overlaps(rule.match)):
                 violations.append(Violation(
