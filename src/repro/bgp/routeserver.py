@@ -158,7 +158,6 @@ class RouteServer:
         self._announcers: Dict[IPv4Prefix, Set[str]] = {}
         self._export_deny: Dict[str, Set[str]] = {}
         self._export_allow: Dict[str, Optional[Set[str]]] = {}
-        self._community_filtering_peers: Set[str] = set()
         self._listeners: List[ChangeListener] = []
         self._update_listeners: List[UpdateListener] = []
         self._next_hop_rewriter: Optional[NextHopRewriter] = None
@@ -303,15 +302,6 @@ class RouteServer:
         self._export_deny[announcer] = set(deny)
         self._export_allow[announcer] = None if allow is None else set(allow)
 
-    def has_export_restrictions(self, announcer: str) -> bool:
-        """True if ``announcer`` filters which peers receive its routes,
-        either per session or via communities on some announcement."""
-        if self._export_deny.get(announcer):
-            return True
-        if self._export_allow.get(announcer) is not None:
-            return True
-        return announcer in self._community_filtering_peers
-
     def exports_to(self, announcer: str, receiver: str) -> bool:
         """True if routes from ``announcer`` may reach ``receiver``
         (session-level check; per-route communities apply on top)."""
@@ -355,12 +345,6 @@ class RouteServer:
         if allow_mode:
             return (self.asn, receiver_asn) in communities
         return True
-
-    def _note_community_filters(self, update: Update) -> None:
-        for announcement in update.announcements:
-            if self.export_control_communities(announcement.attributes):
-                self._community_filtering_peers.add(update.sender)
-                return
 
     # ------------------------------------------------------------------
     # Update processing
@@ -414,7 +398,6 @@ class RouteServer:
         """Write ``update`` into the sender's Adj-RIB-In and the announcer
         index; returns the prefixes whose entry actually changed — which
         the change log is told, unless the caller records the change."""
-        self._note_community_filters(update)
         adj = self._adj_in[update.sender]
         changed = adj.apply(update)
         if named:

@@ -473,7 +473,7 @@ class SdxCompiler:
                         stats: Optional[ComposeStats]) -> List[tuple]:
         """Per entry, its (exception rules, shared rules)."""
         layers = list(build_default_forwarding(
-            participants, entries, self.topology, self.route_server))
+            participants, entries, self.topology))
         # One layer after the other: like clauses compile faster together.
         return list(zip(
             [self._clause_rules(above, stats) for above, _shared in layers],
@@ -494,17 +494,13 @@ class SdxCompiler:
                   groups: Sequence[PrefixGroup],
                   stats: Optional[ComposeStats]) -> Classifier:
         """The default layer, group by group. A group's piece — what its
-        ``Decision`` comes to under its tag — is kept while its VMAC, its
-        ranking signature and whether its best announcer restricts exports
-        (sticky and announcer-wide: one community-bearing announcement
-        changes other groups' clauses) stand, so only new or changed groups
-        are decided; none is kept across a membership or unnamed change."""
+        ``Decision`` comes to under its tag — is kept while its VMAC and its
+        ranking signature (paths and export-control communities with it)
+        stand, so only new or changed groups are decided; none is kept
+        across a membership or unnamed change, as an export policy's is."""
         log = self.route_server.rib_changes
-        tags = tuple(
-            (self.allocator.vmac_for_group(group.group_id),
-             (group.signature[1], self.route_server.has_export_restrictions(
-                 group.ranked_announcers[0])))
-            for group in groups)
+        tags = tuple((self.allocator.vmac_for_group(group.group_id),
+                      group.signature[1]) for group in groups)
 
         def build(previous: Optional[tuple]) -> tuple:
             kept: dict = {}
@@ -819,8 +815,7 @@ class SdxCompiler:
                    for rule in rules if (depth := index.add(
                        rule.match, self.reduce_table)) is not None]
             if any(rule.priority <= floor for rule in out):
-                raise CompilationError(f"a block overlaps more than "
-                                       f"{top - floor} deep: its band is full")
+                raise CompilationError(f"overlaps {top - floor} deep: band is full")
             return out, index
 
         *above, tail = blocks
@@ -835,7 +830,7 @@ class SdxCompiler:
                 index_above.update(dict.fromkeys(owner.switch_ports, index))
         *body, last = merge_drop_tail(tail).rules
         for rule in self._reuse("reduction", None, tail, lambda: numbered(
-                body, DEFAULT_BAND_TOP, DROP_PRIORITY))[0]:
+                body, DEFAULT_BAND_TOP, DROP_PRIORITY)[0]):  # its index: unused
             index = index_above.get(rule.match.get("port"))
             if index is None or not index.covers(rule.match):
                 rules.append(rule)

@@ -11,10 +11,11 @@ BGP would send it (Section 4.1/4.2):
   MAC-learning rule per physical port forwards them.
 
 Default next hops are shared across ingress participants whenever the
-route server would pick the same best route for everyone — only the
-exceptions (typically the best route's own announcer, plus participants
-excluded by export filters) get per-ingress rules, which keeps the
-default table linear in groups + ports instead of groups × participants.
+route server picks the same best route for everyone — only the exceptions
+of its decision (the best route's own announcer, members whose AS is on
+its path, members its export policy or communities exclude) get
+per-ingress rules, which keeps the default table linear in groups + ports
+instead of groups × participants.
 
 Both rule families forward to the *virtual* port of the next-hop
 participant, so that participant's inbound policies still apply before
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.bgp.routeserver import Decision, RouteServer
+from repro.bgp.routeserver import Decision
 from repro.core.clauses import Clause
 from repro.core.participant import Participant
 from repro.core.vswitch import VirtualTopology
@@ -89,7 +90,6 @@ def mac_learning_clauses(participants: Sequence[Participant],
 def build_default_forwarding(participants: Sequence[Participant],
                              entries: Iterable[Entry],
                              topology: VirtualTopology,
-                             route_server: RouteServer
                              ) -> Iterator[Tuple[List[Clause], List[Clause]]]:
     """The default layer, entry by entry, as two priority layers each.
 
@@ -103,24 +103,16 @@ def build_default_forwarding(participants: Sequence[Participant],
     physical = {p.name: p for p in participants if not p.is_remote}
 
     for tag, decision in entries:
-        exceptions: List[Clause] = []
         if decision.best is None:
-            yield exceptions, []
+            yield [], []
             continue
         common = decision.best.learned_from
-        # Participants whose best differs from the shared choice: always
-        # the common announcer itself; everyone when it restricts exports.
-        if route_server.has_export_restrictions(common):
-            candidates: Iterable[Participant] = physical.values()
-        else:
-            candidates = [physical[common]] if common in physical else []
-        for participant in candidates:
-            specific = default_next_hop(decision, participant.name)
-            if specific != common:
-                exceptions.append(default_clause(
-                    ingress_guard(participant), tag, specific, topology))
-        yield exceptions, [Clause(predicate=match(dstmac=tag),
-                                  target=topology.vport(common))]
+        # Whoever the decision gives another route than the shared one, or
+        # none — in name order: set order must not reach the classifier.
+        yield [default_clause(ingress_guard(physical[name]), tag, hop, topology)
+               for name in sorted(decision.exceptions) if name in physical
+               and (hop := default_next_hop(decision, name)) != common], [
+            Clause(predicate=match(dstmac=tag), target=topology.vport(common))]
 
 
 def build_participant_defaults(participant: Participant,

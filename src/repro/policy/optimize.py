@@ -21,8 +21,7 @@ _MASKS = [IPv4Prefix._mask_for(length) for length in range(33)]
 
 
 def _at(level: dict, value: Any) -> Iterable:
-    """What ``level`` holds that ``value`` is comparable with: itself and
-    no constraint — or, being no constraint, everything."""
+    """``level`` at ``value`` and at no constraint — the latter: at any."""
     if value is None:
         return level.values()
     return [level[key] for key in (value, None) if key in level]
@@ -50,8 +49,7 @@ class ShadowIndex:
         self._dstip_lengths: Set[int] = set()
 
     def _key(self, match: HeaderSpace) -> Tuple[Any, Any, list]:
-        """``match``'s port, tag and ``dstip`` — that one followed by each
-        recorded widening of it, up to none."""
+        """Port, tag and ``dstip`` — then its recorded widenings, then none."""
         mac, dstip = match.get("dstmac"), match.get("dstip")
         mac = None if mac is None else mac.value  # hashes without a call
         if not isinstance(dstip, IPv4Prefix):

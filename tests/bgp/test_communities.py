@@ -60,12 +60,6 @@ class TestBlockingCommunities:
         assert server.is_reachable("C", P1, via="B")
         assert not server.is_reachable("A", P1, via="B")
 
-    def test_marks_announcer_as_restricted(self):
-        server = make_server()
-        assert not server.has_export_restrictions("B")
-        server.announce("B", P1, attrs([65002], communities={(0, 65001)}))
-        assert server.has_export_restrictions("B")
-
     def test_blocked_peer_is_an_exception_of_the_decision(self):
         server = make_server()
         server.announce("B", P1, attrs([65002]))
