@@ -15,8 +15,10 @@ policy API exposes to participants as ``RIB.filter('as_path', ...)``).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, Generic, Iterable, Iterator, List, Optional, Tuple, TypeVar, Union
+from dataclasses import dataclass, field, replace
+from typing import (
+    Callable, Dict, Generic, Hashable, Iterable, Iterator, List, Optional, Tuple,
+    TypeVar, Union)
 
 from repro.bgp.asn import AsPathPattern
 from repro.bgp.attributes import RouteAttributes
@@ -26,6 +28,9 @@ from repro.net.addresses import IPv4Address, IPv4Prefix
 
 ValueT = TypeVar("ValueT")
 KeyT = TypeVar("KeyT")
+
+#: Route attributes -> the export class their route is stored under.
+Classify = Callable[[RouteAttributes], Hashable]
 
 #: How many keys a :class:`ChangeLog` remembers the last change of.
 CHANGE_LOG_SIZE = 4096
@@ -189,13 +194,19 @@ class PrefixTrie(Generic[ValueT]):
         return f"PrefixTrie({self._size} prefixes)"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RouteEntry:
-    """One usable route: a prefix, its attributes, and who taught it to us."""
+    """One usable route: a prefix, its attributes, and who taught it to us.
+
+    ``export_class`` is the stamp of whoever stored the route (the route
+    server: what of the route its export check reads) — derived from the
+    other three fields, so no part of the route's identity.
+    """
 
     prefix: IPv4Prefix
     attributes: RouteAttributes
     learned_from: str
+    export_class: Hashable = field(default=None, compare=False, repr=False)
 
     def __repr__(self) -> str:
         return (f"RouteEntry({self.prefix} via {self.attributes.next_hop} "
@@ -213,8 +224,11 @@ class AdjRibIn:
         self.peer = peer
         self._routes: Dict[IPv4Prefix, RouteEntry] = {}
 
-    def apply(self, update: Update) -> List[IPv4Prefix]:
-        """Apply one update; returns prefixes whose entry actually changed."""
+    def apply(self, update: Update,
+              classify: Optional[Classify] = None) -> List[IPv4Prefix]:
+        """Apply one update; returns prefixes whose entry actually changed.
+        ``classify`` stamps every route stored with its export class."""
+        classify = classify or (lambda attributes: None)
         if update.sender != self.peer:
             raise BgpError(
                 f"update from {update.sender!r} applied to Adj-RIB-In of {self.peer!r}")
@@ -223,11 +237,23 @@ class AdjRibIn:
             if self._routes.pop(withdrawal.prefix, None) is not None:
                 changed[withdrawal.prefix] = None
         for announcement in update.announcements:
-            entry = RouteEntry(announcement.prefix, announcement.attributes, self.peer)
-            if self._routes.get(announcement.prefix) != entry:
-                self._routes[announcement.prefix] = entry
-                changed[announcement.prefix] = None
+            prefix, attributes = announcement.prefix, announcement.attributes
+            stored = self._routes.get(prefix)
+            if stored is None or stored.attributes != attributes:
+                self._routes[prefix] = RouteEntry(
+                    prefix, attributes, self.peer, classify(attributes))
+                changed[prefix] = None
         return list(changed)
+
+    def reclass(self, classify: Classify) -> List[RouteEntry]:
+        """Stamp every route anew — what ``classify`` reads has changed;
+        returns the entries that took the place of a differently classed one."""
+        moved = [replace(entry, export_class=export_class)
+                 for entry in self._routes.values()
+                 if (export_class := classify(entry.attributes))
+                 != entry.export_class]
+        self._routes.update((entry.prefix, entry) for entry in moved)
+        return moved
 
     def route(self, prefix: IPv4Prefix) -> Optional[RouteEntry]:
         """The current route for ``prefix``, if announced."""

@@ -11,18 +11,24 @@ extensions sit on top of the conventional behaviour:
   SDX uses to substitute the virtual next-hop (VNH) of the prefix's
   forwarding equivalence class (Section 4.2).
 
-The decision process runs once per *prefix*: :meth:`RouteServer.decide`
-ranks the prefix's routes and returns a :class:`Decision`, a partition of
-the receivers in which everyone gets the best route except the few it may
-not be exported to, who fall through to the next one. Ingest diffs two
-partitions, re-advertisement sends one shared UPDATE per cell, and a
-one-receiver read (:meth:`~RouteServer.best_route_for`) takes the first
-entry of the same ranking it may have; no Loc-RIB is ever materialised.
+The server keeps what it ranked. Every RIB write goes through
+:meth:`RouteServer._apply`, which re-ranks the prefixes it changed into the
+Loc-RIB — per prefix, every announced route, best first — and stamps each
+stored route with its *export class*: what of it the export check reads.
+:meth:`RouteServer.decide` turns a prefix's ranking into a
+:class:`Decision`, a partition of the receivers in which everyone gets the
+best route except the few it may not be exported to, who fall through to
+the next one. Ingest diffs two partitions, re-advertisement sends one
+shared UPDATE per cell, a one-receiver read
+(:meth:`~RouteServer.best_route_for`) takes the first entry of the same
+ranking it may have, and FEC grouping asks its questions once per distinct
+tuple of ranked classes instead of once per prefix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from types import MappingProxyType
 from typing import (
     Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set,
@@ -100,6 +106,9 @@ class Decision:
 #: ASN conventionally used in blocking communities ("0:peer-asn").
 BLOCK_COMMUNITY_ASN = 0
 
+#: The export-control communities of most routes: none.
+NO_COMMUNITIES: frozenset = frozenset()
+
 
 class RouteServer:
     """A multi-participant BGP route server with SDX hooks.
@@ -132,7 +141,7 @@ class RouteServer:
             "Per-participant best-route changes produced by the decision process")
         self._decision_runs_counter = registry.counter(
             "sdx_bgp_decision_runs_total",
-            "Per-prefix rankings computed by the decision process")
+            "Per-prefix rankings performed at RIB writes")
         self._readvertised_counter = registry.counter(
             "sdx_bgp_readvertised_total", "UPDATEs re-advertised to participants")
         self._readvertise_skipped_counter = registry.counter(
@@ -155,7 +164,12 @@ class RouteServer:
         self._peer_names: FrozenSet[str] = frozenset()
         self._adj_in: Dict[str, AdjRibIn] = {}
         self._peers_by_asn: Dict[int, List[str]] = {}
-        self._announcers: Dict[IPv4Prefix, Set[str]] = {}
+        #: The Loc-RIB: per announced prefix its routes, best first. Written
+        #: by :meth:`_apply` alone (and re-stamped by :meth:`_reclass`).
+        self._loc_rib: Dict[IPv4Prefix, Tuple[RouteEntry, ...]] = {}
+        #: Export classes by value, so that equal ones are one object. Holds
+        #: the distinct classes ever stored: a few per announcer.
+        self._export_classes: Dict[tuple, tuple] = {}
         self._export_deny: Dict[str, Set[str]] = {}
         self._export_allow: Dict[str, Optional[Set[str]]] = {}
         self._listeners: List[ChangeListener] = []
@@ -189,6 +203,7 @@ class RouteServer:
         self._peer_names = frozenset(self._sessions)
         self._adj_in[name] = AdjRibIn(name)
         self._peers_by_asn.setdefault(asn, []).append(name)
+        self._reclass()
         self.rib_changes.record()
         if connect:
             session.connect()
@@ -206,6 +221,9 @@ class RouteServer:
         changes = self._apply_and_diff(update)
         del self._adj_in[name]
         self._peers_by_asn[session.asn].remove(name)
+        if not self._peers_by_asn[session.asn]:
+            del self._peers_by_asn[session.asn]
+        self._reclass()
         self._export_deny.pop(name, None)
         self._export_allow.pop(name, None)
         self.rib_changes.record()
@@ -314,9 +332,31 @@ class RouteServer:
 
     def export_control_communities(self, attributes) -> frozenset:
         """The communities of a route that affect its export."""
+        if not attributes.communities:
+            return NO_COMMUNITIES
         return frozenset(
             community for community in attributes.communities
             if community[0] in (BLOCK_COMMUNITY_ASN, self.asn))
+
+    def _export_class(self, announcer: str, attributes) -> tuple:
+        """Everything :meth:`route_exported` reads of a route from
+        ``announcer``: who announced it, its export-control communities and
+        the member ASNs on its path — two routes of one class are given to
+        the same peers. Interned: equal classes are the same object."""
+        key = (announcer, self.export_control_communities(attributes),
+               frozenset(self._peers_by_asn.keys() & attributes.as_path.asns))
+        return self._export_classes.setdefault(key, key)
+
+    def _reclass(self) -> None:
+        """Membership changed under the stored routes: stamp them anew. A
+        re-stamped route takes its old place — ranking reads no class."""
+        if not self._loc_rib:
+            return  # an exchange being set up: members first, routes after
+        for adj in self._adj_in.values():
+            for entry in adj.reclass(partial(self._export_class, adj.peer)):
+                self._loc_rib[entry.prefix] = tuple(
+                    entry if ranked.learned_from == adj.peer else ranked
+                    for ranked in self._loc_rib[entry.prefix])
 
     def route_exported(self, entry: RouteEntry, receiver: str) -> bool:
         """True if one specific route may be given to ``receiver``.
@@ -395,21 +435,26 @@ class RouteServer:
         self.updates_processed += 1
 
     def _apply(self, update: Update, named: bool = True) -> List[IPv4Prefix]:
-        """Write ``update`` into the sender's Adj-RIB-In and the announcer
-        index; returns the prefixes whose entry actually changed — which
-        the change log is told, unless the caller records the change."""
+        """Write ``update`` into the sender's Adj-RIB-In and re-rank, in the
+        Loc-RIB, the prefixes whose entry actually changed; returns them —
+        which the change log is told, unless the caller records the change.
+        The one place the decision process ranks
+        (``sdx_bgp_decision_runs_total``)."""
         adj = self._adj_in[update.sender]
-        changed = adj.apply(update)
+        changed = adj.apply(update, partial(self._export_class, adj.peer))
         if named:
             self.rib_changes.record(changed)
+        self._decision_runs_counter.inc(len(changed))
         for prefix in changed:
-            announcers = self._announcers.setdefault(prefix, set())
-            if adj.route(prefix) is None:
-                announcers.discard(update.sender)
-                if not announcers:
-                    del self._announcers[prefix]
+            routes = [entry for entry in self._loc_rib.get(prefix, ())
+                      if entry.learned_from != update.sender]
+            entry = adj.route(prefix)
+            if entry is not None:
+                routes.append(entry)
+            if routes:
+                self._loc_rib[prefix] = tuple(rank_routes(routes))
             else:
-                announcers.add(update.sender)
+                del self._loc_rib[prefix]
         return changed
 
     def inject_unnotified(self, update: Update) -> None:
@@ -489,10 +534,9 @@ class RouteServer:
     # ------------------------------------------------------------------
 
     def ranked_routes(self, prefix: IPv4Prefix) -> Tuple[RouteEntry, ...]:
-        """Every route announced for ``prefix``, best first — one run of
-        the decision process (``sdx_bgp_decision_runs_total``)."""
-        self._decision_runs_counter.inc()
-        return tuple(rank_routes(self.all_routes_for(prefix)))
+        """Every route announced for ``prefix``, best first: a read of the
+        Loc-RIB, which was ranked when it was written."""
+        return self._loc_rib.get(prefix, ())
 
     def decide(self, prefix: IPv4Prefix) -> Decision:
         """Which route every peer gets for ``prefix``, decided once.
@@ -541,18 +585,9 @@ class RouteServer:
                 if self.route_exported(entry, participant)]
 
     def all_routes_for(self, prefix: IPv4Prefix) -> List[RouteEntry]:
-        """Every route announced for ``prefix``, regardless of export policy.
-
-        Used by the FEC computation: the preference-ranked announcer list
-        determines each participant's default next hop, so prefixes with
-        the same ranking share default behaviour everywhere.
-        """
-        out: List[RouteEntry] = []
-        for announcer in self._announcers.get(prefix, ()):
-            entry = self._adj_in[announcer].route(prefix)
-            if entry is not None:
-                out.append(entry)
-        return out
+        """Every route announced for ``prefix``, regardless of export
+        policy: :meth:`ranked_routes` as a list of the caller's own."""
+        return list(self.ranked_routes(prefix))
 
     def best_route_for(self, participant: str,
                        prefix: IPv4Prefix) -> Optional[RouteEntry]:
@@ -622,13 +657,13 @@ class RouteServer:
 
     def all_prefixes(self) -> Tuple[IPv4Prefix, ...]:
         """Every prefix announced by anyone, sorted."""
-        return tuple(sorted(self._announcers))
+        return tuple(sorted(self._loc_rib))
 
     def view_for(self, participant: str) -> RibView:
         """The participant's Loc-RIB view (best route per prefix)."""
         routes: Dict[IPv4Prefix, RouteEntry] = {}
-        for prefix in self._announcers:
-            best = self.best_route_for(participant, prefix)
+        for prefix, ranked in self._loc_rib.items():
+            best = self._first_exported(ranked, participant)
             if best is not None:
                 routes[prefix] = best
         return RibView(routes)
@@ -686,4 +721,4 @@ class RouteServer:
 
     def __repr__(self) -> str:
         return (f"RouteServer({len(self._sessions)} peers, "
-                f"{len(self._announcers)} prefixes)")
+                f"{len(self._loc_rib)} prefixes)")

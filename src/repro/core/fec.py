@@ -29,7 +29,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
 
-from repro.bgp.rib import PrefixTrie
+from repro.bgp.rib import PrefixTrie, RouteEntry
 from repro.bgp.routeserver import RouteServer
 from repro.core.participant import Participant
 from repro.net.addresses import IPv4Prefix
@@ -119,16 +119,18 @@ def compute_prefix_groups(participants: Iterable[Participant],
     Each dirty prefix is given the *signature* of which contexts contain it
     (asked of the routes that announce it: only a context's target can make
     it eligible) plus its ranking, and moved to that signature's group.
-    ``kept``, updated in place, is what an earlier call left and ``dirty``
-    the prefixes whose routes or contexts may have changed since; without
-    ``dirty`` every prefix is, which is the computation from scratch.
-    Signatures also read the participants' AS numbers and the export
-    policy: the caller starts over when those move.
+    The signature reads nothing of a route but its export class, so it is
+    worked out once per distinct tuple of ranked classes — thousands of
+    prefixes share a few hundred — and a prefix costs a read of the Loc-RIB
+    and one of that memo. ``kept``, updated in place, is what an earlier
+    call left and ``dirty`` the prefixes whose routes or contexts may have
+    changed since; without ``dirty`` every prefix is, which is the
+    computation from scratch. Signatures also read the peers' AS numbers
+    (through the classes) and the export policy: the caller starts over
+    when those move.
     """
-    participant_list = list(participants)
-    participant_asns = {p.asn for p in participant_list}
     toward: Dict[str, List[ContextId]] = {}
-    for participant in participant_list:
+    for participant in participants:
         for target in participant.outbound_targets():
             toward.setdefault(target, []).append((participant.name, target))
         if participant.is_remote:
@@ -140,34 +142,37 @@ def compute_prefix_groups(participants: Iterable[Participant],
     kept = kept if kept is not None else Grouping()
     if dirty is None:  # whatever is grouped or a context's target announces
         dirty = set().union(kept.signatures, *map(route_server.announced_set, toward))
-    # Thousands of prefixes share a few hundred signatures: keep one each.
+    # Equal signatures are one object: the kept ones, then those made here.
     shared = {signature: signature for signature in kept.groups}
+    by_classes: Dict[tuple, Optional[Hashable]] = {}
 
-    def signature_of(prefix: IPv4Prefix) -> Optional[Hashable]:
-        ranked = route_server.ranked_routes(prefix)
+    def signature_of(ranked: Tuple[RouteEntry, ...]) -> Optional[Hashable]:
+        classes = tuple(entry.export_class for entry in ranked)
+        if classes in by_classes:
+            return by_classes[classes]
         contexts = frozenset(
             context for entry in ranked
             for context in toward.get(entry.learned_from, ())
             if context[0] == "@origin"
             or route_server.route_exported(entry, context[0]))
-        if not contexts:
-            return None  # untouched by policy: keeps its real next hop
-        # Export-control communities — and participant ASNs appearing in a
-        # route's path (loop prevention withholds such routes from that
-        # participant) — make otherwise-identical rankings behave
-        # differently per receiver, so they join the signature.
-        signature = (contexts, (
-            tuple(entry.learned_from for entry in ranked),
-            tuple((route_server.export_control_communities(entry.attributes),
-                   frozenset(asn for asn in entry.attributes.as_path.asns
-                             if asn in participant_asns))
-                  for entry in ranked)))
-        return shared.setdefault(signature, signature)
+        signature = None  # untouched by policy: keeps its real next hop
+        if contexts:
+            # Export-control communities — and member ASNs appearing in a
+            # route's path (loop prevention withholds such routes from that
+            # member) — make otherwise-identical rankings behave
+            # differently per receiver, so they join the signature.
+            signature = (contexts, (
+                tuple(announcer for announcer, _control, _members in classes),
+                tuple(export_class[1:] for export_class in classes)))
+            signature = shared.setdefault(signature, signature)
+        by_classes[classes] = signature
+        return signature
 
     # signature -> (the prefixes that left it, those that joined it)
     moved: Dict[Hashable, Tuple[set, set]] = defaultdict(lambda: (set(), set()))
     for prefix in dirty:
-        old, new = kept.signatures.exact(prefix), signature_of(prefix)
+        old = kept.signatures.exact(prefix)
+        new = signature_of(route_server.ranked_routes(prefix))
         if old == new:
             continue
         if old is not None:

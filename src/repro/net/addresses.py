@@ -110,13 +110,14 @@ class IPv4Prefix:
     how prefixes appear in BGP announcements.
     """
 
-    __slots__ = ("_network", "_length")
+    __slots__ = ("_network", "_length", "_hash")
 
     def __init__(self, value: Union[str, "IPv4Prefix", None] = None, *,
                  network: Optional[Union[int, str, IPv4Address]] = None,
                  length: Optional[int] = None):
         if isinstance(value, IPv4Prefix):
             self._network, self._length = value._network, value._length
+            self._hash = value._hash
             return
         if isinstance(value, str):
             network, length = self._parse(value)
@@ -133,6 +134,8 @@ class IPv4Prefix:
         mask = self._mask_for(length)
         self._network = network & mask
         self._length = length
+        # Every RIB, trie and prefix set hashes prefixes: once, here.
+        self._hash = hash((self._network, length))
 
     @staticmethod
     def _parse(text: str) -> tuple[int, int]:
@@ -192,7 +195,8 @@ class IPv4Prefix:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IPv4Prefix):
-            return (self._network, self._length) == (other._network, other._length)
+            return (self._network == other._network
+                    and self._length == other._length)
         return NotImplemented
 
     def __lt__(self, other: "IPv4Prefix") -> bool:
@@ -201,7 +205,7 @@ class IPv4Prefix:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self._network, self._length))
+        return self._hash
 
     def contains_address(self, address: Union[IPv4Address, str, int]) -> bool:
         """True if ``address`` falls inside this prefix."""

@@ -182,6 +182,14 @@ class Conjunction(Predicate):
         return self.parts
 
     def _compile(self, stats: Optional[ComposeStats]) -> Classifier:
+        if all(type(part) is Match for part in self.parts):
+            # Header spaces intersect directly: one match, nothing to fold.
+            space: Optional[HeaderSpace] = WILDCARD
+            for part in self.parts:
+                space = space.intersect(part.space)
+                if space is None:
+                    return DROP_CLASSIFIER
+            return Match(space).compile(stats)
         result = IDENTITY_CLASSIFIER
         for part in self.parts:
             result = sequential_compose(result, part.compile(stats), stats)

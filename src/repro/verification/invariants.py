@@ -14,6 +14,9 @@ and the migrated integration tests can assert on them directly:
 - :func:`check_table_is_compilation` — the main table is exactly the
   installed compilation's rules under the compiler's keys, and those keys
   order every pair of overlapping rules as the classifier does;
+- :func:`check_loc_rib` — what the route server keeps from its writes (the
+  ranked Loc-RIB, every route's export class) is what the Adj-RIB-Ins and
+  the current peers would give if worked out now;
 - :class:`SwapMonitor` — the southbound two-phase swap never drops a
   probe mid-swap that is deliverable both before and after, and every
   intermediate observation equals the old or the new outcome.
@@ -25,8 +28,10 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.bgp.rib import PrefixTrie
+from repro.bgp.decision import preference_key
+from repro.bgp.rib import PrefixTrie, RouteEntry
 from repro.core.controller import SdxController
+from repro.net.addresses import IPv4Prefix
 from repro.net.packet import Packet
 from repro.policy.flowrules import FlowRule
 from repro.southbound.diff import PRIORITY_CEILING
@@ -212,13 +217,50 @@ def check_table_is_compilation(controller: SdxController) -> List[Violation]:
     return violations
 
 
+def check_loc_rib(controller: SdxController) -> List[Violation]:
+    """The route server's kept state is a function of its Adj-RIB-Ins.
+
+    However it got there — updates, a bulk load, session resets and
+    failures, a stuck route, peers joining and leaving — the Loc-RIB ranks,
+    for every prefix some peer announces and for no other, the very entries
+    the Adj-RIB-Ins hold, in :func:`~repro.bgp.decision.preference_key`
+    order; and every stored route's export class is the one the peers of
+    this moment give it. The Adj-RIB-Ins are read peer by peer, not through
+    the Loc-RIB this judges.
+    """
+    server = controller.route_server
+    violations: List[Violation] = []
+    member_asns = {server.session(peer).asn for peer in server.peers()}
+    announced: Dict[IPv4Prefix, List[RouteEntry]] = {}
+    for peer in server.peers():
+        for entry in server.routes_from(peer):
+            announced.setdefault(entry.prefix, []).append(entry)
+            fresh = (peer, server.export_control_communities(entry.attributes),
+                     frozenset(asn for asn in entry.attributes.as_path.asns
+                               if asn in member_asns))
+            if entry.export_class != fresh:
+                violations.append(Violation(
+                    "loc-rib", f"{entry!r} is classed {entry.export_class}, "
+                               f"its peers now make it {fresh}"))
+    for prefix in announced.keys() | set(server.all_prefixes()):
+        kept = server.ranked_routes(prefix)
+        ranked = sorted(announced.get(prefix, ()), key=preference_key)
+        if not ranked or len(kept) != len(ranked) or any(
+                mine is not theirs for mine, theirs in zip(kept, ranked)):
+            violations.append(Violation(
+                "loc-rib", f"{prefix} is ranked {list(kept)}, the "
+                           f"Adj-RIB-Ins rank {ranked}"))
+    return violations
+
+
 def check_all(controller: SdxController,
               probes: Sequence[Packet]) -> List[Violation]:
     """Every standing invariant, concatenated."""
     return (check_single_delivery(controller, probes)
             + check_bgp_consistency(controller, probes)
             + check_default_conformance(controller)
-            + check_table_is_compilation(controller))
+            + check_table_is_compilation(controller)
+            + check_loc_rib(controller))
 
 
 class SwapMonitor:

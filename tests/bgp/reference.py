@@ -2,9 +2,9 @@
 
 This is the algorithm the route server ran before it decided once per
 prefix: build the receiver's own candidate list, take the minimum. It
-shares only ``all_routes_for`` (the raw announcer index), the export
-predicate and ``preference_key`` with the implementation under test —
-not the ranking, the partition or the diff.
+reads the Adj-RIB-Ins peer by peer and shares only the export predicate
+and ``preference_key`` with the implementation under test — not the
+Loc-RIB, the ranking, the partition or the diff.
 """
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -29,10 +29,17 @@ def best_route(candidates: Iterable[RouteEntry]) -> Optional[RouteEntry]:
     return best
 
 
+def announced_routes(server: RouteServer,
+                     prefix: IPv4Prefix) -> List[RouteEntry]:
+    """Every route for ``prefix``, off each peer's own Adj-RIB-In."""
+    return [entry for peer in server.peers()
+            for entry in server.routes_from(peer) if entry.prefix == prefix]
+
+
 def reference_best(server: RouteServer, receiver: str,
                    prefix: IPv4Prefix) -> Optional[RouteEntry]:
     """``best_route(candidates_for(receiver, prefix))``, the old way."""
-    return best_route(entry for entry in server.all_routes_for(prefix)
+    return best_route(entry for entry in announced_routes(server, prefix)
                       if server.route_exported(entry, receiver))
 
 

@@ -334,16 +334,24 @@ class TestDecidesOncePerPrefix:
             server.announce("M1", P1, attrs("172.0.0.2", [65_001]))
             runs.append(decision_runs(server) - before)
             assert server.best_route_for("M7", P1).learned_from == "M1"
-        # One ranking before the write, one after: per prefix, not per peer.
-        assert runs[0] == runs[1]
-        assert 1 <= runs[0] <= 2
+        # One ranking, at the write: per changed prefix, not per peer.
+        assert runs == [1, 1]
 
     def test_decision_span_is_tagged_with_its_runs(self):
         server = make_exchange(10)
         server.announce("M1", P1, attrs("172.0.0.2", [65_001]))
         span = [s for s in server.telemetry.tracer.finished()
                 if s.name == "bgp.decision"][-1]
-        assert span.tags["runs"] == 2
+        assert span.tags["runs"] == 1  # the write; "before" reads the Loc-RIB
+
+    def test_reads_rank_nothing(self):
+        server = make_exchange(10)
+        before = decision_runs(server)
+        server.decide(P1), server.view_for("M3"), server.best_route_for("M2", P1)
+        server.candidates_for("M2", P1), server.ranked_routes(P1)
+        assert decision_runs(server) == before
+        server.announce("M0", P1, attrs("172.0.0.1", [65_000, 3356, 1299]))
+        assert decision_runs(server) == before  # nothing changed, nothing ranked
 
     def test_decision_partitions_the_receivers(self):
         server = make_exchange(10)

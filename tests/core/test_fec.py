@@ -6,12 +6,13 @@ groups, and groups are maximal (two prefixes with identical membership
 are never split).
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bgp.asn import AsPath
 from repro.bgp.attributes import RouteAttributes
 from repro.bgp.routeserver import RouteServer
+from repro.core.controller import SdxController
 from repro.core.fec import (
     compute_prefix_groups,
     groups_for_context,
@@ -22,6 +23,10 @@ from repro.dataplane.router import BorderRouter, RouterPort
 from repro.net.addresses import IPv4Address, IPv4Prefix
 from repro.net.mac import MacAddress
 from repro.policy.policies import fwd, match
+from repro.verification.invariants import check_loc_rib
+
+from tests.core.reference_fec import reference_partition
+from tests.restricted_exports import apply_operation, build, operations
 
 # A small universe of prefixes so random sets overlap meaningfully.
 UNIVERSE = [IPv4Prefix(network=i << 24, length=8) for i in range(1, 17)]
@@ -209,3 +214,114 @@ class TestComputePrefixGroups:
         via_b = groups_for_context(groups, ("A", "B"))
         assert set().union(*(g.prefixes for g in via_b)) == {
             IPv4Prefix("11.0.0.0/8"), IPv4Prefix("12.0.0.0/8"), IPv4Prefix("13.0.0.0/8")}
+
+
+# ----------------------------------------------------------------------
+# Grouping per class of ranked routes == grouping per prefix
+# ----------------------------------------------------------------------
+
+
+def as_partition(groups):
+    return {group.signature: group.prefixes for group in groups}
+
+
+def as_rows(groups):
+    return [(g.group_id, g.prefixes, g.contexts, g.ranked_announcers,
+             g.signature, g.representative) for g in groups]
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=operations)
+@example(ops=[("announce", 1, 1, [65003], [(0, 65001)]), ("leave", 3)])
+@example(ops=[("export", 1, ["A"], ["C", "D"]), ("announce", 2, 0, [65001], [])])
+def test_grouping_by_class_is_the_per_prefix_partition(ops):
+    """Deny and allow lists, ``(0, 0)`` / ``(0, asn)`` / ``(server-asn, x)``
+    communities, member ASNs on paths, sessions that fail, a member that
+    leaves: the grouping that signs each distinct tuple of ranked export
+    classes once is, signature for signature, the literal one that ranks
+    and export-checks every prefix from the Adj-RIB-Ins — and the
+    compiler's kept grouping, patched for named prefixes, is row for row
+    the one made from scratch."""
+    sdx = build()
+    installed = {0, 1, 2}
+    for operation in [None, *ops]:
+        if operation is not None:
+            apply_operation(sdx, installed, operation)
+            if sdx.run_background_recompilation() is None:
+                sdx.recompile()
+        participants = sdx.topology.participants()
+        scratch = compute_prefix_groups(participants, sdx.route_server)
+        assert as_partition(scratch) == reference_partition(
+            participants, sdx.route_server), operation
+        assert as_rows(sdx.last_compilation.groups) == as_rows(scratch), (
+            operation)
+        assert check_loc_rib(sdx) == [], operation
+
+
+class TestAMemberJoinsUnderLoadedRoutes:
+    """The export class of a stored route reads the membership: a peer
+    whose AS already sits on loaded paths changes which routes it may be
+    given, hence the grouping, the moment it joins — and no longer once it
+    has left."""
+
+    P1, P2 = IPv4Prefix("31.0.0.0/8"), IPv4Prefix("32.0.0.0/8")
+    NEWCOMER = 65_009
+
+    def exchange(self):
+        sdx = SdxController(with_dataplane=False)
+        for name, asn in (("A", 65_001), ("B", 65_002), ("C", 65_003)):
+            sdx.add_participant(name, asn)
+        # Same announcers, same ranking; only P1's best path crosses the
+        # AS that is not a member yet.
+        sdx.announce_route("B", self.P1, AsPath([65_002, self.NEWCOMER]))
+        sdx.announce_route("B", self.P2, AsPath([65_002, 3356]))
+        for prefix in (self.P1, self.P2):
+            sdx.announce_route("C", prefix, AsPath([65_003, 1299, 174]))
+        sdx.participant("A").add_outbound(match(dstport=80) >> fwd("B"))
+        sdx.start()
+        return sdx
+
+    @staticmethod
+    def partition(sdx):
+        return sorted(sorted(map(str, group.prefixes))
+                      for group in sdx.last_compilation.groups)
+
+    def test_joining_splits_and_leaving_merges(self):
+        sdx = self.exchange()
+        together = [[str(self.P1), str(self.P2)]]
+        assert self.partition(sdx) == together
+        sdx.add_participant("N", self.NEWCOMER)
+        sdx.recompile()
+        assert check_loc_rib(sdx) == []
+        # N may not be given B's P1 (its own AS is on the path) but may be
+        # given B's P2: the two no longer forward alike.
+        assert sdx.route_server.best_route_for("N", self.P1).learned_from == "C"
+        assert sdx.route_server.best_route_for("N", self.P2).learned_from == "B"
+        assert self.partition(sdx) == [[str(self.P1)], [str(self.P2)]]
+        assert as_partition(sdx.last_compilation.groups) == reference_partition(
+            sdx.topology.participants(), sdx.route_server)
+        sdx.route_server.remove_peer("N")
+        sdx.recompile()
+        assert check_loc_rib(sdx) == []
+        assert self.partition(sdx) == together
+
+    def test_a_stale_class_is_a_reported_violation(self, monkeypatch):
+        sdx = self.exchange()
+        monkeypatch.setattr(RouteServer, "_reclass", lambda self: None)
+        sdx.add_participant("N", self.NEWCOMER)
+        sdx.recompile()
+        assert self.partition(sdx) != [[str(self.P1)], [str(self.P2)]]
+        assert [v.invariant for v in check_loc_rib(sdx)] == ["loc-rib"]
+
+    def test_a_prefix_ranked_for_nobody_is_a_reported_violation(self):
+        sdx = self.exchange()
+        server = sdx.route_server
+        stale = server.ranked_routes(self.P1)
+        server.withdraw("B", self.P1)
+        server.withdraw("C", self.P1)
+        assert check_loc_rib(sdx) == []
+        server._loc_rib[self.P1] = stale
+        assert [v.invariant for v in check_loc_rib(sdx)] == ["loc-rib"]
+        server._loc_rib[self.P1] = ()
+        server._loc_rib[self.P2] = server.ranked_routes(self.P2)[::-1]
+        assert len(check_loc_rib(sdx)) == 2

@@ -552,9 +552,10 @@ def test_patching_is_indistinguishable_from_a_cold_compile_at_scale(seed):
 @pytest.mark.parametrize("prefixes", [400, 1600])
 def test_a_burst_costs_a_burst_sized_recompile(prefixes, monkeypatch):
     """Work counts, not timings: after a burst naming k prefixes the
-    recompilation runs the decision process and the export predicate for
-    those prefixes and the groups they changed — not once per
-    policy-touched prefix, whatever the table size."""
+    recompilation regroups those prefixes and runs the export predicate
+    for them and the groups they changed — not once per policy-touched
+    prefix, whatever the table size — and ranks nothing: the burst's own
+    writes did."""
     from repro.bgp.routeserver import RouteServer
     sdx = Twins(0, prefixes).shipped
     registry = sdx.telemetry.registry
@@ -574,10 +575,64 @@ def test_a_burst_costs_a_burst_sized_recompile(prefixes, monkeypatch):
     touched = sum(map(len, sdx.last_compilation.groups))
     members = len(sdx.topology.participants())
     assert work["dirty_prefixes"] == len(named)
-    assert runs == len(named) + work["groups_rebuilt"]
+    assert runs == 0
     assert len(exported) <= members * (len(named) + work["groups_rebuilt"])
-    # The parent read at least one ranking per policy-touched prefix.
-    assert runs < touched / 4
+    # The table is many times the burst: none of this is per touched prefix.
+    assert len(named) + work["groups_rebuilt"] < touched / 4
+
+
+@pytest.mark.parametrize("prefixes", [1000, 2000])
+def test_a_cold_compile_asks_per_class_and_a_write_ranks_once(
+        prefixes, monkeypatch):
+    """Work counts, not timings, at 60 members: a cold compile ranks
+    nothing, and its grouping runs the export predicate at most once per
+    context for each distinct tuple of ranked export classes — a number
+    the prefix count does not enter; an inline update ranks each prefix it
+    changes once, and the decisions around it rank nothing."""
+    from repro.bgp.routeserver import RouteServer
+    from repro.core.fec import compute_prefix_groups
+    from repro.workloads import generate_ixp, generate_policies, generate_trace
+    from repro.workloads.policies import install_assignments
+    ixp = generate_ixp(60, prefixes, seed=3)
+    sdx = ixp.build_controller(with_dataplane=False)
+    install_assignments(sdx, generate_policies(ixp, seed=4))
+    sdx.start()
+    server, participants = sdx.route_server, sdx.topology.participants()
+    runs = sdx.telemetry.registry.get("sdx_bgp_decision_runs_total")
+    loaded = runs.value
+    assert loaded == sum(len(server.announced_by(p.name)) for p in participants)
+
+    sdx.compiler.invalidate_inbound_cache()
+    cold = sdx.compiler.compile()
+    assert runs.value == loaded
+    touched = sum(map(len, cold.groups))
+
+    exported = []
+    route_exported = RouteServer.route_exported
+    monkeypatch.setattr(
+        RouteServer, "route_exported",
+        lambda *args: exported.append(1) or route_exported(*args))
+    assert [g.prefixes for g in compute_prefix_groups(participants, server)] \
+        == [g.prefixes for g in cold.groups]
+    monkeypatch.undo()
+    contexts = {(p.name, target) for p in participants
+                for target in p.outbound_targets()}
+    classes = {tuple(entry.export_class for entry in server.ranked_routes(p))
+               for p in server.all_prefixes()}
+    assert 0 < len(exported) <= len(classes) * len(contexts)
+    assert len(exported) < touched / 2  # the parent: >= 1 per touched prefix
+
+    for event in generate_trace(ixp, max_updates=40, seed=5):
+        update = event.update
+        stored = {entry.prefix: entry
+                  for entry in server.routes_from(update.sender)}
+        before = runs.value
+        sdx.submit_update(update)
+        now = {entry.prefix: entry
+               for entry in server.routes_from(update.sender)}
+        changed = [prefix for prefix in set(update.prefixes)
+                   if stored.get(prefix) != now.get(prefix)]
+        assert runs.value - before == len(changed), update
 
 
 def test_a_compile_that_raises_leaves_the_kept_result_as_it_was(monkeypatch):

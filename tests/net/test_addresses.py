@@ -142,6 +142,16 @@ class TestIPv4Prefix:
         assert p1 < p2
         assert len({p1, IPv4Prefix("10.0.0.0/8")}) == 1
 
+    def test_hash_is_kept_by_every_way_of_copying(self):
+        import copy
+        import pickle
+        prefix = IPv4Prefix("10.1.2.0/24")
+        assert hash(prefix) == hash((prefix.network_int, prefix.length))
+        for twin in (IPv4Prefix(prefix), copy.deepcopy(prefix),
+                     pickle.loads(pickle.dumps(prefix))):
+            assert twin == prefix and hash(twin) == hash(prefix)
+        assert prefix != IPv4Prefix("10.1.2.0/25") and prefix != "10.1.2.0/24"
+
     @given(prefixes)
     def test_text_round_trip_property(self, prefix):
         assert IPv4Prefix(str(prefix)) == prefix

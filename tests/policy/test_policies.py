@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from repro.exceptions import PolicyError
 from repro.net.packet import Packet
 from repro.policy.policies import (
+    Conjunction,
     Forward,
     Parallel,
     Sequential,
@@ -114,6 +115,18 @@ class TestPredicateCombinators:
         pred = match(dstport=80) & match(port=1)
         assert pred.holds(Packet(port=1, dstport=80))
         assert not pred.holds(Packet(port=2, dstport=80))
+
+    def test_and_of_plain_matches_compiles_as_their_intersection(self):
+        from repro.policy.classifier import DROP_CLASSIFIER, ComposeStats
+        stats = ComposeStats()
+        pred = Conjunction((match(port=1), match(dstport=80),
+                            match(dstip="10.0.0.0/8")))
+        one = match(port=1, dstport=80, dstip="10.0.0.0/8")
+        assert pred.compile(stats).rules == one.compile().rules
+        assert (match(port=1) & match(port=2)).compile(stats) is DROP_CLASSIFIER
+        assert stats.sequential_ops == 0  # nothing was folded
+        folded = (match(port=1) & ~match(dstport=80)).compile(stats)
+        assert stats.sequential_ops > 0 and folded.is_total
 
     def test_or(self):
         pred = match(dstport=80) | match(dstport=443)

@@ -150,6 +150,27 @@ class TestOneNumbering:
         assert users == ["core/incremental.py", "dataplane/flowtable.py"]
 
 
+class TestOneRanking:
+    """The route server ranks where it writes and keeps the result: a
+    second ranking call site, or a second per-prefix index beside the
+    Loc-RIB, is how "decide per prefix, on every read" would grow back."""
+
+    def test_rank_routes_has_one_call_site(self):
+        calls = [str(path.relative_to(REPO_ROOT / "src" / "repro"))
+                 for path, tree in _src_trees().items()
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", getattr(node.func, "attr", None))
+                 == "rank_routes"]
+        assert calls == ["bgp/routeserver.py"]
+
+    def test_the_announcer_index_is_gone(self):
+        assert [path.name for path, tree in _src_trees().items()
+                for node in ast.walk(tree)
+                if getattr(node, "attr", getattr(node, "id", None))
+                == "_announcers"] == []
+
+
 class TestLazyExports:
     def test_version(self):
         assert repro.__version__ == "1.0.0"

@@ -235,3 +235,29 @@ class TestSession:
         first = run(seed=5, scenarios=1, steps=6)
         assert first.scenarios_run == 1 and not first.budget_exhausted
         assert first.summary() == run(seed=5, scenarios=1, steps=6).summary()
+
+
+class TestTheLocRibIsHeldToItsDefinition:
+    """``check_loc_rib`` rides in ``check_all``, hence in the differential
+    oracle: a route server whose kept state drifts from what its
+    Adj-RIB-Ins and peers define fails a fuzz, a chaos and (the oracle
+    lifted per exchange) a federated session — even where, as here, no
+    packet is forwarded differently for it."""
+
+    def test_a_misclassed_route_is_found(self, failing, monkeypatch):
+        from dataclasses import replace
+        from repro.bgp.routeserver import RouteServer
+        monkeypatch.undo()  # the fixture's own defect out: a healthy case
+        case = (replace(failing, checks=("oracle",)) if failing.federated
+                else failing)
+        assert replay(case) is None
+        export_class = RouteServer._export_class
+
+        def one_too_many(server, announcer, attributes):
+            announcer, control, members = export_class(
+                server, announcer, attributes)
+            return announcer, control, members | {1}  # no member's AS
+
+        monkeypatch.setattr(RouteServer, "_export_class", one_too_many)
+        failure = replay(case)
+        assert failure is not None and failure.kind.endswith("invariant:loc-rib")
