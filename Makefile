@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint lint-policies-smoke dataplane-lint-smoke federation-smoke bench bench-results bench-compare perf-smoke sdxbench-check examples docs telemetry-smoke fuzz soak-smoke chaos-smoke monitor-smoke clean
+.PHONY: install test lint lint-policies-smoke dataplane-lint-smoke federation-smoke bench bench-results sdxbench-check sdxbench-compare examples docs telemetry-smoke fuzz soak-smoke chaos-smoke monitor-smoke clean
 
 # Differential fuzzing session knobs (see docs/TESTING.md).
 FUZZ_SEED ?= 0
@@ -102,32 +102,34 @@ bench:
 
 bench-results: bench
 	@cat benchmarks/results/*.txt
-	@PYTHONPATH=src $(PYTHON) -m repro bench results
-
-# Re-measures the quick family subset and compares it against the
-# committed baselines under benchmarks/baselines/; exits non-zero on a
-# regression beyond the per-metric tolerance band (see
-# docs/PERFORMANCE.md for the policy). Drops the comparison report under
-# artifacts/ so CI can upload it.
-bench-compare:
-	@mkdir -p artifacts
-	PYTHONPATH=src $(PYTHON) -m repro bench compare --quick \
-		--output artifacts/bench-compare.json
-
-# The CI perf gate: the quick benchmark families plus a profiler
-# coverage check — `repro profile` must attribute >=90% of wall time to
-# named pipeline phases on a small fig8-sized workload.
-perf-smoke: bench-compare
-	@mkdir -p artifacts
-	PYTHONPATH=src $(PYTHON) -m repro profile --participants 40 \
-		--prefixes 400 --updates 20 --min-coverage 0.9 --json \
-		--output artifacts/profile-smoke.json
 
 # The contract benchmark's self-test on a tiny exchange: every workload
 # runs, every output check holds, and the `repro.verification` names
 # benchmarks/sdxbench imports still resolve (see docs/PERFORMANCE.md).
 sdxbench-check:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/sdxbench/check_harness.py -q
+
+# How a performance claim is checked: the contract benchmark on this
+# checkout against BASE (any git revision). BASE goes into a temporary
+# git worktree; each side runs its own benchmarks/sdxbench/run.py, three
+# runs of every workload at the contract's 12 s; then this checkout's
+# compare.py gives one verdict per cell. Exits with compare.py's status
+# (non-zero on any `worse` cell or more failed ops). Both result sets
+# and the comparison land under artifacts/sdxbench/.
+sdxbench-compare:
+	@test -n "$(BASE)" || { echo "usage: make sdxbench-compare BASE=<rev>"; exit 2; }
+	@mkdir -p artifacts/sdxbench
+	rm -f artifacts/sdxbench/base.json artifacts/sdxbench/change.json
+	git worktree remove --force artifacts/sdxbench/base-tree 2>/dev/null || true
+	git worktree add --detach artifacts/sdxbench/base-tree $(BASE)
+	-$(PYTHON) artifacts/sdxbench/base-tree/benchmarks/sdxbench/run.py \
+		--out artifacts/sdxbench/base.json --repeat 3 --seconds 12
+	git worktree remove --force artifacts/sdxbench/base-tree
+	-$(PYTHON) benchmarks/sdxbench/run.py \
+		--out artifacts/sdxbench/change.json --repeat 3 --seconds 12
+	@$(PYTHON) benchmarks/sdxbench/compare.py artifacts/sdxbench/base.json \
+		artifacts/sdxbench/change.json > artifacts/sdxbench/compare.txt; \
+		status=$$?; cat artifacts/sdxbench/compare.txt; exit $$status
 
 examples:
 	@for script in examples/*.py; do \

@@ -9,8 +9,8 @@ equivalence-class partition means a FlowMod delta re-verifies only the
 rules whose match regions the mod can have touched, so per-delta cost
 must stay far below a fresh whole-table pass. Results land in
 ``benchmarks/results/dataplane_verify.json`` next to the rendered
-table; the perf gate runs the same workload through the
-``dataplane_verify`` family in quick mode.
+table; tier-1 pins the 24 x 160 point's rule and diagnostic counts
+(``tests/statics/test_dataplane.py``).
 """
 
 from conftest import publish, publish_json, scaled

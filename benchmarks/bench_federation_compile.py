@@ -8,8 +8,8 @@ driver from every ``(exchange, sender)`` state. Reports the three phase
 costs per point alongside the structural counts that make the sweep
 comparable across machines. Results land in
 ``benchmarks/results/federation_compile.json`` next to the rendered
-table; the perf gate runs the same workload through the
-``federation_compile`` family in quick mode.
+table; tier-1 pins the structural counts of the same seed's 2 x 6
+federation (``tests/federation/test_checks.py``).
 """
 
 from conftest import publish, publish_json, scaled

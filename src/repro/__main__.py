@@ -53,8 +53,6 @@ EXPERIMENTS = {
                "or smoke-test a reactive scenario",
     "profile": "phase-attributed profiling of a compile+update workload "
                "(tables, flamegraph folded stacks, scoped cProfile)",
-    "bench": "benchmark families: run, diff against committed baselines, "
-             "record new baselines, summarize results",
 }
 
 
@@ -317,34 +315,6 @@ def _parser() -> argparse.ArgumentParser:
                          help="exit non-zero unless at least this "
                               "fraction of wall time is attributed to "
                               "named stages")
-
-    bench = sub.add_parser("bench", help=EXPERIMENTS["bench"])
-    bench.add_argument("action",
-                       choices=("run", "compare", "record-baseline",
-                                "results"),
-                       help="run families; compare a run against "
-                            "committed baselines; record new baselines; "
-                            "or summarize benchmarks/results/*.json")
-    bench.add_argument("--family", action="append", default=None,
-                       metavar="NAME",
-                       help="restrict to one family (repeatable; "
-                            "default: all)")
-    bench.add_argument("--quick", action="store_true",
-                       help="run the CI-sized quick subset instead of "
-                            "the paper-scale workloads")
-    bench.add_argument("--samples", type=int, default=None, metavar="N",
-                       help="median-of-N runs per family (default: 3 "
-                            "quick, 1 full)")
-    bench.add_argument("--json", action="store_true",
-                       help="emit machine-readable JSON on stdout")
-    bench.add_argument("--output", default=None, metavar="FILE",
-                       help="also write the JSON payload to FILE")
-    bench.add_argument("--baseline-dir", default=None, metavar="DIR",
-                       help="baseline store location (default: "
-                            "benchmarks/baselines)")
-    bench.add_argument("--results-dir", default=None, metavar="DIR",
-                       help="results location (default: "
-                            "benchmarks/results)")
     return parser
 
 
@@ -945,123 +915,6 @@ def _run_profile(args) -> int:
     return 0
 
 
-def _run_bench(args) -> int:
-    import json as json_module
-    import pathlib
-
-    from repro.profiling import compare_metrics
-    from repro.profiling.baselines import (
-        Baseline,
-        environment_fingerprint,
-        load_baseline,
-        save_baseline,
-    )
-    from repro.profiling.families import FAMILIES, run_family
-
-    mode = "quick" if args.quick else "full"
-    results_dir = pathlib.Path(args.results_dir or "benchmarks/results")
-    baseline_dir = (pathlib.Path(args.baseline_dir)
-                    if args.baseline_dir else None)
-
-    if args.action == "results":
-        documents = []
-        for path in sorted(results_dir.glob("*.json")):
-            try:
-                documents.append((path.name, json_module.loads(
-                    path.read_text())))
-            except (OSError, ValueError):
-                documents.append((path.name, None))
-        for name, document in documents:
-            if not isinstance(document, dict):
-                kind = ("unreadable" if document is None
-                        else type(document).__name__)
-                print(f"{name}: ({kind} payload)")
-                continue
-            schema = document.get("schema", "-")
-            data = document.get("data", document)
-            if isinstance(data, dict) and "metrics" in data:
-                data = data["metrics"]
-            if isinstance(data, dict):
-                summary = " ".join(
-                    f"{key}={value:.4g}" if isinstance(value, float)
-                    else f"{key}={value}"
-                    for key, value in sorted(data.items())
-                    if isinstance(value, (int, float)))[:120]
-            else:
-                summary = f"{len(data)} record(s)"
-            print(f"{name}: schema={schema} {summary}")
-        if not documents:
-            print(f"(no JSON results under {results_dir})")
-        return 0
-
-    names = args.family or sorted(FAMILIES)
-    unknown = [name for name in names if name not in FAMILIES]
-    if unknown:
-        print(f"bench: unknown families {', '.join(unknown)} "
-              f"(available: {', '.join(sorted(FAMILIES))})",
-              file=sys.stderr)
-        return 2
-    samples = args.samples if args.samples else (3 if args.quick else 1)
-
-    payload = {"mode": mode, "samples": samples,
-               "environment": environment_fingerprint(), "families": []}
-    failed = False
-    for name in names:
-        medians, runs = run_family(name, mode=mode, samples=samples)
-        if args.action == "record-baseline":
-            baseline = Baseline.from_measurement(
-                name, mode, samples, medians, dict(FAMILIES[name].specs))
-            path = save_baseline(baseline, baseline_dir)
-            payload["families"].append(
-                {"family": name, "metrics": medians,
-                 "baseline": str(path)})
-            if not args.json:
-                print(f"recorded baseline: {path}")
-        elif args.action == "compare":
-            try:
-                baseline = load_baseline(name, mode, baseline_dir)
-            except FileNotFoundError:
-                failed = True
-                payload["families"].append(
-                    {"family": name, "ok": False,
-                     "error": "missing baseline", "metrics": medians})
-                if not args.json:
-                    print(f"== {name} [{mode}] MISSING BASELINE "
-                          f"(run `repro bench record-baseline`)")
-                continue
-            report = compare_metrics(baseline, medians)
-            failed = failed or not report.ok
-            payload["families"].append(report.to_dict())
-            if not args.json:
-                print(report.render())
-        else:  # run
-            document = {
-                "schema": 1, "family": name, "mode": mode,
-                "samples": samples,
-                "environment": payload["environment"],
-                "metrics": medians, "raw_samples": runs,
-            }
-            results_dir.mkdir(parents=True, exist_ok=True)
-            path = results_dir / f"bench_{name}-{mode}.json"
-            path.write_text(json_module.dumps(document, indent=2,
-                                              sort_keys=True) + "\n")
-            payload["families"].append(document)
-            if not args.json:
-                print(f"== {name} [{mode}] ({samples} sample(s)) "
-                      f"-> {path}")
-                for metric, value in sorted(medians.items()):
-                    print(f"  {metric:<28} {value:.6g}")
-
-    payload["ok"] = not failed
-    rendered = json_module.dumps(payload, indent=2, sort_keys=True)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(rendered + "\n")
-    if args.json:
-        print(rendered)
-    return 1 if failed else 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
     if args.command in (None, "list"):
@@ -1134,8 +987,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_monitor(args)
     elif args.command == "profile":
         return _run_profile(args)
-    elif args.command == "bench":
-        return _run_bench(args)
     return 0
 
 

@@ -41,7 +41,6 @@ Flags:
 
 from __future__ import annotations
 
-import os
 import time
 import weakref
 from contextlib import contextmanager
@@ -89,11 +88,6 @@ from repro.telemetry import Telemetry
 #: the next (the ``stage`` label of ``sdx_compile_reuse_total``).
 REUSE_STAGES = ("groups", "defaults", "inbound", "stage2",
                 "outbound", "composition", "reduction")
-
-#: Env var (milliseconds) that injects a synthetic sleep into every
-#: compilation — the perf gate's self-test that a real compile-hot-path
-#: regression is caught by `repro bench compare` (docs/PERFORMANCE.md).
-SELFTEST_SLOWDOWN_ENV = "SDX_BENCH_SELFTEST_SLOWDOWN_MS"
 
 
 def compile_clause_rules(predicate: Predicate, actions: Tuple[Action, ...],
@@ -342,15 +336,6 @@ class SdxCompiler:
         stats = report.stats
         self._rib_views.clear()
         started = time.perf_counter()
-
-        delay_ms = os.environ.get(SELFTEST_SLOWDOWN_ENV)
-        if delay_ms:
-            # Perf-gate self-test hook: `make perf-smoke` injects a
-            # synthetic slowdown here to prove `repro bench compare`
-            # actually fails on a compile-hot-path regression. Inside
-            # the timed window on purpose — the sleep must show up in
-            # ``timings["total"]`` exactly like a real slowdown would.
-            time.sleep(float(delay_ms) / 1000.0)
 
         participants = self.topology.participants()
         # What grouping and defaults read of membership; what they read of

@@ -1,34 +1,25 @@
-"""Performance observability: phase profiling, baselines, bench gating.
+"""Performance observability: where the time of a pipeline run went.
 
 The third observability axis, next to :mod:`repro.telemetry` (what the
-pipeline did) and :mod:`repro.monitoring` (what the data plane carried):
-*where the time goes, and whether it got slower*. Four pieces:
+pipeline did) and :mod:`repro.monitoring` (what the data plane carried).
+Three pieces, all behind ``repro profile``:
 
 - :mod:`repro.profiling.phases` — deterministic attribution of wall
   time, call counts, and memory to named pipeline stages (policy join,
   MDS/FEC grouping, classifier cross-product, incremental delta,
-  southbound diff/swap, runtime drain), computed from the telemetry
-  span buffer;
+  southbound diff/swap, dataplane verify, runtime drain), computed from
+  the telemetry span buffer;
 - :mod:`repro.profiling.profiler` — :class:`PhaseProfiler`, a tracer
   listener that snapshots :mod:`tracemalloc` at span boundaries and can
   scope a :mod:`cProfile` capture to a single named span;
 - :mod:`repro.profiling.folded` — the folded-stack exporter
-  (``repro profile --flamegraph`` emits standard flamegraph input);
-- :mod:`repro.profiling.baselines` / :mod:`repro.profiling.families` —
-  the schema-versioned benchmark baseline store under
-  ``benchmarks/baselines/`` and the comparison engine behind
-  ``repro bench`` and the CI perf gate.
+  (``repro profile --flamegraph`` emits standard flamegraph input).
+
+Whether a change made the pipeline faster or slower is not measured
+here: that is the contract benchmark under ``benchmarks/sdxbench/``
+(docs/PERFORMANCE.md).
 """
 
-from repro.profiling.baselines import (
-    Baseline,
-    ComparisonReport,
-    MetricComparison,
-    MetricSpec,
-    compare_metrics,
-    environment_fingerprint,
-)
-from repro.profiling.families import BenchFamily, FAMILIES, run_family
 from repro.profiling.folded import folded_stacks
 from repro.profiling.phases import (
     PHASE_BY_SPAN,
@@ -39,19 +30,10 @@ from repro.profiling.phases import (
 from repro.profiling.profiler import PhaseProfiler
 
 __all__ = [
-    "Baseline",
-    "BenchFamily",
-    "ComparisonReport",
-    "FAMILIES",
-    "MetricComparison",
-    "MetricSpec",
     "PHASE_BY_SPAN",
     "PhaseProfiler",
     "PhaseReport",
     "PhaseStat",
     "attribute_spans",
-    "compare_metrics",
-    "environment_fingerprint",
     "folded_stacks",
-    "run_family",
 ]

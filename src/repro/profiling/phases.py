@@ -2,7 +2,8 @@
 
 The telemetry tracer records *what ran*; this module answers *where the
 time went*. Every span name the pipeline emits maps to one of a dozen
-named stages (:data:`PHASE_BY_SPAN`), and :func:`attribute_spans` folds
+named stages (:data:`PHASE_BY_SPAN`; a tier-1 scan holds every literal
+span name under ``src/repro`` to a key), and :func:`attribute_spans` folds
 a finished-span buffer into per-stage **self time** — each span's
 duration minus its direct children's, so a stage is never double-billed
 for work its sub-stages already claimed. Span names with no mapping
@@ -30,6 +31,7 @@ PHASE_BY_SPAN: Mapping[str, str] = {
     # BGP ingestion and the route-server decision process.
     "bgp.ingest": "bgp_ingest",
     "bgp.decision": "bgp_ingest",
+    "bgp.session_down": "bgp_ingest",
     # The policy join: default forwarding plus per-participant
     # outbound/inbound compilation against the current RIBs.
     "compile.defaults": "policy_join",
@@ -37,6 +39,7 @@ PHASE_BY_SPAN: Mapping[str, str] = {
     "compile.inbound": "policy_join",
     # Minimum Disjoint Subsets / FEC grouping and VNH assignment.
     "compile.fec": "mds_fec_grouping",
+    "compile.vnh": "vnh_assignment",
     "vnh.assign_groups": "vnh_assignment",
     "vnh.assign": "vnh_assignment",
     # Classifier composition (the cross-product) and table reduction.
@@ -57,6 +60,9 @@ PHASE_BY_SPAN: Mapping[str, str] = {
     "southbound.push": "southbound_diff",
     "southbound.apply": "southbound_swap",
     "flowtable.apply": "southbound_swap",
+    # The dataplane verifier: whole-table analysis, and the delta check a
+    # table swap runs inside ``southbound.apply``.
+    "statics.dataplane": "dataplane_verify",
     # Control-plane runtime event drain and its recompile trigger.
     "runtime.step": "runtime_drain",
     "runtime.recompile": "orchestration",

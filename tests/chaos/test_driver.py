@@ -170,8 +170,15 @@ class TestSoak:
         assert report.ok, report.summary()
         assert report.scenarios_run == 2
         assert report.kinds_covered() == FAULT_KINDS
-        assert report.faults_applied > 0
         assert "fault kinds covered" in report.summary()
+        # Runtime events spent converging after each fault class: work
+        # counts, fixed for the seed, pinned exactly.
+        assert report.faults_applied == 10
+        assert report.findings == []
+        assert {kind: report.convergence[kind]["events"]
+                for kind in FAULT_KINDS} == {
+            "peer_down": 0, "peer_up": 5, "flap": 2,
+            "correlated_failure": 1, "stuck_route": 1, "midswap_reset": 5}
 
     def test_soak_is_deterministic(self):
         config = ChaosSoakConfig(seed=5, scenarios=1, steps=12)

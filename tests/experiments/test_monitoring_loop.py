@@ -46,6 +46,21 @@ class TestShiftingLoop:
         json.dumps(payload)  # must not raise
 
 
+class TestPinnedOutcome:
+    def test_thirty_simulated_seconds_strict(self):
+        """On the manual clock reaction times are simulated seconds, so
+        the loop's outcome is fixed for the config and pinned exactly."""
+        config = LoopConfig(duration=30.0, shift_time=10.0,
+                            cadence_seconds=1.0, statics_mode="strict")
+        shifting = run_shifting_loop(config)
+        skewed = run_skewed_loop(config)
+        assert shifting.rebalances == 1
+        assert (shifting.reaction_seconds, skewed.reaction_seconds) == (
+            5.0, 2.0)
+        assert (shifting.port_rate_error_pct,
+                skewed.fec_rate_error_pct) == (0.0, 0.0)
+
+
 class TestSkewedLoop:
     def test_loop_offloads_the_surger(self):
         result = run_skewed_loop(SHORT)

@@ -120,6 +120,14 @@ class TestFigureRunners:
         assert points[1].flow_rules > points[0].flow_rules
         assert all(point.seconds > 0 for point in points)
 
+    def test_compilation_sweep_counts_are_pinned(self):
+        """The Figure 8 sweep's table and group sizes are work counts,
+        fixed for the seed: an algorithmic change moves them exactly."""
+        points = run_compilation_sweep(
+            participant_counts=(60,), prefix_counts=(400, 800))
+        assert [(point.flow_rules, point.prefix_groups)
+                for point in points] == [(247, 33), (279, 38)]
+
     def test_fig9_linear_in_burst(self):
         series_list = run_fig9(burst_sizes=(1, 4, 8),
                                participant_counts=(30,), prefixes=300)

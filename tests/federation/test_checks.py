@@ -5,6 +5,8 @@ from repro.core.dynamic import rib_match
 from repro.federation import (
     FederationContext,
     analyze_federation,
+    generate_federated_corpus,
+    generate_federated_scenario,
 )
 from repro.federation.checks import walk_statically
 from repro.net.packet import Packet
@@ -183,3 +185,20 @@ class TestAnalyzeFederation:
         snapshot = telemetry.registry.snapshot()
         assert snapshot["sdx_statics_federation_runs_total"] == 1
         assert snapshot["sdx_statics_federation_diagnostics_total"] >= 2
+
+    def test_generated_federation_counts_are_pinned(self):
+        """Diagnostics, clauses analyzed and cross-fabric walks of a
+        seeded federation are work counts, fixed for the seed."""
+        scenario = generate_federated_scenario(
+            11, exchanges=2, participants=6, prefixes=6, policies=8, steps=0)
+        federation = scenario.build_controller(with_dataplane=True)
+        report = analyze_federation(federation)
+        assert (len(report.diagnostics), report.clauses_analyzed) == (5, 8)
+        corpus = generate_federated_corpus(scenario, size=8)
+        walks = 0
+        for exchange in scenario.exchanges:
+            for spec in scenario.participants_at(exchange):
+                for packet in corpus:
+                    federation.forward(exchange, spec.name, packet)
+                    walks += 1
+        assert walks == 512

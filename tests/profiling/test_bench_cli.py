@@ -1,79 +1,10 @@
-"""End-to-end tests for `repro bench` and `repro profile`.
-
-These drive the real CLI entry point over the real (quick-mode) bench
-families, so they are the slowest tests in the suite — but they are the
-acceptance criteria for the perf gate: record-baseline followed by
-compare must pass on an unmodified tree, and a synthetic compile-path
-slowdown must fail the gate with the compile metric named.
-"""
+"""End-to-end tests for `repro profile`: the coverage floor (at least 90 %
+of a compile+update run's wall time attributed to named phases) and the
+flamegraph output, through the real CLI entry point."""
 
 import json
 
-import pytest
-
 from repro.__main__ import main
-from repro.core.compiler import SELFTEST_SLOWDOWN_ENV
-
-
-@pytest.fixture()
-def baseline_dir(tmp_path):
-    """A throwaway baseline store plus results dir for one test."""
-    (tmp_path / "results").mkdir()
-    return tmp_path
-
-
-def bench(action, baseline_dir, *extra):
-    """Run `repro bench <action>` against the throwaway store."""
-    return main(["bench", action, "--quick", "--samples", "1",
-                 "--family", "fig8",
-                 "--baseline-dir", str(baseline_dir),
-                 "--results-dir", str(baseline_dir / "results"),
-                 *extra])
-
-
-class TestBenchGate:
-    def test_record_then_compare_passes(self, baseline_dir, capsys):
-        assert bench("record-baseline", baseline_dir) == 0
-        assert (baseline_dir / "fig8-quick.json").exists()
-        assert bench("compare", baseline_dir) == 0
-        assert "OK" in capsys.readouterr().out
-
-    def test_synthetic_slowdown_fails_naming_the_metric(
-            self, baseline_dir, capsys, monkeypatch):
-        assert bench("record-baseline", baseline_dir) == 0
-        capsys.readouterr()
-        monkeypatch.setenv(SELFTEST_SLOWDOWN_ENV, "25")
-        assert bench("compare", baseline_dir) == 1
-        out = capsys.readouterr().out
-        assert "REGRESSION" in out
-        assert "compile_seconds" in out
-
-    def test_compare_without_baseline_fails(self, baseline_dir, capsys):
-        assert bench("compare", baseline_dir) == 1
-        assert "MISSING BASELINE" in capsys.readouterr().out
-
-    def test_run_writes_schema_versioned_results(self, baseline_dir,
-                                                 capsys):
-        output = baseline_dir / "payload.json"
-        assert bench("run", baseline_dir, "--output", str(output)) == 0
-        document = json.loads(
-            (baseline_dir / "results" / "bench_fig8-quick.json").read_text())
-        assert document["schema"] == 1
-        assert "compile_seconds_sum" in document["metrics"]
-        assert "environment" in document
-        payload = json.loads(output.read_text())
-        assert payload["ok"] is True
-
-    def test_unknown_family_rejected(self, baseline_dir, capsys):
-        assert main(["bench", "run", "--family", "nope",
-                     "--baseline-dir", str(baseline_dir)]) == 2
-
-    def test_results_summary_reads_envelopes(self, baseline_dir, capsys):
-        assert bench("run", baseline_dir) == 0
-        capsys.readouterr()
-        assert bench("results", baseline_dir) == 0
-        out = capsys.readouterr().out
-        assert "bench_fig8-quick.json" in out and "schema=1" in out
 
 
 class TestProfileCli:

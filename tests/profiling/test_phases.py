@@ -1,7 +1,12 @@
 """Tests for phase attribution: self time, inheritance, coverage."""
 
+import ast
+import pathlib
+
 import pytest
 
+from repro.policy.policies import fwd, match
+from repro.profiling import PhaseProfiler
 from repro.profiling.phases import (
     PHASE_BY_SPAN,
     UNATTRIBUTED,
@@ -9,6 +14,10 @@ from repro.profiling.phases import (
     self_times,
 )
 from repro.telemetry.trace import Span
+
+from tests.core.scenarios import figure1_controller
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 def make_span(name, span_id, parent_id, start, end, trace_id=1, tags=None):
@@ -128,3 +137,45 @@ class TestAttribution:
         # frame names; keep them shell- and label-safe.
         for phase in set(PHASE_BY_SPAN.values()):
             assert phase.replace("_", "").isalnum()
+
+
+def opened_span_names():
+    """Every literal span name the package opens: ``.span("x")`` gives
+    ``x``, the compiler's ``_stage("x")`` gives ``compile.x``."""
+    names = set()
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and node.args
+                    and isinstance(node.args[0], ast.Constant)
+                    and isinstance(node.args[0].value, str)):
+                continue
+            callee = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if callee == "span":
+                names.add(node.args[0].value)
+            elif callee == "_stage":
+                names.add(f"compile.{node.args[0].value}")
+    return names
+
+
+class TestEverySpanHasAPhase:
+    def test_every_opened_span_name_is_mapped(self):
+        """An unmapped span inherits its parent's phase: the dataplane
+        verifier was billed to the southbound swap it runs inside."""
+        names = opened_span_names()
+        assert {"compile.fec", "statics.dataplane", "bgp.ingest"} <= names
+        assert sorted(names - set(PHASE_BY_SPAN) - {"profile.workload"}) == []
+
+    def test_policy_change_bills_the_verifier_to_its_own_phase(self):
+        sdx, a, *_ = figure1_controller(dataplane_statics_mode="warn")
+        sdx.start()
+        sdx.telemetry.tracer.clear()
+        profiler = PhaseProfiler(sdx.telemetry)
+        with profiler:
+            a.add_outbound(match(dstport=8080) >> fwd("B"))
+        report = profiler.report()
+        verify = report.phases["dataplane_verify"]
+        assert verify.calls == sum(
+            span.name == "statics.dataplane"
+            for span in sdx.telemetry.tracer.finished())
+        assert verify.calls >= 1 and verify.self_seconds > 0
+        assert "southbound_swap" in report.phases

@@ -103,6 +103,34 @@ class TestDeterministicMode:
         assert not canonical_state(inline).diff(canonical_state(sdx))
 
 
+class TestBurstCounts:
+    def test_coalescing_of_a_seeded_burst_trace_is_pinned(self):
+        """How many events coalesce, and so how many reach the route
+        server, is a work count fixed for the seed: pinned exactly."""
+        from repro.workloads.policies import (
+            generate_policies,
+            install_assignments,
+        )
+        from repro.workloads.topology import generate_ixp
+        from repro.workloads.updates import generate_burst_trace
+
+        ixp = generate_ixp(12, 100, seed=7)
+        sdx = ixp.build_controller()
+        install_assignments(sdx, generate_policies(ixp, seed=8))
+        sdx.start()
+        events = generate_burst_trace(ixp, bursts=6, burst_size=100,
+                                      hot_prefixes=12, seed=9)
+        runtime = sdx.build_runtime(RuntimeConfig(batch_size=64))
+        for index, event in enumerate(events):
+            runtime.submit_update(event.update)
+            if (index + 1) % 64 == 0:
+                runtime.step()
+        runtime.settle()
+        stats = runtime.stats()
+        assert (stats["coalesced"], stats["submitted_total"]) == (448, 600)
+        assert sdx.route_server.updates_processed == 164
+
+
 class TestRejectedPolicyEvent:
     """A strict gate refusing one event's change undoes that change only:
     the batch it was popped with goes on, and the accounting holds."""

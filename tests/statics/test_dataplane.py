@@ -339,6 +339,19 @@ def workload_controller(seed=0, mode="warn"):
     return controller
 
 
+class TestPinnedWorkload:
+    def test_rules_and_diagnostics_are_pinned(self):
+        """The seeded workload's installed table size and its verdict are
+        work counts, fixed for the seed: pinned exactly."""
+        ixp = generate_ixp(24, 160, seed=5)
+        controller = ixp.build_controller(dataplane_statics_mode="warn")
+        install_assignments(controller, generate_policies(ixp, seed=6))
+        controller.start()
+        report = analyze_controller_dataplane(controller)
+        assert len(controller.table.rules) == 156
+        assert report.diagnostics == []
+
+
 class TestIncrementalEqualsFull:
     def assert_identical(self, controller):
         incremental = controller.dataplane_verifier.state_report()
