@@ -15,11 +15,9 @@ federation (``tests/federation/test_checks.py``).
 from conftest import publish, publish_json, scaled
 
 from repro.experiments.metrics import render_table
-from repro.federation import (
-    analyze_federation,
-    generate_federated_corpus,
-    generate_federated_scenario,
-)
+from repro.federation import analyze_federation
+from repro.verification.corpus import generate_corpus
+from repro.verification.scenario import generate_scenario
 
 SEED = 11
 EXCHANGE_COUNTS = (2, 3, 4)
@@ -32,19 +30,19 @@ def _run_sweep():
     rows = []
     for exchanges in EXCHANGE_COUNTS:
         participants = scaled(4 + 3 * exchanges)
-        scenario = generate_federated_scenario(
+        scenario = generate_scenario(
             SEED, exchanges=exchanges, participants=participants,
             prefixes=6, policies=8, steps=0)
 
         started = time.perf_counter()
-        federation = scenario.build_controller(with_dataplane=True)
+        federation = scenario.build_federation(with_dataplane=True)
         build_seconds = time.perf_counter() - started
 
         started = time.perf_counter()
         report = analyze_federation(federation)
         statics_seconds = time.perf_counter() - started
 
-        corpus = generate_federated_corpus(scenario, size=CORPUS_SIZE)
+        corpus = generate_corpus(scenario, size=CORPUS_SIZE)
         walks = 0
         started = time.perf_counter()
         for exchange in scenario.exchanges:

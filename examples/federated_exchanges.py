@@ -15,9 +15,9 @@ Three acts, one loop-prone pair:
    packet plus the exact cycle of ``(exchange, participant)`` states;
 2. rebuilding the same federation with ``statics_mode="strict"`` rejects
    the second policy at install time, before any fabric compiles it;
-3. with statics off, the naive federated reference interpreter actually
-   forwards the witness packet in the diagnosed cycle — the diagnostic
-   is a real packet-level fact, not a modelling artifact.
+3. with statics off, the naive per-exchange reference interpreters
+   actually forward the witness packet in the diagnosed cycle — the
+   diagnostic is a real packet-level fact, not a modelling artifact.
 
 Run with::
 
@@ -70,37 +70,36 @@ def loop_scenario():
     the prefix orbits ``(IXP-B, WestTransit) -> (IXP-A, EastTransit)``
     forever.
     """
-    from repro.federation import (
-        FederatedAnnouncement,
-        FederatedParticipant,
-        FederatedPolicy,
-        FederatedScenario,
+    from repro.verification.scenario import (
+        Scenario,
+        ScenarioAnnouncement,
+        ScenarioParticipant,
+        ScenarioPolicy,
     )
 
-    return FederatedScenario(
+    return Scenario(
         seed=8,
         exchanges=("IXP-A", "IXP-B"),
         participants=(
-            FederatedParticipant(
+            ScenarioParticipant(
                 name="WestTransit", asn=65001, exchanges=("IXP-A", "IXP-B")),
-            FederatedParticipant(
+            ScenarioParticipant(
                 name="EastTransit", asn=65002, exchanges=("IXP-B", "IXP-A")),
         ),
         prefixes=("198.51.100.0/24",),
-        owners=(),
         announcements=(
-            FederatedAnnouncement(
+            ScenarioAnnouncement(
                 exchange="IXP-A", participant="WestTransit",
                 prefix="198.51.100.0/24", as_path=(65001, 64700)),
-            FederatedAnnouncement(
+            ScenarioAnnouncement(
                 exchange="IXP-B", participant="EastTransit",
                 prefix="198.51.100.0/24", as_path=(65002, 64700)),
         ),
         policies=(
-            FederatedPolicy(
+            ScenarioPolicy(
                 exchange="IXP-A", participant="EastTransit", direction="out",
                 field="dstport", value=80, target="WestTransit"),
-            FederatedPolicy(
+            ScenarioPolicy(
                 exchange="IXP-B", participant="WestTransit", direction="out",
                 field="dstport", value=80, target="EastTransit"),
         ),
@@ -111,12 +110,13 @@ def loop_scenario():
 def main() -> None:
     """Run the three-act demonstration and print each verdict."""
     from repro.exceptions import StaticPolicyError
-    from repro.federation import FederatedReferenceInterpreter, analyze_federation
+    from repro.federation import analyze_federation
+    from repro.verification.federation import reference_walk
 
     scenario = loop_scenario()
 
     print("act 1: the SDX008 static check sees across both exchanges")
-    federation = scenario.build_controller(
+    federation = scenario.build_federation(
         statics_mode="off", with_dataplane=False)
     report = analyze_federation(federation)
     loops = report.by_check("SDX008")
@@ -127,7 +127,7 @@ def main() -> None:
 
     print("act 2: statics_mode='strict' rejects the pair at install time")
     try:
-        scenario.build_controller(statics_mode="strict", with_dataplane=False)
+        scenario.build_federation(statics_mode="strict", with_dataplane=False)
     except StaticPolicyError as error:
         print(f"  rejected: {error}")
     else:
@@ -135,11 +135,10 @@ def main() -> None:
     print()
 
     print("act 3: with statics off, the witness packet really does orbit")
-    reference = FederatedReferenceInterpreter(scenario)
     diagnostic = loops[0]
     payload = dict(diagnostic.data)
-    outcome = reference.forward(
-        payload["origin_exchange"], payload["origin_participant"],
+    outcome = reference_walk(
+        scenario, payload["origin_exchange"], payload["origin_participant"],
         diagnostic.witness)
     print(f"  witness {diagnostic.witness!r}")
     print(f"  federated reference: {outcome.describe()}")

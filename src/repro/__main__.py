@@ -492,7 +492,8 @@ def _lint_defect_run(args):
 
 def _lint_federation_defect_run(args):
     """(report, defects, missed) for the federation defect recall mode."""
-    from repro.federation import analyze_federation, generate_federated_scenario
+    from repro.federation import analyze_federation
+    from repro.verification.scenario import generate_scenario
     from repro.workloads.policies import (
         defect_detected,
         inject_federation_defects,
@@ -505,11 +506,11 @@ def _lint_federation_defect_run(args):
     federation = None
     defects = []
     for attempt in range(8):
-        scenario = generate_federated_scenario(
+        scenario = generate_scenario(
             args.seed + attempt, exchanges=args.exchanges,
             participants=max(args.participants, 2 * args.exchanges),
-            policies=0)
-        federation = scenario.build_controller(with_dataplane=False)
+            policies=0, steps=0)
+        federation = scenario.build_federation(with_dataplane=False)
         try:
             defects = inject_federation_defects(federation, seed=args.seed)
             break

@@ -24,11 +24,11 @@ The subsystem has four layers:
   loop) and SDX009 (stitched-path blackhole) static checks over the
   cross-exchange reachability graph, and :func:`analyze_federation`;
 
-with :mod:`repro.federation.scenario` (seeded, exactly-serialisable
-federated scenarios), :mod:`repro.federation.reference` (the naive
-federated reference interpreter the fuzzer cross-validates against), and
-:mod:`repro.federation.config` (JSON federated configs for
-``repro lint-policies``) riding on top.
+with :mod:`repro.federation.config` (JSON federated configs for
+``repro lint-policies``) riding on top. Seeded federated scenarios are
+multi-exchange :class:`~repro.verification.scenario.Scenario` values;
+the fuzzer cross-validates the walk in
+:mod:`repro.verification.federation`.
 """
 
 from repro.federation.checks import (
@@ -53,18 +53,6 @@ from repro.federation.dataplane import (
     FederatedHop,
     FederatedOutcome,
     walk_federation,
-)
-from repro.federation.reference import FederatedReferenceInterpreter
-from repro.federation.scenario import (
-    FEDERATED_SCENARIO_VERSION,
-    FederatedAnnouncement,
-    FederatedParticipant,
-    FederatedPolicy,
-    FederatedScenario,
-    FederatedTraceStep,
-    generate_federated_corpus,
-    generate_federated_scenario,
-    wrap_scenario,
 )
 from repro.federation.topology import (
     ExchangePresence,
@@ -91,16 +79,6 @@ __all__ = [
     "FederatedHop",
     "FederatedOutcome",
     "walk_federation",
-    "FederatedReferenceInterpreter",
-    "FEDERATED_SCENARIO_VERSION",
-    "FederatedAnnouncement",
-    "FederatedParticipant",
-    "FederatedPolicy",
-    "FederatedScenario",
-    "FederatedTraceStep",
-    "generate_federated_corpus",
-    "generate_federated_scenario",
-    "wrap_scenario",
     "ExchangePresence",
     "FederatedParticipantSpec",
     "FederationTopology",

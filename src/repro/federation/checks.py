@@ -25,8 +25,8 @@ and when every re-entry decision used the same presence-preference rule
 the dataplane drivers use. Walks that touch a dynamic clause or an
 ambiguous covering return no verdict at all. The fuzz harness
 (:mod:`repro.verification.federation`) holds both checks to this
-contract by re-executing every witness in the federated reference
-interpreter: SDX008 witnesses must actually loop, SDX009 witnesses must
+contract by re-executing every witness in the naive federated reference
+walk: SDX008 witnesses must actually loop, SDX009 witnesses must
 actually drop beyond their first exchange.
 """
 
@@ -58,7 +58,7 @@ class FederationContext:
         self.federation = federation
         self._contexts: Dict[str, StaticsContext] = {}
         self._members: Dict[str, Dict[str, Participant]] = {}
-        self._walks: Dict[Tuple[str, str, Tuple], "FederatedWalkResult"] = {}
+        self._walks: Dict[Tuple[str, str, Packet], "FederatedWalkResult"] = {}
 
     def exchanges(self) -> Tuple[str, ...]:
         """Member exchange names, in registration order."""
@@ -93,9 +93,7 @@ class FederationContext:
     def walk(self, exchange: str, sender: str,
              packet: Packet) -> "FederatedWalkResult":
         """The (cached) static walk of one witness packet."""
-        key = (exchange, sender,
-               tuple(sorted((name, str(value))
-                            for name, value in packet.items())))
+        key = (exchange, sender, packet)
         result = self._walks.get(key)
         if result is None:
             result = walk_statically(self, exchange, sender, packet)

@@ -1,10 +1,11 @@
 """Cross-fabric forwarding: one packet walked through many exchanges.
 
 Both execution arms — the real per-exchange fabrics driven by
-:class:`FederatedDataPlane` and the naive
-:class:`~repro.federation.reference.FederatedReferenceInterpreter` —
-share the same hop-state machine, factored out as
-:func:`walk_federation`:
+:class:`FederatedDataPlane` and the naive per-exchange reference
+interpreters of :func:`repro.verification.federation.reference_walk` —
+share the same hop-state machine, re-entry rule and origin lookup,
+written once as :func:`walk_federation`; an arm supplies only how one
+exchange classifies a packet and which route server re-entry consults:
 
 1. classify the packet at the current exchange as the current sender's
    traffic (big-switch policies + BGP defaults decide the egress
@@ -32,8 +33,9 @@ frame on its next exchange's peering LAN.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
+from repro.bgp.routeserver import RouteServer
 from repro.dataplane.fabric import Delivery
 from repro.net.addresses import IPv4Address, IPv4Prefix
 from repro.net.packet import Packet
@@ -105,19 +107,25 @@ class FederatedOutcome:
 def walk_federation(
         exchange: str, sender: str, packet: Packet, *,
         classify: Callable[[str, str, Packet], Optional[str]],
-        next_exchange: Callable[[str, str, IPv4Address], Optional[str]],
-        origin_of: Callable[[IPv4Address], Optional[str]],
+        route_server: Callable[[str], RouteServer],
+        presence: Callable[[str], Sequence[str]],
+        origins: Sequence[Tuple[IPv4Prefix, str]],
         max_hops: int = MAX_FEDERATED_HOPS) -> FederatedOutcome:
-    """Drive the shared hop-state machine with pluggable per-arm hooks.
+    """Drive the shared hop-state machine over one arm's classifier.
 
     ``classify(exchange, sender, packet)`` returns the egress participant
-    at one exchange (``None`` = dropped); ``next_exchange(participant,
-    arrived_at, dstip)`` picks the re-entry exchange (``None`` = exits
-    upstream); ``origin_of(dstip)`` names the destination's origin AS.
+    at one exchange (``None`` = dropped); ``route_server(exchange)`` is
+    the BGP view re-entry consults there; ``presence(participant)`` lists
+    the exchanges a participant attends, in preference order; ``origins``
+    are the ``(prefix, origin participant)`` registrations, the longest
+    covering one naming the destination's origin AS.
     """
     hops: list[FederatedHop] = []
     seen: dict[FederatedHop, int] = {}
     dstip = packet.get("dstip")
+    owned = dict(origins)
+    origin = (owned.get(covering_prefix(owned, dstip))
+              if dstip is not None else None)
     current = FederatedHop(exchange, sender)
     while True:
         if current in seen:
@@ -134,17 +142,36 @@ def walk_federation(
         if egress is None:
             return FederatedOutcome(
                 kind="dropped", hops=tuple(hops), exchange=current.exchange)
-        if dstip is not None and origin_of(dstip) == egress:
+        if egress == origin:
             return FederatedOutcome(
                 kind="delivered", hops=tuple(hops), exchange=current.exchange,
                 participant=egress, via="origin")
-        onward = (next_exchange(egress, current.exchange, dstip)
+        onward = (_next_exchange(egress, current.exchange, dstip,
+                                 route_server, presence)
                   if dstip is not None else None)
         if onward is None:
             return FederatedOutcome(
                 kind="delivered", hops=tuple(hops), exchange=current.exchange,
                 participant=egress, via="upstream")
         current = FederatedHop(onward, egress)
+
+
+def _next_exchange(participant: str, arrived_at: str, dstip: IPv4Address,
+                   route_server: Callable[[str], RouteServer],
+                   presence: Callable[[str], Sequence[str]]
+                   ) -> Optional[str]:
+    """The re-entry rule: the first other exchange ``participant``
+    attends whose route server has a covering prefix with a best route
+    for it (``None``: the packet exits upstream)."""
+    for exchange in presence(participant):
+        if exchange == arrived_at:
+            continue
+        server = route_server(exchange)
+        prefix = covering_prefix(server.all_prefixes(), dstip)
+        if prefix is not None and server.best_route_for(
+                participant, prefix) is not None:
+            return exchange
+    return None
 
 
 def covering_prefix(prefixes, dstip: IPv4Address) -> Optional[IPv4Prefix]:
@@ -186,19 +213,6 @@ class FederatedDataPlane:
         self.last_deliveries = tuple(accepted)
         return accepted[0].participant if accepted else None
 
-    def _next_exchange(self, participant: str, arrived_at: str,
-                       dstip: IPv4Address) -> Optional[str]:
-        """First other attended exchange with a usable route, if any."""
-        for exchange in self._federation.presence(participant):
-            if exchange == arrived_at:
-                continue
-            server = self._federation.exchange(exchange).route_server
-            prefix = covering_prefix(server.all_prefixes(), dstip)
-            if prefix is not None and server.best_route_for(
-                    participant, prefix) is not None:
-                return exchange
-        return None
-
     def forward(self, exchange: str, sender: str,
                 packet: Packet) -> FederatedOutcome:
         """Walk ``packet`` (sourced inside ``sender`` at ``exchange``)
@@ -209,11 +223,12 @@ class FederatedDataPlane:
         counter attribution.
         """
         self.last_deliveries = ()
+        federation = self._federation
         outcome = walk_federation(
-            exchange, sender, packet,
-            classify=self._classify,
-            next_exchange=self._next_exchange,
-            origin_of=self._federation.origin_of)
+            exchange, sender, packet, classify=self._classify,
+            route_server=lambda name: federation.exchange(name).route_server,
+            presence=federation.presence,
+            origins=federation.topology.origins())
         if outcome.is_delivered:
             return FederatedOutcome(
                 kind=outcome.kind, hops=outcome.hops,

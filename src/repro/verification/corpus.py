@@ -83,10 +83,5 @@ def generate_corpus(scenario: Scenario, *, size: int = 16,
     return tuple(packets)
 
 
-def senders_for(scenario: Scenario) -> Tuple[str, ...]:
-    """The participants whose outbound forwarding the oracle probes."""
-    return scenario.participant_names()
-
-
-__all__ = ["generate_corpus", "senders_for"]
+__all__ = ["generate_corpus"]
 

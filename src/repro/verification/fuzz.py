@@ -53,23 +53,17 @@ def run_fuzz(config: FuzzConfig,
     """Run one fuzzing session; never raises on a finding."""
     telemetry = telemetry if telemetry is not None else get_telemetry()
     federated = "federation" in config.checks
-    shape = dict(participants=config.participants, prefixes=config.prefixes,
-                 policies=config.policies, steps=config.steps)
+    label = "federation" if federated else "scenario"
 
     def make_case(index: int) -> Case:
-        if federated:
-            from repro.federation.scenario import generate_federated_scenario
-            scenario = generate_federated_scenario(
-                derive_seed(config.seed, f"federation-{index}"),
-                exchanges=config.exchanges, **shape)
-        else:
-            scenario = generate_scenario(
-                derive_seed(config.seed, f"scenario-{index}"), **shape)
-        return Case(
-            scenario,
-            checks=tuple(n for n in config.checks if n != "federation"),
-            corpus_size=config.corpus_size,
-            recompile_every=config.recompile_every)
+        scenario = generate_scenario(
+            derive_seed(config.seed, f"{label}-{index}"),
+            exchanges=config.exchanges if federated else 1,
+            participants=config.participants, prefixes=config.prefixes,
+            policies=config.policies, steps=config.steps)
+        return Case(scenario, checks=config.checks,
+                    corpus_size=config.corpus_size,
+                    recompile_every=config.recompile_every)
 
     report = run_session(
         config, SessionReport(config), make_case,

@@ -51,15 +51,15 @@ class Case:
     """Everything one replay needs.
 
     The case's *type* picks its base check: a fault ``schedule`` means
-    the chaos settle assertions, a federated scenario the federated walk
-    differential, a plain scenario the differential oracle. ``checks``
-    names the extra checks riding along; on a federated case a
-    single-exchange check runs once per member exchange. ``corpus_size``
-    sizes every check's probe corpus; ``recompile_every`` is the shared
+    the chaos settle assertions, a federated case the federated walk
+    differential, any other the differential oracle. ``checks`` names
+    the extra checks riding along; on a federated case a single-exchange
+    check runs once per member exchange. ``corpus_size`` sizes every
+    check's probe corpus; ``recompile_every`` is the shared
     background-quiesce cadence.
     """
 
-    scenario: Any  # Scenario | FederatedScenario
+    scenario: Scenario
     schedule: Optional[ChaosSchedule] = None
     checks: Tuple[str, ...] = ()
     corpus_size: int = 12
@@ -67,8 +67,9 @@ class Case:
 
     @property
     def federated(self) -> bool:
-        """True for a multi-exchange scenario."""
-        return hasattr(self.scenario, "exchanges")
+        """True for a multi-exchange scenario, or when the federated walk
+        is named (a one-exchange federation)."""
+        return len(self.scenario.exchanges) > 1 or "federation" in self.checks
 
     def check_names(self) -> Tuple[str, ...]:
         """The base check for this case's type, then the extras."""
@@ -167,8 +168,7 @@ class PerExchange(Check):
     def after_step(self, index: int, step: Any,
                    update: Any) -> Optional[OracleFailure]:
         """Route the step to the exchange it targets."""
-        failure = self.inner[step.exchange].after_step(
-            index, step.to_step(), update)
+        failure = self.inner[step.exchange].after_step(index, step, update)
         return failure and self._tagged(step.exchange, failure)
 
     def at_settle(self, last: int) -> Optional[OracleFailure]:
@@ -355,11 +355,7 @@ class FailureArtifact:
         version = payload.get("version")
         if version != ARTIFACT_VERSION:
             raise ValueError(f"unsupported artifact version {version!r}")
-        if "exchanges" in payload["scenario"]:
-            from repro.federation.scenario import FederatedScenario
-            scenario: Any = FederatedScenario.from_dict(payload["scenario"])
-        else:
-            scenario = Scenario.from_dict(payload["scenario"])
+        scenario = Scenario.from_dict(payload["scenario"])
         schedule = payload.get("schedule")
         options = {option.name: payload[option.name]
                    for option in _CASE_OPTIONS if option.name in payload}

@@ -1,12 +1,20 @@
-"""Seeded, replayable fuzzing scenarios: exchange + policies + trace.
+"""Seeded, replayable scenarios: exchanges + policies + trace.
 
 A :class:`Scenario` is a fully serialisable description of one
-differential-testing run: the participants of a small exchange, the base
-routing table, a policy mix restricted to constructs whose intended
+differential-testing run: the participants of a small exchange — or of a
+federation of exchanges stitched by members that attend several — the
+base routing table, a policy mix restricted to constructs whose intended
 semantics the reference interpreter can state independently, and a BGP
 update trace. Everything derives deterministically from one integer seed
 (via :mod:`repro.workloads.seeding`), and the JSON round-trip is exact —
 a failure artifact replays bit-for-bit on another machine.
+
+A single exchange is the one-exchange case of a federation: every
+announcement, policy and trace step carries the exchange it lands on,
+and :meth:`Scenario.project` restricts a federation to one exchange (a
+one-exchange scenario is its own projection). The federation keys are
+left out of the JSON at their one-exchange defaults, so a single-exchange
+scenario serialises exactly as it did before federations existed.
 
 Trace steps are drawn through the same
 :class:`~repro.workloads.updates.UpdateSequencer` the calibrated trace
@@ -17,8 +25,8 @@ mix the paper measured rather than an arbitrary one.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass, fields, is_dataclass, replace
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.bgp.asn import AsPath
 from repro.bgp.attributes import RouteAttributes
@@ -34,6 +42,13 @@ from repro.workloads.updates import UpdateSequencer
 #: Serialisation format version stamped into every scenario dict.
 SCENARIO_VERSION = 1
 
+#: The exchange of a single-exchange scenario.
+DEFAULT_EXCHANGE = "IXP-A"
+
+#: Keys only a federation needs; each is left out of the JSON at its
+#: one-exchange default.
+_FEDERATION_KEYS = ("exchange", "exchanges", "owners")
+
 #: Single-field match options for generated policies (field, values).
 FIELD_CHOICES: Tuple[Tuple[str, Tuple[Union[int, str], ...]], ...] = (
     ("dstport", (80, 443, 53, 8080)),
@@ -47,20 +62,23 @@ SRC_HALVES: Tuple[str, ...] = ("0.0.0.0/1", "128.0.0.0/1")
 
 @dataclass(frozen=True)
 class ScenarioParticipant:
-    """One member of the fuzzed exchange."""
+    """One member and the exchanges it attends, in preference order."""
 
     name: str
     asn: int
-    ports: int
+    ports: int = 1
+    exchanges: Tuple[str, ...] = (DEFAULT_EXCHANGE,)
 
 
 @dataclass(frozen=True)
 class ScenarioAnnouncement:
-    """One base-table route: who announces which prefix with which path."""
+    """One base-table route: who announces which prefix with which path,
+    at which exchange."""
 
     participant: str
     prefix: str
     as_path: Tuple[int, ...]
+    exchange: str = DEFAULT_EXCHANGE
 
 
 @dataclass(frozen=True)
@@ -71,6 +89,7 @@ class ScenarioPolicy:
     ``dstip=dst_prefix``) forwarding to ``target``, or dropping when
     ``target`` is ``None``. Inbound: the same single-field match steering
     accepted traffic to the installer's own interface ``port_index``.
+    The clause is installed at ``exchange``.
     """
 
     participant: str
@@ -80,6 +99,7 @@ class ScenarioPolicy:
     target: Optional[str] = None
     dst_prefix: Optional[str] = None
     port_index: int = 0
+    exchange: str = DEFAULT_EXCHANGE
 
     def predicate_space(self) -> HeaderSpace:
         """The clause predicate as a raw :class:`HeaderSpace`."""
@@ -105,13 +125,14 @@ class ScenarioPolicy:
 
 @dataclass(frozen=True)
 class TraceStep:
-    """One BGP event of the fuzzed trace."""
+    """One BGP event of the trace, at one exchange."""
 
     kind: str
     participant: str
     prefix: str
     as_path: Tuple[int, ...] = ()
     med: int = 0
+    exchange: str = DEFAULT_EXCHANGE
 
     def to_update(self, next_hop: IPv4Address) -> Update:
         """The step as a BGP :class:`Update` with the given next hop."""
@@ -123,9 +144,38 @@ class TraceStep:
         return Update.announce(self.participant, prefix, attributes)
 
 
+def _encode(item) -> Dict[str, object]:
+    """``item``'s fields as a JSON-safe dict, less the federation keys
+    at their one-exchange default."""
+    payload: Dict[str, object] = {}
+    for spec in fields(item):
+        value = getattr(item, spec.name)
+        if spec.name in _FEDERATION_KEYS and value == spec.default:
+            continue
+        if isinstance(value, tuple) and value and is_dataclass(value[0]):
+            value = [_encode(element) for element in value]
+        payload[spec.name] = value
+    return payload
+
+
+def _decode(cls, items) -> tuple:
+    """``cls`` instances from :func:`_encode` dicts (lists -> tuples)."""
+    return tuple(
+        cls(**{key: tuple(value) if isinstance(value, list) else value
+               for key, value in item.items()})
+        for item in items)
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """A complete, serialisable differential-testing scenario."""
+    """A complete, serialisable differential-testing scenario.
+
+    ``exchanges`` name the federation's exchanges (one for a plain
+    exchange); ``owners`` records each prefix's federation-wide origin
+    as ``(prefix, participant)`` pairs — a packet handed to its origin is
+    delivered, any other egress carries it on (see
+    :mod:`repro.federation.dataplane`).
+    """
 
     seed: int
     participants: Tuple[ScenarioParticipant, ...]
@@ -133,6 +183,8 @@ class Scenario:
     announcements: Tuple[ScenarioAnnouncement, ...]
     policies: Tuple[ScenarioPolicy, ...]
     trace: Tuple[TraceStep, ...]
+    exchanges: Tuple[str, ...] = (DEFAULT_EXCHANGE,)
+    owners: Tuple[Tuple[str, str], ...] = ()
 
     # ------------------------------------------------------------------
     # Derived topology facts (mirroring SdxController's deterministic
@@ -145,9 +197,22 @@ class Scenario:
 
     def asn_of(self, name: str) -> int:
         """The ASN of participant ``name``."""
+        return self._spec(name).asn
+
+    def presence(self, name: str) -> Tuple[str, ...]:
+        """The exchanges ``name`` attends, in preference order."""
+        return self._spec(name).exchanges
+
+    def participants_at(self, exchange: str
+                        ) -> Tuple[ScenarioParticipant, ...]:
+        """Members present at ``exchange``, in registration order."""
+        return tuple(spec for spec in self.participants
+                     if exchange in spec.exchanges)
+
+    def _spec(self, name: str) -> ScenarioParticipant:
         for spec in self.participants:
             if spec.name == name:
-                return spec.asn
+                return spec
         raise KeyError(name)
 
     def switch_ports(self) -> Dict[str, Tuple[int, ...]]:
@@ -183,7 +248,32 @@ class Scenario:
 
     def step_update(self, step: TraceStep) -> Update:
         """One trace step as the exact update every execution consumes."""
-        return step.to_update(self.port_ips()[step.participant])
+        ips = self.project(step.exchange).port_ips()
+        return step.to_update(ips[step.participant])
+
+    def project(self, exchange: str) -> "Scenario":
+        """This scenario restricted to one exchange's members and state.
+
+        A one-exchange scenario is its own projection. Members, routes,
+        policies and steps keep their registration order, so a
+        projection's switch ports line up with the member controller
+        :meth:`build_federation` registers for ``exchange``.
+        """
+        if exchange not in self.exchanges:
+            raise KeyError(exchange)
+        if len(self.exchanges) == 1:
+            return self
+
+        def here(items):
+            return tuple(item for item in items if item.exchange == exchange)
+
+        return replace(
+            self, seed=derive_seed(self.seed, f"exchange-{exchange}"),
+            exchanges=(exchange,),
+            participants=tuple(replace(spec, exchanges=(exchange,))
+                               for spec in self.participants_at(exchange)),
+            announcements=here(self.announcements),
+            policies=here(self.policies), trace=here(self.trace))
 
     # ------------------------------------------------------------------
     # Execution
@@ -196,8 +286,11 @@ class Scenario:
         the same order, same base routes, same policies), which is what
         lets the oracle run full-recompilation and incremental executions
         in lockstep. Keyword arguments pass through to
-        :class:`SdxController`.
+        :class:`SdxController`. A federation builds with
+        :meth:`build_federation` instead.
         """
+        if len(self.exchanges) > 1:
+            raise ValueError("a multi-exchange scenario builds a federation")
         kwargs.setdefault("with_dataplane", True)
         controller = SdxController(**kwargs)
         for spec in self.participants:
@@ -217,13 +310,52 @@ class Scenario:
         controller.start()
         return controller
 
+    def build_federation(self, *, statics_mode: str = "off",
+                         start: bool = True, **kwargs):
+        """A :class:`~repro.federation.controller.FederatedController`
+        loaded with this scenario's base state.
+
+        Identical on every call (same registration order, same base
+        routes, same policies in list order). Policies install through
+        the federated change surface, so ``statics_mode="strict"``
+        rejects a loop-prone scenario at install time. Keyword arguments
+        pass through to the per-exchange controllers.
+        """
+        from repro.federation.controller import FederatedController
+
+        kwargs.setdefault("with_dataplane", True)
+        federation = FederatedController(statics_mode=statics_mode, **kwargs)
+        for exchange in self.exchanges:
+            federation.add_exchange(exchange)
+        for spec in self.participants:
+            federation.add_participant(
+                spec.name, spec.asn, exchanges=spec.exchanges,
+                ports=spec.ports)
+        for prefix, owner in self.owners:
+            federation.register_origin(IPv4Prefix(prefix), owner)
+        for item in self.announcements:
+            federation.announce_route(
+                item.exchange, item.participant, IPv4Prefix(item.prefix),
+                AsPath(item.as_path))
+        for item in self.policies:
+            controller = federation.exchange(item.exchange)
+            built = item.build(
+                lambda name, index: controller.participant(name).port(index))
+            if item.direction == "out":
+                federation.add_outbound(item.exchange, item.participant, built)
+            else:
+                federation.add_inbound(item.exchange, item.participant, built)
+        if start:
+            federation.start()
+        return federation
+
     # ------------------------------------------------------------------
     # Serialisation
     # ------------------------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
         """A JSON-safe dict (see :meth:`from_dict` for the inverse)."""
-        payload = asdict(self)
+        payload = _encode(self)
         payload["version"] = SCENARIO_VERSION
         return payload
 
@@ -239,24 +371,16 @@ class Scenario:
             raise ValueError(f"unsupported scenario version {version!r}")
         return cls(
             seed=int(payload["seed"]),  # type: ignore[arg-type]
-            participants=tuple(
-                ScenarioParticipant(**item)
-                for item in payload["participants"]),  # type: ignore[union-attr]
+            participants=_decode(ScenarioParticipant, payload["participants"]),
             prefixes=tuple(payload["prefixes"]),  # type: ignore[arg-type]
-            announcements=tuple(
-                ScenarioAnnouncement(
-                    participant=item["participant"], prefix=item["prefix"],
-                    as_path=tuple(item["as_path"]))
-                for item in payload["announcements"]),  # type: ignore[union-attr]
-            policies=tuple(
-                ScenarioPolicy(**item)
-                for item in payload["policies"]),  # type: ignore[union-attr]
-            trace=tuple(
-                TraceStep(
-                    kind=item["kind"], participant=item["participant"],
-                    prefix=item["prefix"], as_path=tuple(item["as_path"]),
-                    med=item["med"])
-                for item in payload["trace"]),  # type: ignore[union-attr]
+            announcements=_decode(
+                ScenarioAnnouncement, payload["announcements"]),
+            policies=_decode(ScenarioPolicy, payload["policies"]),
+            trace=_decode(TraceStep, payload["trace"]),
+            exchanges=tuple(payload.get(  # type: ignore[arg-type]
+                "exchanges", (DEFAULT_EXCHANGE,))),
+            owners=tuple(map(tuple, payload.get(  # type: ignore[arg-type]
+                "owners", ()))),
         )
 
     @classmethod
@@ -298,7 +422,8 @@ def _generate_policies(rng, specs: Tuple[ScenarioParticipant, ...],
     return tuple(out)
 
 
-def generate_scenario(seed: SeedLike, *, participants: int = 4,
+def generate_scenario(seed: SeedLike, *, exchanges: int = 1,
+                      shared: int = 2, participants: int = 4,
                       prefixes: int = 4, policies: int = 5,
                       steps: int = 20,
                       withdraw_probability: float = 0.25) -> Scenario:
@@ -309,9 +434,18 @@ def generate_scenario(seed: SeedLike, *, participants: int = 4,
     makes best-route changes and eligibility flips actually happen when
     the trace churns. The trace itself comes from the shared
     :class:`~repro.workloads.updates.UpdateSequencer`.
+
+    With several ``exchanges`` the same draws are spread over a
+    federation whose first ``shared`` participants attend several
+    exchanges (see :func:`_federate`). Those choices come from their own
+    derived stream, so the draws above are the same at any exchange
+    count.
     """
     if participants < 2:
         raise ValueError("a scenario needs at least two participants")
+    if not 1 <= exchanges <= participants:
+        raise ValueError(f"need 1 to {participants} exchanges, "
+                         f"got {exchanges}")
     rng = make_rng(seed, salt=0xF022)
     base_seed = derive_seed(seed, "scenario") if not isinstance(seed, int) \
         else seed
@@ -364,7 +498,86 @@ def generate_scenario(seed: SeedLike, *, participants: int = 4,
                 as_path=announcement.attributes.as_path.asns,
                 med=announcement.attributes.med))
 
-    return Scenario(
+    scenario = Scenario(
         seed=base_seed, participants=specs, prefixes=prefix_texts,
         announcements=tuple(announcements), policies=policy_tuple,
         trace=tuple(trace))
+    if exchanges == 1:
+        return scenario
+    names = tuple(f"IXP-{chr(ord('A') + index)}" for index in range(exchanges))
+    return _federate(scenario, make_rng(derive_seed(seed, "federation")),
+                     names, shared)
+
+
+def _assign_presence(rng, names: Sequence[str], exchanges: Tuple[str, ...],
+                     shared: int) -> Dict[str, Tuple[str, ...]]:
+    """Presence sets: the first ``shared`` names attend several exchanges
+    (in a random preference order), the rest are spread round-robin."""
+    presence: Dict[str, Tuple[str, ...]] = {}
+    for index, name in enumerate(names):
+        if index < shared:
+            count = rng.randint(2, len(exchanges)) if len(exchanges) > 2 else 2
+            attended = sorted(rng.sample(range(len(exchanges)), count))
+            ordered = [exchanges[i] for i in attended]
+            rng.shuffle(ordered)
+            presence[name] = tuple(ordered)
+        else:
+            presence[name] = (exchanges[(index - shared) % len(exchanges)],)
+    return presence
+
+
+def _federate(scenario: Scenario, rng, exchanges: Tuple[str, ...],
+              shared: int) -> Scenario:
+    """A one-exchange draw spread over ``exchanges``.
+
+    ``rng`` draws only what a federation adds: who attends which
+    exchanges, the transit claims, and the exchange each policy and
+    trace step lands on. A prefix's first announcer is its
+    federation-wide origin and announces it at every exchange it
+    attends; any other announcer announces at its preferred exchange and
+    re-announces (a transit claim) at each further one with probability
+    0.6 — the stitches loops and blackholes need. A forwarding policy
+    lands where installer and target meet and is dropped if they never
+    do; a withdrawal lands where the route is announced.
+    """
+    names = scenario.participant_names()
+    presence = _assign_presence(rng, names, exchanges, min(shared, len(names)))
+    owners: Dict[str, str] = {}
+    announced: Set[Tuple[str, str, str]] = set()
+    announcements: List[ScenarioAnnouncement] = []
+    for item in scenario.announcements:
+        origin = owners.setdefault(item.prefix, item.participant)
+        attended = presence[item.participant]
+        for exchange in attended:
+            if (exchange == attended[0] or item.participant == origin
+                    or rng.random() < 0.6):
+                announcements.append(replace(item, exchange=exchange))
+                announced.add((exchange, item.participant, item.prefix))
+
+    policies: List[ScenarioPolicy] = []
+    for policy in scenario.policies:
+        options = [exchange for exchange in presence[policy.participant]
+                   if policy.target is None
+                   or exchange in presence[policy.target]]
+        if options:
+            policies.append(replace(policy, exchange=rng.choice(options)))
+
+    trace: List[TraceStep] = []
+    for step in scenario.trace:
+        options = [exchange for exchange in presence[step.participant]
+                   if step.kind == "announce"
+                   or (exchange, step.participant, step.prefix) in announced]
+        step = replace(step, exchange=rng.choice(options))
+        route = (step.exchange, step.participant, step.prefix)
+        if step.kind == "announce":
+            announced.add(route)
+        else:
+            announced.discard(route)
+        trace.append(step)
+
+    return replace(
+        scenario, exchanges=exchanges,
+        participants=tuple(replace(spec, exchanges=presence[spec.name])
+                           for spec in scenario.participants),
+        owners=tuple(owners.items()), announcements=tuple(announcements),
+        policies=tuple(policies), trace=tuple(trace))

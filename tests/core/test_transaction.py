@@ -145,7 +145,7 @@ class Change:
 
     def build(self):
         if self.federated:
-            owner = clean_scenario().build_controller(
+            owner = clean_scenario().build_federation(
                 statics_mode="warn", dataplane_statics_mode="warn")
             return owner.exchange("IXP-B"), owner
         sdx = exchange()

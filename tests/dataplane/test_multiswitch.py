@@ -238,7 +238,7 @@ class TestCrossFabricPortMapping:
     def federation(self):
         from tests.federation.scenarios import clean_scenario
 
-        return clean_scenario().build_controller()
+        return clean_scenario().build_federation()
 
     def test_port_numbers_collide_across_fabrics(self):
         federation = self.federation()

@@ -2,16 +2,13 @@
 
 from repro import drop, fwd, match
 from repro.core.dynamic import rib_match
-from repro.federation import (
-    FederationContext,
-    analyze_federation,
-    generate_federated_corpus,
-    generate_federated_scenario,
-)
+from repro.federation import FederationContext, analyze_federation
 from repro.federation.checks import walk_statically
 from repro.net.packet import Packet
 from repro.statics.diagnostics import Severity
 from repro.telemetry import Telemetry
+from repro.verification.corpus import generate_corpus
+from repro.verification.scenario import generate_scenario
 
 from tests.federation.scenarios import (
     PORT,
@@ -24,7 +21,7 @@ DSTIP = "198.51.100.9"
 
 
 def build(scenario):
-    return scenario.build_controller(with_dataplane=False)
+    return scenario.build_federation(with_dataplane=False)
 
 
 class TestInterExchangeLoop:
@@ -92,7 +89,7 @@ class TestStitchedBlackhole:
         # at IXP-B the re-entered packet defaults to Relay, whose inbound
         # policy refuses what IXP-A steered in.
         scenario = blackhole_scenario()
-        federation = scenario.build_controller(with_dataplane=False)
+        federation = scenario.build_federation(with_dataplane=False)
         transit = federation.handle("IXP-B", "Transit")
         transit.remove_outbound(transit.participant.outbound_policies[0])
         federation.handle("IXP-B", "Relay").add_inbound(
@@ -189,16 +186,16 @@ class TestAnalyzeFederation:
     def test_generated_federation_counts_are_pinned(self):
         """Diagnostics, clauses analyzed and cross-fabric walks of a
         seeded federation are work counts, fixed for the seed."""
-        scenario = generate_federated_scenario(
+        scenario = generate_scenario(
             11, exchanges=2, participants=6, prefixes=6, policies=8, steps=0)
-        federation = scenario.build_controller(with_dataplane=True)
+        federation = scenario.build_federation(with_dataplane=True)
         report = analyze_federation(federation)
-        assert (len(report.diagnostics), report.clauses_analyzed) == (5, 8)
-        corpus = generate_federated_corpus(scenario, size=8)
+        assert (len(report.diagnostics), report.clauses_analyzed) == (2, 6)
+        corpus = generate_corpus(scenario, size=8)
         walks = 0
         for exchange in scenario.exchanges:
             for spec in scenario.participants_at(exchange):
                 for packet in corpus:
                     federation.forward(exchange, spec.name, packet)
                     walks += 1
-        assert walks == 512
+        assert walks == 640

@@ -18,7 +18,7 @@ from tests.federation.scenarios import clean_scenario, loop_scenario
 
 
 def loop_document():
-    federation = loop_scenario().build_controller(with_dataplane=False)
+    federation = loop_scenario().build_federation(with_dataplane=False)
     return export_federation_config(federation)
 
 
@@ -31,7 +31,7 @@ class TestRoundTrip:
 
     def test_rebuilt_federation_behaves_identically(self):
         document = export_federation_config(
-            clean_scenario().build_controller(with_dataplane=False))
+            clean_scenario().build_federation(with_dataplane=False))
         rebuilt = federation_from_config(document, with_dataplane=False)
         rebuilt.start()
         report = rebuilt.lint_policies()
@@ -39,7 +39,7 @@ class TestRoundTrip:
         assert report.by_check("SDX009") == []
 
     def test_save_load_round_trip(self, tmp_path):
-        federation = loop_scenario().build_controller(with_dataplane=False)
+        federation = loop_scenario().build_federation(with_dataplane=False)
         path = tmp_path / "federation.json"
         save_federation_config(federation, path)
         rebuilt = load_federation_config(path, with_dataplane=False)
@@ -117,6 +117,6 @@ class TestLinting:
 
     def test_clean_config_lints_clean(self):
         document = export_federation_config(
-            clean_scenario().build_controller(with_dataplane=False))
+            clean_scenario().build_federation(with_dataplane=False))
         report = lint_federated_config(document)
         assert not report.has_errors

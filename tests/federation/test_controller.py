@@ -5,10 +5,11 @@ import pytest
 from repro import drop, fwd, match
 from repro.bgp.asn import AsPath
 from repro.exceptions import ParticipantError, StaticPolicyError
-from repro.federation import FederatedController, FederatedReferenceInterpreter
+from repro.federation import FederatedController
 from repro.net.addresses import IPv4Prefix
 from repro.net.packet import Packet
 from repro.statics import analyze_controller
+from repro.verification.federation import reference_walk
 
 from tests.federation.scenarios import PORT, PREFIX, loop_scenario
 
@@ -130,7 +131,7 @@ class TestAcceptance:
     """The PR's acceptance criteria, as one test per claim."""
 
     def test_loop_pair_is_flagged_with_witness(self):
-        federation = loop_scenario().build_controller(with_dataplane=False)
+        federation = loop_scenario().build_federation(with_dataplane=False)
         report = analyze_controller(federation)
         findings = report.by_check("SDX008")
         assert findings
@@ -140,23 +141,23 @@ class TestAcceptance:
 
     def test_strict_mode_rejects_the_pair_at_install_time(self):
         with pytest.raises(StaticPolicyError):
-            loop_scenario().build_controller(
+            loop_scenario().build_federation(
                 statics_mode="strict", with_dataplane=False)
 
     def test_reference_forwards_the_witness_in_a_cycle(self):
         scenario = loop_scenario()
-        federation = scenario.build_controller(with_dataplane=False)
+        federation = scenario.build_federation(with_dataplane=False)
         diagnostic = analyze_controller(federation).by_check("SDX008")[0]
         payload = dict(diagnostic.data)
-        outcome = FederatedReferenceInterpreter(scenario).forward(
-            payload["origin_exchange"], payload["origin_participant"],
-            diagnostic.witness)
+        outcome = reference_walk(
+            scenario, payload["origin_exchange"],
+            payload["origin_participant"], diagnostic.witness)
         assert outcome.is_loop
         assert outcome.cycle
 
     def test_real_dataplane_agrees_the_witness_loops(self):
         scenario = loop_scenario()
-        federation = scenario.build_controller(with_dataplane=True)
+        federation = scenario.build_federation(with_dataplane=True)
         diagnostic = analyze_controller(federation).by_check("SDX008")[0]
         payload = dict(diagnostic.data)
         outcome = federation.forward(
@@ -167,14 +168,14 @@ class TestAcceptance:
 
 class TestLifecycle:
     def test_start_compiles_every_member(self):
-        federation = loop_scenario().build_controller(start=False)
+        federation = loop_scenario().build_federation(start=False)
         results = federation.start()
         assert set(results) == {"IXP-A", "IXP-B"}
         assert federation.started
 
     def test_settle_runs_without_error_after_updates(self):
         scenario = loop_scenario()
-        federation = scenario.build_controller()
+        federation = scenario.build_federation()
         federation.withdraw_route("IXP-A", "West", IPv4Prefix(PREFIX))
         federation.settle()
         outcome = federation.forward(
@@ -182,7 +183,7 @@ class TestLifecycle:
         assert not outcome.is_loop
 
     def test_summary_counts_federation_structure(self):
-        federation = loop_scenario().build_controller(with_dataplane=False)
+        federation = loop_scenario().build_federation(with_dataplane=False)
         summary = federation.summary()
         assert summary["exchanges"] == 2
         assert summary["shared_participants"] == 2
@@ -200,7 +201,7 @@ class TestGateJudgesTheDelta:
 
     def standing_loop(self):
         # Built with the gate off, so the port-80 loop pair stands.
-        federation = loop_scenario().build_controller(with_dataplane=False)
+        federation = loop_scenario().build_federation(with_dataplane=False)
         federation.statics_mode = "strict"
         return federation
 
@@ -225,7 +226,7 @@ class TestGateJudgesTheDelta:
         assert refusal.value.report is federation.last_statics_report
 
     def test_start_refuses_any_standing_error(self):
-        federation = loop_scenario().build_controller(
+        federation = loop_scenario().build_federation(
             with_dataplane=False, start=False)
         federation.statics_mode = "strict"
         with pytest.raises(StaticPolicyError):

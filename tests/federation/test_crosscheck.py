@@ -1,8 +1,8 @@
 """Tests for the federated fuzzer cross-validation battery."""
 
-from repro.federation import generate_federated_scenario
 from repro.verification.federation import FederatedWalk
 from repro.verification.kernel import Case, replay
+from repro.verification.scenario import generate_scenario
 
 from tests.federation.scenarios import (
     blackhole_scenario,
@@ -37,13 +37,13 @@ class TestHandScenarios:
 class TestGeneratedScenarios:
     def test_generated_scenarios_hold(self):
         for seed in (101, 202, 303):
-            scenario = generate_federated_scenario(
+            scenario = generate_scenario(
                 seed, exchanges=2, participants=6, policies=5, steps=4)
             failure, _walk = crosscheck(scenario, 4)
             assert failure is None, (seed, failure)
 
     def test_three_exchange_scenario_holds(self):
-        scenario = generate_federated_scenario(
+        scenario = generate_scenario(
             404, exchanges=3, participants=8, shared=3, policies=6, steps=3)
         failure, _walk = crosscheck(scenario, 4)
         assert failure is None, failure

@@ -23,7 +23,7 @@ def packet(dstport=PORT, **fields):
 
 class TestCrossExchangeWalk:
     def test_stitched_path_delivers_to_origin(self):
-        federation = clean_scenario().build_controller()
+        federation = clean_scenario().build_federation()
         outcome = federation.forward("IXP-B", "Eyeball", packet())
         assert outcome.is_delivered
         assert outcome.via == "origin"
@@ -32,21 +32,21 @@ class TestCrossExchangeWalk:
             "IXP-B:Eyeball", "IXP-A:Transit"]
 
     def test_loop_detected_with_cycle(self):
-        federation = loop_scenario().build_controller()
+        federation = loop_scenario().build_federation()
         outcome = federation.forward("IXP-A", "East", packet())
         assert outcome.is_loop
         assert len(outcome.cycle) == 2
         assert outcome.deliveries == ()
 
     def test_blackhole_dropped_beyond_first_exchange(self):
-        federation = blackhole_scenario().build_controller()
+        federation = blackhole_scenario().build_federation()
         outcome = federation.forward("IXP-A", "Sender", packet())
         assert outcome.kind == "dropped"
         assert outcome.exchange == "IXP-B"
         assert len(outcome.hops) == 2
 
     def test_unrouted_traffic_never_leaves_the_border(self):
-        federation = clean_scenario().build_controller()
+        federation = clean_scenario().build_federation()
         outcome = federation.forward(
             "IXP-B", "Eyeball", packet(dstip="203.0.113.5"))
         assert outcome.kind == "dropped"
@@ -57,7 +57,7 @@ class TestCrossExchangeWalk:
         # Port-443 traffic dodges the drop clause; at IXP-B it defaults
         # to Relay, which attends no other exchange and does not
         # originate the prefix: it exits through Relay's upstream.
-        federation = blackhole_scenario().build_controller()
+        federation = blackhole_scenario().build_federation()
         outcome = federation.forward("IXP-A", "Sender", packet(dstport=443))
         assert outcome.is_delivered
         assert outcome.via == "upstream"
@@ -67,7 +67,7 @@ class TestCrossExchangeWalk:
 
 class TestVmacSemantics:
     def test_reentry_preserves_original_headers(self):
-        federation = clean_scenario().build_controller()
+        federation = clean_scenario().build_federation()
         original = packet(srcip="192.0.2.7")
         outcome = federation.forward("IXP-B", "Eyeball", original)
         assert outcome.deliveries
@@ -81,7 +81,7 @@ class TestVmacSemantics:
         # the delivered frame carries the physical MAC of Content's port
         # at IXP-A, not any MAC from the IXP-B fabric the packet first
         # crossed.
-        federation = clean_scenario().build_controller()
+        federation = clean_scenario().build_federation()
         outcome = federation.forward("IXP-B", "Eyeball", packet())
         content = federation.handle("IXP-A", "Content").participant
         assert outcome.deliveries[0].packet["dstmac"] == (
@@ -94,7 +94,7 @@ class TestVmacSemantics:
             transit_a.router.ports[0].mac)
 
     def test_delivery_lands_on_the_destination_switch_port(self):
-        federation = clean_scenario().build_controller()
+        federation = clean_scenario().build_federation()
         outcome = federation.forward("IXP-B", "Eyeball", packet())
         content = federation.handle("IXP-A", "Content")
         assert outcome.deliveries[0].switch_port == content.port(0)
@@ -103,7 +103,7 @@ class TestVmacSemantics:
 
 class TestCounterAttribution:
     def test_each_traversed_fabric_counts_exactly_once(self):
-        federation = clean_scenario().build_controller()
+        federation = clean_scenario().build_federation()
         federation.forward("IXP-B", "Eyeball", packet())
         for exchange in ("IXP-A", "IXP-B"):
             switch = federation.exchange(exchange).fabric.switch
@@ -111,7 +111,7 @@ class TestCounterAttribution:
             assert ingress == 1, exchange
 
     def test_counters_attribute_to_the_correct_ports(self):
-        federation = clean_scenario().build_controller()
+        federation = clean_scenario().build_federation()
         federation.forward("IXP-B", "Eyeball", packet())
         switch_b = federation.exchange("IXP-B").fabric.switch
         eyeball_port = federation.handle("IXP-B", "Eyeball").port(0)
@@ -123,7 +123,7 @@ class TestCounterAttribution:
         assert switch_a.stats(content_port).tx_packets == 1
 
     def test_untouched_walk_leaves_other_fabric_cold(self):
-        federation = clean_scenario().build_controller()
+        federation = clean_scenario().build_federation()
         # A local IXP-A walk (Content's upstream exit) never touches B.
         federation.forward("IXP-A", "Content", packet(dstport=443))
         switch_b = federation.exchange("IXP-B").fabric.switch

@@ -1,8 +1,9 @@
 """A one-exchange federation is byte-identical to a plain SDX.
 
 Hypothesis properties over seeded random single-exchange scenarios: the
-:func:`~repro.federation.scenario.wrap_scenario` lift must neither add
-nor lose statics verdicts, and the federated walk must collapse to plain
+same :class:`~repro.verification.scenario.Scenario` built as an
+``SdxController`` and as a one-exchange federation must carry the same
+statics verdicts, and the federated walk must collapse to plain
 single-exchange forwarding (delivered via ``upstream`` or dropped — a
 lone exchange has nowhere to re-enter).
 """
@@ -10,7 +11,7 @@ lone exchange has nowhere to re-enter).
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.federation import analyze_federation, wrap_scenario
+from repro.federation import analyze_federation
 from repro.statics import analyze_controller
 from repro.verification.corpus import generate_corpus
 from repro.verification.scenario import generate_scenario
@@ -38,9 +39,8 @@ class TestStaticsEquivalence:
         scenario = scenario_from(seed)
         single = analyze_controller(
             scenario.build_controller(statics_mode="off"))
-        federation = wrap_scenario(scenario).build_controller(
-            with_dataplane=False)
-        federated = analyze_federation(federation)
+        federated = analyze_federation(
+            scenario.build_federation(with_dataplane=False))
         single_keys = sorted(verdict_key(d) for d in single.diagnostics)
         federated_keys = sorted(
             verdict_key(d) for d in federated.diagnostics
@@ -50,7 +50,7 @@ class TestStaticsEquivalence:
     @settings(max_examples=EXAMPLES, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_wrap_never_invents_federation_findings(self, seed):
-        federation = wrap_scenario(scenario_from(seed)).build_controller(
+        federation = scenario_from(seed).build_federation(
             with_dataplane=False)
         report = analyze_federation(federation)
         assert report.by_check("SDX008") == []
@@ -63,11 +63,9 @@ class TestForwardingEquivalence:
     def test_federated_walk_collapses_to_plain_sdx(self, seed):
         scenario = scenario_from(seed)
         controller = scenario.build_controller()
-        controller.start()
-        federation = wrap_scenario(scenario).build_controller()
+        federation = scenario.build_federation()
         corpus = generate_corpus(scenario, size=6, seed=seed)
-        names = [p.name for p in scenario.participants]
-        for sender in names:
+        for sender in scenario.participant_names():
             for packet in corpus:
                 accepted = [d for d in controller.send(sender, packet)
                             if d.accepted]

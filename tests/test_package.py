@@ -171,6 +171,59 @@ class TestOneRanking:
                 == "_announcers"] == []
 
 
+def _called(node):
+    """The names a function body calls (``f(...)`` and ``x.f(...)``)."""
+    return {getattr(call.func, "id", getattr(call.func, "attr", None))
+            for call in ast.walk(node) if isinstance(call, ast.Call)}
+
+
+class TestOneScenario:
+    """A single exchange is the one-exchange federation: one scenario type,
+    one generator, one re-entry rule. A second generator, a ``Federated*``
+    item type or a lift from one to the other is the old split growing
+    back."""
+
+    def test_one_generator(self):
+        defs = [(str(path.relative_to(REPO_ROOT / "src" / "repro")),
+                 node.name)
+                for path, tree in _src_trees().items()
+                for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)
+                and node.name.startswith("generate_")
+                and "scenario" in node.name]
+        assert defs == [("verification/scenario.py", "generate_scenario")]
+
+    def test_no_federated_item_types(self):
+        suffixes = ("Scenario", "Participant", "Announcement", "Policy",
+                    "TraceStep")
+        names = [node.name for tree in _src_trees().values()
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.ClassDef)
+                 and node.name.startswith("Federated")
+                 and node.name.endswith(suffixes)]
+        assert names == []
+
+    def test_no_wrap_scenario(self):
+        uses = [path.name for path, tree in _src_trees().items()
+                for node in ast.walk(tree)
+                if "wrap_scenario" in (getattr(node, "name", None),
+                                       getattr(node, "id", None),
+                                       getattr(node, "attr", None))]
+        assert uses == []
+
+    def test_the_reentry_rule_is_written_once(self):
+        """Both dynamic arms re-enter through ``federation/dataplane.py``;
+        the static walker in ``federation/checks.py`` keeps its own, since
+        SDX008/SDX009 are judged against those arms."""
+        rules = sorted(
+            str(path.relative_to(REPO_ROOT / "src" / "repro"))
+            for path, tree in _src_trees().items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and {"presence", "best_route_for"} <= _called(node))
+        assert rules == ["federation/checks.py", "federation/dataplane.py"]
+
+
 class TestNoHiddenKnobs:
     """Every setting is an argument, a config field or a CLI option: a
     process-environment read is a knob no signature shows — the last two

@@ -1,9 +1,9 @@
 """The harness kernel, once, over all three case types.
 
-``Scenario``, ``Scenario`` + ``ChaosSchedule`` and ``FederatedScenario``
-cases share one replay loop, one shrinker, one artifact format and one
-budgeted session, so their contracts are tested once, parametrised —
-each case type paired with a seeded defect that makes it fail:
+``Scenario``, ``Scenario`` + ``ChaosSchedule`` and multi-exchange
+``Scenario`` cases share one replay loop, one shrinker, one artifact
+format and one budgeted session, so their contracts are tested once,
+parametrised — each case type paired with a seeded defect that makes it fail:
 
 * ``scenario`` — the incremental engine's fast path patches nothing;
 * ``chaos`` — the runtime queue swallows one prefix's announcements;
@@ -18,7 +18,6 @@ import pytest
 
 from repro.chaos import ChaosSoakConfig, run_chaos_soak
 from repro.core.incremental import IncrementalEngine
-from repro.federation import generate_federated_scenario
 from repro.federation.controller import FederatedController
 from repro.runtime.queue import OfferOutcome, RuntimeQueue
 from repro.telemetry import Telemetry
@@ -73,7 +72,7 @@ def federated_case(monkeypatch):
             real_submit(federation, exchange, update)
 
     monkeypatch.setattr(FederatedController, "submit_update", lossy_submit)
-    return Case(generate_federated_scenario(
+    return Case(generate_scenario(
         2, exchanges=2, participants=4, prefixes=4, policies=5, steps=6),
         corpus_size=4)
 
@@ -183,8 +182,8 @@ class TestArtifact:
 
 class TestChecks:
     def test_base_check_follows_the_case_type(self, failing):
-        base = {"Scenario": "oracle", "FederatedScenario": "federation"}[
-            type(failing.scenario).__name__]
+        multi = len(failing.scenario.exchanges) > 1
+        base = "federation" if multi else "oracle"
         if failing.schedule is not None:
             base = "chaos"
         assert failing.check_names() == (base,)
@@ -196,7 +195,7 @@ class TestChecks:
             build_checks(bad)
 
     def test_checks_lift_over_a_federation(self):
-        scenario = generate_federated_scenario(
+        scenario = generate_scenario(
             5, exchanges=2, participants=4, prefixes=4, policies=5, steps=4)
         case = Case(scenario, checks=("oracle", "runtime", "statics",
                                       "dataplane"), corpus_size=4)

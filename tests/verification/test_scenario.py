@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.verification.corpus import generate_corpus, senders_for
+from repro.verification.corpus import generate_corpus
 from repro.verification.reference import ReferenceInterpreter
 from repro.verification.scenario import Scenario, generate_scenario
 
@@ -86,7 +86,3 @@ class TestCorpus:
             prefix = IPv4Prefix(text)
             assert any(prefix.contains_address(packet["dstip"])
                        for packet in generate_corpus(scenario))
-
-    def test_senders_are_the_members(self):
-        scenario = generate_scenario(6, steps=4)
-        assert senders_for(scenario) == scenario.participant_names()

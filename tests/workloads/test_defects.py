@@ -64,12 +64,12 @@ class TestFederationDefects:
     """Seeded federation-level defects: SDX008/SDX009 recall."""
 
     def seeded_federation(self, seed):
-        from repro.federation import generate_federated_scenario
+        from repro.verification.scenario import generate_scenario
 
-        scenario = generate_federated_scenario(
+        scenario = generate_scenario(
             seed, exchanges=2, participants=6, shared=2,
             policies=4, steps=0)
-        return scenario.build_controller(with_dataplane=False)
+        return scenario.build_federation(with_dataplane=False)
 
     def test_covers_both_federation_defect_classes(self):
         from repro.workloads.policies import FEDERATION_DEFECT_KINDS
