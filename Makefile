@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint lint-policies-smoke dataplane-lint-smoke federation-smoke bench bench-results sdxbench-check sdxbench-compare examples docs telemetry-smoke fuzz soak-smoke chaos-smoke monitor-smoke clean
+.PHONY: install test lint lint-policies-smoke dataplane-lint-smoke federation-smoke bench bench-results sdxbench-check sdxbench-compare sdxbench-pairs examples docs telemetry-smoke fuzz soak-smoke chaos-smoke monitor-smoke clean
 
 # Differential fuzzing session knobs (see docs/TESTING.md).
 FUZZ_SEED ?= 0
@@ -130,6 +130,18 @@ sdxbench-compare:
 	@$(PYTHON) benchmarks/sdxbench/compare.py artifacts/sdxbench/base.json \
 		artifacts/sdxbench/change.json > artifacts/sdxbench/compare.txt; \
 		status=$$?; cat artifacts/sdxbench/compare.txt; exit $$status
+
+# How a gain is claimed: PAIRS alternating parent/change pairs of the
+# contract command on WORKLOAD, seeds 0..PAIRS-1, the parent first on even
+# seeds (BASE in a temporary git worktree, as above). Prints, per
+# end-to-end metric, both medians with quartiles, the change, the wins and
+# whether the claim rule of docs/PERFORMANCE.md §2 holds.
+PAIRS ?= 10
+
+sdxbench-pairs:
+	@test -n "$(BASE)" && test -n "$(WORKLOAD)" || { echo "usage: make sdxbench-pairs BASE=<rev> WORKLOAD=<w> [PAIRS=10]"; exit 2; }
+	$(PYTHON) tools/sdxbench_pairs.py --base $(BASE) --workload $(WORKLOAD) \
+		--pairs $(PAIRS)
 
 examples:
 	@for script in examples/*.py; do \

@@ -46,6 +46,7 @@ import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, groupby
 from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple)
 
@@ -77,7 +78,7 @@ from repro.net.addresses import IPv4Prefix
 from repro.net.mac import MacAddress
 from repro.policy.classifier import Action, Classifier, ComposeStats, Rule
 from repro.policy.flowrules import FlowRule
-from repro.policy.headerspace import WILDCARD
+from repro.policy.headerspace import HeaderSpace, WILDCARD
 from repro.policy.optimize import ShadowIndex, merge_drop_tail
 from repro.policy.policies import Conjunction, Predicate, match
 from repro.policy.predicates import match_any_prefix, match_any_value
@@ -92,7 +93,8 @@ REUSE_STAGES = ("groups", "defaults", "inbound", "stage2",
 
 def compile_clause_rules(predicate: Predicate, actions: Tuple[Action, ...],
                          fallback: Optional[Classifier],
-                         stats: Optional[ComposeStats] = None) -> List[Rule]:
+                         stats: Optional[ComposeStats] = None,
+                         masks: Optional[List[HeaderSpace]] = None) -> List[Rule]:
     """Rules for "``predicate`` → ``actions``, otherwise fall through".
 
     Compiles the predicate to a filter classifier and keeps only what the
@@ -100,7 +102,8 @@ def compile_clause_rules(predicate: Predicate, actions: Tuple[Action, ...],
     (negation masks) are expanded against ``fallback`` so masked traffic
     gets default treatment instead of vanishing, and the trailing
     "predicate didn't match" drops are removed so lower layers see the
-    traffic. With ``fallback=None`` masks stay as drops.
+    traffic. With ``fallback=None`` masks stay as drops. The match of each
+    mask expanded is appended to ``masks``, if given.
     """
     filter_classifier = predicate.compile(stats)
     rules = filter_classifier.rules
@@ -126,6 +129,8 @@ def compile_clause_rules(predicate: Predicate, actions: Tuple[Action, ...],
         if fallback is None:
             out.append(rule)
         else:
+            if masks is not None:
+                masks.append(rule.match)
             for fallback_rule in fallback.rules:
                 merged = rule.match.intersect(fallback_rule.match)
                 if merged is not None:
@@ -135,20 +140,23 @@ def compile_clause_rules(predicate: Predicate, actions: Tuple[Action, ...],
 
 def compile_guarded_clauses(pairs: Iterable[Tuple[Predicate, Tuple[Action, ...]]],
                             fallback: Optional[Classifier],
-                            stats: Optional[ComposeStats] = None) -> Classifier:
+                            stats: Optional[ComposeStats] = None,
+                            masks: Optional[List[HeaderSpace]] = None
+                            ) -> Classifier:
     """A (partial) classifier stacking clause rules in priority order.
 
     Compiled bottom-up so that a clause's negation masks expand against
     everything *below it* — later clauses first, then ``fallback`` — and
     masked traffic gets exactly the treatment it would get if the clause
     did not exist. Mask expansion copies below-stack rules, so it is paid
-    only by clauses that actually contain negation.
+    only by clauses that actually contain negation; their matches go to
+    ``masks``, if given.
     """
     pair_list = list(pairs)
     below = fallback
     layers: List[List[Rule]] = []
     for predicate, actions in reversed(pair_list):
-        rules = compile_clause_rules(predicate, actions, below, stats)
+        rules = compile_clause_rules(predicate, actions, below, stats, masks)
         layers.append(rules)
         if below is None:
             below = Classifier(rules)
@@ -182,6 +190,12 @@ class CompilationResult:
     timings: Dict[str, float] = field(default_factory=dict)
     #: The inbound stage the table was composed with.
     stage2: Optional[Classifier] = None
+    #: ``rules`` in the blocks :meth:`SdxCompiler._reduce` keys apart, top
+    #: first: each holder's, the default layer's runs, the catch-all drop.
+    #: A block a later compilation did not change is the same tuple there —
+    #: the unit the southbound diff skips (:func:`repro.southbound.diff.
+    #: compute_block_delta`).
+    blocks: Tuple[Tuple[FlowRule, ...], ...] = ()
     #: ``(stage, name) -> (inputs, result)``, what the next compilation may
     #: reuse (:meth:`SdxCompiler._reuse`) — kept here, not on the compiler,
     #: so a compilation nobody holds takes its artefacts with it.
@@ -292,30 +306,43 @@ class SdxCompiler:
         return result
 
     def _reuse(self, stage: str, name: Optional[str], inputs: Any,
-               build: Callable[..., Any], patch: bool = False) -> Any:
+               build: Callable[..., Any], patch: bool = False,
+               stands: Optional[Callable[[Any], bool]] = None) -> Any:
         """``build()`` — or what it returned last time, if ``inputs`` equal
-        what it was built from then. The compiler's one memo.
+        what it was built from then. The compiler's one memo, counted per
+        stage (:meth:`_carry` is the same memo, uncounted).
 
         ``inputs`` must hold everything ``build`` reads, by value (an
         earlier stage's result stands for itself: classifiers compare by
         identity); ``None`` opts out, for RIB-tracking predicates that
-        resolve anew every time. A stage that can ``patch`` is handed the
-        kept entry, ``(inputs, result)`` or ``None``, to start from what
-        still holds of it — copying what it changes: the entry stays the
-        previous result's. A compilation carries on only the entries it asks
-        for; outside one, the latest result's are read and extended in place.
+        resolve anew every time. What a build read that only its result
+        can name, ``stands(result)`` checks. A stage that can ``patch`` is
+        handed the kept entry, ``(inputs, result)`` or ``None``, to start
+        from what still holds of it — copying what it changes: the entry
+        stays the previous result's. A compilation carries on only the
+        entries it asks for; outside one, the latest result's are read and
+        extended in place.
         """
+        hit, result = self._carry((stage, name), inputs, build, patch, stands)
+        if not hit:
+            self._rebuilt.add(stage)
+        self._reuse_counters[stage, hit].inc()
+        return result
+
+    def _carry(self, key: tuple, inputs: Any, build: Callable[..., Any],
+               patch: bool = False,
+               stands: Optional[Callable[[Any], bool]] = None
+               ) -> Tuple[bool, Any]:
+        """:meth:`_reuse` under ``key``, uncounted: ``(hit, result)``."""
         last = self._last()
         previous = last.reuse if last is not None else {}
-        entry = previous.get((stage, name))
+        entry = previous.get(key)
         hit = (inputs is not None and entry is not None
-               and entry[0] == inputs)
+               and entry[0] == inputs and (stands is None or stands(entry[1])))
         if not hit:
             entry = (inputs, build(entry) if patch else build())
-            self._rebuilt.add(stage)
-        (previous if self._kept is None else self._kept)[stage, name] = entry
-        self._reuse_counters[stage, hit].inc()
-        return entry[1]
+        (previous if self._kept is None else self._kept)[key] = entry
+        return hit, entry[1]
 
     def resume(self, result: Optional[CompilationResult]) -> None:
         """Reuse from ``result`` next: the memo's part of undoing a change."""
@@ -353,7 +380,7 @@ class SdxCompiler:
             defaults_classifier = self._defaults(participants, members, groups, stats)
 
         with self._stage("outbound", timings):
-            eligible = self._eligibility(grouping.signatures, by_context)
+            eligible = self._eligibility(grouping, by_context)
             # One block per policy holder, then (``None``) the default layer.
             owners = [*self._policy_holders(participants), None]
             if self.optimized:
@@ -389,13 +416,14 @@ class SdxCompiler:
                 blocks = [compose_naive(parts, inbound_parts, report)]
 
         with self._stage("reduction", timings):
-            rules = self._reduce(owners, blocks)
+            numbered = self._reduce(owners, blocks)
+            rules = tuple(chain.from_iterable(numbered))
 
         timings["total"] = time.perf_counter() - started
         span.set_tag(rules=len(rules), groups=len(groups))
         return CompilationResult(
             rules=rules, groups=tuple(groups), report=report,
-            timings=timings, stage2=stage2, reuse=self._kept)
+            timings=timings, stage2=stage2, blocks=numbered, reuse=self._kept)
 
     # ------------------------------------------------------------------
     # Pipeline pieces
@@ -527,12 +555,14 @@ class SdxCompiler:
         return self._reuse("composition", None, (part, stage2), build,
                            patch=True)[0]
 
-    def _eligibility(self, signatures: PrefixTrie,
-                     by_context: dict) -> Callable[..., Optional[tuple]]:
-        """(participant, target, optional dstip constraint) -> the tags a
-        clause toward ``target`` may match: the VMACs of the eligible prefix
-        groups, or — without VNHs — the eligible prefixes themselves. A drop
-        clause (``target`` ``None``) applies whatever the tag: ``None``."""
+    def _eligibility(self, grouping: Grouping,
+                     by_context: dict) -> Callable[..., tuple]:
+        """(participant, its clauses) -> per clause, the tags it may match:
+        the VMACs of the prefix groups eligible toward its target, or —
+        without VNHs — the eligible prefixes themselves; ``None`` for a drop
+        clause, which applies whatever the tag. With VNHs a participant's
+        tuple is kept while its clauses, the grouping and the allocator's
+        assignment stand: worked out once per grouping, not per compile."""
         def tags(participant: str, target: Optional[str],
                  dstip_limit=None) -> Optional[tuple]:
             if target is None:
@@ -546,12 +576,28 @@ class SdxCompiler:
                 return reachable
             eligible = by_context.get((participant, target), ())
             if dstip_limit is not None:
-                allowed = self._groups_overlapping(signatures, dstip_limit)
+                allowed = self._groups_overlapping(
+                    grouping.signatures, dstip_limit)
                 eligible = [g for g in eligible if g.signature in allowed]
             return tuple(self.allocator.vmac_for_group(g.group_id)
                          for g in eligible)
 
-        return tags
+        def per_clause(participant: Participant,
+                       clauses: Sequence[Clause]) -> tuple:
+            def build() -> tuple:
+                return tuple(
+                    tags(participant.name,
+                         None if clause.drops else str(clause.target),
+                         clause.dstip)
+                    for clause in clauses)
+
+            if not self.use_vnh:
+                return build()
+            return self._carry(
+                ("tags", participant.name),
+                (clauses, grouping, self.allocator.generation), build)[1]
+
+        return per_clause
 
     @staticmethod
     def _groups_overlapping(signatures: PrefixTrie, dstip_limit) -> set:
@@ -601,25 +647,24 @@ class SdxCompiler:
         return match_any_value("dstmac", tags)
 
     def _outbound_part(self, participant: Participant,
-                       eligible: Callable[..., Optional[tuple]],
+                       eligible: Callable[..., tuple],
                        fallback: Classifier, stats: Optional[ComposeStats],
                        views: Optional[dict] = None) -> Classifier:
         """One participant's outbound clauses as a partial classifier: each
         one isolated to its owner's ports, joined with BGP through the tags
         ``eligible`` allows it, and falling through to ``fallback``.
 
-        A compilation reuses the block while its clauses, those tags and
-        the default layer below it are the same; the fast path — which
-        brings its own Loc-RIB ``views`` — builds it for its one fresh
-        group and leaves the memo alone.
+        A compilation reuses the block while its clauses and those tags are
+        the same and — if a negation mask was expanded against ``fallback``
+        — so are the rules of it the masks overlap (:meth:`_read`): a BGP
+        update that moves no tag of the holder's keeps its block. The fast
+        path — which brings its own Loc-RIB ``views`` — builds it for its
+        one fresh group and leaves the memo alone.
         """
         clauses = participant.outbound_clauses()
-        tags = tuple(
-            eligible(participant.name,
-                     None if clause.drops else str(clause.target), clause.dstip)
-            for clause in clauses)
+        tags = eligible(participant, clauses)
 
-        def build() -> Classifier:
+        def build() -> tuple:
             ingress = ingress_guard(participant)
             pairs: List[Tuple[Predicate, Tuple[Action, ...]]] = []
             for clause, allowed in zip(clauses, tags):
@@ -632,13 +677,29 @@ class SdxCompiler:
                 pairs.append((Conjunction(guarded), clause_action(
                     clause, None if clause.drops
                     else self.topology.vport(str(clause.target)))))
-            return compile_guarded_clauses(pairs, fallback, stats)
+            masks: List[HeaderSpace] = []
+            part = compile_guarded_clauses(pairs, fallback, stats, masks)
+            return (part, tuple(masks), fallback,
+                    self._read(masks, fallback) if masks else ())
+
+        def stands(kept: tuple) -> bool:
+            _part, masks, below, read = kept
+            return (not masks or below is fallback
+                    or read == self._read(masks, fallback))
 
         if views is not None:
-            return build()
+            return build()[0]
         return self._reuse(
             "outbound", participant.name,
-            self._unless_dynamic(clauses, (clauses, tags, fallback)), build)
+            self._unless_dynamic(clauses, (clauses, tags)), build,
+            stands=stands)[0]
+
+    @staticmethod
+    def _read(masks: Sequence[HeaderSpace], fallback: Classifier) -> tuple:
+        """The rules of ``fallback`` that expanding ``masks`` reads: those
+        whose match overlaps one of them, in order."""
+        return tuple(rule for rule in fallback.rules if any(
+            mask.intersect(rule.match) is not None for mask in masks))
 
     def compile_prefix(self, prefix: IPv4Prefix, vmac: MacAddress,
                        decision: Decision, stage2: Classifier,
@@ -652,14 +713,18 @@ class SdxCompiler:
         ``stage2``. Pure: reads no memo, leaves none. ``views`` holds the
         Loc-RIB views of one fast-path invocation.
         """
-        def eligible(participant: str, target: Optional[str],
-                     dstip_limit=None) -> tuple:
+        def tags(participant: str, clause: Clause) -> tuple:
+            dstip_limit = clause.dstip
             if dstip_limit is not None and not dstip_limit.overlaps(prefix):
                 return ()
-            if target is not None and not self.route_server.is_reachable(
-                    participant, prefix, via=target):
+            if not clause.drops and not self.route_server.is_reachable(
+                    participant, prefix, via=str(clause.target)):
                 return ()
             return (vmac,)
+
+        def eligible(participant: Participant,
+                     clauses: Sequence[Clause]) -> tuple:
+            return tuple(tags(participant.name, clause) for clause in clauses)
 
         participants = self.topology.participants()
         defaults = self._stack_pieces(self._default_pieces(
@@ -780,43 +845,70 @@ class SdxCompiler:
             self._unless_dynamic(clauses, (clauses, physical_stage)), build)
 
     def _reduce(self, owners: Sequence[Optional[Participant]],
-                blocks: Sequence[Classifier]) -> Tuple[FlowRule, ...]:
-        """The final table: ``blocks`` stacked, trailing drops merged, —
-        unless ``reduce_table`` is off — shadowed rules removed, and every
-        rule keyed: the top of its block's band less its overlap depth in
-        the block (:meth:`ShadowIndex.add`), so of two rules that overlap
-        the earlier wins and a key moves only when something it overlaps does.
+                blocks: Sequence[Classifier]
+                ) -> Tuple[Tuple[FlowRule, ...], ...]:
+        """The final table, in blocks: ``blocks`` stacked, trailing drops
+        merged, — unless ``reduce_table`` is off — shadowed rules removed,
+        and every rule keyed: the top of its block's band less its overlap
+        depth in the block (:meth:`ShadowIndex.add`), so of two rules that
+        overlap the earlier wins and a key moves only when something it
+        overlaps does.
 
         Each block but the last matches only its owner's ingress ports, so
         it is reduced and numbered on its own, and they share a band. The
         last (the default layer, or the whole naive table) has the band
         below; of its rules only an exception guarded on a holder's port
-        can be covered from above, and only by that holder's block. The
-        last rule of all, the catch-all drop, has one priority under both.
+        can be covered from above, and only by that holder's block — so it
+        is cut into runs of one ingress port (:meth:`_uncovered`). The last
+        rule of all, the catch-all drop, has one priority under both.
         """
         def numbered(rules: Sequence[Rule], top: int, floor: int) -> tuple:
             index = ShadowIndex()
-            out = [FlowRule(top - depth, rule.match, rule.actions)
-                   for rule in rules if (depth := index.add(
-                       rule.match, self.reduce_table)) is not None]
+            out = tuple(FlowRule(top - depth, rule.match, rule.actions)
+                        for rule in rules if (depth := index.add(
+                            rule.match, self.reduce_table)) is not None)
             if any(rule.priority <= floor for rule in out):
                 raise CompilationError(f"overlaps {top - floor} deep: band is full")
             return out, index
 
+        def runs(tail: Classifier) -> tuple:
+            *body, last = merge_drop_tail(tail).rules
+            kept, _index = numbered(body, DEFAULT_BAND_TOP, DROP_PRIORITY)
+            return ([(port, tuple(run)) for port, run in groupby(
+                        kept, lambda rule: rule.match.get("port"))],
+                    (FlowRule(DROP_PRIORITY, last.match, last.actions),))
+
         *above, tail = blocks
-        rules: List[FlowRule] = []
+        out: List[Tuple[FlowRule, ...]] = []
         index_above: Dict[int, ShadowIndex] = {}
         for owner, block in zip(owners, above):
             kept, index = self._reuse(
                 "reduction", owner.name, block, lambda: numbered(
                     block.rules, PRIORITY_CEILING - 1, DEFAULT_BAND_TOP))
-            rules.extend(kept)
+            out.append(kept)
             if self.reduce_table:
                 index_above.update(dict.fromkeys(owner.switch_ports, index))
-        *body, last = merge_drop_tail(tail).rules
-        for rule in self._reuse("reduction", None, tail, lambda: numbered(
-                body, DEFAULT_BAND_TOP, DROP_PRIORITY)[0]):  # its index: unused
-            index = index_above.get(rule.match.get("port"))
-            if index is None or not index.covers(rule.match):
-                rules.append(rule)
-        return (*rules, FlowRule(DROP_PRIORITY, last.match, last.actions))
+        default_runs, drop = self._reuse("reduction", None, tail,
+                                         lambda: runs(tail))
+        out.extend(self._uncovered(default_runs, index_above))
+        out.append(drop)
+        return tuple(out)
+
+    def _uncovered(self, runs: Sequence[tuple],
+                   index_above: Dict[int, ShadowIndex]
+                   ) -> Iterator[Tuple[FlowRule, ...]]:
+        """Each ``(port, run)`` of the default layer less the rules the
+        block of the holder on that port covers. A run is filtered anew only
+        when it or that holder's index is new; the rest keep their objects,
+        so a one-holder change leaves the default layer's blocks the same
+        but for the exceptions on that holder's ports."""
+        for port, run in runs:
+            index = index_above.get(port)
+            if index is None:
+                yield run
+                continue
+            # Keyed by the run's id: the entry holds the run, so while it
+            # lives that id names no other object.
+            yield self._carry(
+                ("cover", id(run)), (run, index), lambda: tuple(
+                    rule for rule in run if not index.covers(rule.match)))[1]

@@ -122,7 +122,7 @@ class IncrementalEngine:
         """
         with self.telemetry.span("install_full", rules=len(result.rules)):
             self.last_delta = self.southbound.sync_classifier(
-                result.rules, flush=False)
+                result, flush=False)
             self.southbound.flush_installs()
             before_deletes()
             self.southbound.flush()

@@ -90,7 +90,8 @@ class VnhAllocator:
             (self._ephemeral, self._pending_retire, self._free,
              self._next_offset, self._next_tag) = rest
             self._rebind()
-            self.changes.record(self.changes.since(version))
+            if self.changes.version != version:
+                self.changes.record(self.changes.since(version))
             raise
 
     def _rebind(self) -> None:
@@ -125,9 +126,34 @@ class VnhAllocator:
         their rules; until then they sit in a quarantine list. The pool
         therefore never leaks across recompilations, though it must hold
         roughly the live groups plus one generation of churn.
+
+        The partition assigned already, under the same group ids and with
+        no ephemeral live, is no change at all: no pair moves, nothing is
+        rebound or recorded, and :attr:`generation` stays where it was.
         """
         with self.telemetry.span("vnh.assign_groups"):
+            groups = list(groups)
+            if not self._ephemeral and self._holds(groups):
+                return
             self._assign_groups(groups)
+
+    def _holds(self, groups: List[PrefixGroup]) -> bool:
+        """True when ``groups`` partition the prefixes as the assigned ones
+        do, id for id — an assignment reads nothing else of a group. Equal
+        groups that are other objects take their places, so that the next
+        such check is by identity."""
+        assigned = self._groups
+        if len(groups) != len(assigned):
+            return False
+        fresh = [group for group in groups
+                 if assigned.get(group.group_id) is not group]
+        if not fresh:
+            return True
+        if not all((held := assigned.get(group.group_id)) is not None
+                   and held.prefixes == group.prefixes for group in fresh):
+            return False
+        self._groups = {group.group_id: group for group in groups}
+        return True
 
     def _assign_groups(self, groups: Iterable[PrefixGroup]) -> None:
         previous: Dict[frozenset, Tuple[IPv4Address, MacAddress]] = {

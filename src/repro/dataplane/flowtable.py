@@ -227,9 +227,12 @@ class FlowTable:
             self._priorities = sorted(self._levels, reverse=True)
         return self._priorities
 
-    def _entries(self) -> Iterator[list]:
-        """Every entry in table order: by priority, then as installed."""
+    def _entries(self, floor: Optional[int] = None) -> Iterator[list]:
+        """Every entry in table order: by priority, then as installed — down
+        to priority ``floor``, if given."""
         for priority in self._descending():
+            if floor is not None and priority < floor:
+                return
             buckets = self._levels[priority].values()
             if len(buckets) == 1:  # a guard's dict is in install order
                 yield from next(iter(buckets)).values()
@@ -245,6 +248,11 @@ class FlowTable:
         if self._rules is None:
             self._rules = tuple(map(itemgetter(RULE), self._entries()))
         return self._rules
+
+    def rules_from(self, floor: int) -> List[FlowRule]:
+        """Installed rules at priority ``floor`` or above, in table order:
+        the top levels alone, whatever the size of the rest."""
+        return list(map(itemgetter(RULE), self._entries(floor)))
 
     def __len__(self) -> int:
         return self._size

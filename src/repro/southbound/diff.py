@@ -12,12 +12,27 @@ key yields the three standard mod kinds:
 Rules whose key *and* actions are unchanged are not touched at all, which
 is what preserves their packet counters across a recompile (the property
 the Figure 9/10 update-cost measurements depend on).
+
+Two ways to get that delta, one answer. :func:`compute_delta` keys every
+rule on both sides. :func:`compute_block_delta` diffs by *block* — one
+policy holder's numbered rules, one run of the default layer, the
+catch-all drop (:attr:`repro.core.compiler.CompilationResult.blocks`): a
+block the new compilation shares with the installed one, as the very same
+tuple, is counted unchanged by its length without hashing a rule; only the
+other blocks are keyed, the new against the installed ones they replace.
+Its precondition is that the main table (below :data:`PRIORITY_CEILING`)
+holds exactly the installed blocks, which the southbound engine knows from
+the table's generation; when it cannot know — the table moved in any way
+the engine did not make — it falls back to :func:`compute_delta` over the
+live table. The two agree on adds and modifies in order, deletes as a set
+and ``unchanged``.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.policy.classifier import Action
@@ -182,3 +197,42 @@ def compute_delta(installed: Sequence[FlowRule],
             deletes.append(FlowMod.delete(rule))
     return Delta(adds=tuple(adds), modifies=tuple(modifies),
                  deletes=tuple(deletes), unchanged=unchanged)
+
+
+def compute_block_delta(installed: Sequence[Sequence[FlowRule]],
+                        target: Sequence[Sequence[FlowRule]],
+                        reclaim: Iterable[FlowRule] = ()) -> Tuple[Delta, int]:
+    """:func:`compute_delta` from the rules of ``installed`` and
+    ``reclaim`` to the rules of ``target``, block by block; with the number
+    of rules it keyed.
+
+    A target block that *is* an installed block is unchanged whole; the
+    other target blocks are keyed against the installed blocks no longer
+    there, and what of those is left — with every ``reclaim`` rule — is
+    deleted. Like a compilation, ``target`` holds no key twice.
+    """
+    in_target = {id(block) for block in target}
+    gone: Dict[RuleKey, FlowRule] = {
+        rule_key(rule): rule for block in installed
+        if id(block) not in in_target for rule in block}
+    keyed = len(gone)
+    adds: List[FlowMod] = []
+    modifies: List[FlowMod] = []
+    unchanged = 0
+    in_installed = {id(block) for block in installed}
+    for block in target:
+        if id(block) in in_installed:
+            unchanged += len(block)
+            continue
+        keyed += len(block)
+        for rule in block:
+            old = gone.pop(rule_key(rule), None)
+            if old is None:
+                adds.append(FlowMod.add(rule))
+            elif old.actions != rule.actions:
+                modifies.append(FlowMod.modify(rule))
+            else:
+                unchanged += 1
+    deletes = tuple(map(FlowMod.delete, chain(reclaim, gone.values())))
+    return Delta(adds=tuple(adds), modifies=tuple(modifies), deletes=deletes,
+                 unchanged=unchanged), keyed

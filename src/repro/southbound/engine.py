@@ -2,8 +2,11 @@
 
 :class:`SouthboundEngine` owns the path from "here is the table the
 compiler wants" to "here are the FlowMod batches the switch executes".
-Deltas are computed against the *live* table, coalesced per rule key in
-an :class:`~repro.southbound.queue.UpdateQueue`, ordered by
+Deltas are computed against the table as it will stand once pending mods
+are flushed — block by block against the compilation it last synced while
+the table is exactly what the engine left it, over the live table
+otherwise (:mod:`repro.southbound.diff`) — coalesced per rule key in an
+:class:`~repro.southbound.queue.UpdateQueue`, ordered by
 :func:`schedule_two_phase`, and applied in bounded batches with per-batch
 timing.
 
@@ -47,10 +50,13 @@ import contextlib
 import logging
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, List, Optional, Sequence
+from typing import (
+    TYPE_CHECKING, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple)
 
 from repro.policy.flowrules import FlowRule
-from repro.southbound.diff import Delta, FlowMod, FlowModOp, compute_delta, rule_key
+from repro.southbound.diff import (
+    PRIORITY_CEILING, Delta, FlowMod, FlowModOp, compute_block_delta,
+    compute_delta, rule_key)
 from repro.southbound.queue import UpdateQueue
 from repro.southbound.stats import SouthboundStats
 from repro.telemetry import Telemetry
@@ -121,15 +127,19 @@ class SouthboundEngine:
         self._defer_depth = 0
         # Inside an atomic block: (mod applied, rule its key held before).
         self._journal: Optional[List[tuple]] = None
+        # The blocks the main table holds once the queue is flushed, known
+        # while the table is at generation ``_synced`` (``None``: unknown).
+        self._main: Optional[Tuple[Sequence[FlowRule], ...]] = ()
+        self._synced: Optional[int] = None if len(table) else table.generation
 
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
 
-    def sync_classifier(self, rules: Sequence[FlowRule],
-                        flush: bool = True) -> Delta:
+    def sync_classifier(self, rules, flush: bool = True) -> Delta:
         """Reconcile the live table with a compiled one: ``rules``, keyed
-        as the compiler numbered them.
+        as the compiler numbered them — a compilation (anything with
+        ``rules`` and ``blocks``) or a plain rule sequence.
 
         Computes the minimal delta against what is currently installed
         (including any fast-path shadow rules, which the delta reclaims as
@@ -138,14 +148,30 @@ class SouthboundEngine:
 
         The diff is taken against the *projected* table — live rules plus
         pending mods — so back-to-back syncs queued inside one
-        :meth:`deferred` window stay correct while coalescing. With
-        ``flush=False`` the caller stages the delta and drives the two
-        flush phases itself.
+        :meth:`deferred` window stay correct while coalescing. Given a
+        compilation while the table is at the generation the engine left it
+        at, it is taken block by block against the compilation synced last
+        (:func:`~repro.southbound.diff.compute_block_delta`), and shadow
+        rules are found on the table's top levels and in the queue;
+        otherwise every rule is keyed on both sides. With ``flush=False``
+        the caller stages the delta and drives the two flush phases itself.
         """
+        blocks = getattr(rules, "blocks", None)
+        if blocks is not None:
+            rules = rules.rules
         with self.telemetry.span("southbound.sync",
                                  rules=len(rules)) as span:
-            with self.telemetry.span("southbound.diff"):
-                delta = compute_delta(self._projected_rules(), rules)
+            with self.telemetry.span("southbound.diff") as diff:
+                if blocks is not None and self._in_step():
+                    delta, keyed = compute_block_delta(
+                        self._main, blocks,
+                        self._projected_rules(PRIORITY_CEILING))
+                else:
+                    projected = self._projected_rules()
+                    delta = compute_delta(projected, rules)
+                    keyed = len(projected) + len(rules)
+                diff.set_tag(keyed=keyed)
+            self._main, self._synced = blocks, self.table.generation
             span.set_tag(mods=delta.total, unchanged=delta.unchanged)
             self.stats.counters["syncs"].inc()
             self.stats.counters["rules_unchanged"].inc(delta.unchanged)
@@ -154,27 +180,43 @@ class SouthboundEngine:
         return delta
 
     def push_rules(self, rules: Iterable[FlowRule]) -> int:
-        """Submit pre-built rules (the fast path's shadow rules) as adds."""
+        """Submit pre-built rules (the fast path's shadow rules) as adds.
+        One below :data:`PRIORITY_CEILING` leaves the main table unknown
+        until the next sync keys it whole."""
         count = 0
         with self.telemetry.span("southbound.push") as span:
             for rule in rules:
                 self.queue.enqueue(FlowMod.add(rule))
+                if rule.priority < PRIORITY_CEILING:
+                    self._main = None
                 count += 1
             span.set_tag(rules=count)
             self._after_submit()
         return count
 
-    def _projected_rules(self) -> Sequence[FlowRule]:
-        """The table as it will look once pending mods are flushed."""
+    def _projected_rules(self, floor: Optional[int] = None
+                         ) -> Sequence[FlowRule]:
+        """The table as it will look once pending mods are flushed — from
+        priority ``floor`` up, if given."""
+        live = (self.table.rules if floor is None
+                else self.table.rules_from(floor))
         if not len(self.queue):
-            return self.table.rules
-        keyed = {rule_key(rule): rule for rule in self.table.rules}
+            return live
+        keyed = {rule_key(rule): rule for rule in live}
         for mod in self.queue.pending_mods():
+            if floor is not None and mod.priority < floor:
+                continue
             if mod.op is FlowModOp.DELETE:
                 keyed.pop(mod.key, None)
             else:
                 keyed[mod.key] = mod.rule
         return list(keyed.values())
+
+    def _in_step(self) -> bool:
+        """True when the main table is known: at the generation this engine
+        left it at, holding the blocks it synced last (plus what is
+        queued)."""
+        return self._main is not None and self._synced == self.table.generation
 
     def _after_submit(self, flush: bool = True) -> None:
         self.stats.counters["mods_coalesced"].set(self.queue.coalesced)
@@ -271,6 +313,7 @@ class SouthboundEngine:
             return
         journal = self._journal = []
         pending = self.queue.pending_mods()
+        main, in_step = self._main, self._in_step()
         try:
             yield
         except BaseException:
@@ -278,6 +321,8 @@ class SouthboundEngine:
                 self.table.apply_mod(FlowMod.delete(mod.rule) if held is None
                                      else FlowMod.add(held))
             self.queue.restore(pending)
+            self._main = main
+            self._synced = self.table.generation if in_step else None
             self._dispatch_hook("on_rollback")
             raise
         finally:
@@ -288,6 +333,7 @@ class SouthboundEngine:
             return 0
         size = self.config.max_batch_size
         counters = self.stats.counters
+        in_step = self._in_step()
         with self.atomic():
             self._dispatch_hook("on_apply_begin")
             with self.telemetry.span("southbound.apply", mods=len(ordered)):
@@ -313,6 +359,8 @@ class SouthboundEngine:
             # After the spans close so a strict verifier's rejection (raised
             # from the hook) does not leave a span open.
             self._dispatch_hook("on_apply_end")
+            if in_step:
+                self._synced = self.table.generation
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug("apply %s", kv(mods=len(ordered),
                                         table_rules=len(self.table)))

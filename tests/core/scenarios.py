@@ -6,10 +6,13 @@ export pattern of Figure 1b; A's application-specific peering policy and
 B's inbound traffic engineering policy.
 """
 
+from collections import Counter
+
 from repro.bgp.asn import AsPath
 from repro.core.controller import SdxController
 from repro.net.addresses import IPv4Prefix
 from repro.policy.policies import fwd, match
+from repro.southbound.diff import compute_delta
 
 P1 = IPv4Prefix("11.0.0.0/8")
 P2 = IPv4Prefix("12.0.0.0/8")
@@ -58,3 +61,30 @@ def packet(dstip, dstport=80, srcip="10.0.0.1", protocol=6, **extra):
     from repro.net.packet import Packet
     return Packet(dstip=dstip, dstport=dstport, srcip=srcip,
                   protocol=protocol, **extra)
+
+
+def check_block_deltas(sdx):
+    """Hold every delta ``sdx``'s southbound engine computes from here on
+    to the oracle: ``compute_delta`` over the live table and the queue
+    gives the same adds and modifies in the same order, the same deletes
+    as a set and the same ``unchanged``. Returns how many syncs were taken
+    block by block (``"block"``) and over the live table (``"fallback"``)."""
+    engine = sdx.southbound
+    sync = engine.sync_classifier
+    taken = Counter()
+
+    def checked(target, flush=True):
+        expected = compute_delta(engine._projected_rules(),
+                                 getattr(target, "rules", target))
+        taken["block" if hasattr(target, "blocks") and engine._in_step()
+              else "fallback"] += 1
+        delta = sync(target, flush)
+        assert delta.adds == expected.adds
+        assert delta.modifies == expected.modifies
+        assert set(delta.deletes) == set(expected.deletes)
+        assert len(delta.deletes) == len(expected.deletes)
+        assert delta.unchanged == expected.unchanged
+        return delta
+
+    engine.sync_classifier = checked
+    return taken

@@ -371,18 +371,18 @@ class TestStageOneIsCompositional:
         def stacked(parts):
             return [rule for part in parts for rule in strip_drop_tail(part)]
 
-        full_stage1 = stacked([built("outbound", p.name) for p in holders]
+        full_stage1 = stacked([built("outbound", p.name)[0] for p in holders]
                               + [built("defaults", None)[0]])
         _groups, grouping, by_context = built("groups", None)
-        everywhere = compiler._eligibility(grouping.signatures, by_context)
+        everywhere = compiler._eligibility(grouping, by_context)
 
         for group in result.groups:
             vmac = sdx.allocator.vmac_for_group(group.group_id)
             tag = HeaderSpace(dstmac=vmac)
 
-            def eligible(participant, target, dstip_limit=None):
-                tags = everywhere(participant, target, dstip_limit)
-                return (vmac,) if tags is None or vmac in tags else ()
+            def eligible(participant, clauses):
+                return tuple((vmac,) if tags is None or vmac in tags else ()
+                             for tags in everywhere(participant, clauses))
 
             defaults = compiler._stack_pieces(compiler._default_pieces(
                 participants,

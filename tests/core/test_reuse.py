@@ -1,11 +1,13 @@
 """Stage reuse in the compiler: what a change rebuilds, and that reusing is
 indistinguishable from recompiling everything.
 
-Work is read off ``sdx_compile_reuse_total{stage, outcome}`` — counts, not
-timings. Soundness is a twin run: the same random operations on a
-controller as shipped and on one that forgets every stage result before
-each of them must leave the same rules in the same order and the same
-VNH partition after every step.
+Work is read off ``sdx_compile_reuse_total{stage, outcome}`` and the
+``southbound.diff`` span's ``keyed`` tag — counts, not timings. Soundness
+is a twin run: the same random operations on a controller as shipped and
+on one that forgets every stage result before each of them must leave the
+same rules in the same order and the same VNH partition after every step,
+and every delta either engine computes must be the one ``compute_delta``
+gives over the live table (``check_block_deltas``).
 """
 
 import random
@@ -16,9 +18,15 @@ from repro.bgp.asn import AsPath
 from repro.bgp.messages import Update
 from repro.core.compiler import REUSE_STAGES
 from repro.net.addresses import IPv4Prefix
+from repro.policy.classifier import Action
+from repro.policy.flowrules import FlowRule
+from repro.policy.headerspace import HeaderSpace
 from repro.policy.policies import drop, fwd, match
+from repro.southbound.diff import DEFAULT_BAND_TOP, PRIORITY_CEILING
+from repro.verification.invariants import check_table_is_compilation
 
-from tests.core.scenarios import P1, P2, figure1_controller
+from tests.core.scenarios import (
+    P1, P2, check_block_deltas, figure1_controller)
 
 ALL = {"groups", "defaults", "inbound", "stage2", "outbound",
        "composition", "reduction"}
@@ -36,6 +44,12 @@ def compile_work(sdx):
     span = [s for s in sdx.telemetry.tracer.finished()
             if s.name == "compile"][-1]
     return {key: span.tags[key] for key in ("dirty_prefixes", "groups_rebuilt")}
+
+
+def keyed(sdx):
+    """Rules the latest southbound diff hashed."""
+    return [s for s in sdx.telemetry.tracer.finished()
+            if s.name == "southbound.diff"][-1].tags["keyed"]
 
 
 def misses(sdx, operation):
@@ -96,8 +110,11 @@ class TestWhatAChangeRebuilds:
             sdx.run_background_recompilation()
 
         change = misses(sdx, announce)
-        # Every stage but the inbound side is gone through again ...
+        # Every stage but the inbound side is gone through again — the
+        # outbound stage because the update moved the tags of A, the one
+        # holder; a holder whose tags stood would keep its block ...
         assert set(change) == ALL - {"inbound", "stage2"}
+        assert change["outbound"] == 1
         # ... for the one prefix the update named and the one group it left.
         work = compile_work(sdx)
         assert work["dirty_prefixes"] == 1 < touched
@@ -149,7 +166,11 @@ class TestWhatAChangeRebuilds:
             sdx.recompile()
 
         change = misses(sdx, join)
-        assert set(change) == ALL
+        # A holder's block reads nothing of a member that announces
+        # nothing: its clauses and tags stand, and it expanded no mask
+        # against the default layer, so it is kept; composing it with the
+        # new inbound stage is not.
+        assert set(change) == ALL - {"outbound"}
         assert change["inbound"] == 1
 
     def test_suspend_and_restore(self, started):
@@ -310,6 +331,7 @@ def observable(sdx):
 def test_reuse_is_indistinguishable_from_recompiling_everything(seed):
     rng = random.Random(seed)
     shipped, forgetful = build_pair()
+    taken = [check_block_deltas(sdx) for sdx in (shipped, forgetful)]
     ports = {name: shipped.participant(name).port(0) for name in NAMES}
     installed = []
     history = []
@@ -323,9 +345,10 @@ def test_reuse_is_indistinguishable_from_recompiling_everything(seed):
         forgetful.compiler.invalidate_inbound_cache()
         apply(forgetful)
         assert observable(shipped) == observable(forgetful), history
-    # The run exercised reuse at all.
+    # The run exercised reuse at all, and the block diff with it.
     assert any(count for (_stage, outcome), count
                in reuse_counts(shipped).items() if outcome == "hit")
+    assert taken[0]["block"] and not taken[0]["fallback"]
 
 
 # ----------------------------------------------------------------------
@@ -533,6 +556,7 @@ class Twins:
 @pytest.mark.parametrize("seed", range(12))
 def test_patching_is_indistinguishable_from_a_cold_compile_at_scale(seed):
     twins = Twins(seed)
+    taken = [check_block_deltas(sdx) for sdx in twins.pair]
     history, patched = [], 0
     while len(history) < 40:
         drawn = twins.operation()
@@ -547,6 +571,7 @@ def test_patching_is_indistinguishable_from_a_cold_compile_at_scale(seed):
             assert compile_work(twins.shipped)["dirty_prefixes"] < table, history
             patched += 1
     assert patched
+    assert taken[0]["block"] and not taken[0]["fallback"]
 
 
 @pytest.mark.parametrize("prefixes", [400, 1600])
@@ -675,3 +700,103 @@ def test_a_compile_that_raises_leaves_the_kept_result_as_it_was(monkeypatch):
     cold = sdx.compiler.compile()
     assert cold.classifier.rules == patched.classifier.rules
     assert cold.groups == patched.groups
+
+
+# ----------------------------------------------------------------------
+# The block diff: what the twins do not reach, and what a change keys
+# ----------------------------------------------------------------------
+
+
+def shadow_rules(sdx):
+    return [rule for rule in sdx.table.rules if rule.priority >= PRIORITY_CEILING]
+
+
+class TestTheBlockDiff:
+    """Each case holds every sync to ``compute_delta`` over the live table
+    and the queue, and ends with the table the compilation."""
+
+    def test_shadow_rules_on_the_table_are_reclaimed(self, started):
+        sdx = started[0]
+        taken = check_block_deltas(sdx)
+        sdx.announce_route("C", P1, AsPath([65003, 100, 7]))
+        assert shadow_rules(sdx)
+        sdx.run_background_recompilation()
+        assert taken == {"block": 1}
+        assert not shadow_rules(sdx)
+        assert check_table_is_compilation(sdx) == []
+
+    def test_pushes_pending_in_a_deferred_window_are_reclaimed(self, started):
+        sdx = started[0]
+        taken = check_block_deltas(sdx)
+        with sdx.southbound.deferred():
+            sdx.announce_route("C", P1, AsPath([65003, 100, 7]))
+            assert sdx.southbound.pending and not shadow_rules(sdx)
+            sdx.run_background_recompilation()
+        assert taken == {"block": 1}
+        assert not shadow_rules(sdx) and not sdx.southbound.pending
+        assert check_table_is_compilation(sdx) == []
+
+    def test_a_rule_written_straight_into_the_table_takes_the_fallback(
+            self, started):
+        sdx, a, *_ = started
+        taken = check_block_deltas(sdx)
+        strays = [FlowRule(DEFAULT_BAND_TOP - 7, HeaderSpace(dstport=9),
+                           (Action(port=1),)),
+                  FlowRule(PRIORITY_CEILING + 7, HeaderSpace(dstport=9), ())]
+        for rule in strays:
+            sdx.table.install(rule)
+        a.add_outbound(match(dstport=8080) >> fwd("B"))
+        assert taken == {"fallback": 1}
+        assert not set(strays) & set(sdx.table.rules)
+        assert check_table_is_compilation(sdx) == []
+        # Reclaimed: the engine knows the table again.
+        a.add_outbound(match(dstport=8081) >> fwd("B"))
+        assert taken == {"fallback": 1, "block": 1}
+
+
+class TestWhatAChangeKeys:
+    """Work counts at the generated 40 x 400 exchange."""
+
+    def test_a_one_clause_change_keys_its_block_and_its_ports_exceptions(
+            self):
+        sdx = Twins(0).shipped
+        holder = sdx.compiler._policy_holders(sdx.topology.participants())[0]
+        target = holder.outbound_targets()[0]
+        ports = set(holder.switch_ports)
+        before, generation = sdx.last_compilation, sdx.allocator.generation
+
+        def on_its_ports(result):  # its block and its exceptions
+            return sum(rule.match.get("port") in ports for rule in result.rules)
+
+        change = misses(sdx, lambda: sdx.participant(holder.name).add_outbound(
+            match(dstport=4321) >> fwd(target)))
+        after = sdx.last_compilation
+        assert change == {"outbound": 1, "composition": 1, "reduction": 1}
+        assert sdx.allocator.generation == generation
+        assert 0 < keyed(sdx) <= on_its_ports(before) + on_its_ports(after)
+        # Keying both tables whole, as the fallback does, is 5x as much.
+        assert 5 * keyed(sdx) < len(before.rules) + len(after.rules)
+        assert sdx.engine.last_delta.unchanged == len(before.rules)
+
+    def test_a_recompile_after_one_update_keeps_most_holders_blocks(self):
+        twins = Twins(0)
+        sdx, server = twins.shipped, twins.shipped.route_server
+        holders = sdx.compiler._policy_holders(sdx.topology.participants())
+        holder, target = next(
+            (holder, target) for holder in holders
+            for target in holder.outbound_targets()
+            if not any(target in other.outbound_targets()
+                       for other in holders if other is not holder))
+        prefix = next(prefix for prefix in twins.touched() if prefix
+                      not in server.reachable_prefix_set(holder.name, via=target))
+        asn = sdx.topology.participant(target).asn
+
+        def one_update():  # the holder may now reach the prefix via target
+            sdx.announce_route(target, prefix, AsPath([asn, 7, 8, 9]))
+            sdx.run_background_recompilation()
+
+        change = misses(sdx, one_update)
+        assert compile_work(sdx)["dirty_prefixes"] == 1
+        # Only the holder whose tags it moved rebuilds its block.
+        assert change["outbound"] == 1 < len(holders)
+        assert change["reduction"] == 2  # that block and the default layer

@@ -24,6 +24,7 @@ from repro.verification.runtime import canonical_state
 from repro.workloads.policies import generate_policies, install_assignments
 from repro.workloads.topology import generate_ixp
 
+from tests.core.scenarios import check_block_deltas
 from tests.federation.scenarios import clean_scenario
 
 
@@ -78,7 +79,7 @@ FAILURES = {
     "admit": lambda sdx, owner: patch(owner, "lint_policies", after=False),
     "compile": lambda sdx, owner: patch(sdx.compiler, "compile", after=False),
     "assign_groups": lambda sdx, owner: patch(
-        sdx.allocator, "_assign_groups", after=True),
+        sdx.allocator, "assign_groups", after=True),
     "on_batch_pending": lambda sdx, owner: sdx.southbound.add_observer(
         RaisingObserver("on_batch_pending")),
     "after_flush_installs": lambda sdx, owner: patch(
@@ -269,6 +270,9 @@ def test_a_failed_change_leaves_no_trace_and_the_next_one_is_warm(
         change, failure):
     change = CHANGES[change]
     sdx, owner = change.build()
+    # Every delta, the refused window's and the retry's, is the oracle's;
+    # and a rolled-back window leaves the engine knowing the table.
+    taken = check_block_deltas(sdx)
     before, canonical = snapshot(sdx), canonical_state(sdx)
     FAILURES[failure](sdx, owner)
     try:
@@ -290,6 +294,7 @@ def test_a_failed_change_leaves_no_trace_and_the_next_one_is_warm(
     assert canonical_state(sdx).diff(canonical_state(twin)) == []
     assert check_all(sdx, probes(sdx)) == []
     assert sdx.lint_dataplane().errors == []
+    assert taken["block"] and not taken["fallback"]
 
 
 def test_window_end_exception_leaves_the_table_as_it_stood():

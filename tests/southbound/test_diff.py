@@ -1,5 +1,8 @@
 """Tests for classifier diffing (repro.southbound.diff)."""
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.bgp.asn import AsPath
 from repro.core.controller import SdxController
 from repro.net.addresses import IPv4Prefix
@@ -13,6 +16,7 @@ from repro.southbound.diff import (
     PRIORITY_CEILING,
     FlowMod,
     FlowModOp,
+    compute_block_delta,
     compute_delta,
     rule_key,
 )
@@ -25,6 +29,63 @@ def rule(priority, actions=(), **constraints):
 
 FWD1 = (Action(port=1),)
 FWD2 = (Action(port=2),)
+
+
+#: Blocks over a small key space: (priority, dstport) pairs, each block's
+#: keys its own, actions drawn per rule.
+BLOCK = st.lists(st.tuples(st.integers(1, 4), st.integers(1, 6),
+                           st.sampled_from([FWD1, FWD2])),
+                 max_size=5, unique_by=lambda t: t[:2])
+
+
+@st.composite
+def block_tables(draw):
+    """(installed blocks, target blocks, reclaim): the target keeps some
+    installed blocks as the same objects and brings fresh ones, with no
+    key twice on either side."""
+    def fresh(drawn, taken):
+        block = tuple(rule(p, a, dstport=port) for p, port, a in drawn
+                      if rule_key(rule(p, dstport=port)) not in taken)
+        taken.update(map(rule_key, block))
+        return block
+
+    taken = set()
+    installed = [fresh(draw(BLOCK), taken) for _ in range(draw(st.integers(0, 4)))]
+    keep = [draw(st.booleans()) for _ in installed]
+    taken = {rule_key(r) for block, kept in zip(installed, keep) if kept
+             for r in block}
+    target = [block for block, kept in zip(installed, keep) if kept]
+    for _ in range(draw(st.integers(0, 3))):
+        target.insert(draw(st.integers(0, len(target))),
+                      fresh(draw(BLOCK), taken))
+    reclaim = [rule(PRIORITY_CEILING + n, FWD1, dstport=n)
+               for n in range(draw(st.integers(0, 2)))]
+    return installed, target, reclaim
+
+
+class TestComputeBlockDelta:
+    @given(block_tables())
+    def test_agrees_with_keying_every_rule(self, tables):
+        installed, target, reclaim = tables
+        delta, keyed = compute_block_delta(installed, target, reclaim)
+        expected = compute_delta(
+            [*reclaim, *(r for block in installed for r in block)],
+            [r for block in target for r in block])
+        assert delta.adds == expected.adds
+        assert delta.modifies == expected.modifies
+        assert sorted(delta.deletes, key=repr) == sorted(
+            expected.deletes, key=repr)
+        assert delta.unchanged == expected.unchanged
+        shared = sum(len(b) for b in target if any(b is i for i in installed))
+        assert keyed == (sum(map(len, installed)) + sum(map(len, target))
+                         - 2 * shared)
+
+    def test_a_shared_block_is_counted_not_keyed(self):
+        kept = (rule(5, FWD1, dstport=80), rule(4, FWD1, dstport=81))
+        old, new = (rule(3, FWD1, dstport=22),), (rule(3, FWD2, dstport=22),)
+        delta, keyed = compute_block_delta([kept, old], [kept, new])
+        assert delta.unchanged == 2 and keyed == 2
+        assert [m.op for m in delta.modifies] == [FlowModOp.MODIFY]
 
 
 class TestComputeDelta:
