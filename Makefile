@@ -58,7 +58,10 @@ lint-policies-smoke:
 # The dataplane verifier over its linting surfaces: the flow rules a
 # compiled Section 6.1 workload actually installs, plus a seeded
 # dataplane defect-injection run (compiled blackhole + shadowed
-# install) that must detect both defect classes. Drops JSON artifacts
+# install) that must detect both defect classes, then two time-boxed
+# `repro fuzz --dataplane` sessions: 4-member exchanges, and 10-member
+# ones whose levels hold many guards (the verifier's guard walks filter
+# a level's guards there instead of probing four). Drops JSON artifacts
 # (CI uploads them) and exits non-zero on any error-severity
 # diagnostic or a missed defect.
 dataplane-lint-smoke:
@@ -72,6 +75,10 @@ dataplane-lint-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro fuzz --dataplane \
 		--seed $(FUZZ_SEED) --scenarios 40 --participants 4 \
 		--prefixes 4 --policies 4 --steps 8 --time-budget $(FUZZ_BUDGET) \
+		--artifact-dir $(FUZZ_ARTIFACTS)
+	PYTHONPATH=src $(PYTHON) -m repro fuzz --dataplane \
+		--seed $(FUZZ_SEED) --scenarios 20 --participants 10 \
+		--prefixes 24 --policies 8 --steps 8 --time-budget $(FUZZ_BUDGET) \
 		--artifact-dir $(FUZZ_ARTIFACTS)
 
 # Multi-SDX federation cross-validation: a time-boxed federated fuzz

@@ -6,7 +6,9 @@ each holding many rules that cannot match the same packet. A level files
 its rules under their *guard* — the ingress ``port`` and ``dstmac`` tag
 nearly every rule pins — so a FlowMod is dictionary work whatever the
 size of its level, and :meth:`FlowTable.lookup` visits, level by level
-from the top, only the four guards a packet can satisfy. Rules of one
+from the top, only the four guards a packet can satisfy —
+:meth:`FlowTable.overlapping`, the rules sharing a packet with a match
+region, only the guards the region can meet. Rules of one
 level that do overlap (reference tables, tests) resolve to the one
 installed first — OpenFlow's undefined-but-stable behaviour in practice.
 Per-rule packet *and byte* counters support the rule-utilisation
@@ -61,6 +63,20 @@ def _guard(fields: Union[HeaderSpace, Packet]) -> tuple:
     return fields.get("port"), None if mac is None else mac.value
 
 
+def _meeting(level: dict, port: Optional[int], mac: Optional[int]
+             ) -> List[tuple]:
+    """The guards of ``level`` a match pinning ``port`` and tag ``mac``
+    (``None``: open) can share a packet with: its own, and those leaving
+    either field open — the four, when it pins both; else the level's
+    guards, filtered."""
+    if port is not None and mac is not None:
+        return [guard for guard in ((port, mac), (port, None), (None, mac),
+                                    (None, None)) if guard in level]
+    return [guard for guard in level
+            if (port is None or guard[0] in (port, None))
+            and (mac is None or guard[1] in (mac, None))]
+
+
 class FlowTable:
     """An installed set of flow rules plus match counters."""
 
@@ -76,6 +92,9 @@ class FlowTable:
         # order (dropped by every mutation).
         self._priorities: Optional[List[int]] = None
         self._rules: Optional[Tuple[FlowRule, ...]] = None
+        #: Installed matches :meth:`overlapping` has tested, ever: the work
+        #: count of every guard walk over this table.
+        self.overlap_tests = 0
         # Telemetry handles, absent until bind_telemetry() is called:
         # standalone tables (property tests, ad-hoc scripts) pay one
         # None-check per operation and record nothing.
@@ -253,6 +272,45 @@ class FlowTable:
         """Installed rules at priority ``floor`` or above, in table order:
         the top levels alone, whatever the size of the rest."""
         return list(map(itemgetter(RULE), self._entries(floor)))
+
+    def overlapping(self, match: HeaderSpace, *,
+                    before: Optional[FlowRule] = None) -> List[FlowRule]:
+        """Installed rules that share a packet with ``match``, in table
+        order — only those ahead of the installed rule ``before``, if given.
+
+        A rule pinning another ingress port or tag than ``match`` shares no
+        packet with it, so each level visits only the guards ``match`` can
+        meet (:func:`_meeting`). Each rule in them costs one
+        :meth:`HeaderSpace.overlaps` test, counted in :attr:`overlap_tests`.
+        """
+        port, mac = _guard(match)
+        floor = stop = None
+        if before is not None:
+            entry = self._entry(before.priority, before.match)
+            if entry is None:
+                raise ValueError(f"not installed: {before.describe()}")
+            floor, stop = before.priority, entry[COOKIE]
+        found: List[FlowRule] = []
+        tested = 0
+        for priority in self._descending():
+            if floor is not None and priority < floor:
+                break
+            level = self._levels[priority]
+            guards = _meeting(level, port, mac)
+            cut = stop if priority == floor else None
+            hits: List[list] = []
+            for guard in guards:
+                for entry in level[guard].values():  # in install order
+                    if cut is not None and entry[COOKIE] >= cut:
+                        break
+                    tested += 1
+                    if match.overlaps(entry[RULE].match):
+                        hits.append(entry)
+            if len(guards) > 1:
+                hits.sort(key=itemgetter(COOKIE))
+            found.extend(map(itemgetter(RULE), hits))
+        self.overlap_tests += tested
+        return found
 
     def __len__(self) -> int:
         return self._size

@@ -14,7 +14,8 @@ themselves to this fragment.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Mapping, Optional, Tuple, Union
+from typing import (Any, Dict, ItemsView, Iterator, Mapping, Optional, Tuple,
+                    Union)
 
 from repro.exceptions import FieldError
 from repro.net.addresses import IPv4Address, IPv4Prefix
@@ -108,6 +109,11 @@ class HeaderSpace(Mapping[str, Constraint]):
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._constraints)
+
+    def items(self) -> ItemsView[str, Constraint]:
+        # The dict's own view: Mapping's mixin reads each value back
+        # through __getitem__, and the verifier walks every rule's items.
+        return self._constraints.items()
 
     def __len__(self) -> int:
         return len(self._constraints)

@@ -213,8 +213,7 @@ class Subpartition:
                  port_domain: Optional[Sequence[int]] = None,
                  budget: int = DEFAULT_CLASS_BUDGET):
         self.base = base
-        overlapping = [rule for rule in rules
-                       if rule.match.intersect(base) is not None]
+        overlapping = [rule for rule in rules if rule.match.overlaps(base)]
         constraints: Dict[str, List[Constraint]] = {}
         for rule in overlapping:
             for fieldname, constraint in rule.match.items():
@@ -481,6 +480,10 @@ class DataplaneVerifier:
         self._batches_counter = registry.counter(
             "sdx_statics_dataplane_batches_total",
             "Southbound apply windows verified")
+        self._examined_counter = registry.counter(
+            "sdx_statics_dataplane_rules_examined_total",
+            "Installed rules whose match the verifier tested against a "
+            "region: the guard walks of its passes")
         self._budget_counters = {
             check_id: registry.counter(
                 "sdx_statics_dataplane_budget_exceeded_total",
@@ -492,8 +495,16 @@ class DataplaneVerifier:
         # State diagnostics, keyed so incremental updates replace exactly
         # the findings their rules own.
         self._diags: Dict[_DiagKey, Diagnostic] = {}
-        self._rule_classes: Dict[RuleKey, int] = {}
+        self._rule_classes: Dict[RuleKey, int] = {}  # 0: past the budget
+        self._classes_cached = 0  # their sum
+        # VMAC -> keys of the rules whose SDX012 verdict reads whether it
+        # is live by rewriting to it, and each such key's tags.
+        self._rewrites: Dict[MacAddress, Set[RuleKey]] = {}
+        self._rewrite_tags: Dict[RuleKey, Tuple[MacAddress, ...]] = {}
         self._space_snapshot: Dict[str, CommittedSpace] = {}
+        # The snapshot's spaces by the tag they pin (None: none).
+        self._spaces_by_tag: Dict[Optional[MacAddress],
+                                  Dict[str, HeaderSpace]] = {}
         self._vmac_snapshot: Set[MacAddress] = set()
         # Apply-window bookkeeping (observer protocol).
         self._window: Optional[List[FlowMod]] = None
@@ -510,7 +521,7 @@ class DataplaneVerifier:
         ordered.extend(sorted(extra, key=_diag_sort_key))
         report = StaticsReport(checks_run=DATAPLANE_CHECK_IDS)
         report.participants_analyzed = 1 if self.tables is None else len(self.tables)
-        report.clauses_analyzed = len(self.table.rules)
+        report.clauses_analyzed = len(self.table)
         report.extend(ordered)
         return report
 
@@ -530,13 +541,16 @@ class DataplaneVerifier:
 
     def _reconcile_providers(self) -> None:
         """Re-verify whatever allocator/route-server drift invalidated."""
-        changed = self._changed_vmacs()
+        examined = self.table.overlap_tests
+        index = self._vmac_index() if self._vmac_index else None
+        changed = self._changed_vmacs(index)
         if changed:
-            rules = self.table.rules
-            affected = {rule_key(rule) for rule in rules
-                        if self._references_vmac(rule, changed)}
-            self._reverify(rules, affected)
-        self._verify_committed(set())
+            keys = self._referencing(changed)
+            # No window since the last pass: the rules ahead of each are
+            # as they were.
+            self._reverify(keys, dict.fromkeys(keys, ()), index)
+        self._verify_committed(())
+        self._examined_counter.inc(self.table.overlap_tests - examined)
 
     # ------------------------------------------------------------------
     # Full and incremental verification
@@ -544,18 +558,22 @@ class DataplaneVerifier:
 
     def refresh_full(self) -> StaticsReport:
         """Recompute every diagnostic from scratch."""
+        examined = self.table.overlap_tests
         with self.telemetry.span("statics.dataplane", kind="full"):
             self._diags.clear()
             self._rule_classes.clear()
-            self._vmac_snapshot = (set(self._vmac_index())
-                                   if self._vmac_index is not None else set())
-            rules = self.table.rules
-            for index in range(len(rules)):
-                self._verify_rule(rules, index)
-            self._space_snapshot = {}
-            self._verify_committed(set())
+            self._classes_cached = 0
+            self._rewrites.clear()
+            self._rewrite_tags.clear()
+            index = self._vmac_index() if self._vmac_index else None
+            self._vmac_snapshot = set(index) if index is not None else set()
+            for rule in self.table.rules:
+                self._verify_rule(rule, index)
+            self._space_snapshot, self._spaces_by_tag = {}, {}
+            self._verify_committed(())
             self._verify_loops()
         self._runs_counter.inc()
+        self._examined_counter.inc(self.table.overlap_tests - examined)
         report = self._build_report()
         self.last_report = report
         return report
@@ -563,123 +581,174 @@ class DataplaneVerifier:
     def verify_delta(self, mods: Sequence[FlowMod]) -> StaticsReport:
         """Re-verify only what ``mods`` can have touched.
 
-        Affected rules are the modded keys, plus every installed rule
-        whose match overlaps a modded match (shadowing is a relation
-        between overlapping rules, so nothing outside that set can
-        change a reachability verdict), plus every rule referencing a
-        VMAC whose allocator-index membership changed since the last
-        pass (a tag can die or come alive without any FlowMod touching
-        the rules that carry it). Committed spaces re-verify when their
-        space overlaps a mod or their definition changed since the last
-        pass. Returns the post-delta state report plus any
+        Affected rules are the modded keys, plus every installed rule at
+        or below a mod's priority whose match overlaps the mod's (a
+        rule's verdict and witness are a function of the rules ahead of
+        it that overlap it, so nothing else can change), plus every rule
+        matching or rewriting to a VMAC whose allocator-index membership
+        changed since the last pass (a tag can die or come alive without
+        any FlowMod touching the rules that carry it). All of them are
+        found through the table's guard index — no pass over the table.
+        An affected rule ahead of which the window deleted nothing may
+        keep its verdict (:meth:`_carried`). Committed spaces re-verify
+        when their space overlaps a mod or their definition changed since
+        the last pass. Returns the post-delta state report plus any
         window-ordering (SDX014) findings for ``mods``.
         """
+        table = self.table
+        examined = table.overlap_tests
         with self.telemetry.span("statics.dataplane", kind="delta",
                                  mods=len(mods)):
-            mod_spaces = [mod.match for mod in mods]
             affected: Set[RuleKey] = {mod.key for mod in mods}
-            rules = self.table.rules
-            for rule in rules:
-                if any(rule.match.intersect(space) is not None
-                       for space in mod_spaces):
-                    affected.add(rule_key(rule))
-            changed_vmacs = self._changed_vmacs()
-            if changed_vmacs:
-                for rule in rules:
-                    if rule_key(rule) in affected:
+            lost: Set[RuleKey] = set()
+            gained: Dict[RuleKey, List[HeaderSpace]] = {}
+            for mod in mods:
+                for rule in table.overlapping(mod.match):
+                    if rule.priority > mod.priority:
                         continue
-                    if self._references_vmac(rule, changed_vmacs):
-                        affected.add(rule_key(rule))
-            reused = sum(count for key, count in self._rule_classes.items()
-                         if key not in affected)
-            self._reused_counter.inc(reused)
-            self._reverify(rules, affected)
-            self._verify_committed(set(mod_spaces))
+                    key = rule_key(rule)
+                    affected.add(key)
+                    if mod.op is FlowModOp.DELETE:
+                        lost.add(key)
+                    elif rule.priority < mod.priority:
+                        gained.setdefault(key, []).append(mod.match)
+            index = self._vmac_index() if self._vmac_index else None
+            changed_vmacs = self._changed_vmacs(index)
+            if changed_vmacs:
+                affected |= self._referencing(changed_vmacs)
+            self._reused_counter.inc(self._classes_cached - sum(
+                self._rule_classes.get(key, 0) for key in affected))
+            self._reverify(affected, {key: gained.get(key, ()) for key in
+                                      affected if key not in lost}, index)
+            self._verify_committed({mod.match for mod in mods})
             self._verify_loops()
         self._runs_counter.inc()
+        self._examined_counter.inc(table.overlap_tests - examined)
         ordering = list(self._check_phase_order(mods))
         report = self._build_report(extra=ordering)
         self.last_report = report
         return report
 
-    def _changed_vmacs(self) -> Set[MacAddress]:
+    def _changed_vmacs(self, index: Optional[Mapping[MacAddress, str]]
+                       ) -> Set[MacAddress]:
         """VMACs that entered or left the allocator index since last pass."""
-        if self._vmac_index is None:
+        if index is None:
             return set()
-        current = set(self._vmac_index())
+        current = set(index)
         changed = current ^ self._vmac_snapshot
         self._vmac_snapshot = current
         return changed
 
-    @staticmethod
-    def _references_vmac(rule: FlowRule, vmacs: Set[MacAddress]) -> bool:
-        if rule.match.get("dstmac") in vmacs:
-            return True
-        return any(action.get("dstmac") in vmacs for action in rule.actions)
+    def _referencing(self, vmacs: Set[MacAddress]) -> Set[RuleKey]:
+        """Keys of the installed rules that match one of ``vmacs`` (off
+        the guard index) or rewrite to one (off the rewrite index)."""
+        keys: Set[RuleKey] = set()
+        for vmac in vmacs:
+            keys.update(self._rewrites.get(vmac, ()))
+            keys.update(rule_key(rule) for rule in
+                        self.table.overlapping(HeaderSpace(dstmac=vmac))
+                        if rule.match.get("dstmac") == vmac)
+        return keys
 
-    def _reverify(self, rules: Sequence[FlowRule], keys: Set[RuleKey]) -> None:
-        """Drop the per-rule verdicts of ``keys`` and take them again for
-        those still installed (a key's first instance)."""
+    def _reverify(self, keys: Set[RuleKey],
+                  gained: Mapping[RuleKey, Sequence[HeaderSpace]],
+                  index: Optional[Mapping[MacAddress, str]]) -> None:
+        """Drop the per-rule verdicts of ``keys`` and take them again, in
+        table order, for those still installed, against ``index`` (the
+        allocator index, read once per pass).
+
+        ``gained`` maps the keys ahead of which no rule left since the
+        last pass to the matches that came, whose verdicts
+        :meth:`_carried` may keep.
+        """
+        carried = {key: ("SDX010", key[0], key[1]) in self._diags
+                   for key in gained if self._rule_classes.get(key) == 0}
         stale = [diag_key for diag_key in self._diags
                  if diag_key[0] in ("SDX010", "SDX012")
                  and (diag_key[1], diag_key[2]) in keys]
         for diag_key in stale:
             del self._diags[diag_key]
+        table = self.table
+        rules = []
         for key in keys:
-            self._rule_classes.pop(key, None)
-        seen: Set[RuleKey] = set()
-        for index, rule in enumerate(rules):
+            self._classes_cached -= self._rule_classes.pop(key, 0)
+            for tag in self._rewrite_tags.pop(key, ()):
+                holders = self._rewrites[tag]
+                holders.discard(key)
+                if not holders:
+                    del self._rewrites[tag]
+            rule = table.rule_for_key(*key)
+            if rule is not None:
+                rules.append(rule)
+        rules.sort(key=lambda rule: (-rule.priority, table.cookie_of(rule)))
+        for rule in rules:
             key = rule_key(rule)
-            if key in keys and key not in seen:
-                seen.add(key)
-                self._verify_rule(rules, index)
+            self._verify_rule(rule, index, None if key not in carried else
+                              self._carried(rule, carried[key], gained[key]))
 
     # ------------------------------------------------------------------
     # SDX010 + SDX012: per-rule verdicts
     # ------------------------------------------------------------------
 
-    def _reachability(self, rules: Sequence[FlowRule],
-                      index: int) -> Tuple[bool, Optional[Packet]]:
-        """Whether ``rules[index]`` wins some packet, with a witness.
+    def _reachability(self, rule: FlowRule
+                      ) -> Tuple[bool, Optional[Packet], int]:
+        """Whether installed ``rule`` wins some packet, with a witness and
+        the classes it took.
 
         Reachable: the witness is a packet the rule wins. Unreachable:
         the witness is a packet in the rule's match that a higher rule
-        steals. Budget overrun degrades to the conservative single-cover
-        test (no union shadows reported, never a false shadow).
+        steals. Only the rules ahead of it that overlap it split its
+        match, and a class is stolen when the table's lookup of its
+        representative (which the rule matches) finds another rule.
+        Budget overrun degrades to the conservative single-cover test (no
+        union shadows reported, never a false shadow).
         """
-        rule = rules[index]
-        earlier = [r for r in rules[:index]
-                   if r.match.intersect(rule.match) is not None]
+        earlier = self.table.overlapping(rule.match, before=rule)
         if not earlier:
             # One implicit class: the whole match region.
-            self._rule_classes[rule_key(rule)] = 1
-            return True, rule.match.concretise(port=0)
+            return True, rule.match.concretise(port=0), 1
         try:
             partition = Subpartition(rule.match, earlier,
                                      budget=self.class_budget)
         except ClassBudgetExceeded:
             self._budget_counters["SDX010"].inc()
-            self._rule_classes[rule_key(rule)] = 0
             for other in earlier:
                 if other.match.covers(rule.match):
-                    return False, rule.match.concretise(port=0)
-            return True, None
-        self._rule_classes[rule_key(rule)] = len(partition.classes)
-        self._classes_counter.inc(len(partition.classes))
+                    return False, rule.match.concretise(port=0), 0
+            return True, None, 0
+        classes = len(partition.classes)
+        self._classes_counter.inc(classes)
         stolen: Optional[Packet] = None
         for cls in partition.classes:
-            if any(r.match.matches(cls.representative) for r in earlier):
+            if self.table.lookup(cls.representative) is not rule:
                 if stolen is None:
                     stolen = cls.representative
             else:
-                return True, cls.representative
-        return False, stolen
+                return True, cls.representative, classes
+        return False, stolen, classes
 
-    def _verify_rule(self, rules: Sequence[FlowRule], index: int) -> None:
-        rule = rules[index]
+    def _carried(self, rule: FlowRule, shadowed: bool,
+                 gained: Sequence[HeaderSpace]
+                 ) -> Tuple[bool, Optional[Packet], int]:
+        """The verdict of a rule past the class budget whose rules ahead
+        only gained ``gained``: the class count only grows with the rules
+        ahead (a new value or prefix splits a class, never merges two), so
+        it is still past the budget, and the single-cover test need only
+        read the newcomers."""
+        self._budget_counters["SDX010"].inc()
+        if shadowed or any(match.covers(rule.match) for match in gained):
+            return False, rule.match.concretise(port=0), 0
+        return True, None, 0
+
+    def _verify_rule(self, rule: FlowRule,
+                     index_map: Optional[Mapping[MacAddress, str]],
+                     verdict: Optional[Tuple[bool, Optional[Packet], int]]
+                     = None) -> None:
         key = rule_key(rule)
         self._checks_counter.inc()
-        reachable, witness = self._reachability(rules, index)
+        reachable, witness, classes = verdict or self._reachability(rule)
+        self._rule_classes[key] = classes
+        self._classes_cached += classes
         if not reachable:
             diag = Diagnostic(
                 check_id="SDX010", check_name="shadowed-rule",
@@ -693,7 +762,6 @@ class DataplaneVerifier:
             self._diags[("SDX010", key[0], key[1])] = diag
             self._count(diag)
             return
-        index_map = self._vmac_index() if self._vmac_index is not None else None
         if index_map is None:
             return
         self._checks_counter.inc()
@@ -711,10 +779,16 @@ class DataplaneVerifier:
                       ("vmac", matched), ("kind", "match")))
             self._diags[("SDX012", key[0], key[1], matched, "match")] = diag
             self._count(diag)
-        for action in rule.actions:
-            rewritten = action.get("dstmac")
-            if (isinstance(rewritten, MacAddress) and rewritten.is_virtual
-                    and rewritten not in index_map):
+        tags = tuple(dict.fromkeys(
+            rewritten for rewritten in (action.get("dstmac")
+                                        for action in rule.actions)
+            if isinstance(rewritten, MacAddress) and rewritten.is_virtual))
+        if tags:
+            self._rewrite_tags[key] = tags
+            for tag in tags:
+                self._rewrites.setdefault(tag, set()).add(key)
+        for rewritten in tags:
+            if rewritten not in index_map:
                 diag = Diagnostic(
                     check_id="SDX012", check_name="dead-vmac",
                     severity=Severity.ERROR,
@@ -738,19 +812,21 @@ class DataplaneVerifier:
     # SDX011: committed traffic vs the table miss
     # ------------------------------------------------------------------
 
-    def _verify_committed(self, mod_spaces: Set[HeaderSpace]) -> None:
+    def _verify_committed(self, mod_matches: Iterable[HeaderSpace]) -> None:
         current = {space.label: space for space in self._committed_spaces()}
         previous = self._space_snapshot
         stale = [diag_key for diag_key in self._diags
                  if diag_key[0] == "SDX011" and diag_key[1] not in current]
         for diag_key in stale:
             del self._diags[diag_key]
+        touched = self._touched(mod_matches)
+        moved = len(current) != len(previous)
         for label, committed in current.items():
-            unchanged = previous.get(label) == committed
-            touched = any(committed.space.intersect(space) is not None
-                          for space in mod_spaces)
-            if unchanged and not touched and previous:
-                continue
+            if previous.get(label) == committed:
+                if label not in touched:
+                    continue
+            else:
+                moved = True
             self._diags.pop(("SDX011", label), None)
             self._checks_counter.inc()
             diag = self._check_committed_space(committed)
@@ -758,14 +834,32 @@ class DataplaneVerifier:
                 self._diags[("SDX011", label)] = diag
                 self._count(diag)
         self._space_snapshot = current
+        if moved:
+            by_tag: Dict[Optional[MacAddress], Dict[str, HeaderSpace]] = {}
+            for label, committed in current.items():
+                by_tag.setdefault(committed.space.get("dstmac"),
+                                  {})[label] = committed.space
+            self._spaces_by_tag = by_tag
+
+    def _touched(self, mod_matches: Iterable[HeaderSpace]) -> Set[str]:
+        """Labels of the snapshot's spaces that overlap a modded match:
+        a tagged match meets only its tag's spaces and the untagged."""
+        by_tag = self._spaces_by_tag
+        touched: Set[str] = set()
+        for match in mod_matches:
+            tag = match.get("dstmac")
+            for spaces in (by_tag.values() if tag is None else
+                           (by_tag.get(tag, {}), by_tag.get(None, {}))):
+                touched.update(label for label, space in spaces.items()
+                               if space.overlaps(match))
+        return touched
 
     def _check_committed_space(
             self, committed: CommittedSpace) -> Optional[Diagnostic]:
-        rules = self.table.rules
         try:
             partition = Subpartition(
-                committed.space, rules, port_domain=committed.ports,
-                budget=self.class_budget)
+                committed.space, self.table.overlapping(committed.space),
+                port_domain=committed.ports, budget=self.class_budget)
         except ClassBudgetExceeded:
             self._budget_counters["SDX011"].inc()
             return None
@@ -959,7 +1053,7 @@ class DataplaneVerifier:
 
     def __repr__(self) -> str:
         return (f"DataplaneVerifier(mode={self.mode}, "
-                f"{len(self.table.rules)} rules, "
+                f"{len(self.table)} rules, "
                 f"{len(self._diags)} cached diagnostics)")
 
 

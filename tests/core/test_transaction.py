@@ -9,16 +9,26 @@ it rebuilds on a twin exchange that never failed (a warm compile), and
 leaves every standing invariant intact.
 """
 
+import copy
+
 import pytest
 
 from repro.bgp.asn import AsPath
 from repro.core.compiler import REUSE_STAGES
 from repro.core.controller import SdxController
+from repro.core.vnh import vmac_for_fec
 from repro.exceptions import StaticDataplaneError, StaticPolicyError
 from repro.net.addresses import IPv4Prefix
 from repro.net.packet import Packet
+from repro.policy.classifier import Action
+from repro.policy.flowrules import FlowRule
+from repro.policy.headerspace import HeaderSpace
 from repro.policy.policies import fwd, match
 from repro.statics import analyze_controller_dataplane
+from repro.statics.dataplane import (
+    DataplaneVerifier,
+    committed_spaces_from_controller,
+)
 from repro.verification.invariants import check_all
 from repro.verification.runtime import canonical_state
 from repro.workloads.policies import generate_policies, install_assignments
@@ -194,9 +204,12 @@ CHANGES = {
 }
 
 
-def verdicts(verifier):
-    return (dict(verifier._diags), dict(verifier._rule_classes),
-            dict(verifier._space_snapshot), set(verifier._vmac_snapshot))
+def verifier_caches(verifier):
+    """Everything the dataplane verifier keeps between windows."""
+    return {name: copy.deepcopy(getattr(verifier, name)) for name in (
+        "_diags", "_rule_classes", "_classes_cached", "_rewrites",
+        "_rewrite_tags", "_space_snapshot", "_spaces_by_tag",
+        "_vmac_snapshot")}
 
 
 def table_of(sdx):
@@ -224,7 +237,7 @@ def snapshot(sdx):
                   sorted(p.router._fib.items()))
                  for p in sdx.topology.participants() if p.router is not None],
         "pending": sdx.southbound.queue.pending_mods(),
-        "verifier": verdicts(sdx.dataplane_verifier),
+        "verifier": verifier_caches(sdx.dataplane_verifier),
         "engine": (sdx.started, sdx.engine.dirty,
                    sdx.engine.fast_path_rules_live, sdx.engine._fast_priority),
         "installed": installed,
@@ -365,6 +378,36 @@ def test_a_failed_update_keeps_the_route_and_undoes_the_fast_path(arm):
     # Equal up to the name of the tag the twin's fast path used up.
     assert canonical_state(sdx).diff(canonical_state(twin)) == []
     assert check_all(sdx, probes(sdx)) == []
+
+
+def push_blackhole(sdx):
+    """A rule rewriting to a tag nobody holds: an SDX012 error the strict
+    gate refuses on its own."""
+    sdx.southbound.push_rules([FlowRule(
+        900_000, HeaderSpace(dstip=IPv4Prefix("99.99.0.0/16")),
+        (Action(dstmac=vmac_for_fec(999_999), port=1),))])
+
+
+def refused_policy_change(sdx):
+    FAILURES["strict_gate_refusal"](sdx, sdx)
+    add_policy(sdx, sdx)
+
+
+@pytest.mark.parametrize("refused", [push_blackhole, refused_policy_change],
+                         ids=["gate", "injected"])
+def test_a_refused_window_leaves_the_verifier_as_a_fresh_one(refused):
+    """Whatever the refused window's verdicts put in the caches — the
+    per-rule verdicts, the tag -> rewriting rules index — is gone: the
+    verifier holds what one built on the rolled-back table holds."""
+    sdx = exchange(dataplane_statics_mode="strict")
+    before = verifier_caches(sdx.dataplane_verifier)
+    with pytest.raises(StaticDataplaneError):
+        refused(sdx)
+    fresh = DataplaneVerifier(
+        sdx.table, committed_spaces=lambda: committed_spaces_from_controller(sdx),
+        vmac_index=sdx.allocator.vmac_index, mode="off")
+    assert verifier_caches(sdx.dataplane_verifier) == verifier_caches(fresh)
+    assert verifier_caches(sdx.dataplane_verifier) == before
 
 
 # ----------------------------------------------------------------------

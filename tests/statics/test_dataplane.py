@@ -8,6 +8,7 @@ contract the fuzz harness enforces at scale).
 
 import pytest
 
+from repro.bgp.asn import AsPath
 from repro.core.controller import SdxController
 from repro.core.vnh import vmac_for_fec
 from repro.dataplane.flowtable import FlowTable
@@ -19,6 +20,7 @@ from repro.net.packet import Packet
 from repro.policy.classifier import Action, Classifier, Rule
 from repro.policy.flowrules import FlowRule
 from repro.policy.headerspace import HeaderSpace
+from repro.policy.policies import fwd, match
 from repro.southbound.diff import FlowMod
 from repro.statics.dataplane import (
     ClassBudgetExceeded,
@@ -161,6 +163,21 @@ class TestCommittedMiss:
         table = table_of(rule(10, (), dstmac=self.VMAC))
         report = analyze_flowtable(table, committed_spaces=[self.SPACE])
         assert not diags(report, "SDX011")
+
+    def test_a_tagged_install_re_judges_an_untagged_space(self):
+        """Spaces are looked up by the tag they pin; one pinning none is
+        met by every mod."""
+        table = table_of(rule(1))
+        space = CommittedSpace(label="any-web", space=HeaderSpace(dstport=80),
+                               ports=(1, 2))
+        verifier = DataplaneVerifier(table, committed_spaces=lambda: [space],
+                                     mode="off")
+        mods = [FlowMod.add(rule(10, FWD2, dstmac=self.VMAC, dstport=80,
+                                 port=1))]
+        table.apply_delta(mods)
+        verifier.verify_delta(mods)
+        assert (verifier.state_report().to_json() == analyze_flowtable(
+            table, committed_spaces=[space]).to_json())
 
     def test_witness_falls_to_the_miss(self):
         diag = diags(analyze_flowtable(table_of(rule(0)),
@@ -350,6 +367,76 @@ class TestPinnedWorkload:
         report = analyze_controller_dataplane(controller)
         assert len(controller.table.rules) == 156
         assert report.diagnostics == []
+
+
+def exchange_with(bystanders, *, small=False):
+    """The generated 12 x 80 exchange (or, ``small``, members A, B with two
+    ports and C, two clauses of A's), plus ``bystanders`` members that
+    announce a prefix of their own: each brings its own port and MAC, and
+    no clause names them."""
+    if small:
+        sdx = SdxController(with_dataplane=True,
+                            dataplane_statics_mode="strict")
+        for name, asn in (("A", 65001), ("B", 65002), ("C", 65003)):
+            sdx.add_participant(name, asn, ports=2 if name == "B" else 1)
+            sdx.announce_route(name, IPv4Prefix(f"10.{asn - 65001}.0.0/24"),
+                               AsPath([asn]))
+    else:
+        ixp = generate_ixp(12, 80, seed=3)
+        sdx = ixp.build_controller(with_dataplane=True,
+                                   dataplane_statics_mode="strict")
+    for index in range(bystanders):
+        sdx.add_participant(f"X{index}", 65500 + index)
+        sdx.announce_route(f"X{index}", IPv4Prefix(f"172.{16 + index}.0.0/16"),
+                           AsPath([65500 + index]))
+    if small:
+        sdx.participant("A").add_outbound(match(dstport=80) >> fwd("B"))
+        sdx.participant("A").add_outbound(match(dstport=443) >> fwd("C"))
+    else:
+        install_assignments(sdx, generate_policies(ixp, seed=4))
+    sdx.start()
+    return sdx
+
+
+def one_update(sdx):
+    """The best route of the first prefix gets longer: one gated fast-path
+    window, shadow rules under a fresh tag. Returns the rules it added and
+    the rules the verifier examined for it."""
+    examined = sdx.telemetry.registry.get(
+        "sdx_statics_dataplane_rules_examined_total")
+    before, size = examined.value, len(sdx.table)
+    prefix = sdx.route_server.all_prefixes()[0]
+    announcer = sdx.route_server.decide(prefix).best.learned_from
+    asn = sdx.topology.participant(announcer).asn
+    sdx.announce_route(announcer, prefix, AsPath([asn, 64_999, 7]))
+    return len(sdx.table) - size, examined.value - before
+
+
+class TestWhatAWindowExamines:
+    """``sdx_statics_dataplane_rules_examined_total`` counts the installed
+    rules whose match the verifier tests: the rules under the guards a
+    window's mods, its changed committed spaces and its changed tags can
+    share. A work count, so pinned exactly."""
+
+    def test_one_update_window_is_pinned(self):
+        sdx = exchange_with(0)
+        assert len(sdx.table) == 44
+        assert one_update(sdx) == (5, 46)
+
+    def test_members_the_window_cannot_meet_cost_it_nothing(self):
+        crowded = exchange_with(20)
+        assert len(crowded.table) == 64
+        assert one_update(crowded) == (5, 46)
+
+    def test_a_catch_all_inside_the_class_budget_walks_the_table(self):
+        """With so few clauses the catch-all drop's classes fit the budget,
+        so every window that adds ahead of it takes its verdict again, from
+        every rule ahead: the one term that grows with the table."""
+        small, crowded = exchange_with(0, small=True), exchange_with(
+            10, small=True)
+        assert len(crowded.table) - len(small.table) == 10
+        assert one_update(small) == (2, 26)
+        assert one_update(crowded) == (2, 26 + 10)
 
 
 class TestIncrementalEqualsFull:

@@ -7,7 +7,9 @@ Two properties carry the whole design:
   and every installed match is constant across each class (the
   representative's verdict speaks for the whole class);
 * incremental re-verification after a random FlowMod delta renders
-  byte-identically to a fresh whole-table analysis of the same state.
+  byte-identically to a fresh whole-table analysis of the same state —
+  also on levelled tables, whose rules pin the table's guard fields, and
+  under class budgets small enough that verdicts are carried over.
 """
 
 from hypothesis import given, settings
@@ -15,13 +17,16 @@ from hypothesis import strategies as st
 
 from repro.dataplane.flowtable import FlowTable
 from repro.net.addresses import IPv4Prefix
+from repro.net.mac import vmac_for_fec
 from repro.net.packet import Packet
 from repro.policy.classifier import Action
 from repro.policy.flowrules import FlowRule
 from repro.policy.headerspace import HeaderSpace
 from repro.southbound.diff import FlowMod
 from repro.statics.dataplane import (
+    DEFAULT_CLASS_BUDGET,
     ClassBudgetExceeded,
+    CommittedSpace,
     DataplaneVerifier,
     Subpartition,
     analyze_flowtable,
@@ -36,6 +41,19 @@ PREFIXES = (
     IPv4Prefix("192.168.0.0/16"),
 )
 PORTS = (80, 443, 53)
+TAGS = (vmac_for_fec(1), vmac_for_fec(2), vmac_for_fec(3))
+
+#: Committed spaces to judge levelled tables against: tagged, as the
+#: controller derives them, one untagged, and one label twice — a space
+#: whose definition moves.
+SPACES = tuple(
+    CommittedSpace(label=label, space=space, ports=ports)
+    for label, space, ports in (
+        ("a", HeaderSpace(dstmac=TAGS[0], dstip=PREFIXES[1]), (1, 2, 3)),
+        ("b", HeaderSpace(dstmac=TAGS[1], dstip=PREFIXES[0]), (1, 2)),
+        ("b", HeaderSpace(dstmac=TAGS[1], dstip=PREFIXES[2]), (2,)),
+        ("c", HeaderSpace(dstmac=TAGS[2]), (1, 3)),
+        ("d", HeaderSpace(dstport=80), (1, 2))))
 
 ips_in_universe = st.one_of(
     st.integers(min_value=0x0A000000, max_value=0x0A0001FF),
@@ -121,21 +139,65 @@ class TestPartitionProperty:
 
 
 @st.composite
-def deltas(draw, rules):
+def guarded_matches(draw):
+    """A match that may also pin the ingress port and the tag."""
+    fields = dict(draw(matches()).items())
+    if draw(st.booleans()):
+        fields["port"] = draw(st.sampled_from((1, 2)))
+    if draw(st.booleans()):
+        fields["dstmac"] = draw(st.sampled_from(TAGS))
+    return HeaderSpace(**fields)
+
+
+@st.composite
+def guarded_actions(draw):
+    """Drop, forward, or rewrite to a tag and forward."""
+    choice = draw(st.sampled_from(("drop", "forward", "rewrite")))
+    if choice == "drop":
+        return ()
+    if choice == "forward":
+        return (Action(port=draw(st.sampled_from((1, 2, 3)))),)
+    return (Action(dstmac=draw(st.sampled_from(TAGS)), port=3),)
+
+
+@st.composite
+def levelled_rules(draw):
+    """Rules on three shared priorities: levels of several guards, rules
+    of one level that overlap, and the wildcard drop at the bottom."""
+    rules = [FlowRule(priority=draw(st.sampled_from((10, 20, 30))),
+                      match=draw(guarded_matches()),
+                      actions=draw(guarded_actions()))
+             for _ in range(draw(st.integers(min_value=1, max_value=8)))]
+    return rules + [FlowRule(priority=1, match=HeaderSpace(), actions=())]
+
+
+@st.composite
+def covering(draw, rules):
+    """An installed match with some of its constraints dropped: it
+    covers that rule."""
+    fields = dict(draw(st.sampled_from(rules)).match.items())
+    kept = draw(st.lists(st.sampled_from(sorted(fields)), unique=True)
+                ) if fields else []
+    return HeaderSpace(**{name: fields[name] for name in kept})
+
+
+@st.composite
+def deltas(draw, rules, extras=matches(),
+           priorities=st.integers(min_value=1, max_value=200),
+           choices=("keep", "delete", "modify")):
     """A FlowMod batch over (and beyond) an installed rule set."""
     mods = []
     for rule in rules:
-        choice = draw(st.sampled_from(("keep", "delete", "modify")))
+        choice = draw(st.sampled_from(choices))
         if choice == "delete":
             mods.append(FlowMod.delete(rule))
         elif choice == "modify":
             flipped = (() if rule.actions else (Action(port=9),))
             mods.append(FlowMod.modify(FlowRule(
                 priority=rule.priority, match=rule.match, actions=flipped)))
-    for extra in draw(st.lists(matches(), max_size=3)):
+    for extra in draw(st.lists(extras, max_size=3)):
         mods.append(FlowMod.add(FlowRule(
-            priority=draw(st.integers(min_value=1, max_value=200)),
-            match=extra, actions=(Action(port=5),))))
+            priority=draw(priorities), match=extra, actions=(Action(port=5),))))
     return mods
 
 
@@ -175,3 +237,51 @@ class TestIncrementalEqualsFullProperty:
         verifier.verify_delta(second)
         assert (verifier.state_report().to_json()
                 == analyze_flowtable(table).to_json())
+
+
+class TestIncrementalEqualsFullOnLevelledTables:
+    """Chained deltas over levelled tables, with the allocator index and
+    the committed spaces moving between them: a tag that dies or comes
+    alive re-verifies the rules matching it (off the guard index) and
+    rewriting to it (off the rewrite index); a mod re-judges the spaces
+    of its tag and the untagged ones. Budgets of 2 and 6 classes put most
+    rules past the budget, so the verdicts of rules whose rules ahead only
+    gained are carried over rather than taken again."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(levelled_rules(), st.sampled_from((2, 6, DEFAULT_CLASS_BUDGET)),
+           st.data())
+    def test_chained_deltas_preserve_byte_identity(self, rules, budget,
+                                                   data):
+        table = FlowTable()
+        for rule in rules:
+            table.install(rule)
+        live, committed = set(TAGS[:2]), {SPACES[0], SPACES[1], SPACES[4]}
+
+        def index():
+            return {tag: "fec" for tag in live}
+
+        def spaces():
+            return sorted(committed, key=repr)
+
+        verifier = DataplaneVerifier(table, vmac_index=index,
+                                     committed_spaces=spaces, mode="off",
+                                     class_budget=budget)
+        priorities = st.sampled_from((1, 10, 20, 30, 40))
+        for _ in range(3):
+            installed = tuple(table.rules)
+            extras = (st.one_of(guarded_matches(), covering(installed))
+                      if installed else guarded_matches())
+            # Half the windows delete nothing: the rules ahead of every
+            # rule only gain.
+            choices = data.draw(st.sampled_from((
+                ("keep", "modify"), ("keep", "delete", "modify"))))
+            mods = data.draw(deltas(installed, extras, priorities, choices))
+            table.apply_delta(mods)
+            live ^= {data.draw(st.sampled_from(TAGS))}
+            committed ^= {data.draw(st.sampled_from(SPACES))}
+            verifier.verify_delta(mods)
+            assert (verifier.state_report().to_json()
+                    == analyze_flowtable(table, vmac_index=index(),
+                                         committed_spaces=spaces(),
+                                         class_budget=budget).to_json())
