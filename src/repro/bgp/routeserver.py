@@ -630,7 +630,7 @@ class RouteServer:
 
     def announced_by(self, participant: str) -> Tuple[IPv4Prefix, ...]:
         """Prefixes currently announced by ``participant``."""
-        return tuple(sorted(self._adj_in[participant].prefixes()))
+        return tuple(sorted(self.announced_set(participant)))
 
     def announced_set(self, participant: str) -> Iterable[IPv4Prefix]:
         """:meth:`announced_by` unordered, for callers that only take unions."""
@@ -658,6 +658,11 @@ class RouteServer:
     def all_prefixes(self) -> Tuple[IPv4Prefix, ...]:
         """Every prefix announced by anyone, sorted."""
         return tuple(sorted(self._loc_rib))
+
+    def prefix_set(self) -> Iterable[IPv4Prefix]:
+        """:meth:`all_prefixes` unordered (a live view of the Loc-RIB's
+        keys), for callers that sort only what they keep."""
+        return self._loc_rib.keys()
 
     def view_for(self, participant: str) -> RibView:
         """The participant's Loc-RIB view (best route per prefix)."""

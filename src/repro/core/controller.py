@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import contextlib
 import logging
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import (
@@ -70,6 +69,7 @@ from repro.telemetry.log import kv
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.runtime.clock import Clock
     from repro.runtime.loop import ControlPlaneRuntime, RuntimeConfig
+    from repro.statics.dataplane import CommittedSpaces
 
 logger = logging.getLogger("repro.core.controller")
 
@@ -162,7 +162,8 @@ class SdxController:
         self.engine = IncrementalEngine(
             self.compiler, self.southbound, self.telemetry)
         self.dataplane_verifier = None
-        self._committed_spaces_cache: Optional[tuple] = None
+        self._committed: Optional["CommittedSpaces"] = None
+        self._committed_at: Optional[List[int]] = None
         self._advertised_at: Optional[List[int]] = None
         if dataplane_statics_mode != "off":
             # Verifies every southbound apply window against the installed
@@ -200,36 +201,23 @@ class SdxController:
         return ([log.version for log in logs],
                 None if None in named else set().union(*named))
 
-    def _committed_spaces(self) -> list:
-        """Committed-traffic spaces, in prefix order.
+    def _committed_spaces(self) -> "CommittedSpaces":
+        """Committed-traffic spaces, kept per prefix.
 
         Deriving the population decides every tagged prefix — far too hot
         to redo on every FlowMod delta the dataplane verifier checks. A
         prefix's space only changes when its routes or its tag do, so only
         the prefixes a change log names since the last call are derived
-        again; everything, when a log cannot say.
+        again; everything, when a log cannot say. What that moved is on the
+        result's own change log, which the verifier reads.
         """
-        from repro.statics.dataplane import (
-            committed_space, committed_spaces_from_controller, member_ports)
+        from repro.statics.dataplane import CommittedSpaces
 
-        cache = self._committed_spaces_cache
-        versions, changed = self._changed_since(cache and cache[0])
-        if changed is None:
-            spaces = committed_spaces_from_controller(self)
-            keys = [space.space["dstip"] for space in spaces]
-            ports = member_ports(self)
-        else:
-            _versions, keys, spaces, ports = cache
-            for prefix in changed:
-                at = bisect_left(keys, prefix)
-                if at < len(keys) and keys[at] == prefix:
-                    del keys[at], spaces[at]
-                space = committed_space(self, prefix, ports)
-                if space is not None:
-                    keys.insert(at, prefix)
-                    spaces.insert(at, space)
-        self._committed_spaces_cache = (versions, keys, spaces, ports)
-        return list(spaces)
+        if self._committed is None:
+            self._committed = CommittedSpaces()
+        self._committed_at, changed = self._changed_since(self._committed_at)
+        self._committed.update(self, changed)
+        return self._committed
 
     # ------------------------------------------------------------------
     # Construction
@@ -572,13 +560,16 @@ class SdxController:
                    if participant.router is not None]
         for prefix in prefixes:
             decision = self.route_server.decide(prefix)
+            # The VNH belongs to the prefix: only an untagged one falls
+            # back to each router's own route's next hop.
+            vnh = self.allocator.next_hop_for_prefix(prefix)
             for name, router in routers:
                 best = decision.route_for(name)
                 if best is None:
                     router.withdraw_route(prefix)
                 else:
-                    router.install_route(
-                        prefix, self._rewrite_next_hop(prefix, best))
+                    router.install_route(prefix, vnh if vnh is not None
+                                         else best.attributes.next_hop)
 
     def _on_update(self, update: Update, changes: List[BestRouteChange]) -> None:
         if not self.started:

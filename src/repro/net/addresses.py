@@ -200,8 +200,11 @@ class IPv4Prefix:
         return NotImplemented
 
     def __lt__(self, other: "IPv4Prefix") -> bool:
+        # Compares without building tuples: the policy gate sorts prefixes.
         if isinstance(other, IPv4Prefix):
-            return (self._network, self._length) < (other._network, other._length)
+            if self._network != other._network:
+                return self._network < other._network
+            return self._length < other._length
         return NotImplemented
 
     def __hash__(self) -> int:

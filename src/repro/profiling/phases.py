@@ -63,6 +63,7 @@ PHASE_BY_SPAN: Mapping[str, str] = {
     # The dataplane verifier: whole-table analysis, and the delta check a
     # table swap runs inside ``southbound.apply``.
     "statics.dataplane": "dataplane_verify",
+    "statics.committed": "dataplane_verify",
     # Control-plane runtime event drain and its recompile trigger.
     "runtime.step": "runtime_drain",
     "runtime.recompile": "orchestration",
@@ -73,6 +74,7 @@ PHASE_BY_SPAN: Mapping[str, str] = {
     "recompile": "orchestration",
     # Pre-compilation static analysis.
     "statics.analyze": "statics",
+    "statics.check": "statics",
     # Verification harness driver.
     "harness.scenario": "verification",
 }

@@ -79,7 +79,8 @@ def analyze_context(context: StaticsContext,
             for direction in context.directions(participant)
         ) + len(context.raw_policies)
         for check in checks:
-            report.extend(list(check.run(context)))
+            with telemetry.span("statics.check", check_id=check.check_id):
+                report.extend(list(check.run(context)))
         span.set_tag(diagnostics=len(report.diagnostics))
     runs_counter.inc()
     diagnostics_counter.inc(len(report.diagnostics))

@@ -17,12 +17,14 @@ dead clauses never win a forwarding decision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.bgp.routeserver import RouteServer
 from repro.core.participant import RESERVED_FIELDS, Participant, _predicate_fields
 from repro.core.vswitch import VirtualTopology
-from repro.exceptions import AddressError, FieldError, ParticipantError, ReproError
+from repro.exceptions import AddressError, FieldError, ReproError
+from repro.net.addresses import IPv4Prefix
 from repro.net.mac import MacAddress
 from repro.net.packet import Packet
 from repro.policy.headerspace import HeaderSpace
@@ -273,6 +275,7 @@ class RoutelessForwardCheck(Check):
     default_severity = Severity.ERROR
 
     def run(self, context: StaticsContext) -> Iterator[Diagnostic]:
+        peers = frozenset(context.route_server.peers())
         for participant in context.participants():
             if participant.is_remote:
                 continue
@@ -284,10 +287,7 @@ class RoutelessForwardCheck(Check):
                     continue
                 if not isinstance(clause.target, str):
                     continue
-                try:
-                    eligible = context.route_server.reachable_prefixes(
-                        participant.name, via=clause.target)
-                except ParticipantError:
+                if clause.target not in peers:
                     yield self._diagnostic(
                         SourceLocation(participant.name, "out", index),
                         f"forwards to {clause.target!r}, which is not a "
@@ -298,6 +298,8 @@ class RoutelessForwardCheck(Check):
                     continue  # vacuous predicate; nothing to erase
                 if effective[index]:
                     continue
+                eligible = context.route_server.reachable_prefixes(
+                    participant.name, via=clause.target)
                 witness = witness_packet(info.regions[0])
                 yield self._diagnostic(
                     SourceLocation(participant.name, "out", index),
@@ -557,18 +559,21 @@ class UnreachableDefaultCheck(Check):
 
     def run(self, context: StaticsContext) -> Iterator[Diagnostic]:
         server = context.route_server
-        all_prefixes = server.all_prefixes()
-        decisions = {prefix: server.decide(prefix) for prefix in all_prefixes}
+        peers = frozenset(server.peers())
+        withheld = self._withheld(server)
         for participant in context.participants():
             if participant.is_remote:
                 continue
-            own = set(server.announced_by(participant.name)) | set(
-                participant.local_prefixes)
-            unrouted = [
-                prefix for prefix in all_prefixes
-                if prefix not in own
-                and decisions[prefix].route_for(participant.name) is None
-            ]
+            own = set(participant.local_prefixes)
+            if participant.name in peers:
+                own.update(server.announced_set(participant.name))
+                unrouted = withheld.get(participant.name, [])
+            else:
+                # Left the route server, not the topology: given nothing,
+                # announcing nothing.
+                unrouted = server.prefix_set()
+            unrouted = sorted(prefix for prefix in unrouted
+                              if prefix not in own)
             if not unrouted:
                 continue
             policy_hit = self._policy_intersects(context, participant, unrouted)
@@ -593,6 +598,31 @@ class UnreachableDefaultCheck(Check):
                     f"no best route (and so no default fabric rule) toward: "
                     f"{shown}",
                     data=(("prefixes", [str(p) for p in unrouted]),))
+
+    @staticmethod
+    def _withheld(server: RouteServer) -> Dict[str, List[IPv4Prefix]]:
+        """Per receiver, the prefixes it is given no route for, unordered.
+
+        A :class:`~repro.bgp.routeserver.Decision` gives every peer its best
+        route except the keys of ``exceptions``, so a peer goes without
+        exactly where it maps to ``None`` there: one pass over the
+        decisions, not one ``route_for`` per peer and prefix. Who is refused
+        a route reads nothing of it but its export class, so prefixes whose
+        rankings have the same classes share one decision's answer."""
+        withheld: Dict[str, List[IPv4Prefix]] = {}
+        by_classes: Dict[tuple, List[str]] = {}
+        class_of = attrgetter("export_class")
+        for prefix in server.prefix_set():
+            classes = tuple(map(class_of, server.ranked_routes(prefix)))
+            receivers = by_classes.get(classes)
+            if receivers is None:
+                receivers = by_classes[classes] = [
+                    receiver for receiver, route
+                    in server.decide(prefix).exceptions.items()
+                    if route is None]
+            for receiver in receivers:
+                withheld.setdefault(receiver, []).append(prefix)
+        return withheld
 
     def _policy_intersects(self, context: StaticsContext,
                            participant: Participant, prefixes):

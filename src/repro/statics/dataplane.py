@@ -43,6 +43,7 @@ from typing import (
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -51,6 +52,7 @@ from typing import (
     Tuple,
 )
 
+from repro.bgp.rib import ChangeLog
 from repro.exceptions import StaticDataplaneError
 from repro.net.addresses import IPv4Prefix
 from repro.net.mac import MacAddress
@@ -392,6 +394,82 @@ def committed_spaces_from_controller(controller: Any) -> List[CommittedSpace]:
     return [space for space in spaces if space is not None]
 
 
+class CommittedSpaces:
+    """A controller's committed-space population, kept per prefix, and a
+    log of the labels whose space moved.
+
+    :meth:`update` derives again the spaces of the prefixes it is given
+    and records in :attr:`changes` the label of every space that came,
+    went or changed, so a verifier holding the log's version reads what
+    moved since instead of comparing every space. Iterates in prefix order.
+    """
+
+    def __init__(self) -> None:
+        self.by_label: Dict[str, CommittedSpace] = {}
+        self.changes: ChangeLog[str] = ChangeLog()
+        self._by_prefix: Dict[IPv4Prefix, CommittedSpace] = {}
+        self._ports: Tuple[Dict[str, Tuple[int, ...]], Tuple[int, ...]] = (
+            {}, ())
+
+    def update(self, controller: Any,
+               prefixes: Optional[Iterable[IPv4Prefix]]) -> None:
+        """Derive ``prefixes``' spaces again — every tagged prefix's, and
+        an unknown change in the log, when ``prefixes`` is ``None``."""
+        if prefixes is None:
+            self._ports = member_ports(controller)
+            spaces = committed_spaces_from_controller(controller)
+            self._by_prefix = {space.space["dstip"]: space for space in spaces}
+            self.by_label = {space.label: space for space in spaces}
+            self.changes.record()
+            return
+        moved: List[str] = []
+        for prefix in prefixes:
+            old = self._by_prefix.get(prefix)
+            new = committed_space(controller, prefix, self._ports)
+            if new == old:
+                continue
+            if old is not None:
+                del self._by_prefix[prefix], self.by_label[old.label]
+                moved.append(old.label)
+            if new is not None:
+                self._by_prefix[prefix] = self.by_label[new.label] = new
+                moved.append(new.label)
+        if moved:
+            self.changes.record(moved)
+
+    def __iter__(self) -> Iterator[CommittedSpace]:
+        by_prefix = self._by_prefix
+        return iter([by_prefix[prefix] for prefix in sorted(by_prefix)])
+
+    def __len__(self) -> int:
+        return len(self._by_prefix)
+
+
+#: SDX011 verdicts of a committed space.
+_CLEAN, _EATEN, _OVER_BUDGET = "clean", "eaten", "over-budget"
+
+
+def _share_key(committed: CommittedSpace,
+               cuts: Sequence[Optional[IPv4Prefix]]) -> Optional[Tuple[Any, ...]]:
+    """What an SDX011 verdict of ``committed`` depends on beyond its
+    ``dstip``, given the ``dstip`` constraint of each rule its tag meets:
+    its ports and which of those rules it meets. ``None`` when the verdict
+    may depend on where in the prefix a packet lies — the space pins more
+    than a tag and a prefix, or a rule it meets cuts the prefix."""
+    space = committed.space
+    prefix = space.get("dstip")
+    if len(space) != 2 or not isinstance(prefix, IPv4Prefix) or (
+            space.get("dstmac") is None):
+        return None
+    met: List[int] = []
+    for index, cut in enumerate(cuts):
+        if cut is None or cut.contains_prefix(prefix):
+            met.append(index)
+        elif prefix.contains_prefix(cut):
+            return None
+    return (committed.ports, tuple(met))
+
+
 # ----------------------------------------------------------------------
 # The verifier
 # ----------------------------------------------------------------------
@@ -434,7 +512,9 @@ class DataplaneVerifier:
     back out of the table and has this cache start over from it.
 
     ``committed_spaces`` / ``vmac_index`` are zero-argument callables so
-    the verifier always sees current allocator and routing state;
+    the verifier always sees current allocator and routing state (a
+    :class:`CommittedSpaces` names what moved since the last pass on its
+    change log; any other sequence is compared whole, space by space);
     ``topology``/``tables`` enable the multi-switch loop check
     (SDX013) when the table under verification is partitioned.
     """
@@ -502,6 +582,9 @@ class DataplaneVerifier:
         self._rewrites: Dict[MacAddress, Set[RuleKey]] = {}
         self._rewrite_tags: Dict[RuleKey, Tuple[MacAddress, ...]] = {}
         self._space_snapshot: Dict[str, CommittedSpace] = {}
+        # The provider's change-log version the snapshot reflects (None:
+        # compare every space).
+        self._spaces_version: Optional[int] = None
         # The snapshot's spaces by the tag they pin (None: none).
         self._spaces_by_tag: Dict[Optional[MacAddress],
                                   Dict[str, HeaderSpace]] = {}
@@ -570,6 +653,7 @@ class DataplaneVerifier:
             for rule in self.table.rules:
                 self._verify_rule(rule, index)
             self._space_snapshot, self._spaces_by_tag = {}, {}
+            self._spaces_version = None
             self._verify_committed(())
             self._verify_loops()
         self._runs_counter.inc()
@@ -702,7 +786,17 @@ class DataplaneVerifier:
         representative (which the rule matches) finds another rule.
         Budget overrun degrades to the conservative single-cover test (no
         union shadows reported, never a false shadow).
+
+        A drop that pins neither guard field (the catch-all) meets every
+        rule ahead of it, so its representative packet is looked up first:
+        a reachable drop reports no witness, and one that wins that packet
+        is reachable whatever the rules ahead split.
         """
+        if rule.is_drop and rule.match.get("port") is None and (
+                rule.match.get("dstmac") is None):
+            probe = rule.match.concretise(port=0)
+            if self.table.lookup(probe) is rule:
+                return True, probe, 1
         earlier = self.table.overlapping(rule.match, before=rule)
         if not earlier:
             # One implicit class: the whole match region.
@@ -813,33 +907,49 @@ class DataplaneVerifier:
     # ------------------------------------------------------------------
 
     def _verify_committed(self, mod_matches: Iterable[HeaderSpace]) -> None:
-        current = {space.label: space for space in self._committed_spaces()}
-        previous = self._space_snapshot
-        stale = [diag_key for diag_key in self._diags
-                 if diag_key[0] == "SDX011" and diag_key[1] not in current]
-        for diag_key in stale:
-            del self._diags[diag_key]
-        touched = self._touched(mod_matches)
-        moved = len(current) != len(previous)
-        for label, committed in current.items():
-            if previous.get(label) == committed:
-                if label not in touched:
+        """Take again the SDX011 verdict of every committed space that
+        moved since the last pass or that overlaps a modded match."""
+        with self.telemetry.span("statics.committed") as span:
+            current, moved = self._moved_spaces()
+            snapshot, by_tag = self._space_snapshot, self._spaces_by_tag
+            recheck = self._touched(mod_matches)
+            for label in moved:
+                old, new = snapshot.get(label), current.get(label)
+                if old == new:
                     continue
-            else:
-                moved = True
-            self._diags.pop(("SDX011", label), None)
-            self._checks_counter.inc()
-            diag = self._check_committed_space(committed)
-            if diag is not None:
-                self._diags[("SDX011", label)] = diag
-                self._count(diag)
-        self._space_snapshot = current
-        if moved:
-            by_tag: Dict[Optional[MacAddress], Dict[str, HeaderSpace]] = {}
-            for label, committed in current.items():
-                by_tag.setdefault(committed.space.get("dstmac"),
-                                  {})[label] = committed.space
-            self._spaces_by_tag = by_tag
+                if old is not None:
+                    tag = old.space.get("dstmac")
+                    del snapshot[label], by_tag[tag][label]
+                    if not by_tag[tag]:
+                        del by_tag[tag]
+                    self._diags.pop(("SDX011", label), None)
+                if new is not None:
+                    snapshot[label] = new
+                    by_tag.setdefault(new.space.get("dstmac"),
+                                      {})[label] = new.space
+                    recheck.add(label)
+            judged = [snapshot[label] for label in sorted(recheck)
+                      if label in snapshot]
+            span.set_tag(spaces=len(judged))
+            self._judge_spaces(judged)
+
+    def _moved_spaces(self) -> Tuple[Mapping[str, CommittedSpace],
+                                     Iterable[str]]:
+        """The provider's spaces by label, and the labels that may have
+        moved since the last pass: what a :class:`CommittedSpaces` log
+        names, else every label either side holds."""
+        provided = self._committed_spaces()
+        moved: Optional[Iterable[str]] = None
+        if isinstance(provided, CommittedSpaces):
+            current: Mapping[str, CommittedSpace] = provided.by_label
+            if self._spaces_version is not None:
+                moved = provided.changes.since(self._spaces_version)
+            self._spaces_version = provided.changes.version
+        else:
+            current = {space.label: space for space in provided}
+        if moved is None:
+            moved = current.keys() | self._space_snapshot.keys()
+        return current, moved
 
     def _touched(self, mod_matches: Iterable[HeaderSpace]) -> Set[str]:
         """Labels of the snapshot's spaces that overlap a modded match:
@@ -854,15 +964,56 @@ class DataplaneVerifier:
                                if space.overlaps(match))
         return touched
 
+    def _judge_spaces(self, spaces: Sequence[CommittedSpace]) -> None:
+        """Give each of ``spaces`` its SDX011 verdict.
+
+        The table is read once per tag, off the guard index. Spaces of one
+        tag that pin only it and a ``dstip`` prefix, have the same ports,
+        and meet the same rules — each of which leaves ``dstip`` open or
+        covers the whole prefix — have partitions that differ only in the
+        ``dstip`` of their representatives, which no rule they meet tells
+        apart: one verdict serves them all. Only an eaten verdict is taken
+        again per space, for its own label and witness.
+        """
+        by_tag: Dict[Optional[MacAddress], List[CommittedSpace]] = {}
+        for committed in spaces:
+            by_tag.setdefault(committed.space.get("dstmac"),
+                              []).append(committed)
+        for tag, group in by_tag.items():
+            rules = self.table.overlapping(
+                HeaderSpace() if tag is None else HeaderSpace(dstmac=tag))
+            cuts = [rule.match.get("dstip") for rule in rules]
+            shared: Dict[Tuple[Any, ...], str] = {}
+            for committed in group:
+                self._checks_counter.inc()
+                self._diags.pop(("SDX011", committed.label), None)
+                key = _share_key(committed, cuts)
+                verdict = shared.get(key) if key is not None else None
+                if verdict == _OVER_BUDGET:
+                    self._budget_counters["SDX011"].inc()
+                    continue
+                if verdict == _CLEAN:
+                    continue
+                verdict, diag = self._check_committed_space(committed, rules)
+                if key is not None:
+                    shared[key] = verdict
+                if diag is not None:
+                    self._diags[("SDX011", committed.label)] = diag
+                    self._count(diag)
+
     def _check_committed_space(
-            self, committed: CommittedSpace) -> Optional[Diagnostic]:
+            self, committed: CommittedSpace, rules: Sequence[FlowRule]
+    ) -> Tuple[str, Optional[Diagnostic]]:
+        """The SDX011 verdict and finding of one space, judged against
+        ``rules`` (a superset, in table order, of the installed rules
+        overlapping it)."""
         try:
             partition = Subpartition(
-                committed.space, self.table.overlapping(committed.space),
+                committed.space, rules,
                 port_domain=committed.ports, budget=self.class_budget)
         except ClassBudgetExceeded:
             self._budget_counters["SDX011"].inc()
-            return None
+            return _OVER_BUDGET, None
         self._classes_counter.inc(len(partition.classes))
         eaten = 0
         witness: Optional[Packet] = None
@@ -873,8 +1024,8 @@ class DataplaneVerifier:
                 if witness is None:
                     witness = cls.representative
         if not eaten:
-            return None
-        return Diagnostic(
+            return _CLEAN, None
+        return _EATEN, Diagnostic(
             check_id="SDX011", check_name="committed-miss",
             severity=Severity.ERROR,
             location=SourceLocation(participant=self.switch,

@@ -59,14 +59,24 @@ def double_loop(controller):
 @settings(max_examples=150, deadline=None)
 @given(operations)
 def test_kept_spaces_equal_the_from_scratch_walk_and_the_double_loop(ops):
+    """And the provider's change log names, since the last call, every
+    label whose space came, went or changed — all the verifier reads."""
     controller = build()
     installed = {0, 1, 2}
-    assert controller._committed_spaces() == double_loop(controller)
+    kept = controller._committed_spaces()
+    assert list(kept) == double_loop(controller)
+    before, version = dict(kept.by_label), kept.changes.version
     for operation in ops:
         apply_operation(controller, installed, operation)
         fresh = committed_spaces_from_controller(controller)
         assert fresh == double_loop(controller), operation
-        assert controller._committed_spaces() == fresh, operation
+        assert list(controller._committed_spaces()) == fresh, operation
+        after = {space.label: space for space in fresh}
+        named = kept.changes.since(version)
+        if named is not None:
+            assert {label for label in before.keys() | after.keys()
+                    if before.get(label) != after.get(label)} <= set(named)
+        before, version = after, kept.changes.version
 
 
 def gated_exchange(prefixes):
@@ -90,7 +100,7 @@ def test_a_gated_update_derives_the_spaces_it_moved_not_all_of_them(prefixes):
         before = runs.value
         controller.submit_update(event.update)
         costs.append(runs.value - before)
-        assert (controller._committed_spaces()
+        assert (list(controller._committed_spaces())
                 == committed_spaces_from_controller(controller))
     # Ingest decides a touched prefix twice, the fast path, the router push
     # and the provider once each — whatever the table holds.

@@ -428,15 +428,54 @@ class TestWhatAWindowExamines:
         assert len(crowded.table) == 64
         assert one_update(crowded) == (5, 46)
 
-    def test_a_catch_all_inside_the_class_budget_walks_the_table(self):
+    def test_a_catch_all_is_judged_by_one_lookup(self):
         """With so few clauses the catch-all drop's classes fit the budget,
-        so every window that adds ahead of it takes its verdict again, from
-        every rule ahead: the one term that grows with the table."""
+        so every window that adds ahead of it takes its verdict again. It
+        pins no guard field, so it would meet every rule ahead; the lookup
+        of its representative settles it instead, whatever the table holds."""
         small, crowded = exchange_with(0, small=True), exchange_with(
             10, small=True)
         assert len(crowded.table) - len(small.table) == 10
-        assert one_update(small) == (2, 26)
-        assert one_update(crowded) == (2, 26 + 10)
+        assert one_update(small) == (2, 13)
+        assert one_update(crowded) == (2, 13)
+
+
+def lengthen(sdx, count):
+    """The best routes of the first ``count`` prefixes get longer: gated
+    fast-path windows, each under a fresh tag."""
+    for prefix in sdx.route_server.all_prefixes()[:count]:
+        announcer = sdx.route_server.decide(prefix).best.learned_from
+        asn = sdx.topology.participant(announcer).asn
+        sdx.announce_route(announcer, prefix, AsPath([asn, 64_999, 7]))
+
+
+class TestWhatAPolicyChangeExamines:
+    """One gated policy change after a few fast-path updates: its swap
+    re-verifies the rules its FlowMods reach and the committed spaces that
+    moved, reading each moved tag's rules once. Both work counts are pinned
+    exactly, and neither grows with members the change cannot meet."""
+
+    @staticmethod
+    def one_policy_change(sdx):
+        lengthen(sdx, 3)
+        registry = sdx.telemetry.registry
+        counters = (registry.get("sdx_statics_dataplane_rules_examined_total"),
+                    registry.get("sdx_statics_dataplane_checks_total"))
+        before = [counter.value for counter in counters]
+        holder, target = sdx.route_server.peers()[:2]
+        sdx.participant(holder).add_outbound(match(dstport=8080) >> fwd(target))
+        return tuple(counter.value - value
+                     for counter, value in zip(counters, before))
+
+    def test_one_policy_change_is_pinned(self):
+        sdx = exchange_with(0)
+        assert self.one_policy_change(sdx) == (271, 130)
+        assert len(sdx.table) == 47
+
+    def test_members_the_change_cannot_meet_cost_it_nothing(self):
+        crowded = exchange_with(20)
+        assert self.one_policy_change(crowded) == (271, 130)
+        assert len(crowded.table) == 67
 
 
 class TestIncrementalEqualsFull:
@@ -471,6 +510,112 @@ class TestIncrementalEqualsFull:
         spaces = committed_spaces_from_controller(controller)
         index = controller.allocator.vmac_index()
         assert all(space.space.get("dstmac") in index for space in spaces)
+
+    # Spaces of one tag share an SDX011 verdict within a pass when they
+    # differ only in their prefix: the cases where they must not, or where
+    # a shared verdict must still speak per space.
+
+    TAG = vmac_for_fec(9)
+
+    def space(self, label, prefix, ports=(1, 2)):
+        return CommittedSpace(label=label, ports=ports, space=HeaderSpace(
+            dstmac=self.TAG, dstip=IPv4Prefix(prefix)))
+
+    def judged(self, table, spaces, **kwargs):
+        """The verifier's report after a window that touches every space,
+        held to a fresh analysis; its SDX011s by label."""
+        verifier = DataplaneVerifier(table, committed_spaces=lambda: spaces,
+                                     mode="off", **kwargs)
+        mods = [FlowMod.add(rule(50, FWD1, dstmac=self.TAG, dstport=9))]
+        table.apply_delta(mods)
+        verifier.verify_delta(mods)
+        report = verifier.state_report()
+        assert report.to_json() == analyze_flowtable(
+            table, committed_spaces=spaces, **kwargs).to_json()
+        return {dict(d.data)["label"]: d for d in diags(report, "SDX011")}
+
+    def test_a_rule_cutting_a_prefix_keeps_it_from_its_siblings_verdict(self):
+        """The /16 and the /8 holding it meet the same rules, but the rule
+        pinning the /16 cuts the /8: judged first, the /16's clean verdict
+        must not be lent to the /8, whose remainder falls to the drop."""
+        table = table_of(rule(10, FWD1, dstmac=self.TAG,
+                              dstip=IPv4Prefix("10.0.0.0/16")), rule(0))
+        found = self.judged(table, [self.space("a", "10.0.0.0/16"),
+                                    self.space("b", "10.0.0.0/8")])
+        assert sorted(found) == ["b"]
+        assert not IPv4Prefix("10.0.0.0/16").contains_address(
+            found["b"].witness.get("dstip"))
+
+    def test_only_the_eaten_space_of_a_tag_is_reported(self):
+        table = table_of(rule(10, FWD1, dstmac=self.TAG,
+                              dstip=IPv4Prefix("10.0.0.0/16")), rule(0))
+        found = self.judged(table, [self.space("a", "10.0.0.0/16"),
+                                    self.space("b", "10.1.0.0/16")])
+        assert sorted(found) == ["b"]
+        assert IPv4Prefix("10.1.0.0/16").contains_address(
+            found["b"].witness.get("dstip"))
+
+    def test_a_shared_eaten_verdict_carries_each_label_and_witness(self):
+        table = table_of(rule(10, FWD1, dstmac=self.TAG, dstport=80),
+                         rule(0))
+        prefixes = ("10.0.0.0/16", "10.1.0.0/16", "10.2.0.0/16")
+        found = self.judged(table, [self.space(str(index), prefix)
+                                    for index, prefix in enumerate(prefixes)])
+        assert sorted(found) == ["0", "1", "2"]
+        for index, prefix in enumerate(prefixes):
+            assert IPv4Prefix(prefix).contains_address(
+                found[str(index)].witness.get("dstip"))
+
+    def test_a_class_budget_overrun_is_shared_and_counted_per_space(self):
+        from repro.telemetry import Telemetry
+
+        table = table_of(rule(10, FWD1, dstmac=self.TAG, dstport=80),
+                         rule(9, FWD1, dstmac=self.TAG, dstport=443), rule(0))
+        spaces = [self.space("a", "10.0.0.0/16"),
+                  self.space("b", "10.1.0.0/16")]
+        telemetry = Telemetry()
+        assert self.judged(table, spaces, class_budget=2) == {}
+        analyze_flowtable(table, committed_spaces=spaces, class_budget=2,
+                          telemetry=telemetry)
+        assert telemetry.registry.get(
+            "sdx_statics_dataplane_budget_exceeded_total",
+            check="SDX011").value == 2
+
+    def test_identical_after_a_clause_cuts_a_group_prefix(self):
+        """A group holding a /8 and a /16 inside it; a gated edit installs
+        a clause whose ``dstip`` is the /16, cutting the /8."""
+        sdx = SdxController(with_dataplane=True,
+                            dataplane_statics_mode="strict")
+        for name, asn in (("A", 65001), ("B", 65002), ("C", 65003)):
+            sdx.add_participant(name, asn)
+        for prefix in ("10.0.0.0/8", "10.1.0.0/16", "20.0.0.0/16"):
+            for name, asn in (("B", 65002), ("C", 65003)):
+                sdx.announce_route(name, IPv4Prefix(prefix), AsPath([asn]))
+        sdx.participant("A").add_outbound(match(dstport=80) >> fwd("B"))
+        sdx.start()
+        sdx.participant("A").add_outbound(
+            (match(dstip="10.1.0.0/16") & match(dstport=443)) >> fwd("C"))
+        groups = [group.prefixes for group in sdx.last_compilation.groups
+                  if IPv4Prefix("10.0.0.0/8") in group.prefixes]
+        assert IPv4Prefix("10.1.0.0/16") in groups[0]
+        self.assert_identical(sdx)
+
+    def test_identical_after_a_gated_policy_change_after_fast_path_churn(self):
+        from repro.workloads.updates import generate_trace
+
+        ixp = generate_ixp(12, 80, seed=3)
+        sdx = ixp.build_controller(with_dataplane=True, statics_mode="strict",
+                                   dataplane_statics_mode="strict")
+        install_assignments(sdx, generate_policies(ixp, seed=4))
+        sdx.start()
+        for event in generate_trace(ixp, seed=5, max_updates=20):
+            sdx.submit_update(event.update)
+        holder, target = sdx.route_server.peers()[:2]
+        clause = match(dstport=8080) >> fwd(target)
+        sdx.participant(holder).add_outbound(clause)
+        self.assert_identical(sdx)
+        sdx.participant(holder).remove_outbound(clause)
+        self.assert_identical(sdx)
 
 
 class TestGating:
