@@ -51,9 +51,6 @@ lint-policies-smoke:
 		--output artifacts/lint-policies-defects.json
 	PYTHONPATH=src $(PYTHON) -m repro lint-policies --federation-defects \
 		--output artifacts/lint-policies-federation-defects.json
-	PYTHONPATH=src $(PYTHON) -m repro lint-dataplane --defects \
-		--participants 8 --prefixes 16 \
-		--output artifacts/lint-dataplane-defects.json
 
 # The dataplane verifier over its linting surfaces: the flow rules a
 # compiled Section 6.1 workload actually installs, plus a seeded

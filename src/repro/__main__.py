@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.experiments.harness import (
     run_compilation_sweep,
@@ -556,7 +556,6 @@ def _run_lint(args) -> int:
               file=sys.stderr)
         return 2
 
-    defect_labels = ("defects", "federation-defects")
     results = []   # (label, StaticsReport)
     missed_defects = []
     for path in args.config:
@@ -582,6 +581,22 @@ def _run_lint(args) -> int:
         defects.extend(federation_defects)
         missed_defects.extend(federation_missed)
 
+    return _report_lint(args, results, defects, missed_defects,
+                        exempt=("defects", "federation-defects"))
+
+
+def _report_lint(args, results, defects, missed_defects, *,
+                 exempt: Tuple[str, ...]) -> int:
+    """Write, print and judge one lint run; the exit status.
+
+    ``results`` are ``(label, StaticsReport)`` pairs; a target whose label
+    is in ``exempt`` (a defect-injection run, whose errors are the point)
+    fails nothing by its findings, only by a missed defect. The JSON
+    payload goes to ``--output``; ``--json`` prints it, otherwise each
+    target's summary and findings and the defect recall are printed.
+    """
+    import json as json_module
+
     payload = {
         "targets": [
             {"target": label, **report.to_dict()} for label, report in results
@@ -593,7 +608,7 @@ def _run_lint(args) -> int:
             "missed": [d.description for d in missed_defects],
         }
     failed = any(report.has_errors for label, report in results
-                 if label not in defect_labels) or bool(missed_defects)
+                 if label not in exempt) or bool(missed_defects)
     payload["ok"] = not failed
 
     rendered = json_module.dumps(payload, indent=2)
@@ -605,9 +620,8 @@ def _run_lint(args) -> int:
     else:
         for label, report in results:
             print(f"== {label}: {report.summary()}")
-            text = report.render()
             if report.diagnostics:
-                print(text)
+                print(report.render())
         if defects:
             print(f"== defect recall: {len(defects) - len(missed_defects)}"
                   f"/{len(defects)} detected")
@@ -638,8 +652,6 @@ def _lint_dataplane_defect_run(args):
 
 
 def _run_lint_dataplane(args) -> int:
-    import json as json_module
-
     from repro.statics import analyze_controller_dataplane
 
     if not (args.workload or args.defects):
@@ -648,49 +660,17 @@ def _run_lint_dataplane(args) -> int:
         return 2
 
     results = []   # (label, StaticsReport)
-    defects = []
-    missed_defects = []
+    defects, missed_defects = [], []
     if args.workload:
         controller = _lint_workload_controller(args)
         controller.start()
         results.append(("workload", analyze_controller_dataplane(controller)))
     if args.defects:
-        report, injected, missed = _lint_dataplane_defect_run(args)
+        report, defects, missed_defects = _lint_dataplane_defect_run(args)
         results.append(("defects", report))
-        defects.extend(injected)
-        missed_defects.extend(missed)
 
-    payload = {
-        "targets": [
-            {"target": label, **report.to_dict()} for label, report in results
-        ],
-    }
-    if defects:
-        payload["defects"] = {
-            "injected": [d.description for d in defects],
-            "missed": [d.description for d in missed_defects],
-        }
-    failed = any(report.has_errors for label, report in results
-                 if label != "defects") or bool(missed_defects)
-    payload["ok"] = not failed
-
-    rendered = json_module.dumps(payload, indent=2)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(rendered + "\n")
-    if args.json:
-        print(rendered)
-    else:
-        for label, report in results:
-            print(f"== {label}: {report.summary()}")
-            if report.diagnostics:
-                print(report.render())
-        if defects:
-            print(f"== defect recall: {len(defects) - len(missed_defects)}"
-                  f"/{len(defects)} detected")
-            for defect in missed_defects:
-                print(f"  MISSED: {defect.description}")
-    return 1 if failed else 0
+    return _report_lint(args, results, defects, missed_defects,
+                        exempt=("defects",))
 
 
 def _run_chaos_soak(args) -> int:

@@ -241,6 +241,10 @@ class RouteServer:
         """Every peer name, sorted."""
         return tuple(sorted(self._sessions))
 
+    def is_peer(self, name: str) -> bool:
+        """True while ``name`` holds a session with the route server."""
+        return name in self._sessions
+
     def reset_session(self, name: str) -> List[BestRouteChange]:
         """Simulate an administrative session reset: flush + reconnect.
 

@@ -69,7 +69,8 @@ from repro.core.defaults import (
     ingress_guard,
     mac_learning_clauses,
 )
-from repro.core.fec import ContextId, Grouping, PrefixGroup, compute_prefix_groups
+from repro.core.fec import (
+    ContextId, Grouping, PrefixGroup, compute_prefix_groups, outbound_contexts)
 from repro.core.participant import Participant
 from repro.core.vnh import VnhAllocator
 from repro.core.vswitch import VirtualTopology
@@ -439,8 +440,7 @@ class SdxCompiler:
         if not self.use_vnh:
             return [], Grouping(), {}
         log = self.route_server.rib_changes
-        contexts = frozenset((p.name, target) for p in participants
-                             for target in p.outbound_targets())
+        contexts = frozenset(outbound_contexts(participants, self.route_server))
 
         def build(previous: Optional[tuple]) -> tuple:
             grouping, dirty = Grouping(), None
@@ -567,6 +567,8 @@ class SdxCompiler:
                  dstip_limit=None) -> Optional[tuple]:
             if target is None:
                 return None
+            if not self.route_server.is_peer(target):
+                return ()  # not a route-server peer: reaches nothing
             if not self.use_vnh:
                 reachable = self.route_server.reachable_prefixes(
                     participant, via=target)
@@ -717,10 +719,12 @@ class SdxCompiler:
             dstip_limit = clause.dstip
             if dstip_limit is not None and not dstip_limit.overlaps(prefix):
                 return ()
-            if not clause.drops and not self.route_server.is_reachable(
-                    participant, prefix, via=str(clause.target)):
-                return ()
-            return (vmac,)
+            target = str(clause.target)
+            if clause.drops or (self.route_server.is_peer(target)
+                                and self.route_server.is_reachable(
+                                    participant, prefix, via=target)):
+                return (vmac,)
+            return ()
 
         def eligible(participant: Participant,
                      clauses: Sequence[Clause]) -> tuple:

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
+from typing import (
+    Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Tuple)
 
 from repro.bgp.rib import PrefixTrie, RouteEntry
 from repro.bgp.routeserver import RouteServer
@@ -105,6 +106,21 @@ def minimum_disjoint_subsets(
     return [frozenset(prefixes) for prefixes in grouped.values()]
 
 
+def outbound_contexts(participants: Iterable[Participant],
+                      route_server: RouteServer) -> Iterator[ContextId]:
+    """Every (holder, target) an outbound clause forwards along.
+
+    A target that is not a route-server peer — a member that left the
+    route server but not the topology — reaches nothing, so it makes no
+    context: its clauses match no prefix and their traffic keeps its
+    default route.
+    """
+    for participant in participants:
+        for target in participant.outbound_targets():
+            if route_server.is_peer(target):
+                yield participant.name, target
+
+
 def compute_prefix_groups(participants: Iterable[Participant],
                           route_server: RouteServer,
                           kept: Optional[Grouping] = None,
@@ -130,9 +146,9 @@ def compute_prefix_groups(participants: Iterable[Participant],
     when those move.
     """
     toward: Dict[str, List[ContextId]] = {}
+    for holder, target in outbound_contexts(participants, route_server):
+        toward.setdefault(target, []).append((holder, target))
     for participant in participants:
-        for target in participant.outbound_targets():
-            toward.setdefault(target, []).append((participant.name, target))
         if participant.is_remote:
             # Prefixes originated by a remote participant have no physical
             # next-hop MAC, so they must always be VNH-tagged: give them a

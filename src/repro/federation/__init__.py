@@ -19,7 +19,7 @@ The subsystem has four layers:
   ``statics_mode`` gating;
 * :mod:`repro.federation.dataplane` — the cross-fabric driver walking a
   packet through real per-exchange fabrics with loop detection, plus the
-  shared hop-state walk both execution arms implement;
+  hop-state walk every execution arm shares;
 * :mod:`repro.federation.checks` — the SDX008 (inter-exchange forwarding
   loop) and SDX009 (stitched-path blackhole) static checks over the
   cross-exchange reachability graph, and :func:`analyze_federation`;

@@ -1,11 +1,13 @@
 """Cross-fabric forwarding: one packet walked through many exchanges.
 
-Both execution arms — the real per-exchange fabrics driven by
-:class:`FederatedDataPlane` and the naive per-exchange reference
-interpreters of :func:`repro.verification.federation.reference_walk` —
-share the same hop-state machine, re-entry rule and origin lookup,
-written once as :func:`walk_federation`; an arm supplies only how one
-exchange classifies a packet and which route server re-entry consults:
+Every execution arm — the real per-exchange fabrics driven by
+:class:`FederatedDataPlane`, the naive per-exchange reference
+interpreters of :func:`repro.verification.federation.reference_walk`
+and the point-wise static walk behind SDX008/SDX009
+(:func:`repro.federation.checks.walk_statically`) — shares the same
+hop-state machine, re-entry rule and origin lookup, written once as
+:func:`walk_federation`; an arm supplies only how one exchange
+classifies a packet and which route server re-entry consults:
 
 1. classify the packet at the current exchange as the current sender's
    traffic (big-switch policies + BGP defaults decide the egress

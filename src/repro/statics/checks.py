@@ -24,7 +24,7 @@ from repro.bgp.routeserver import RouteServer
 from repro.core.participant import RESERVED_FIELDS, Participant, _predicate_fields
 from repro.core.vswitch import VirtualTopology
 from repro.exceptions import AddressError, FieldError, ReproError
-from repro.net.addresses import IPv4Prefix
+from repro.net.addresses import IPv4Address, IPv4Prefix
 from repro.net.mac import MacAddress
 from repro.net.packet import Packet
 from repro.policy.headerspace import HeaderSpace
@@ -41,6 +41,7 @@ from repro.statics.regions import (
     covering_region,
     effective_regions,
     first_intersection,
+    reachable,
     witness_packet,
 )
 
@@ -194,6 +195,114 @@ def clause_overlaps(clauses: Sequence,
                 continue
             overlaps.append((first, second, witness, exact))
     return overlaps
+
+
+@dataclass(frozen=True)
+class HopDecision:
+    """How one exchange disposes of one concrete packet.
+
+    ``kind`` is ``"fwd"`` (outbound clause ``clause_index`` wins toward
+    ``target``), ``"default"`` (the best-route default toward
+    ``target``), ``"drop"`` (outbound drop clause ``clause_index`` wins),
+    ``"inbound-drop"`` (inbound clause ``clause_index`` of the egress
+    ``target`` refuses the packet), ``"nofib"`` (no announced prefix with
+    a best route covers the destination — the border router never emits
+    the packet), ``"dynamic"`` (a dynamic clause blocks point-wise
+    reasoning), or ``"ambiguous"`` (nested announced prefixes make the
+    FIB gate order-dependent).
+    """
+
+    kind: str
+    clause_index: Optional[int] = None
+    target: Optional[str] = None
+
+
+def outbound_decision(context: StaticsContext, sender: Participant,
+                      packet: Packet) -> Optional[HopDecision]:
+    """The sender's outbound clause that takes ``packet``, point-wise.
+
+    Clauses apply in installation order: a matching drop clause wins; a
+    matching forward wins only when its target exports the sender a
+    prefix covering the destination (the BGP join of Section 4.1), and
+    is passed over otherwise. ``None``: no clause takes the packet, so it
+    follows the best-route default.
+    """
+    dstip = packet.get("dstip")
+    for index, info in enumerate(context.clause_info(sender, "out")):
+        if info.dynamic:
+            return HopDecision(kind="dynamic", clause_index=index)
+        clause = info.clause
+        if not clause.predicate.holds(packet):
+            continue
+        if clause.drops:
+            return HopDecision(kind="drop", clause_index=index)
+        if any(prefix.contains_address(dstip) for prefix in reachable(
+                context.route_server, sender.name, clause.target)):
+            return HopDecision(kind="fwd", clause_index=index,
+                               target=clause.target)
+    return None
+
+
+def inbound_decision(context: StaticsContext, egress: Participant,
+                     packet: Packet) -> Optional[HopDecision]:
+    """How the egress's inbound policy disposes of ``packet``.
+
+    ``"inbound-drop"`` when the first matching inbound clause drops it,
+    ``"dynamic"`` when a dynamic clause comes first, ``None`` when the
+    egress accepts it (a forwarding clause or the default delivery).
+    """
+    for index, info in enumerate(context.clause_info(egress, "in")):
+        if info.dynamic:
+            return HopDecision(kind="dynamic", clause_index=index,
+                               target=egress.name)
+        if info.clause.predicate.holds(packet):
+            if not info.clause.drops:
+                return None
+            return HopDecision(kind="inbound-drop", clause_index=index,
+                               target=egress.name)
+    return None
+
+
+def _unique_covering(context: StaticsContext,
+                     dstip: IPv4Address) -> Tuple[Optional[IPv4Prefix], bool]:
+    """(the single announced prefix covering ``dstip``, soundness flag).
+
+    Returns ``(None, True)`` when nothing covers the address and
+    ``(None, False)`` when several announced prefixes nest over it (the
+    reference resolves that by list order the analyzer cannot see).
+    """
+    covering = [prefix for prefix in context.route_server.all_prefixes()
+                if prefix.contains_address(dstip)]
+    if len(covering) > 1:
+        return None, False
+    return (covering[0] if covering else None), True
+
+
+def decide_hop(context: StaticsContext, sender: Participant,
+               packet: Packet) -> HopDecision:
+    """Point-wise disposition of one packet at one exchange.
+
+    Mirrors the reference interpreter's bands: the border FIB gate, then
+    :func:`outbound_decision`, then the best-route default; a packet
+    steered to an egress then meets that egress's
+    :func:`inbound_decision`.
+    """
+    dstip = packet.get("dstip")
+    if dstip is None:
+        return HopDecision(kind="nofib")
+    covering, sound = _unique_covering(context, dstip)
+    if not sound:
+        return HopDecision(kind="ambiguous")
+    best = (context.route_server.best_route_for(sender.name, covering)
+            if covering is not None else None)
+    if best is None:
+        return HopDecision(kind="nofib")
+    decision = (outbound_decision(context, sender, packet)
+                or HopDecision(kind="default", target=best.learned_from))
+    if decision.target is None:
+        return decision
+    egress = context.topology.participant(decision.target)
+    return inbound_decision(context, egress, packet) or decision
 
 
 class Check:
@@ -438,58 +547,22 @@ class BlackholeCheck(Check):
         inbound = context.clause_info(egress, "in")
         if not any(info.clause.drops for info in inbound):
             return None
+        steered = HopDecision(kind="fwd", clause_index=index,
+                              target=egress.name)
         for drop_index, drop_info in enumerate(inbound):
             if not drop_info.clause.drops or drop_info.dynamic:
                 continue
+            refused = HopDecision(kind="inbound-drop", clause_index=drop_index,
+                                  target=egress.name)
             for region in regions:
                 witness_space = first_intersection([region], drop_info.regions)
                 if witness_space is None:
                     continue
                 witness = witness_packet(witness_space)
-                if not self._clause_wins(context, sender, index, witness):
-                    continue
-                verdict = self._inbound_disposition(context, egress, witness)
-                if verdict == drop_index:
+                if (outbound_decision(context, sender, witness) == steered
+                        and inbound_decision(
+                            context, egress, witness) == refused):
                     return drop_index, witness
-        return None
-
-    def _clause_wins(self, context: StaticsContext, sender: Participant,
-                     index: int, packet: Packet) -> bool:
-        """True if outbound clause ``index`` captures ``packet`` — no
-        earlier clause of the sender takes it first (point-wise exact)."""
-        clauses = context.clauses(sender, "out")
-        infos = context.clause_info(sender, "out")
-        if not clauses[index].predicate.holds(packet):
-            return False
-        dstip = packet.get("dstip")
-        for earlier in range(index):
-            info = infos[earlier]
-            if info.dynamic:
-                return False  # cannot reason point-wise past dynamic state
-            clause = info.clause
-            if not clause.predicate.holds(packet):
-                continue
-            if clause.drops:
-                return False
-            if isinstance(clause.target, str):
-                eligible = context.route_server.reachable_prefixes(
-                    sender.name, via=clause.target)
-                if any(prefix.contains_address(dstip) for prefix in eligible):
-                    return False
-            else:
-                return False
-        return True
-
-    def _inbound_disposition(self, context: StaticsContext,
-                             egress: Participant,
-                             packet: Packet) -> Optional[int]:
-        """The inbound clause index that takes ``packet`` at the egress
-        (``None``: default delivery, or undecidable past dynamic state)."""
-        for index, info in enumerate(context.clause_info(egress, "in")):
-            if info.dynamic:
-                return None
-            if info.clause.predicate.holds(packet):
-                return index
         return None
 
 

@@ -24,6 +24,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.bgp.routeserver import RouteServer
 from repro.core.clauses import Clause
+from repro.net.addresses import IPv4Prefix
+from repro.net.packet import Packet
 from repro.policy.headerspace import HeaderSpace
 from repro.policy.policies import Negation, Policy, Predicate
 
@@ -83,23 +85,34 @@ def effective_regions(info: ClauseRegions, sender: str,
     through. Forwarding clauses are refined per eligible prefix of the
     target — the same (clause, eligible prefix) expansion the reference
     interpreter installs — so an empty result means the BGP join erases
-    the clause entirely (a route-less forward).
-
-    Inbound clauses and clauses forwarding to a raw port are not subject
-    to the join; their raw regions pass through unchanged.
+    the clause entirely (a route-less forward, or one whose target
+    :func:`reachable` says reaches nothing).
     """
     clause = info.clause
     if info.dynamic:
         return ()
-    if clause.drops or not isinstance(clause.target, str):
+    if clause.drops:
         return info.regions
     refined: List[HeaderSpace] = []
-    for prefix in route_server.reachable_prefixes(sender, via=clause.target):
+    for prefix in reachable(route_server, sender, clause.target):
         for region in info.regions:
             narrowed = region.with_constraint("dstip", prefix)
             if narrowed is not None:
                 refined.append(narrowed)
     return tuple(refined)
+
+
+def reachable(route_server: RouteServer, sender: str,
+              target: object) -> Tuple[IPv4Prefix, ...]:
+    """The prefixes ``sender`` may forward to ``target``: the BGP join.
+
+    A target that is not a route-server peer — a member that left the
+    route server, or a raw port, which outbound policies cannot name —
+    reaches nothing, exactly as the compiler treats it.
+    """
+    if not isinstance(target, str) or not route_server.is_peer(target):
+        return ()
+    return route_server.reachable_prefixes(sender, via=target)
 
 
 def first_intersection(left: Sequence[HeaderSpace],
@@ -133,6 +146,27 @@ def covering_region(space: HeaderSpace,
 WITNESS_DEFAULTS = {"port": 0}
 
 
-def witness_packet(space: HeaderSpace):
+def witness_packet(space: HeaderSpace) -> Packet:
     """A representative packet inside ``space`` for diagnostics."""
     return space.concretise(**WITNESS_DEFAULTS)
+
+
+def probe_packets(regions: Sequence[HeaderSpace],
+                  prefixes: Sequence[IPv4Prefix]) -> List[Packet]:
+    """Witness packets of ``regions`` that reach the fabric.
+
+    A region without a destination constraint (a port-only match, say)
+    concretises to a packet no border router emits — no announced prefix
+    covers it — so such a region is refined with each of ``prefixes``
+    first, one probe per prefix it meets.
+    """
+    probes: List[Packet] = []
+    for region in regions:
+        if "dstip" in region:
+            probes.append(witness_packet(region))
+            continue
+        for prefix in prefixes:
+            refined = region.intersect(HeaderSpace(dstip=prefix))
+            if refined is not None:
+                probes.append(witness_packet(refined))
+    return probes

@@ -22,9 +22,8 @@ from __future__ import annotations
 from typing import Any, List, Optional, Sequence
 
 from repro.net.packet import Packet
-from repro.policy.headerspace import HeaderSpace
 from repro.statics.checks import StaticsContext, dead_clause_map
-from repro.statics.regions import witness_packet
+from repro.statics.regions import probe_packets
 from repro.verification.corpus import generate_corpus
 from repro.verification.kernel import Case, Check, OracleFailure
 from repro.verification.reference import ReferenceInterpreter
@@ -54,25 +53,9 @@ def _routeless_indices(context: StaticsContext, participant
 
 def _probes_for(regions, clause, corpus: Sequence[Packet],
                 prefixes: Sequence) -> List[Packet]:
-    """Witnesses from each region plus corpus packets the clause admits.
-
-    A region without a destination constraint (a port-only match, say)
-    concretises to a packet the reference drops at the border for lack
-    of a covering prefix, which would vacuously pass every assertion —
-    so such regions are refined with each announced prefix first.
-    """
-    probes: List[Packet] = []
-    for region in regions:
-        if "dstip" in region:
-            probes.append(witness_packet(region))
-            continue
-        for prefix in prefixes:
-            refined = region.intersect(HeaderSpace(dstip=prefix))
-            if refined is not None:
-                probes.append(witness_packet(refined))
-    probes.extend(
-        packet for packet in corpus if clause.predicate.holds(packet))
-    return probes
+    """Witnesses from each region plus corpus packets the clause admits."""
+    return probe_packets(regions, prefixes) + [
+        packet for packet in corpus if clause.predicate.holds(packet)]
 
 
 def _check_state(controller, reference: ReferenceInterpreter,

@@ -2,12 +2,15 @@
 
 from repro import drop, fwd, match
 from repro.core.dynamic import rib_match
-from repro.federation import FederationContext, analyze_federation
+from repro.core.participant import Participant
+from repro.federation import FederatedHop, FederationContext, analyze_federation
 from repro.federation.checks import walk_statically
 from repro.net.packet import Packet
 from repro.statics.diagnostics import Severity
 from repro.telemetry import Telemetry
 from repro.verification.corpus import generate_corpus
+from repro.verification.federation import reference_walk
+from repro.verification.reference import ReferenceInterpreter
 from repro.verification.scenario import generate_scenario
 
 from tests.federation.scenarios import (
@@ -22,6 +25,12 @@ DSTIP = "198.51.100.9"
 
 def build(scenario):
     return scenario.build_federation(with_dataplane=False)
+
+
+def walk(federation, exchange, sender, packet):
+    """(outcome, decisions) of one static walk over ``federation``."""
+    return walk_statically(
+        FederationContext(federation), exchange, sender, packet)
 
 
 class TestInterExchangeLoop:
@@ -120,10 +129,10 @@ class TestSoundnessContract:
         # A dynamic clause ahead of the steering clause makes every walk
         # through (IXP-B, West) point-wise undecidable.
         federation = self._make_west_dynamic()
-        context = FederationContext(federation)
-        walk = walk_statically(
-            context, "IXP-B", "West", Packet(dstip=DSTIP, dstport=PORT))
-        assert walk.kind == "unknown"
+        outcome, decisions = walk(
+            federation, "IXP-B", "West", Packet(dstip=DSTIP, dstport=PORT))
+        assert outcome is None
+        assert decisions[-1].kind == "dynamic"
 
     def test_dynamic_clause_suppresses_the_verdict(self):
         federation = self._make_west_dynamic()
@@ -133,32 +142,83 @@ class TestSoundnessContract:
 
     def test_walk_matches_reference_on_clean_path(self):
         federation = build(clean_scenario())
-        context = FederationContext(federation)
-        walk = walk_statically(
-            context, "IXP-B", "Eyeball", Packet(dstip=DSTIP, dstport=PORT))
-        assert walk.kind == "delivered"
-        assert walk.via == "origin"
-        assert walk.participant == "Content"
-        assert walk.hops == (("IXP-B", "Eyeball"), ("IXP-A", "Transit"))
+        outcome, _decisions = walk(
+            federation, "IXP-B", "Eyeball", Packet(dstip=DSTIP, dstport=PORT))
+        assert outcome.kind == "delivered"
+        assert outcome.via == "origin"
+        assert outcome.participant == "Content"
+        assert outcome.hops == (FederatedHop("IXP-B", "Eyeball"),
+                                FederatedHop("IXP-A", "Transit"))
 
     def test_unmatched_traffic_exits_upstream(self):
         federation = build(clean_scenario())
-        context = FederationContext(federation)
-        walk = walk_statically(
-            context, "IXP-B", "Eyeball", Packet(dstip=DSTIP, dstport=443))
+        outcome, _decisions = walk(
+            federation, "IXP-B", "Eyeball", Packet(dstip=DSTIP, dstport=443))
         # Default routing hands it to Transit; Transit carries it to
         # IXP-A where Content originates it.
-        assert walk.kind == "delivered"
+        assert outcome.kind == "delivered"
 
     def test_packet_without_route_never_leaves_the_border(self):
         federation = build(clean_scenario())
-        context = FederationContext(federation)
-        walk = walk_statically(
-            context, "IXP-B", "Eyeball",
+        outcome, decisions = walk(
+            federation, "IXP-B", "Eyeball",
             Packet(dstip="203.0.113.5", dstport=PORT))
-        assert walk.kind == "dropped"
-        assert walk.drop_reason == "no-route"
-        assert len(walk.hops) == 1
+        assert outcome.kind == "dropped"
+        assert decisions[-1].kind == "nofib"
+        assert len(outcome.hops) == 1
+
+    def test_raw_port_forward_takes_the_real_fabrics_egress(self, monkeypatch):
+        # Outbound policies cannot name a raw port, so this clause gets in
+        # only past validation. The compiler gives it no prefix to match;
+        # the static walk passes it over just the same.
+        federation = clean_scenario().build_federation(with_dataplane=True)
+        eyeball = federation.handle("IXP-B", "Eyeball")
+        monkeypatch.setattr(Participant, "_validate_clauses",
+                            lambda *args, **kwargs: None)
+        eyeball.edit(lambda participant: participant.clear_policies())
+        eyeball.add_outbound(match(dstport=PORT) >> fwd(eyeball.port(0)))
+        probe = Packet(dstip=DSTIP, dstport=PORT)
+        real = federation.forward("IXP-B", "Eyeball", probe)
+        outcome, decisions = walk(federation, "IXP-B", "Eyeball", probe)
+        assert outcome.comparable() == real.comparable()
+        assert (real.via, len(real.hops)) == ("origin", 2)
+        assert decisions[0].kind == "default"
+
+
+#: (seed, exchanges) of the generated federations the static walk is
+#: held against the reference walk on.
+SWEEP = tuple((seed, 2 + seed % 2) for seed in range(8))
+
+
+class TestStaticWalkMatchesReference:
+    """Wherever the static walk gives a verdict, it is the reference's."""
+
+    def test_generated_federations(self):
+        walks = loops = 0
+        for seed, exchanges in SWEEP:
+            scenario = generate_scenario(
+                seed, exchanges=exchanges, participants=6, prefixes=6,
+                policies=8, steps=0)
+            context = FederationContext(build(scenario))
+            references = {
+                exchange: ReferenceInterpreter(scenario.project(exchange))
+                for exchange in scenario.exchanges}
+            for exchange in scenario.exchanges:
+                for spec in scenario.participants_at(exchange):
+                    for packet in generate_corpus(scenario, size=12):
+                        outcome, _decisions = context.walk(
+                            exchange, spec.name, packet)
+                        if outcome is None:
+                            continue
+                        naive = reference_walk(scenario, exchange, spec.name,
+                                               packet, references)
+                        assert outcome.comparable() == naive.comparable(), (
+                            f"seed {seed} {exchange}:{spec.name} x "
+                            f"{packet!r}: static {outcome.describe()} != "
+                            f"reference {naive.describe()}")
+                        walks += 1
+                        loops += outcome.is_loop
+        assert (walks, loops) == (4314, 60)
 
 
 class TestAnalyzeFederation:

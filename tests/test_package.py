@@ -212,16 +212,16 @@ class TestOneScenario:
         assert uses == []
 
     def test_the_reentry_rule_is_written_once(self):
-        """Both dynamic arms re-enter through ``federation/dataplane.py``;
-        the static walker in ``federation/checks.py`` keeps its own, since
-        SDX008/SDX009 are judged against those arms."""
+        """Every arm — the real fabrics, the reference walk and the static
+        walker behind SDX008/SDX009 — re-enters through
+        ``federation/dataplane.py``."""
         rules = sorted(
             str(path.relative_to(REPO_ROOT / "src" / "repro"))
             for path, tree in _src_trees().items()
             for node in ast.walk(tree)
             if isinstance(node, ast.FunctionDef)
             and {"presence", "best_route_for"} <= _called(node))
-        assert rules == ["federation/checks.py", "federation/dataplane.py"]
+        assert rules == ["federation/dataplane.py"]
 
 
 class TestNoHiddenKnobs:
