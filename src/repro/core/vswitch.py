@@ -15,7 +15,7 @@ invariant the integration tests assert.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.core.participant import Participant
 from repro.exceptions import ParticipantError
@@ -84,10 +84,6 @@ class VirtualTopology:
             return self._vports[name]
         except KeyError:
             raise ParticipantError(f"unknown participant {name!r}") from None
-
-    def vport_map(self) -> Mapping[str, int]:
-        """Symbolic-name → virtual-port mapping for policy resolution."""
-        return dict(self._vports)
 
     def owner_of(self, switch_port: int) -> Optional[str]:
         """The participant owning a physical switch port, if any."""

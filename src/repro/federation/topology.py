@@ -108,10 +108,6 @@ class FederationTopology:
         """Registered exchange names, in registration order."""
         return tuple(self._exchanges)
 
-    def has_exchange(self, name: str) -> bool:
-        """True when exchange ``name`` is registered."""
-        return name in self._exchanges
-
     # ------------------------------------------------------------------
     # Participants
     # ------------------------------------------------------------------

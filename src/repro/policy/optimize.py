@@ -1,8 +1,8 @@
-"""Classifier post-processing: shadow elimination and rule deduplication.
+"""Classifier post-processing: shadow elimination and the drop tail.
 
 The composition algebra is correct but wasteful — cross products leave
 behind rules that can never fire (their match is covered by an earlier
-rule) and runs of rules with identical actions. The switch only has room
+rule) and runs of drops above the catch-all drop. The switch only has room
 for ~half a million entries (Section 4.2 cites high-end hardware limits),
 so the SDX compiler runs these reductions on every table it emits. All
 transformations here preserve first-match semantics exactly.
@@ -141,32 +141,3 @@ def merge_drop_tail(classifier: Classifier) -> Classifier:
     while len(rules) >= 2 and rules[-2].is_drop:
         del rules[-2]
     return Classifier(rules)
-
-
-def coalesce_adjacent(classifier: Classifier) -> Classifier:
-    """Merge an adjacent pair where the later rule covers the earlier one
-    and both have identical actions.
-
-    In that situation the earlier rule is redundant: packets it matches
-    fall through to the later, identically-acting rule. This pattern shows
-    up when a specific policy rule duplicates the default behaviour.
-    """
-    rules = list(classifier.rules)
-    changed = True
-    while changed:
-        changed = False
-        for index in range(len(rules) - 1):
-            earlier, later = rules[index], rules[index + 1]
-            if earlier.actions == later.actions and later.match.covers(earlier.match):
-                del rules[index]
-                changed = True
-                break
-    return Classifier(rules)
-
-
-def optimize(classifier: Classifier) -> Classifier:
-    """Run the full reduction pipeline (safe on any total classifier)."""
-    reduced = remove_shadowed(classifier)
-    reduced = coalesce_adjacent(reduced)
-    reduced = merge_drop_tail(reduced)
-    return reduced

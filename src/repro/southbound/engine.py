@@ -104,8 +104,7 @@ def schedule_two_phase(mods: Iterable[FlowMod]) -> List[FlowMod]:
 #: Observers may additionally implement any of three optional hooks the
 #: engine dispatches by duck typing around each apply window (one
 #: :meth:`SouthboundEngine._apply` call): ``on_apply_begin()`` before the
-#: first batch, ``on_batch_pending(batch)`` immediately *before* each
-#: batch reaches the table, and ``on_apply_end()`` after the last batch —
+#: first batch and ``on_apply_end()`` after the last batch —
 #: where a verifying observer may raise to reject the window — and
 #: ``on_rollback()`` once :meth:`SouthboundEngine.atomic` has put the table
 #: back, for one that caches verdicts about it.
@@ -339,7 +338,6 @@ class SouthboundEngine:
             with self.telemetry.span("southbound.apply", mods=len(ordered)):
                 for start in range(0, len(ordered), size):
                     batch = ordered[start:start + size]
-                    self._dispatch_hook("on_batch_pending", batch)
                     self._journal.extend(
                         (mod, self.table.rule_for_key(mod.priority, mod.match))
                         for mod in batch)

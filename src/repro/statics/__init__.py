@@ -50,11 +50,10 @@ from repro.statics.dataplane import (
     DATAPLANE_CHECK_IDS,
     CommittedSpace,
     DataplaneVerifier,
-    HeaderClass,
-    Subpartition,
     analyze_controller_dataplane,
     analyze_flowtable,
     committed_spaces_from_controller,
+    walk_classes,
 )
 from repro.statics.diagnostics import (
     Diagnostic,
@@ -69,11 +68,10 @@ __all__ = [
     "DATAPLANE_CHECK_IDS",
     "CommittedSpace",
     "DataplaneVerifier",
-    "HeaderClass",
-    "Subpartition",
     "analyze_controller_dataplane",
     "analyze_flowtable",
     "committed_spaces_from_controller",
+    "walk_classes",
     "DEFAULT_CHECKS",
     "StaticsContext",
     "analyze_context",

@@ -10,10 +10,11 @@ gap with a VeriFlow-style incremental verifier over the live
   algebra's constraint fragment: CIDR prefixes nest or are disjoint, so
   every per-field domain splits into *atoms* — maximal regions on which
   every installed match is constant);
-* header space is partitioned into equivalence classes (one atom per
-  constrained field); each class carries a concrete representative
-  packet, so "which rule wins this whole class" is a single
-  :meth:`FlowTable.lookup`;
+* a region splits into equivalence classes (one atom per constrained
+  field), which :func:`walk_classes` walks field by field, narrowing the
+  rules that can still match, so whole blocks of classes with one first
+  matching rule are judged at once, each through a concrete
+  representative packet;
 * a :class:`FlowMod` batch only re-verifies the classes its deltas
   touch — untouched rules keep their cached verdicts, which is what
   makes per-delta gating cheap enough to run inline in the southbound
@@ -37,7 +38,6 @@ reference machinery to enforce each check's soundness contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import (
     Any,
     Callable,
@@ -70,10 +70,10 @@ from repro.statics.diagnostics import (
 )
 from repro.telemetry import Telemetry, get_telemetry
 
-#: Above this many equivalence classes a per-rule subpartition falls back
-#: to the conservative single-cover test (sound: it only *misses* union
-#: shadows, never fabricates one).
-DEFAULT_CLASS_BUDGET = 4096
+#: Past this many blocks of a class walk judged, SDX010 falls back to the
+#: conservative single-cover test (sound: it only *misses* union shadows,
+#: never fabricates one) and SDX011 skips the space.
+CLASS_BUDGET = 4096
 
 #: Check IDs this module owns, in catalogue order.
 DATAPLANE_CHECK_IDS: Tuple[str, ...] = (
@@ -181,140 +181,94 @@ def _exact_atoms(values: Sequence[Any], base: Optional[Any],
 
 
 # ----------------------------------------------------------------------
-# Subpartitions
+# The class walk
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HeaderClass:
-    """One inhabited equivalence class of a subpartition.
-
-    ``key`` names the atom chosen for every split field;
-    ``representative`` is a concrete packet inside the class. Every
-    installed match under consideration is constant across the class, so
-    the representative's table lookup speaks for every packet in it.
-    """
-
-    key: Tuple[Tuple[str, AtomKey], ...]
-    representative: Packet
+def _admits(constraint: Optional[Constraint], atom: AtomKey) -> bool:
+    """Whether a rule constraining a field to ``constraint`` (``None``:
+    not at all) matches the whole of ``atom``. It matches all of it or
+    none: a prefix holds an atom's prefix or misses the atom, and the
+    remainder lies outside every constraint."""
+    if constraint is None:
+        return True
+    if atom[0] == _PFX:
+        return constraint.contains_prefix(atom[1])
+    return atom[0] == _VAL and constraint == atom[1]
 
 
-class Subpartition:
-    """The equivalence classes of ``base`` induced by a rule set's matches.
-
-    Only fields constrained by at least one rule are split; fields
-    constrained by ``base`` alone are fixed to a representative value,
-    and wholly unconstrained fields are left unset (they cannot
-    discriminate). ``port_domain`` restricts the ingress-port dimension
-    to a finite population — the committed-traffic check passes the real
-    edge ports. Construction raises :class:`ClassBudgetExceeded` when
-    the class count would pass ``budget``.
-    """
-
-    def __init__(self, base: HeaderSpace, rules: Sequence[FlowRule], *,
+def walk_classes(base: HeaderSpace, rules: Sequence[FlowRule], *,
                  port_domain: Optional[Sequence[int]] = None,
-                 budget: int = DEFAULT_CLASS_BUDGET):
-        self.base = base
-        overlapping = [rule for rule in rules if rule.match.overlaps(base)]
-        constraints: Dict[str, List[Constraint]] = {}
-        for rule in overlapping:
-            for fieldname, constraint in rule.match.items():
-                constraints.setdefault(fieldname, []).append(constraint)
-        if port_domain is not None:
-            constraints.setdefault("port", [])
-        self._field_atoms: Dict[str, List[Tuple[AtomKey, Any]]] = {}
-        self._relevant_prefixes: Dict[str, List[IPv4Prefix]] = {}
-        total = 1
-        for fieldname in sorted(constraints):
-            values = constraints[fieldname]
-            base_value = base.get(fieldname)
-            if fieldname in IP_FIELDS:
-                prefixes = [value for value in values
-                            if isinstance(value, IPv4Prefix)]
-                atoms_raw = _prefix_atoms(
-                    prefixes,
-                    base_value if isinstance(base_value, IPv4Prefix) else None)
-                atoms = [(key, rep) for key, rep in atoms_raw]
-                clipped = []
-                for prefix in prefixes:
-                    cut = (prefix if base_value is None
-                           else base_value.intersection(prefix))
-                    if cut is not None:
-                        clipped.append(cut)
-                self._relevant_prefixes[fieldname] = sorted(
-                    set(clipped), key=lambda p: -p.length)
-            else:
-                atoms = _exact_atoms(
-                    values, base_value,
-                    port_domain if fieldname == "port" else None,
-                    is_mac=fieldname in ("srcmac", "dstmac"))
-            if not atoms:
-                # The base pins this field to a value no atom can reach
-                # only when a finite domain excludes it; the space is
-                # then uninhabited.
-                self._field_atoms = {}
-                self._classes: Tuple[HeaderClass, ...] = ()
-                return
-            self._field_atoms[fieldname] = atoms
-            total *= len(atoms)
-            if total > budget:
-                raise ClassBudgetExceeded(
-                    f"{total}+ classes exceed budget {budget}")
-        self._fixed: Dict[str, Any] = {}
-        for fieldname, constraint in base.items():
-            if fieldname in self._field_atoms:
-                continue
-            if isinstance(constraint, IPv4Prefix):
-                self._fixed[fieldname] = constraint.first_address
-            else:
-                self._fixed[fieldname] = constraint
-        self._classes = tuple(self._enumerate())
+                 ) -> Iterator[Tuple[Packet, Optional[FlowRule], int]]:
+    """Walk the equivalence classes of ``base`` that ``rules`` induce,
+    yielding blocks ``(representative, winner, classes)``.
 
-    def _enumerate(self) -> Iterable[HeaderClass]:
-        fields = sorted(self._field_atoms)
-        for combo in product(*(self._field_atoms[f] for f in fields)):
-            key = tuple((f, atom[0]) for f, atom in zip(fields, combo))
-            values = dict(self._fixed)
-            for fieldname, (_, rep) in zip(fields, combo):
-                if fieldname in IP_FIELDS:
-                    values[fieldname] = rep  # address int
-                else:
-                    values[fieldname] = rep
-            yield HeaderClass(key=key, representative=Packet(**values))
+    The classes are the product of one atom per field some rule overlapping
+    ``base`` constrains (plus the ingress port when ``port_domain`` limits
+    it to a finite population), fields in name order. The walk takes the
+    fields in that order and, at each, keeps the rules (in ``rules``'
+    order) that match the atom chosen. Once the first rule kept constrains
+    no field still open, or none is kept, every class below the choice
+    has the same first matching rule: the walk yields them as one block,
+    with that rule (``None``: none) and their number. Blocks come in the
+    order the product lists its classes, and a block's representative is
+    its first class's: ``base``'s value on the fields only it constrains,
+    then the atoms' on the split fields.
+    """
+    rules = [rule for rule in rules if rule.match.overlaps(base)]
+    constraints: Dict[str, List[Constraint]] = {}
+    for rule in rules:
+        for fieldname, constraint in rule.match.items():
+            constraints.setdefault(fieldname, []).append(constraint)
+    if port_domain is not None:
+        constraints.setdefault("port", [])
+    fields = sorted(constraints)
+    atoms: List[List[Tuple[AtomKey, Any]]] = []
+    for fieldname in fields:
+        base_value = base.get(fieldname)
+        if fieldname in IP_FIELDS:
+            atoms.append(_prefix_atoms(constraints[fieldname], base_value))
+        else:
+            atoms.append(_exact_atoms(
+                constraints[fieldname], base_value,
+                port_domain if fieldname == "port" else None,
+                is_mac=fieldname in ("srcmac", "dstmac")))
+        if not atoms[-1]:
+            # Only a finite domain can exclude every value: the space is
+            # uninhabited.
+            return
+    values: Dict[str, Any] = {
+        fieldname: (constraint.first_address
+                    if isinstance(constraint, IPv4Prefix) else constraint)
+        for fieldname, constraint in base.items()
+        if fieldname not in constraints}
+    # Every field below the walk's depth holds its first atom.
+    values.update((fieldname, field_atoms[0][1])
+                  for fieldname, field_atoms in zip(fields, atoms))
+    # The depth from which a rule constrains no open field.
+    closes = {fieldname: depth + 1 for depth, fieldname in enumerate(fields)}
+    closed = [max(map(closes.__getitem__, rule.match), default=0)
+              for rule in rules]
+    # The classes under one choice of the fields above each depth.
+    weights = [1]
+    for field_atoms in reversed(atoms):
+        weights.insert(0, weights[0] * len(field_atoms))
 
-    @property
-    def classes(self) -> Tuple[HeaderClass, ...]:
-        """Every inhabited class, in deterministic (sorted-atom) order."""
-        return self._classes
+    def walk(depth: int, live: List[int]
+             ) -> Iterator[Tuple[Packet, Optional[FlowRule], int]]:
+        if not live or closed[live[0]] <= depth:
+            yield (Packet(**values), rules[live[0]] if live else None,
+                   weights[depth])
+            return
+        fieldname = fields[depth]
+        for atom, rep in atoms[depth]:
+            values[fieldname] = rep
+            yield from walk(depth + 1, [
+                index for index in live
+                if _admits(rules[index].match.get(fieldname), atom)])
+        values[fieldname] = atoms[depth][0][1]
 
-    def classify(self, packet: Packet) -> Optional[Tuple[Tuple[str, AtomKey], ...]]:
-        """The class key containing ``packet``, or ``None`` outside ``base``.
-
-        Total on the base region: every packet lands in exactly one
-        class, which is what makes the classes a true partition.
-        """
-        if not self.base.matches(packet):
-            return None
-        key: List[Tuple[str, AtomKey]] = []
-        for fieldname in sorted(self._field_atoms):
-            value = packet.get(fieldname)
-            if fieldname in IP_FIELDS:
-                atom: AtomKey = (_OTHER,)
-                if value is not None:
-                    for prefix in self._relevant_prefixes[fieldname]:
-                        if prefix.contains_address(value):
-                            atom = (_PFX, prefix)
-                            break
-            else:
-                named = {rep for k, rep in self._field_atoms[fieldname]
-                         if k[0] == _VAL}
-                atom = (_VAL, value) if value in named else (_OTHER,)
-            key.append((fieldname, atom))
-        return tuple(key)
-
-
-class ClassBudgetExceeded(Exception):
-    """A subpartition would enumerate more classes than its budget."""
+    yield from walk(0, list(range(len(rules))))
 
 
 # ----------------------------------------------------------------------
@@ -526,12 +480,10 @@ class DataplaneVerifier:
                  tables: Optional[Mapping[str, Any]] = None,
                  mode: str = "warn",
                  switch: str = "table",
-                 class_budget: int = DEFAULT_CLASS_BUDGET,
                  telemetry: Optional[Telemetry] = None):
         self.table = table
         self.mode = gate_mode(mode, "dataplane statics mode")
         self.switch = switch
-        self.class_budget = class_budget
         self._committed_spaces = committed_spaces or (lambda: ())
         self._vmac_index = vmac_index
         self.topology = topology
@@ -553,10 +505,7 @@ class DataplaneVerifier:
         }
         self._classes_counter = registry.counter(
             "sdx_statics_dataplane_classes_total",
-            "Equivalence classes enumerated by dataplane verification")
-        self._reused_counter = registry.counter(
-            "sdx_statics_dataplane_classes_reused_total",
-            "Cached equivalence classes reused by incremental verification")
+            "Blocks of equivalence classes judged by dataplane verification")
         self._batches_counter = registry.counter(
             "sdx_statics_dataplane_batches_total",
             "Southbound apply windows verified")
@@ -567,16 +516,14 @@ class DataplaneVerifier:
         self._budget_counters = {
             check_id: registry.counter(
                 "sdx_statics_dataplane_budget_exceeded_total",
-                "Checks degraded because a class enumeration passed the "
-                "class budget: SDX010 falls back to the single-cover test, "
+                "Checks degraded because a class walk passed the block "
+                "budget: SDX010 falls back to the single-cover test, "
                 "SDX011 is skipped for that space", check=check_id)
             for check_id in ("SDX010", "SDX011")
         }
         # State diagnostics, keyed so incremental updates replace exactly
         # the findings their rules own.
         self._diags: Dict[_DiagKey, Diagnostic] = {}
-        self._rule_classes: Dict[RuleKey, int] = {}  # 0: past the budget
-        self._classes_cached = 0  # their sum
         # VMAC -> keys of the rules whose SDX012 verdict reads whether it
         # is live by rewriting to it, and each such key's tags.
         self._rewrites: Dict[MacAddress, Set[RuleKey]] = {}
@@ -628,10 +575,7 @@ class DataplaneVerifier:
         index = self._vmac_index() if self._vmac_index else None
         changed = self._changed_vmacs(index)
         if changed:
-            keys = self._referencing(changed)
-            # No window since the last pass: the rules ahead of each are
-            # as they were.
-            self._reverify(keys, dict.fromkeys(keys, ()), index)
+            self._reverify(self._referencing(changed), index)
         self._verify_committed(())
         self._examined_counter.inc(self.table.overlap_tests - examined)
 
@@ -644,8 +588,6 @@ class DataplaneVerifier:
         examined = self.table.overlap_tests
         with self.telemetry.span("statics.dataplane", kind="full"):
             self._diags.clear()
-            self._rule_classes.clear()
-            self._classes_cached = 0
             self._rewrites.clear()
             self._rewrite_tags.clear()
             index = self._vmac_index() if self._vmac_index else None
@@ -673,37 +615,25 @@ class DataplaneVerifier:
         changed since the last pass (a tag can die or come alive without
         any FlowMod touching the rules that carry it). All of them are
         found through the table's guard index — no pass over the table.
-        An affected rule ahead of which the window deleted nothing may
-        keep its verdict (:meth:`_carried`). Committed spaces re-verify
-        when their space overlaps a mod or their definition changed since
-        the last pass. Returns the post-delta state report plus any
-        window-ordering (SDX014) findings for ``mods``.
+        Committed spaces re-verify when their space overlaps a mod or their
+        definition changed since the last pass. Returns the post-delta
+        state report plus any window-ordering (SDX014) findings for
+        ``mods``.
         """
         table = self.table
         examined = table.overlap_tests
         with self.telemetry.span("statics.dataplane", kind="delta",
                                  mods=len(mods)):
             affected: Set[RuleKey] = {mod.key for mod in mods}
-            lost: Set[RuleKey] = set()
-            gained: Dict[RuleKey, List[HeaderSpace]] = {}
             for mod in mods:
-                for rule in table.overlapping(mod.match):
-                    if rule.priority > mod.priority:
-                        continue
-                    key = rule_key(rule)
-                    affected.add(key)
-                    if mod.op is FlowModOp.DELETE:
-                        lost.add(key)
-                    elif rule.priority < mod.priority:
-                        gained.setdefault(key, []).append(mod.match)
+                affected.update(rule_key(rule) for rule in
+                                table.overlapping(mod.match)
+                                if rule.priority <= mod.priority)
             index = self._vmac_index() if self._vmac_index else None
             changed_vmacs = self._changed_vmacs(index)
             if changed_vmacs:
                 affected |= self._referencing(changed_vmacs)
-            self._reused_counter.inc(self._classes_cached - sum(
-                self._rule_classes.get(key, 0) for key in affected))
-            self._reverify(affected, {key: gained.get(key, ()) for key in
-                                      affected if key not in lost}, index)
+            self._reverify(affected, index)
             self._verify_committed({mod.match for mod in mods})
             self._verify_loops()
         self._runs_counter.inc()
@@ -735,18 +665,10 @@ class DataplaneVerifier:
         return keys
 
     def _reverify(self, keys: Set[RuleKey],
-                  gained: Mapping[RuleKey, Sequence[HeaderSpace]],
                   index: Optional[Mapping[MacAddress, str]]) -> None:
         """Drop the per-rule verdicts of ``keys`` and take them again, in
         table order, for those still installed, against ``index`` (the
-        allocator index, read once per pass).
-
-        ``gained`` maps the keys ahead of which no rule left since the
-        last pass to the matches that came, whose verdicts
-        :meth:`_carried` may keep.
-        """
-        carried = {key: ("SDX010", key[0], key[1]) in self._diags
-                   for key in gained if self._rule_classes.get(key) == 0}
+        allocator index, read once per pass)."""
         stale = [diag_key for diag_key in self._diags
                  if diag_key[0] in ("SDX010", "SDX012")
                  and (diag_key[1], diag_key[2]) in keys]
@@ -755,7 +677,6 @@ class DataplaneVerifier:
         table = self.table
         rules = []
         for key in keys:
-            self._classes_cached -= self._rule_classes.pop(key, 0)
             for tag in self._rewrite_tags.pop(key, ()):
                 holders = self._rewrites[tag]
                 holders.discard(key)
@@ -766,26 +687,22 @@ class DataplaneVerifier:
                 rules.append(rule)
         rules.sort(key=lambda rule: (-rule.priority, table.cookie_of(rule)))
         for rule in rules:
-            key = rule_key(rule)
-            self._verify_rule(rule, index, None if key not in carried else
-                              self._carried(rule, carried[key], gained[key]))
+            self._verify_rule(rule, index)
 
     # ------------------------------------------------------------------
     # SDX010 + SDX012: per-rule verdicts
     # ------------------------------------------------------------------
 
-    def _reachability(self, rule: FlowRule
-                      ) -> Tuple[bool, Optional[Packet], int]:
-        """Whether installed ``rule`` wins some packet, with a witness and
-        the classes it took.
+    def _reachability(self, rule: FlowRule) -> Tuple[bool, Optional[Packet]]:
+        """Whether installed ``rule`` wins some packet, with a witness.
 
         Reachable: the witness is a packet the rule wins. Unreachable:
         the witness is a packet in the rule's match that a higher rule
         steals. Only the rules ahead of it that overlap it split its
-        match, and a class is stolen when the table's lookup of its
-        representative (which the rule matches) finds another rule.
-        Budget overrun degrades to the conservative single-cover test (no
-        union shadows reported, never a false shadow).
+        match: the rule wins the first block of the walk that none of
+        them matches. Budget overrun degrades to the conservative
+        single-cover test (no union shadows reported, never a false
+        shadow).
 
         A drop that pins neither guard field (the catch-all) meets every
         rule ahead of it, so its representative packet is looked up first:
@@ -796,53 +713,31 @@ class DataplaneVerifier:
                 rule.match.get("dstmac") is None):
             probe = rule.match.concretise(port=0)
             if self.table.lookup(probe) is rule:
-                return True, probe, 1
+                return True, probe
         earlier = self.table.overlapping(rule.match, before=rule)
         if not earlier:
             # One implicit class: the whole match region.
-            return True, rule.match.concretise(port=0), 1
-        try:
-            partition = Subpartition(rule.match, earlier,
-                                     budget=self.class_budget)
-        except ClassBudgetExceeded:
-            self._budget_counters["SDX010"].inc()
-            for other in earlier:
-                if other.match.covers(rule.match):
-                    return False, rule.match.concretise(port=0), 0
-            return True, None, 0
-        classes = len(partition.classes)
-        self._classes_counter.inc(classes)
+            return True, rule.match.concretise(port=0)
         stolen: Optional[Packet] = None
-        for cls in partition.classes:
-            if self.table.lookup(cls.representative) is not rule:
-                if stolen is None:
-                    stolen = cls.representative
-            else:
-                return True, cls.representative, classes
-        return False, stolen, classes
-
-    def _carried(self, rule: FlowRule, shadowed: bool,
-                 gained: Sequence[HeaderSpace]
-                 ) -> Tuple[bool, Optional[Packet], int]:
-        """The verdict of a rule past the class budget whose rules ahead
-        only gained ``gained``: the class count only grows with the rules
-        ahead (a new value or prefix splits a class, never merges two), so
-        it is still past the budget, and the single-cover test need only
-        read the newcomers."""
-        self._budget_counters["SDX010"].inc()
-        if shadowed or any(match.covers(rule.match) for match in gained):
-            return False, rule.match.concretise(port=0), 0
-        return True, None, 0
+        for judged, (packet, winner, _) in enumerate(
+                walk_classes(rule.match, earlier)):
+            if judged == CLASS_BUDGET:
+                self._budget_counters["SDX010"].inc()
+                if any(other.match.covers(rule.match) for other in earlier):
+                    return False, rule.match.concretise(port=0)
+                return True, None
+            self._classes_counter.inc()
+            if winner is None:
+                return True, packet
+            if stolen is None:
+                stolen = packet
+        return False, stolen
 
     def _verify_rule(self, rule: FlowRule,
-                     index_map: Optional[Mapping[MacAddress, str]],
-                     verdict: Optional[Tuple[bool, Optional[Packet], int]]
-                     = None) -> None:
+                     index_map: Optional[Mapping[MacAddress, str]]) -> None:
         key = rule_key(rule)
         self._checks_counter.inc()
-        reachable, witness, classes = verdict or self._reachability(rule)
-        self._rule_classes[key] = classes
-        self._classes_cached += classes
+        reachable, witness = self._reachability(rule)
         if not reachable:
             diag = Diagnostic(
                 check_id="SDX010", check_name="shadowed-rule",
@@ -1007,22 +902,19 @@ class DataplaneVerifier:
         """The SDX011 verdict and finding of one space, judged against
         ``rules`` (a superset, in table order, of the installed rules
         overlapping it)."""
-        try:
-            partition = Subpartition(
-                committed.space, rules,
-                port_domain=committed.ports, budget=self.class_budget)
-        except ClassBudgetExceeded:
-            self._budget_counters["SDX011"].inc()
-            return _OVER_BUDGET, None
-        self._classes_counter.inc(len(partition.classes))
-        eaten = 0
+        eaten = total = 0
         witness: Optional[Packet] = None
-        for cls in partition.classes:
-            winner = self.table.lookup(cls.representative)
+        for judged, (packet, winner, classes) in enumerate(walk_classes(
+                committed.space, rules, port_domain=committed.ports)):
+            if judged == CLASS_BUDGET:
+                self._budget_counters["SDX011"].inc()
+                return _OVER_BUDGET, None
+            self._classes_counter.inc()
+            total += classes
             if winner is None or (winner.is_drop and winner.match.is_wildcard):
-                eaten += 1
+                eaten += classes
                 if witness is None:
-                    witness = cls.representative
+                    witness = packet
         if not eaten:
             return _CLEAN, None
         return _EATEN, Diagnostic(
@@ -1032,10 +924,10 @@ class DataplaneVerifier:
                                     direction="committed"),
             message=(f"committed traffic {committed.label} falls to the "
                      f"table miss or catch-all drop in {eaten} of "
-                     f"{len(partition.classes)} traffic class(es)"),
+                     f"{total} traffic class(es)"),
             witness=witness,
             data=(("label", committed.label), ("classes_eaten", eaten),
-                  ("classes_total", len(partition.classes))))
+                  ("classes_total", total)))
 
     # ------------------------------------------------------------------
     # SDX013: inter-switch forwarding loops
@@ -1218,7 +1110,6 @@ def analyze_flowtable(table: Any, *,
                       vmac_index: Optional[Mapping[MacAddress, str]] = None,
                       topology: Optional[Any] = None,
                       tables: Optional[Mapping[str, Any]] = None,
-                      class_budget: int = DEFAULT_CLASS_BUDGET,
                       telemetry: Optional[Telemetry] = None) -> StaticsReport:
     """One-shot SDX010-SDX013 analysis of an installed flow table.
 
@@ -1232,13 +1123,11 @@ def analyze_flowtable(table: Any, *,
         table,
         committed_spaces=(lambda: spaces),
         vmac_index=(None if index is None else (lambda: index)),
-        topology=topology, tables=tables, mode="off",
-        class_budget=class_budget, telemetry=telemetry)
+        topology=topology, tables=tables, mode="off", telemetry=telemetry)
     return verifier.state_report()
 
 
 def analyze_controller_dataplane(controller: Any, *,
-                                 class_budget: int = DEFAULT_CLASS_BUDGET,
                                  telemetry: Optional[Telemetry] = None,
                                  ) -> StaticsReport:
     """Analyze a controller's installed table with live committed state."""
@@ -1246,5 +1135,4 @@ def analyze_controller_dataplane(controller: Any, *,
         controller.table,
         committed_spaces=committed_spaces_from_controller(controller),
         vmac_index=controller.allocator.vmac_index(),
-        class_budget=class_budget,
         telemetry=telemetry if telemetry is not None else controller.telemetry)

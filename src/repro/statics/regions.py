@@ -60,11 +60,6 @@ class ClauseRegions:
     exact: bool
     dynamic: bool
 
-    @property
-    def has_static_region(self) -> bool:
-        """True when the clause has a non-empty static region set."""
-        return bool(self.regions) and not self.dynamic
-
 
 def clause_regions(clause: Clause) -> ClauseRegions:
     """Region summary for one clause (empty region set when dynamic)."""

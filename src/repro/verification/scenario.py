@@ -195,10 +195,6 @@ class Scenario:
         """Member names in registration order."""
         return tuple(spec.name for spec in self.participants)
 
-    def asn_of(self, name: str) -> int:
-        """The ASN of participant ``name``."""
-        return self._spec(name).asn
-
     def presence(self, name: str) -> Tuple[str, ...]:
         """The exchanges ``name`` attends, in preference order."""
         return self._spec(name).exchanges

@@ -90,8 +90,8 @@ FAILURES = {
     "compile": lambda sdx, owner: patch(sdx.compiler, "compile", after=False),
     "assign_groups": lambda sdx, owner: patch(
         sdx.allocator, "assign_groups", after=True),
-    "on_batch_pending": lambda sdx, owner: sdx.southbound.add_observer(
-        RaisingObserver("on_batch_pending")),
+    "on_apply_begin": lambda sdx, owner: sdx.southbound.add_observer(
+        RaisingObserver("on_apply_begin")),
     "after_flush_installs": lambda sdx, owner: patch(
         sdx.southbound, "flush_installs", after=True),
     "before_deletes": lambda sdx, owner: patch(
@@ -207,9 +207,8 @@ CHANGES = {
 def verifier_caches(verifier):
     """Everything the dataplane verifier keeps between windows."""
     return {name: copy.deepcopy(getattr(verifier, name)) for name in (
-        "_diags", "_rule_classes", "_classes_cached", "_rewrites",
-        "_rewrite_tags", "_space_snapshot", "_spaces_by_tag",
-        "_vmac_snapshot")}
+        "_diags", "_rewrites", "_rewrite_tags", "_space_snapshot",
+        "_spaces_by_tag", "_vmac_snapshot")}
 
 
 def table_of(sdx):

@@ -7,13 +7,7 @@ from hypothesis import strategies as st
 from repro.net.packet import Packet
 from repro.policy.classifier import Action, Classifier, Rule
 from repro.policy.headerspace import WILDCARD, HeaderSpace
-from repro.policy.optimize import (
-    ShadowIndex,
-    coalesce_adjacent,
-    merge_drop_tail,
-    optimize,
-    remove_shadowed,
-)
+from repro.policy.optimize import ShadowIndex, merge_drop_tail, remove_shadowed
 
 from tests.policy.strategies import header_spaces, packets, policies
 
@@ -234,23 +228,9 @@ class TestMergeDropTail:
         assert len(merge_drop_tail(classifier)) == 3
 
 
-class TestCoalesceAdjacent:
-    def test_merges_redundant_specific_rule(self):
-        classifier = Classifier([
-            Rule(HeaderSpace(dstip="10.1.0.0/16"), (Action(port=2),)),
-            Rule(HeaderSpace(dstip="10.0.0.0/8"), (Action(port=2),)),
-            Rule(WILDCARD, ()),
-        ])
-        reduced = coalesce_adjacent(classifier)
-        assert len(reduced) == 2
-
-    def test_keeps_distinct_actions(self):
-        classifier = Classifier([
-            Rule(HeaderSpace(dstip="10.1.0.0/16"), (Action(port=2),)),
-            Rule(HeaderSpace(dstip="10.0.0.0/8"), (Action(port=3),)),
-            Rule(WILDCARD, ()),
-        ])
-        assert len(coalesce_adjacent(classifier)) == 3
+def optimize(classifier):
+    """The reductions the compiler runs on a table, in its order."""
+    return merge_drop_tail(remove_shadowed(classifier))
 
 
 class TestOptimizePreservesSemantics:

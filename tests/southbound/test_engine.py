@@ -247,9 +247,6 @@ class _WindowObserver:
     def on_apply_begin(self):
         self.events.append("begin")
 
-    def on_batch_pending(self, batch):
-        self.events.append(("pending", len(batch)))
-
     def __call__(self, batch):
         self.events.append(("applied", len(batch)))
 
@@ -267,8 +264,7 @@ class TestObserverHooks:
         engine.push_rules([rule(i, FWD1, dstport=1000 + i)
                            for i in range(3)])
         assert observer.events == [
-            "begin", ("pending", 2), ("applied", 2),
-            ("pending", 1), ("applied", 1), "end"]
+            "begin", ("applied", 2), ("applied", 1), "end"]
 
     def test_plain_callable_observers_still_work(self):
         table = FlowTable()

@@ -6,6 +6,8 @@ with a fresh whole-table analysis on a real compiled workload (the same
 contract the fuzz harness enforces at scale).
 """
 
+from unittest import mock
+
 import pytest
 
 from repro.bgp.asn import AsPath
@@ -23,13 +25,12 @@ from repro.policy.headerspace import HeaderSpace
 from repro.policy.policies import fwd, match
 from repro.southbound.diff import FlowMod
 from repro.statics.dataplane import (
-    ClassBudgetExceeded,
     CommittedSpace,
     DataplaneVerifier,
-    Subpartition,
     analyze_controller_dataplane,
     analyze_flowtable,
     committed_spaces_from_controller,
+    walk_classes,
 )
 from repro.statics.diagnostics import Severity
 from repro.workloads.policies import generate_policies, install_assignments
@@ -56,51 +57,55 @@ FWD1 = (Action(port=1),)
 FWD2 = (Action(port=2),)
 
 
+def budget(blocks):
+    """Judge at most ``blocks`` blocks of a class walk per check."""
+    return mock.patch("repro.statics.dataplane.CLASS_BUDGET", blocks)
+
+
 class TestSubpartition:
+    """The classes :func:`walk_classes` walks, block by block."""
+
     def test_exact_field_splits_into_values_plus_remainder(self):
-        part = Subpartition(HeaderSpace(), [rule(2, FWD1, dstport=80),
-                                            rule(1, FWD1, dstport=443)])
-        reps = sorted(c.representative.get("dstport") for c in part.classes)
-        assert len(part.classes) == 3
-        assert 80 in reps and 443 in reps
+        blocks = list(walk_classes(HeaderSpace(), [
+            rule(2, FWD1, dstport=80), rule(1, FWD1, dstport=443)]))
+        assert [(packet.get("dstport"), winner and winner.priority, classes)
+                for packet, winner, classes in blocks] == [
+                    (80, 2, 1), (443, 1, 1), (0, None, 1)]
 
     def test_nested_prefixes_split_into_rings(self):
-        part = Subpartition(
+        blocks = list(walk_classes(
             HeaderSpace(),
             [rule(2, FWD1, dstip=IPv4Prefix("10.0.0.0/8")),
-             rule(1, FWD1, dstip=IPv4Prefix("10.0.0.0/24"))])
+             rule(1, FWD1, dstip=IPv4Prefix("10.0.0.0/24"))]))
         # /24, the /8 minus the /24, and everything else.
-        assert len(part.classes) == 3
-
-    def test_classify_agrees_with_representatives(self):
-        part = Subpartition(HeaderSpace(),
-                            [rule(2, FWD1, dstip=IPv4Prefix("10.0.0.0/8")),
-                             rule(1, FWD1, dstport=80)])
-        for cls in part.classes:
-            assert part.classify(cls.representative) == cls.key
-
-    def test_classify_outside_base_is_none(self):
-        part = Subpartition(HeaderSpace(dstport=80), [rule(1, FWD1)])
-        assert part.classify(Packet(dstport=443)) is None
+        assert sum(classes for _, _, classes in blocks) == 3
+        assert [winner and winner.priority
+                for _, winner, _ in blocks] == [2, 2, None]
 
     def test_base_constraint_pins_unsplit_fields(self):
-        part = Subpartition(HeaderSpace(srcport=53),
-                            [rule(1, FWD1, dstport=80)])
-        assert all(c.representative.get("srcport") == 53
-                   for c in part.classes)
-
-    def test_budget_exceeded_raises(self):
-        busy = [rule(i, FWD1, dstport=1000 + i, srcport=2000 + i)
-                for i in range(8)]
-        with pytest.raises(ClassBudgetExceeded):
-            Subpartition(HeaderSpace(), busy, budget=16)
+        blocks = walk_classes(HeaderSpace(srcport=53),
+                              [rule(1, FWD1, dstport=80)])
+        assert all(packet.get("srcport") == 53 for packet, _, _ in blocks)
 
     def test_port_domain_restricts_ingress_atoms(self):
-        part = Subpartition(HeaderSpace(), [rule(1, FWD1, port=1)],
-                            port_domain=(1, 2, 3))
-        ports = {c.representative.get("port") for c in part.classes}
-        assert 1 in ports
-        assert ports <= {1, 2, 3}
+        blocks = list(walk_classes(HeaderSpace(), [rule(1, FWD1, port=1)],
+                                   port_domain=(1, 2, 3)))
+        assert [(packet.get("port"), classes)
+                for packet, _, classes in blocks] == [(1, 1), (2, 1)]
+
+    def test_a_rule_closing_the_open_fields_ends_the_walk(self):
+        """Below a choice whose first rule leaves every open field alone,
+        the walk yields one block for all the classes under it."""
+        blocks = list(walk_classes(HeaderSpace(), [
+            rule(3, FWD1, dstport=80),
+            rule(2, FWD1, dstport=443, srcport=53),
+            rule(1, FWD1, srcport=22)]))
+        # dstport 80 closes on the first rule; 443 and the rest split
+        # srcport (53, 22, the rest).
+        assert [(winner and winner.priority, classes)
+                for _, winner, classes in blocks] == [
+                    (3, 3), (2, 1), (1, 1), (None, 1),
+                    (None, 1), (1, 1), (None, 1)]
 
 
 class TestShadowedRule:
@@ -189,8 +194,8 @@ class TestCommittedMiss:
 
 
 class TestClassBudget:
-    """Past ``class_budget`` a check degrades to a conservative answer —
-    counted per site, never silent."""
+    """Past ``CLASS_BUDGET`` blocks a check degrades to a conservative
+    answer — counted per site, never silent."""
 
     def exceeded(self, telemetry, check):
         return telemetry.registry.get(
@@ -209,7 +214,8 @@ class TestClassBudget:
         assert [d.location.clause_index for d in diags(
             analyze_flowtable(table), "SDX010")] == [4, 5]
         telemetry = Telemetry()
-        report = analyze_flowtable(table, class_budget=1, telemetry=telemetry)
+        with budget(1):
+            report = analyze_flowtable(table, telemetry=telemetry)
         # The union shadow is missed — never a false one reported — and the
         # single cover is still found.
         assert [d.location.clause_index
@@ -222,13 +228,37 @@ class TestClassBudget:
 
         table = table_of(rule(10, FWD1, dstport=80), rule(9, FWD1, dstport=443))
         telemetry = Telemetry()
-        report = analyze_flowtable(
-            table, committed_spaces=[TestCommittedMiss.SPACE], class_budget=1,
-            telemetry=telemetry)
+        with budget(1):
+            report = analyze_flowtable(
+                table, committed_spaces=[TestCommittedMiss.SPACE],
+                telemetry=telemetry)
         assert not diags(report, "SDX011")  # a real miss, not looked for
         assert self.exceeded(telemetry, "SDX011") == 1
         assert diags(analyze_flowtable(
             table, committed_spaces=[TestCommittedMiss.SPACE]), "SDX011")
+
+    def test_a_walk_under_the_budget_judges_a_product_past_it(self):
+        """Two /9 halves shadow the /8 at priority 5 as a union. The
+        single-value rules ahead of it make a product of 9**4 * 2 classes,
+        but each block closes on a /9 once ``srcip`` is chosen: 1,458
+        blocks, within the budget, so the union shadow is found."""
+        from repro.telemetry import Telemetry
+
+        rules = [rule(100, FWD1, srcip=IPv4Prefix("10.0.0.0/9")),
+                 rule(99, FWD1, srcip=IPv4Prefix("10.128.0.0/9"))]
+        for priority, fieldname in zip((90, 89, 88, 87), (
+                "dstport", "srcport", "protocol", "ethtype")):
+            rules.extend(rule(priority, FWD2, **{fieldname: 1000 + value})
+                         for value in range(8))
+        rules.append(rule(5, FWD2, srcip=IPv4Prefix("10.0.0.0/8")))
+        blocks = list(walk_classes(rules[-1].match, rules[:-1]))
+        assert sum(classes for _, _, classes in blocks) == 9 ** 4 * 2
+        assert len(blocks) == 1458
+        telemetry = Telemetry()
+        report = analyze_flowtable(table_of(*rules), telemetry=telemetry)
+        assert [d.location.clause_index
+                for d in diags(report, "SDX010")] == [5]
+        assert self.exceeded(telemetry, "SDX010") == 0
 
 
 class TestDeadVmac:
@@ -521,17 +551,17 @@ class TestIncrementalEqualsFull:
         return CommittedSpace(label=label, ports=ports, space=HeaderSpace(
             dstmac=self.TAG, dstip=IPv4Prefix(prefix)))
 
-    def judged(self, table, spaces, **kwargs):
+    def judged(self, table, spaces):
         """The verifier's report after a window that touches every space,
         held to a fresh analysis; its SDX011s by label."""
         verifier = DataplaneVerifier(table, committed_spaces=lambda: spaces,
-                                     mode="off", **kwargs)
+                                     mode="off")
         mods = [FlowMod.add(rule(50, FWD1, dstmac=self.TAG, dstport=9))]
         table.apply_delta(mods)
         verifier.verify_delta(mods)
         report = verifier.state_report()
         assert report.to_json() == analyze_flowtable(
-            table, committed_spaces=spaces, **kwargs).to_json()
+            table, committed_spaces=spaces).to_json()
         return {dict(d.data)["label"]: d for d in diags(report, "SDX011")}
 
     def test_a_rule_cutting_a_prefix_keeps_it_from_its_siblings_verdict(self):
@@ -574,9 +604,10 @@ class TestIncrementalEqualsFull:
         spaces = [self.space("a", "10.0.0.0/16"),
                   self.space("b", "10.1.0.0/16")]
         telemetry = Telemetry()
-        assert self.judged(table, spaces, class_budget=2) == {}
-        analyze_flowtable(table, committed_spaces=spaces, class_budget=2,
-                          telemetry=telemetry)
+        with budget(2):
+            assert self.judged(table, spaces) == {}
+            analyze_flowtable(table, committed_spaces=spaces,
+                              telemetry=telemetry)
         assert telemetry.registry.get(
             "sdx_statics_dataplane_budget_exceeded_total",
             check="SDX011").value == 2
@@ -674,14 +705,3 @@ class TestTelemetry:
         assert "sdx_statics_dataplane_runs_total" in rendered
         assert "sdx_statics_dataplane_classes_total" in rendered
         assert "sdx_statics_dataplane_batches_total" in rendered
-
-    def test_incremental_reuses_cached_classes(self):
-        controller = workload_controller(mode="warn")
-        registry = controller.telemetry.registry
-        reused = registry.counter(
-            "sdx_statics_dataplane_classes_reused_total",
-            "Cached equivalence classes reused by incremental verification")
-        controller.southbound.push_rules(
-            [rule(900_001, FWD1,
-                  dstmac=MacAddress("02:00:00:00:00:77"), dstport=65_000)])
-        assert reused.value > 0

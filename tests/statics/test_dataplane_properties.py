@@ -2,15 +2,20 @@
 
 Two properties carry the whole design:
 
-* a :class:`Subpartition` is a true partition of its base region —
-  random packets inside the base land in exactly one enumerated class,
-  and every installed match is constant across each class (the
+* :func:`walk_classes` walks the eager product of its atoms — the same
+  classes in the same order, each block's winner the first rule matching
+  every class in it — and that product is a true partition of its base
+  region: random packets inside the base land in exactly one class, and
+  every installed match is constant across each class (the
   representative's verdict speaks for the whole class);
 * incremental re-verification after a random FlowMod delta renders
   byte-identically to a fresh whole-table analysis of the same state —
   also on levelled tables, whose rules pin the table's guard fields, and
-  under class budgets small enough that verdicts are carried over.
+  under block budgets small enough that most rules pass them.
 """
+
+from itertools import product
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,18 +23,19 @@ from hypothesis import strategies as st
 from repro.dataplane.flowtable import FlowTable
 from repro.net.addresses import IPv4Prefix
 from repro.net.mac import vmac_for_fec
-from repro.net.packet import Packet
+from repro.net.packet import IP_FIELDS, Packet
 from repro.policy.classifier import Action
 from repro.policy.flowrules import FlowRule
 from repro.policy.headerspace import HeaderSpace
 from repro.southbound.diff import FlowMod
 from repro.statics.dataplane import (
-    DEFAULT_CLASS_BUDGET,
-    ClassBudgetExceeded,
+    CLASS_BUDGET,
     CommittedSpace,
     DataplaneVerifier,
-    Subpartition,
+    _exact_atoms,
+    _prefix_atoms,
     analyze_flowtable,
+    walk_classes,
 )
 
 #: A deliberately small universe so random matches collide often.
@@ -98,46 +104,6 @@ def probe_packets(draw):
     return Packet(**fields)
 
 
-class TestPartitionProperty:
-    @settings(max_examples=80, deadline=None)
-    @given(rule_sets(), probe_packets())
-    def test_every_base_packet_lands_in_exactly_one_class(self, rules,
-                                                          packet):
-        part = Subpartition(HeaderSpace(), rules)
-        key = part.classify(packet)
-        assert key is not None  # the base is the wildcard: total
-        assert sum(1 for cls in part.classes if cls.key == key) == 1
-
-    @settings(max_examples=80, deadline=None)
-    @given(rule_sets(), probe_packets())
-    def test_matches_are_constant_across_each_class(self, rules, packet):
-        part = Subpartition(HeaderSpace(), rules)
-        key = part.classify(packet)
-        cls = next(c for c in part.classes if c.key == key)
-        for rule in rules:
-            assert (rule.match.matches(packet)
-                    == rule.match.matches(cls.representative))
-
-    @settings(max_examples=80, deadline=None)
-    @given(rule_sets())
-    def test_representatives_classify_to_their_own_class(self, rules):
-        part = Subpartition(HeaderSpace(), rules)
-        for cls in part.classes:
-            assert part.classify(cls.representative) == cls.key
-
-    @settings(max_examples=80, deadline=None)
-    @given(rule_sets(), st.sampled_from(PREFIXES))
-    def test_constrained_base_keeps_the_partition_inside_it(self, rules,
-                                                            prefix):
-        base = HeaderSpace(dstip=prefix)
-        try:
-            part = Subpartition(base, rules)
-        except ClassBudgetExceeded:
-            return
-        for cls in part.classes:
-            assert base.matches(cls.representative)
-
-
 @st.composite
 def guarded_matches(draw):
     """A match that may also pin the ingress port and the tag."""
@@ -169,6 +135,139 @@ def levelled_rules(draw):
                       actions=draw(guarded_actions()))
              for _ in range(draw(st.integers(min_value=1, max_value=8)))]
     return rules + [FlowRule(priority=1, match=HeaderSpace(), actions=())]
+
+
+class EagerProduct:
+    """The reference the walk is held to: every class of ``base`` that
+    ``rules`` induce, built whole as the product of the same atoms, with a
+    key naming each class's atoms and a concrete representative."""
+
+    def __init__(self, base, rules, port_domain=None):
+        self.base = base
+        overlapping = [rule for rule in rules if rule.match.overlaps(base)]
+        constraints = {}
+        for rule in overlapping:
+            for fieldname, constraint in rule.match.items():
+                constraints.setdefault(fieldname, []).append(constraint)
+        if port_domain is not None:
+            constraints.setdefault("port", [])
+        self.fields = sorted(constraints)
+        self.atoms = [
+            _prefix_atoms(constraints[name], base.get(name))
+            if name in IP_FIELDS else
+            _exact_atoms(constraints[name], base.get(name),
+                         port_domain if name == "port" else None,
+                         is_mac=name in ("srcmac", "dstmac"))
+            for name in self.fields]
+        self.prefixes = {
+            name: sorted({atom[1] for atom, _ in atoms if atom[0] == "pfx"},
+                         key=lambda prefix: -prefix.length)
+            for name, atoms in zip(self.fields, self.atoms)
+            if name in IP_FIELDS}
+        fixed = {name: (constraint.first_address
+                        if isinstance(constraint, IPv4Prefix) else constraint)
+                 for name, constraint in base.items()
+                 if name not in constraints}
+        self.classes = [
+            (tuple(atom for atom, _ in combo),
+             Packet(**fixed, **{name: rep for name, (_, rep)
+                                in zip(self.fields, combo)}))
+            for combo in product(*self.atoms)]
+
+    def classify(self, packet):
+        """The key of the class holding ``packet``, or ``None`` outside
+        the base."""
+        if not self.base.matches(packet):
+            return None
+        key = []
+        for name, atoms in zip(self.fields, self.atoms):
+            value = packet.get(name)
+            if name in IP_FIELDS:
+                key.append(next(
+                    (("pfx", prefix) for prefix in self.prefixes[name]
+                     if value is not None and prefix.contains_address(value)),
+                    ("other",)))
+            else:
+                key.append(("val", value) if ("val", value) in dict(atoms)
+                           else ("other",))
+        return tuple(key)
+
+
+def first_match(rules, packet):
+    return next((rule for rule in rules if rule.match.matches(packet)), None)
+
+
+def walked(base, rules):
+    """The walk's blocks laid over the classes of the eager product: one
+    ``(block representative, winner)`` per class, in product order."""
+    return [(packet, winner)
+            for packet, winner, classes in walk_classes(base, rules)
+            for _ in range(classes)]
+
+
+bases = st.one_of(
+    st.just(HeaderSpace()),
+    st.builds(lambda prefix: HeaderSpace(dstip=prefix),
+              st.sampled_from(PREFIXES)),
+    st.builds(lambda port: HeaderSpace(dstport=port), st.sampled_from(PORTS)),
+    st.builds(lambda tag: HeaderSpace(dstmac=tag), st.sampled_from(TAGS)))
+
+
+class TestPartitionProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(rule_sets(), levelled_rules()), bases,
+           st.one_of(st.none(), st.sampled_from(((1, 2), (0, 1, 2, 3)))))
+    def test_walk_agrees_with_the_eager_product(self, rules, base,
+                                                port_domain):
+        eager = EagerProduct(base, rules, port_domain)
+        blocks = list(walk_classes(base, rules, port_domain=port_domain))
+        assert sum(classes for _, _, classes in blocks) == len(eager.classes)
+        start = 0
+        for packet, winner, classes in blocks:
+            # A block's representative is its first class's, down to the
+            # order of its fields (witnesses are rendered).
+            assert repr(packet) == repr(eager.classes[start][1])
+            for _, rep in eager.classes[start:start + classes]:
+                assert winner is first_match(rules, rep)
+            start += classes
+
+    @settings(max_examples=80, deadline=None)
+    @given(rule_sets(), probe_packets())
+    def test_every_base_packet_lands_in_exactly_one_class(self, rules,
+                                                          packet):
+        eager = EagerProduct(HeaderSpace(), rules)
+        key = eager.classify(packet)
+        assert key is not None  # the base is the wildcard: total
+        assert sum(1 for cls, _ in eager.classes if cls == key) == 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(rule_sets(), probe_packets())
+    def test_matches_are_constant_across_each_class(self, rules, packet):
+        """The block holding a packet's class is won by the first rule
+        matching the packet."""
+        eager = EagerProduct(HeaderSpace(), rules)
+        key = eager.classify(packet)
+        index = next(index for index, (cls, _) in enumerate(eager.classes)
+                     if cls == key)
+        _, winner = walked(HeaderSpace(), rules)[index]
+        assert winner is first_match(rules, packet)
+
+    @settings(max_examples=80, deadline=None)
+    @given(rule_sets())
+    def test_representatives_classify_to_their_own_class(self, rules):
+        eager = EagerProduct(HeaderSpace(), rules)
+        start = 0
+        for packet, _, classes in walk_classes(HeaderSpace(), rules):
+            assert eager.classify(packet) == eager.classes[start][0]
+            start += classes
+
+    @settings(max_examples=80, deadline=None)
+    @given(rule_sets(), st.sampled_from(PREFIXES))
+    def test_constrained_base_keeps_the_partition_inside_it(self, rules,
+                                                            prefix):
+        base = HeaderSpace(dstip=prefix)
+        for packet, _, _ in walk_classes(base, rules):
+            assert base.matches(packet)
 
 
 @st.composite
@@ -244,15 +343,18 @@ class TestIncrementalEqualsFullOnLevelledTables:
     the committed spaces moving between them: a tag that dies or comes
     alive re-verifies the rules matching it (off the guard index) and
     rewriting to it (off the rewrite index); a mod re-judges the spaces
-    of its tag and the untagged ones. Budgets of 2 and 6 classes put most
-    rules past the budget, so the verdicts of rules whose rules ahead only
-    gained are carried over rather than taken again."""
+    of its tag and the untagged ones. Budgets of 2 and 6 blocks put most
+    rules past the budget, so their fallback verdicts must match too."""
 
     @settings(max_examples=80, deadline=None)
-    @given(levelled_rules(), st.sampled_from((2, 6, DEFAULT_CLASS_BUDGET)),
+    @given(levelled_rules(), st.sampled_from((2, 6, CLASS_BUDGET)),
            st.data())
     def test_chained_deltas_preserve_byte_identity(self, rules, budget,
                                                    data):
+        with mock.patch("repro.statics.dataplane.CLASS_BUDGET", budget):
+            self.check_chained_deltas(rules, data)
+
+    def check_chained_deltas(self, rules, data):
         table = FlowTable()
         for rule in rules:
             table.install(rule)
@@ -265,8 +367,7 @@ class TestIncrementalEqualsFullOnLevelledTables:
             return sorted(committed, key=repr)
 
         verifier = DataplaneVerifier(table, vmac_index=index,
-                                     committed_spaces=spaces, mode="off",
-                                     class_budget=budget)
+                                     committed_spaces=spaces, mode="off")
         priorities = st.sampled_from((1, 10, 20, 30, 40))
         for _ in range(3):
             installed = tuple(table.rules)
@@ -283,5 +384,4 @@ class TestIncrementalEqualsFullOnLevelledTables:
             verifier.verify_delta(mods)
             assert (verifier.state_report().to_json()
                     == analyze_flowtable(table, vmac_index=index(),
-                                         committed_spaces=spaces(),
-                                         class_budget=budget).to_json())
+                                         committed_spaces=spaces()).to_json())

@@ -1,10 +1,12 @@
 """Documentation gates: every public member documented, docs in sync."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
 import pathlib
 import pkgutil
+import re
 
 import pytest
 
@@ -115,6 +117,53 @@ class TestDocFiles:
             assert (tmp_path / "API.md").exists()
         finally:
             generator.OUTPUT = original
+
+
+#: A metric name: what a registration names, what a catalogue cell names
+#: up to its label set.
+METRIC_NAME = re.compile(r"sdx_[a-z0-9_]+")
+
+#: The series ``monitoring/stats.py`` names with an f-string, one per axis.
+FORMATTED_METRICS = frozenset(
+    f"sdx_dataplane_{axis}_rate_mbps" for axis in ("fec", "participant", "port"))
+
+
+def metric_literals():
+    """Every whole ``"sdx_..."`` string literal under ``src/repro``.
+
+    Any literal, not only the first argument of a registry call: some
+    modules register through aliases or a tuple of names. The constant
+    parts of an f-string are not names and are skipped."""
+    names = set()
+    for path in (REPO_ROOT / "src" / "repro").rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        formatted = {id(part) for node in ast.walk(tree)
+                     if isinstance(node, ast.JoinedStr) for part in node.values}
+        names.update(
+            node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in formatted
+            and METRIC_NAME.fullmatch(node.value))
+    return names
+
+
+def catalogued_metrics():
+    """The metric names in the first cell of ``docs/OBSERVABILITY.md``'s
+    table rows."""
+    names = set()
+    for line in (REPO_ROOT / "docs" / "OBSERVABILITY.md").read_text(
+            ).splitlines():
+        if line.startswith("| "):
+            names.update(METRIC_NAME.findall(line[2:].split(" | ")[0]))
+    return names
+
+
+class TestMetricCatalogue:
+    def test_every_series_is_documented_and_every_documented_one_is_live(self):
+        live = metric_literals() | FORMATTED_METRICS
+        documented = catalogued_metrics()
+        assert sorted(live - documented) == []
+        assert sorted(documented - live) == []
 
 
 def load_example(stem):
