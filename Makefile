@@ -57,8 +57,8 @@ lint-policies-smoke:
 # dataplane defect-injection run (compiled blackhole + shadowed
 # install) that must detect both defect classes, then two time-boxed
 # `repro fuzz --dataplane` sessions: 4-member exchanges, and 10-member
-# ones whose levels hold many guards (the verifier's guard walks filter
-# a level's guards there instead of probing four). Drops JSON artifacts
+# ones whose levels file many tags and ports (the verifier's walks visit
+# only the buckets a match can meet there, among many). Drops JSON artifacts
 # (CI uploads them) and exits non-zero on any error-severity
 # diagnostic or a missed defect.
 dataplane-lint-smoke:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
 
 from repro.bgp.asn import AsPath
 from repro.core.clauses import Clause
@@ -165,6 +165,20 @@ def clause_to_policy(document: Dict[str, Any]) -> Policy:
     return Sequential(tuple(parts))
 
 
+def install_policy(participant: Any, item: Mapping[str, Any],
+                   **gate: Any) -> None:
+    """Install a config document's ``policies`` entry on ``participant``
+    (the model, or its handle at one exchange: ``gate`` passes through)."""
+    policy = clause_to_policy(dict(item["clause"]))
+    if item["direction"] == "out":
+        participant.add_outbound(policy, **gate)
+    elif item["direction"] == "in":
+        participant.add_inbound(policy, **gate)
+    else:
+        raise ConfigError(f"policy direction must be 'in' or 'out', "
+                          f"got {item['direction']!r}")
+
+
 # ----------------------------------------------------------------------
 # Controller round trip
 # ----------------------------------------------------------------------
@@ -260,16 +274,8 @@ def controller_from_config(document: Dict[str, Any],
         controller.register_ownership(
             IPv4Prefix(entry["prefix"]), entry["owner"])
     for item in document.get("policies", ()):
-        participant = controller.topology.participant(item["participant"])
-        policy = clause_to_policy(item["clause"])
-        if item["direction"] == "out":
-            participant.add_outbound(policy)
-        elif item["direction"] == "in":
-            participant.add_inbound(policy)
-        else:
-            raise ConfigError(
-                f"policy direction must be 'in' or 'out', "
-                f"got {item['direction']!r}")
+        install_policy(
+            controller.topology.participant(item["participant"]), item)
     return controller
 
 

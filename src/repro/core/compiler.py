@@ -77,10 +77,10 @@ from repro.core.vswitch import VirtualTopology
 from repro.exceptions import CompilationError
 from repro.net.addresses import IPv4Prefix
 from repro.net.mac import MacAddress
-from repro.policy.classifier import Action, Classifier, ComposeStats, Rule
+from repro.policy.classifier import Action, Classifier, ComposeStats, Rule, merge_drop_tail
 from repro.policy.flowrules import FlowRule
 from repro.policy.headerspace import HeaderSpace, WILDCARD
-from repro.policy.optimize import ShadowIndex, merge_drop_tail
+from repro.policy.matchindex import MatchIndex, file_at_depth
 from repro.policy.policies import Conjunction, Predicate, match
 from repro.policy.predicates import match_any_prefix, match_any_value
 from repro.southbound.diff import DEFAULT_BAND_TOP, DROP_PRIORITY, PRIORITY_CEILING
@@ -854,9 +854,10 @@ class SdxCompiler:
         """The final table, in blocks: ``blocks`` stacked, trailing drops
         merged, — unless ``reduce_table`` is off — shadowed rules removed,
         and every rule keyed: the top of its block's band less its overlap
-        depth in the block (:meth:`ShadowIndex.add`), so of two rules that
-        overlap the earlier wins and a key moves only when something it
-        overlaps does.
+        depth in the block (:func:`~repro.policy.matchindex.file_at_depth`,
+        the level a flow table files it on), so of two rules that overlap
+        the earlier wins and a key moves only when something it overlaps
+        does.
 
         Each block but the last matches only its owner's ingress ports, so
         it is reduced and numbered on its own, and they share a band. The
@@ -867,10 +868,11 @@ class SdxCompiler:
         rule of all, the catch-all drop, has one priority under both.
         """
         def numbered(rules: Sequence[Rule], top: int, floor: int) -> tuple:
-            index = ShadowIndex()
+            index: MatchIndex[int] = MatchIndex()
             out = tuple(FlowRule(top - depth, rule.match, rule.actions)
-                        for rule in rules if (depth := index.add(
-                            rule.match, self.reduce_table)) is not None)
+                        for rule in rules if (depth := file_at_depth(
+                            index, rule.match,
+                            unless_covered=self.reduce_table)) is not None)
             if any(rule.priority <= floor for rule in out):
                 raise CompilationError(f"overlaps {top - floor} deep: band is full")
             return out, index
@@ -884,7 +886,7 @@ class SdxCompiler:
 
         *above, tail = blocks
         out: List[Tuple[FlowRule, ...]] = []
-        index_above: Dict[int, ShadowIndex] = {}
+        index_above: Dict[int, MatchIndex[int]] = {}
         for owner, block in zip(owners, above):
             kept, index = self._reuse(
                 "reduction", owner.name, block, lambda: numbered(
@@ -899,7 +901,7 @@ class SdxCompiler:
         return tuple(out)
 
     def _uncovered(self, runs: Sequence[tuple],
-                   index_above: Dict[int, ShadowIndex]
+                   index_above: Dict[int, MatchIndex[int]]
                    ) -> Iterator[Tuple[FlowRule, ...]]:
         """Each ``(port, run)`` of the default layer less the rules the
         block of the holder on that port covers. A run is filtered anew only

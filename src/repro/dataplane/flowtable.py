@@ -2,15 +2,13 @@
 
 A rule's identity is its ``(priority, match)`` key, and the table is
 shaped the way compiled SDX tables are: a short stack of priority levels,
-each holding many rules that cannot match the same packet. A level files
-its rules under their *guard* — the ingress ``port`` and ``dstmac`` tag
-nearly every rule pins — so a FlowMod is dictionary work whatever the
-size of its level, and :meth:`FlowTable.lookup` visits, level by level
-from the top, only the four guards a packet can satisfy —
-:meth:`FlowTable.overlapping`, the rules sharing a packet with a match
-region, only the guards the region can meet. Rules of one
-level that do overlap (reference tables, tests) resolve to the one
-installed first — OpenFlow's undefined-but-stable behaviour in practice.
+each holding many rules that cannot match the same packet, each a
+:class:`~repro.policy.matchindex.MatchIndex` of its rules. A FlowMod is
+dictionary work whatever the size of its level; :meth:`FlowTable.lookup`
+and :meth:`FlowTable.overlapping` visit, level by level, only the buckets
+a packet can hit or a match region meet. Rules of one level that do
+overlap (reference tables, tests) resolve to the one installed first —
+OpenFlow's undefined-but-stable behaviour in practice.
 Per-rule packet *and byte* counters support the rule-utilisation
 measurements in the benchmark harness and the data-plane monitoring
 subsystem (:mod:`repro.monitoring`), which samples them to estimate
@@ -45,6 +43,7 @@ from repro.net.packet import Packet
 from repro.policy.classifier import Classifier
 from repro.policy.flowrules import FlowRule, render_flow_table, to_flow_rules
 from repro.policy.headerspace import HeaderSpace
+from repro.policy.matchindex import MatchIndex, packet_pins
 from repro.southbound.diff import Delta, FlowMod, FlowModOp
 
 #: Bytes attributed to a processed packet when the caller gives no size.
@@ -56,34 +55,13 @@ DEFAULT_PACKET_BYTES = 1500
 RULE, COOKIE, PACKETS, BYTES = range(4)
 
 
-def _guard(fields: Union[HeaderSpace, Packet]) -> tuple:
-    """The ``(port, dstmac)`` a match pins or a packet carries — the tag as
-    its integer, which hashes without a call."""
-    mac = fields.get("dstmac")
-    return fields.get("port"), None if mac is None else mac.value
-
-
-def _meeting(level: dict, port: Optional[int], mac: Optional[int]
-             ) -> List[tuple]:
-    """The guards of ``level`` a match pinning ``port`` and tag ``mac``
-    (``None``: open) can share a packet with: its own, and those leaving
-    either field open — the four, when it pins both; else the level's
-    guards, filtered."""
-    if port is not None and mac is not None:
-        return [guard for guard in ((port, mac), (port, None), (None, mac),
-                                    (None, None)) if guard in level]
-    return [guard for guard in level
-            if (port is None or guard[0] in (port, None))
-            and (mac is None or guard[1] in (mac, None))]
-
-
 class FlowTable:
     """An installed set of flow rules plus match counters."""
 
     def __init__(self) -> None:
-        # priority -> guard (port, dstmac) -> match -> [rule, cookie,
-        # packets, bytes]; a guard's dict keeps install order.
-        self._levels: Dict[int, Dict[tuple, Dict[HeaderSpace, list]]] = {}
+        # priority -> match -> [rule, cookie, packets, bytes], each level
+        # in install order — which is cookie order.
+        self._levels: Dict[int, MatchIndex[list]] = {}
         self._size = 0
         self._next_cookie = 1
         self._generation = 0
@@ -93,7 +71,7 @@ class FlowTable:
         self._priorities: Optional[List[int]] = None
         self._rules: Optional[Tuple[FlowRule, ...]] = None
         #: Installed matches :meth:`overlapping` has tested, ever: the work
-        #: count of every guard walk over this table.
+        #: count of every walk over this table.
         self.overlap_tests = 0
         # Telemetry handles, absent until bind_telemetry() is called:
         # standalone tables (property tests, ad-hoc scripts) pay one
@@ -148,23 +126,21 @@ class FlowTable:
             self._rules_gauge.set(self._size)
 
     def _entry(self, priority: int, match: HeaderSpace) -> Optional[list]:
-        guards = self._levels.get(priority)
-        bucket = guards and guards.get(_guard(match))
-        return bucket.get(match) if bucket else None
+        level = self._levels.get(priority)
+        return None if level is None else level.get(match)
 
     def install(self, rule: FlowRule) -> None:
         """Put ``rule`` on its key. A free key gets a fresh entry — a new
         cookie, counters at zero, last of its priority in table order; a
         taken one has its actions rewritten in place, which keeps all
         three (and does nothing at all when the actions are the same)."""
-        guards = self._levels.get(rule.priority)
-        if guards is None:
-            guards = self._levels[rule.priority] = {}
+        level = self._levels.get(rule.priority)
+        if level is None:
+            level = self._levels[rule.priority] = MatchIndex()
             self._priorities = None
-        bucket = guards.setdefault(_guard(rule.match), {})
-        entry = bucket.get(rule.match)
+        entry = level.get(rule.match)
         if entry is None:
-            bucket[rule.match] = [rule, self._next_cookie, 0, 0]
+            level.add(rule.match, [rule, self._next_cookie, 0, 0])
             self._next_cookie += 1
             self._size += 1
         elif entry[RULE].actions == rule.actions:
@@ -216,16 +192,12 @@ class FlowTable:
         if mod.op is not FlowModOp.DELETE:
             self.install(mod.rule)
             return
-        guards = self._levels.get(mod.priority)
-        guard = _guard(mod.match)
-        bucket = guards and guards.get(guard)
-        if not bucket or bucket.pop(mod.match, None) is None:
+        level = self._levels.get(mod.priority)
+        if level is None or level.pop(mod.match) is None:
             return
-        if not bucket:
-            del guards[guard]
-            if not guards:
-                del self._levels[mod.priority]
-                self._priorities = None
+        if not level:
+            del self._levels[mod.priority]
+            self._priorities = None
         self._size -= 1
         self._changed()
 
@@ -252,13 +224,7 @@ class FlowTable:
         for priority in self._descending():
             if floor is not None and priority < floor:
                 return
-            buckets = self._levels[priority].values()
-            if len(buckets) == 1:  # a guard's dict is in install order
-                yield from next(iter(buckets)).values()
-            else:
-                yield from sorted((entry for bucket in buckets
-                                   for entry in bucket.values()),
-                                  key=itemgetter(COOKIE))
+            yield from self._levels[priority].values()
 
     @property
     def rules(self) -> Tuple[FlowRule, ...]:
@@ -278,12 +244,12 @@ class FlowTable:
         """Installed rules that share a packet with ``match``, in table
         order — only those ahead of the installed rule ``before``, if given.
 
-        A rule pinning another ingress port or tag than ``match`` shares no
-        packet with it, so each level visits only the guards ``match`` can
-        meet (:func:`_meeting`). Each rule in them costs one
-        :meth:`HeaderSpace.overlaps` test, counted in :attr:`overlap_tests`.
+        A rule pinning another ingress port, tag or ``dstip`` prefix than
+        ``match`` shares no packet with it, so each level visits only the
+        buckets ``match`` can meet (:meth:`MatchIndex.meeting`). Each rule
+        in them costs one :meth:`HeaderSpace.overlaps` test, counted in
+        :attr:`overlap_tests`.
         """
-        port, mac = _guard(match)
         floor = stop = None
         if before is not None:
             entry = self._entry(before.priority, before.match)
@@ -295,18 +261,17 @@ class FlowTable:
         for priority in self._descending():
             if floor is not None and priority < floor:
                 break
-            level = self._levels[priority]
-            guards = _meeting(level, port, mac)
+            buckets = self._levels[priority].meeting(match)
             cut = stop if priority == floor else None
             hits: List[list] = []
-            for guard in guards:
-                for entry in level[guard].values():  # in install order
+            for bucket in buckets:
+                for other, entry in bucket.items():  # in install order
                     if cut is not None and entry[COOKIE] >= cut:
                         break
                     tested += 1
-                    if match.overlaps(entry[RULE].match):
+                    if match.overlaps(other):
                         hits.append(entry)
-            if len(guards) > 1:
+            if len(buckets) > 1:
                 hits.sort(key=itemgetter(COOKIE))
             found.extend(map(itemgetter(RULE), hits))
         self.overlap_tests += tested
@@ -321,15 +286,13 @@ class FlowTable:
         return self._generation
 
     def _winner(self, packet: Packet) -> Optional[list]:
-        port, mac = _guard(packet)
-        guards = {(port, mac), (port, None), (None, mac), (None, None)}
+        pins = packet_pins(packet)
         for priority in self._descending():
-            level = self._levels[priority]
             found = None
-            for guard in guards & level.keys():
-                # A guard's first match is its oldest; the oldest of the
-                # guards' wins the level.
-                for match, entry in level[guard].items():
+            for bucket in self._levels[priority].hit_by(pins):
+                # A bucket's first match is its oldest; the oldest of the
+                # buckets' wins the level.
+                for match, entry in bucket.items():
                     if match.matches(packet):
                         if found is None or entry[COOKIE] < found[COOKIE]:
                             found = entry

@@ -42,7 +42,6 @@ from repro.federation.config import (
     export_federation_config,
     federation_from_config,
     is_federated_config,
-    lint_federated_config,
     load_federation_config,
     save_federation_config,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "export_federation_config",
     "federation_from_config",
     "is_federated_config",
-    "lint_federated_config",
     "load_federation_config",
     "save_federation_config",
     "FederatedController",

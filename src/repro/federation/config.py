@@ -24,26 +24,20 @@ and per-exchange route/policy entries::
 
 Policy clauses reuse the clause encoding of :mod:`repro.config`
 verbatim, so single-exchange configs lift into a federation by tagging
-each route and policy with its exchange. ``repro lint-policies`` accepts
-either shape and dispatches on the ``exchanges`` key.
+each route and policy with its exchange. ``repro lint-policies``
+(:func:`repro.statics.analyzer.lint_config`) accepts either shape and
+dispatches on the ``exchanges`` key.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, Mapping, Union
 
 from repro.bgp.asn import AsPath
-from repro.config import CONFIG_VERSION, ConfigError, clause_to_json, clause_to_policy
-from repro.exceptions import PolicyError, ReproError
+from repro.config import CONFIG_VERSION, ConfigError, clause_to_json, install_policy
 from repro.net.addresses import IPv4Prefix
-from repro.statics.diagnostics import (
-    Diagnostic,
-    Severity,
-    SourceLocation,
-    StaticsReport,
-)
 
 
 def federation_from_config(document: Mapping[str, Any],
@@ -87,67 +81,9 @@ def federation_from_config(document: Mapping[str, Any],
             communities=tuple(tuple(community)
                               for community in route.get("communities", ())))
     for item in document.get("policies", ()):
-        policy = clause_to_policy(dict(item["clause"]))
-        if item["direction"] == "out":
-            federation.add_outbound(
-                item["exchange"], item["participant"], policy)
-        elif item["direction"] == "in":
-            federation.add_inbound(
-                item["exchange"], item["participant"], policy)
-        else:
-            raise ConfigError(
-                f"policy direction must be 'in' or 'out', "
-                f"got {item['direction']!r}")
+        install_policy(federation.handle(item["exchange"], item["participant"]),
+                       item, gate=federation)
     return federation
-
-
-def lint_federated_config(document: Mapping[str, Any], *,
-                          telemetry=None) -> StaticsReport:
-    """Lint a federated config document end to end.
-
-    Builds the federation with statics off (so the full picture is
-    assembled before any gating), then runs
-    :func:`repro.federation.checks.analyze_federation` over it. Policy
-    entries that installation rejects become SDX006-style error
-    diagnostics rather than aborting the lint, mirroring
-    :func:`repro.statics.analyzer.lint_config`.
-    """
-    from repro.federation.checks import analyze_federation
-
-    stripped: Dict[str, Any] = dict(document)
-    policies = list(document.get("policies", ()))
-    stripped["policies"] = []
-    federation = federation_from_config(
-        stripped, statics_mode="off", with_dataplane=False,
-        telemetry=telemetry)
-    install_findings: List[Diagnostic] = []
-    for index, item in enumerate(policies):
-        try:
-            policy = clause_to_policy(dict(item["clause"]))
-            if item["direction"] == "out":
-                federation.add_outbound(
-                    item["exchange"], item["participant"], policy)
-            elif item["direction"] == "in":
-                federation.add_inbound(
-                    item["exchange"], item["participant"], policy)
-            else:
-                raise ConfigError(
-                    f"policy direction must be 'in' or 'out', "
-                    f"got {item['direction']!r}")
-        except (PolicyError, ReproError, KeyError, TypeError) as error:
-            install_findings.append(Diagnostic(
-                check_id="SDX006", check_name="field-sanity",
-                severity=Severity.ERROR,
-                location=SourceLocation(
-                    participant=str(item.get("participant", "?")),
-                    direction=item.get("direction"),
-                    document_index=index),
-                message=f"federated policy rejected at installation: {error}",
-                data=(("exchange", item.get("exchange")),)))
-    report = analyze_federation(federation, telemetry=telemetry)
-    report.clauses_analyzed += len(install_findings)
-    report.extend(install_findings)
-    return report
 
 
 def export_federation_config(federation) -> Dict[str, Any]:
@@ -247,7 +183,6 @@ __all__ = [
     "export_federation_config",
     "federation_from_config",
     "is_federated_config",
-    "lint_federated_config",
     "load_federation_config",
     "save_federation_config",
 ]

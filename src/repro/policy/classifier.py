@@ -411,3 +411,18 @@ def concatenate_disjoint(classifiers: Sequence[Classifier]) -> Classifier:
             rules.append(rule)
     rules.append(Rule(WILDCARD, ()))
     return Classifier(rules)
+
+
+def merge_drop_tail(classifier: Classifier) -> Classifier:
+    """Collapse a trailing run of drop rules into the final catch-all.
+
+    Compiled SDX policies end in a catch-all drop; any drop rules directly
+    above it are redundant because falling through reaches the catch-all
+    with the same outcome.
+    """
+    rules = list(classifier.rules)
+    if not rules or not rules[-1].is_drop or not rules[-1].match.is_wildcard:
+        return classifier
+    while len(rules) >= 2 and rules[-2].is_drop:
+        del rules[-2]
+    return Classifier(rules)

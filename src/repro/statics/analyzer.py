@@ -18,6 +18,7 @@ stats`` snapshot as the pipeline it guards.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import PolicyError, ReproError
@@ -113,17 +114,6 @@ def analyze_controller(controller, *,
     return analyze_context(context, checks=checks, telemetry=telemetry)
 
 
-def _raw_documents(document: Mapping[str, Any]) -> List[RawPolicyDocument]:
-    raw: List[RawPolicyDocument] = []
-    for index, item in enumerate(document.get("policies", ())):
-        raw.append(RawPolicyDocument(
-            participant=str(item.get("participant", "?")),
-            direction=str(item.get("direction", "?")),
-            clause=item.get("clause", {}),
-            index=index))
-    return raw
-
-
 def lint_config(document: Mapping[str, Any], *,
                 checks: Sequence[Check] = DEFAULT_CHECKS,
                 telemetry: Optional[Telemetry] = None,
@@ -134,48 +124,55 @@ def lint_config(document: Mapping[str, Any], *,
     first; entries they flag — or that installation rejects — are
     skipped, and the remaining exchange is analyzed as a controller.
     Returns one merged report. A document with an ``exchanges`` key
-    describes a federation and is dispatched to
-    :func:`repro.federation.config.lint_federated_config` instead.
+    describes a federation: its entries take the same raw pass, each
+    finding naming its entry's ``exchange``, and the rest is analyzed by
+    :func:`repro.federation.checks.analyze_federation` (``checks`` pick
+    only its raw checks, ``controller_kwargs`` apply to single exchanges).
     """
-    if "exchanges" in document:
-        from repro.federation.config import lint_federated_config
+    from repro.config import controller_from_config, install_policy
 
-        return lint_federated_config(document, telemetry=telemetry)
-    from repro.config import clause_to_policy, controller_from_config
-
-    raw = _raw_documents(document)
+    items = document.get("policies", ())
+    exchanges = [item.get("exchange") for item in items]
+    raw = [RawPolicyDocument(participant=str(item.get("participant", "?")),
+                             direction=str(item.get("direction", "?")),
+                             clause=item.get("clause", {}), index=index)
+           for index, item in enumerate(items)]
     stripped: Dict[str, Any] = dict(document)
     stripped["policies"] = []
-    controller = controller_from_config(stripped, **controller_kwargs)
+    federated = "exchanges" in document
+    if federated:
+        from repro.federation.config import federation_from_config
 
-    # Which documents fail the raw checks? Run the raw-only surface once
-    # so installation can skip them without raising.
+        federation = federation_from_config(
+            stripped, statics_mode="off", with_dataplane=False,
+            telemetry=telemetry)
+        controller = federation.exchange(federation.exchanges()[0])
+    else:
+        controller = controller_from_config(stripped, **controller_kwargs)
+
+    # The raw-only surface first, so installation skips what it flags.
     raw_context = StaticsContext(
         topology=controller.topology,
         route_server=controller.route_server,
         raw_policies=tuple(raw))
-    raw_findings: List[Diagnostic] = []
+    findings: List[Diagnostic] = []
     for check in checks:
         if check.check_id in ("SDX004", "SDX006"):
-            raw_findings.extend(check.run(raw_context))
+            findings.extend(check.run(raw_context))
     flagged = {
-        finding.location.document_index for finding in raw_findings
+        finding.location.document_index for finding in findings
         if finding.location.document_index is not None
     }
-
-    install_findings: List[Diagnostic] = []
     for entry in raw:
         if entry.index in flagged:
             continue
         try:
-            participant = controller.topology.participant(entry.participant)
-            policy = clause_to_policy(dict(entry.clause))
-            if entry.direction == "out":
-                participant.add_outbound(policy)
-            else:
-                participant.add_inbound(policy)
+            install_policy(federation.handle(
+                exchanges[entry.index], entry.participant) if federated
+                else controller.topology.participant(entry.participant),
+                items[entry.index])
         except (PolicyError, ReproError, KeyError, TypeError) as error:
-            install_findings.append(Diagnostic(
+            findings.append(Diagnostic(
                 check_id="SDX006", check_name="field-sanity",
                 severity=Severity.ERROR,
                 location=SourceLocation(
@@ -183,15 +180,22 @@ def lint_config(document: Mapping[str, Any], *,
                     document_index=entry.index),
                 message=f"policy rejected at installation: {error}"))
 
-    # Full analysis over what installed cleanly; raw findings merge in.
-    # The raw checks are excluded here (already run above).
-    remaining = [c for c in checks if c.check_id not in ("SDX004", "SDX006")]
-    installed_checks = [c for c in checks if c.check_id == "SDX004"]
-    report = analyze_context(
-        StaticsContext.from_controller(controller),
-        checks=remaining + installed_checks, telemetry=telemetry)
-    report.checks_run = tuple(check.check_id for check in checks)
+    if federated:
+        from repro.federation.checks import analyze_federation
+
+        report = analyze_federation(federation, telemetry=telemetry)
+        findings = [replace(finding, data=finding.data + (
+            ("exchange", exchanges[finding.location.document_index]),))
+            for finding in findings]
+    else:
+        # What installed cleanly, without the raw checks run above.
+        remaining = [c for c in checks
+                     if c.check_id not in ("SDX004", "SDX006")]
+        installed_checks = [c for c in checks if c.check_id == "SDX004"]
+        report = analyze_context(
+            StaticsContext.from_controller(controller),
+            checks=remaining + installed_checks, telemetry=telemetry)
+        report.checks_run = tuple(check.check_id for check in checks)
     report.clauses_analyzed += len(raw)
-    report.extend(raw_findings)
-    report.extend(install_findings)
+    report.extend(findings)
     return report

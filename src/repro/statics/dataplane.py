@@ -42,6 +42,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -59,6 +60,7 @@ from repro.net.mac import MacAddress
 from repro.net.packet import IP_FIELDS, Packet
 from repro.policy.flowrules import FlowRule
 from repro.policy.headerspace import Constraint, HeaderSpace
+from repro.policy.matchindex import MatchIndex
 from repro.southbound.diff import FlowMod, FlowModOp, RuleKey, rule_key
 from repro.statics.diagnostics import (
     Diagnostic,
@@ -512,7 +514,7 @@ class DataplaneVerifier:
         self._examined_counter = registry.counter(
             "sdx_statics_dataplane_rules_examined_total",
             "Installed rules whose match the verifier tested against a "
-            "region: the guard walks of its passes")
+            "region: the index walks of its passes")
         self._budget_counters = {
             check_id: registry.counter(
                 "sdx_statics_dataplane_budget_exceeded_total",
@@ -532,9 +534,8 @@ class DataplaneVerifier:
         # The provider's change-log version the snapshot reflects (None:
         # compare every space).
         self._spaces_version: Optional[int] = None
-        # The snapshot's spaces by the tag they pin (None: none).
-        self._spaces_by_tag: Dict[Optional[MacAddress],
-                                  Dict[str, HeaderSpace]] = {}
+        # The snapshot's spaces, filed for overlap: each space's labels.
+        self._space_index: MatchIndex[FrozenSet[str]] = MatchIndex()
         self._vmac_snapshot: Set[MacAddress] = set()
         # Apply-window bookkeeping (observer protocol).
         self._window: Optional[List[FlowMod]] = None
@@ -594,7 +595,7 @@ class DataplaneVerifier:
             self._vmac_snapshot = set(index) if index is not None else set()
             for rule in self.table.rules:
                 self._verify_rule(rule, index)
-            self._space_snapshot, self._spaces_by_tag = {}, {}
+            self._space_snapshot, self._space_index = {}, MatchIndex()
             self._spaces_version = None
             self._verify_committed(())
             self._verify_loops()
@@ -614,7 +615,7 @@ class DataplaneVerifier:
         matching or rewriting to a VMAC whose allocator-index membership
         changed since the last pass (a tag can die or come alive without
         any FlowMod touching the rules that carry it). All of them are
-        found through the table's guard index — no pass over the table.
+        found through the table's match index — no pass over the table.
         Committed spaces re-verify when their space overlaps a mod or their
         definition changed since the last pass. Returns the post-delta
         state report plus any window-ordering (SDX014) findings for
@@ -655,7 +656,7 @@ class DataplaneVerifier:
 
     def _referencing(self, vmacs: Set[MacAddress]) -> Set[RuleKey]:
         """Keys of the installed rules that match one of ``vmacs`` (off
-        the guard index) or rewrite to one (off the rewrite index)."""
+        the match index) or rewrite to one (off the rewrite index)."""
         keys: Set[RuleKey] = set()
         for vmac in vmacs:
             keys.update(self._rewrites.get(vmac, ()))
@@ -704,7 +705,7 @@ class DataplaneVerifier:
         single-cover test (no union shadows reported, never a false
         shadow).
 
-        A drop that pins neither guard field (the catch-all) meets every
+        A drop that pins neither tag nor port (the catch-all) meets every
         rule ahead of it, so its representative packet is looked up first:
         a reachable drop reports no witness, and one that wins that packet
         is reachable whatever the rules ahead split.
@@ -806,22 +807,24 @@ class DataplaneVerifier:
         moved since the last pass or that overlaps a modded match."""
         with self.telemetry.span("statics.committed") as span:
             current, moved = self._moved_spaces()
-            snapshot, by_tag = self._space_snapshot, self._spaces_by_tag
-            recheck = self._touched(mod_matches)
+            snapshot, index = self._space_snapshot, self._space_index
+            recheck = {label for match in mod_matches
+                       for _space, labels in index.overlapping(match)
+                       for label in labels}
             for label in moved:
                 old, new = snapshot.get(label), current.get(label)
                 if old == new:
                     continue
                 if old is not None:
-                    tag = old.space.get("dstmac")
-                    del snapshot[label], by_tag[tag][label]
-                    if not by_tag[tag]:
-                        del by_tag[tag]
+                    del snapshot[label]
+                    labels = index.pop(old.space) - {label}
+                    if labels:
+                        index.add(old.space, labels)
                     self._diags.pop(("SDX011", label), None)
                 if new is not None:
                     snapshot[label] = new
-                    by_tag.setdefault(new.space.get("dstmac"),
-                                      {})[label] = new.space
+                    index.add(new.space, index.get(new.space, frozenset())
+                              | {label})
                     recheck.add(label)
             judged = [snapshot[label] for label in sorted(recheck)
                       if label in snapshot]
@@ -846,23 +849,10 @@ class DataplaneVerifier:
             moved = current.keys() | self._space_snapshot.keys()
         return current, moved
 
-    def _touched(self, mod_matches: Iterable[HeaderSpace]) -> Set[str]:
-        """Labels of the snapshot's spaces that overlap a modded match:
-        a tagged match meets only its tag's spaces and the untagged."""
-        by_tag = self._spaces_by_tag
-        touched: Set[str] = set()
-        for match in mod_matches:
-            tag = match.get("dstmac")
-            for spaces in (by_tag.values() if tag is None else
-                           (by_tag.get(tag, {}), by_tag.get(None, {}))):
-                touched.update(label for label, space in spaces.items()
-                               if space.overlaps(match))
-        return touched
-
     def _judge_spaces(self, spaces: Sequence[CommittedSpace]) -> None:
         """Give each of ``spaces`` its SDX011 verdict.
 
-        The table is read once per tag, off the guard index. Spaces of one
+        The table is read once per tag, off its match index. Spaces of one
         tag that pin only it and a ``dstip`` prefix, have the same ports,
         and meet the same rules — each of which leaves ``dstip`` open or
         covers the whole prefix — have partitions that differ only in the

@@ -208,7 +208,7 @@ def verifier_caches(verifier):
     """Everything the dataplane verifier keeps between windows."""
     return {name: copy.deepcopy(getattr(verifier, name)) for name in (
         "_diags", "_rewrites", "_rewrite_tags", "_space_snapshot",
-        "_spaces_by_tag", "_vmac_snapshot")}
+        "_space_index", "_vmac_snapshot")}
 
 
 def table_of(sdx):

@@ -8,6 +8,8 @@ from repro.policy.policies import fwd, match
 from repro.dataplane.flowtable import FlowTable
 from repro.southbound.diff import FlowMod, compute_delta
 
+from tests.policy.test_matchindex import filing
+
 
 def rule(priority, actions=(), **constraints):
     return FlowRule(priority=priority, match=HeaderSpace(**constraints), actions=actions)
@@ -59,12 +61,33 @@ class TestInstallation:
         assert all(r.actions == (Action(port=2),) for r in table.rules)
 
     def test_emptied_levels_and_guards_are_forgotten(self):
-        """Tags come and go for as long as the exchange runs."""
+        """Tags and prefixes come and go for as long as the exchange runs:
+        ``dstip`` prefixes of several lengths, nesting both ways, arriving
+        and leaving in either order beside a rule that stays."""
         table = FlowTable()
         for tag in range(50):
             churned = rule(7 + tag, dstmac=f"a2:00:00:00:00:{tag:02x}", port=1)
             table.install(churned)
             table.apply_mod(FlowMod.delete(churned))
+        assert len(table) == 0 and not table._levels and table.rules == ()
+        kept = rule(5, dstip="10.0.0.0/8", port=1)
+        table.install(kept)
+        prefixes = ["10.0.0.0/7", "10.0.0.0/16", "10.1.0.0/16",
+                    "10.1.2.0/24", "10.1.2.3/32", "0.0.0.0/0"]
+        for arriving in (prefixes, prefixes[::-1]):
+            for leaving in (arriving, arriving[::-1]):
+                churned = [rule(5, dstip=prefix, port=port)
+                           for prefix in arriving for port in (1, None)]
+                table.install_many(churned)
+                assert len(filing(table._levels[5])[None, 1]) == 7
+                for prefix in leaving:
+                    for port in (1, None):
+                        table.apply_mod(FlowMod.delete(
+                            rule(5, dstip=prefix, port=port)))
+                assert filing(table._levels[5]) == {
+                    (None, 1): [(8, 0x0A000000)]}
+                assert table.rules == (kept,)
+        table.apply_mod(FlowMod.delete(kept))
         assert len(table) == 0 and not table._levels and table.rules == ()
 
     def test_generation_bumps_on_mutation(self):

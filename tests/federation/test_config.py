@@ -8,7 +8,6 @@ from repro.federation import (
     export_federation_config,
     federation_from_config,
     is_federated_config,
-    lint_federated_config,
     load_federation_config,
     save_federation_config,
 )
@@ -95,7 +94,7 @@ class TestValidation:
 
 class TestLinting:
     def test_lint_surfaces_the_loop(self):
-        report = lint_federated_config(loop_document())
+        report = lint_config(loop_document())
         findings = report.by_check("SDX008")
         assert findings
         assert report.has_errors
@@ -107,7 +106,7 @@ class TestLinting:
     def test_rejected_policy_becomes_a_diagnostic(self):
         document = loop_document()
         document["policies"][0]["clause"]["fwd"] = "NoSuchParticipant"
-        report = lint_federated_config(document)
+        report = lint_config(document)
         findings = [d for d in report.by_check("SDX006")
                     if "installation" in d.message]
         assert len(findings) == 1
@@ -118,5 +117,40 @@ class TestLinting:
     def test_clean_config_lints_clean(self):
         document = export_federation_config(
             clean_scenario().build_federation(with_dataplane=False))
-        report = lint_federated_config(document)
+        report = lint_config(document)
         assert not report.has_errors
+
+    #: Entries the raw pass flags: SDX006 for a clause that both drops and
+    #: forwards, SDX004 for a VMAC-range match, a self-forward and an
+    #: outbound forward to a raw switch port.
+    WEB = {"kind": "match", "fields": {"dstport": "80"}}
+    FLAGGED = (
+        ({"match": WEB, "drop": True, "fwd": "B"}, "SDX006"),
+        ({"match": {"kind": "match",
+                    "fields": {"dstmac": "a2:00:00:00:00:01"}}, "fwd": "B"},
+         "SDX004"),
+        ({"match": WEB, "fwd": "A"}, "SDX004"),
+        ({"match": WEB, "fwd": 3}, "SDX004"),
+    )
+
+    @staticmethod
+    def both_shapes(clause):
+        single = {"version": CONFIG_VERSION,
+                  "participants": [{"name": "A", "asn": 65001},
+                                   {"name": "B", "asn": 65002}],
+                  "policies": [{"participant": "A", "direction": "out",
+                                "clause": clause}]}
+        federated = dict(single, exchanges=["IXP-A"], policies=[
+            dict(single["policies"][0], exchange="IXP-A")])
+        return single, federated
+
+    @pytest.mark.parametrize("clause,check_id", FLAGGED)
+    def test_both_shapes_take_the_same_raw_pass(self, clause, check_id):
+        single, federated = self.both_shapes(clause)
+        reports = [lint_config(single), lint_config(federated)]
+        found = [[(d.check_id, d.location.document_index)
+                  for d in report.errors] for report in reports]
+        assert found[0] == found[1]
+        assert found[0] and set(found[0]) == {(check_id, 0)}
+        assert {dict(d.data)["exchange"] for d in reports[1].errors} == {
+            "IXP-A"}

@@ -1,15 +1,34 @@
-"""Tests for classifier reductions: they shrink tables without changing
-first-match semantics (checked by hypothesis)."""
+"""Tests for classifier reductions — they shrink tables without changing
+first-match semantics (checked by hypothesis) — and for the overlap
+numbering the compiler keys a table by, both read off the one match
+index."""
+
+from functools import lru_cache
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.packet import Packet
-from repro.policy.classifier import Action, Classifier, Rule
+from repro.policy.classifier import Action, Classifier, Rule, merge_drop_tail
 from repro.policy.headerspace import WILDCARD, HeaderSpace
-from repro.policy.optimize import ShadowIndex, merge_drop_tail, remove_shadowed
+from repro.policy.matchindex import MatchIndex, file_at_depth
 
 from tests.policy.strategies import header_spaces, packets, policies
+
+
+def remove_shadowed(classifier):
+    """The compiler's cover filter: each rule numbered unless a kept one
+    covers it."""
+    index = MatchIndex()
+    return Classifier([
+        rule for rule in classifier.rules
+        if file_at_depth(index, rule.match, unless_covered=True) is not None])
+
+
+def depths_of(matches):
+    """The compiler's numbering of ``matches``, filed in order."""
+    index = MatchIndex()
+    return [file_at_depth(index, match) for match in matches]
 
 
 def quadratic_remove_shadowed(classifier):
@@ -49,6 +68,24 @@ def compiled_exchange(participants, prefixes, **kwargs):
                                **kwargs)
     install_assignments(sdx, generate_policies(ixp, seed=1))
     return sdx.start().classifier
+
+
+@lru_cache(maxsize=None)
+def tagless_exchange():
+    """60 members, 1 200 prefixes and no tags: ``dstip`` is what keeps
+    the rules of one port apart."""
+    from repro.policy.policies import fwd, match
+    from repro.workloads.topology import generate_ixp
+    ixp = generate_ixp(60, 1_200, seed=0)
+    sdx = ixp.build_controller(with_dataplane=False, use_vnh=False)
+    big = [spec.name for spec in ixp.top_by_prefixes(2)]
+    client = next(spec.name for spec in ixp.participants
+                  if spec.name not in big)
+    for port, target in ((80, big[0]), (443, big[1]), (8080, big[0])):
+        sdx.participant(client).participant.add_outbound(
+            match(dstport=port) >> fwd(target))
+    sdx.start()
+    return sdx
 
 
 class TestRemoveShadowed:
@@ -117,13 +154,12 @@ class TestIndexedShadowElimination:
 
 
 class TestOverlapDepth:
-    """``ShadowIndex.add`` numbers what the compiler keys the table by."""
+    """``file_at_depth`` numbers what the compiler keys the table by."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(tagged_spaces, max_size=25))
     def test_equals_the_longest_chain_on_random_tables(self, spaces):
-        index = ShadowIndex()
-        depths = [index.add(space) for space in spaces]
+        depths = depths_of(spaces)
         assert depths == quadratic_depths(spaces)
         for one, depth in zip(spaces, depths):
             for other, same in zip(spaces, depths):
@@ -136,26 +172,25 @@ class TestOverlapDepth:
         for use_vnh in (True, False):
             matches = [rule.match for rule in
                        compiled_exchange(40, 400, use_vnh=use_vnh).rules]
-            index = ShadowIndex()
-            assert ([index.add(match) for match in matches]
-                    == quadratic_depths(matches))
+            assert depths_of(matches) == quadratic_depths(matches)
 
     def test_a_prefix_length_seen_late_still_finds_what_lies_inside(self):
-        index = ShadowIndex()
+        index = MatchIndex()
         inner = [HeaderSpace(port=1, dstip=f"10.{n}.0.0/16") for n in range(4)]
-        assert [index.add(match) for match in inner] == [0, 0, 0, 0]
-        assert index.add(HeaderSpace(port=1, dstip="10.0.0.0/8")) == 1
-        assert index.add(HeaderSpace(dstip="10.2.0.0/15")) == 2
-        assert index.add(HeaderSpace(port=2, dstip="10.2.0.0/15")) == 3
+        assert [file_at_depth(index, match) for match in inner] == [0, 0, 0, 0]
+        assert file_at_depth(index, HeaderSpace(port=1, dstip="10.0.0.0/8")) == 1
+        assert file_at_depth(index, HeaderSpace(dstip="10.2.0.0/15")) == 2
+        assert file_at_depth(index, HeaderSpace(port=2,
+                                                dstip="10.2.0.0/15")) == 3
 
     def test_a_port_less_rule_does_not_visit_every_port(self, monkeypatch):
         """The default layer: per tag a few per-ingress exceptions and one
         port-less rule under them, over hundreds of ports. Filed by port
         first, each port-less rule walked them all (639 x 150 000: 1.4 s
         where tag-first takes 0.13)."""
-        from repro.policy import optimize
+        from repro.policy import matchindex
         visited = 0
-        original = optimize._at
+        original = matchindex._agreeing
 
         def counting(level, value):
             nonlocal visited
@@ -163,31 +198,22 @@ class TestOverlapDepth:
             visited += len(found)
             return found
 
-        monkeypatch.setattr(optimize, "_at", counting)
-        index = ShadowIndex()
+        monkeypatch.setattr(matchindex, "_agreeing", counting)
+        index = MatchIndex()
         tags = [f"a2:00:00:00:{tag // 256:02x}:{tag % 256:02x}"
                 for tag in range(600)]
         for number, tag in enumerate(tags):
             for port in (number % 300, (number * 7 + 1) % 300):
-                assert index.add(HeaderSpace(port=port + 1, dstmac=tag)) == 0
+                assert file_at_depth(
+                    index, HeaderSpace(port=port + 1, dstmac=tag)) == 0
         for tag in tags:
-            assert index.add(HeaderSpace(dstmac=tag)) == 1
+            assert file_at_depth(index, HeaderSpace(dstmac=tag)) == 1
         assert visited <= 6 * 3 * len(tags)
 
     def test_overlap_tests_stay_linear(self, monkeypatch):
         """The tag-less table keeps thousands of prefixes per port: a
         depth pass that did not bucket on ``dstip`` would be quadratic."""
-        from repro.policy.policies import fwd, match
-        from repro.workloads.topology import generate_ixp
-        ixp = generate_ixp(60, 1_200, seed=0)
-        sdx = ixp.build_controller(with_dataplane=False, use_vnh=False)
-        big = [spec.name for spec in ixp.top_by_prefixes(2)]
-        client = next(spec.name for spec in ixp.participants
-                      if spec.name not in big)
-        for port, target in ((80, big[0]), (443, big[1]), (8080, big[0])):
-            sdx.participant(client).participant.add_outbound(
-                match(dstport=port) >> fwd(target))
-        table = sdx.start().classifier
+        table = tagless_exchange().last_compilation.rules
         assert len(table) >= 1_000
         calls = 0
         original = HeaderSpace.overlaps
@@ -198,10 +224,37 @@ class TestOverlapDepth:
             return original(self, other)
 
         monkeypatch.setattr(HeaderSpace, "overlaps", counting)
-        index = ShadowIndex()
-        for rule in table.rules[:-1]:
-            index.add(rule.match)
+        depths_of([rule.match for rule in table[:-1]])
         assert calls <= 8 * len(table)
+
+    def test_the_installed_table_walks_the_same_buckets(self, monkeypatch):
+        """The flow table files its levels the same way: one rule's walk
+        tests the rules under its own prefix and the port-less ones around
+        it — 77 for 76 hits, where a (port, tag) filing tested all 1 328 —
+        and a lookup tests no more than the buckets a packet can hit."""
+        table = tagless_exchange().table
+        assert len(table) == 1_328
+        rule = table.rules[0]
+        assert (rule.match.get("port"), str(rule.match.get("dstip"))) == (
+            1, "16.2.0.0/24")
+        before = table.overlap_tests
+        assert len(table.overlapping(rule.match)) == 76
+        assert table.overlap_tests - before == 77
+        tested = 0
+        original = HeaderSpace.matches
+
+        def counting(self, packet):
+            nonlocal tested
+            tested += 1
+            return original(self, packet)
+
+        monkeypatch.setattr(HeaderSpace, "matches", counting)
+        for installed in table.rules:
+            tested = 0
+            probe = installed.match.concretise(
+                port=installed.match.get("port") or 1)
+            assert table.lookup(probe) is not None
+            assert tested <= 2
 
 
 class TestMergeDropTail:

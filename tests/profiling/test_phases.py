@@ -140,8 +140,9 @@ class TestAttribution:
 
 
 def opened_span_names():
-    """Every literal span name the package opens: ``.span("x")`` gives
-    ``x``, the compiler's ``_stage("x")`` gives ``compile.x``."""
+    """Every literal span name the package opens: ``.span("x")`` and the
+    controller's ``_transaction("x")`` give ``x``, the compiler's
+    ``_stage("x")`` gives ``compile.x``."""
     names = set()
     for path in SRC.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -150,7 +151,7 @@ def opened_span_names():
                     and isinstance(node.args[0].value, str)):
                 continue
             callee = getattr(node.func, "attr", getattr(node.func, "id", None))
-            if callee == "span":
+            if callee in ("span", "_transaction"):
                 names.add(node.args[0].value)
             elif callee == "_stage":
                 names.add(f"compile.{node.args[0].value}")

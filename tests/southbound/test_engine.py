@@ -8,7 +8,7 @@ from repro.dataplane.flowtable import FlowTable
 from repro.policy.classifier import Action, Classifier, Rule
 from repro.policy.flowrules import FlowRule
 from repro.policy.headerspace import HeaderSpace
-from repro.policy.optimize import ShadowIndex
+from repro.policy.matchindex import MatchIndex, file_at_depth
 from repro.southbound.diff import FlowMod, FlowModOp, compute_delta
 from repro.southbound.engine import (
     SouthboundConfig,
@@ -29,8 +29,8 @@ FWD2 = (Action(port=2),)
 def keyed(classifier, top=100):
     """``classifier`` keyed the compiler's way: every rule ``top`` less its
     overlap depth — rules that share a priority never share a packet."""
-    index = ShadowIndex()
-    return [FlowRule(top - index.add(r.match), r.match, r.actions)
+    index = MatchIndex()
+    return [FlowRule(top - file_at_depth(index, r.match), r.match, r.actions)
             for r in classifier.rules]
 
 

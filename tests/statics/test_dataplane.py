@@ -36,6 +36,8 @@ from repro.statics.diagnostics import Severity
 from repro.workloads.policies import generate_policies, install_assignments
 from repro.workloads.topology import generate_ixp
 
+from tests.policy.test_matchindex import filing
+
 
 def rule(priority, actions=(), **constraints):
     return FlowRule(priority=priority, match=HeaderSpace(**constraints),
@@ -183,6 +185,45 @@ class TestCommittedMiss:
         verifier.verify_delta(mods)
         assert (verifier.state_report().to_json() == analyze_flowtable(
             table, committed_spaces=[space]).to_json())
+
+    def test_spaces_that_go_leave_nothing_filed(self):
+        """Committed spaces come and go for as long as the exchange runs:
+        prefixes nesting both ways, arriving and leaving in either order,
+        beside one that stays. The verifier's index of them keeps exactly
+        the live ones, and every verdict is a fresh analysis's."""
+        table = table_of(rule(10, FWD1, dstmac=self.VMAC, dstport=80),
+                         rule(1))
+        prefixes = ["10.0.0.0/8", "10.0.0.0/16", "10.1.0.0/16",
+                    "10.1.2.0/24", "0.0.0.0/0"]
+        churned = [CommittedSpace(label=f"c{n}", ports=(1,), space=HeaderSpace(
+            dstmac=self.VMAC, dstip=IPv4Prefix(prefix)))
+            for n, prefix in enumerate(prefixes)]
+        live = [self.SPACE]
+        verifier = DataplaneVerifier(table, committed_spaces=lambda: live,
+                                     mode="off")
+        mods = [FlowMod.add(rule(5, FWD2, dstmac=self.VMAC))]
+        for arriving in (churned, churned[::-1]):
+            for leaving in (arriving, arriving[::-1]):
+                for space in arriving:
+                    live.append(space)
+                    verifier.verify_delta([])
+                assert len(verifier._space_index) == 1 + len(churned)
+                table.apply_delta(mods)
+                verifier.verify_delta(mods)
+                for space in leaving:
+                    live.remove(space)
+                    verifier.verify_delta([])
+                table.apply_delta([FlowMod.delete(mods[0].rule)])
+                verifier.verify_delta([FlowMod.delete(mods[0].rule)])
+                assert filing(verifier._space_index) == {
+                    (self.VMAC.value, None): [(24, 0x0A000000)]}
+                assert (verifier.state_report().to_json()
+                        == analyze_flowtable(
+                            table, committed_spaces=live).to_json())
+        live.clear()
+        verifier.verify_delta([])
+        assert len(verifier._space_index) == 0
+        assert filing(verifier._space_index) == {}
 
     def test_witness_falls_to_the_miss(self):
         diag = diags(analyze_flowtable(table_of(rule(0)),

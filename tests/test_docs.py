@@ -166,6 +166,29 @@ class TestMetricCatalogue:
         assert sorted(documented - live) == []
 
 
+def documented_spans():
+    """The span names of the tree in docs/OBSERVABILITY.md §2: a name
+    sits left of the description column, after any tree drawing."""
+    text = (REPO_ROOT / "docs" / "OBSERVABILITY.md").read_text()
+    section = text[text.index("## 2. Span taxonomy"):
+                   text.index("## 3. Metric families")]
+    tree = section.split("```")[1]
+    names = set()
+    for line in tree.splitlines():
+        name = line[:36].strip(" │├└─…")
+        if name:
+            names.add(name)
+    return names
+
+
+class TestSpanCatalogue:
+    def test_every_span_is_documented_and_every_documented_one_is_live(self):
+        from tests.profiling.test_phases import opened_span_names
+        live, documented = opened_span_names(), documented_spans()
+        assert sorted(live - documented) == []
+        assert sorted(documented - live) == []
+
+
 def load_example(stem):
     """Import one example module from ``examples/`` by file stem."""
     path = REPO_ROOT / "examples" / f"{stem}.py"

@@ -224,6 +224,61 @@ class TestOneScenario:
         assert rules == ["federation/dataplane.py"]
 
 
+def _keys_on_port(node):
+    """True if ``node`` returns a tuple holding a ``.get("port")`` read: a
+    filing key over the ingress port, the way an overlap index builds
+    one."""
+    return any(
+        isinstance(ret, ast.Return) and isinstance(ret.value, ast.Tuple)
+        and any(isinstance(item, ast.Call)
+                and isinstance(item.func, ast.Attribute)
+                and item.func.attr == "get" and item.args
+                and isinstance(item.args[0], ast.Constant)
+                and item.args[0].value == "port"
+                for item in ret.value.elts)
+        for ret in ast.walk(node))
+
+
+class TestOneOverlapIndex:
+    """One class files matches for overlap — by tag, then port, then
+    ``dstip`` — and the compiler's numbering and cover filter, the flow
+    table's levels and the verifier's committed spaces all read it. A
+    second filing key, or a name of the three indexes it replaced, is the
+    old split growing back."""
+
+    SRC = REPO_ROOT / "src" / "repro"
+
+    def test_the_replaced_indexes_are_gone(self):
+        gone = {"ShadowIndex", "remove_shadowed", "_meeting", "_spaces_by_tag"}
+        uses = sorted({(path.name, name) for path, tree in _src_trees().items()
+                       for node in ast.walk(tree)
+                       for name in (getattr(node, "name", None),
+                                    getattr(node, "id", None),
+                                    getattr(node, "attr", None))
+                       if name in gone})
+        assert uses == []
+
+    def test_one_class_files_by_tag_port_and_dstip(self):
+        keyed = sorted({str(path.relative_to(self.SRC))
+                        for path, tree in _src_trees().items()
+                        for node in ast.walk(tree)
+                        if isinstance(node, ast.FunctionDef)
+                        and _keys_on_port(node)})
+        assert keyed == ["policy/matchindex.py"]
+        tree = ast.parse((self.SRC / "policy" / "matchindex.py").read_text())
+        classes = [node.name for node in tree.body
+                   if isinstance(node, ast.ClassDef)
+                   and not node.name.startswith("_")]
+        assert classes == ["MatchIndex"]
+
+    def test_its_three_users_read_it(self):
+        users = ("core/compiler.py", "dataplane/flowtable.py",
+                 "statics/dataplane.py")
+        assert [user for user in users
+                if "repro.policy.matchindex.MatchIndex"
+                not in imported_modules(self.SRC / user)] == []
+
+
 class TestNoHiddenKnobs:
     """Every setting is an argument, a config field or a CLI option: a
     process-environment read is a knob no signature shows — the last two
