@@ -13,7 +13,7 @@ from repro.net.packet import Packet
 from repro.policy.policies import fwd, match
 from repro.workloads.routing import PrefixPool
 
-from repro.core.composition import sequential_compose_indexed, stack_disjoint
+from repro.core.composition import sequential_compose_indexed, stack_fallback
 from repro.dataplane.flowtable import FlowTable
 
 
@@ -46,11 +46,11 @@ def test_policy_compilation(benchmark):
 
 def test_indexed_sequential_composition(benchmark):
     """Composing a 200-rule stage-1 with a 40-pipeline stage-2."""
-    stage1 = stack_disjoint([
+    stage1 = stack_fallback([
         (match(port=p % 20 + 1, dstport=8000 + p) >> fwd(10_000 + p % 40)).compile()
         for p in range(200)
     ])
-    stage2 = stack_disjoint([
+    stage2 = stack_fallback([
         (match(port=10_000 + v) >> fwd(v % 20 + 1)).compile()
         for v in range(40)
     ])

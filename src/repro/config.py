@@ -42,7 +42,7 @@ from repro.policy.policies import (
     drop,
     identity,
 )
-from repro.policy.predicates import MatchAnyPrefix, MatchAnyValue
+from repro.policy.predicates import MatchAny
 
 #: Current config schema version.
 CONFIG_VERSION = 1
@@ -72,12 +72,13 @@ def predicate_to_json(predicate: Predicate) -> Dict[str, Any]:
         return {"kind": "match",
                 "fields": {field: str(value)
                            for field, value in predicate.space.items_sorted()}}
-    if isinstance(predicate, MatchAnyPrefix):
-        return {"kind": "any_prefix", "field": predicate.field,
-                "prefixes": [str(prefix) for prefix in predicate.prefixes]}
-    if isinstance(predicate, MatchAnyValue):
+    if isinstance(predicate, MatchAny):
+        texts = [str(value) for value in predicate.values]
+        if predicate.field in IP_FIELDS:
+            return {"kind": "any_prefix", "field": predicate.field,
+                    "prefixes": texts}
         return {"kind": "any_value", "field": predicate.field,
-                "values": [str(value) for value in predicate.values]}
+                "values": texts}
     if isinstance(predicate, Conjunction):
         return {"kind": "and",
                 "parts": [predicate_to_json(part) for part in predicate.parts]}
@@ -110,13 +111,17 @@ def predicate_from_json(document: Dict[str, Any]) -> Predicate:
                   for field, text in document["fields"].items()}
         from repro.policy.policies import match
         return match(**fields)
-    if kind == "any_prefix":
-        return MatchAnyPrefix(document["field"],
-                              [IPv4Prefix(text) for text in document["prefixes"]])
-    if kind == "any_value":
-        return MatchAnyValue(document["field"],
-                             [_parse_value(document["field"], text)
-                              for text in document["values"]])
+    if kind in ("any_prefix", "any_value"):
+        field = document["field"]
+        if (field in IP_FIELDS) != (kind == "any_prefix"):
+            raise PolicyError(f"{kind} cannot match field {field!r}: "
+                              "any_prefix takes an IP field, any_value "
+                              "any other")
+        if kind == "any_prefix":
+            return MatchAny(field, [IPv4Prefix(text)
+                                    for text in document["prefixes"]])
+        return MatchAny(field, [_parse_value(field, text)
+                                for text in document["values"]])
     if kind == "and":
         return Conjunction(tuple(
             predicate_from_json(part) for part in document["parts"]))

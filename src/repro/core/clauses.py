@@ -19,7 +19,7 @@ Normalising to that form before compilation buys two things:
 Supported surface forms: parallel sums distribute; sequential chains are
 ``predicates… >> modifications… >> (fwd | drop)``; ``match`` predicates
 may use the full predicate algebra (``&``, ``|``, ``~``,
-``match_any_prefix``). A bare ``drop`` or ``identity`` summand is inert,
+``match_any``). A bare ``drop`` or ``identity`` summand is inert,
 matching parallel-composition semantics. Matching *after* a modification
 is rejected (write the post-state into the predicate instead).
 

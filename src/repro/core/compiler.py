@@ -58,7 +58,6 @@ from repro.core.composition import (
     CompositionReport,
     compose_naive,
     sequential_compose_indexed,
-    stack_disjoint,
     stack_fallback,
     strip_drop_tail,
 )
@@ -82,7 +81,7 @@ from repro.policy.flowrules import FlowRule
 from repro.policy.headerspace import HeaderSpace, WILDCARD
 from repro.policy.matchindex import MatchIndex, file_at_depth
 from repro.policy.policies import Conjunction, Predicate, match
-from repro.policy.predicates import match_any_prefix, match_any_value
+from repro.policy.predicates import match_any
 from repro.southbound.diff import DEFAULT_BAND_TOP, DROP_PRIORITY, PRIORITY_CEILING
 from repro.telemetry import Telemetry
 
@@ -235,6 +234,9 @@ class SdxCompiler:
         self.route_server = route_server
         self.allocator = allocator
         self.use_vnh = use_vnh
+        #: The field a clause's eligibility guard matches: the VMAC tag,
+        #: or without VNHs the destination prefix itself.
+        self.tag_field = "dstmac" if use_vnh else "dstip"
         self.optimized = optimized
         self.reduce_table = reduce_table
         self.telemetry = telemetry if telemetry is not None else Telemetry()
@@ -397,7 +399,7 @@ class SdxCompiler:
         with self._stage("inbound", timings):
             inbound_parts = self._inbound_parts(stats)
             stage2 = self._reuse("stage2", None, inbound_parts,
-                                 lambda: stack_disjoint(inbound_parts))
+                                 lambda: stack_fallback(inbound_parts))
 
         with self._stage("composition", timings):
             if self.optimized:
@@ -639,22 +641,16 @@ class SdxCompiler:
         ``clauses`` — ``None`` (never reused) if one of them tracks the RIB."""
         return None if any(c.dynamic for c in clauses) else inputs
 
-    @staticmethod
-    def _eligibility_guard(tags: tuple) -> Predicate:
-        """Transformation 2, the BGP join: the packet carries one of the
-        tags the clause is eligible for — the VMACs of prefix groups, or
-        (the ``use_vnh=False`` table) the destination prefixes themselves."""
-        if isinstance(tags[0], IPv4Prefix):
-            return match_any_prefix("dstip", tags)
-        return match_any_value("dstmac", tags)
-
     def _outbound_part(self, participant: Participant,
                        eligible: Callable[..., tuple],
                        fallback: Classifier, stats: Optional[ComposeStats],
-                       views: Optional[dict] = None) -> Classifier:
+                       views: Optional[dict] = None,
+                       tag_field: Optional[str] = None) -> Classifier:
         """One participant's outbound clauses as a partial classifier: each
-        one isolated to its owner's ports, joined with BGP through the tags
-        ``eligible`` allows it, and falling through to ``fallback``.
+        one isolated to its owner's ports, joined with BGP (Transformation
+        2) through the tags ``eligible`` allows it — matched on
+        ``tag_field``, :attr:`tag_field` by default — and falling through
+        to ``fallback``.
 
         A compilation reuses the block while its clauses and those tags are
         the same and — if a negation mask was expanded against ``fallback``
@@ -675,7 +671,8 @@ class SdxCompiler:
                 guarded = [ingress,
                            self._resolved_predicate(participant, clause, views)]
                 if allowed is not None:
-                    guarded.append(self._eligibility_guard(allowed))
+                    guarded.append(match_any(tag_field or self.tag_field,
+                                             allowed))
                 pairs.append((Conjunction(guarded), clause_action(
                     clause, None if clause.drops
                     else self.topology.vport(str(clause.target)))))
@@ -733,7 +730,8 @@ class SdxCompiler:
         participants = self.topology.participants()
         defaults = self._stack_pieces(self._default_pieces(
             participants, [(vmac, decision)], None))
-        parts = [self._outbound_part(p, eligible, defaults, None, views)
+        parts = [self._outbound_part(p, eligible, defaults, None, views,
+                                     "dstmac")
                  for p in self._policy_holders(participants)]
         return strip_drop_tail(sequential_compose_indexed(
             stack_fallback(parts + [defaults]), stage2))
@@ -778,7 +776,7 @@ class SdxCompiler:
             return tuple(physical)
         pipelines = tuple(physical)
         physical_stage = self._reuse("stage2", "physical", pipelines,
-                                     lambda: stack_disjoint(pipelines))
+                                     lambda: stack_fallback(pipelines))
         return pipelines + tuple(
             self._remote_pipeline(participant, physical_stage, stats)
             for participant in remote_sources)

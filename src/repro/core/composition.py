@@ -5,7 +5,7 @@ then shows (Section 4.3) that almost all of that work is avoidable:
 
 * *Disjointness*: isolated policies match disjoint flow spaces (different
   ingress/virtual ports), so parallel composition degenerates to rule
-  concatenation — :func:`stack_disjoint` / :func:`stack_fallback`.
+  concatenation — :func:`stack_fallback`.
 * *Pair pruning*: a stage-1 rule forwarding to virtual port v can only
   interact with stage-2 rules guarded on v, so the sequential composition
   is computed per matching pair — :func:`sequential_compose_indexed`
@@ -60,15 +60,6 @@ def stack_fallback(layers: Sequence[Classifier]) -> Classifier:
         rules.extend(strip_drop_tail(layer))
     rules.append(Rule(WILDCARD, ()))
     return Classifier(rules)
-
-
-def stack_disjoint(parts: Sequence[Classifier]) -> Classifier:
-    """Concatenate classifiers known to cover disjoint flow spaces.
-
-    Sound because isolation (transformation 1) guards every participant's
-    rules on ports no other participant's rules can match.
-    """
-    return stack_fallback(parts)
 
 
 def sequential_compose_indexed(left: Classifier, right: Classifier,

@@ -34,7 +34,7 @@ from repro.core.participant import Participant
 from repro.core.vswitch import VirtualTopology
 from repro.net.mac import MacAddress
 from repro.policy.policies import Conjunction, Predicate, match
-from repro.policy.predicates import match_any_value
+from repro.policy.predicates import match_any
 
 #: One prefix group as the default layer sees it: its VMAC tag and the
 #: route server's decision for (a representative of) its prefixes.
@@ -44,7 +44,7 @@ Entry = Tuple[MacAddress, Decision]
 def ingress_guard(participant: Participant) -> Predicate:
     """Transformation 1 for outbound traffic: the packet entered on one of
     the participant's own physical ports."""
-    return match_any_value("port", participant.switch_ports)
+    return match_any("port", participant.switch_ports)
 
 
 def default_next_hop(decision: Decision, participant: str) -> Optional[str]:

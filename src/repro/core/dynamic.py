@@ -29,7 +29,7 @@ from repro.policy.policies import (
     Negation,
     Predicate,
 )
-from repro.policy.predicates import match_any_prefix
+from repro.policy.predicates import match_any
 
 
 class RibPrefixSet(Predicate):
@@ -47,7 +47,7 @@ class RibPrefixSet(Predicate):
     def resolve(self, view: RibView) -> Predicate:
         """The concrete prefix-set predicate for the current RIB."""
         prefixes = view.filter(self.attribute, self.pattern)
-        return match_any_prefix(self.field, prefixes)
+        return match_any(self.field, prefixes)
 
     def holds(self, packet: Packet) -> bool:
         """Dynamic predicates cannot be evaluated unresolved."""

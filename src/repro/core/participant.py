@@ -29,9 +29,7 @@ RESERVED_FIELDS = frozenset({"dstmac", "srcmac", "port"})
 
 def _predicate_fields(predicate) -> frozenset:
     """Every header field a predicate tree constrains."""
-    from repro.core.dynamic import RibPrefixSet
     from repro.policy.policies import Match
-    from repro.policy.predicates import MatchAnyPrefix, MatchAnyValue
 
     fields: set = set()
     stack = [predicate]
@@ -39,8 +37,8 @@ def _predicate_fields(predicate) -> frozenset:
         node = stack.pop()
         if isinstance(node, Match):
             fields.update(node.space)
-        elif isinstance(node, (MatchAnyPrefix, MatchAnyValue, RibPrefixSet)):
-            fields.add(node.field)
+        elif getattr(node, "field", None) is not None:
+            fields.add(node.field)  # a field-in-set, resolved or a rib_match
         stack.extend(node.children())
     return frozenset(fields)
 

@@ -60,16 +60,18 @@ def coerce_field_value(name: str, value: Any) -> Any:
     """Normalise ``value`` into the canonical type for field ``name``.
 
     Strings and ints are accepted for address fields and converted; other
-    fields must be ints.
+    fields must be ints. No field takes a bool.
     """
     check_field(name)
     if value is None:
         return None
+    if isinstance(value, bool):
+        raise FieldError(f"field {name!r} got a bool: {value!r}")
     if name in IP_FIELDS:
         return IPv4Address(value)
     if name in MAC_FIELDS:
         return MacAddress(value)
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not isinstance(value, int):
         raise FieldError(f"field {name!r} expects an int, got {value!r}")
     return value
 

@@ -26,9 +26,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import PolicyError
-from repro.net.addresses import IPv4Prefix
 from repro.net.packet import Packet, check_field, coerce_field_value
-from repro.policy.headerspace import WILDCARD, HeaderSpace
+from repro.policy.headerspace import WILDCARD, HeaderSpace, admits
 
 
 class Action(Mapping[str, Any]):
@@ -296,11 +295,7 @@ def _pullback(action: Action, match: HeaderSpace) -> Optional[HeaderSpace]:
     remaining: Dict[str, Any] = {}
     for fieldname, constraint in match.items():
         if action.sets_field(fieldname):
-            assigned = action[fieldname]
-            if isinstance(constraint, IPv4Prefix):
-                if not constraint.contains_address(assigned):
-                    return None
-            elif constraint != assigned:
+            if not admits(constraint, action[fieldname]):
                 return None
         else:
             remaining[fieldname] = constraint
@@ -386,31 +381,6 @@ def parallel_compose_many(classifiers: Sequence[Classifier],
     for classifier in classifiers[1:]:
         result = parallel_compose(result, classifier, stats)
     return result
-
-
-def concatenate_disjoint(classifiers: Sequence[Classifier]) -> Classifier:
-    """Stack classifiers known to match disjoint flow spaces.
-
-    This is the Section 4.3 *disjointness* optimisation: when policies can
-    never match the same packet, ``p1 + p2`` needs no cross product — the
-    rule lists (minus their catch-all drops) simply concatenate, followed
-    by a single shared drop.
-
-    Precondition: each classifier's non-catch-all *drop* rules must also
-    stay inside its own flow space. Positive guards (e.g. the SDX's
-    per-participant ingress-port matches) satisfy this; negation guards
-    compile to drop masks that would shadow the other classifiers — the
-    SDX clause compiler (:func:`repro.core.compiler.compile_clause_rules`)
-    strips those before stacking.
-    """
-    rules: List[Rule] = []
-    for classifier in classifiers:
-        for rule in classifier.rules:
-            if rule.match.is_wildcard and rule.is_drop:
-                continue
-            rules.append(rule)
-    rules.append(Rule(WILDCARD, ()))
-    return Classifier(rules)
 
 
 def merge_drop_tail(classifier: Classifier) -> Classifier:

@@ -2,13 +2,14 @@
 
 The core predicate classes live in :mod:`repro.policy.policies`; this
 module re-exports them under the names used by the paper discussion and
-adds :class:`MatchAnyPrefix` — the prefix-set filter the SDX runtime
-inserts when it restricts a participant's policy to the destinations a
-next-hop actually announced (Section 4.1, "enforcing consistency with BGP
-advertisements").
+adds :class:`MatchAny` — the field-in-set filter the SDX runtime inserts
+for its guards: *ingress isolation* (``port`` in a participant's physical
+ports) and the *BGP join* (``dstmac`` in the VMACs of the eligible
+forwarding equivalence classes, or ``dstip`` in the eligible prefixes
+themselves; Section 4.1, "enforcing consistency with BGP advertisements").
 
-``MatchAnyPrefix`` matters for performance: a naive ``match(p1) | match(p2)
-| ...`` over *k* prefixes costs *k* parallel compositions (quadratic rule
+``MatchAny`` matters for performance: a naive ``match(v1) | match(v2)
+| ...`` over *k* values costs *k* parallel compositions (quadratic rule
 blowup during compilation), while this class compiles directly to *k*
 prioritized rules.
 """
@@ -17,16 +18,21 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Tuple
 
-from repro.exceptions import PolicyError
-from repro.net.addresses import IPv4Prefix
-from repro.net.packet import IP_FIELDS, Packet
+from repro.net.packet import Packet
 from repro.policy.classifier import (
     IDENTITY_ACTION,
     Classifier,
     ComposeStats,
     Rule,
 )
-from repro.policy.headerspace import WILDCARD, HeaderSpace, coerce_constraint
+from repro.policy.headerspace import (
+    WILDCARD,
+    Constraint,
+    HeaderSpace,
+    admits,
+    coerce_constraint,
+    value_mask,
+)
 from repro.policy.policies import (
     Conjunction,
     Disjunction,
@@ -49,73 +55,34 @@ __all__ = [
     "Conjunction",
     "Disjunction",
     "FalsePredicate",
-    "MatchAnyPrefix",
-    "MatchAnyValue",
+    "MatchAny",
     "MatchPredicate",
     "Negation",
     "Predicate",
     "TruePredicate",
     "match",
-    "match_any_prefix",
-    "match_any_value",
+    "match_any",
 ]
 
 
-class MatchAnyPrefix(Predicate):
-    """True when an IP field falls in any prefix of a set.
+class MatchAny(Predicate):
+    """True when a field satisfies any constraint of a set: equals one of
+    its values, or lies in one of its prefixes.
 
-    Prefixes are sorted longest-first so more-specific rules take priority,
-    keeping the compiled classifier's first-match semantics identical to
-    the predicate even when the set contains nested prefixes.
-    """
-
-    def __init__(self, field: str, prefixes: Iterable[IPv4Prefix]):
-        if field not in IP_FIELDS:
-            raise PolicyError(f"match_any_prefix needs an IP field, got {field!r}")
-        self.field = field
-        self.prefixes: Tuple[IPv4Prefix, ...] = tuple(
-            sorted(set(prefixes), key=lambda p: (-p.length, p.network_int)))
-
-    def holds(self, packet: Packet) -> bool:
-        address = packet.get(self.field)
-        if address is None:
-            return False
-        return any(prefix.contains_address(address) for prefix in self.prefixes)
-
-    def _compile(self, stats: Optional[ComposeStats]) -> Classifier:
-        rules = [
-            Rule(HeaderSpace(**{self.field: prefix}), (IDENTITY_ACTION,))
-            for prefix in self.prefixes
-        ]
-        rules.append(Rule(WILDCARD, ()))
-        return Classifier(rules)
-
-    def __repr__(self) -> str:
-        shown = ", ".join(str(p) for p in self.prefixes[:4])
-        suffix = ", ..." if len(self.prefixes) > 4 else ""
-        return f"match_any({self.field} in {{{shown}{suffix}}})"
-
-
-class MatchAnyValue(Predicate):
-    """True when a field equals any value of a set.
-
-    The SDX uses this for its two tag guards: *ingress isolation* (``port``
-    in the participant's physical ports) and *BGP reachability* (``dstmac``
-    in the VMACs of the eligible forwarding equivalence classes). Like
-    :class:`MatchAnyPrefix` it compiles to one rule per value instead of a
-    quadratic chain of parallel compositions.
+    The constraints are ordered most specific first — longer prefixes
+    before shorter, exact values by value — so the compiled classifier's
+    first-match semantics equal the predicate's even when prefixes nest.
     """
 
     def __init__(self, field: str, values: Iterable):
-        if field in IP_FIELDS:
-            raise PolicyError(
-                f"use MatchAnyPrefix for IP field {field!r}, not MatchAnyValue")
         self.field = field
-        coerced = {coerce_constraint(field, value) for value in values}
-        self.values = tuple(sorted(coerced, key=lambda v: int(v) if not isinstance(v, int) else v))
+        self.values: Tuple[Constraint, ...] = tuple(sorted(
+            {coerce_constraint(field, value) for value in values},
+            key=_specificity))
 
     def holds(self, packet: Packet) -> bool:
-        return packet.get(self.field) in self.values
+        value = packet.get(self.field)
+        return any(admits(constraint, value) for constraint in self.values)
 
     def _compile(self, stats: Optional[ComposeStats]) -> Classifier:
         rules = [
@@ -131,27 +98,25 @@ class MatchAnyValue(Predicate):
         return f"match_any({self.field} in {{{shown}{suffix}}})"
 
 
-def match_any_value(field: str, values: Iterable) -> Predicate:
-    """A predicate true when ``field`` equals any of ``values``.
+def _specificity(constraint: Constraint) -> Tuple[int, int]:
+    """Sort key putting the constraint that pins more bits first, then
+    the lower value."""
+    value, mask = value_mask(constraint)
+    return -mask, value
 
-    An empty value set yields the false predicate. A singleton collapses
-    to a plain :func:`match`.
+
+def match_any(field: str, values: Iterable) -> Predicate:
+    """A predicate true when ``field`` satisfies any of ``values``.
+
+    An empty set yields the false predicate (the SDX uses this when a
+    next-hop exported no routes at all). A single exact value collapses
+    to a plain :func:`match`; a single prefix stays a set.
     """
-    collected = tuple(values)
+    collected = set(values)
     if not collected:
         return drop
-    if len(set(collected)) == 1:
-        return match(**{field: collected[0]})
-    return MatchAnyValue(field, collected)
-
-
-def match_any_prefix(field: str, prefixes: Iterable[IPv4Prefix]) -> Predicate:
-    """A predicate true when ``field`` lies in any of ``prefixes``.
-
-    An empty prefix set yields the false predicate (the SDX uses this when
-    a next-hop exported no routes at all).
-    """
-    collected = tuple(prefixes)
-    if not collected:
-        return drop
-    return MatchAnyPrefix(field, collected)
+    if len(collected) == 1:
+        only = coerce_constraint(field, *collected)
+        if value_mask(only)[1] == -1:
+            return match(**{field: only})
+    return MatchAny(field, collected)

@@ -6,10 +6,11 @@ gap with a VeriFlow-style incremental verifier over the live
 :class:`~repro.dataplane.flowtable.FlowTable`:
 
 * the installed rule set is modeled as prioritized match regions over
-  :class:`~repro.policy.headerspace.HeaderSpace` (the PR 5 region
-  algebra's constraint fragment: CIDR prefixes nest or are disjoint, so
-  every per-field domain splits into *atoms* — maximal regions on which
-  every installed match is constant);
+  :class:`~repro.policy.headerspace.HeaderSpace`, whose constraints are
+  read as integer ``(value, mask)`` pairs: CIDR prefixes nest or are
+  disjoint and exact values are points, so every per-field domain splits
+  into *atoms* (:func:`~repro.policy.headerspace.atoms`) — maximal
+  regions on which every installed match is constant;
 * a region splits into equivalence classes (one atom per constrained
   field), which :func:`walk_classes` walks field by field, narrowing the
   rules that can still match, so whole blocks of classes with one first
@@ -57,9 +58,10 @@ from repro.bgp.rib import ChangeLog
 from repro.exceptions import StaticDataplaneError
 from repro.net.addresses import IPv4Prefix
 from repro.net.mac import MacAddress
-from repro.net.packet import IP_FIELDS, Packet
+from repro.net.packet import Packet
 from repro.policy.flowrules import FlowRule
-from repro.policy.headerspace import Constraint, HeaderSpace
+from repro.policy.headerspace import (HeaderSpace, Pair, atoms, holds,
+                                      value_mask)
 from repro.policy.matchindex import MatchIndex
 from repro.southbound.diff import FlowMod, FlowModOp, RuleKey, rule_key
 from repro.statics.diagnostics import (
@@ -81,122 +83,9 @@ CLASS_BUDGET = 4096
 DATAPLANE_CHECK_IDS: Tuple[str, ...] = (
     "SDX010", "SDX011", "SDX012", "SDX013", "SDX014")
 
-#: Atom-key tags: an exact value, a prefix region, or the remainder.
-_VAL = "val"
-_PFX = "pfx"
-_OTHER = "other"
-
-#: One atom key: ``("val", v)``, ``("pfx", prefix)`` or ``("other",)``.
-AtomKey = Tuple[Any, ...]
-
-
-# ----------------------------------------------------------------------
-# Per-field atoms
-# ----------------------------------------------------------------------
-
-
-def _first_free_int(start: int, stop: int,
-                    taken_ranges: Sequence[Tuple[int, int]]) -> Optional[int]:
-    """The lowest integer in ``[start, stop]`` outside ``taken_ranges``.
-
-    Ranges are inclusive and must be sorted by their low end; prefixes
-    produce disjoint ranges, so one forward sweep suffices — no address
-    enumeration.
-    """
-    candidate = start
-    for low, high in taken_ranges:
-        if candidate < low:
-            break
-        candidate = max(candidate, high + 1)
-    if candidate > stop:
-        return None
-    return candidate
-
-
-def _prefix_atoms(constraints: Sequence[IPv4Prefix],
-                  base: Optional[IPv4Prefix]) -> List[Tuple[AtomKey, int]]:
-    """Atoms of one IP field: each relevant prefix minus its more-specific
-    relatives, plus the remainder of the domain. Returns inhabited atoms
-    only, as ``(key, representative_address_int)`` pairs.
-    """
-    domain_low = base.network_int if base is not None else 0
-    domain_high = (int(base.last_address) if base is not None
-                   else 0xFFFFFFFF)
-    relevant: Set[IPv4Prefix] = set()
-    for prefix in constraints:
-        clipped = prefix if base is None else base.intersection(prefix)
-        if clipped is not None:
-            relevant.add(clipped)
-    ordered = sorted(relevant, key=lambda p: (p.network_int, p.length))
-    atoms: List[Tuple[AtomKey, int]] = []
-    for prefix in ordered:
-        children = [q for q in relevant
-                    if q != prefix and prefix.contains_prefix(q)]
-        # Maximal strict children only: their ranges are disjoint.
-        maximal = [q for q in children
-                   if not any(r != q and r.contains_prefix(q) for r in children)]
-        ranges = sorted((q.network_int, int(q.last_address)) for q in maximal)
-        rep = _first_free_int(prefix.network_int, int(prefix.last_address), ranges)
-        if rep is not None:
-            atoms.append(((_PFX, prefix), rep))
-    top = [p for p in relevant
-           if not any(q != p and q.contains_prefix(p) for q in relevant)]
-    ranges = sorted((p.network_int, int(p.last_address)) for p in top)
-    rep = _first_free_int(domain_low, domain_high, ranges)
-    if rep is not None:
-        atoms.append(((_OTHER,), rep))
-    return atoms
-
-
-def _exact_atoms(values: Sequence[Any], base: Optional[Any],
-                 domain: Optional[Sequence[int]],
-                 is_mac: bool) -> List[Tuple[AtomKey, Any]]:
-    """Atoms of an exact-match field: each named value plus a remainder.
-
-    ``base`` pins the whole domain to one value; ``domain`` restricts it
-    to a finite set (the committed-traffic port check uses this for the
-    real edge-port population).
-    """
-    named = list(dict.fromkeys(values))
-    if base is not None:
-        named = [value for value in named if value == base]
-        atoms: List[Tuple[AtomKey, Any]] = [
-            ((_VAL, value), value) for value in named]
-        if not named:
-            atoms.append(((_OTHER,), base))
-        return atoms
-    if domain is not None:
-        allowed = list(dict.fromkeys(domain))
-        atoms = [((_VAL, value), value) for value in named if value in allowed]
-        rest = [value for value in allowed if value not in named]
-        if rest:
-            atoms.append(((_OTHER,), rest[0]))
-        return atoms
-    atoms = [((_VAL, value), value) for value in named]
-    taken = {int(value) for value in named}
-    candidate = 0 if not is_mac else 1
-    while candidate in taken:
-        candidate += 1
-    rep: Any = MacAddress(candidate) if is_mac else candidate
-    atoms.append(((_OTHER,), rep))
-    return atoms
-
-
 # ----------------------------------------------------------------------
 # The class walk
 # ----------------------------------------------------------------------
-
-
-def _admits(constraint: Optional[Constraint], atom: AtomKey) -> bool:
-    """Whether a rule constraining a field to ``constraint`` (``None``:
-    not at all) matches the whole of ``atom``. It matches all of it or
-    none: a prefix holds an atom's prefix or misses the atom, and the
-    remainder lies outside every constraint."""
-    if constraint is None:
-        return True
-    if atom[0] == _PFX:
-        return constraint.contains_prefix(atom[1])
-    return atom[0] == _VAL and constraint == atom[1]
 
 
 def walk_classes(base: HeaderSpace, rules: Sequence[FlowRule], *,
@@ -218,42 +107,41 @@ def walk_classes(base: HeaderSpace, rules: Sequence[FlowRule], *,
     then the atoms' on the split fields.
     """
     rules = [rule for rule in rules if rule.match.overlaps(base)]
-    constraints: Dict[str, List[Constraint]] = {}
-    for rule in rules:
-        for fieldname, constraint in rule.match.items():
-            constraints.setdefault(fieldname, []).append(constraint)
+    # Each rule's constraints as (value, mask) pairs, read once.
+    held = [{fieldname: value_mask(constraint)
+             for fieldname, constraint in rule.match.items()}
+            for rule in rules]
+    constraints: Dict[str, List[Pair]] = {}
+    for pairs in held:
+        for fieldname, pair in pairs.items():
+            constraints.setdefault(fieldname, []).append(pair)
     if port_domain is not None:
         constraints.setdefault("port", [])
     fields = sorted(constraints)
-    atoms: List[List[Tuple[AtomKey, Any]]] = []
+    split: List[List[Tuple[Optional[Pair], int]]] = []
     for fieldname in fields:
-        base_value = base.get(fieldname)
-        if fieldname in IP_FIELDS:
-            atoms.append(_prefix_atoms(constraints[fieldname], base_value))
-        else:
-            atoms.append(_exact_atoms(
-                constraints[fieldname], base_value,
-                port_domain if fieldname == "port" else None,
-                is_mac=fieldname in ("srcmac", "dstmac")))
-        if not atoms[-1]:
+        pin = base.get(fieldname)
+        split.append(atoms(fieldname, constraints[fieldname],
+                           None if pin is None else value_mask(pin),
+                           port_domain if fieldname == "port" else None))
+        if not split[-1]:
             # Only a finite domain can exclude every value: the space is
             # uninhabited.
             return
     values: Dict[str, Any] = {
-        fieldname: (constraint.first_address
-                    if isinstance(constraint, IPv4Prefix) else constraint)
+        fieldname: value_mask(constraint)[0]
         for fieldname, constraint in base.items()
         if fieldname not in constraints}
     # Every field below the walk's depth holds its first atom.
     values.update((fieldname, field_atoms[0][1])
-                  for fieldname, field_atoms in zip(fields, atoms))
+                  for fieldname, field_atoms in zip(fields, split))
     # The depth from which a rule constrains no open field.
     closes = {fieldname: depth + 1 for depth, fieldname in enumerate(fields)}
     closed = [max(map(closes.__getitem__, rule.match), default=0)
               for rule in rules]
     # The classes under one choice of the fields above each depth.
     weights = [1]
-    for field_atoms in reversed(atoms):
+    for field_atoms in reversed(split):
         weights.insert(0, weights[0] * len(field_atoms))
 
     def walk(depth: int, live: List[int]
@@ -263,12 +151,16 @@ def walk_classes(base: HeaderSpace, rules: Sequence[FlowRule], *,
                    weights[depth])
             return
         fieldname = fields[depth]
-        for atom, rep in atoms[depth]:
+        for atom, rep in split[depth]:
             values[fieldname] = rep
+            # A rule matches an atom whole or misses it: it leaves the
+            # field open or holds the atom; the rest lies outside every
+            # constraint.
             yield from walk(depth + 1, [
                 index for index in live
-                if _admits(rules[index].match.get(fieldname), atom)])
-        values[fieldname] = atoms[depth][0][1]
+                if (pair := held[index].get(fieldname)) is None
+                or atom is not None and holds(pair, atom)])
+        values[fieldname] = split[depth][0][1]
 
     yield from walk(0, list(range(len(rules))))
 
@@ -414,8 +306,7 @@ def _share_key(committed: CommittedSpace,
     than a tag and a prefix, or a rule it meets cuts the prefix."""
     space = committed.space
     prefix = space.get("dstip")
-    if len(space) != 2 or not isinstance(prefix, IPv4Prefix) or (
-            space.get("dstmac") is None):
+    if len(space) != 2 or prefix is None or space.get("dstmac") is None:
         return None
     met: List[int] = []
     for index, cut in enumerate(cuts):
@@ -756,7 +647,7 @@ class DataplaneVerifier:
             return
         self._checks_counter.inc()
         matched = rule.match.get("dstmac")
-        if (isinstance(matched, MacAddress) and matched.is_virtual
+        if (matched is not None and matched.is_virtual
                 and matched not in index_map):
             diag = Diagnostic(
                 check_id="SDX012", check_name="dead-vmac",
@@ -935,7 +826,7 @@ class DataplaneVerifier:
         for table in self.tables.values():
             for rule in table.rules:
                 constraint = rule.match.get("dstmac")
-                if isinstance(constraint, MacAddress):
+                if constraint is not None:
                     macs.add(constraint)
         trunk_peer: Dict[Tuple[str, int], Tuple[str, int]] = {}
         for link in self.topology.links:

@@ -15,7 +15,6 @@ from repro.policy.headerspace import WILDCARD
 from repro.policy.policies import fwd, match, modify
 from repro.core.composition import (
     sequential_compose_indexed,
-    stack_disjoint,
     stack_fallback,
     strip_drop_tail,
 )
@@ -63,7 +62,7 @@ class TestStackFallback:
     def test_stack_disjoint_preserves_parts(self):
         part_a = (match(port=1) >> fwd(5)).compile()
         part_b = (match(port=2) >> fwd(6)).compile()
-        stacked = stack_disjoint([part_a, part_b])
+        stacked = stack_fallback([part_a, part_b])
         assert stacked.eval(Packet(port=1)) == {Packet(port=5)}
         assert stacked.eval(Packet(port=2)) == {Packet(port=6)}
         assert stacked.eval(Packet(port=3)) == frozenset()
@@ -71,11 +70,11 @@ class TestStackFallback:
 
 class TestIndexedSequentialCompose:
     def test_matches_plain_on_port_structured_stages(self):
-        stage1 = stack_disjoint([
+        stage1 = stack_fallback([
             (match(port=1, dstport=80) >> fwd(10_000)).compile(),
             (match(port=1) >> fwd(10_001)).compile(),
         ])
-        stage2 = stack_disjoint([
+        stage2 = stack_fallback([
             (match(port=10_000) >> fwd(2)).compile(),
             (match(port=10_001) >> fwd(3)).compile(),
         ])
@@ -87,7 +86,7 @@ class TestIndexedSequentialCompose:
 
     def test_handles_multicast_left_rules(self):
         left = (fwd(4) + fwd(5)).compile()
-        right = stack_disjoint([
+        right = stack_fallback([
             (match(port=4) >> modify(dstport=80)).compile(),
             (match(port=5) >> modify(dstport=443)).compile(),
         ])
@@ -97,11 +96,11 @@ class TestIndexedSequentialCompose:
         assert plain.eval(packet) == indexed.eval(packet)
 
     def test_counts_fewer_pairs(self):
-        stage1 = stack_disjoint([
+        stage1 = stack_fallback([
             (match(port=p, dstport=80) >> fwd(10_000 + p)).compile()
             for p in range(1, 20)
         ])
-        stage2 = stack_disjoint([
+        stage2 = stack_fallback([
             (match(port=10_000 + p) >> fwd(100 + p)).compile()
             for p in range(1, 20)
         ])

@@ -14,7 +14,6 @@ from repro.policy.classifier import (
     Classifier,
     ComposeStats,
     Rule,
-    concatenate_disjoint,
     parallel_compose,
     parallel_compose_many,
     sequential_compose,
@@ -173,33 +172,3 @@ class TestComposeOperators:
         merged = ComposeStats()
         merged.merge(stats)
         assert merged.parallel_ops == 1
-
-
-class TestConcatenateDisjoint:
-    def test_disjoint_policies_stack(self):
-        """Policies guarded on different ingress ports never overlap, so
-        concatenation must equal true parallel composition."""
-        policy_a = match(port=1) >> fwd(2)
-        policy_b = match(port=3) >> fwd(4)
-        stacked = concatenate_disjoint([policy_a.compile(), policy_b.compile()])
-        expected = (policy_a + policy_b).compile()
-        for packet in (Packet(port=1), Packet(port=3), Packet(port=9)):
-            assert stacked.eval(packet) == expected.eval(packet)
-
-    def test_result_is_total(self):
-        stacked = concatenate_disjoint([])
-        assert stacked.is_total
-        assert stacked.eval(Packet(port=1)) == frozenset()
-
-    @settings(max_examples=60, deadline=None)
-    @given(policies(max_depth=3), policies(max_depth=3), packets())
-    def test_port_guarded_policies_concatenate_property(self, left, right, packet):
-        """Policies guarded on distinct ingress ports — the way SDX
-        isolation guards participants — concatenate exactly like parallel
-        composition. (Negation guards would violate the function's
-        mask-free precondition; the clause compiler handles those.)"""
-        guarded_left = match(port=1) >> left
-        guarded_right = match(port=2) >> right
-        stacked = concatenate_disjoint([guarded_left.compile(), guarded_right.compile()])
-        combined = (guarded_left + guarded_right).eval(packet)
-        assert stacked.eval(packet) == combined

@@ -6,7 +6,9 @@ from hypothesis import given
 from repro.exceptions import FieldError
 from repro.net.addresses import IPv4Prefix
 from repro.net.packet import Packet
-from repro.policy.headerspace import WILDCARD, HeaderSpace, coerce_constraint
+from repro.policy.headerspace import (WILDCARD, HeaderSpace, coerce_constraint,
+                                      value_mask)
+from repro.policy.policies import match
 
 from tests.policy.strategies import header_spaces, packets
 
@@ -32,6 +34,35 @@ class TestConstraintCoercion:
     def test_unknown_field_rejected(self):
         with pytest.raises(FieldError):
             coerce_constraint("vlan", 1)
+
+
+class TestNoBoolIsAnAddress:
+    """``True`` is an int to Python, but no address: a match or a packet
+    given one on an address field is refused, as every int field does."""
+
+    @pytest.mark.parametrize("field", ["srcip", "dstip", "srcmac", "dstmac"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_match_and_packet_reject_a_bool(self, field, value):
+        with pytest.raises(FieldError):
+            match(**{field: value})
+        with pytest.raises(FieldError):
+            Packet(**{field: value})
+        with pytest.raises(FieldError):
+            Packet(port=1).modify(**{field: value})
+
+
+class TestValueMask:
+    """Every constraint reads as one OpenFlow ``(value, mask)``."""
+
+    def test_a_prefix_is_its_network_and_netmask(self):
+        assert value_mask(IPv4Prefix("10.1.0.0/16")) == (0x0A010000, 0xFFFF0000)
+        assert value_mask(IPv4Prefix("0.0.0.0/0")) == (0, 0)
+        assert value_mask(IPv4Prefix("10.0.0.1/32")) == (0x0A000001, 0xFFFFFFFF)
+
+    def test_an_exact_value_pins_every_bit(self):
+        assert value_mask(coerce_constraint("dstport", 80)) == (80, -1)
+        assert value_mask(coerce_constraint(
+            "dstmac", "a2:00:00:00:00:01")) == (0xA20000000001, -1)
 
 
 class TestHeaderSpaceMatching:

@@ -6,13 +6,16 @@ chain of ``covers`` facts. These properties pin the algebra down over
 randomly drawn spaces: CIDR nesting is subsumption, the wildcard is the
 top element, empty intersections mean genuinely disjoint spaces, and
 every non-empty intersection is covered by (and matches) both operands.
+The atoms a field's constraints split it into are the brute-force
+partition of its values by which constraints hold.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.addresses import IPv4Prefix
-from repro.policy.headerspace import WILDCARD, HeaderSpace
+from repro.policy.headerspace import (WILDCARD, HeaderSpace, admits, atoms,
+                                      value_mask)
 from tests.policy.strategies import (
     clustered_prefixes,
     header_spaces,
@@ -136,3 +139,75 @@ class TestIntersectionSemantics:
     def test_concretised_witness_matches_its_space(self, space):
         witness = space.concretise(port=0)
         assert space.matches(witness)
+
+
+#: A /28 to enumerate: the atoms of constraints inside and around it,
+#: narrowed to it, are checked value by value.
+SMALL = IPv4Prefix("10.0.0.16/28")
+
+small_prefixes = st.builds(
+    lambda length, offset: IPv4Prefix(network=0x0A000000 + offset,
+                                      length=length),
+    st.integers(min_value=23, max_value=32),
+    st.integers(min_value=0, max_value=63))
+
+
+def brute_force(field, constraints, values):
+    """``values`` grouped by which of ``constraints`` hold for each."""
+    blocks = {}
+    for value in values:
+        signature = tuple(admits(constraint, value)
+                          for constraint in constraints)
+        blocks.setdefault(signature, []).append(value)
+    return sorted(blocks.values())
+
+
+def check_atoms(field, constraints, values, **narrowing):
+    """The atoms are the brute-force partition of ``values`` (all of the
+    field's values, or all up to a point past every constraint): one atom
+    per block, each inhabited by its representative, the least value of
+    its block, which its constraint holds — and the rest's none does."""
+    found = atoms(field, [value_mask(constraint) for constraint in constraints],
+                  **narrowing)
+    blocks = brute_force(field, constraints, values)
+    block_of = {value: index for index, block in enumerate(blocks)
+                for value in block}
+    assert len(found) == len(blocks)
+    assert sorted(block_of[rep] for _, rep in found) == list(range(len(blocks)))
+    for pair, rep in found:
+        assert rep == blocks[block_of[rep]][0]
+        held = [constraint for constraint in constraints
+                if admits(constraint, rep)]
+        if pair is None:
+            assert held == []
+        else:
+            assert rep & pair[1] == pair[0]
+
+
+class TestAtomsAreTheBruteForcePartition:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(small_prefixes, max_size=8))
+    def test_prefixes_narrowed_to_a_small_base(self, prefixes):
+        check_atoms("dstip", prefixes,
+                    range(SMALL.network_int, SMALL.network_int + 16),
+                    base=value_mask(SMALL))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=7), max_size=6),
+           st.sets(st.integers(min_value=0, max_value=9), max_size=6))
+    def test_exact_values_over_a_finite_domain(self, values, domain):
+        check_atoms("port", values, sorted(domain), domain=domain)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=7), max_size=6))
+    def test_exact_values_over_every_int(self, values):
+        # Past 8 every value is the rest's, as 8 is unless named.
+        check_atoms("dstport", values, range(0, 9))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(min_value=1, max_value=4), max_size=4))
+    def test_the_rest_of_a_mac_field_starts_at_one(self, values):
+        # No station owns the all-zero MAC: the rest is picked from 1 on.
+        from repro.net.mac import MacAddress
+        check_atoms("dstmac", [MacAddress(value) for value in values],
+                    range(1, 6))

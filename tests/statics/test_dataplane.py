@@ -549,6 +549,77 @@ class TestWhatAPolicyChangeExamines:
         assert len(crowded.table) == 67
 
 
+def tagless_exchange():
+    """A 20 x 300 exchange without tags (``use_vnh=False``), its table
+    verified live: ``dstip`` prefixes, not VMACs, keep one port's rules
+    apart, so every class walk splits prefixes. Returns the controller,
+    the clause holder and the two members it forwards to."""
+    ixp = generate_ixp(20, 300, seed=0)
+    sdx = ixp.build_controller(use_vnh=False, dataplane_statics_mode="warn")
+    big = [spec.name for spec in ixp.top_by_prefixes(2)]
+    client = next(spec.name for spec in ixp.participants
+                  if spec.name not in big)
+    for port, target in ((80, big[0]), (443, big[1]), (8080, big[0])):
+        sdx.participant(client).add_outbound(
+            match(dstport=port) >> fwd(target))
+    sdx.start()
+    return sdx, client, big
+
+
+class TestTheTaglessPlane:
+    """The verifier on a table whose rules pin ``dstip`` prefixes rather
+    than tags: nested prefixes, the atoms the class walk splits them into
+    and the witnesses it renders."""
+
+    @staticmethod
+    def work(sdx):
+        registry = sdx.telemetry.registry
+        return tuple(registry.get(name).value for name in (
+            "sdx_statics_dataplane_classes_total",
+            "sdx_statics_dataplane_rules_examined_total"))
+
+    @staticmethod
+    def assert_identical(sdx):
+        assert (analyze_flowtable(sdx.table).to_json()
+                == sdx.dataplane_verifier.state_report().to_json())
+
+    def test_incremental_equals_full_across_a_policy_add_and_remove(self):
+        sdx, client, big = tagless_exchange()
+        assert len(sdx.table) == 368
+        self.assert_identical(sdx)
+        clause = match(dstport=8443) >> fwd(big[1])
+        sdx.participant(client).add_outbound(clause)
+        assert len(sdx.table) == 423
+        self.assert_identical(sdx)
+        sdx.participant(client).remove_outbound(clause)
+        assert len(sdx.table) == 368
+        self.assert_identical(sdx)
+
+    def test_the_work_is_pinned(self):
+        sdx, client, big = tagless_exchange()
+        assert self.work(sdx) == (48, 26248)
+        clause = match(dstport=8443) >> fwd(big[1])
+        sdx.participant(client).add_outbound(clause)
+        assert self.work(sdx) == (96, 37352)
+        sdx.participant(client).remove_outbound(clause)
+        assert self.work(sdx) == (144, 47020)
+
+    def test_a_shadowed_install_is_found_with_a_witness(self):
+        from repro.workloads.policies import inject_shadowed_install
+
+        sdx, _, _ = tagless_exchange()
+        defect = inject_shadowed_install(sdx, seed=0)
+        report = analyze_flowtable(sdx.table)
+        assert report.to_json() == sdx.dataplane_verifier.state_report(
+        ).to_json()
+        [found] = diags(report, "SDX010")
+        assert found.location.clause_index == defect.clause_index
+        witness = found.witness
+        assert witness == Packet(dstip="16.9.9.0", dstport=443, port=1)
+        assert dict(found.data)["rule_match"].matches(witness)
+        assert sdx.table.lookup(witness).priority == defect.clause_index + 1
+
+
 class TestIncrementalEqualsFull:
     def assert_identical(self, controller):
         incremental = controller.dataplane_verifier.state_report()

@@ -23,17 +23,15 @@ from hypothesis import strategies as st
 from repro.dataplane.flowtable import FlowTable
 from repro.net.addresses import IPv4Prefix
 from repro.net.mac import vmac_for_fec
-from repro.net.packet import IP_FIELDS, Packet
+from repro.net.packet import Packet
 from repro.policy.classifier import Action
 from repro.policy.flowrules import FlowRule
-from repro.policy.headerspace import HeaderSpace
+from repro.policy.headerspace import HeaderSpace, atoms, value_mask
 from repro.southbound.diff import FlowMod
 from repro.statics.dataplane import (
     CLASS_BUDGET,
     CommittedSpace,
     DataplaneVerifier,
-    _exact_atoms,
-    _prefix_atoms,
     analyze_flowtable,
     walk_classes,
 )
@@ -148,28 +146,21 @@ class EagerProduct:
         constraints = {}
         for rule in overlapping:
             for fieldname, constraint in rule.match.items():
-                constraints.setdefault(fieldname, []).append(constraint)
+                constraints.setdefault(fieldname, []).append(
+                    value_mask(constraint))
         if port_domain is not None:
             constraints.setdefault("port", [])
         self.fields = sorted(constraints)
         self.atoms = [
-            _prefix_atoms(constraints[name], base.get(name))
-            if name in IP_FIELDS else
-            _exact_atoms(constraints[name], base.get(name),
-                         port_domain if name == "port" else None,
-                         is_mac=name in ("srcmac", "dstmac"))
+            atoms(name, constraints[name],
+                  None if name not in base else value_mask(base[name]),
+                  port_domain if name == "port" else None)
             for name in self.fields]
-        self.prefixes = {
-            name: sorted({atom[1] for atom, _ in atoms if atom[0] == "pfx"},
-                         key=lambda prefix: -prefix.length)
-            for name, atoms in zip(self.fields, self.atoms)
-            if name in IP_FIELDS}
-        fixed = {name: (constraint.first_address
-                        if isinstance(constraint, IPv4Prefix) else constraint)
+        fixed = {name: value_mask(constraint)[0]
                  for name, constraint in base.items()
                  if name not in constraints}
         self.classes = [
-            (tuple(atom for atom, _ in combo),
+            (tuple(pair for pair, _ in combo),
              Packet(**fixed, **{name: rep for name, (_, rep)
                                 in zip(self.fields, combo)}))
             for combo in product(*self.atoms)]
@@ -180,16 +171,14 @@ class EagerProduct:
         if not self.base.matches(packet):
             return None
         key = []
-        for name, atoms in zip(self.fields, self.atoms):
+        for name, field_atoms in zip(self.fields, self.atoms):
             value = packet.get(name)
-            if name in IP_FIELDS:
-                key.append(next(
-                    (("pfx", prefix) for prefix in self.prefixes[name]
-                     if value is not None and prefix.contains_address(value)),
-                    ("other",)))
-            else:
-                key.append(("val", value) if ("val", value) in dict(atoms)
-                           else ("other",))
+            # The narrowest atom holding the value: atoms nest or are
+            # disjoint, and the narrower pins more bits.
+            key.append(max(
+                (pair for pair, _ in field_atoms if pair is not None
+                 and value is not None and int(value) & pair[1] == pair[0]),
+                key=lambda pair: pair[1], default=None))
         return tuple(key)
 
 

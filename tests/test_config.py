@@ -20,7 +20,7 @@ from repro.config import (
 from repro.core.clauses import normalize_policy
 from repro.net.addresses import IPv4Prefix
 from repro.policy.policies import drop, fwd, match, modify
-from repro.policy.predicates import match_any_prefix, match_any_value
+from repro.policy.predicates import match_any
 
 from tests.core.scenarios import figure1_controller, packet
 from tests.policy.strategies import packets, predicates
@@ -32,9 +32,9 @@ class TestPredicateRoundTrip:
         match(dstip="10.0.0.0/8", protocol=6),
         match(dstport=80) & ~match(srcport=22),
         match(dstport=80) | match(dstport=443),
-        match_any_prefix("dstip", [IPv4Prefix("10.0.0.0/8"),
-                                   IPv4Prefix("20.0.0.0/8")]),
-        match_any_value("dstport", [80, 443, 8080]),
+        match_any("dstip", [IPv4Prefix("10.0.0.0/8"),
+                            IPv4Prefix("20.0.0.0/8")]),
+        match_any("dstport", [80, 443, 8080]),
     ])
     def test_examples_round_trip(self, predicate):
         rebuilt = predicate_from_json(predicate_to_json(predicate))
@@ -52,6 +52,25 @@ class TestPredicateRoundTrip:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             predicate_from_json({"kind": "xor"})
+
+    def test_set_kinds_keep_their_documents(self):
+        """One field-in-set predicate, two document kinds: a prefix set
+        is ``any_prefix``, a value set ``any_value``, byte for byte."""
+        prefixes = {"kind": "any_prefix", "field": "dstip",
+                    "prefixes": ["10.1.0.0/16", "10.0.0.0/8"]}
+        values = {"kind": "any_value", "field": "dstport",
+                  "values": ["80", "443"]}
+        for document in (prefixes, values):
+            assert predicate_to_json(predicate_from_json(document)) == document
+
+    @pytest.mark.parametrize("document", [
+        {"kind": "any_prefix", "field": "dstport", "prefixes": ["10.0.0.0/8"]},
+        {"kind": "any_value", "field": "dstip", "values": ["10.0.0.1"]},
+    ])
+    def test_a_set_kind_on_the_wrong_field_is_rejected(self, document):
+        from repro.exceptions import PolicyError
+        with pytest.raises(PolicyError):
+            predicate_from_json(document)
 
 
 class TestClauseRoundTrip:

@@ -279,6 +279,71 @@ class TestOneOverlapIndex:
                 not in imported_modules(self.SRC / user)] == []
 
 
+def _type_dispatch(tree):
+    """Line numbers where ``tree`` tests a value for being a prefix or a
+    MAC, or a field for being an IP or MAC field — except a test that the
+    value is a VMAC (``isinstance(x, MacAddress) and x.is_virtual``),
+    which is the semantics of the tag space, not a dispatch."""
+    vmac_guards = {id(operand) for node in ast.walk(tree)
+                   if isinstance(node, ast.BoolOp)
+                   and any(isinstance(other, ast.Attribute)
+                           and other.attr == "is_virtual"
+                           for other in node.values)
+                   for operand in node.values}
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "isinstance"
+                and id(node) not in vmac_guards
+                and {"IPv4Prefix", "MacAddress"} & {
+                    getattr(name, "id", None)
+                    for name in ast.walk(node.args[1])}):
+            found.append(node.lineno)
+        elif getattr(node, "id", None) in ("IP_FIELDS", "MAC_FIELDS"):
+            found.append(node.lineno)
+    return found
+
+
+class TestOneFieldAlgebra:
+    """Every match constraint is read as one integer ``(value, mask)``
+    (``repro.policy.headerspace.value_mask``), and the algebra on it —
+    meet, cover, admit, representative, atoms — is written once there. A
+    per-type branch, or a name of the helpers it replaced, is the split
+    growing back."""
+
+    SRC = REPO_ROOT / "src" / "repro"
+
+    def test_the_replaced_helpers_are_gone(self):
+        gone = {"MatchAnyPrefix", "MatchAnyValue", "match_any_prefix",
+                "match_any_value", "_prefix_atoms", "_exact_atoms",
+                "AtomKey", "_intersect_constraint", "_constraint_covers",
+                "_constraint_admits", "_eligibility_guard"}
+        uses = sorted({(path.name, name) for path, tree in _src_trees().items()
+                       for node in ast.walk(tree)
+                       for name in (getattr(node, "name", None),
+                                    getattr(node, "id", None),
+                                    getattr(node, "attr", None))
+                       if name in gone})
+        assert uses == []
+
+    def test_only_the_header_space_tells_the_kinds_apart(self):
+        scope = [path for path in sorted((self.SRC / "policy").glob("*.py"))
+                 if path.name != "headerspace.py"]
+        scope += [self.SRC / "statics" / "dataplane.py",
+                  self.SRC / "core" / "compiler.py"]
+        dispatch = {str(path.relative_to(self.SRC)): lines
+                    for path in scope
+                    for lines in [_type_dispatch(ast.parse(path.read_text()))]
+                    if lines}
+        assert dispatch == {}
+
+    def test_the_guard_sees_a_dispatch(self):
+        tree = ast.parse("if isinstance(c, IPv4Prefix): pass\n"
+                         "ok = isinstance(m, MacAddress) and m.is_virtual\n"
+                         "if field in IP_FIELDS: pass\n")
+        assert _type_dispatch(tree) == [1, 3]
+
+
 class TestNoHiddenKnobs:
     """Every setting is an argument, a config field or a CLI option: a
     process-environment read is a knob no signature shows — the last two
