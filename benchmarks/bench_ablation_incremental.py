@@ -13,8 +13,9 @@ import time
 
 from conftest import publish, publish_json
 
-from repro.experiments.harness import _loaded_controller, _perturb_prefix
+from repro.experiments.harness import perturb_prefix
 from repro.experiments.metrics import render_table
+from repro.workloads import loaded_exchange
 
 PARTICIPANTS = 100
 PREFIXES = 2_000
@@ -22,12 +23,12 @@ UPDATES = 30
 
 
 def _measure(full_recompile: bool) -> float:
-    controller, ixp = _loaded_controller(PARTICIPANTS, PREFIXES, seed=0)
+    controller, ixp = loaded_exchange(PARTICIPANTS, PREFIXES, seed=0)
     rng = random.Random(7)
     universe = ixp.all_prefixes()
     started = time.perf_counter()
     for _ in range(UPDATES):
-        _perturb_prefix(controller, ixp, rng.choice(universe), rng)
+        perturb_prefix(controller, ixp, rng.choice(universe), rng)
         if full_recompile:
             controller.recompile()
     return (time.perf_counter() - started) / UPDATES

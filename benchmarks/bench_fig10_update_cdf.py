@@ -12,14 +12,10 @@ pytest-benchmark's statistics machinery.
 
 from conftest import publish, publish_json, scaled
 
-from repro.experiments.harness import (
-    _loaded_controller,
-    _perturb_prefix,
-    run_fig10,
-    run_fig10_delta,
-)
+from repro.experiments.harness import perturb_prefix, run_fig10, run_fig10_delta
 from repro.experiments.metrics import render_table
 from repro.telemetry.registry import Histogram
+from repro.workloads import loaded_exchange
 
 PARTICIPANTS = (100, 200, 300)
 UPDATES = 150
@@ -125,12 +121,12 @@ def test_fig10_delta_engine(benchmark):
 
 def test_single_update_fast_path(benchmark):
     """Microbenchmark: one best-path-changing update, 300 participants."""
-    controller, ixp = _loaded_controller(300, 2_000, seed=0)
+    controller, ixp = loaded_exchange(300, 2_000, seed=0)
     import random
     rng = random.Random(42)
     universe = ixp.all_prefixes()
 
     def one_update():
-        _perturb_prefix(controller, ixp, rng.choice(universe), rng)
+        perturb_prefix(controller, ixp, rng.choice(universe), rng)
 
     benchmark(one_update)

@@ -346,20 +346,28 @@ def _run_sweep(args, value_label: str, value) -> str:
 
 
 def _run_replay(args) -> str:
-    from repro.experiments.replay import TraceReplayer
-    from repro.workloads.policies import generate_policies, install_assignments
-    from repro.workloads.topology import generate_ixp
-    from repro.workloads.updates import generate_trace
+    from repro.experiments.harness import replay_trace
+    from repro.experiments.metrics import Cdf
+    from repro.workloads import generate_trace, loaded_exchange
 
-    ixp = generate_ixp(args.participants, args.prefixes, seed=args.seed)
-    controller = ixp.build_controller()
-    install_assignments(controller, generate_policies(ixp, seed=args.seed + 1))
-    result = controller.start()
+    controller, ixp = loaded_exchange(
+        args.participants, args.prefixes, seed=args.seed)
+    initial = controller.last_compilation
     events = generate_trace(ixp, seed=args.seed + 2, max_updates=args.updates)
-    stats = TraceReplayer(
-        controller, background_gap_seconds=args.gap).replay(events)
-    return (f"initial table: {result.flow_rule_count} rules, "
-            f"{result.prefix_group_count} groups\n" + stats.summary())
+    runtime, peak_extra_rules = replay_trace(
+        controller, events, gap_seconds=args.gap)
+    background_runs = sum(
+        metric.value for metric in controller.telemetry.registry.metrics()
+        if metric.name == "sdx_runtime_recompiles_total")
+    parts = [f"{runtime.stats()['processed']} updates"]
+    if controller.fast_path_log:   # the latest FAST_PATH_LOG_SIZE updates
+        cdf = Cdf(entry.seconds for entry in controller.fast_path_log)
+        parts.append(f"fast path median {cdf.median * 1000:.1f} ms / p99 "
+                     f"{cdf.quantile(0.99) * 1000:.1f} ms")
+    parts.append(f"peak extra rules {peak_extra_rules}")
+    parts.append(f"{background_runs} background runs")
+    return (f"initial table: {initial.flow_rule_count} rules, "
+            f"{initial.prefix_group_count} groups\n" + "; ".join(parts))
 
 
 def _telemetry_workload(args):
@@ -371,14 +379,10 @@ def _telemetry_workload(args):
     every stage (ingest, fast path, compile, southbound, flow table) has
     recorded activity.
     """
-    from repro.workloads.policies import generate_policies, install_assignments
-    from repro.workloads.topology import generate_ixp
-    from repro.workloads.updates import generate_trace
+    from repro.workloads import generate_trace, loaded_exchange
 
-    ixp = generate_ixp(args.participants, args.prefixes, seed=args.seed)
-    controller = ixp.build_controller()
-    install_assignments(controller, generate_policies(ixp, seed=args.seed + 1))
-    controller.start()
+    controller, ixp = loaded_exchange(
+        args.participants, args.prefixes, seed=args.seed)
     events = generate_trace(ixp, seed=args.seed + 2, max_updates=args.updates)
     for event in events:
         controller.submit_update(event.update)
@@ -474,15 +478,13 @@ def _lint_defect_run(args):
     from repro.workloads.policies import (
         defect_detected,
         defect_documents,
-        generate_policies,
         inject_defects,
-        install_assignments,
+        loaded_exchange,
     )
-    from repro.workloads.topology import generate_ixp
 
-    ixp = generate_ixp(args.participants, args.prefixes, seed=args.seed)
-    controller = ixp.build_controller()
-    install_assignments(controller, generate_policies(ixp, seed=args.seed))
+    controller, _ixp = loaded_exchange(
+        args.participants, args.prefixes, seed=args.seed,
+        policy_seed=args.seed, start=False)
     defects = inject_defects(controller, seed=args.seed)
     report = analyze_controller(
         controller, raw_policies=defect_documents(defects))
@@ -635,16 +637,13 @@ def _lint_dataplane_defect_run(args):
     from repro.statics import analyze_controller_dataplane
     from repro.workloads.policies import (
         defect_detected,
-        generate_policies,
         inject_dataplane_defects,
-        install_assignments,
+        loaded_exchange,
     )
-    from repro.workloads.topology import generate_ixp
 
-    ixp = generate_ixp(args.participants, args.prefixes, seed=args.seed)
-    controller = ixp.build_controller()
-    install_assignments(controller, generate_policies(ixp, seed=args.seed))
-    controller.start()
+    controller, _ixp = loaded_exchange(
+        args.participants, args.prefixes, seed=args.seed,
+        policy_seed=args.seed)
     defects = inject_dataplane_defects(controller, seed=args.seed)
     report = analyze_controller_dataplane(controller)
     missed = [d for d in defects if not defect_detected(d, report)]
@@ -700,16 +699,12 @@ def _run_soak(args) -> str:
     import time as time_module
 
     from repro.runtime import OverloadPolicy, RuntimeConfig
-    from repro.workloads.policies import generate_policies, install_assignments
-    from repro.workloads.topology import generate_ixp
-    from repro.workloads.updates import generate_burst_trace
+    from repro.workloads import generate_burst_trace, loaded_exchange
 
-    participants = args.participants if args.participants is not None else 20
-    prefixes = args.prefixes if args.prefixes is not None else 200
-    ixp = generate_ixp(participants, prefixes, seed=args.seed)
-    controller = ixp.build_controller()
-    install_assignments(controller, generate_policies(ixp, seed=args.seed + 1))
-    controller.start()
+    controller, ixp = loaded_exchange(
+        args.participants if args.participants is not None else 20,
+        args.prefixes if args.prefixes is not None else 200,
+        seed=args.seed)
     bursts = max(1, args.updates // args.burst_size)
     events = generate_burst_trace(
         ixp, bursts=bursts, burst_size=args.burst_size,
@@ -842,17 +837,15 @@ def _run_profile(args) -> int:
 
     from repro.profiling import PhaseProfiler, folded_stacks
     from repro.telemetry import Telemetry
-    from repro.workloads.policies import generate_policies, install_assignments
-    from repro.workloads.topology import generate_ixp
-    from repro.workloads.updates import generate_trace
+    from repro.workloads import generate_trace, loaded_exchange
 
     # Workload generation happens before the profiler attaches: the
     # profiled region is the pipeline (compile + fast path + southbound),
     # not the synthetic trace generator.
-    ixp = generate_ixp(args.participants, args.prefixes, seed=args.seed)
     telemetry = Telemetry(trace_capacity=65_536)
-    controller = ixp.build_controller(telemetry=telemetry)
-    install_assignments(controller, generate_policies(ixp, seed=args.seed + 1))
+    controller, ixp = loaded_exchange(
+        args.participants, args.prefixes, seed=args.seed, start=False,
+        telemetry=telemetry)
     events = generate_trace(ixp, seed=args.seed + 2,
                             max_updates=args.updates)
 

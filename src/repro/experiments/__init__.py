@@ -1,20 +1,20 @@
 """Measurement harness shared by the benchmark suite and the examples.
 
 - :mod:`repro.experiments.metrics` — CDFs and labelled data series;
-- :mod:`repro.experiments.traffic` — the flow-level traffic simulator
-  behind the Figure 5 deployment experiments;
 - :mod:`repro.experiments.harness` — one runner per table/figure of the
-  paper's evaluation, returning printable rows.
+  paper's evaluation, returning printable rows; the Figure 5 timelines
+  and the Section 4.3.2 trace replay run on the runtime's simulated
+  clock through :class:`~repro.monitoring.driver.MonitoredTrafficDriver`
+  and :class:`~repro.runtime.loop.ControlPlaneRuntime`;
+- :mod:`repro.experiments.monitoring` — the closed monitoring loops.
 """
 
 from repro.experiments.metrics import Cdf, Series
-from repro.experiments.traffic import FlowSpec, TrafficSimulation, TimedAction
 from repro.experiments.harness import (
+    replay_trace,
     run_fig5a,
     run_fig5b,
     run_fig6,
-    run_fig7,
-    run_fig8,
     run_fig9,
     run_fig10,
     run_table1,
@@ -22,15 +22,11 @@ from repro.experiments.harness import (
 
 __all__ = [
     "Cdf",
-    "FlowSpec",
     "Series",
-    "TimedAction",
-    "TrafficSimulation",
+    "replay_trace",
     "run_fig5a",
     "run_fig5b",
     "run_fig6",
-    "run_fig7",
-    "run_fig8",
     "run_fig9",
     "run_fig10",
     "run_table1",

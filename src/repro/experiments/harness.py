@@ -12,20 +12,29 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bgp.asn import AsPath
 from repro.core.controller import SdxController
 from repro.core.fec import minimum_disjoint_subsets
+from repro.dataplane.fabric import Delivery
 from repro.experiments.metrics import Cdf, Series
-from repro.experiments.traffic import FlowSpec, TimedAction, TrafficSimulation
+from repro.monitoring.driver import MonitoredTrafficDriver
 from repro.net.addresses import IPv4Prefix
 from repro.net.packet import Packet
 from repro.policy.policies import fwd, match, modify
+from repro.runtime import (
+    ControlPlaneRuntime,
+    ManualClock,
+    RuntimeConfig,
+    SchedulerConfig,
+)
 from repro.workloads.datasets import ALL_PROFILES, IxpProfile
-from repro.workloads.policies import generate_policies, install_assignments
+from repro.workloads.policies import loaded_exchange
+from repro.workloads.scenarios import ScenarioFlow
 from repro.workloads.topology import SyntheticIxp, generate_ixp
-from repro.workloads.updates import generate_trace, trace_stats
+from repro.workloads.updates import TraceEvent, generate_trace, trace_stats
 
 
 # ----------------------------------------------------------------------
@@ -129,15 +138,12 @@ def run_compilation_sweep(
     points: List[CompilationPoint] = []
     for count in participant_counts:
         for prefixes in prefix_counts:
-            ixp = generate_ixp(count, prefixes, seed=seed)
             # reduce_table=False: the post-compilation shadow-elimination
             # pass is this library's own addition; Figures 7/8 measure
             # the paper's pipeline.
-            controller = ixp.build_controller(
-                use_vnh=use_vnh, optimized=optimized, reduce_table=False)
-            assignments = generate_policies(ixp, seed=seed + 1)
-            install_assignments(controller, assignments)
-            controller.start()
+            controller, _ixp = loaded_exchange(
+                count, prefixes, seed=seed, use_vnh=use_vnh,
+                optimized=optimized, reduce_table=False)
             # Compilation at the small end takes tens of milliseconds,
             # where GC pauses dominate single measurements. Time three
             # cold compilations and keep the minimum — the standard
@@ -159,39 +165,9 @@ def run_compilation_sweep(
     return points
 
 
-def run_fig7(**kwargs) -> List[Series]:
-    """Flow rules vs prefix groups, one series per participant count."""
-    points = run_compilation_sweep(**kwargs)
-    return _sweep_series(points, lambda p: p.flow_rules)
-
-
-def run_fig8(**kwargs) -> List[Series]:
-    """Compilation time vs prefix groups, one series per participant count."""
-    points = run_compilation_sweep(**kwargs)
-    return _sweep_series(points, lambda p: p.seconds)
-
-
-def _sweep_series(points: Sequence[CompilationPoint], value) -> List[Series]:
-    by_count: Dict[int, Series] = {}
-    for point in sorted(points, key=lambda p: (p.participants, p.prefix_groups)):
-        series = by_count.setdefault(
-            point.participants, Series(label=f"{point.participants} participants"))
-        series.add(point.prefix_groups, value(point))
-    return [by_count[count] for count in sorted(by_count)]
-
-
 # ----------------------------------------------------------------------
 # Figures 9 & 10 — incremental update behaviour
 # ----------------------------------------------------------------------
-
-def _loaded_controller(participants: int, prefixes: int,
-                       seed: int) -> Tuple[SdxController, SyntheticIxp]:
-    ixp = generate_ixp(participants, prefixes, seed=seed)
-    controller = ixp.build_controller()
-    install_assignments(controller, generate_policies(ixp, seed=seed + 1))
-    controller.start()
-    return controller, ixp
-
 
 def run_fig9(burst_sizes: Sequence[int] = (1, 5, 10, 20, 40, 60, 80, 100),
              participant_counts: Sequence[int] = (100, 200, 300),
@@ -203,7 +179,7 @@ def run_fig9(burst_sizes: Sequence[int] = (1, 5, 10, 20, 40, 60, 80, 100),
     """
     series_list: List[Series] = []
     for count in participant_counts:
-        controller, ixp = _loaded_controller(count, prefixes, seed)
+        controller, ixp = loaded_exchange(count, prefixes, seed=seed)
         rng = random.Random(seed + 2)
         series = Series(label=f"{count} participants")
         universe = ixp.all_prefixes()
@@ -212,14 +188,14 @@ def run_fig9(burst_sizes: Sequence[int] = (1, 5, 10, 20, 40, 60, 80, 100),
             controller.run_background_recompilation()
             touched = rng.sample(universe, k=min(burst, len(universe)))
             for prefix in touched:
-                _perturb_prefix(controller, ixp, prefix, rng)
+                perturb_prefix(controller, ixp, prefix, rng)
             series.add(burst, controller.engine.fast_path_rules_live)
         series_list.append(series)
     return series_list
 
 
-def _perturb_prefix(controller: SdxController, ixp: SyntheticIxp,
-                    prefix: IPv4Prefix, rng: random.Random) -> None:
+def perturb_prefix(controller: SdxController, ixp: SyntheticIxp,
+                   prefix: IPv4Prefix, rng: random.Random) -> None:
     """Re-announce ``prefix`` with a fresh path so its best route moves."""
     announcers = [name for name, p, _path in ixp.announcements if p == prefix]
     name = rng.choice(announcers)
@@ -258,7 +234,7 @@ def run_fig9_delta(burst_sizes: Sequence[int] = (1, 5, 10, 20, 40, 60, 80, 100),
     cost. The delta must touch strictly fewer rules than the table holds
     — the swap never degenerates into a full reinstall.
     """
-    controller, ixp = _loaded_controller(participants, prefixes, seed)
+    controller, ixp = loaded_exchange(participants, prefixes, seed=seed)
     rng = random.Random(seed + 2)
     universe = ixp.all_prefixes()
     stats = controller.southbound.stats
@@ -266,7 +242,7 @@ def run_fig9_delta(burst_sizes: Sequence[int] = (1, 5, 10, 20, 40, 60, 80, 100),
     for burst in burst_sizes:
         touched = rng.sample(universe, k=min(burst, len(universe)))
         for prefix in touched:
-            _perturb_prefix(controller, ixp, prefix, rng)
+            perturb_prefix(controller, ixp, prefix, rng)
         table_rules = len(controller.table)
         sent_before = stats.mods_sent
         controller.run_background_recompilation()
@@ -290,7 +266,7 @@ def run_fig10_delta(updates: int = 200, participants: int = 100,
     bursts) and returns CDFs of the FlowMods each update pushed, the
     batch sizes the engine applied, and per-batch apply latency.
     """
-    controller, ixp = _loaded_controller(participants, prefixes, seed)
+    controller, ixp = loaded_exchange(participants, prefixes, seed=seed)
     rng = random.Random(seed + 3)
     universe = ixp.all_prefixes()
     stats = controller.southbound.stats
@@ -298,7 +274,7 @@ def run_fig10_delta(updates: int = 200, participants: int = 100,
     for index in range(updates):
         prefix = rng.choice(universe)
         sent_before = stats.mods_sent
-        _perturb_prefix(controller, ixp, prefix, rng)
+        perturb_prefix(controller, ixp, prefix, rng)
         mods_per_update.append(float(stats.mods_sent - sent_before))
         if (index + 1) % recompile_every == 0:
             controller.run_background_recompilation()
@@ -315,17 +291,115 @@ def run_fig10(updates: int = 200,
     """Per-update processing time CDF (fast path, end to end)."""
     cdfs: Dict[int, Cdf] = {}
     for count in participant_counts:
-        controller, ixp = _loaded_controller(count, prefixes, seed)
+        controller, ixp = loaded_exchange(count, prefixes, seed=seed)
         rng = random.Random(seed + 3)
         universe = ixp.all_prefixes()
         samples: List[float] = []
         for _ in range(updates):
             prefix = rng.choice(universe)
             started = time.perf_counter()
-            _perturb_prefix(controller, ixp, prefix, rng)
+            perturb_prefix(controller, ixp, prefix, rng)
             samples.append(time.perf_counter() - started)
         cdfs[count] = Cdf(samples)
     return cdfs
+
+
+# ----------------------------------------------------------------------
+# Section 4.3.2 — background re-optimisation between bursts
+# ----------------------------------------------------------------------
+
+def replay_trace(controller: SdxController, events: Sequence[TraceEvent], *,
+                 gap_seconds: float = 10.0) -> Tuple[ControlPlaneRuntime, int]:
+    """Replay a timed trace through the runtime on its simulated clock.
+
+    Section 4.3.2 runs the optimal recompilation "in the background
+    between subsequent bursts of updates": the runtime's scheduler fires
+    its ``idle`` trigger once ``gap_seconds`` pass with no update. The
+    clock is set to each event's time and stepped (a gap may open a
+    window), the update is submitted and stepped through the fast path,
+    and a final :meth:`~ControlPlaneRuntime.settle` clears what is left.
+    Returns the runtime (its ``sdx_runtime_recompiles_total`` counts the
+    background runs) and the peak fast-path rules seen after any update.
+    """
+    if not controller.started:
+        raise ValueError("start the controller before replaying a trace")
+    clock = ManualClock()
+    runtime = controller.build_runtime(
+        RuntimeConfig(scheduler=SchedulerConfig(idle_seconds=gap_seconds)),
+        clock)
+    peak_extra_rules = 0
+    for event in events:
+        clock.set(event.time)
+        runtime.step()
+        runtime.submit_update(event.update)
+        runtime.step()
+        peak_extra_rules = max(peak_extra_rules,
+                               controller.engine.fast_path_rules_live)
+    runtime.settle()
+    return runtime, peak_extra_rules
+
+
+# ----------------------------------------------------------------------
+# Figure 5 — deployment timelines on the traffic driver
+# ----------------------------------------------------------------------
+
+#: A timed change: ``(time, label, apply)``, ``apply(controller)``.
+TimedChange = Tuple[float, str, Callable[[SdxController], None]]
+
+
+def run_timeline(sdx: SdxController, flows: Sequence[ScenarioFlow],
+                 changes: Sequence[TimedChange], duration: float, *,
+                 tick: float = 1.0,
+                 classify: Optional[Callable[[Delivery], str]] = None
+                 ) -> Tuple[Dict[str, Series], List[Tuple[float, str]]]:
+    """Drive ``flows`` through a started data-plane controller for
+    ``duration`` simulated seconds on the runtime's clock.
+
+    Returns one Mbps series per label (:meth:`TickRecord.label_rates
+    <repro.monitoring.driver.TickRecord.label_rates>` by ``classify``,
+    default the egress participant), zero-filled at ticks where a label
+    carried nothing, and the ``(time, label)`` log of landed changes. A
+    change enters through ``runtime.submit_policy`` and is stepped in
+    before the first tick at or after its time sends; one with no such
+    tick never lands.
+    """
+    clock = ManualClock()
+    runtime = sdx.build_runtime(clock=clock)
+    driver = MonitoredTrafficDriver(sdx, runtime, flows, tick_seconds=tick)
+    pending = sorted(changes, key=lambda change: change[0])
+    landed: List[Tuple[float, str]] = []
+
+    def land(_record=None) -> None:
+        now = clock.now()
+        if now >= duration - 1e-9:
+            return   # no tick is left to send after it
+        while pending and pending[0][0] <= now:
+            _when, label, apply = pending.pop(0)
+            runtime.submit_policy(label, apply)
+            landed.append((now, label))
+            runtime.step()
+
+    land()
+    driver.run(duration, on_tick=land)
+    classify = classify or attrgetter("participant")
+    rates = [(record.time, record.label_rates(classify))
+             for record in driver.history]
+    series: Dict[str, Series] = {}
+    for _time, by_label in rates:
+        for label in by_label:
+            series.setdefault(label, Series(label=label))
+    for when, by_label in rates:
+        for label, line in series.items():
+            line.add(when, by_label.get(label, 0.0))
+    return series, landed
+
+
+def _udp_flow(name: str, source: str, prefix: IPv4Prefix, end: float,
+              **fields) -> ScenarioFlow:
+    """A 1 Mbps UDP flow, as in the deployment experiments."""
+    return ScenarioFlow(name=name, source=source,
+                        packet=Packet(**fields, protocol=17),
+                        dst_prefix=prefix, rate_mbps=1.0, start=0.0, end=end)
 
 
 # ----------------------------------------------------------------------
@@ -363,24 +437,19 @@ def run_fig5a(duration: float = 1_800.0, policy_time: float = 565.0,
     def withdraw_route(controller: SdxController) -> None:
         controller.withdraw_route("B", AWS_PREFIX)
 
+    end = duration * time_scale
     flows = [
-        FlowSpec(name=f"flow-{port}", source="C",
-                 packet=Packet(dstip="54.198.0.10", dstport=port,
-                               srcip="156.0.0.1", protocol=17))
+        _udp_flow(f"flow-{port}", "C", AWS_PREFIX, end,
+                  dstip="54.198.0.10", dstport=port, srcip="156.0.0.1")
         for port in (80, 81, 82)
     ]
-    actions = [
-        TimedAction(time=policy_time * time_scale,
-                    label="application-specific peering policy",
-                    apply=install_policy),
-        TimedAction(time=withdrawal_time * time_scale,
-                    label="route withdrawal", apply=withdraw_route),
+    changes = [
+        (policy_time * time_scale, "application-specific peering policy",
+         install_policy),
+        (withdrawal_time * time_scale, "route withdrawal", withdraw_route),
     ]
-    simulation = TrafficSimulation(
-        sdx, flows, actions,
-        step_seconds=max(time_scale, 1e-3) * 10.0)
-    series = simulation.run(duration * time_scale)
-    return series, simulation.event_log
+    return run_timeline(sdx, flows, changes, end,
+                        tick=max(time_scale, 1e-3) * 10.0)
 
 
 # ----------------------------------------------------------------------
@@ -423,29 +492,20 @@ def run_fig5b(duration: float = 600.0, policy_time: float = 246.0,
 
         controller.participant("Tenant").edit(balance)
 
+    end = duration * time_scale
     flows = [
-        FlowSpec(name="client-1", source="A",
-                 packet=Packet(dstip="74.125.1.1", dstport=80,
-                               srcip="204.57.0.67", protocol=17)),
-        FlowSpec(name="client-2", source="A",
-                 packet=Packet(dstip="74.125.1.1", dstport=80,
-                               srcip="198.51.100.9", protocol=17)),
+        _udp_flow("client-1", "A", ANYCAST, end, dstip="74.125.1.1",
+                  dstport=80, srcip="204.57.0.67"),
+        _udp_flow("client-2", "A", ANYCAST, end, dstip="74.125.1.1",
+                  dstport=80, srcip="198.51.100.9"),
     ]
-    actions = [
-        TimedAction(time=policy_time * time_scale,
-                    label="load-balance policy", apply=install_balancer),
-    ]
+    changes = [(policy_time * time_scale, "load-balance policy",
+                install_balancer)]
+    instances = {INSTANCE_1: "AWS instance #1", INSTANCE_2: "AWS instance #2"}
 
-    def classify(delivery) -> str:
+    def classify(delivery: Delivery) -> str:
         dstip = str(delivery.packet.get("dstip"))
-        if dstip == INSTANCE_1:
-            return "AWS instance #1"
-        if dstip == INSTANCE_2:
-            return "AWS instance #2"
-        return dstip
+        return instances.get(dstip, dstip)
 
-    simulation = TrafficSimulation(
-        sdx, flows, actions, classify=classify,
-        step_seconds=max(time_scale, 1e-3) * 10.0)
-    series = simulation.run(duration * time_scale)
-    return series, simulation.event_log
+    return run_timeline(sdx, flows, changes, end,
+                        tick=max(time_scale, 1e-3) * 10.0, classify=classify)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 
 class Cdf:
@@ -48,17 +48,6 @@ class Cdf:
     def median(self) -> float:
         """The 50th percentile."""
         return self.quantile(0.5)
-
-    def points(self, count: int = 50) -> List[Tuple[float, float]]:
-        """(value, cumulative fraction) pairs for plotting/printing."""
-        step = max(1, len(self._sorted) // count)
-        out = []
-        for index in range(0, len(self._sorted), step):
-            value = self._sorted[index]
-            out.append((value, (index + 1) / len(self._sorted)))
-        if out[-1][0] != self._sorted[-1]:
-            out.append((self._sorted[-1], 1.0))
-        return out
 
 
 @dataclass

@@ -27,17 +27,21 @@ should agree with the truth to float/rounding precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from collections import Counter
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.reactive import HeavyHitterSteering, ReactiveInboundBalancer
+from repro.core.controller import SdxController
 from repro.monitoring.detect import HeavyHitterDetector
 from repro.monitoring.driver import MonitoredTrafficDriver, TickRecord
 from repro.monitoring.loop import DataPlaneMonitor
 from repro.monitoring.stats import MonitorSample
 from repro.runtime.clock import ManualClock
+from repro.runtime.loop import ControlPlaneRuntime
 from repro.workloads.scenarios import (
     SKEWED_PREFIXES,
+    ScenarioFlow,
     build_shifting_controller,
     build_skewed_controller,
     shifting_flows,
@@ -162,38 +166,62 @@ class SkewedResult:
 
 
 @dataclass
-class _ReactionProbe:
-    """Stamps the first corrective FlowMod batch after the shift."""
+class _LoopRun:
+    """What the shared closed-loop skeleton hands back to a scenario."""
 
-    clock: ManualClock
-    shift_time: float
-    reaction_at: Optional[float] = None
+    driver: MonitoredTrafficDriver
+    runtime: ControlPlaneRuntime
+    #: Clock time of the first tick after which ``reacted()`` held.
+    reacted_at: Optional[float]
+    #: Simulated seconds from the shift to the first FlowMod batch
+    #: applied after it (None: no reaction).
+    reaction_seconds: Optional[float]
+    #: Fresh monitor samples seen (ticks may outpace the cadence).
+    samples: int
 
-    def __call__(self, batch) -> None:
-        if not batch or self.reaction_at is not None:
-            return
-        now = self.clock.now()
-        if now > self.shift_time:
-            self.reaction_at = now
 
+def _run_closed_loop(sdx: SdxController, monitor: DataPlaneMonitor,
+                     handler: Callable[[object, SdxController], None],
+                     flows: Sequence[ScenarioFlow], config: LoopConfig, *,
+                     reacted: Callable[[], bool],
+                     on_sample: Optional[SampleHook]) -> _LoopRun:
+    """Front ``sdx`` with a runtime on a fresh :class:`ManualClock`, wire
+    ``monitor`` and the app's ``handler`` into it, and drive ``flows``
+    for ``config.duration`` simulated seconds."""
+    clock = ManualClock()
+    runtime = sdx.build_runtime(clock=clock)
+    runtime.attach_monitor(monitor)
+    runtime.add_monitoring_handler(handler)
+    driver = MonitoredTrafficDriver(
+        sdx, runtime, flows, tick_seconds=config.tick_seconds)
+    reaction_at: List[float] = []
+    sampled_at: List[float] = []
+    reacted_at: List[float] = []
 
-@dataclass
-class _SampleRelay:
-    """Forwards each *fresh* sample to a hook (ticks may outpace cadence)."""
+    def probe(batch) -> None:
+        if batch and not reaction_at and clock.now() > config.shift_time:
+            reaction_at.append(clock.now())
 
-    monitor: DataPlaneMonitor
-    hook: Optional[SampleHook]
-    count: int = 0
-    _last_at: Optional[float] = field(default=None, repr=False)
+    def watch(record: TickRecord) -> None:
+        sample = monitor.last_sample
+        fresh = sample is not None and (
+            not sampled_at or sample.sampled_at != sampled_at[-1])
+        if fresh:
+            sampled_at.append(sample.sampled_at)
+            if on_sample is not None:
+                on_sample(sample)
+        if not reacted_at and reacted():
+            reacted_at.append(record.time)
 
-    def __call__(self, record: TickRecord) -> None:
-        sample = self.monitor.last_sample
-        if sample is None or sample.sampled_at == self._last_at:
-            return
-        self._last_at = sample.sampled_at
-        self.count += 1
-        if self.hook is not None:
-            self.hook(sample)
+    sdx.southbound.add_observer(probe)
+    driver.run(config.duration, on_tick=watch)
+    sdx.southbound.remove_observer(probe)
+    return _LoopRun(
+        driver=driver, runtime=runtime,
+        reacted_at=reacted_at[0] if reacted_at else None,
+        reaction_seconds=(reaction_at[0] - config.shift_time
+                          if reaction_at else None),
+        samples=len(sampled_at))
 
 
 def run_shifting_loop(config: LoopConfig = LoopConfig(), *,
@@ -201,35 +229,17 @@ def run_shifting_loop(config: LoopConfig = LoopConfig(), *,
                       ) -> ShiftingResult:
     """Drive the shifting scenario through the reactive inbound balancer."""
     sdx = build_shifting_controller(statics_mode=config.statics_mode)
-    clock = ManualClock()
-    runtime = sdx.build_runtime(clock=clock)
-
     monitor = DataPlaneMonitor(sdx, cadence_seconds=config.cadence_seconds)
     balancer = ReactiveInboundBalancer(sdx.participant("Eyeball"), monitor)
     monitor.add_detector(balancer.make_watch())
     balancer.install()
-    runtime.attach_monitor(monitor)
-    runtime.add_monitoring_handler(balancer.handle_event)
-
-    probe = _ReactionProbe(clock, config.shift_time)
-    sdx.southbound.add_observer(probe)
-
     flows = shifting_flows(
         shift_time=config.shift_time, duration=config.duration,
         seed=config.seed, rate_scale=config.rate_scale)
-    driver = MonitoredTrafficDriver(
-        sdx, runtime, flows, tick_seconds=config.tick_seconds)
-
-    relay = _SampleRelay(monitor, on_sample)
-    first_rebalance: List[float] = []
-
-    def watch(record: TickRecord) -> None:
-        relay(record)
-        if balancer.rebalances and not first_rebalance:
-            first_rebalance.append(record.time)
-
-    driver.run(config.duration, on_tick=watch)
-    sdx.southbound.remove_observer(probe)
+    run = _run_closed_loop(
+        sdx, monitor, balancer.handle_event, flows, config,
+        reacted=lambda: bool(balancer.rebalances), on_sample=on_sample)
+    driver = run.driver
 
     window = min(5.0, config.duration / 4)
     share = driver.port_share(balancer.ports, window_seconds=window)
@@ -247,14 +257,13 @@ def run_shifting_loop(config: LoopConfig = LoopConfig(), *,
     return ShiftingResult(
         config=config,
         rebalances=balancer.rebalances,
-        first_rebalance_at=first_rebalance[0] if first_rebalance else None,
-        reaction_seconds=(None if probe.reaction_at is None
-                          else probe.reaction_at - config.shift_time),
+        first_rebalance_at=run.reacted_at,
+        reaction_seconds=run.reaction_seconds,
         final_share=share,
         final_imbalance=imbalance,
         port_rate_error_pct=error,
-        samples=relay.count,
-        runtime_submitted=runtime.stats()["submitted"])
+        samples=run.samples,
+        runtime_submitted=run.runtime.stats()["submitted"])
 
 
 def run_skewed_loop(config: LoopConfig = LoopConfig(), *,
@@ -262,9 +271,6 @@ def run_skewed_loop(config: LoopConfig = LoopConfig(), *,
                     on_sample: Optional[SampleHook] = None) -> SkewedResult:
     """Drive the skewed scenario through the heavy-hitter steering app."""
     sdx = build_skewed_controller(statics_mode=config.statics_mode)
-    clock = ManualClock()
-    runtime = sdx.build_runtime(clock=clock)
-
     detector = HeavyHitterDetector(
         threshold_mbps=threshold_mbps * config.rate_scale)
     monitor = DataPlaneMonitor(
@@ -273,28 +279,13 @@ def run_skewed_loop(config: LoopConfig = LoopConfig(), *,
         sdx.participant("Sender"), monitor, prefixes=SKEWED_PREFIXES,
         primary="Primary", alternate="Alternate")
     steering.install()
-    runtime.attach_monitor(monitor)
-    runtime.add_monitoring_handler(steering.handle_event)
-
-    probe = _ReactionProbe(clock, config.shift_time)
-    sdx.southbound.add_observer(probe)
-
     flows = skewed_flows(
         surge_time=config.shift_time, duration=config.duration,
         seed=config.seed, rate_scale=config.rate_scale)
-    driver = MonitoredTrafficDriver(
-        sdx, runtime, flows, tick_seconds=config.tick_seconds)
-
-    relay = _SampleRelay(monitor, on_sample)
-    first_offload: List[float] = []
-
-    def watch(record: TickRecord) -> None:
-        relay(record)
-        if steering.offloaded() and not first_offload:
-            first_offload.append(record.time)
-
-    driver.run(config.duration, on_tick=watch)
-    sdx.southbound.remove_observer(probe)
+    run = _run_closed_loop(
+        sdx, monitor, steering.handle_event, flows, config,
+        reacted=lambda: bool(steering.offloaded()), on_sample=on_sample)
+    driver = run.driver
 
     sample = monitor.last_sample
     # Steady-state instantaneous rates (the surge holds until the end).
@@ -307,10 +298,9 @@ def run_skewed_loop(config: LoopConfig = LoopConfig(), *,
 
     # Whole-run cumulative bytes: every tick the driver recorded should
     # be visible in the collector's accumulated per-FEC totals.
-    truth_bytes: Dict[str, int] = {}
+    truth_bytes: Counter = Counter()
     for record in driver.history:
-        for label, count in record.fec_bytes.items():
-            truth_bytes[label] = truth_bytes.get(label, 0) + count
+        truth_bytes.update(record.fec_bytes)
     estimated_bytes = {view.key: view.bytes for view in sample.fecs}
     bytes_error = max(
         (_percent_error(float(estimated_bytes.get(label, 0)), float(count))
@@ -320,12 +310,11 @@ def run_skewed_loop(config: LoopConfig = LoopConfig(), *,
         config=config,
         offloaded=steering.offloaded(),
         declined=tuple(steering.declined),
-        offload_at=first_offload[0] if first_offload else None,
-        reaction_seconds=(None if probe.reaction_at is None
-                          else probe.reaction_at - config.shift_time),
+        offload_at=run.reacted_at,
+        reaction_seconds=run.reaction_seconds,
         fec_rate_error_pct=rate_error,
         fec_bytes_error_pct=bytes_error,
         participant_rates={
             view.key: view.ewma_mbps for view in sample.participants},
-        samples=relay.count,
-        runtime_submitted=runtime.stats()["submitted"])
+        samples=run.samples,
+        runtime_submitted=run.runtime.stats()["submitted"])

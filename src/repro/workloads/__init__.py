@@ -11,7 +11,8 @@ this package regenerates statistically equivalent inputs:
 - :mod:`repro.workloads.topology` — heavy-tailed synthetic IXPs ("1% of
   ASes announce >50% of prefixes");
 - :mod:`repro.workloads.policies` — the eyeball/transit/content policy
-  mix of Section 6.1;
+  mix of Section 6.1, and :func:`loaded_exchange`, the one recipe for a
+  generated exchange running it;
 - :mod:`repro.workloads.updates` — bursty BGP update traces matching the
   Section 4.3 measurements (75% of bursts ≤ 3 prefixes, inter-arrivals
   ≥ 10 s 75% of the time, 10-14% of prefixes ever updated).
@@ -29,7 +30,11 @@ from repro.workloads.churn import (
 from repro.workloads.datasets import AMS_IX, DE_CIX, LINX, IxpProfile
 from repro.workloads.routing import PrefixPool, synthesize_as_path
 from repro.workloads.topology import ParticipantSpec, SyntheticIxp, generate_ixp
-from repro.workloads.policies import PolicyAssignment, generate_policies
+from repro.workloads.policies import (
+    PolicyAssignment,
+    generate_policies,
+    loaded_exchange,
+)
 from repro.workloads.updates import (
     TraceEvent,
     TraceStats,
@@ -57,5 +62,6 @@ __all__ = [
     "generate_withdrawal_flood",
     "generate_burst_trace",
     "generate_trace",
+    "loaded_exchange",
     "synthesize_as_path",
 ]

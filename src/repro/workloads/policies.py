@@ -26,7 +26,7 @@ from repro.core.controller import SdxController
 from repro.net.addresses import IPv4Prefix
 from repro.policy.policies import Policy, drop, fwd, match
 from repro.workloads.seeding import SeedLike, derive_seed, make_rng
-from repro.workloads.topology import ParticipantSpec, SyntheticIxp
+from repro.workloads.topology import ParticipantSpec, SyntheticIxp, generate_ixp
 
 #: Single-field match options used by the generator (field, values).
 _FIELD_CHOICES: Tuple[Tuple[str, Tuple[int, ...]], ...] = (
@@ -191,6 +191,25 @@ def install_assignments(controller: SdxController,
             handle.participant.add_inbound(policy)
         installed += 1
     return installed
+
+
+def loaded_exchange(participants: int, prefixes: int, *, seed: int = 0,
+                    policy_seed: Optional[int] = None, start: bool = True,
+                    **kwargs: Any) -> Tuple[SdxController, SyntheticIxp]:
+    """A generated exchange running its generated Section 6.1 policies.
+
+    Generates the IXP from ``seed``, builds its controller with
+    ``kwargs``, installs the policies drawn from ``policy_seed``
+    (default ``seed + 1``) and, with ``start``, compiles and installs
+    the initial table. Returns ``(controller, ixp)``.
+    """
+    ixp = generate_ixp(participants, prefixes, seed=seed)
+    controller = ixp.build_controller(**kwargs)
+    install_assignments(controller, generate_policies(
+        ixp, seed=seed + 1 if policy_seed is None else policy_seed))
+    if start:
+        controller.start()
+    return controller, ixp
 
 
 # ----------------------------------------------------------------------

@@ -158,7 +158,13 @@ def generate_trace(ixp: SyntheticIxp, *, duration_seconds: float = 3_600.0,
     clock simply extends past ``duration_seconds`` if needed. (Matching
     the paper's absolute update counts and its quantile statistics with
     one stationary process is otherwise impossible at small scale.)
+    A bound of 0 gives an empty trace; a negative one is an error.
     """
+    if max_updates is not None:
+        if max_updates < 0:
+            raise ValueError(f"max_updates must be >= 0, got {max_updates}")
+        if max_updates == 0:
+            return []
     rng = make_rng(seed, salt=0x5DF)
     announcers: Dict[IPv4Prefix, List[Tuple[str, int]]] = {}
     for name, prefix, path in ixp.announcements:

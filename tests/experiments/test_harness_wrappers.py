@@ -1,26 +1,6 @@
-"""Tests for the figure-series wrappers and composition reporting."""
-
-from repro.experiments.harness import run_fig7, run_fig8
+"""Tests for composition reporting."""
 
 from tests.core.scenarios import figure1_controller
-
-
-class TestSweepSeriesWrappers:
-    def test_run_fig7_series_shape(self):
-        series_list = run_fig7(participant_counts=(20,),
-                               prefix_counts=(200, 600))
-        assert len(series_list) == 1
-        series = series_list[0]
-        assert series.label == "20 participants"
-        assert len(series.points) == 2
-        # x = prefix groups sorted ascending, y = flow rules.
-        assert series.xs() == sorted(series.xs())
-        assert all(y > 0 for y in series.ys())
-
-    def test_run_fig8_series_shape(self):
-        series_list = run_fig8(participant_counts=(20,),
-                               prefix_counts=(200, 600))
-        assert all(y > 0 for y in series_list[0].ys())
 
 
 class TestCompositionReport:

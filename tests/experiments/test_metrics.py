@@ -47,13 +47,6 @@ class TestCdf:
         assert cdf.quantile(0.0) == min(samples)
         assert cdf.quantile(1.0) == max(samples)
 
-    def test_points_cover_range(self):
-        cdf = Cdf(range(1000))
-        points = cdf.points(count=10)
-        assert points[-1] == (999, 1.0)
-        fractions = [fraction for _value, fraction in points]
-        assert fractions == sorted(fractions)
-
     @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=50))
     def test_fraction_below_max_is_one_property(self, samples):
         cdf = Cdf(samples)

@@ -1,5 +1,5 @@
-"""Tests for the traffic simulator and the per-figure experiment runners
-(run at miniature scale — the benchmarks run them at full scale)."""
+"""Tests for the traffic driver's timelines and the per-figure experiment
+runners (run at miniature scale — the benchmarks run them at full scale)."""
 
 import pytest
 
@@ -11,64 +11,86 @@ from repro.experiments.harness import (
     run_fig9,
     run_fig10,
     run_table1,
+    run_timeline,
 )
-from repro.experiments.traffic import DROPPED, FlowSpec, TimedAction, TrafficSimulation
+from repro.monitoring.driver import DROPPED, MonitoredTrafficDriver
 from repro.net.packet import Packet
+from repro.policy.policies import fwd, match
+from repro.runtime.clock import ManualClock
+from repro.workloads.scenarios import ScenarioFlow
 
-from tests.core.scenarios import figure1_controller
+from tests.core.scenarios import P1, figure1_controller
 
 
 class TestTrafficSimulation:
+    """:func:`run_timeline` over the traffic driver on the Figure 1
+    exchange."""
+
     def make(self):
         sdx, *_ = figure1_controller()
         sdx.start()
         flows = [
-            FlowSpec(name="web", source="A",
-                     packet=Packet(dstip="11.0.0.1", dstport=80,
-                                   srcip="10.0.0.1", protocol=17)),
-            FlowSpec(name="ssh", source="A",
-                     packet=Packet(dstip="11.0.0.1", dstport=22,
-                                   srcip="10.0.0.1", protocol=17)),
+            self.flow("web", "11.0.0.1", 80),
+            self.flow("ssh", "11.0.0.1", 22),
         ]
         return sdx, flows
 
+    @staticmethod
+    def flow(name, dstip, dstport, *, start=0.0, end=100.0):
+        return ScenarioFlow(
+            name=name, source="A",
+            packet=Packet(dstip=dstip, dstport=dstport, srcip="10.0.0.1",
+                          protocol=17),
+            dst_prefix=P1, rate_mbps=1.0, start=start, end=end)
+
     def test_series_track_egress(self):
         sdx, flows = self.make()
-        simulation = TrafficSimulation(sdx, flows)
-        series = simulation.run(5.0)
+        series, landed = run_timeline(sdx, flows, [], 5.0)
         assert series["B"].ys() == [1.0] * 5   # web flow via policy
         assert series["C"].ys() == [1.0] * 5   # default route
+        assert series["B"].xs() == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert landed == []
 
     def test_timed_action_fires_once(self):
         sdx, flows = self.make()
         fired = []
-        action = TimedAction(time=2.0, label="probe",
-                             apply=lambda controller: fired.append(1))
-        simulation = TrafficSimulation(sdx, flows, [action])
-        simulation.run(5.0)
+        change = (2.0, "probe", lambda controller: fired.append(1))
+        _series, landed = run_timeline(sdx, flows, [change], 5.0)
         assert fired == [1]
-        assert simulation.event_log[0][1] == "probe"
+        assert landed == [(2.0, "probe")]
+
+    def test_change_lands_before_the_first_tick_at_or_after_it(self):
+        sdx, flows = self.make()
+
+        def ssh_via_b(controller):
+            controller.participant("A").add_outbound(
+                match(dstport=22) >> fwd("B"))
+
+        late = (4.5, "after the last tick", ssh_via_b)
+        series, landed = run_timeline(
+            sdx, flows, [(1.5, "ssh via B", ssh_via_b), late], 5.0)
+        assert landed == [(2.0, "ssh via B")]
+        assert series["B"].ys() == [1.0, 1.0, 2.0, 2.0, 2.0]
+        assert series["C"].ys() == [1.0, 1.0, 0.0, 0.0, 0.0]
 
     def test_flow_activity_window(self):
         sdx, flows = self.make()
-        flows[0].start = 2.0
-        flows[0].end = 4.0
-        series = TrafficSimulation(sdx, [flows[0]]).run(5.0)
+        web = self.flow("web", "11.0.0.1", 80, start=2.0, end=4.0)
+        series, _landed = run_timeline(sdx, [web], [], 5.0)
         assert series["B"].ys() == [0.0, 0.0, 1.0, 1.0, 0.0]
 
     def test_dropped_traffic_labelled(self):
         sdx, _ = self.make()
-        flow = FlowSpec(name="void", source="A",
-                        packet=Packet(dstip="99.0.0.1", dstport=80,
-                                      srcip="10.0.0.1", protocol=17))
-        series = TrafficSimulation(sdx, [flow]).run(2.0)
+        void = self.flow("void", "99.0.0.1", 80)
+        series, _landed = run_timeline(sdx, [void], [], 2.0)
         assert series[DROPPED].ys() == [1.0, 1.0]
 
     def test_requires_dataplane(self):
         sdx, *_ = figure1_controller(with_dataplane=False)
         sdx.start()
+        runtime = sdx.build_runtime(clock=ManualClock())
         with pytest.raises(ValueError):
-            TrafficSimulation(sdx, [])
+            MonitoredTrafficDriver(sdx, runtime, [])
 
 
 class TestFigureRunners:
@@ -91,6 +113,15 @@ class TestFigureRunners:
         two = series["AWS instance #2"].ys()
         assert one[0] == 2.0 and two[0] == 0.0
         assert one[-1] == 1.0 and two[-1] == 1.0
+
+    def test_fig5_tick_count_is_exact(self):
+        """Tick i is at i x tick: 54 s in 0.3 s ticks is 180 ticks, all
+        inside the run (a running float sum gave 181)."""
+        for time_scale in (0.03, 0.01):
+            series, _events = run_fig5a(time_scale=time_scale)
+            points = series["A"].points
+            assert len(points) == 180
+            assert points[-1][0] < 1_800.0 * time_scale
 
     def test_table1_rows(self):
         rows = run_table1(scale=0.0005)

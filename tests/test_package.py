@@ -50,6 +50,17 @@ def _src_trees():
             for path in (REPO_ROOT / "src").rglob("*.py")}
 
 
+def _names_used(names):
+    """``(file, name)`` for each of ``names`` that ``src/`` defines, reads
+    or reaches as an attribute."""
+    return sorted({(path.name, name) for path, tree in _src_trees().items()
+                   for node in ast.walk(tree)
+                   for name in (getattr(node, "name", None),
+                                getattr(node, "id", None),
+                                getattr(node, "attr", None))
+                   if name in names})
+
+
 class TestOneChangePath:
     """A second compile-and-install path, a second gate-mode spelling or a
     renamed benchmark binding point would be easy to regrow and hard to
@@ -250,13 +261,7 @@ class TestOneOverlapIndex:
 
     def test_the_replaced_indexes_are_gone(self):
         gone = {"ShadowIndex", "remove_shadowed", "_meeting", "_spaces_by_tag"}
-        uses = sorted({(path.name, name) for path, tree in _src_trees().items()
-                       for node in ast.walk(tree)
-                       for name in (getattr(node, "name", None),
-                                    getattr(node, "id", None),
-                                    getattr(node, "attr", None))
-                       if name in gone})
-        assert uses == []
+        assert _names_used(gone) == []
 
     def test_one_class_files_by_tag_port_and_dstip(self):
         keyed = sorted({str(path.relative_to(self.SRC))
@@ -318,13 +323,7 @@ class TestOneFieldAlgebra:
                 "match_any_value", "_prefix_atoms", "_exact_atoms",
                 "AtomKey", "_intersect_constraint", "_constraint_covers",
                 "_constraint_admits", "_eligibility_guard"}
-        uses = sorted({(path.name, name) for path, tree in _src_trees().items()
-                       for node in ast.walk(tree)
-                       for name in (getattr(node, "name", None),
-                                    getattr(node, "id", None),
-                                    getattr(node, "attr", None))
-                       if name in gone})
-        assert uses == []
+        assert _names_used(gone) == []
 
     def test_only_the_header_space_tells_the_kinds_apart(self):
         scope = [path for path in sorted((self.SRC / "policy").glob("*.py"))
@@ -342,6 +341,35 @@ class TestOneFieldAlgebra:
                          "ok = isinstance(m, MacAddress) and m.is_virtual\n"
                          "if field in IP_FIELDS: pass\n")
         assert _type_dispatch(tree) == [1, 3]
+
+
+class TestOneSimulatedClock:
+    """Simulated time is the runtime's ``ManualClock`` and the one traffic
+    driver is ``MonitoredTrafficDriver``: Figure 5, the trace replay and
+    the monitoring loops all run on them. A second clock loop, a second
+    replayer or a name of what they replaced is the split growing back."""
+
+    GONE = {"TrafficSimulation", "FlowSpec", "TimedAction", "TraceReplayer",
+            "ReplayStats", "run_fig7", "run_fig8", "_sweep_series",
+            "_loaded_controller", "_perturb_prefix"}
+
+    def test_the_second_clocks_are_gone(self):
+        experiments = REPO_ROOT / "src" / "repro" / "experiments"
+        assert not (experiments / "traffic.py").exists()
+        assert not (experiments / "replay.py").exists()
+        assert _names_used(self.GONE) == []
+
+    def test_the_experiments_package_exports_none_of_them(self):
+        import repro.experiments
+        from repro.experiments.metrics import Cdf
+
+        assert self.GONE.isdisjoint(repro.experiments.__all__)
+        assert [name for name in self.GONE
+                if hasattr(repro.experiments, name)] == []
+        assert "points" not in vars(Cdf)
+        for module in ("traffic", "replay"):
+            with pytest.raises(ImportError):
+                __import__(f"repro.experiments.{module}")
 
 
 class TestNoHiddenKnobs:
