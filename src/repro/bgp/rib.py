@@ -133,13 +133,19 @@ class PrefixTrie(Generic[ValueT]):
                       address: Union[IPv4Address, str, int]
                       ) -> Optional[Tuple[IPv4Prefix, ValueT]]:
         """The most-specific stored prefix containing ``address``."""
-        value = int(IPv4Address(address))
+        return next(self.matching(address), None)
+
+    def matching(self, address: Union[IPv4Address, str, int]
+                 ) -> Iterator[Tuple[IPv4Prefix, ValueT]]:
+        """Every stored prefix containing ``address``, most specific
+        first."""
+        value = (address.value if isinstance(address, IPv4Address)
+                 else int(IPv4Address(address)))
         for length in sorted(self._by_length, reverse=True):
-            mask = IPv4Prefix._mask_for(length)
-            entry = self._by_length[length].get(value & mask)
+            entry = self._by_length[length].get(
+                value & IPv4Prefix._mask_for(length))
             if entry is not None:
-                return entry
-        return None
+                yield entry
 
     def covering(self, prefix: IPv4Prefix) -> List[Tuple[IPv4Prefix, ValueT]]:
         """Every stored prefix that contains ``prefix``, most specific first."""

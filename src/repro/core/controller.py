@@ -57,7 +57,7 @@ from repro.core.vnh import DEFAULT_VNH_POOL, VnhAllocator
 from repro.core.vswitch import VirtualTopology
 from repro.dataplane.fabric import Delivery, Fabric
 from repro.dataplane.flowtable import FlowTable
-from repro.dataplane.router import BorderRouter, RouterPort
+from repro.dataplane.router import BorderRouter, RouterPort, SharedTable
 from repro.exceptions import ParticipantError, StaticDataplaneError, StaticPolicyError
 from repro.net.addresses import IPv4Address, IPv4Prefix
 from repro.net.mac import MacAddress
@@ -150,6 +150,18 @@ class SdxController:
         self.fabric: Optional[Fabric] = Fabric() if with_dataplane else None
         if self.fabric is not None:
             self.fabric.arp.attach_responder(self.allocator.responder)
+        #: The border routers' one table of what every router holding a
+        #: route for a prefix is given; :meth:`_advertise_routers` writes
+        #: it, and each router's overlay where that router is given
+        #: something else (``_overlaid``: prefix -> those routers).
+        self.shared_routes = SharedTable()
+        self._overlaid: Dict[IPv4Prefix, List[BorderRouter]] = {}
+        self._advertisements = {
+            op: self.telemetry.registry.counter(
+                "sdx_router_advertisements_total",
+                "(prefix, border router) routes given (install) or taken "
+                "away (withdraw) by re-advertisement", op=op)
+            for op in ("install", "withdraw")}
         self.table: FlowTable = (
             self.fabric.switch.table if self.fabric is not None else FlowTable())
         self.table.bind_telemetry(self.telemetry)
@@ -173,7 +185,7 @@ class SdxController:
             self.dataplane_verifier = DataplaneVerifier(
                 self.table,
                 committed_spaces=self._committed_spaces,
-                vmac_index=self.allocator.vmac_index,
+                vmac_index=lambda: self.allocator.live_vmacs,
                 mode=dataplane_statics_mode,
                 telemetry=self.telemetry)
             self.southbound.add_observer(self.dataplane_verifier)
@@ -245,7 +257,8 @@ class SdxController:
         router: Optional[BorderRouter] = None
         if ports > 0:
             router_ports = [self._allocate_port() for _ in range(ports)]
-            router = BorderRouter(name, asn, router_ports)
+            router = BorderRouter(name, asn, router_ports,
+                                  shared=self.shared_routes)
             for prefix in prefixes:
                 router.add_local_prefix(prefix)
         participant = Participant(
@@ -265,6 +278,10 @@ class SdxController:
         self._handles[name] = handle
         for prefix in prefixes:
             self.ownership.register(prefix, name)
+        if self.started:
+            # A new peer moves decisions anywhere: every router, the new
+            # one too, holds what it is now given.
+            self._advertise_moved()
         if announce and router is not None:
             for prefix in prefixes:
                 self.announce_route(name, prefix, AsPath([asn]))
@@ -554,22 +571,54 @@ class SdxController:
 
     def _advertise_routers(self, prefixes: Iterable[IPv4Prefix]) -> None:
         """Give every border router its route for each of ``prefixes``,
-        decided once per prefix and fanned out to the routers."""
-        routers = [(participant.name, participant.router)
+        decided once per prefix. The shared table takes the next hop every
+        router holding a route is given — the prefix's VNH, or an untagged
+        prefix's best route's own — and only a router given something else
+        takes an overlay entry: no route, or an untagged prefix's other
+        route. What a route server would send per (prefix, router) is
+        counted, not done."""
+        routers = {participant.name: participant.router
                    for participant in self.topology.participants()
-                   if participant.router is not None]
+                   if participant.router is not None}
+        resolve = self.fabric.arp.resolve
+        peers, absent = None, []
+        given = taken = 0
         for prefix in prefixes:
+            for router in self._overlaid.pop(prefix, ()):
+                router.follow_shared(prefix)
             decision = self.route_server.decide(prefix)
-            # The VNH belongs to the prefix: only an untagged one falls
-            # back to each router's own route's next hop.
+            best = decision.best
+            if best is None:
+                self.shared_routes.withdraw(prefix)
+                taken += len(routers)
+                continue
             vnh = self.allocator.next_hop_for_prefix(prefix)
-            for name, router in routers:
-                best = decision.route_for(name)
-                if best is None:
-                    router.withdraw_route(prefix)
-                else:
-                    router.install_route(prefix, vnh if vnh is not None
-                                         else best.attributes.next_hop)
+            next_hop = vnh if vnh is not None else best.attributes.next_hop
+            self.shared_routes.install(prefix, next_hop, resolve(next_hop))
+            if decision.peers is not peers:
+                peers = decision.peers
+                absent = [router for name, router in routers.items()
+                          if name not in peers]
+            withheld = list(absent)
+            other = []
+            for name, route in decision.exceptions.items():
+                router = routers.get(name)
+                if router is None:
+                    continue
+                if route is None:
+                    withheld.append(router)
+                elif (vnh is None
+                      and route.attributes.next_hop != next_hop):
+                    router.install_route(prefix, route.attributes.next_hop)
+                    other.append(router)
+            for router in withheld:
+                router.withdraw_route(prefix)
+            if withheld or other:
+                self._overlaid[prefix] = withheld + other
+            given += len(routers) - len(withheld)
+            taken += len(withheld)
+        self._advertisements["install"].inc(given)
+        self._advertisements["withdraw"].inc(taken)
 
     def _on_update(self, update: Update, changes: List[BestRouteChange]) -> None:
         if not self.started:
@@ -584,9 +633,10 @@ class SdxController:
             self.route_server.readvertise(changes)
             if self.fabric is None:
                 return
-            # Push the touched prefixes to *every* border router: even
+            # Push the touched prefixes to every border router: even
             # participants whose best route is unchanged must learn the
-            # fresh VNH so their tags line up with the fast-path rules.
+            # fresh VNH so their tags line up with the fast-path rules —
+            # one shared-table write per prefix gives it them all.
             self._advertise_routers(prefixes)
 
     # ------------------------------------------------------------------

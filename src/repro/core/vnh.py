@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.bgp.rib import ChangeLog
 from repro.core.fec import PrefixGroup
@@ -30,6 +30,42 @@ from repro.telemetry import Telemetry
 
 #: Default pool the VNH addresses are drawn from.
 DEFAULT_VNH_POOL = IPv4Prefix("172.16.0.0/16")
+
+
+class LiveVmacs:
+    """The VMACs of the live assignments, kept as they come and go: a set
+    to test against, and :attr:`changes` naming each VMAC that came or
+    went — what is read per verified window instead of a whole index."""
+
+    def __init__(self) -> None:
+        self._live: Set[MacAddress] = set()
+        self.changes: ChangeLog[MacAddress] = ChangeLog()
+
+    def __contains__(self, vmac: object) -> bool:
+        return vmac in self._live
+
+    def __iter__(self) -> Iterator[MacAddress]:
+        return iter(self._live)
+
+    def __len__(self) -> int:
+        return len(self._live)
+
+    def add(self, vmac: MacAddress) -> None:
+        """``vmac`` came alive."""
+        self._live.add(vmac)
+        self.changes.record((vmac,))
+
+    def discard(self, vmac: MacAddress) -> None:
+        """``vmac`` died."""
+        self._live.discard(vmac)
+        self.changes.record((vmac,))
+
+    def replace(self, vmacs: Set[MacAddress]) -> None:
+        """Exactly ``vmacs`` are alive."""
+        moved = self._live ^ vmacs
+        self._live = vmacs
+        if moved:
+            self.changes.record(moved)
 
 
 class VnhAllocator:
@@ -55,6 +91,8 @@ class VnhAllocator:
         #: VMAC)`` pair it moved: an ephemeral grant or drop its prefix, a
         #: group reassignment the prefixes whose pair changed.
         self.changes: ChangeLog[IPv4Prefix] = ChangeLog()
+        #: The VMAC of every live pair, groups plus ephemerals.
+        self.live_vmacs = LiveVmacs()
         self._next_offset = 1  # skip the network address
         self._next_tag = 1
         self._pair_by_group: Dict[int, Tuple[IPv4Address, MacAddress]] = {}
@@ -96,8 +134,10 @@ class VnhAllocator:
 
     def _rebind(self) -> None:
         """The responder answers for the live pairs, and no other."""
-        self.responder.replace(dict(
-            [*self._pair_by_group.values(), *self._ephemeral.values()]))
+        live = dict([*self._pair_by_group.values(),
+                     *self._ephemeral.values()])
+        self.responder.replace(live)
+        self.live_vmacs.replace(set(live.values()))
         self._live_gauge.set(self.assignments)
 
     # ------------------------------------------------------------------
@@ -243,6 +283,7 @@ class VnhAllocator:
             self._ephemeral[prefix] = (vnh, vmac)
             self.changes.record((prefix,))
             self.responder.bind(vnh, vmac)
+            self.live_vmacs.add(vmac)
         self._ephemeral_counter.inc()
         self._live_gauge.set(self.assignments)
         return vnh, vmac
@@ -259,6 +300,7 @@ class VnhAllocator:
         if assigned is not None:
             self.changes.record((prefix,))
             self.responder.unbind(assigned[0])
+            self.live_vmacs.discard(assigned[1])
             self._pending_retire.append(assigned)
             self._live_gauge.set(self.assignments)
 
@@ -325,7 +367,8 @@ class VnhAllocator:
         member — stable across recomputation) or, for a fast-path
         singleton, the overridden prefix itself. The monitoring
         collector uses this to attribute dstmac-matching flow rules
-        back to the FEC whose traffic they carry.
+        back to the FEC whose traffic they carry; what only asks whether
+        a VMAC is live reads :attr:`live_vmacs`.
         """
         index: Dict[MacAddress, str] = {}
         for gid, group in self._groups.items():

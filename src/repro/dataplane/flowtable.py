@@ -1,14 +1,15 @@
 """A priority flow table with OpenFlow-like first-match semantics.
 
-A rule's identity is its ``(priority, match)`` key, and the table is
-shaped the way compiled SDX tables are: a short stack of priority levels,
-each holding many rules that cannot match the same packet, each a
-:class:`~repro.policy.matchindex.MatchIndex` of its rules. A FlowMod is
-dictionary work whatever the size of its level; :meth:`FlowTable.lookup`
-and :meth:`FlowTable.overlapping` visit, level by level, only the buckets
-a packet can hit or a match region meet. Rules of one level that do
-overlap (reference tables, tests) resolve to the one installed first —
-OpenFlow's undefined-but-stable behaviour in practice.
+A rule's identity is its ``(priority, match)`` key. Every installed rule
+is filed once, by its match, in one
+:class:`~repro.policy.matchindex.MatchIndex` — whatever its priority: the
+fast path opens a priority level per update — beside plain per-priority
+dictionaries that give the keys and table order. A FlowMod is dictionary
+work; :meth:`FlowTable.lookup` and :meth:`FlowTable.overlapping` ask the
+index once and visit only the buckets a packet can hit or a match region
+meet, a lookup trying their matches in table order. Rules of one priority
+that do overlap (reference tables, tests) resolve to the one installed
+first — OpenFlow's undefined-but-stable behaviour in practice.
 Per-rule packet *and byte* counters support the rule-utilisation
 measurements in the benchmark harness and the data-plane monitoring
 subsystem (:mod:`repro.monitoring`), which samples them to estimate
@@ -36,6 +37,7 @@ modified rule (new object, old counters) for a new one.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -55,13 +57,21 @@ DEFAULT_PACKET_BYTES = 1500
 RULE, COOKIE, PACKETS, BYTES = range(4)
 
 
+def _place(entry: list) -> Tuple[int, int]:
+    """An entry's place in table order: by priority, then as installed."""
+    return -entry[RULE].priority, entry[COOKIE]
+
+
 class FlowTable:
     """An installed set of flow rules plus match counters."""
 
     def __init__(self) -> None:
         # priority -> match -> [rule, cookie, packets, bytes], each level
         # in install order — which is cookie order.
-        self._levels: Dict[int, MatchIndex[list]] = {}
+        self._levels: Dict[int, Dict[HeaderSpace, list]] = {}
+        # Every installed match -> its entries, one per priority it is
+        # installed at, highest first.
+        self._index: MatchIndex[Tuple[list, ...]] = MatchIndex()
         self._size = 0
         self._next_cookie = 1
         self._generation = 0
@@ -136,18 +146,33 @@ class FlowTable:
         three (and does nothing at all when the actions are the same)."""
         level = self._levels.get(rule.priority)
         if level is None:
-            level = self._levels[rule.priority] = MatchIndex()
+            level = self._levels[rule.priority] = {}
             self._priorities = None
         entry = level.get(rule.match)
         if entry is None:
-            level.add(rule.match, [rule, self._next_cookie, 0, 0])
+            entry = level[rule.match] = [rule, self._next_cookie, 0, 0]
             self._next_cookie += 1
             self._size += 1
+            self._file(rule.match, entry)
         elif entry[RULE].actions == rule.actions:
             return
         else:
             entry[RULE] = rule
         self._changed()
+
+    def _file(self, match: HeaderSpace, entry: list) -> None:
+        """File a new entry in the index, beside its match's others."""
+        held = self._index.get(match, ())
+        self._index.add(match, tuple(sorted((*held, entry), key=_place)))
+
+    def _unfile(self, match: HeaderSpace, entry: list) -> None:
+        """Take an entry out of the index; its match too, if last."""
+        held = tuple(other for other in self._index.get(match)
+                     if other is not entry)
+        if held:
+            self._index.add(match, held)
+        else:
+            self._index.pop(match)
 
     def install_many(self, rules: Iterable[FlowRule]) -> int:
         """Install several rules; returns how many were given."""
@@ -165,6 +190,7 @@ class FlowTable:
     def clear(self) -> None:
         """Remove every rule."""
         self._levels.clear()
+        self._index = MatchIndex()
         self._size = 0
         self._priorities = None
         self._changed()
@@ -193,8 +219,10 @@ class FlowTable:
             self.install(mod.rule)
             return
         level = self._levels.get(mod.priority)
-        if level is None or level.pop(mod.match) is None:
+        entry = None if level is None else level.pop(mod.match, None)
+        if entry is None:
             return
+        self._unfile(mod.match, entry)
         if not level:
             del self._levels[mod.priority]
             self._priorities = None
@@ -245,37 +273,32 @@ class FlowTable:
         order — only those ahead of the installed rule ``before``, if given.
 
         A rule pinning another ingress port, tag or ``dstip`` prefix than
-        ``match`` shares no packet with it, so each level visits only the
-        buckets ``match`` can meet (:meth:`MatchIndex.meeting`). Each rule
-        in them costs one :meth:`HeaderSpace.overlaps` test, counted in
-        :attr:`overlap_tests`.
+        ``match`` shares no packet with it, so one index query
+        (:meth:`MatchIndex.meeting`) gives the only buckets to visit,
+        whatever the number of priority levels. Each installed match in
+        them with a rule ahead of ``before`` costs one
+        :meth:`HeaderSpace.overlaps` test, counted in :attr:`overlap_tests`.
         """
-        floor = stop = None
+        cut = None
         if before is not None:
             entry = self._entry(before.priority, before.match)
             if entry is None:
                 raise ValueError(f"not installed: {before.describe()}")
-            floor, stop = before.priority, entry[COOKIE]
-        found: List[FlowRule] = []
+            cut = _place(entry)
+        hits: List[list] = []
         tested = 0
-        for priority in self._descending():
-            if floor is not None and priority < floor:
-                break
-            buckets = self._levels[priority].meeting(match)
-            cut = stop if priority == floor else None
-            hits: List[list] = []
-            for bucket in buckets:
-                for other, entry in bucket.items():  # in install order
-                    if cut is not None and entry[COOKIE] >= cut:
-                        break
-                    tested += 1
-                    if match.overlaps(other):
-                        hits.append(entry)
-            if len(buckets) > 1:
-                hits.sort(key=itemgetter(COOKIE))
-            found.extend(map(itemgetter(RULE), hits))
+        for bucket in self._index.meeting(match):
+            for other, held in bucket.items():
+                if cut is not None:
+                    held = [entry for entry in held if _place(entry) < cut]
+                    if not held:
+                        continue
+                tested += 1
+                if match.overlaps(other):
+                    hits.extend(held)
         self.overlap_tests += tested
-        return found
+        hits.sort(key=_place)
+        return [entry[RULE] for entry in hits]
 
     def __len__(self) -> int:
         return self._size
@@ -286,19 +309,21 @@ class FlowTable:
         return self._generation
 
     def _winner(self, packet: Packet) -> Optional[list]:
-        pins = packet_pins(packet)
-        for priority in self._descending():
-            found = None
-            for bucket in self._levels[priority].hit_by(pins):
-                # A bucket's first match is its oldest; the oldest of the
-                # buckets' wins the level.
-                for match, entry in bucket.items():
-                    if match.matches(packet):
-                        if found is None or entry[COOKIE] < found[COOKIE]:
-                            found = entry
-                        break
-            if found is not None:
-                return found
+        """The entry of the first rule in table order matching ``packet``.
+        One index query gives the buckets it can hit; their matches are
+        tried in table order — each by its best entry, the one a packet it
+        matches would take — off a heap, so a lookup orders no more of them
+        than it tries."""
+        # (place, match, entry): places are unique, so the heap never
+        # compares two matches.
+        tried = [(_place(held[0]), match, held[0])
+                 for bucket in self._index.hit_by(packet_pins(packet))
+                 for match, held in bucket.items()]
+        heapify(tried)
+        while tried:
+            _at, match, entry = heappop(tried)
+            if match.matches(packet):
+                return entry
         return None
 
     def lookup(self, packet: Packet) -> Optional[FlowRule]:

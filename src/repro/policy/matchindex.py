@@ -9,9 +9,9 @@ contains the other), so a match (:meth:`MatchIndex.meeting`) or a packet
 (:meth:`MatchIndex.hit_by`) visits only the buckets that agree with it.
 ``add`` and ``pop`` touch only the match's own bucket, and what empties
 is forgotten. The compiler numbers a block's rules in one (payload:
-overlap depth, :func:`file_at_depth`), the flow table files each priority
-level in one (payload: the installed entry), the dataplane verifier its
-committed spaces (payload: their labels).
+overlap depth, :func:`file_at_depth`), the flow table every installed
+rule, whatever its priority (payload: the match's installed entries), the
+dataplane verifier its committed spaces (payload: their labels).
 """
 
 from __future__ import annotations

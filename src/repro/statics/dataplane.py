@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
+    Collection,
     Dict,
     FrozenSet,
     Iterable,
@@ -361,14 +362,16 @@ class DataplaneVerifier:
     ``committed_spaces`` / ``vmac_index`` are zero-argument callables so
     the verifier always sees current allocator and routing state (a
     :class:`CommittedSpaces` names what moved since the last pass on its
-    change log; any other sequence is compared whole, space by space);
+    change log, and so do the allocator's
+    :attr:`~repro.core.vnh.VnhAllocator.live_vmacs`; any other sequence
+    or collection of live VMACs is compared whole);
     ``topology``/``tables`` enable the multi-switch loop check
     (SDX013) when the table under verification is partitioned.
     """
 
     def __init__(self, table: Any, *,
                  committed_spaces: Optional[Callable[[], Sequence[CommittedSpace]]] = None,
-                 vmac_index: Optional[Callable[[], Mapping[MacAddress, str]]] = None,
+                 vmac_index: Optional[Callable[[], Collection[MacAddress]]] = None,
                  topology: Optional[Any] = None,
                  tables: Optional[Mapping[str, Any]] = None,
                  mode: str = "warn",
@@ -428,6 +431,9 @@ class DataplaneVerifier:
         # The snapshot's spaces, filed for overlap: each space's labels.
         self._space_index: MatchIndex[FrozenSet[str]] = MatchIndex()
         self._vmac_snapshot: Set[MacAddress] = set()
+        # The live VMACs' change-log version the snapshot reflects (None:
+        # compare the whole set).
+        self._vmac_version: Optional[int] = None
         # Apply-window bookkeeping (observer protocol).
         self._window: Optional[List[FlowMod]] = None
         self._pre_window_errors: Set[_DiagKey] = set()
@@ -483,7 +489,8 @@ class DataplaneVerifier:
             self._rewrites.clear()
             self._rewrite_tags.clear()
             index = self._vmac_index() if self._vmac_index else None
-            self._vmac_snapshot = set(index) if index is not None else set()
+            self._vmac_snapshot, self._vmac_version = set(), None
+            self._changed_vmacs(index)
             for rule in self.table.rules:
                 self._verify_rule(rule, index)
             self._space_snapshot, self._space_index = {}, MatchIndex()
@@ -535,14 +542,24 @@ class DataplaneVerifier:
         self.last_report = report
         return report
 
-    def _changed_vmacs(self, index: Optional[Mapping[MacAddress, str]]
+    def _changed_vmacs(self, live: Optional[Collection[MacAddress]]
                        ) -> Set[MacAddress]:
-        """VMACs that entered or left the allocator index since last pass."""
-        if index is None:
+        """VMACs that came alive or died since the last pass: of those the
+        live set's change log names, when it keeps one, else of all."""
+        if live is None:
             return set()
-        current = set(index)
-        changed = current ^ self._vmac_snapshot
-        self._vmac_snapshot = current
+        log = getattr(live, "changes", None)
+        named = (None if log is None or self._vmac_version is None
+                 else log.since(self._vmac_version))
+        self._vmac_version = None if log is None else log.version
+        if named is None:
+            current = set(live)
+            changed = current ^ self._vmac_snapshot
+            self._vmac_snapshot = current
+            return changed
+        changed = {vmac for vmac in named
+                   if (vmac in live) != (vmac in self._vmac_snapshot)}
+        self._vmac_snapshot ^= changed
         return changed
 
     def _referencing(self, vmacs: Set[MacAddress]) -> Set[RuleKey]:
@@ -557,7 +574,7 @@ class DataplaneVerifier:
         return keys
 
     def _reverify(self, keys: Set[RuleKey],
-                  index: Optional[Mapping[MacAddress, str]]) -> None:
+                  index: Optional[Collection[MacAddress]]) -> None:
         """Drop the per-rule verdicts of ``keys`` and take them again, in
         table order, for those still installed, against ``index`` (the
         allocator index, read once per pass)."""
@@ -626,7 +643,7 @@ class DataplaneVerifier:
         return False, stolen
 
     def _verify_rule(self, rule: FlowRule,
-                     index_map: Optional[Mapping[MacAddress, str]]) -> None:
+                     index_map: Optional[Collection[MacAddress]]) -> None:
         key = rule_key(rule)
         self._checks_counter.inc()
         reachable, witness = self._reachability(rule)

@@ -26,12 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bgp.decision import preference_key
 from repro.bgp.rib import PrefixTrie, RouteEntry
 from repro.core.controller import SdxController
 from repro.net.addresses import IPv4Prefix
+from repro.net.mac import MacAddress
 from repro.net.packet import Packet
 from repro.policy.flowrules import FlowRule
 from repro.southbound.diff import PRIORITY_CEILING
@@ -120,6 +122,29 @@ def check_bgp_consistency(controller: SdxController,
     return violations
 
 
+def _conformance(name: str, prefix: IPv4Prefix, best: Optional[RouteEntry],
+                 emitted: Optional[Packet], vmac: Optional[MacAddress]
+                 ) -> Optional[Violation]:
+    """One router's breach on one prefix, judged from what it emitted."""
+    if best is None:
+        if emitted is None:
+            return None
+        return Violation(
+            "default-conformance",
+            f"{name} routes {prefix} with no best route at the route server")
+    if emitted is None:
+        return Violation(
+            "default-conformance",
+            f"{name} has no FIB entry for {prefix} despite a best route via "
+            f"{best.learned_from}")
+    if vmac is not None and emitted.get("dstmac") != vmac:
+        return Violation(
+            "default-conformance",
+            f"{name} tags {prefix} with {emitted.get('dstmac')}, allocator "
+            f"says {vmac}")
+    return None
+
+
 def check_default_conformance(controller: SdxController) -> List[Violation]:
     """Router FIBs and VMAC tags agree with the route server + allocator.
 
@@ -127,11 +152,15 @@ def check_default_conformance(controller: SdxController) -> List[Violation]:
     route server has a best route for that participant, and — when the
     prefix is VNH-tagged — packets the router emits toward the prefix
     carry the allocator's virtual MAC, the tag every default and policy
-    rule matches on.
+    rule matches on. Every verdict reads a router's own :meth:`emit`, once
+    per distinct overlay: a router whose
+    :attr:`~repro.dataplane.router.BorderRouter.overlay` covers the probe
+    address is asked itself, the others once per shared table they read —
+    and they are judged one by one only where the route server gives them
+    something else than the best route, or that one is breached.
     """
-    violations: List[Violation] = []
     if controller.fabric is None:
-        return violations
+        return []
     server = controller.route_server
     prefixes = server.all_prefixes()
     announced: PrefixTrie[None] = PrefixTrie()
@@ -146,35 +175,52 @@ def check_default_conformance(controller: SdxController) -> List[Violation]:
         cover = announced.longest_match(probe_ip)
         if cover is not None and cover[0] == prefix:
             checked.append((prefix, probe_ip, server.decide(prefix)))
-    for participant in controller.topology.participants():
-        router = participant.router
-        if router is None:
-            continue
-        for prefix, probe_ip, decision in checked:
-            best = decision.route_for(participant.name)
-            emitted = router.emit(Packet(dstip=probe_ip))
-            if best is None:
-                if emitted is not None:
-                    violations.append(Violation(
-                        "default-conformance",
-                        f"{participant.name} routes {prefix} with no best "
-                        f"route at the route server"))
+    routers = {participant.name: participant.router
+               for participant in controller.topology.participants()
+               if participant.router is not None}
+    place = {name: index for index, name in enumerate(routers)}
+    overlaid: PrefixTrie[List[str]] = PrefixTrie()
+    tables: Dict[object, List[str]] = {}
+    for name, router in routers.items():
+        tables.setdefault(router.shared, []).append(name)
+        for prefix in router.overlay:
+            held = overlaid.exact(prefix)
+            if held is None:
+                overlaid.insert(prefix, [name])
+            else:
+                held.append(name)
+    found: List[Tuple[int, int, Violation]] = []
+    peers, absent = None, []
+    for at, (prefix, probe_ip, decision) in enumerate(checked):
+        probe = Packet(dstip=probe_ip)
+        vmac = controller.allocator.vmac_for_prefix(prefix)
+        if decision.peers is not peers:
+            peers = decision.peers
+            absent = [name for name in routers if name not in peers]
+        own = {name for _prefix, names in overlaid.matching(probe_ip)
+               for name in names}
+        # (router, what it emitted) for each router judged on its own.
+        judged = [(name, routers[name].emit(probe)) for name in own]
+        given_other = {name for name in (*decision.exceptions, *absent)
+                       if name in routers and name not in own}
+        for shared, names in tables.items():
+            plain = next((name for name in names if name not in own), None)
+            if plain is None:
                 continue
-            if emitted is None:
-                violations.append(Violation(
-                    "default-conformance",
-                    f"{participant.name} has no FIB entry for {prefix} "
-                    f"despite a best route via {best.learned_from}"))
-                continue
-            expected_vmac = controller.allocator.vmac_for_prefix(prefix)
-            if (expected_vmac is not None
-                    and emitted.get("dstmac") != expected_vmac):
-                violations.append(Violation(
-                    "default-conformance",
-                    f"{participant.name} tags {prefix} with "
-                    f"{emitted.get('dstmac')}, allocator says "
-                    f"{expected_vmac}"))
-    return violations
+            emitted = routers[plain].emit(probe)
+            judged.extend((name, emitted) for name in given_other
+                          if routers[name].shared is shared)
+            if _conformance("", prefix, decision.best, emitted,
+                            vmac) is not None:
+                judged.extend((name, emitted) for name in names
+                              if name not in own and name not in given_other)
+        for name, emitted in judged:
+            breach = _conformance(name, prefix, decision.route_for(name),
+                                  emitted, vmac)
+            if breach is not None:
+                found.append((place[name], at, breach))
+    found.sort(key=itemgetter(0, 1))
+    return [breach for _place, _at, breach in found]
 
 
 def check_table_is_compilation(controller: SdxController) -> List[Violation]:

@@ -1,0 +1,82 @@
+"""Re-advertisement toward the border routers: one shared table, written
+once per prefix, and an overlay only where a router is given something
+else (Section 4.2: with VNHs every router holding a route for a prefix is
+given the same next hop)."""
+
+from repro.dataplane.router import BorderRouter, SharedTable
+from repro.net.packet import Packet
+from repro.verification.invariants import check_default_conformance
+from repro.workloads import loaded_exchange
+
+from tests.statics import test_committed_spaces
+
+#: Every border router holds exactly what a full per-router push would give.
+assert_routers_current = (
+    test_committed_spaces.TestTableSwapAdvertisesWhatChanged
+    .assert_routers_current)
+
+
+def advertisements(controller):
+    registry = controller.telemetry.registry
+    return {op: registry.get("sdx_router_advertisements_total", op=op).value
+            for op in ("install", "withdraw")}
+
+
+def calls(monkeypatch, cls, *names):
+    """Count calls of ``cls``'s methods ``names``."""
+    counted = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(cls, name)
+
+        def counting(self, *args, _name=name, _original=original, **kwargs):
+            counted[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counting)
+    return counted
+
+
+class TestOneSharedTable:
+    def test_start_writes_each_prefix_once(self, monkeypatch):
+        shared = calls(monkeypatch, SharedTable, "install", "withdraw")
+        own = calls(monkeypatch, BorderRouter, "install_route",
+                    "withdraw_route")
+        controller, _ixp = loaded_exchange(8, 40, seed=0,
+                                           with_dataplane=True)
+        prefixes = controller.route_server.all_prefixes()
+        assert shared["install"] + shared["withdraw"] == len(prefixes) == 40
+        # One announcer each: the router a route is withheld from is its
+        # own announcer's, and no untagged route differs from the best's.
+        assert own == {"install_route": 2, "withdraw_route": 40}
+        assert_routers_current(controller)
+
+    def test_advertisements_are_counted_not_sent(self):
+        """(prefix, router) pairs, as a route server would send them: eight
+        routers, forty prefixes, each withheld from its one announcer."""
+        controller, _ixp = loaded_exchange(8, 40, seed=0,
+                                           with_dataplane=True)
+        assert advertisements(controller) == {"install": 280, "withdraw": 40}
+        prefix = controller.route_server.all_prefixes()[0]
+        route = controller.route_server.decide(prefix).best
+        controller.withdraw_route(route.learned_from, prefix)
+        assert advertisements(controller) == {"install": 286, "withdraw": 42}
+        controller.run_background_recompilation()
+        assert advertisements(controller) == {"install": 292, "withdraw": 44}
+        assert_routers_current(controller)
+
+
+class TestAMemberJoiningAStartedExchange:
+    def test_its_router_holds_the_routes_at_once(self):
+        controller, _ixp = loaded_exchange(8, 40, seed=0,
+                                           with_dataplane=True)
+        controller.add_participant("Znew", 65123, ports=1)
+        router = controller.topology.participant("Znew").router
+        assert router.fib_size == 40
+        assert check_default_conformance(controller) == []
+        assert_routers_current(controller)
+        server = controller.route_server
+        for prefix in server.all_prefixes():
+            probe = Packet(dstip=prefix.first_address + 1, dstport=80)
+            egress = controller.egress_of("Znew", probe)
+            assert egress is not None
+            assert prefix in server.announced_by(egress)

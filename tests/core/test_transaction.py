@@ -228,13 +228,17 @@ def snapshot(sdx):
                       p.policies_suspended, p.policy_generation)
                      for p in sdx.topology.participants()],
         "vmacs": allocator.vmac_index(),
+        "live": sorted(allocator.live_vmacs),
         "quarantine": list(allocator._pending_retire),
         "free": list(allocator._free),
         "cursor": (allocator._next_offset, allocator._next_tag),
         "arp": allocator.responder.bindings(),
-        "fibs": [(p.name, sorted(p.router._rib.items()),
-                  sorted(p.router._fib.items()))
+        "fibs": [(p.name, sorted(p.router.routes().items()),
+                  p.router.fib_size, sorted(p.router._rib.items()),
+                  sorted(p.router._fib.items()), sorted(p.router.overlay))
                  for p in sdx.topology.participants() if p.router is not None],
+        "shared": (sorted(sdx.shared_routes.rib.items()),
+                   sorted(sdx.shared_routes.fib.items())),
         "pending": sdx.southbound.queue.pending_mods(),
         "verifier": verifier_caches(sdx.dataplane_verifier),
         "engine": (sdx.started, sdx.engine.dirty,

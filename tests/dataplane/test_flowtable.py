@@ -4,6 +4,7 @@ from repro.net.packet import Packet
 from repro.policy.classifier import Action, Classifier, Rule
 from repro.policy.flowrules import FlowRule, to_flow_rules
 from repro.policy.headerspace import WILDCARD, HeaderSpace
+from repro.policy.matchindex import MatchIndex
 from repro.policy.policies import fwd, match
 from repro.dataplane.flowtable import FlowTable
 from repro.southbound.diff import FlowMod, compute_delta
@@ -13,6 +14,25 @@ from tests.policy.test_matchindex import filing
 
 def rule(priority, actions=(), **constraints):
     return FlowRule(priority=priority, match=HeaderSpace(**constraints), actions=actions)
+
+
+def assert_filed(table):
+    """The table's one index files each installed match once, with its
+    entries, highest priority first."""
+    held = {}
+    for level in table._levels.values():
+        for match, entry in level.items():
+            held.setdefault(match, []).append(entry)
+    filed = {match: entries for ports in table._index._tags.values()
+             for node in ports.values()
+             for bucket in [node] + [bucket for found, _order in
+                                     (node.lengths or {}).values()
+                                     for bucket in found.values()]
+             for match, entries in bucket.items()}
+    assert filed == {match: tuple(sorted(
+        entries, key=lambda entry: (-entry[0].priority, entry[1])))
+        for match, entries in held.items()}
+    assert dict(table._index._payloads) == filed
 
 
 class TestInstallation:
@@ -63,32 +83,40 @@ class TestInstallation:
     def test_emptied_levels_and_guards_are_forgotten(self):
         """Tags and prefixes come and go for as long as the exchange runs:
         ``dstip`` prefixes of several lengths, nesting both ways, arriving
-        and leaving in either order beside a rule that stays."""
+        and leaving in either order beside a rule that stays. The one index
+        forgets what empties, and files each match once, with its entries
+        at every priority."""
         table = FlowTable()
         for tag in range(50):
             churned = rule(7 + tag, dstmac=f"a2:00:00:00:00:{tag:02x}", port=1)
             table.install(churned)
             table.apply_mod(FlowMod.delete(churned))
         assert len(table) == 0 and not table._levels and table.rules == ()
+        assert filing(table._index) == {}
         kept = rule(5, dstip="10.0.0.0/8", port=1)
         table.install(kept)
         prefixes = ["10.0.0.0/7", "10.0.0.0/16", "10.1.0.0/16",
                     "10.1.2.0/24", "10.1.2.3/32", "0.0.0.0/0"]
         for arriving in (prefixes, prefixes[::-1]):
             for leaving in (arriving, arriving[::-1]):
-                churned = [rule(5, dstip=prefix, port=port)
-                           for prefix in arriving for port in (1, None)]
+                churned = [rule(priority, dstip=prefix, port=port)
+                           for prefix in arriving for port in (1, None)
+                           for priority in (5, 9)]
                 table.install_many(churned)
-                assert len(filing(table._levels[5])[None, 1]) == 7
+                assert len(filing(table._index)[None, 1]) == 7
+                assert_filed(table)
                 for prefix in leaving:
                     for port in (1, None):
-                        table.apply_mod(FlowMod.delete(
-                            rule(5, dstip=prefix, port=port)))
-                assert filing(table._levels[5]) == {
+                        for priority in (9, 5):
+                            table.apply_mod(FlowMod.delete(
+                                rule(priority, dstip=prefix, port=port)))
+                            assert_filed(table)
+                assert filing(table._index) == {
                     (None, 1): [(8, 0x0A000000)]}
                 assert table.rules == (kept,)
         table.apply_mod(FlowMod.delete(kept))
         assert len(table) == 0 and not table._levels and table.rules == ()
+        assert filing(table._index) == {}
 
     def test_generation_bumps_on_mutation(self):
         table = FlowTable()
@@ -96,6 +124,63 @@ class TestInstallation:
         table.install(rule(1))
         table.clear()
         assert table.generation == start + 2
+
+
+class TestOneIndexQuery:
+    """However many priority levels the fast path opens, an overlap walk
+    and a lookup each ask the table's one index once."""
+
+    FAST_LEVELS = 40
+
+    def table(self):
+        table = FlowTable()
+        tags = [f"a2:00:00:00:00:{tag:02x}" for tag in range(1, 9)]
+        for depth, tag in enumerate(tags):  # the main table: a few levels
+            for port in (1, 2, 3):
+                table.install(rule(100 - depth % 3, (Action(port=port),),
+                                   dstmac=tag, port=port, dstport=80))
+            table.install(rule(10, (Action(port=4),), dstmac=tag))
+        table.install(rule(1))
+        for level in range(self.FAST_LEVELS):  # one rule per fast-path level
+            table.install(rule(1_000_001 + 2 * level, (Action(port=5),),
+                               dstmac=tags[level % len(tags)],
+                               port=1 + level % 3, dstport=443))
+        return table
+
+    @staticmethod
+    def counting(monkeypatch):
+        queries = []
+        for name in ("meeting", "hit_by"):
+            original = getattr(MatchIndex, name)
+
+            def counted(index, query, _name=name, _original=original):
+                queries.append(_name)
+                return _original(index, query)
+
+            monkeypatch.setattr(MatchIndex, name, counted)
+        return queries
+
+    def test_overlapping_and_lookup_ask_once(self, monkeypatch):
+        table = self.table()
+        levels = len({installed.priority for installed in table.rules})
+        assert levels == self.FAST_LEVELS + 5
+        queries = self.counting(monkeypatch)
+        probe = HeaderSpace(dstmac="a2:00:00:00:00:02", port=2)
+        found = table.overlapping(probe)
+        assert queries == ["meeting"]
+        assert found == [installed for installed in table.rules
+                         if installed.match.overlaps(probe)]
+        del queries[:]
+        last = table.rules[-1]
+        assert table.overlapping(probe, before=last) == found[:-1]
+        assert queries == ["meeting"]
+        del queries[:]
+        for dstport, winner in ((443, 1_000_051), (80, 99), (22, 10)):
+            packet = Packet(dstmac="a2:00:00:00:00:02", port=2,
+                            dstport=dstport)
+            assert table.lookup(packet).priority == winner
+            assert queries == ["hit_by"]
+            del queries[:]
 
 
 class TestProcessing:

@@ -64,12 +64,18 @@ class TestArpAndVnhStaleness:
 
     def test_stale_arp_cache_recovers_after_refresh(self):
         """A router with a flushed ARP cache re-resolves the VNHs it
-        already knows from the RIB."""
+        already knows from the RIB — the shared table's too, so a route
+        written there before its VNH resolved is mended."""
         sdx, *_ = figure1_controller()
         sdx.start()
         router = sdx.fabric.router("A")
+        assert P1 not in router.overlay
+        vnh = sdx.shared_routes.rib.exact(P1)
+        sdx.shared_routes.install(P1, vnh, None)
+        assert sdx.egress_of("A", packet("11.0.0.1", dstport=80)) is None
         router.flush_arp()
         router.refresh_fib()
+        assert sdx.shared_routes.fib.exact(P1).next_hop == vnh
         assert sdx.egress_of("A", packet("11.0.0.1", dstport=80)) == "B"
 
     def test_released_vnh_is_unresolvable(self):

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.bgp.asn import AsPath
 from repro.bgp.messages import Update
 from repro.core.controller import SdxController
+from repro.dataplane.router import SharedTable
 from repro.net.addresses import IPv4Prefix
 from repro.net.packet import Packet
 from repro.policy.policies import fwd, match
@@ -238,6 +239,16 @@ def nested_exchange(members=12, prefixes=60, seed=7):
     return sdx, names, announced
 
 
+def assert_names(violations, expected):
+    """``violations`` name the (participant, prefix, kind) breaches of
+    ``expected``, in the same order."""
+    assert len(violations) == len(expected)
+    for violation, (name, prefix, kind) in zip(violations, expected):
+        assert violation.detail.startswith(f"{name} ")
+        assert str(prefix) in violation.detail
+        assert kind in violation.detail
+
+
 class TestDefaultConformanceIsPerPrefix:
     def test_agrees_with_the_triple_loop_on_nested_prefixes(self, monkeypatch):
         sdx, names, announced = nested_exchange()
@@ -263,13 +274,36 @@ class TestDefaultConformanceIsPerPrefix:
         monkeypatch.setattr(IPv4Prefix, "contains_address", counting)
         violations = check_default_conformance(sdx)
         monkeypatch.undo()
-        assert len(violations) == len(expected)
-        for violation, (name, prefix, kind) in zip(violations, expected):
-            assert violation.detail.startswith(f"{name} ")
-            assert str(prefix) in violation.detail
-            assert kind in violation.detail
+        assert_names(violations, expected)
         assert {kind for _name, _prefix, kind in expected} == {
             "routes", "no FIB entry", "tags"}
         # The most specific cover is a trie lookup per prefix, not a scan
         # of every prefix per (participant, prefix).
         assert scans <= len(announced)
+
+    def test_agrees_with_the_triple_loop_when_the_shared_table_breaks(self):
+        """Routers reading only the shared table are asked once per table,
+        so a breach there — a wrong tag, a lost route, a router reading
+        another table — must still be named for every router it reaches."""
+        sdx, names, announced = nested_exchange()
+        # The members denied a nested /24 route it through the covering /16.
+        assert_names(check_default_conformance(sdx),
+                     reference_default_conformance(sdx))
+        allocator = sdx.allocator
+        tagged = [prefix for prefix in announced
+                  if allocator.vmac_for_prefix(prefix) is not None]
+        retagged, donor = next(
+            (prefix, other) for prefix in tagged for other in tagged
+            if allocator.vmac_for_prefix(other)
+            != allocator.vmac_for_prefix(prefix))
+        sdx.shared_routes.install(retagged,
+                                  allocator.next_hop_for_prefix(donor),
+                                  allocator.vmac_for_prefix(donor))
+        sdx.shared_routes.withdraw(next(
+            prefix for prefix in announced if prefix not in (retagged, donor)))
+        sdx.topology.participant(names[3]).router.shared = SharedTable()
+        expected = reference_default_conformance(sdx)
+        assert {kind for _name, _prefix, kind in expected} == {
+            "routes", "no FIB entry", "tags"}
+        assert {name for name, _prefix, _kind in expected} == set(names)
+        assert_names(check_default_conformance(sdx), expected)

@@ -153,7 +153,7 @@ class TestTableSwapAdvertisesWhatChanged:
                     expected[prefix] = (
                         controller.allocator.next_hop_for_prefix(prefix)
                         or best.attributes.next_hop)
-            assert dict(participant.router._rib.items()) == expected
+            assert participant.router.routes() == expected
 
     def test_a_swap_pushes_what_either_log_names(self):
         ixp, controller = gated_exchange(32)

@@ -253,7 +253,7 @@ def _keys_on_port(node):
 class TestOneOverlapIndex:
     """One class files matches for overlap — by tag, then port, then
     ``dstip`` — and the compiler's numbering and cover filter, the flow
-    table's levels and the verifier's committed spaces all read it. A
+    table and the verifier's committed spaces all read it. A
     second filing key, or a name of the three indexes it replaced, is the
     old split growing back."""
 
@@ -370,6 +370,56 @@ class TestOneSimulatedClock:
         for module in ("traffic", "replay"):
             with pytest.raises(ImportError):
                 __import__(f"repro.experiments.{module}")
+
+
+class TestOneTableIndex:
+    """The flow table answers overlap and lookup from one index, however
+    many priority levels it holds, and the border routers read one shared
+    table of what every router holding a route is given. A per-priority
+    index, or tagged routes copied into every router, is the per-copy cost
+    growing back."""
+
+    def test_the_flow_table_files_every_level_in_one_index(self):
+        from repro.dataplane.flowtable import FlowTable
+        from repro.policy.classifier import Action
+        from repro.policy.flowrules import FlowRule
+        from repro.policy.headerspace import HeaderSpace
+        from repro.policy.matchindex import MatchIndex
+
+        table = FlowTable()
+        for priority in range(1, 30):
+            table.install(FlowRule(priority, HeaderSpace(port=priority % 3),
+                                   (Action(port=9),)))
+        found, seen, todo = [], set(), [vars(table)]
+        while todo:
+            held = todo.pop()
+            if id(held) in seen:
+                continue
+            seen.add(id(held))
+            if isinstance(held, MatchIndex):
+                found.append(held)
+            elif isinstance(held, dict):
+                todo.extend(held.values())
+            elif isinstance(held, (list, tuple)):
+                todo.extend(held)
+        assert found == [table._index]
+
+    def test_routers_hold_only_their_exceptions(self):
+        from repro.workloads import loaded_exchange
+
+        controller, _ixp = loaded_exchange(8, 40, seed=0,
+                                           with_dataplane=True)
+        prefixes = controller.route_server.all_prefixes()
+        assert len(controller.shared_routes) == len(prefixes)
+        owns = controller.allocator.responder.owns
+        overlays = 0
+        for participant in controller.topology.participants():
+            router = participant.router
+            assert router.shared is controller.shared_routes
+            assert not any(owns(next_hop)
+                           for _prefix, next_hop in router._rib.items())
+            overlays += len(router._hidden)
+        assert overlays <= len(prefixes) + 2
 
 
 class TestNoHiddenKnobs:
