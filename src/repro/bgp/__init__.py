@@ -15,7 +15,8 @@ from repro.bgp.messages import Announcement, Update, Withdrawal
 from repro.bgp.rib import AdjRibIn, PrefixTrie, RibView, RouteEntry
 from repro.bgp.decision import rank_routes
 from repro.bgp.session import BgpSession, SessionState
-from repro.bgp.routeserver import BestRouteChange, Decision, RouteServer
+from repro.bgp.routeserver import (
+    BestRouteChange, BestRouteChanges, Decision, RouteServer)
 
 __all__ = [
     "AdjRibIn",
@@ -23,6 +24,7 @@ __all__ = [
     "AsPath",
     "AsPathPattern",
     "BestRouteChange",
+    "BestRouteChanges",
     "BgpSession",
     "Decision",
     "Origin",

@@ -18,8 +18,9 @@ stored route with its *export class*: what of it the export check reads.
 :meth:`RouteServer.decide` turns a prefix's ranking into a
 :class:`Decision`, a partition of the receivers in which everyone gets the
 best route except the few it may not be exported to, who fall through to
-the next one. Ingest diffs two partitions, re-advertisement sends one
-shared UPDATE per cell, a one-receiver read
+the next one. Ingest diffs two partitions and reports them per prefix
+(:class:`BestRouteChanges`, a per-peer view expanded only when read),
+re-advertisement sends one shared UPDATE per cell, a one-receiver read
 (:meth:`~RouteServer.best_route_for`) takes the first entry of the same
 ranking it may have, and FEC grouping asks its questions once per distinct
 tuple of ranked classes instead of once per prefix.
@@ -31,8 +32,8 @@ from dataclasses import dataclass
 from functools import partial
 from types import MappingProxyType
 from typing import (
-    Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set,
-    Tuple)
+    Callable, Collection, Dict, FrozenSet, Iterable, Iterator, List, Mapping,
+    Optional, Sequence, Set, Tuple)
 
 from repro.bgp.decision import rank_routes
 from repro.bgp.messages import Update, Withdrawal
@@ -50,13 +51,13 @@ NextHopRewriter = Callable[[IPv4Prefix, RouteEntry], IPv4Address]
 
 #: Listener invoked with the per-participant best-route changes caused by
 #: one inbound update.
-ChangeListener = Callable[[List["BestRouteChange"]], None]
+ChangeListener = Callable[["BestRouteChanges"], None]
 
 #: Listener invoked with (update, best-route changes) for *every* processed
 #: update, even when no best route changed. The SDX needs this because an
 #: announcement can change policy *eligibility* (which next hops may carry
 #: a prefix) without moving anyone's best route.
-UpdateListener = Callable[["Update", List["BestRouteChange"]], None]
+UpdateListener = Callable[["Update", "BestRouteChanges"], None]
 
 
 @dataclass(frozen=True)
@@ -101,6 +102,89 @@ class Decision:
         if receiver in self.exceptions:
             return self.exceptions[receiver]
         return self.best if receiver in self.peers else None
+
+
+#: One moved prefix of a :class:`BestRouteChanges`: the prefix, the common
+#: cell's (old, new) route when it moved (else ``None``), every peer either
+#: decision excepts, and those of them whose own route moved, with it.
+_Moved = Tuple[IPv4Prefix,
+               Optional[Tuple[Optional[RouteEntry], Optional[RouteEntry]]],
+               FrozenSet[str],
+               Dict[str, Tuple[Optional[RouteEntry], Optional[RouteEntry]]]]
+
+
+class BestRouteChanges:
+    """The per-participant best-route changes of one RIB write, kept per
+    prefix: each moved prefix's (old, new) :class:`Decision` pair.
+
+    A lazy per-peer view over those pairs. Iterating it yields one
+    :class:`BestRouteChange` per participant whose route moved — peer by
+    peer in peering order (``peers``), each peer's in the order the write
+    touched its prefixes; ``len`` counts them off the common cells and the
+    exceptions, without expanding; it compares equal to the list of the
+    same changes. What the write decided anew for each prefix it changed,
+    moved or not, is ``decided``.
+    """
+
+    __slots__ = ("peers", "decided", "_moved", "_len")
+
+    def __init__(self, peers: Tuple[str, ...] = (),
+                 pairs: Iterable[Tuple[IPv4Prefix, Decision, Decision]] = (),
+                 decided: Optional[Mapping[IPv4Prefix, Decision]] = None):
+        self.peers = peers
+        self.decided: Mapping[IPv4Prefix, Decision] = MappingProxyType(
+            decided if decided is not None else {})
+        self._moved: List[_Moved] = []
+        self._len = 0
+        for prefix, old, new in pairs:
+            excepted = frozenset(old.exceptions.keys() | new.exceptions.keys())
+            common = (old.best, new.best) if old.best != new.best else None
+            movers = {
+                peer: (was, now) for peer in sorted(excepted)
+                if peer in new.peers
+                and (was := old.route_for(peer)) != (now := new.route_for(peer))}
+            if common is None and not movers:
+                continue
+            self._moved.append((prefix, common, excepted, movers))
+            self._len += len(movers)
+            if common is not None:  # every peer but the excepted moves with it
+                self._len += len(peers) - len(excepted & new.peers)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator["BestRouteChange"]:
+        for peer in self.peers:
+            for prefix, common, excepted, movers in self._moved:
+                if peer in excepted:
+                    if peer in movers:
+                        yield BestRouteChange(peer, prefix, *movers[peer])
+                elif common is not None:
+                    yield BestRouteChange(peer, prefix, *common)
+
+    def by_route(self) -> Iterator[Tuple[IPv4Prefix, Optional[RouteEntry],
+                                         Sequence[str]]]:
+        """Per moved prefix, each route it now gives and to whom: the
+        common cell's once, to its peers in peering order, then each moved
+        exception's own, by name — so each peer is given its prefixes in
+        :meth:`__iter__`'s order."""
+        for prefix, common, excepted, movers in self._moved:
+            if common is not None:
+                yield prefix, common[1], [
+                    peer for peer in self.peers if peer not in excepted]
+            for peer, (_was, now) in movers.items():
+                yield prefix, now, (peer,)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (BestRouteChanges, list)):
+            return len(self) == len(other) and list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (f"BestRouteChanges({self._len} changes over "
+                f"{len(self._moved)} prefixes)")
 
 
 #: ASN conventionally used in blocking communities ("0:peer-asn").
@@ -161,7 +245,10 @@ class RouteServer:
             "Updates applied to the Adj-RIB-In without listener "
             "notification (chaos stuck-route injection)")
         self._sessions: Dict[str, BgpSession] = {}
+        #: The peer names as a set and in peering order, taken anew on
+        #: every peering change: what a decision and a change list snapshot.
         self._peer_names: FrozenSet[str] = frozenset()
+        self._peer_order: Tuple[str, ...] = ()
         self._adj_in: Dict[str, AdjRibIn] = {}
         self._peers_by_asn: Dict[int, List[str]] = {}
         #: The Loc-RIB: per announced prefix its routes, best first. Written
@@ -182,7 +269,7 @@ class RouteServer:
         #: peering change nothing ("anything"). What is derived from routing —
         #: grouping, defaults, committed spaces, re-advertisement — follows it.
         self.rib_changes: ChangeLog[IPv4Prefix] = ChangeLog()
-        self._last_down_changes: List[BestRouteChange] = []
+        self._last_down_changes = BestRouteChanges()
 
     @property
     def state_version(self) -> int:
@@ -200,7 +287,7 @@ class RouteServer:
         session = BgpSession(name, asn, on_update=self._process_update,
                              on_down=self._session_down)
         self._sessions[name] = session
-        self._peer_names = frozenset(self._sessions)
+        self._peering_changed()
         self._adj_in[name] = AdjRibIn(name)
         self._peers_by_asn.setdefault(asn, []).append(name)
         self._reclass()
@@ -209,26 +296,36 @@ class RouteServer:
             session.connect()
         return session
 
-    def remove_peer(self, name: str) -> List[BestRouteChange]:
+    def _peering_changed(self) -> None:
+        """Take the peer-name snapshots anew after a session came or went."""
+        self._peer_names = frozenset(self._sessions)
+        self._peer_order = tuple(self._sessions)
+
+    def remove_peer(self, name: str) -> BestRouteChanges:
         """Drop a peer and withdraw everything it announced."""
         session = self._sessions.pop(name, None)
         if session is None:
             raise ParticipantError(f"unknown peer {name!r}")
-        self._peer_names = frozenset(self._sessions)
-        adj = self._adj_in[name]
+        self._peering_changed()
         update = Update(sender=name, withdrawals=tuple(
-            Withdrawal(p) for p in adj.prefixes()))
-        changes = self._apply_and_diff(update)
-        del self._adj_in[name]
-        self._peers_by_asn[session.asn].remove(name)
-        if not self._peers_by_asn[session.asn]:
-            del self._peers_by_asn[session.asn]
-        self._reclass()
-        self._export_deny.pop(name, None)
-        self._export_allow.pop(name, None)
+            Withdrawal(p) for p in self._adj_in[name].prefixes()))
+        changes = self._apply_and_diff(
+            update, settle=lambda: self._forget_peer(name, session.asn))
         self.rib_changes.record()
         self._notify(update, changes)
         return changes
+
+    def _forget_peer(self, name: str, asn: int) -> None:
+        """Drop what a removed peer leaves once its routes are withdrawn:
+        its Adj-RIB-In, its ASN among the members (re-stamping the stored
+        routes) and its export policy."""
+        del self._adj_in[name]
+        self._peers_by_asn[asn].remove(name)
+        if not self._peers_by_asn[asn]:
+            del self._peers_by_asn[asn]
+        self._reclass()
+        self._export_deny.pop(name, None)
+        self._export_allow.pop(name, None)
 
     def session(self, name: str) -> BgpSession:
         """The session for peer ``name``."""
@@ -245,7 +342,7 @@ class RouteServer:
         """True while ``name`` holds a session with the route server."""
         return name in self._sessions
 
-    def reset_session(self, name: str) -> List[BestRouteChange]:
+    def reset_session(self, name: str) -> BestRouteChanges:
         """Simulate an administrative session reset: flush + reconnect.
 
         The session's own teardown synthesizes the implied withdrawal
@@ -259,7 +356,7 @@ class RouteServer:
         session.connect()
         return self._last_down_changes
 
-    def fail_peer(self, name: str) -> List[BestRouteChange]:
+    def fail_peer(self, name: str) -> BestRouteChanges:
         """Simulate a session failure: flush the peer's routes, stay DOWN.
 
         Unlike :meth:`reset_session` the session is *not* reconnected:
@@ -292,7 +389,7 @@ class RouteServer:
         poking the session directly).
         """
         self._session_down_counters[reason].inc()
-        self._last_down_changes = []
+        self._last_down_changes = BestRouteChanges()
         if not update.withdrawals:
             return
         self._implied_withdrawals_counter.inc(len(update.withdrawals))
@@ -499,39 +596,34 @@ class RouteServer:
             self.updates_processed += 1
             self._notify(update, changes)
 
-    def _notify(self, update: Update,
-                changes: List[BestRouteChange]) -> None:
+    def _notify(self, update: Update, changes: BestRouteChanges) -> None:
         if changes:
             for listener in self._listeners:
                 listener(changes)
         for listener in self._update_listeners:
             listener(update, changes)
 
-    def _apply_and_diff(self, update: Update) -> List[BestRouteChange]:
+    def _apply_and_diff(self, update: Update,
+                        settle: Optional[Callable[[], None]] = None
+                        ) -> BestRouteChanges:
         """Apply ``update`` to the sender's Adj-RIB-In and report every
         per-participant best-route change it caused: each touched prefix
-        is decided once before and once after the write, and the changes
-        are reported peer by peer (in peering order), as the per-session
-        UPDATE streams they become."""
+        is decided once before and once after the write, and the pair is
+        the report — per prefix, not per peer; :class:`BestRouteChanges`
+        reads it peer by peer (in peering order), as the per-session
+        UPDATE streams it becomes. ``settle`` runs between the write and
+        the second decision: what else the write takes with it, so that
+        the decisions reported are the ones the listeners would take."""
         touched = set(update.prefixes)
         before = {prefix: self.decide(prefix) for prefix in touched}
-        diffs: Dict[IPv4Prefix, Dict[str, BestRouteChange]] = {}
-        for prefix in self._apply(update):
-            old, new = before[prefix], self.decide(prefix)
-            excepted = old.exceptions.keys() | new.exceptions.keys()
-            moved = diffs[prefix] = {}
-            if old.best != new.best:  # the common cell moves as one
-                for peer in self._sessions:
-                    if peer not in excepted:
-                        moved[peer] = BestRouteChange(
-                            peer, prefix, old.best, new.best)
-            for peer in excepted:
-                was, now = old.route_for(peer), new.route_for(peer)
-                if was != now:
-                    moved[peer] = BestRouteChange(peer, prefix, was, now)
-        order = [prefix for prefix in touched if diffs.get(prefix)]
-        return [diffs[prefix][peer] for peer in self._sessions
-                for prefix in order if peer in diffs[prefix]]
+        changed = self._apply(update)
+        if settle is not None:
+            settle()
+        after = {prefix: self.decide(prefix) for prefix in changed}
+        return BestRouteChanges(
+            self._peer_order,
+            ((prefix, before[prefix], after[prefix])
+             for prefix in touched if prefix in after), after)
 
     # ------------------------------------------------------------------
     # Route queries (the SDX controller's read API)
@@ -693,26 +785,31 @@ class RouteServer:
         """Register for every processed update (see :data:`UpdateListener`)."""
         self._update_listeners.append(listener)
 
-    def readvertise(self, changes: Sequence[BestRouteChange]) -> List[Update]:
+    def readvertise(self, changes: Collection[BestRouteChange]) -> List[Update]:
         """Build and send the UPDATEs that propagate ``changes``.
 
         Each change produces an announcement (or withdrawal) on the
         affected participant's session, with the next hop rewritten by the
-        installed hook. Every peer given the same route is sent the same
-        (immutable) :class:`Update` object.
+        installed hook; a session that is not established is skipped.
+        Every peer given the same route is sent the same (immutable)
+        :class:`Update` object: a :class:`BestRouteChanges` is read route
+        by route (:meth:`BestRouteChanges.by_route`), so the common cell's
+        UPDATE is built once and handed to all of its sessions in one loop.
+        Returns the UPDATEs sent, one per session, route by route.
         """
         sent: List[Update] = []
         shared: Dict[Tuple[IPv4Prefix, int], Update] = {}
-        for change in changes:
-            session = self._sessions.get(change.participant)
-            if session is None or not session.is_established:
-                continue
-            key = (change.prefix, id(change.new))
+        sessions = self._sessions
+        routes = (changes.by_route() if isinstance(changes, BestRouteChanges)
+                  else ((change.prefix, change.new, (change.participant,))
+                        for change in changes))
+        for prefix, route, receivers in routes:
+            key = (prefix, id(route))
             update = shared.get(key)
             if update is None:
-                update = shared[key] = self._outbound(change.prefix, change.new)
-            session.send(update)
-            sent.append(update)
+                update = shared[key] = self._outbound(prefix, route)
+            sent.extend([update] * BgpSession.send_on_established(
+                map(sessions.get, receivers), update))
         self._readvertised_counter.inc(len(sent))
         self._readvertise_skipped_counter.inc(len(changes) - len(sent))
         return sent

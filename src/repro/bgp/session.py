@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Callable, Deque, FrozenSet, List, Optional
+from typing import Callable, Deque, FrozenSet, Iterable, List, Optional
 
 from repro.bgp.messages import Update, Withdrawal
 from repro.exceptions import SessionStateError
@@ -141,8 +141,22 @@ class BgpSession:
         if not self.is_established:
             raise SessionStateError(
                 f"cannot send to {self.peer} while session {self.state.value}")
-        self.updates_sent += 1
-        self._sent_log.append(update)
+        BgpSession.send_on_established((self,), update)
+
+    @staticmethod
+    def send_on_established(sessions: Iterable[Optional["BgpSession"]],
+                            update: Update) -> int:
+        """:meth:`send` ``update`` on each of ``sessions`` that is
+        established, skipping the rest (and ``None``): one loop for a route
+        many peers are given. Returns how many sessions it was sent on."""
+        sent = 0
+        for session in sessions:
+            if (session is not None
+                    and session.state is SessionState.ESTABLISHED):
+                session.updates_sent += 1
+                session._sent_log.append(update)
+                sent += 1
+        return sent
 
     @property
     def sent_log(self) -> List[Update]:

@@ -385,7 +385,7 @@ class SdxCompiler:
         with self._stage("outbound", timings):
             eligible = self._eligibility(grouping, by_context)
             # One block per policy holder, then (``None``) the default layer.
-            owners = [*self._policy_holders(participants), None]
+            owners = [*self.topology.policy_holders(), None]
             if self.optimized:
                 parts = [self._outbound_part(p, eligible, defaults_classifier,
                                              stats) for p in owners[:-1]]
@@ -467,13 +467,6 @@ class SdxCompiler:
                            build, patch=True)
 
     @staticmethod
-    def _policy_holders(participants: Sequence[Participant]
-                        ) -> List[Participant]:
-        """The participants stage 1 has an outbound block for."""
-        return [p for p in participants
-                if not p.is_remote and p.outbound_clauses()]
-
-    @staticmethod
     def _clause_rules(clauses: Iterable[Clause],
                       stats: Optional[ComposeStats]) -> Tuple[Rule, ...]:
         """Default clauses, top first, as rules. They match positively —
@@ -483,12 +476,10 @@ class SdxCompiler:
                 clause.predicate, clause_action(clause, clause.target), None,
                 stats))
 
-    def _default_pieces(self, participants: Sequence[Participant],
-                        entries: Iterable[Entry],
+    def _default_pieces(self, entries: Iterable[Entry],
                         stats: Optional[ComposeStats]) -> List[tuple]:
         """Per entry, its (exception rules, shared rules)."""
-        layers = list(build_default_forwarding(
-            participants, entries, self.topology))
+        layers = list(build_default_forwarding(entries, self.topology))
         # One layer after the other: like clauses compile faster together.
         return list(zip(
             [self._clause_rules(above, stats) for above, _shared in layers],
@@ -530,7 +521,7 @@ class SdxCompiler:
                        if pieces[vmac] is None or pieces[vmac][0] != basis]
             self._work["groups_rebuilt"] = len(missing)
             for (vmac, basis, _group), piece in zip(
-                    missing, self._default_pieces(participants, (
+                    missing, self._default_pieces((
                         (vmac, self.route_server.decide(group.representative))
                         for vmac, _basis, group in missing), stats)):
                 pieces[vmac] = (basis, piece)
@@ -727,12 +718,11 @@ class SdxCompiler:
                      clauses: Sequence[Clause]) -> tuple:
             return tuple(tags(participant.name, clause) for clause in clauses)
 
-        participants = self.topology.participants()
         defaults = self._stack_pieces(self._default_pieces(
-            participants, [(vmac, decision)], None))
+            [(vmac, decision)], None))
         parts = [self._outbound_part(p, eligible, defaults, None, views,
                                      "dstmac")
-                 for p in self._policy_holders(participants)]
+                 for p in self.topology.policy_holders()]
         return strip_drop_tail(sequential_compose_indexed(
             stack_fallback(parts + [defaults]), stage2))
 

@@ -48,7 +48,7 @@ from repro.bgp.asn import AsPath
 from repro.bgp.attributes import RouteAttributes
 from repro.bgp.messages import Update, Withdrawal
 from repro.bgp.rib import RouteEntry
-from repro.bgp.routeserver import BestRouteChange, RouteServer
+from repro.bgp.routeserver import BestRouteChanges, Decision, RouteServer
 from repro.core.compiler import CompilationResult, SdxCompiler
 from repro.core.incremental import FastPathResult, IncrementalEngine
 from repro.core.participant import Participant
@@ -156,6 +156,11 @@ class SdxController:
         #: something else (``_overlaid``: prefix -> those routers).
         self.shared_routes = SharedTable()
         self._overlaid: Dict[IPv4Prefix, List[BorderRouter]] = {}
+        #: Every member's border router by name; and the peer-name snapshot
+        #: the last push read, with the routers of members not among them.
+        self._routers: Dict[str, BorderRouter] = {}
+        self._absent: Tuple[Optional[frozenset], List[BorderRouter]] = (
+            None, [])
         self._advertisements = {
             op: self.telemetry.registry.counter(
                 "sdx_router_advertisements_total",
@@ -273,6 +278,9 @@ class SdxController:
                 port.switch_port = self._next_switch_port
                 self._next_switch_port += 1
         self.topology.register(participant)
+        if router is not None:
+            self._routers[name] = router
+            self._absent = (None, [])
         self.route_server.add_peer(name, asn)
         handle = ParticipantHandle(participant, self)
         self._handles[name] = handle
@@ -569,24 +577,27 @@ class SdxController:
             self._advertise_routers(self.route_server.all_prefixes()
                                     if changed is None else changed)
 
-    def _advertise_routers(self, prefixes: Iterable[IPv4Prefix]) -> None:
+    def _advertise_routers(self, prefixes: Iterable[IPv4Prefix],
+                           decided: Optional[Mapping[IPv4Prefix, Decision]]
+                           = None) -> None:
         """Give every border router its route for each of ``prefixes``,
-        decided once per prefix. The shared table takes the next hop every
-        router holding a route is given — the prefix's VNH, or an untagged
-        prefix's best route's own — and only a router given something else
-        takes an overlay entry: no route, or an untagged prefix's other
-        route. What a route server would send per (prefix, router) is
-        counted, not done."""
-        routers = {participant.name: participant.router
-                   for participant in self.topology.participants()
-                   if participant.router is not None}
+        decided once per prefix (``decided`` holds the decisions already
+        taken). The shared table takes the next hop every router holding a
+        route is given — the prefix's VNH, or an untagged prefix's best
+        route's own — and only a router given something else takes an
+        overlay entry: no route, or an untagged prefix's other route. What
+        a route server would send per (prefix, router) is counted, not
+        done: a prefix costs its exceptions, not the membership."""
+        routers = self._routers
         resolve = self.fabric.arp.resolve
-        peers, absent = None, []
+        decided = decided or {}
         given = taken = 0
         for prefix in prefixes:
             for router in self._overlaid.pop(prefix, ()):
                 router.follow_shared(prefix)
-            decision = self.route_server.decide(prefix)
+            decision = decided.get(prefix)
+            if decision is None:
+                decision = self.route_server.decide(prefix)
             best = decision.best
             if best is None:
                 self.shared_routes.withdraw(prefix)
@@ -595,11 +606,11 @@ class SdxController:
             vnh = self.allocator.next_hop_for_prefix(prefix)
             next_hop = vnh if vnh is not None else best.attributes.next_hop
             self.shared_routes.install(prefix, next_hop, resolve(next_hop))
-            if decision.peers is not peers:
-                peers = decision.peers
-                absent = [router for name, router in routers.items()
-                          if name not in peers]
-            withheld = list(absent)
+            if decision.peers is not self._absent[0]:
+                self._absent = (decision.peers, [
+                    router for name, router in routers.items()
+                    if name not in decision.peers])
+            withheld = list(self._absent[1])
             other = []
             for name, route in decision.exceptions.items():
                 router = routers.get(name)
@@ -620,14 +631,14 @@ class SdxController:
         self._advertisements["install"].inc(given)
         self._advertisements["withdraw"].inc(taken)
 
-    def _on_update(self, update: Update, changes: List[BestRouteChange]) -> None:
+    def _on_update(self, update: Update, changes: BestRouteChanges) -> None:
         if not self.started:
             return
         prefixes = tuple(dict.fromkeys(update.prefixes))
         with self.telemetry.span("controller.update",
                                  prefixes=len(prefixes),
                                  changes=len(changes)):
-            fast = self.engine.handle_prefixes(prefixes)
+            fast = self.engine.handle_prefixes(prefixes, changes.decided)
             self.fast_path_log.append(fast)
             # Session-level re-advertisement (what ExaBGP puts on the wire).
             self.route_server.readvertise(changes)
@@ -637,7 +648,7 @@ class SdxController:
             # participants whose best route is unchanged must learn the
             # fresh VNH so their tags line up with the fast-path rules —
             # one shared-table write per prefix gives it them all.
-            self._advertise_routers(prefixes)
+            self._advertise_routers(prefixes, changes.decided)
 
     # ------------------------------------------------------------------
     # What-if preview

@@ -87,8 +87,7 @@ def mac_learning_clauses(participants: Sequence[Participant],
                          target=topology.vport(participant.name))
 
 
-def build_default_forwarding(participants: Sequence[Participant],
-                             entries: Iterable[Entry],
+def build_default_forwarding(entries: Iterable[Entry],
                              topology: VirtualTopology,
                              ) -> Iterator[Tuple[List[Clause], List[Clause]]]:
     """The default layer, entry by entry, as two priority layers each.
@@ -98,10 +97,9 @@ def build_default_forwarding(participants: Sequence[Participant],
     entry is decided when its clauses are asked for — and every entry's
     clauses stand alone, so a table's default layer is the exceptions of
     all its groups stacked over their shared clauses, whichever of them
-    were built when.
+    were built when. An entry costs its exceptions, looked up by name, not
+    a pass over the membership.
     """
-    physical = {p.name: p for p in participants if not p.is_remote}
-
     for tag, decision in entries:
         if decision.best is None:
             yield [], []
@@ -109,8 +107,9 @@ def build_default_forwarding(participants: Sequence[Participant],
         common = decision.best.learned_from
         # Whoever the decision gives another route than the shared one, or
         # none — in name order: set order must not reach the classifier.
-        yield [default_clause(ingress_guard(physical[name]), tag, hop, topology)
-               for name in sorted(decision.exceptions) if name in physical
+        yield [default_clause(ingress_guard(member), tag, hop, topology)
+               for name in sorted(decision.exceptions)
+               if (member := topology.physical(name)) is not None
                and (hop := default_next_hop(decision, name)) != common], [
             Clause(predicate=match(dstmac=tag), target=topology.vport(common))]
 

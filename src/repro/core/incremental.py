@@ -26,8 +26,9 @@ from __future__ import annotations
 import contextlib
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Tuple
 
+from repro.bgp.routeserver import Decision
 from repro.core.compiler import CompilationResult, SdxCompiler
 from repro.net.addresses import IPv4Prefix
 from repro.policy.classifier import Classifier
@@ -138,12 +139,18 @@ class IncrementalEngine:
     # Fast path
     # ------------------------------------------------------------------
 
-    def handle_prefixes(self, touched: Sequence[IPv4Prefix]) -> FastPathResult:
+    def handle_prefixes(self, touched: Sequence[IPv4Prefix],
+                        decided: Optional[Mapping[IPv4Prefix, Decision]] = None
+                        ) -> FastPathResult:
         """Fast-path recompilation for prefixes touched by an update.
 
         Driven at prefix (not best-route) granularity because an
         announcement can change which next hops are *eligible* for a
-        policy without changing anyone's best route.
+        policy without changing anyone's best route. ``decided`` holds the
+        route server's current decision for some of ``touched`` — those
+        its update just decided
+        (:attr:`~repro.bgp.routeserver.BestRouteChanges.decided`); the rest
+        are decided here.
         """
         started = time.perf_counter()
         prefixes = tuple(dict.fromkeys(touched))
@@ -153,8 +160,12 @@ class IncrementalEngine:
             # Fresh Loc-RIB views for dynamic predicates, shared across the
             # prefixes of this invocation (only built if actually needed).
             views: dict = {}
+            decided = decided or {}
             for prefix in prefixes:
-                installed += self._fast_path_for_prefix(prefix, views)
+                decision = decided.get(prefix)
+                installed += self._fast_path_for_prefix(
+                    prefix, views, decision if decision is not None
+                    else self.compiler.route_server.decide(prefix))
             span.set_tag(rules=installed)
         self.dirty = True
         self.fast_path_invocations += 1
@@ -165,13 +176,14 @@ class IncrementalEngine:
         return FastPathResult(prefixes=prefixes, rules_installed=installed,
                               seconds=elapsed)
 
-    def _fast_path_for_prefix(self, prefix: IPv4Prefix, views: dict) -> int:
-        """Allocate a fresh VNH for one prefix and install its rules."""
+    def _fast_path_for_prefix(self, prefix: IPv4Prefix, views: dict,
+                              decision: Decision) -> int:
+        """Allocate a fresh VNH for one prefix, whose routes ``decision``
+        settles, and install its rules."""
         allocator = self.compiler.allocator
         with self.telemetry.span("fastpath.prefix",
                                  prefix=str(prefix)) as span:
             allocator.drop_ephemeral(prefix)
-            decision = self.compiler.route_server.decide(prefix)
             if not decision.ranked:
                 # Fully withdrawn: routers drop the route themselves; the
                 # stale rules die at the next background re-optimisation.

@@ -14,7 +14,7 @@ may originate prefixes through the SDX.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.core.clauses import Clause, normalize_policy
 from repro.dataplane.router import BorderRouter, RouterPort
@@ -56,6 +56,11 @@ class Participant:
     policy_generation: int = 0
     _clause_cache: dict = field(default_factory=dict)
     policies_suspended: bool = False
+    #: Called whenever what :meth:`outbound_clauses` or
+    #: :meth:`inbound_clauses` return may have changed — an edit, a
+    #: suspension, an undo (the topology keeps its policy holders by it).
+    on_policy_change: Optional[Callable[[], None]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def is_remote(self) -> bool:
@@ -233,6 +238,8 @@ class Participant:
         (self._outbound[:], self._inbound[:], self.policies_suspended,
          self.policy_generation, cache) = state
         self._clause_cache = dict(cache)
+        if self.on_policy_change is not None:
+            self.on_policy_change()
 
     def set_policies_suspended(self, suspended: bool) -> bool:
         """Temporarily mask (or unmask) the participant's policies.
@@ -283,6 +290,8 @@ class Participant:
         self.policy_generation += 1
         for kind in kinds:
             self._clause_cache.pop(kind, None)
+        if self.on_policy_change is not None:
+            self.on_policy_change()
 
     @property
     def has_policies(self) -> bool:

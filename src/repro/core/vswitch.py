@@ -29,6 +29,9 @@ class VirtualTopology:
 
     def __init__(self) -> None:
         self._participants: Dict[str, Participant] = {}
+        #: :meth:`policy_holders`, kept until a member joins or a member's
+        #: policies change (``None``: to be worked out again).
+        self._holders: Optional[Tuple[Participant, ...]] = None
         self._vports: Dict[str, int] = {}
         self._owner_of_port: Dict[int, str] = {}
         self._next_vport = VPORT_BASE
@@ -47,6 +50,8 @@ class VirtualTopology:
                     f"switch port {port} already owned by "
                     f"{self._owner_of_port[port]!r}")
         self._participants[name] = participant
+        participant.on_policy_change = self._forget_holders
+        self._holders = None
         vport = self._next_vport
         self._next_vport += 1
         self._vports[name] = vport
@@ -64,6 +69,28 @@ class VirtualTopology:
     def participants(self) -> Tuple[Participant, ...]:
         """Every participant, sorted by name."""
         return tuple(self._participants[name] for name in sorted(self._participants))
+
+    def physical(self, name: str) -> Optional[Participant]:
+        """The participant called ``name`` if it is registered and has
+        ports at the exchange; ``None`` otherwise."""
+        participant = self._participants.get(name)
+        return None if participant is None or participant.is_remote \
+            else participant
+
+    def policy_holders(self) -> Tuple[Participant, ...]:
+        """The physical participants with outbound clauses, sorted by name:
+        those stage 1 of a compilation has a block for. Worked out again
+        only after a member joins or a member's policies change, not per
+        call — the fast path asks once per touched prefix."""
+        if self._holders is None:
+            self._holders = tuple(
+                participant for participant in self.participants()
+                if not participant.is_remote
+                and participant.outbound_clauses())
+        return self._holders
+
+    def _forget_holders(self) -> None:
+        self._holders = None
 
     def participants_in_order(self) -> Tuple[Participant, ...]:
         """Every participant, in registration order.

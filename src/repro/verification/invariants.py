@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.bgp.decision import preference_key
 from repro.bgp.rib import PrefixTrie, RouteEntry
 from repro.core.controller import SdxController
-from repro.net.addresses import IPv4Prefix
+from repro.net.addresses import IPv4Address, IPv4Prefix
 from repro.net.mac import MacAddress
 from repro.net.packet import Packet
 from repro.policy.flowrules import FlowRule
@@ -152,8 +152,11 @@ def check_default_conformance(controller: SdxController) -> List[Violation]:
     route server has a best route for that participant, and — when the
     prefix is VNH-tagged — packets the router emits toward the prefix
     carry the allocator's virtual MAC, the tag every default and policy
-    rule matches on. Every verdict reads a router's own :meth:`emit`, once
-    per distinct overlay: a router whose
+    rule matches on. A participant given no route for the prefix is
+    judged by the longest announced cover of the probe it is given one
+    for (none: it must drop the probe) — it rightly forwards a withheld
+    /24 by the /16 it holds. Every verdict reads a router's own
+    :meth:`emit`, once per distinct overlay: a router whose
     :attr:`~repro.dataplane.router.BorderRouter.overlay` covers the probe
     address is asked itself, the others once per shared table they read —
     and they are judged one by one only where the route server gives them
@@ -189,6 +192,21 @@ def check_default_conformance(controller: SdxController) -> List[Violation]:
                 overlaid.insert(prefix, [name])
             else:
                 held.append(name)
+    decided = {prefix: decision for prefix, _ip, decision in checked}
+
+    def given_cover(name: str, probe_ip: IPv4Address
+                    ) -> Tuple[Optional[RouteEntry], Optional[MacAddress]]:
+        """The route ``name`` is given for the longest announced cover of
+        ``probe_ip`` it is given one for, and that cover's tag; ``None``s
+        when it is given none."""
+        for cover, _none in announced.matching(probe_ip):
+            if cover not in decided:
+                decided[cover] = server.decide(cover)
+            route = decided[cover].route_for(name)
+            if route is not None:
+                return route, controller.allocator.vmac_for_prefix(cover)
+        return None, None
+
     found: List[Tuple[int, int, Violation]] = []
     peers, absent = None, []
     for at, (prefix, probe_ip, decision) in enumerate(checked):
@@ -215,8 +233,10 @@ def check_default_conformance(controller: SdxController) -> List[Violation]:
                 judged.extend((name, emitted) for name in names
                               if name not in own and name not in given_other)
         for name, emitted in judged:
-            breach = _conformance(name, prefix, decision.route_for(name),
-                                  emitted, vmac)
+            route, tag = decision.route_for(name), vmac
+            if route is None:
+                route, tag = given_cover(name, probe_ip)
+            breach = _conformance(name, prefix, route, emitted, tag)
             if breach is not None:
                 found.append((place[name], at, breach))
     found.sort(key=itemgetter(0, 1))

@@ -119,10 +119,17 @@ def canonical_state(controller: SdxController) -> CanonicalState:
     """Snapshot ``controller`` for renaming-insensitive comparison."""
     route_server = controller.route_server
     prefixes = route_server.all_prefixes()
+    # Every route given is one of the ranked ones: each distinct route and
+    # prefix is spelled out once, not once per (participant, prefix).
+    names = {prefix: str(prefix) for prefix in prefixes}
+    summaries: Dict[int, RouteSummary] = {}
+    for prefix in prefixes:
+        for entry in route_server.ranked_routes(prefix):
+            summaries[id(entry)] = _route_summary(entry)
     adj_ribs = tuple(
-        (str(prefix),
-         tuple(sorted(_route_summary(entry)
-                      for entry in route_server.all_routes_for(prefix))))
+        (names[prefix],
+         tuple(sorted(summaries[id(entry)]
+                      for entry in route_server.ranked_routes(prefix))))
         for prefix in prefixes)
     best_routes: List[Tuple[str, str, Optional[RouteSummary]]] = []
     decisions = {prefix: route_server.decide(prefix) for prefix in prefixes}
@@ -130,8 +137,8 @@ def canonical_state(controller: SdxController) -> CanonicalState:
         for prefix in prefixes:
             best = decisions[prefix].route_for(participant.name)
             best_routes.append((
-                participant.name, str(prefix),
-                None if best is None else _route_summary(best)))
+                participant.name, names[prefix],
+                None if best is None else summaries[id(best)]))
     groups: Dict[str, List[str]] = {}
     unassigned: List[str] = []
     for prefix in prefixes:

@@ -50,6 +50,27 @@ def reference_table(server: RouteServer, receivers: Sequence[str],
             for receiver in receivers for prefix in prefixes}
 
 
+def reference_sends(server: RouteServer, changes: Iterable[BestRouteChange],
+                    rewrite=None) -> Dict[str, List[Update]]:
+    """Per peer, the UPDATEs one send per change puts on its session — the
+    per-peer sender re-advertisement was: each change in order, on an
+    established session only, its next hop rewritten by ``rewrite``."""
+    sends: Dict[str, List[Update]] = {}
+    for change in changes:
+        if not server.session(change.participant).is_established:
+            continue
+        if change.new is None:
+            update = Update.withdraw("route-server", change.prefix)
+        else:
+            attributes = change.new.attributes
+            update = Update.announce(
+                "route-server", change.prefix, attributes.with_next_hop(
+                    attributes.next_hop if rewrite is None
+                    else rewrite(change.prefix, change.new)))
+        sends.setdefault(change.participant, []).append(update)
+    return sends
+
+
 def reference_changes(before: BestTable, after: BestTable,
                       receivers: Sequence[str],
                       update: Update) -> List[BestRouteChange]:

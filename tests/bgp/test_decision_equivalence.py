@@ -16,10 +16,12 @@ from repro.bgp.asn import AsPath
 from repro.bgp.attributes import RouteAttributes
 from repro.bgp.messages import Announcement, Update, Withdrawal
 from repro.bgp.routeserver import RouteServer
+from repro.bgp.session import SESSION_LOG_SIZE
 from repro.net.addresses import IPv4Address, IPv4Prefix
 from tests.bgp.reference import (
     reference_best,
     reference_changes,
+    reference_sends,
     reference_table,
 )
 
@@ -128,12 +130,48 @@ def test_partition_and_change_list_match_the_per_receiver_oracle(ops):
         assert_partition_matches(server)
         after = reference_table(server, RECEIVERS, PREFIXES)
         # (b) whatever was processed — an UPDATE or a teardown's implied
-        # withdrawal — reported exactly the brute-force diff, in order.
+        # withdrawal — reported exactly the brute-force diff, in order, and
+        # counted it without expanding it.
         for update, changes in notified:
-            assert changes == reference_changes(
-                before, after, RECEIVERS, update)
+            reference = reference_changes(before, after, RECEIVERS, update)
+            assert changes == reference
+            assert list(changes) == reference
+            assert len(changes) == len(reference)
         if not notified:
             assert before == after or operation[0] == "export"
+
+
+@settings(max_examples=100, deadline=None)
+@given(operations)
+def test_readvertise_sends_what_a_per_peer_sender_would(ops):
+    """(d) Re-advertisement route by route puts on every session exactly
+    the UPDATEs, in the order, that one send per change would."""
+    server, _notified = make_server()
+
+    def rewrite(prefix, route):
+        return IPv4Address(f"192.0.2.{PREFIXES.index(prefix) + 1}")
+
+    server.set_next_hop_rewriter(rewrite)
+    expected = {name: [] for name in NAMES}
+    counts = dict.fromkeys(NAMES, 0)
+
+    def readvertise(update, changes):
+        for name, updates in reference_sends(server, changes, rewrite).items():
+            expected[name].extend(updates)
+            counts[name] += len(updates)
+        server.readvertise(changes)
+
+    server.add_update_listener(readvertise)
+    for operation in ops:
+        downs = {name: (server.session(name).resets,
+                        server.session(name).failures) for name in NAMES}
+        apply_operation(server, operation)
+        for name in NAMES:
+            session = server.session(name)
+            if (session.resets, session.failures) != downs[name]:
+                expected[name] = []  # a teardown clears the session's logs
+            assert session.sent_log == expected[name][-SESSION_LOG_SIZE:]
+            assert session.updates_sent == counts[name]
 
 
 @settings(max_examples=100, deadline=None)

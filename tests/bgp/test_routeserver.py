@@ -10,6 +10,8 @@ from repro.bgp.messages import Update
 from repro.bgp.routeserver import BestRouteChange, RouteServer
 from repro.exceptions import BgpError, ParticipantError
 from repro.net.addresses import IPv4Address, IPv4Prefix
+from tests.bgp.reference import (
+    reference_changes, reference_sends, reference_table)
 
 P1 = IPv4Prefix("11.0.0.0/8")
 P2 = IPv4Prefix("12.0.0.0/8")
@@ -94,6 +96,25 @@ class TestPeering:
         assert any(change.new is None for change in changes)
         assert server.best_route_for("A", P1) is None
         assert "B" not in server.peers()
+
+    def test_remove_peer_reports_the_decisions_taken_without_it(self):
+        """What a removal reports as decided is what a listener deciding
+        afresh would read: no exception left for the peer that is gone."""
+        server = make_server()
+        server.announce("A", P1, attrs("172.0.0.1", [65001, 65002]))
+        server.announce("B", P1, attrs("172.0.0.2", [65002]))
+        assert "B" in server.decide(P1).exceptions
+        seen = []
+        server.add_update_listener(
+            lambda update, changes: seen.append((update, server.decide(P1))))
+        before = reference_table(server, ("A", "C"), (P1, P2))
+        changes = server.remove_peer("B")
+        (update, decided), = seen
+        assert changes.decided[P1] == server.decide(P1) == decided
+        assert "B" not in changes.decided[P1].exceptions
+        assert changes == reference_changes(
+            before, reference_table(server, ("A", "C"), (P1, P2)),
+            ("A", "C"), update)
 
     def test_reset_session_flushes_routes(self):
         server = make_server()
@@ -381,6 +402,42 @@ class TestDecidesOncePerPrefix:
         assert server.session("M1").sent_log == []
         assert sent[0].announcements[0].attributes.next_hop == IPv4Address(
             "192.0.2.77")
+
+    def test_an_update_builds_no_per_peer_change(self, monkeypatch):
+        """An announcement that moves 299 peers is reported as one decision
+        pair: with no change listener, no ``BestRouteChange`` is built —
+        and the count, the counter and every session's log are still what
+        the 299 per-peer changes give."""
+        server = make_exchange(300)
+
+        def rewrite(prefix, route):
+            return IPv4Address("192.0.2.77")
+
+        server.set_next_hop_rewriter(rewrite)
+        built = []
+        init = BestRouteChange.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BestRouteChange, "__init__", counted)
+        reported = []
+        server.add_update_listener(lambda update, changes: (
+            reported.append(changes), server.readvertise(changes)))
+        readvertised = server.telemetry.registry.counter(
+            "sdx_bgp_readvertised_total")
+        before = readvertised.value
+        server.announce("M1", P1, attrs("172.0.0.2", [65_001]))
+        assert built == []
+        (changes,) = reported
+        assert len(changes) == 299
+        assert readvertised.value - before == 299
+        monkeypatch.undo()
+        sends = reference_sends(server, changes, rewrite)
+        assert sum(map(len, sends.values())) == 299
+        for name in server.peers():
+            assert server.session(name).sent_log == sends.get(name, [])
 
 
 def count_export_checks(server, monkeypatch):

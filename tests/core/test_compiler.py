@@ -351,7 +351,7 @@ class TestStageOneIsCompositional:
         sdx = ixp.build_controller(with_dataplane=False)
         install_assignments(sdx, generate_policies(ixp, seed=4))
         compiler = sdx.compiler
-        holder = compiler._policy_holders(sdx.topology.participants())[0]
+        holder = sdx.topology.policy_holders()[0]
         target = holder.outbound_targets()[0]
         pinned = sdx.route_server.reachable_prefixes(holder.name, via=target)[0]
         for name in (holder.name, "AS1"):
@@ -361,8 +361,7 @@ class TestStageOneIsCompositional:
             for clause in extra_clauses:
                 sdx.participant(name).add_outbound(clause(target))
         result = sdx.start()
-        participants = sdx.topology.participants()
-        holders = compiler._policy_holders(participants)
+        holders = sdx.topology.policy_holders()
         assert len(result.groups) > 20 and len(holders) == 3
 
         def built(stage, name):
@@ -385,7 +384,6 @@ class TestStageOneIsCompositional:
                              for tags in everywhere(participant, clauses))
 
             defaults = compiler._stack_pieces(compiler._default_pieces(
-                participants,
                 [(vmac, sdx.route_server.decide(group.representative))],
                 None))
             alone = stacked(

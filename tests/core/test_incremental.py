@@ -187,6 +187,62 @@ class TestFastPathInstallsNoDeadRules:
             assert rule.match.get("dstip").overlaps(prefix), (rule, prefix)
 
 
+class TestFastPathAsksOnlyPolicyHolders:
+    def test_an_update_reads_no_clause_of_a_member_without_policy(
+            self, monkeypatch):
+        """The policy holders are kept on the topology: the fast path runs
+        each holder's clauses, never the membership's."""
+        from repro.core.participant import Participant
+        sdx, _tagged = churned_exchange(updates=5)
+        holders = {p.name for p in sdx.topology.policy_holders()}
+        assert holders and len(holders) < len(sdx.topology)
+        read = []
+        clauses = Participant.outbound_clauses
+
+        def counted(participant):
+            read.append(participant.name)
+            return clauses(participant)
+
+        monkeypatch.setattr(Participant, "outbound_clauses", counted)
+        prefix = sdx.route_server.all_prefixes()[0]
+        announcer = next(p for p in sdx.topology.participants()
+                         if not p.is_remote and p.name not in holders)
+        invocations = sdx.engine.fast_path_invocations
+        sdx.announce_route(announcer.name, prefix,
+                           AsPath([announcer.asn, 7, 8]))
+        assert sdx.engine.fast_path_invocations == invocations + 1
+        assert read and set(read) <= holders
+
+    def test_the_kept_holders_follow_edits_suspension_and_undo(self):
+        from repro.policy.policies import fwd, match
+        sdx, *_ = figure1_controller()
+        sdx.start()
+        topology = sdx.topology
+
+        def holders():
+            return [p.name for p in topology.policy_holders()]
+
+        def fresh():
+            return [p.name for p in topology.participants()
+                    if not p.is_remote and p.outbound_clauses()]
+
+        assert holders() == fresh() and "B" not in holders()
+        policy = match(dstport=8080) >> fwd("C")
+        sdx.participant("B").add_outbound(policy)
+        assert "B" in holders() and holders() == fresh()
+        sdx.suspend_policies()
+        assert holders() == fresh() == []
+        sdx.restore_policies()
+        sdx.participant("B").remove_outbound(policy)
+        assert holders() == fresh() and "B" not in holders()
+        b = topology.participant("B")
+        state = b.policy_state()
+        b.add_outbound(policy)
+        assert "B" in holders()
+        b.restore_policy_state(state)
+        assert holders() == fresh() and "B" not in holders()
+
+
 class TestFastPathLeavesTheMemoAlone:
     def test_reuse_entries_survive_an_update(self):
         """The fast path runs the compiler's builders outside a

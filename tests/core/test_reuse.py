@@ -760,7 +760,7 @@ class TestWhatAChangeKeys:
     def test_a_one_clause_change_keys_its_block_and_its_ports_exceptions(
             self):
         sdx = Twins(0).shipped
-        holder = sdx.compiler._policy_holders(sdx.topology.participants())[0]
+        holder = sdx.topology.policy_holders()[0]
         target = holder.outbound_targets()[0]
         ports = set(holder.switch_ports)
         before, generation = sdx.last_compilation, sdx.allocator.generation
@@ -781,7 +781,7 @@ class TestWhatAChangeKeys:
     def test_a_recompile_after_one_update_keeps_most_holders_blocks(self):
         twins = Twins(0)
         sdx, server = twins.shipped, twins.shipped.route_server
-        holders = sdx.compiler._policy_holders(sdx.topology.participants())
+        holders = sdx.topology.policy_holders()
         holder, target = next(
             (holder, target) for holder in holders
             for target in holder.outbound_targets()

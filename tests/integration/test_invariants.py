@@ -181,7 +181,9 @@ class TestInvariants:
 def reference_default_conformance(controller):
     """The participants x prefixes^2 triple loop ``check_default_conformance``
     used to be (most-specific cover rescanned inside the participant loop,
-    best route asked per (participant, prefix)) — the oracle."""
+    best route asked per (participant, prefix)) — the oracle. A participant
+    given no route for the prefix is held to the next longest cover of the
+    probe it is given a route for, as its router's longest match is."""
     server = controller.route_server
     announced = sorted(server.all_prefixes())
     found = []
@@ -191,13 +193,17 @@ def reference_default_conformance(controller):
             continue
         for prefix in announced:
             probe_ip = prefix.first_address + 1
-            specific = max(
-                (candidate for candidate in announced
-                 if candidate.contains_address(probe_ip)),
-                key=lambda candidate: candidate.length)
-            if specific != prefix:
+            covers = sorted((candidate for candidate in announced
+                             if candidate.contains_address(probe_ip)),
+                            key=lambda candidate: -candidate.length)
+            if covers[0] != prefix:
                 continue
-            best = reference_best(server, participant.name, prefix)
+            best, tagged = None, prefix
+            for cover in covers:
+                best = reference_best(server, participant.name, cover)
+                if best is not None:
+                    tagged = cover
+                    break
             emitted = router.emit(Packet(dstip=probe_ip))
             if best is None:
                 if emitted is not None:
@@ -205,7 +211,7 @@ def reference_default_conformance(controller):
             elif emitted is None:
                 found.append((participant.name, prefix, "no FIB entry"))
             else:
-                vmac = controller.allocator.vmac_for_prefix(prefix)
+                vmac = controller.allocator.vmac_for_prefix(tagged)
                 if vmac is not None and emitted.get("dstmac") != vmac:
                     found.append((participant.name, prefix, "tags"))
     return found
@@ -239,6 +245,20 @@ def nested_exchange(members=12, prefixes=60, seed=7):
     return sdx, names, announced
 
 
+def withheld_with_its_cover(sdx, names, announced, spare=()):
+    """A member (not one of ``spare``) the route server gives neither a
+    nested /24 nor the /16 that covers it, with both prefixes."""
+    server = sdx.route_server
+    return next(
+        (name, nested, cover)
+        for nested in announced if nested.length == 24
+        for cover in announced
+        if cover.length == 16 and cover.contains_prefix(nested)
+        for name in names if name not in spare
+        and server.best_route_for(name, nested) is None
+        and server.best_route_for(name, cover) is None)
+
+
 def assert_names(violations, expected):
     """``violations`` name the (participant, prefix, kind) breaches of
     ``expected``, in the same order."""
@@ -250,19 +270,38 @@ def assert_names(violations, expected):
 
 
 class TestDefaultConformanceIsPerPrefix:
+    def test_a_healthy_nested_exchange_conforms(self):
+        """A member denied a nested /24 rightly forwards its probe by the
+        covering /16 the route server gives it: no breach, either way."""
+        sdx, names, announced = nested_exchange()
+        server = sdx.route_server
+        covered = [(name, nested) for nested in announced
+                   if nested.length == 24 for name in names
+                   if server.best_route_for(name, nested) is None
+                   and sdx.topology.participant(name).router.emit(
+                       Packet(dstip=nested.first_address + 1)) is not None]
+        assert covered  # the case is there to be judged
+        assert check_default_conformance(sdx) == []
+        assert reference_default_conformance(sdx) == []
+
     def test_agrees_with_the_triple_loop_on_nested_prefixes(self, monkeypatch):
         sdx, names, announced = nested_exchange()
-        # Break three routers three ways (a member denied a nested /24
-        # already "routes" it through the covering /16); both must name
-        # the same (participant, prefix, kind) breaches in the same order.
+        # Break four routers four ways; both must name the same
+        # (participant, prefix, kind) breaches in the same order.
         nested = next(p for p in announced if p.length == 24)
         sdx.topology.participant(names[5]).router.withdraw_route(announced[0])
         sdx.topology.participant(names[6]).router.install_route(
             nested, sdx.topology.participant(names[7]).ports[0].ip)
         sdx.route_server.inject_unnotified(
             Update.withdraw(names[8], announced[3]))
+        # A member given neither a /24 nor its /16 that routes the /24's
+        # probe by the /16 anyway is flagged for the /24, not excused.
+        member, withheld, cover = withheld_with_its_cover(
+            sdx, names, announced, spare=names[5:9])
+        sdx.topology.participant(member).router.install_route(
+            cover, sdx.topology.participant(names[7]).ports[0].ip)
         expected = reference_default_conformance(sdx)
-        assert expected
+        assert (member, withheld, "routes") in expected
         scans = 0
         original = IPv4Prefix.contains_address
 
@@ -287,8 +326,7 @@ class TestDefaultConformanceIsPerPrefix:
         another table — must still be named for every router it reaches."""
         sdx, names, announced = nested_exchange()
         # The members denied a nested /24 route it through the covering /16.
-        assert_names(check_default_conformance(sdx),
-                     reference_default_conformance(sdx))
+        assert check_default_conformance(sdx) == []
         allocator = sdx.allocator
         tagged = [prefix for prefix in announced
                   if allocator.vmac_for_prefix(prefix) is not None]
@@ -302,7 +340,13 @@ class TestDefaultConformanceIsPerPrefix:
         sdx.shared_routes.withdraw(next(
             prefix for prefix in announced if prefix not in (retagged, donor)))
         sdx.topology.participant(names[3]).router.shared = SharedTable()
+        # A router that lost the overlay withholding a /24 reads the shared
+        # table's route for it.
+        member, withheld, _cover = withheld_with_its_cover(
+            sdx, names, announced, spare=names[3:4])
+        sdx.topology.participant(member).router.follow_shared(withheld)
         expected = reference_default_conformance(sdx)
+        assert (member, withheld, "routes") in expected
         assert {kind for _name, _prefix, kind in expected} == {
             "routes", "no FIB entry", "tags"}
         assert {name for name, _prefix, _kind in expected} == set(names)

@@ -118,8 +118,8 @@ class TestTableSwapAdvertisesWhatChanged:
     def pushes(controller, action):
         pushed = []
         advertise = controller._advertise_routers
-        controller._advertise_routers = lambda prefixes: (
-            pushed.append(set(prefixes)), advertise(prefixes))
+        controller._advertise_routers = lambda prefixes, *decided: (
+            pushed.append(set(prefixes)), advertise(prefixes, *decided))
         try:
             action()
         finally:

@@ -112,7 +112,7 @@ class TestCli:
                                                      capsys, monkeypatch):
         from repro.core.incremental import IncrementalEngine
         monkeypatch.setattr(IncrementalEngine, "_fast_path_for_prefix",
-                            lambda self, prefix, views=None: 0)
+                            lambda self, prefix, *_args: 0)
         assert main(["fuzz", "--seed", "3", "--scenarios", "1",
                      "--steps", "8", "--artifact-dir", str(tmp_path)]) == 1
         out = capsys.readouterr().out

@@ -422,6 +422,55 @@ class TestOneTableIndex:
         assert overlays <= len(prefixes) + 2
 
 
+def _per_member_work(tree):
+    """``(name, line)`` of each call in ``tree`` that costs a pass over the
+    peers or the members: a ``BestRouteChange(...)`` built, a
+    ``participants()`` or a ``_policy_holders(...)`` called."""
+    return sorted((name, call.lineno) for call in ast.walk(tree)
+                  if isinstance(call, ast.Call)
+                  for name in [getattr(call.func, "id",
+                                       getattr(call.func, "attr", None))]
+                  if name in ("BestRouteChange", "participants",
+                              "_policy_holders"))
+
+
+def _function(module, name):
+    """The definition of ``name`` (a function or method) in ``module``."""
+    tree = ast.parse((REPO_ROOT / "src" / "repro" / module).read_text())
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+class TestOneChangePerPrefix:
+    """A BGP update costs the prefixes it moved and their exceptions: the
+    route server reports each moved prefix's decision pair once, and the
+    fast path and the router push look members up by name. A per-peer
+    change built at ingest, or a scan of the membership per touched
+    prefix, is the O(prefixes x peers) cost growing back."""
+
+    def test_ingest_reports_decisions_not_peers(self):
+        assert _per_member_work(
+            _function("bgp/routeserver.py", "_apply_and_diff")) == []
+
+    def test_the_fast_path_and_the_router_push_scan_no_membership(self):
+        assert _per_member_work(
+            _function("core/compiler.py", "compile_prefix")) == []
+        assert _per_member_work(
+            _function("core/controller.py", "_advertise_routers")) == []
+
+    def test_the_guard_sees_per_member_work(self):
+        tree = ast.parse(
+            "def diff(self, peers, prefix):\n"
+            "    moved = [BestRouteChange(p, prefix, None, None)\n"
+            "             for p in peers]\n"
+            "    members = self.topology.participants()\n"
+            "    holders = self._policy_holders(members)\n"
+            "    return len(moved), sorted(holders)\n")
+        assert _per_member_work(tree) == [
+            ("BestRouteChange", 2), ("_policy_holders", 5),
+            ("participants", 4)]
+
+
 class TestNoHiddenKnobs:
     """Every setting is an argument, a config field or a CLI option: a
     process-environment read is a knob no signature shows — the last two

@@ -40,7 +40,7 @@ class TestRunFuzz:
 
     def test_finding_shrunk_and_saved(self, tmp_path, monkeypatch):
         monkeypatch.setattr(IncrementalEngine, "_fast_path_for_prefix",
-                            lambda self, prefix, views=None: 0)
+                            lambda self, prefix, *_args: 0)
         telemetry = Telemetry()
         config = FuzzConfig(seed=3, scenarios=1, steps=8, corpus_size=6,
                             recompile_every=100,

@@ -38,7 +38,7 @@ CASE_TYPES = ("scenario", "chaos", "federated")
 
 def scenario_case(monkeypatch):
     monkeypatch.setattr(IncrementalEngine, "_fast_path_for_prefix",
-                        lambda self, prefix, views=None: 0)
+                        lambda self, prefix, *_args: 0)
     return Case(generate_scenario(3, steps=12), corpus_size=6,
                 recompile_every=100)
 

@@ -35,7 +35,7 @@ def break_fast_path(monkeypatch):
     controller dirty — updates then silently leave stale rules installed,
     exactly the class of bug the oracle exists to catch."""
     monkeypatch.setattr(IncrementalEngine, "_fast_path_for_prefix",
-                        lambda self, prefix, views=None: 0)
+                        lambda self, prefix, *_args: 0)
 
 
 class TestCleanRuns:

@@ -70,6 +70,37 @@ class TestCanonicalState:
         with pytest.raises(AttributeError):
             state.rule_count = 0
 
+    def test_each_distinct_route_is_summarised_once(self, monkeypatch):
+        """Spelled out per route, not per (participant, prefix) pair — and
+        the same values as summarising every pair."""
+        import repro.verification.runtime as runtime_module
+
+        sdx, *_ = figure1_controller()
+        sdx.start()
+        server = sdx.route_server
+        routes = [entry for prefix in server.all_prefixes()
+                  for entry in server.ranked_routes(prefix)]
+        summarise = runtime_module._route_summary
+        summarised = []
+
+        def counted(entry):
+            summarised.append(id(entry))
+            return summarise(entry)
+
+        monkeypatch.setattr(runtime_module, "_route_summary", counted)
+        state = canonical_state(sdx)
+        monkeypatch.undo()
+        assert len(summarised) == len(set(summarised)) <= len(routes)
+        participants = sdx.topology.participants()
+        assert len(state.best_routes) == len(participants) * len(
+            server.all_prefixes()) > len(routes)
+        assert list(state.best_routes) == [
+            (participant.name, str(prefix),
+             None if best is None else summarise(best))
+            for participant in participants
+            for prefix in server.all_prefixes()
+            for best in [server.best_route_for(participant.name, prefix)]]
+
 
 class TestCleanEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
