@@ -211,7 +211,8 @@ telemetry-smoke:
 		sdx_compile_stage_seconds sdx_fastpath_invocations_total \
 		sdx_vnh_allocated_total sdx_southbound_flowmods_total \
 		sdx_southbound_apply_seconds sdx_flowtable_rules \
-		sdx_trace_spans_total; do \
+		sdx_trace_spans_total sdx_vnh_prefixes_retagged_total \
+		sdx_changelog_unknown_total; do \
 		grep -q "^$$family" /tmp/telemetry-smoke.prom \
 			|| { echo "missing metric family: $$family"; exit 1; }; \
 	done

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import (
-    Callable, Dict, Generic, Hashable, Iterable, Iterator, List, Optional, Tuple,
+    Any, Callable, Dict, Generic, Hashable, Iterable, Iterator, List, Optional, Tuple,
     TypeVar, Union)
 
 from repro.bgp.asn import AsPathPattern
@@ -36,6 +36,15 @@ Classify = Callable[[RouteAttributes], Hashable]
 CHANGE_LOG_SIZE = 4096
 
 
+def changelog_unknown_counter(registry: Any, log: str) -> Any:
+    """``registry``'s ``sdx_changelog_unknown_total{log}`` counter: one per
+    :meth:`ChangeLog.since` that cannot say, whose reader redoes all."""
+    return registry.counter(
+        "sdx_changelog_unknown_total",
+        "Times a change log could not name what changed since a version",
+        log=log)
+
+
 class ChangeLog(Generic[KeyT]):
     """A version counter that remembers which keys it moved for.
 
@@ -44,12 +53,14 @@ class ChangeLog(Generic[KeyT]):
     no keys), or the version lies further back than the
     :data:`CHANGE_LOG_SIZE` keys remembered. One entry per key, the version
     of its last change, oldest first: bounded state, not history.
+    ``on_unknown`` is called each time :meth:`since` cannot say.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, on_unknown: Optional[Callable[[], Any]] = None) -> None:
         self.version = 0
         self._changed_at: "OrderedDict[KeyT, int]" = OrderedDict()
         self._known_from = 0
+        self._on_unknown = on_unknown
 
     def record(self, keys: Optional[Iterable[KeyT]] = None) -> None:
         """One change, to ``keys`` — or, with none given, to anything."""
@@ -68,6 +79,8 @@ class ChangeLog(Generic[KeyT]):
     def since(self, version: int) -> Optional[List[KeyT]]:
         """The keys changed after ``version``, latest first; ``None``: unknown."""
         if version < self._known_from:
+            if self._on_unknown is not None:
+                self._on_unknown()
             return None
         changed: List[KeyT] = []
         for key, at in reversed(self._changed_at.items()):

@@ -37,7 +37,8 @@ from typing import (
 
 from repro.bgp.decision import rank_routes
 from repro.bgp.messages import Update, Withdrawal
-from repro.bgp.rib import AdjRibIn, ChangeLog, RibView, RouteEntry
+from repro.bgp.rib import (
+    AdjRibIn, ChangeLog, RibView, RouteEntry, changelog_unknown_counter)
 from repro.bgp.session import BgpSession
 from repro.exceptions import BgpError, ParticipantError
 from repro.net.addresses import IPv4Address, IPv4Prefix
@@ -268,7 +269,8 @@ class RouteServer:
         #: entry changed; a bulk table transfer, an export-policy edit or a
         #: peering change nothing ("anything"). What is derived from routing —
         #: grouping, defaults, committed spaces, re-advertisement — follows it.
-        self.rib_changes: ChangeLog[IPv4Prefix] = ChangeLog()
+        self.rib_changes: ChangeLog[IPv4Prefix] = ChangeLog(
+            changelog_unknown_counter(self.telemetry.registry, "rib").inc)
         self._last_down_changes = BestRouteChanges()
 
     @property

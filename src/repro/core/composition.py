@@ -20,7 +20,7 @@ the ablation benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from repro.policy.classifier import (
     Action,
@@ -63,9 +63,7 @@ def stack_fallback(layers: Sequence[Classifier]) -> Classifier:
 
 
 def sequential_compose_indexed(left: Classifier, right: Classifier,
-                               stats: Optional[ComposeStats] = None,
-                               kept: Optional[Dict[int, tuple]] = None,
-                               by_rule: Optional[Dict[int, tuple]] = None
+                               stats: Optional[ComposeStats] = None
                                ) -> Classifier:
     """``left >> right`` with stage-2 rules indexed by their port guard.
 
@@ -75,29 +73,25 @@ def sequential_compose_indexed(left: Classifier, right: Classifier,
     skips (rule, rule) pairs whose port constraints are provably
     incompatible. Actions that leave the port unset fall back to scanning
     every right rule.
-
-    ``by_rule``, when given, collects ``id(rule) -> (rule, what it
-    became)`` for every left rule, and ``kept`` — an earlier call's
-    ``by_rule`` for the same ``right`` — answers for the rule *objects* it
-    holds (an entry keeps its rule alive, so an id names one rule; hashing
-    a default layer by value would cost more than composing what changed).
     """
     if stats is not None:
         stats.sequential_ops += 1
+    return Classifier(compose_rules(left.rules, right, stats))
 
+
+def compose_rules(rules: Iterable[Rule], right: Classifier,
+                  stats: Optional[ComposeStats] = None) -> List[Rule]:
+    """What ``rules``, in order, become through ``right``: the loop of
+    :func:`sequential_compose_indexed`, for a part of a left classifier
+    (the compiler composes the default layer one tag at a time)."""
     def candidates(action: Action) -> Sequence[Rule]:
         port = action.output_port
         return right.rules if port is None else right.rules_for_port(port)
 
     out: List[Rule] = []
-    for rule_l in left.rules:
-        entry = kept.get(id(rule_l)) if kept else None
-        if entry is None:
-            entry = (rule_l, sequence_rule(rule_l, candidates, stats))
-        if by_rule is not None:
-            by_rule[id(rule_l)] = entry
-        out.extend(entry[1])
-    return Classifier(out)
+    for rule in rules:
+        out.extend(sequence_rule(rule, candidates, stats))
+    return out
 
 
 @dataclass

@@ -20,7 +20,7 @@ import contextlib
 import itertools
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.bgp.rib import ChangeLog
+from repro.bgp.rib import ChangeLog, changelog_unknown_counter
 from repro.core.fec import PrefixGroup
 from repro.dataplane.arp import ArpResponder
 from repro.exceptions import CompilationError
@@ -87,10 +87,14 @@ class VnhAllocator:
             "sdx_vnh_recycled_total", "Quarantined pairs released for reuse")
         self._live_gauge = registry.gauge(
             "sdx_vnh_live", "Live (VNH, VMAC) pairs, groups plus ephemerals")
+        self._retagged_counter = registry.counter(
+            "sdx_vnh_prefixes_retagged_total",
+            "Prefixes whose (VNH, VMAC) pair a group reassignment moved")
         #: Every assignment mutation, naming the prefixes whose ``(VNH,
         #: VMAC)`` pair it moved: an ephemeral grant or drop its prefix, a
         #: group reassignment the prefixes whose pair changed.
-        self.changes: ChangeLog[IPv4Prefix] = ChangeLog()
+        self.changes: ChangeLog[IPv4Prefix] = ChangeLog(
+            changelog_unknown_counter(registry, "vnh").inc)
         #: The VMAC of every live pair, groups plus ephemerals.
         self.live_vmacs = LiveVmacs()
         self._next_offset = 1  # skip the network address
@@ -214,9 +218,11 @@ class VnhAllocator:
                 chosen[group.group_id] = pair
             else:
                 unmatched.append(group)
-        # Whose pair moves: every override, every prefix of a group given a
-        # fresh pair, and what an unmatched old group loses to no group.
-        moved, unmatched_before = [overridden], list(previous)
+        # Whose pair moves: every prefix of a group given a fresh pair (every
+        # override a group holds), what an unmatched old group loses to no
+        # group and the overrides left in neither — disjoint parts.
+        moved: List[frozenset] = []
+        unmatched_before = list(previous)
         # A shrunken group may also keep its pair: its new population is a
         # subset of the packets the old tag carried, so old rules can only
         # give those packets their old forwarding, never a stale stranger's.
@@ -235,8 +241,14 @@ class VnhAllocator:
                 self._group_of_prefix[prefix] = group.group_id
         self._rebind()
         self._pending_retire.extend(previous.values())
-        moved.extend(prefixes.difference(self._group_of_prefix)
-                     for prefixes in unmatched_before)
+        lost = [prefixes.difference(self._group_of_prefix)
+                for prefixes in unmatched_before]
+        moved.extend(lost)
+        moved.append(frozenset(
+            prefix for prefix in overridden
+            if prefix not in self._group_of_prefix
+            and not any(prefix in part for part in lost)))
+        self._retagged_counter.inc(sum(map(len, moved)))
         self.changes.record(itertools.chain.from_iterable(moved))
 
     def finish_swap(self) -> int:

@@ -176,6 +176,14 @@ class BorderRouter:
         self._fib.remove(prefix)
         self._hidden.discard(prefix)
 
+    def withdraw_all(self) -> None:
+        """Hold no route at all, as a router whose route-server session is
+        gone: drop its own routes and read an empty shared table of its
+        own, not the exchange's."""
+        self.shared = SharedTable()
+        self._rib, self._fib = PrefixTrie(), PrefixTrie()
+        self._hidden.clear()
+
     @property
     def overlay(self) -> FrozenSet[IPv4Prefix]:
         """The prefixes at which the router reads something other than the

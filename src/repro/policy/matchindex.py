@@ -8,10 +8,11 @@ on each of the three they agree or one leaves it open (prefixes: one
 contains the other), so a match (:meth:`MatchIndex.meeting`) or a packet
 (:meth:`MatchIndex.hit_by`) visits only the buckets that agree with it.
 ``add`` and ``pop`` touch only the match's own bucket, and what empties
-is forgotten. The compiler numbers a block's rules in one (payload:
-overlap depth, :func:`file_at_depth`), the flow table every installed
-rule, whatever its priority (payload: the match's installed entries), the
-dataplane verifier its committed spaces (payload: their labels).
+is forgotten. The compiler numbers each unit of a block's rules in one
+(payload: overlap depth, :meth:`repro.core.compiler.SdxCompiler._numbered`),
+the flow table every installed rule, whatever its priority (payload: the
+match's installed entries), the dataplane verifier its committed spaces
+(payload: their labels).
 """
 
 from __future__ import annotations
@@ -206,21 +207,3 @@ class MatchIndex(Generic[T]):
         """True if some filed match covers ``match``."""
         return any(other.covers(match) for bucket in self.meeting(match)
                    for other in bucket)
-
-
-def file_at_depth(index: MatchIndex[int], match: HeaderSpace, *,
-                  unless_covered: bool = False) -> Optional[int]:
-    """File ``match`` at its *overlap depth* and return it: the length of
-    the longest chain of filed matches, each overlapping the next, that
-    ends in it — so matches of one depth are pairwise disjoint, and of two
-    that overlap the later is the deeper. With ``unless_covered`` a match
-    a filed one covers is not filed, and the answer is ``None``."""
-    depth = 0
-    for bucket in index.meeting(match):
-        for earlier, above in bucket.items():
-            if unless_covered and earlier.covers(match):
-                return None
-            if above >= depth and earlier.overlaps(match):
-                depth = above + 1
-    index.add(match, depth)
-    return depth

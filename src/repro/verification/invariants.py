@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bgp.decision import preference_key
 from repro.bgp.rib import PrefixTrie, RouteEntry
@@ -123,9 +123,12 @@ def check_bgp_consistency(controller: SdxController,
 
 
 def _conformance(name: str, prefix: IPv4Prefix, best: Optional[RouteEntry],
-                 emitted: Optional[Packet], vmac: Optional[MacAddress]
+                 emitted: Optional[Packet], vmac: Optional[MacAddress],
+                 resolve: Callable[[IPv4Address], Optional[MacAddress]]
                  ) -> Optional[Violation]:
-    """One router's breach on one prefix, judged from what it emitted."""
+    """One router's breach on one prefix, judged from what it emitted: a
+    tagged prefix must carry its VMAC, an untagged one the MAC of the next
+    hop of the route it is given (``resolve``: ARP)."""
     if best is None:
         if emitted is None:
             return None
@@ -137,11 +140,19 @@ def _conformance(name: str, prefix: IPv4Prefix, best: Optional[RouteEntry],
             "default-conformance",
             f"{name} has no FIB entry for {prefix} despite a best route via "
             f"{best.learned_from}")
-    if vmac is not None and emitted.get("dstmac") != vmac:
+    if vmac is not None:
+        if emitted.get("dstmac") != vmac:
+            return Violation(
+                "default-conformance",
+                f"{name} tags {prefix} with {emitted.get('dstmac')}, "
+                f"allocator says {vmac}")
+        return None
+    next_hop = best.attributes.next_hop
+    if emitted.get("dstmac") != resolve(next_hop):
         return Violation(
             "default-conformance",
-            f"{name} tags {prefix} with {emitted.get('dstmac')}, allocator "
-            f"says {vmac}")
+            f"{name} sends {prefix} to {emitted.get('dstmac')}, not to its "
+            f"next hop {next_hop} via {best.learned_from}")
     return None
 
 
@@ -149,10 +160,11 @@ def check_default_conformance(controller: SdxController) -> List[Violation]:
     """Router FIBs and VMAC tags agree with the route server + allocator.
 
     For every (participant, prefix): a FIB entry exists exactly when the
-    route server has a best route for that participant, and — when the
-    prefix is VNH-tagged — packets the router emits toward the prefix
-    carry the allocator's virtual MAC, the tag every default and policy
-    rule matches on. A participant given no route for the prefix is
+    route server has a best route for that participant, and packets the
+    router emits toward the prefix carry — when it is VNH-tagged — the
+    allocator's virtual MAC, the tag every default and policy rule matches
+    on, or else the MAC of the next hop of the route the server gives that
+    participant, which the fabric's MAC-learning rules forward on. A participant given no route for the prefix is
     judged by the longest announced cover of the probe it is given one
     for (none: it must drop the probe) — it rightly forwards a withheld
     /24 by the /16 it holds. Every verdict reads a router's own
@@ -165,6 +177,7 @@ def check_default_conformance(controller: SdxController) -> List[Violation]:
     if controller.fabric is None:
         return []
     server = controller.route_server
+    resolve = controller.fabric.arp.resolve
     prefixes = server.all_prefixes()
     announced: PrefixTrie[None] = PrefixTrie()
     for prefix in prefixes:
@@ -229,14 +242,14 @@ def check_default_conformance(controller: SdxController) -> List[Violation]:
             judged.extend((name, emitted) for name in given_other
                           if routers[name].shared is shared)
             if _conformance("", prefix, decision.best, emitted,
-                            vmac) is not None:
+                            vmac, resolve) is not None:
                 judged.extend((name, emitted) for name in names
                               if name not in own and name not in given_other)
         for name, emitted in judged:
             route, tag = decision.route_for(name), vmac
             if route is None:
                 route, tag = given_cover(name, probe_ip)
-            breach = _conformance(name, prefix, route, emitted, tag)
+            breach = _conformance(name, prefix, route, emitted, tag, resolve)
             if breach is not None:
                 found.append((place[name], at, breach))
     found.sort(key=itemgetter(0, 1))

@@ -43,7 +43,8 @@ def compile_work(sdx):
     """The unit counts the latest ``compile`` span reports."""
     span = [s for s in sdx.telemetry.tracer.finished()
             if s.name == "compile"][-1]
-    return {key: span.tags[key] for key in ("dirty_prefixes", "groups_rebuilt")}
+    return {key: span.tags[key]
+            for key in ("dirty_prefixes", "groups_rebuilt", "rules_numbered")}
 
 
 def keyed(sdx):
@@ -129,7 +130,8 @@ class TestWhatAChangeRebuilds:
             sdx.run_background_recompilation()
 
         assert set(misses(sdx, announce)) == {"groups", "defaults"}
-        assert compile_work(sdx) == {"dirty_prefixes": 1, "groups_rebuilt": 0}
+        assert compile_work(sdx) == {"dirty_prefixes": 1, "groups_rebuilt": 0,
+                                     "rules_numbered": 0}
 
     def test_export_policy_rebuilds_what_reads_routing(self, started):
         sdx = started[0]
@@ -141,9 +143,15 @@ class TestWhatAChangeRebuilds:
 
         assert set(misses(sdx, restrict)) == ALL - {"inbound", "stage2"}
         # The log cannot name what an export edit moved: nothing is kept.
-        assert compile_work(sdx) == {
+        work = compile_work(sdx)
+        assert work == {
             "dirty_prefixes": sum(map(len, sdx.last_compilation.groups)),
-            "groups_rebuilt": len(sdx.last_compilation.groups)}
+            "groups_rebuilt": len(sdx.last_compilation.groups),
+            "rules_numbered": work["rules_numbered"]}
+        # Every default-layer rule is composed anew, so numbered anew.
+        assert work["rules_numbered"] >= len(sdx.last_compilation.rules) - sum(
+            len(numbered) for _composed, (numbered, _index)
+            in sdx.last_compilation.reuse["reduction", "A"][1].values())
         assert not {id(g) for g in groups} & {
             id(g) for g in sdx.last_compilation.groups}
 
@@ -582,11 +590,14 @@ def test_a_burst_costs_a_burst_sized_recompile(prefixes, monkeypatch):
     prefix, whatever the table size — and ranks nothing: the burst's own
     writes did."""
     from repro.bgp.routeserver import RouteServer
-    sdx = Twins(0, prefixes).shipped
+    twins = Twins(0, prefixes)
+    sdx = twins.shipped
     registry = sdx.telemetry.registry
-    updates = [next(Twins(0, prefixes).trace) for _ in range(20)]
+    before = sdx.last_compilation
+    updates = [next(twins.trace) for _ in range(20)]
     for update in updates:
         sdx.submit_update(update)
+    shadows = len(shadow_rules(sdx))
     named = {prefix for update in updates for prefix in update.prefixes}
     exported = []
     route_exported = RouteServer.route_exported
@@ -604,6 +615,31 @@ def test_a_burst_costs_a_burst_sized_recompile(prefixes, monkeypatch):
     assert len(exported) <= members * (len(named) + work["groups_rebuilt"])
     # The table is many times the burst: none of this is per touched prefix.
     assert len(named) + work["groups_rebuilt"] < touched / 4
+    # Numbering and keying are per tag that moved: a tag whose group (its
+    # prefixes, its signature — which holders may use it) stands keeps its
+    # numbered rules and its block, the very object.
+    after = sdx.last_compilation
+    moved = tags_that_moved(sdx, before, after)
+    of_moved = sum(rule.match.get("dstmac") in moved
+                   for result in (before, after) for rule in result.rules)
+    assert 0 < work["rules_numbered"] <= of_moved
+    # The fast path's shadow rules are deleted as they are, unkeyed.
+    assert shadows and 0 < keyed(sdx) <= of_moved
+    if prefixes >= 1600:
+        assert max(work["rules_numbered"], keyed(sdx)) < len(after.rules) / 4
+
+
+def tags_that_moved(sdx, before, after):
+    """The VMACs of groups that came, went, or changed prefixes or
+    signature between two compilations."""
+    old = {vmac: group for vmac, group in zip(
+        before.reuse["defaults", None][1].pieces, before.groups)}
+    new = {vmac: group for vmac, group in zip(
+        after.reuse["defaults", None][1].pieces, after.groups)}
+    return {vmac for vmac in old.keys() | new.keys()
+            if vmac not in old or vmac not in new
+            or (old[vmac].prefixes, old[vmac].signature)
+            != (new[vmac].prefixes, new[vmac].signature)}
 
 
 @pytest.mark.parametrize("prefixes", [1000, 2000])
@@ -677,8 +713,8 @@ def test_a_compile_that_raises_leaves_the_kept_result_as_it_was(monkeypatch):
         reuse = sdx.last_compilation.reuse
         _groups, grouping, _by_context = reuse["groups", None][1]
         return (dict(reuse), sorted(grouping.signatures.items()),
-                dict(grouping.groups), dict(reuse["defaults", None][1][1]),
-                dict(reuse["composition", None][1][1]))
+                dict(grouping.groups), dict(reuse["defaults", None][1].pieces),
+                dict(reuse["composition", None][1].units))
 
     before = snapshot()
     build = compiler_module.build_default_forwarding

@@ -262,3 +262,47 @@ class TestVirtualTopology:
         assert topology.names() == ("A", "B")
         assert topology.physical_ports() == (2, 5)
         assert len(topology) == 2
+
+
+class TestRetaggingIsCounted:
+    def test_a_group_past_the_change_log_retags_whole_and_cannot_say(self):
+        """One overridden member makes its whole group take a fresh pair
+        at the re-optimisation: every prefix of it is counted re-tagged,
+        and the change log, told of more prefixes than it keeps, cannot
+        say what moved when the routers are brought up to date — once."""
+        from repro.bgp.asn import AsPath
+        from repro.bgp.attributes import RouteAttributes
+        from repro.bgp.messages import Announcement, Update
+        from repro.bgp.rib import CHANGE_LOG_SIZE
+        from repro.core.controller import SdxController
+        from repro.policy.policies import fwd, match
+        sdx = SdxController()
+        for name, asn in (("A", 65001), ("B", 65002), ("C", 65003)):
+            sdx.add_participant(name, asn)
+        prefixes = [IPv4Prefix(f"10.{i // 256}.{i % 256}.0/24")
+                    for i in range(CHANGE_LOG_SIZE + 100)]
+        attributes = RouteAttributes(
+            as_path=AsPath([65002]),
+            next_hop=sdx.topology.participant("B").ports[0].ip)
+        sdx.load_routes([Update(sender="B", announcements=tuple(
+            Announcement(prefix, attributes) for prefix in prefixes))])
+        sdx.participant("A").add_outbound(match(dstport=80) >> fwd("B"))
+        sdx.start()
+        (group,) = sdx.last_compilation.groups
+        assert len(group.prefixes) > CHANGE_LOG_SIZE
+        registry = sdx.telemetry.registry
+
+        def counts():
+            return (registry.get("sdx_vnh_prefixes_retagged_total").value,
+                    sum(registry.get("sdx_changelog_unknown_total",
+                                     log=log).value for log in ("rib", "vnh")))
+
+        started = counts()
+        assert started == (len(group.prefixes), 0)
+        sdx.announce_route("B", prefixes[0], AsPath([65002]))
+        assert sdx.allocator.ephemeral_prefixes() == (prefixes[0],)
+        assert counts() == started
+        sdx.run_background_recompilation()
+        (regrouped,) = sdx.last_compilation.groups
+        assert regrouped.prefixes == group.prefixes
+        assert counts() == (started[0] + len(group.prefixes), 1)

@@ -214,6 +214,9 @@ def reference_default_conformance(controller):
                 vmac = controller.allocator.vmac_for_prefix(tagged)
                 if vmac is not None and emitted.get("dstmac") != vmac:
                     found.append((participant.name, prefix, "tags"))
+                elif vmac is None and emitted.get("dstmac") != \
+                        controller.fabric.arp.resolve(best.attributes.next_hop):
+                    found.append((participant.name, prefix, "sends"))
     return found
 
 
@@ -283,6 +286,27 @@ class TestDefaultConformanceIsPerPrefix:
         assert covered  # the case is there to be judged
         assert check_default_conformance(sdx) == []
         assert reference_default_conformance(sdx) == []
+
+    def test_an_untagged_prefix_sent_to_the_wrong_next_hop_is_named(self):
+        """An untagged prefix carries its next hop's real MAC, which the
+        fabric's MAC-learning rules forward on: a router that sends it to
+        another member's port breaches default forwarding as surely as a
+        wrong tag, and is named for that prefix alone."""
+        sdx, names, announced = nested_exchange()
+        server = sdx.route_server
+        name, prefix, route = next(
+            (name, prefix, route) for prefix in announced
+            if prefix.length == 24
+            and sdx.allocator.vmac_for_prefix(prefix) is None
+            for name in names
+            if (route := server.best_route_for(name, prefix)) is not None)
+        wrong = next(member for member in names
+                     if member not in (name, route.learned_from))
+        router = sdx.topology.participant(name).router
+        router.install_route(prefix, sdx.topology.participant(wrong).ports[0].ip)
+        violations = check_default_conformance(sdx)
+        assert_names(violations, [(name, prefix, "sends")])
+        assert reference_default_conformance(sdx) == [(name, prefix, "sends")]
 
     def test_agrees_with_the_triple_loop_on_nested_prefixes(self, monkeypatch):
         sdx, names, announced = nested_exchange()

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from repro.net.packet import Packet
 from repro.policy.classifier import Action, Classifier, Rule, merge_drop_tail
 from repro.policy.headerspace import WILDCARD, HeaderSpace
-from repro.policy.matchindex import MatchIndex, file_at_depth
+from repro.policy.matchindex import MatchIndex
 
+from tests.core.reference_numbering import file_at_depth
 from tests.policy.strategies import header_spaces, packets, policies
 
 
@@ -154,7 +155,7 @@ class TestIndexedShadowElimination:
 
 
 class TestOverlapDepth:
-    """``file_at_depth`` numbers what the compiler keys the table by."""
+    """``file_at_depth``, the reference numbering, is the longest chain."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(tagged_spaces, max_size=25))

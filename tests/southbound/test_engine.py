@@ -8,13 +8,15 @@ from repro.dataplane.flowtable import FlowTable
 from repro.policy.classifier import Action, Classifier, Rule
 from repro.policy.flowrules import FlowRule
 from repro.policy.headerspace import HeaderSpace
-from repro.policy.matchindex import MatchIndex, file_at_depth
+from repro.policy.matchindex import MatchIndex
 from repro.southbound.diff import FlowMod, FlowModOp, compute_delta
 from repro.southbound.engine import (
     SouthboundConfig,
     SouthboundEngine,
     schedule_two_phase,
 )
+
+from tests.core.reference_numbering import file_at_depth
 
 
 def rule(priority, actions=(), **constraints):

@@ -188,6 +188,22 @@ class TestSpanCatalogue:
         assert sorted(live - documented) == []
         assert sorted(documented - live) == []
 
+    def test_every_compile_span_tag_is_documented(self):
+        """The compile span's work counts are the unit a change is judged
+        by: each tag a compilation sets is named in its catalogue entry."""
+        from tests.core.scenarios import figure1_controller
+        sdx = figure1_controller()[0]
+        sdx.start()
+        span = [s for s in sdx.telemetry.tracer.finished()
+                if s.name == "compile"][-1]
+        text = (REPO_ROOT / "docs" / "OBSERVABILITY.md").read_text()
+        entry = text[text.index("├─ compile "):text.index("├─ compile.fec")]
+        assert {"rebuilt", "dirty_prefixes", "groups_rebuilt",
+                "rules_numbered"} <= set(span.tags)
+        assert sorted(tag for tag in span.tags
+                      if f"{tag} —" not in entry
+                      and f"{tag}," not in entry) == []
+
 
 def load_example(stem):
     """Import one example module from ``examples/`` by file stem."""
