@@ -9,8 +9,10 @@ live BGP state into one flow table for the IXP switch:
    guard of ``SdxCompiler._inbound_pairs`` on every inbound clause;
 2. join — a forward applies only to traffic its next hop announced and
    exported (transformation 2): ``SdxCompiler._eligibility`` picks the
-   eligible tags, ``SdxCompiler._outbound_part`` matches them with one
-   :func:`repro.policy.predicates.match_any` on ``SdxCompiler.tag_field``;
+   eligible tags, ``SdxCompiler._outbound_part`` matches them on
+   ``SdxCompiler.tag_field`` — one
+   :func:`repro.policy.predicates.match_any` per clause, or each clause
+   filter's matches intersected with each tag;
 3. default — forwarding along the best BGP route via virtual-MAC tags
    (transformation 3, Section 4.2):
    :func:`repro.core.defaults.build_default_forwarding`;
