@@ -11,19 +11,21 @@ extensions sit on top of the conventional behaviour:
   SDX uses to substitute the virtual next-hop (VNH) of the prefix's
   forwarding equivalence class (Section 4.2).
 
-The server keeps what it ranked. Every RIB write goes through
-:meth:`RouteServer._apply`, which re-ranks the prefixes it changed into the
-Loc-RIB — per prefix, every announced route, best first — and stamps each
-stored route with its *export class*: what of it the export check reads.
-:meth:`RouteServer.decide` turns a prefix's ranking into a
+The server keeps what it ranked and what it decided. Every RIB write goes
+through :meth:`RouteServer._apply`, which re-ranks the prefixes it changed
+into the Loc-RIB — per prefix, every announced route, best first — and
+stamps each stored route with its *export class*: what of it the export
+check reads. :meth:`RouteServer.decide` turns a prefix's ranking into a
 :class:`Decision`, a partition of the receivers in which everyone gets the
 best route except the few it may not be exported to, who fall through to
-the next one. Ingest diffs two partitions and reports them per prefix
-(:class:`BestRouteChanges`, a per-peer view expanded only when read),
-re-advertisement sends one shared UPDATE per cell, a one-receiver read
-(:meth:`~RouteServer.best_route_for`) takes the first entry of the same
-ranking it may have, and FEC grouping asks its questions once per distinct
-tuple of ranked classes instead of once per prefix.
+the next one, and keeps it until a write re-ranks the prefix or a peering
+or export-policy change could move any answer. Ingest diffs two partitions
+and reports them per prefix (:class:`BestRouteChanges`, a per-peer view
+expanded only when read), re-advertisement sends one shared UPDATE per
+cell, a one-receiver read (:meth:`~RouteServer.best_route_for`) takes the
+first entry of the same ranking it may have, and FEC grouping asks its
+questions once per distinct tuple of ranked classes instead of once per
+prefix.
 """
 
 from __future__ import annotations
@@ -77,16 +79,16 @@ class BestRouteChange:
                 f"{render(self.old)} -> {render(self.new)})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decision:
     """The decision process's answer for one prefix, for every receiver.
 
     ``ranked`` holds every announced route, best first. Each of ``peers``
-    (a snapshot of the peer names, so a kept decision stays what it was)
-    receives ``ranked[0]`` except the keys of ``exceptions`` — its
-    announcer, peers whose AS is on its path, peers its export policy or
-    communities exclude — which map to the first later route they may
-    have (``None`` when there is none).
+    (a snapshot of the peer names, so a decision held past a peering
+    change stays what it was) receives ``ranked[0]`` except the keys of
+    ``exceptions`` — its announcer, peers whose AS is on its path, peers
+    its export policy or communities exclude — which map to the first
+    later route they may have (``None`` when there is none).
     """
 
     ranked: Tuple[RouteEntry, ...]
@@ -123,18 +125,14 @@ class BestRouteChanges:
     peer in peering order (``peers``), each peer's in the order the write
     touched its prefixes; ``len`` counts them off the common cells and the
     exceptions, without expanding; it compares equal to the list of the
-    same changes. What the write decided anew for each prefix it changed,
-    moved or not, is ``decided``.
+    same changes.
     """
 
-    __slots__ = ("peers", "decided", "_moved", "_len")
+    __slots__ = ("peers", "_moved", "_len")
 
     def __init__(self, peers: Tuple[str, ...] = (),
-                 pairs: Iterable[Tuple[IPv4Prefix, Decision, Decision]] = (),
-                 decided: Optional[Mapping[IPv4Prefix, Decision]] = None):
+                 pairs: Iterable[Tuple[IPv4Prefix, Decision, Decision]] = ()):
         self.peers = peers
-        self.decided: Mapping[IPv4Prefix, Decision] = MappingProxyType(
-            decided if decided is not None else {})
         self._moved: List[_Moved] = []
         self._len = 0
         for prefix, old, new in pairs:
@@ -258,6 +256,10 @@ class RouteServer:
         #: Export classes by value, so that equal ones are one object. Holds
         #: the distinct classes ever stored: a few per announcer.
         self._export_classes: Dict[tuple, tuple] = {}
+        #: Per prefix asked for, its :meth:`decide` answer until what it
+        #: read moves: a write re-ranking the prefix drops its entry, a
+        #: peering or export-policy change (which can move any) all of them.
+        self._decisions: Dict[IPv4Prefix, Decision] = {}
         self._export_deny: Dict[str, Set[str]] = {}
         self._export_allow: Dict[str, Optional[Set[str]]] = {}
         self._listeners: List[ChangeListener] = []
@@ -302,6 +304,7 @@ class RouteServer:
         """Take the peer-name snapshots anew after a session came or went."""
         self._peer_names = frozenset(self._sessions)
         self._peer_order = tuple(self._sessions)
+        self._decisions.clear()
 
     def remove_peer(self, name: str) -> BestRouteChanges:
         """Drop a peer and withdraw everything it announced."""
@@ -420,6 +423,7 @@ class RouteServer:
         if announcer not in self._sessions:
             raise ParticipantError(f"unknown peer {announcer!r}")
         self.rib_changes.record()
+        self._decisions.clear()
         self._export_deny[announcer] = set(deny)
         self._export_allow[announcer] = None if allow is None else set(allow)
 
@@ -453,6 +457,7 @@ class RouteServer:
     def _reclass(self) -> None:
         """Membership changed under the stored routes: stamp them anew. A
         re-stamped route takes its old place — ranking reads no class."""
+        self._decisions.clear()
         if not self._loc_rib:
             return  # an exchange being set up: members first, routes after
         for adj in self._adj_in.values():
@@ -542,13 +547,15 @@ class RouteServer:
         Loc-RIB, the prefixes whose entry actually changed; returns them —
         which the change log is told, unless the caller records the change.
         The one place the decision process ranks
-        (``sdx_bgp_decision_runs_total``)."""
+        (``sdx_bgp_decision_runs_total``); what was decided from the old
+        ranking goes with it."""
         adj = self._adj_in[update.sender]
         changed = adj.apply(update, partial(self._export_class, adj.peer))
         if named:
             self.rib_changes.record(changed)
         self._decision_runs_counter.inc(len(changed))
         for prefix in changed:
+            self._decisions.pop(prefix, None)
             routes = [entry for entry in self._loc_rib.get(prefix, ())
                       if entry.learned_from != update.sender]
             entry = adj.route(prefix)
@@ -609,23 +616,23 @@ class RouteServer:
                         settle: Optional[Callable[[], None]] = None
                         ) -> BestRouteChanges:
         """Apply ``update`` to the sender's Adj-RIB-In and report every
-        per-participant best-route change it caused: each touched prefix
-        is decided once before and once after the write, and the pair is
-        the report — per prefix, not per peer; :class:`BestRouteChanges`
-        reads it peer by peer (in peering order), as the per-session
-        UPDATE streams it becomes. ``settle`` runs between the write and
-        the second decision: what else the write takes with it, so that
-        the decisions reported are the ones the listeners would take."""
+        per-participant best-route change it caused: each touched prefix's
+        decision before the write (kept, unless a peering change dropped
+        it) and after it, and the pair is the report — per prefix, not per
+        peer; :class:`BestRouteChanges` reads it peer by peer (in peering
+        order), as the per-session UPDATE streams it becomes. ``settle``
+        runs between the write and the second decision: what else the
+        write takes with it, so that the decisions reported are the ones
+        the listeners read."""
         touched = set(update.prefixes)
         before = {prefix: self.decide(prefix) for prefix in touched}
-        changed = self._apply(update)
+        changed = set(self._apply(update))
         if settle is not None:
             settle()
-        after = {prefix: self.decide(prefix) for prefix in changed}
         return BestRouteChanges(
             self._peer_order,
-            ((prefix, before[prefix], after[prefix])
-             for prefix in touched if prefix in after), after)
+            ((prefix, before[prefix], self.decide(prefix))
+             for prefix in touched if prefix in changed))
 
     # ------------------------------------------------------------------
     # Route queries (the SDX controller's read API)
@@ -637,12 +644,16 @@ class RouteServer:
         return self._loc_rib.get(prefix, ())
 
     def decide(self, prefix: IPv4Prefix) -> Decision:
-        """Which route every peer gets for ``prefix``, decided once.
+        """Which route every peer gets for ``prefix``, decided once per
+        ranking and kept (``_decisions``) until what it read moves.
 
         :data:`~repro.bgp.decision.preference_key` is a total order, so a
         peer's best route is the first of the one ranking it may be given;
         only peers the top entry may be withheld from are asked one by one.
         """
+        decision = self._decisions.get(prefix)
+        if decision is not None:
+            return decision
         ranked = self.ranked_routes(prefix)
         exceptions: Dict[str, Optional[RouteEntry]] = {}
         if ranked:
@@ -650,7 +661,9 @@ class RouteServer:
             for peer in self._possibly_withheld(best):
                 if not self.route_exported(best, peer):
                     exceptions[peer] = self._first_exported(rest, peer)
-        return Decision(ranked, MappingProxyType(exceptions), self._peer_names)
+        decision = self._decisions[prefix] = Decision(
+            ranked, MappingProxyType(exceptions), self._peer_names)
+        return decision
 
     def _first_exported(self, ranked: Sequence[RouteEntry],
                         receiver: str) -> Optional[RouteEntry]:
@@ -675,17 +688,6 @@ class RouteServer:
             if asn in self._peers_by_asn:
                 peers.update(self._peers_by_asn[asn])
         return peers
-
-    def candidates_for(self, participant: str,
-                       prefix: IPv4Prefix) -> List[RouteEntry]:
-        """Routes for ``prefix`` that ``participant`` may use, best first."""
-        return [entry for entry in self.ranked_routes(prefix)
-                if self.route_exported(entry, participant)]
-
-    def all_routes_for(self, prefix: IPv4Prefix) -> List[RouteEntry]:
-        """Every route announced for ``prefix``, regardless of export
-        policy: :meth:`ranked_routes` as a list of the caller's own."""
-        return list(self.ranked_routes(prefix))
 
     def best_route_for(self, participant: str,
                        prefix: IPv4Prefix) -> Optional[RouteEntry]:

@@ -48,7 +48,7 @@ from repro.bgp.asn import AsPath
 from repro.bgp.attributes import RouteAttributes
 from repro.bgp.messages import Update, Withdrawal
 from repro.bgp.rib import RouteEntry
-from repro.bgp.routeserver import BestRouteChanges, Decision, RouteServer
+from repro.bgp.routeserver import BestRouteChanges, RouteServer
 from repro.core.compiler import CompilationResult, SdxCompiler
 from repro.core.incremental import FastPathResult, IncrementalEngine
 from repro.core.participant import Participant
@@ -221,11 +221,11 @@ class SdxController:
     def _committed_spaces(self) -> "CommittedSpaces":
         """Committed-traffic spaces, kept per prefix.
 
-        Deriving the population decides every tagged prefix — far too hot
-        to redo on every FlowMod delta the dataplane verifier checks. A
-        prefix's space only changes when its routes or its tag do, so only
-        the prefixes a change log names since the last call are derived
-        again; everything, when a log cannot say. What that moved is on the
+        Deriving the population builds a space for every tagged prefix —
+        far too hot to redo on every FlowMod delta the dataplane verifier
+        checks. A prefix's space only changes when its routes or its tag
+        do, so only the prefixes a change log names since the last call are
+        derived again; everything, when a log cannot say. What that moved is on the
         result's own change log, which the verifier reads.
         """
         from repro.statics.dataplane import CommittedSpaces
@@ -577,27 +577,22 @@ class SdxController:
             self._advertise_routers(self.route_server.all_prefixes()
                                     if changed is None else changed)
 
-    def _advertise_routers(self, prefixes: Iterable[IPv4Prefix],
-                           decided: Optional[Mapping[IPv4Prefix, Decision]]
-                           = None) -> None:
-        """Give every border router its route for each of ``prefixes``,
-        decided once per prefix (``decided`` holds the decisions already
-        taken). The shared table takes the next hop every router holding a
-        route is given — the prefix's VNH, or an untagged prefix's best
-        route's own — and only a router given something else takes an
-        overlay entry: no route, or an untagged prefix's other route. What
-        a route server would send per (prefix, router) is counted, not
-        done: a prefix costs its exceptions, not the membership."""
+    def _advertise_routers(self, prefixes: Iterable[IPv4Prefix]) -> None:
+        """Give every border router its route for each of ``prefixes``, as
+        the route server's decision for it says. The shared table takes the
+        next hop every router holding a route is given — the prefix's VNH,
+        or an untagged prefix's best route's own — and only a router given
+        something else takes an overlay entry: no route, or an untagged
+        prefix's other route. What a route server would send per (prefix,
+        router) is counted, not done: a prefix costs its exceptions, not
+        the membership."""
         routers = self._routers
         resolve = self.fabric.arp.resolve
-        decided = decided or {}
         given = taken = 0
         for prefix in prefixes:
             for router in self._overlaid.pop(prefix, ()):
                 router.follow_shared(prefix)
-            decision = decided.get(prefix)
-            if decision is None:
-                decision = self.route_server.decide(prefix)
+            decision = self.route_server.decide(prefix)
             best = decision.best
             if best is None:
                 self.shared_routes.withdraw(prefix)
@@ -638,7 +633,7 @@ class SdxController:
         with self.telemetry.span("controller.update",
                                  prefixes=len(prefixes),
                                  changes=len(changes)):
-            fast = self.engine.handle_prefixes(prefixes, changes.decided)
+            fast = self.engine.handle_prefixes(prefixes)
             self.fast_path_log.append(fast)
             # Session-level re-advertisement (what ExaBGP puts on the wire).
             self.route_server.readvertise(changes)
@@ -648,7 +643,7 @@ class SdxController:
             # participants whose best route is unchanged must learn the
             # fresh VNH so their tags line up with the fast-path rules —
             # one shared-table write per prefix gives it them all.
-            self._advertise_routers(prefixes, changes.decided)
+            self._advertise_routers(prefixes)
             if not self.route_server.is_peer(update.sender):
                 # The sender left the route server: its router is given
                 # nothing, every prefix it held included, and is no longer

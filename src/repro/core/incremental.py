@@ -8,8 +8,10 @@ trades space for time:
   VNH/VMAC (skipping the FEC computation entirely), have the compiler
   recompile the same policy for that one group
   (:meth:`~repro.core.compiler.SdxCompiler.compile_prefix` — *only* the
-  clauses that can touch the prefix yield rules), and push the resulting
-  rules at a priority above the main table. Sub-second, but the extra
+  clauses that can touch the prefix yield rules) under the route server's
+  kept decision for it (:meth:`~repro.bgp.routeserver.RouteServer.decide`,
+  which the update itself decided), and push the resulting rules at a
+  priority above the main table. Sub-second, but the extra
   rules are redundant with what an optimal grouping would produce.
 * **Background re-optimisation**
   (:meth:`IncrementalEngine.background_recompile`): between bursts, run
@@ -26,7 +28,7 @@ from __future__ import annotations
 import contextlib
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from repro.bgp.routeserver import Decision
 from repro.core.compiler import CompilationResult, SdxCompiler
@@ -139,18 +141,13 @@ class IncrementalEngine:
     # Fast path
     # ------------------------------------------------------------------
 
-    def handle_prefixes(self, touched: Sequence[IPv4Prefix],
-                        decided: Optional[Mapping[IPv4Prefix, Decision]] = None
-                        ) -> FastPathResult:
+    def handle_prefixes(self, touched: Sequence[IPv4Prefix]) -> FastPathResult:
         """Fast-path recompilation for prefixes touched by an update.
 
         Driven at prefix (not best-route) granularity because an
         announcement can change which next hops are *eligible* for a
-        policy without changing anyone's best route. ``decided`` holds the
-        route server's current decision for some of ``touched`` — those
-        its update just decided
-        (:attr:`~repro.bgp.routeserver.BestRouteChanges.decided`); the rest
-        are decided here.
+        policy without changing anyone's best route. Each prefix's routes
+        are the route server's kept decision for it.
         """
         started = time.perf_counter()
         prefixes = tuple(dict.fromkeys(touched))
@@ -160,12 +157,10 @@ class IncrementalEngine:
             # Fresh Loc-RIB views for dynamic predicates, shared across the
             # prefixes of this invocation (only built if actually needed).
             views: dict = {}
-            decided = decided or {}
+            decide = self.compiler.route_server.decide
             for prefix in prefixes:
-                decision = decided.get(prefix)
                 installed += self._fast_path_for_prefix(
-                    prefix, views, decision if decision is not None
-                    else self.compiler.route_server.decide(prefix))
+                    prefix, views, decide(prefix))
             span.set_tag(rules=installed)
         self.dirty = True
         self.fast_path_invocations += 1

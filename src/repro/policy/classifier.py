@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping,
+    Optional, Sequence, Tuple)
 
 from repro.exceptions import PolicyError
 from repro.net.packet import Packet, check_field, coerce_field_value

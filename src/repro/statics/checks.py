@@ -17,7 +17,6 @@ dead clauses never win a forwarding decision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.bgp.routeserver import RouteServer
@@ -678,23 +677,13 @@ class UnreachableDefaultCheck(Check):
 
         A :class:`~repro.bgp.routeserver.Decision` gives every peer its best
         route except the keys of ``exceptions``, so a peer goes without
-        exactly where it maps to ``None`` there: one pass over the
-        decisions, not one ``route_for`` per peer and prefix. Who is refused
-        a route reads nothing of it but its export class, so prefixes whose
-        rankings have the same classes share one decision's answer."""
+        exactly where it maps to ``None`` there: one pass over the kept
+        decisions, not one ``route_for`` per peer and prefix."""
         withheld: Dict[str, List[IPv4Prefix]] = {}
-        by_classes: Dict[tuple, List[str]] = {}
-        class_of = attrgetter("export_class")
         for prefix in server.prefix_set():
-            classes = tuple(map(class_of, server.ranked_routes(prefix)))
-            receivers = by_classes.get(classes)
-            if receivers is None:
-                receivers = by_classes[classes] = [
-                    receiver for receiver, route
-                    in server.decide(prefix).exceptions.items()
-                    if route is None]
-            for receiver in receivers:
-                withheld.setdefault(receiver, []).append(prefix)
+            for receiver, route in server.decide(prefix).exceptions.items():
+                if route is None:
+                    withheld.setdefault(receiver, []).append(prefix)
         return withheld
 
     def _policy_intersects(self, context: StaticsContext,

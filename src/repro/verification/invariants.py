@@ -15,8 +15,8 @@ and the migrated integration tests can assert on them directly:
   installed compilation's rules under the compiler's keys, and those keys
   order every pair of overlapping rules as the classifier does;
 - :func:`check_loc_rib` — what the route server keeps from its writes (the
-  ranked Loc-RIB, every route's export class) is what the Adj-RIB-Ins and
-  the current peers would give if worked out now;
+  ranked Loc-RIB, every route's export class, the kept decisions) is what
+  the Adj-RIB-Ins and the current peers would give if worked out now;
 - :class:`SwapMonitor` — the southbound two-phase swap never drops a
   probe mid-swap that is deliverable both before and after, and every
   intermediate observation equals the old or the new outcome.
@@ -164,11 +164,12 @@ def check_default_conformance(controller: SdxController) -> List[Violation]:
     router emits toward the prefix carry — when it is VNH-tagged — the
     allocator's virtual MAC, the tag every default and policy rule matches
     on, or else the MAC of the next hop of the route the server gives that
-    participant, which the fabric's MAC-learning rules forward on. A participant given no route for the prefix is
-    judged by the longest announced cover of the probe it is given one
-    for (none: it must drop the probe) — it rightly forwards a withheld
-    /24 by the /16 it holds. Every verdict reads a router's own
-    :meth:`emit`, once per distinct overlay: a router whose
+    participant, which the fabric's MAC-learning rules forward on. A
+    participant given no route for the prefix is judged by the longest
+    announced cover of the probe it is given one for (none: it must drop
+    the probe) — it rightly forwards a withheld /24 by the /16 it holds.
+    Every verdict reads a router's own :meth:`emit`, once per distinct
+    overlay: a router whose
     :attr:`~repro.dataplane.router.BorderRouter.overlay` covers the probe
     address is asked itself, the others once per shared table they read —
     and they are judged one by one only where the route server gives them
@@ -183,14 +184,13 @@ def check_default_conformance(controller: SdxController) -> List[Violation]:
     for prefix in prefixes:
         announced.insert(prefix, None)
     # Only check prefixes that are the most specific cover of their own
-    # probe address, so overlapping announcements don't cross-talk; the
-    # cover and the route server's decision are per-prefix facts.
+    # probe address, so overlapping announcements don't cross-talk.
     checked = []
     for prefix in prefixes:
         probe_ip = prefix.first_address + 1
         cover = announced.longest_match(probe_ip)
         if cover is not None and cover[0] == prefix:
-            checked.append((prefix, probe_ip, server.decide(prefix)))
+            checked.append((prefix, probe_ip))
     routers = {participant.name: participant.router
                for participant in controller.topology.participants()
                if participant.router is not None}
@@ -205,7 +205,6 @@ def check_default_conformance(controller: SdxController) -> List[Violation]:
                 overlaid.insert(prefix, [name])
             else:
                 held.append(name)
-    decided = {prefix: decision for prefix, _ip, decision in checked}
 
     def given_cover(name: str, probe_ip: IPv4Address
                     ) -> Tuple[Optional[RouteEntry], Optional[MacAddress]]:
@@ -213,16 +212,15 @@ def check_default_conformance(controller: SdxController) -> List[Violation]:
         ``probe_ip`` it is given one for, and that cover's tag; ``None``s
         when it is given none."""
         for cover, _none in announced.matching(probe_ip):
-            if cover not in decided:
-                decided[cover] = server.decide(cover)
-            route = decided[cover].route_for(name)
+            route = server.decide(cover).route_for(name)
             if route is not None:
                 return route, controller.allocator.vmac_for_prefix(cover)
         return None, None
 
     found: List[Tuple[int, int, Violation]] = []
     peers, absent = None, []
-    for at, (prefix, probe_ip, decision) in enumerate(checked):
+    for at, (prefix, probe_ip) in enumerate(checked):
+        decision = server.decide(prefix)
         probe = Packet(dstip=probe_ip)
         vmac = controller.allocator.vmac_for_prefix(prefix)
         if decision.peers is not peers:
@@ -303,15 +301,17 @@ def check_loc_rib(controller: SdxController) -> List[Violation]:
     failures, a stuck route, peers joining and leaving — the Loc-RIB ranks,
     for every prefix some peer announces and for no other, the very entries
     the Adj-RIB-Ins hold, in :func:`~repro.bgp.decision.preference_key`
-    order; and every stored route's export class is the one the peers of
-    this moment give it. The Adj-RIB-Ins are read peer by peer, not through
-    the Loc-RIB this judges.
+    order; every stored route's export class is the one the peers of this
+    moment give it; and where the ranking is right, the kept decision gives
+    every peer the very route a read of that ranking for it does. The
+    Adj-RIB-Ins are read peer by peer, not through the Loc-RIB this judges.
     """
     server = controller.route_server
     violations: List[Violation] = []
-    member_asns = {server.session(peer).asn for peer in server.peers()}
+    peers = server.peers()
+    member_asns = {server.session(peer).asn for peer in peers}
     announced: Dict[IPv4Prefix, List[RouteEntry]] = {}
-    for peer in server.peers():
+    for peer in peers:
         for entry in server.routes_from(peer):
             announced.setdefault(entry.prefix, []).append(entry)
             fresh = (peer, server.export_control_communities(entry.attributes),
@@ -329,6 +329,13 @@ def check_loc_rib(controller: SdxController) -> List[Violation]:
             violations.append(Violation(
                 "loc-rib", f"{prefix} is ranked {list(kept)}, the "
                            f"Adj-RIB-Ins rank {ranked}"))
+            continue
+        decision = server.decide(prefix)
+        stale = [peer for peer in peers if decision.route_for(peer)
+                 is not server.best_route_for(peer, prefix)]
+        if stale:
+            violations.append(Violation(
+                "loc-rib", f"{prefix}'s kept decision is stale for {stale}"))
     return violations
 
 

@@ -132,10 +132,9 @@ def canonical_state(controller: SdxController) -> CanonicalState:
                       for entry in route_server.ranked_routes(prefix))))
         for prefix in prefixes)
     best_routes: List[Tuple[str, str, Optional[RouteSummary]]] = []
-    decisions = {prefix: route_server.decide(prefix) for prefix in prefixes}
     for participant in controller.topology.participants():
         for prefix in prefixes:
-            best = decisions[prefix].route_for(participant.name)
+            best = route_server.decide(prefix).route_for(participant.name)
             best_routes.append((
                 participant.name, names[prefix],
                 None if best is None else summaries[id(best)]))

@@ -404,8 +404,8 @@ def inject_unreachable_default(controller: SdxController, *,
     names = _physical_names(controller)
     options: List[Tuple[str, str, IPv4Prefix]] = []
     for prefix in server.all_prefixes():
-        routes = server.all_routes_for(prefix)
-        announcers = {entry.learned_from for entry in routes}
+        announcers = {entry.learned_from
+                      for entry in server.ranked_routes(prefix)}
         if len(announcers) != 1:
             continue
         announcer = next(iter(announcers))

@@ -38,7 +38,8 @@ def announced_routes(server: RouteServer,
 
 def reference_best(server: RouteServer, receiver: str,
                    prefix: IPv4Prefix) -> Optional[RouteEntry]:
-    """``best_route(candidates_for(receiver, prefix))``, the old way."""
+    """``best_route`` of the routes ``receiver`` may be given for
+    ``prefix``, the old way."""
     return best_route(entry for entry in announced_routes(server, prefix)
                       if server.route_exported(entry, receiver))
 

@@ -2,11 +2,13 @@
 
 The route server ranks a prefix's routes once and hands out a partition
 of the receivers (:meth:`RouteServer.decide`). These properties hold it
-to the algorithm it replaced — ``best_route(candidates_for(r, p))`` for
-every receiver, kept in :mod:`tests.bgp.reference` — over random
+to the algorithm it replaced — ``best_route`` of the routes each receiver
+may be given, kept in :mod:`tests.bgp.reference` — over random
 announcers, LOCAL_PREF / path-length / MED ties, session allow and deny
 lists, blocking and allow-list communities, participant ASNs planted in
-paths, two sessions of one AS, and session teardowns.
+paths, two sessions of one AS, session teardowns, and a member joining and
+leaving whose AS already sits on announced paths — which moves the
+decisions the route server keeps without a write to their prefixes.
 """
 
 from hypothesis import given, settings
@@ -30,8 +32,12 @@ from tests.bgp.reference import (
 PEERS = (("P0", 65000), ("P1", 65001), ("P2", 65002),
          ("P3", 65003), ("P4", 65003))
 NAMES = tuple(name for name, _asn in PEERS)
+#: A member that joins and leaves: its AS is one of ``PATH_ASNS``, so its
+#: coming and going re-stamps the routes whose paths cross it.
+LATE = ("late", 3356)
+MEMBERS = PEERS + (LATE,)
 #: A name with no session reads as "no route" everywhere.
-RECEIVERS = NAMES + ("ghost",)
+RECEIVERS = NAMES + (LATE[0], "ghost")
 PREFIXES = tuple(IPv4Prefix(f"10.{index}.0.0/16") for index in range(3))
 SERVER_ASN = RouteServer().asn
 PATH_ASNS = (65000, 65001, 65003, 3356, 1299)
@@ -39,6 +45,7 @@ COMMUNITIES = ((0, 0), (0, 65000), (0, 65003), (SERVER_ASN, 65001),
                (SERVER_ASN, 65002), (3356, 7))
 
 peer_index = st.integers(0, len(PEERS) - 1)
+member_index = st.integers(0, len(MEMBERS) - 1)
 route_attributes = st.builds(
     lambda tail, local_pref, med, communities: (tail, local_pref, med,
                                                 frozenset(communities)),
@@ -52,17 +59,18 @@ nlri = st.lists(
     min_size=1, max_size=4)
 names = st.lists(st.sampled_from(RECEIVERS), max_size=2)
 operations = st.lists(st.one_of(
-    st.tuples(st.just("update"), peer_index, nlri),
-    st.tuples(st.just("export"), peer_index, names,
+    st.tuples(st.just("update"), member_index, nlri),
+    st.tuples(st.just("export"), member_index, names,
               st.one_of(st.none(), names)),
-    st.tuples(st.sampled_from(("reset", "fail", "recover")), peer_index),
+    st.tuples(st.sampled_from(("reset", "fail", "recover")), member_index),
+    st.tuples(st.sampled_from(("join", "leave"))),
 ), max_size=25)
 
 
 def build_update(sender: int, items) -> Update:
-    """One UPDATE from peer ``sender``; a prefix may be both withdrawn
+    """One UPDATE from member ``sender``; a prefix may be both withdrawn
     and (re-)announced in it."""
-    name, asn = PEERS[sender]
+    name, asn = MEMBERS[sender]
     announcements, withdrawals = [], []
     for prefix_index, attributes in items:
         prefix = PREFIXES[prefix_index]
@@ -96,15 +104,25 @@ def assert_partition_matches(server):
             expected = reference_best(server, receiver, prefix)
             assert decision.route_for(receiver) == expected
             assert server.best_route_for(receiver, prefix) == expected
-            candidates = server.candidates_for(receiver, prefix)
-            assert (candidates[0] if candidates else None) == expected
             assert server.view_for(receiver).route(prefix) == expected
 
 
 def apply_operation(server, operation) -> None:
-    """Drive one generated operation, skipping what the FSM forbids."""
-    kind, index = operation[0], operation[1]
-    name = NAMES[index]
+    """Drive one generated operation, skipping what the FSM forbids and
+    what names a member that is not one at the moment."""
+    kind = operation[0]
+    if kind == "join":
+        if not server.is_peer(LATE[0]):
+            server.add_peer(*LATE)
+        return
+    if kind == "leave":
+        if server.is_peer(LATE[0]):
+            server.remove_peer(LATE[0])
+        return
+    index = operation[1]
+    name = MEMBERS[index][0]
+    if not server.is_peer(name):
+        return
     session = server.session(name)
     if kind == "update":
         if session.is_established:
@@ -129,16 +147,18 @@ def test_partition_and_change_list_match_the_per_receiver_oracle(ops):
         apply_operation(server, operation)
         assert_partition_matches(server)
         after = reference_table(server, RECEIVERS, PREFIXES)
-        # (b) whatever was processed — an UPDATE or a teardown's implied
-        # withdrawal — reported exactly the brute-force diff, in order, and
-        # counted it without expanding it.
+        # (b) whatever was processed — an UPDATE, a teardown's implied
+        # withdrawal or a leaving member's — reported exactly the
+        # brute-force diff over the peers left, in order, and counted it
+        # without expanding it.
+        peers = [name for name in RECEIVERS if server.is_peer(name)]
         for update, changes in notified:
-            reference = reference_changes(before, after, RECEIVERS, update)
+            reference = reference_changes(before, after, peers, update)
             assert changes == reference
             assert list(changes) == reference
             assert len(changes) == len(reference)
         if not notified:
-            assert before == after or operation[0] == "export"
+            assert before == after or operation[0] in ("export", "join")
 
 
 @settings(max_examples=100, deadline=None)
@@ -152,8 +172,8 @@ def test_readvertise_sends_what_a_per_peer_sender_would(ops):
         return IPv4Address(f"192.0.2.{PREFIXES.index(prefix) + 1}")
 
     server.set_next_hop_rewriter(rewrite)
-    expected = {name: [] for name in NAMES}
-    counts = dict.fromkeys(NAMES, 0)
+    expected = {name: [] for name, _asn in MEMBERS}
+    counts = dict.fromkeys(expected, 0)
 
     def readvertise(update, changes):
         for name, updates in reference_sends(server, changes, rewrite).items():

@@ -98,8 +98,8 @@ class TestPeering:
         assert "B" not in server.peers()
 
     def test_remove_peer_reports_the_decisions_taken_without_it(self):
-        """What a removal reports as decided is what a listener deciding
-        afresh would read: no exception left for the peer that is gone."""
+        """What a removal reports is decided without the peer that is gone,
+        and what a listener then reads is that decision, kept."""
         server = make_server()
         server.announce("A", P1, attrs("172.0.0.1", [65001, 65002]))
         server.announce("B", P1, attrs("172.0.0.2", [65002]))
@@ -110,8 +110,8 @@ class TestPeering:
         before = reference_table(server, ("A", "C"), (P1, P2))
         changes = server.remove_peer("B")
         (update, decided), = seen
-        assert changes.decided[P1] == server.decide(P1) == decided
-        assert "B" not in changes.decided[P1].exceptions
+        assert decided is server.decide(P1)
+        assert "B" not in decided.exceptions and "B" not in decided.peers
         assert changes == reference_changes(
             before, reference_table(server, ("A", "C"), (P1, P2)),
             ("A", "C"), update)
@@ -191,10 +191,17 @@ class TestBestRouteSelection:
         assert server.best_route_for("A", P1).learned_from == "C"
 
     def test_candidates_for_lists_all_exporters(self):
+        """Both routes may be given to A, so its route is the better one;
+        B and C, each refused its own, fall through to the other's."""
         server = make_server()
         server.announce("B", P1, attrs("172.0.0.2", [65002]))
         server.announce("C", P1, attrs("172.0.0.3", [65003]))
-        assert {entry.learned_from for entry in server.candidates_for("A", P1)} == {"B", "C"}
+        decision = server.decide(P1)
+        assert {decision.route_for(peer).learned_from
+                for peer in ("A", "B", "C")} == {"B", "C"}
+        assert decision.route_for("A") is server.best_route_for("A", P1)
+        assert decision.route_for("B").learned_from == "C"
+        assert decision.route_for("C").learned_from == "B"
 
     def test_all_prefixes(self):
         server = make_server()
@@ -369,7 +376,7 @@ class TestDecidesOncePerPrefix:
         server = make_exchange(10)
         before = decision_runs(server)
         server.decide(P1), server.view_for("M3"), server.best_route_for("M2", P1)
-        server.candidates_for("M2", P1), server.ranked_routes(P1)
+        server.ranked_routes(P1)
         assert decision_runs(server) == before
         server.announce("M0", P1, attrs("172.0.0.1", [65_000, 3356, 1299]))
         assert decision_runs(server) == before  # nothing changed, nothing ranked

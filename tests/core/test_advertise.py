@@ -3,10 +3,14 @@ once per prefix, and an overlay only where a router is given something
 else (Section 4.2: with VNHs every router holding a route for a prefix is
 given the same next hop)."""
 
+from repro.bgp import routeserver
+from repro.bgp.routeserver import Decision
 from repro.dataplane.router import BorderRouter, SharedTable
 from repro.net.packet import Packet
+from repro.statics.dataplane import committed_spaces_from_controller
 from repro.verification.invariants import check_default_conformance
 from repro.workloads import loaded_exchange
+from repro.workloads.updates import generate_trace
 
 from tests.statics import test_committed_spaces
 
@@ -112,3 +116,43 @@ class TestAMemberLeavingAStartedExchange:
         controller.run_background_recompilation()
         assert router.fib_size == 0
         assert check_default_conformance(controller) == []
+
+
+class TestOneDecisionPerRibChange:
+    """The route server keeps each prefix's decision until a write re-ranks
+    the prefix: the update's own diff, its fast path and router push, the
+    re-optimisation that follows and a from-scratch committed-space build
+    all read the one decision the write took. Each reader deciding for
+    itself is what the kept table replaced."""
+
+    @staticmethod
+    def built(monkeypatch):
+        """Every :class:`Decision` the route server builds from here on."""
+        made = []
+
+        def counting(*args):
+            made.append(Decision(*args))
+            return made[-1]
+
+        monkeypatch.setattr(routeserver, "Decision", counting)
+        return made
+
+    def test_an_update_and_what_follows_it_decide_each_prefix_once(
+            self, monkeypatch):
+        controller, ixp = loaded_exchange(
+            20, 200, seed=0, with_dataplane=True, statics_mode="strict",
+            dataplane_statics_mode="strict")
+        server = controller.route_server
+        built = self.built(monkeypatch)
+        for prefix in server.all_prefixes():
+            server.decide(prefix)
+        assert built == []  # the router push at start decided every prefix
+        runs = controller.telemetry.registry.get("sdx_bgp_decision_runs_total")
+        before = runs.value
+        event = generate_trace(ixp, seed=1, max_updates=1)[0]
+        controller.submit_update(event.update)
+        assert controller.fast_path_log[-1].prefixes == event.update.prefixes
+        controller.run_background_recompilation()
+        committed_spaces_from_controller(controller)
+        assert runs.value - before >= 1
+        assert len(built) == runs.value - before

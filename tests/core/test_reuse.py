@@ -435,7 +435,7 @@ class Twins:
             return kind, burst
         if kind == "withdraw":  # to nothing: every announcer lets go
             prefix = rng.choice(self.touched())
-            routes = server.all_routes_for(prefix)
+            routes = server.ranked_routes(prefix)
             self.withdrawn.append(routes)
 
             def withdraw(sdx):
@@ -492,7 +492,7 @@ class Twins:
                 sdx.recompile()
             return kind, restrict
         if kind == "community":  # sticky, announcer-wide (trap ii)
-            route = rng.choice(server.all_routes_for(
+            route = rng.choice(server.ranked_routes(
                 rng.choice(self.touched())))
             if route.learned_from in self.down:
                 return None
@@ -529,7 +529,7 @@ class Twins:
                 sdx.run_background_recompilation()
             return kind, recover
         if kind == "stuck":  # the RIB moves, nobody is told (trap iv)
-            route = rng.choice(server.all_routes_for(
+            route = rng.choice(server.ranked_routes(
                 rng.choice(self.touched())))
             if route.learned_from in self.down:
                 return None
@@ -706,7 +706,7 @@ def test_a_compile_that_raises_leaves_the_kept_result_as_it_was(monkeypatch):
     for _ in range(20):
         sdx.submit_update(next(twins.trace))
     gone = twins.touched()[0]  # withdrawn to nothing: its group changes
-    for route in sdx.route_server.all_routes_for(gone):
+    for route in sdx.route_server.ranked_routes(gone):
         sdx.withdraw_route(route.learned_from, gone)
 
     def snapshot():

@@ -141,7 +141,7 @@ def policy_holders(sdx):
 def churn(sdx):
     """Fast-path debt: withdraw and re-announce a few policy prefixes."""
     for prefix in sdx.route_server.all_prefixes()[:4]:
-        announcer = sdx.route_server.all_routes_for(prefix)[0].learned_from
+        announcer = sdx.route_server.ranked_routes(prefix)[0].learned_from
         sdx.withdraw_route(announcer, prefix)
         sdx.announce_route(announcer, prefix, AsPath(
             [sdx.topology.participant(announcer).asn, 64999]))
@@ -354,7 +354,7 @@ def test_a_failed_update_keeps_the_route_and_undoes_the_fast_path(arm):
     announcer = next(p for p in sdx.topology.participants()
                      if p.router is not None and not any(
                          entry.learned_from == p.name
-                         for entry in sdx.route_server.all_routes_for(prefix)))
+                         for entry in sdx.route_server.ranked_routes(prefix)))
     path = AsPath([announcer.asn])
     before = snapshot(sdx)
     (arm if arm is raising_listener else lambda s: arm(s, s))(sdx)
@@ -362,7 +362,7 @@ def test_a_failed_update_keeps_the_route_and_undoes_the_fast_path(arm):
         sdx.announce_route(announcer.name, prefix, path)
     assert announcer.name in {
         entry.learned_from
-        for entry in sdx.route_server.all_routes_for(prefix)}
+        for entry in sdx.route_server.ranked_routes(prefix)}
     after = snapshot(sdx)
     for aspect in ("rules", "vmacs", "quarantine", "free", "cursor", "arp",
                    "pending", "policies"):

@@ -172,7 +172,7 @@ class TestTableSwapAdvertisesWhatChanged:
         from repro.bgp.messages import Update
         _ixp, controller = gated_exchange(32)
         prefix = controller.last_compilation.groups[0].representative
-        route = controller.route_server.all_routes_for(prefix)[0]
+        route = controller.route_server.ranked_routes(prefix)[0]
         controller.route_server.inject_unnotified(
             Update.withdraw(route.learned_from, prefix))
         pushed = self.pushes(controller, controller.recompile)

@@ -182,6 +182,61 @@ class TestOneRanking:
                 == "_announcers"] == []
 
 
+def _decision_work(tree):
+    """``(function, name, line)`` for each ``Decision(...)`` built and each
+    parameter named ``decided`` in ``tree``: a decision taken outside the
+    route server's one read, or handed from one reader to the next."""
+    found = []
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+            continue
+        name = getattr(function, "name", "<lambda>")
+        arguments = function.args
+        found.extend(
+            (name, "decided", argument.lineno)
+            for argument in (*arguments.posonlyargs, *arguments.args,
+                             *arguments.kwonlyargs, arguments.vararg,
+                             arguments.kwarg)
+            if argument is not None and argument.arg == "decided")
+        found.extend(
+            (name, "Decision", call.lineno) for call in ast.walk(function)
+            if isinstance(call, ast.Call)
+            and getattr(call.func, "id", getattr(call.func, "attr", None))
+            == "Decision")
+    return sorted(set(found))
+
+
+class TestOneDecision:
+    """The route server decides each prefix once per ranking and keeps the
+    answer; every reader asks :meth:`RouteServer.decide`. A ``Decision``
+    built elsewhere, or a ``decided`` handed along beside the prefixes, is
+    a second decision table growing back."""
+
+    def test_decisions_are_built_in_decide_alone(self):
+        built = [(str(path.relative_to(REPO_ROOT / "src" / "repro")), name)
+                 for path, tree in _src_trees().items()
+                 for name, what, _line in _decision_work(tree)
+                 if what == "Decision"]
+        assert built == [("bgp/routeserver.py", "decide")]
+
+    def test_no_function_takes_a_decided_parameter(self):
+        assert [(path.name, name, line)
+                for path, tree in _src_trees().items()
+                for name, what, line in _decision_work(tree)
+                if what == "decided"] == []
+
+    def test_the_guard_sees_a_second_table(self):
+        tree = ast.parse(
+            "def handle(self, touched, decided=None):\n"
+            "    return [decided.get(p) or Decision((), {}, frozenset())\n"
+            "            for p in touched]\n"
+            "push = lambda prefixes, *decided: prefixes\n")
+        assert _decision_work(tree) == [
+            ("<lambda>", "decided", 4), ("handle", "Decision", 2),
+            ("handle", "decided", 1)]
+
+
 def _called(node):
     """The names a function body calls (``f(...)`` and ``x.f(...)``)."""
     return {getattr(call.func, "id", getattr(call.func, "attr", None))
