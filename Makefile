@@ -166,18 +166,20 @@ fuzz:
 		--scenarios 1000 --time-budget $(FUZZ_BUDGET) \
 		--artifact-dir $(FUZZ_ARTIFACTS)
 
-# Short control-plane runtime soaks: every overload policy plus the
-# threaded worker, small enough for CI, loud enough to catch a hang or
-# an unconverged (degraded / fast-path-debt) final state.
+# Short control-plane runtime soaks, one per overload policy, small
+# enough for CI. Each exits 1 unless it ends converged: queue empty, not
+# degraded, no fast-path debt, every submission processed, coalesced or
+# dropped. The depth-16 bound makes the shed line drop events and the
+# degrade line enter (and leave) degrade.
 soak-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro soak --participants 12 \
 		--prefixes 100 --updates 400 --burst-size 100 --hot-prefixes 12
 	PYTHONPATH=src $(PYTHON) -m repro soak --participants 12 \
 		--prefixes 100 --updates 400 --burst-size 100 --hot-prefixes 12 \
-		--queue-depth 64 --overload shed-oldest --no-coalesce
+		--queue-depth 16 --overload shed-oldest --no-coalesce
 	PYTHONPATH=src $(PYTHON) -m repro soak --participants 12 \
 		--prefixes 100 --updates 400 --burst-size 100 --hot-prefixes 12 \
-		--queue-depth 64 --overload degrade --threaded
+		--queue-depth 16 --overload degrade
 
 # Time-boxed BGP churn/failure chaos soak: the chaos test package (the
 # golden replay among it), then a budgeted seeded `repro soak --chaos`

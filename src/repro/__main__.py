@@ -243,9 +243,6 @@ def _parser() -> argparse.ArgumentParser:
                       choices=("block", "shed-oldest", "degrade"))
     soak.add_argument("--no-coalesce", action="store_true",
                       help="disable per-(participant, prefix) coalescing")
-    soak.add_argument("--threaded", action="store_true",
-                      help="run the runtime's worker thread instead of "
-                           "the deterministic step-driven mode")
     soak.add_argument("--chaos", action="store_true",
                       help="run the BGP session fault-injection soak "
                            "instead of the clean burst soak")
@@ -695,7 +692,7 @@ def _run_chaos_soak(args) -> int:
     return 0 if report.ok else 1
 
 
-def _run_soak(args) -> str:
+def _run_soak(args) -> int:
     import time as time_module
 
     from repro.runtime import OverloadPolicy, RuntimeConfig
@@ -717,20 +714,15 @@ def _run_soak(args) -> str:
 
     interval = (1.0 / args.rate) if args.rate else None
     started = time_module.perf_counter()
-    if args.threaded:
-        runtime.start()
     for index, event in enumerate(events):
         if interval is not None and index:
             delay = started + index * interval - time_module.perf_counter()
             if delay > 0:
                 time_module.sleep(delay)
         runtime.submit_update(event.update)
-        if not args.threaded and (index + 1) % args.batch_size == 0:
+        if (index + 1) % args.batch_size == 0:
             runtime.step()
-    if args.threaded:
-        runtime.stop()
-    else:
-        runtime.settle()
+    runtime.settle()
     elapsed = time_module.perf_counter() - started
 
     stats = runtime.stats()
@@ -739,8 +731,7 @@ def _run_soak(args) -> str:
     lines = [
         f"soak: {len(events)} update(s) in {bursts} burst(s) of "
         f"{args.burst_size} over {args.hot_prefixes} hot prefix(es), "
-        f"{'threaded' if args.threaded else 'step-driven'} mode, "
-        f"overload={args.overload}",
+        f"step-driven mode, overload={args.overload}",
         f"elapsed: {elapsed:.3f}s "
         f"({len(events) / elapsed:.0f} updates/s submitted)",
         f"processed: {stats['processed']} event(s) in "
@@ -759,7 +750,20 @@ def _run_soak(args) -> str:
         f"final table: {len(controller.table)} rule(s), "
         f"fast-path debt {controller.engine.fast_path_rules_live}",
     ]
-    return "\n".join(lines)
+    print("\n".join(lines))
+    # A settled run must end converged, with every submission accounted.
+    unconverged = [condition for condition, failed in (
+        ("queue not empty", stats["queue_depth"] != 0),
+        ("still degraded", stats["degraded"]),
+        ("fast-path debt left",
+         controller.engine.fast_path_rules_live != 0),
+        ("loss identity broken (submitted != processed + coalesced + "
+         "dropped)", stats["submitted_total"] != stats["processed"]
+         + stats["coalesced"] + stats["dropped"]),
+    ) if failed]
+    for condition in unconverged:
+        print(f"NOT CONVERGED: {condition}")
+    return 1 if unconverged else 0
 
 
 def _run_monitor(args) -> int:
@@ -939,7 +943,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     elif args.command == "soak":
         if args.chaos:
             return _run_chaos_soak(args)
-        print(_run_soak(args))
+        return _run_soak(args)
     elif args.command == "check":
         from repro.config import load_config
         from repro.statics import analyze_controller

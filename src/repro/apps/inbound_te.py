@@ -8,7 +8,7 @@ physical ports.
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional
 
 from repro.core.sdxpolicy import ParticipantHandle
 from repro.exceptions import PolicyError

@@ -10,7 +10,7 @@ from Wang et al.).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping
 
 from repro.core.sdxpolicy import ParticipantHandle
 from repro.exceptions import PolicyError

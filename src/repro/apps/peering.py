@@ -8,7 +8,7 @@ peering agreement ends.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from repro.core.sdxpolicy import ParticipantHandle
 from repro.exceptions import PolicyError

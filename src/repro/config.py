@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, Union
 
 from repro.bgp.asn import AsPath
 from repro.core.clauses import Clause
 from repro.core.controller import SdxController
 from repro.exceptions import PolicyError, ReproError
-from repro.net.addresses import IPv4Address, IPv4Prefix
+from repro.net.addresses import IPv4Prefix
 from repro.net.packet import IP_FIELDS
 from repro.policy.policies import (
     Conjunction,

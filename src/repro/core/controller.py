@@ -46,7 +46,7 @@ from typing import (
 
 from repro.bgp.asn import AsPath
 from repro.bgp.attributes import RouteAttributes
-from repro.bgp.messages import Update, Withdrawal
+from repro.bgp.messages import Update
 from repro.bgp.rib import RouteEntry
 from repro.bgp.routeserver import BestRouteChanges, RouteServer
 from repro.core.compiler import CompilationResult, SdxCompiler

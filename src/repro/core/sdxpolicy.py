@@ -14,10 +14,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from repro.bgp.asn import AsPath
-from repro.bgp.attributes import Origin, RouteAttributes
 from repro.bgp.rib import PrefixTrie, RibView
 from repro.exceptions import OwnershipError
-from repro.net.addresses import IPv4Address, IPv4Prefix
+from repro.net.addresses import IPv4Prefix
 from repro.policy.policies import Policy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard

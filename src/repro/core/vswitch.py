@@ -15,7 +15,7 @@ invariant the integration tests assert.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.participant import Participant
 from repro.exceptions import ParticipantError

@@ -26,8 +26,8 @@ same invariant the single-switch data plane relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.exceptions import FabricError
 from repro.net.mac import MacAddress

@@ -25,7 +25,7 @@ dropped ("Without rewriting, AS B would drop the traffic").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.bgp.messages import Update

@@ -7,7 +7,7 @@ numbered ports with per-port statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.exceptions import FabricError

@@ -21,8 +21,7 @@ optimises, so the SDX compiler counts invocations through
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping,
     Optional, Sequence, Tuple)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
-from repro.policy.classifier import Action, Classifier, Rule
+from repro.policy.classifier import Action, Classifier
 from repro.policy.headerspace import HeaderSpace
 
 

@@ -21,7 +21,7 @@ Every policy both *evaluates* (:meth:`Policy.eval`) and *compiles*
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Any, FrozenSet, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.exceptions import PolicyError
 from repro.net.packet import Packet

@@ -42,7 +42,6 @@ from repro.policy.policies import (
     Negation,
     Predicate,
     drop,
-    identity,
     match,
 )
 

@@ -21,9 +21,9 @@ and single-threaded underneath:
 - :mod:`repro.runtime.clock` — the logical clock abstraction that makes
   the idle trigger deterministic under test;
 - :mod:`repro.runtime.loop` — :class:`ControlPlaneRuntime`, the event
-  loop itself, in a deterministic step-driven mode (what the
-  verification oracle replays) and a threaded mode (what the soak
-  driver runs).
+  loop itself, driven step by step by its caller (the verification
+  oracle replays it against a manual clock, the soak driver runs it on
+  wall time).
 
 Everything the runtime does is recorded under ``sdx_runtime_*`` in the
 controller's telemetry registry, including ``_dropped_total`` loss

@@ -3,10 +3,10 @@
 The runtime's *scheduling* decisions (idle-gap recompilation, degrade
 recovery) depend on the passage of time, but wall-clock time makes those
 decisions unreproducible under test. The runtime therefore reads time
-through a :class:`Clock`: production and the threaded soak driver use
-:class:`MonotonicClock`, while the deterministic step-driven mode and
-the verification oracle use a :class:`ManualClock` advanced explicitly —
-same code path, fully replayable decisions.
+through a :class:`Clock`: production and the soak driver use
+:class:`MonotonicClock`, while tests and the verification oracle use a
+:class:`ManualClock` advanced explicitly — same code path, fully
+replayable decisions.
 
 Latency *measurements* (ingest-to-install histograms) always use
 ``time.perf_counter`` directly: measured durations should be real even
@@ -27,7 +27,7 @@ class Clock:
 
 
 class MonotonicClock(Clock):
-    """Wall time via ``time.monotonic`` (threaded/production mode)."""
+    """Wall time via ``time.monotonic`` (the default: production, soak)."""
 
     def now(self) -> float:
         """The current ``time.monotonic`` reading."""

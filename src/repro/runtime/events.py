@@ -66,11 +66,10 @@ class EventClass(enum.IntEnum):
 class OverloadPolicy(str, enum.Enum):
     """What the runtime does when the bounded queue is full.
 
-    * ``BLOCK`` — the submitting caller is held until the loop has
-      drained a batch (deterministic mode drains synchronously inside
-      the submit call; threaded mode waits on the drain condition).
+    * ``BLOCK`` — the submitting call drains one batch synchronously to
+      make room before the new event enters.
     * ``SHED_OLDEST`` — the oldest event of the lowest-priority occupied
-      class is dropped, counted in
+      class is dropped, counted once in
       ``sdx_runtime_events_dropped_total``, and the new event enters.
     * ``DEGRADE`` — like ``BLOCK``, but sustained saturation first
       flips the controller into default-BGP-route-only forwarding

@@ -9,22 +9,17 @@ prioritized :class:`~repro.runtime.queue.RuntimeQueue`; the loop drains
 them in batches into the synchronous
 :class:`~repro.core.controller.SdxController` underneath.
 
-Two execution modes share every line of the drain path:
-
-* **deterministic (step-driven)** — no thread; the caller drives
-  :meth:`~ControlPlaneRuntime.step` / :meth:`~ControlPlaneRuntime.drain`
-  / :meth:`~ControlPlaneRuntime.settle` explicitly against a
-  :class:`~repro.runtime.clock.ManualClock`. This is what the
-  verification oracle replays: same inputs, same batches, same final
-  state, every run.
-* **threaded** — :meth:`~ControlPlaneRuntime.start` spawns a worker that
-  drains continuously; producers block only on the queue bound. This is
-  what the soak driver runs.
+The loop is step-driven: the caller drives
+:meth:`~ControlPlaneRuntime.step` / :meth:`~ControlPlaneRuntime.drain` /
+:meth:`~ControlPlaneRuntime.settle`, on its own cadence and against
+either clock. Against a :class:`~repro.runtime.clock.ManualClock` this is
+what the verification oracle replays: same inputs, same batches, same
+final state, every run; the soak driver runs the same steps on wall time.
 
 Overload behaviour is the configured
-:class:`~repro.runtime.events.OverloadPolicy`: ``block`` applies
-backpressure to the producer, ``shed-oldest`` drops the oldest
-lowest-priority event (counted in ``sdx_runtime_events_dropped_total``),
+:class:`~repro.runtime.events.OverloadPolicy`: ``block`` drains one batch
+inside the submitting call, ``shed-oldest`` drops the oldest
+lowest-priority event (counted once in ``sdx_runtime_events_dropped_total``),
 and ``degrade`` suspends participant policies under sustained saturation
 — default-BGP-route-only forwarding is cheap to maintain per update —
 then restores and recompiles them once the queue drains and stays calm
@@ -41,7 +36,6 @@ decides whether the background re-optimisation is due.
 from __future__ import annotations
 
 import logging
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
@@ -77,8 +71,6 @@ class RuntimeConfig:
     many consecutive saturated submissions are tolerated before
     policies are suspended, and how many consecutive calm drain steps
     (queue empty, no saturation) are required before they are restored.
-    ``poll_interval_seconds`` is the threaded worker's idle heartbeat
-    (it also bounds how stale the idle-recompile check can get).
     """
 
     max_queue_depth: int = 1024
@@ -89,7 +81,6 @@ class RuntimeConfig:
     degrade_high_fraction: float = 0.75
     degrade_low_fraction: float = 0.25
     degrade_patience: int = 16
-    poll_interval_seconds: float = 0.01
 
 
 class ControlPlaneRuntime:
@@ -106,11 +97,6 @@ class ControlPlaneRuntime:
         self.scheduler = RecompilationScheduler(
             controller.engine, self.config.scheduler, self.clock)
         self.telemetry = controller.telemetry
-        self._lock = threading.RLock()
-        self._work = threading.Condition(self._lock)
-        self._space = threading.Condition(self._lock)
-        self._thread: Optional[threading.Thread] = None
-        self._running = False
         self._seq = 0
         self._monitor = None
         self._monitoring_handlers: List[Callable[[object, SdxController], None]] = []
@@ -131,7 +117,7 @@ class ControlPlaneRuntime:
             "Events absorbed by per-(participant, prefix) coalescing")
         self._dropped_counter = telemetry.counter(
             "sdx_runtime_events_dropped_total",
-            "Events shed under overload (includes absorbed events)")
+            "Events shed under overload")
         self._processed_counter = telemetry.counter(
             "sdx_runtime_processed_total", "Events drained into the controller")
         self._rejected_counter = telemetry.counter(
@@ -203,37 +189,32 @@ class ControlPlaneRuntime:
         ``poll`` returns nothing until a sampling interval has elapsed,
         which keeps :meth:`drain` terminating.
         """
-        with self._lock:
-            self._monitor = monitor
+        self._monitor = monitor
 
     def add_monitoring_handler(
             self, handler: Callable[[object, SdxController], None]) -> None:
         """Run ``handler(observation, controller)`` for every drained
         monitoring event — this is where reactive apps subscribe."""
-        with self._lock:
-            self._monitoring_handlers.append(handler)
+        self._monitoring_handlers.append(handler)
 
     def _next_seq(self) -> int:
-        with self._lock:
-            self._seq += 1
-            return self._seq
+        self._seq += 1
+        return self._seq
 
     def _submit(self, event: RuntimeEvent) -> None:
-        with self._lock:
-            self.scheduler.note_event()
-            self._event_counters[event.kind].inc()
-            while True:
-                outcome = self.queue.offer(event)
-                if outcome is not OfferOutcome.FULL:
-                    break
-                self._handle_full()
-            if outcome is OfferOutcome.COALESCED:
-                self._coalesced_counter.inc()
-            depth = self.queue.depth
-            self._depth_gauge.set(depth)
-            self._depth_histogram.observe(depth)
-            self._note_pressure(depth)
-            self._work.notify()
+        self.scheduler.note_event()
+        self._event_counters[event.kind].inc()
+        while True:
+            outcome = self.queue.offer(event)
+            if outcome is not OfferOutcome.FULL:
+                break
+            self._handle_full()
+        if outcome is OfferOutcome.COALESCED:
+            self._coalesced_counter.inc()
+        depth = self.queue.depth
+        self._depth_gauge.set(depth)
+        self._depth_histogram.observe(depth)
+        self._note_pressure(depth)
 
     def _handle_full(self) -> None:
         """Apply the overload policy; returns once space (may) exist."""
@@ -242,7 +223,8 @@ class ControlPlaneRuntime:
         if policy is OverloadPolicy.SHED_OLDEST:
             shed = self.queue.shed_oldest()
             if shed is not None:
-                self._dropped_counter.inc(1 + shed.absorbed)
+                # The events it absorbed are already counted as coalesced.
+                self._dropped_counter.inc()
                 logger.warning("shed %s", kv(event=shed.describe(),
                                              absorbed=shed.absorbed))
                 return
@@ -251,15 +233,10 @@ class ControlPlaneRuntime:
             self._saturated_offers = max(
                 self._saturated_offers, self.config.degrade_patience)
             self._enter_degraded()
-        # block (and the degrade policy's backpressure half)
+        # block (and the degrade policy's backpressure half): drain one
+        # batch synchronously to make room.
         self._blocked_counter.inc()
-        if self._running and threading.current_thread() is not self._thread:
-            while self.queue.depth >= self.queue.max_depth and self._running:
-                self._space.wait(timeout=self.config.poll_interval_seconds)
-        else:
-            # Deterministic mode (or the worker thread itself submitting):
-            # drain one batch synchronously to make room.
-            self._step_locked()
+        self.step()
 
     def _note_pressure(self, depth: int) -> None:
         if self.config.overload_policy is not OverloadPolicy.DEGRADE:
@@ -308,42 +285,16 @@ class ControlPlaneRuntime:
         self.scheduler.note_recompiled()
 
     # ------------------------------------------------------------------
-    # Draining (shared by both modes)
+    # Draining
     # ------------------------------------------------------------------
 
     def step(self, limit: Optional[int] = None) -> int:
-        """Drain one batch (deterministic mode); returns events processed.
+        """Drain one batch; returns events processed.
 
         After the batch, degrade recovery and the recompilation
         scheduler run — so stepping an empty queue can still trigger an
         idle-gap background recompilation.
         """
-        with self._lock:
-            return self._step_locked(limit)
-
-    def drain(self) -> int:
-        """Step until the queue is empty; returns events processed."""
-        total = 0
-        with self._lock:
-            while not self.queue.is_empty:
-                total += self._step_locked()
-        return total
-
-    def settle(self) -> int:
-        """Drain fully, restore degraded policies, finish recompilation.
-
-        After this returns the controller is in the same steady state a
-        patient inline driver would have reached: queue empty, policies
-        active, fast-path debt swapped away. Returns events processed.
-        """
-        processed = self.drain()
-        with self._lock:
-            self._maybe_recover(force=True)
-            if self.controller.engine.dirty:
-                self._recompile("settle")
-        return processed
-
-    def _step_locked(self, limit: Optional[int] = None) -> int:
         batch = self.queue.pop(limit if limit is not None
                                else self.config.batch_size)
         if batch:
@@ -356,6 +307,26 @@ class ControlPlaneRuntime:
             self._recompile(trigger)
         self._poll_monitor()
         return len(batch)
+
+    def drain(self) -> int:
+        """Step until the queue is empty; returns events processed."""
+        total = 0
+        while not self.queue.is_empty:
+            total += self.step()
+        return total
+
+    def settle(self) -> int:
+        """Drain fully, restore degraded policies, finish recompilation.
+
+        After this returns the controller is in the same steady state a
+        patient inline driver would have reached: queue empty, policies
+        active, fast-path debt swapped away. Returns events processed.
+        """
+        processed = self.drain()
+        self._maybe_recover(force=True)
+        if self.controller.engine.dirty:
+            self._recompile("settle")
+        return processed
 
     def _poll_monitor(self) -> None:
         if self._monitor is None:
@@ -371,7 +342,6 @@ class ControlPlaneRuntime:
         self._batch_counter.inc()
         self._processed_counter.inc(len(batch))
         self._depth_gauge.set(self.queue.depth)
-        self._space.notify_all()
 
     def _process_event(self, event: RuntimeEvent) -> None:
         try:
@@ -402,79 +372,32 @@ class ControlPlaneRuntime:
                                            seconds=result.total_seconds))
 
     # ------------------------------------------------------------------
-    # Threaded mode
-    # ------------------------------------------------------------------
-
-    @property
-    def is_running(self) -> bool:
-        """True while the worker thread is draining."""
-        return self._running
-
-    def start(self) -> None:
-        """Spawn the worker thread (threaded mode)."""
-        with self._lock:
-            if self._running:
-                raise RuntimeError("runtime already started")
-            self._running = True
-        self._thread = threading.Thread(
-            target=self._run, name="sdx-runtime", daemon=True)
-        self._thread.start()
-
-    def stop(self, *, settle: bool = True) -> None:
-        """Stop the worker thread; by default :meth:`settle` afterwards
-        (on the calling thread) so no submitted event is lost."""
-        with self._lock:
-            self._running = False
-            self._work.notify_all()
-            self._space.notify_all()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-        if settle:
-            self.settle()
-
-    def _run(self) -> None:
-        with self._lock:
-            while self._running:
-                if self.queue.is_empty:
-                    self._work.wait(timeout=self.config.poll_interval_seconds)
-                    if not self._running:
-                        break
-                    if self.queue.is_empty:
-                        # Idle heartbeat: recovery + idle-gap recompile.
-                        self._step_locked()
-                        continue
-                self._step_locked()
-
-    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 
     def stats(self) -> Dict[str, object]:
         """A snapshot of the runtime's counters for reports and tests."""
-        with self._lock:
-            submitted = {cls.label: self._event_counters[cls].value
-                         for cls in DRAIN_ORDER}
-            total = sum(submitted.values())
-            coalesced = self._coalesced_counter.value
-            return {
-                "submitted": submitted,
-                "submitted_total": total,
-                "coalesced": coalesced,
-                "coalescing_ratio": (coalesced / total) if total else 0.0,
-                "dropped": self._dropped_counter.value,
-                "processed": self._processed_counter.value,
-                "batches": self._batch_counter.value,
-                "blocked": self._blocked_counter.value,
-                "queue_depth": self.queue.depth,
-                "queue_depth_percentiles":
-                    self._depth_histogram.percentiles(),
-                "ingest_seconds": self._ingest_histogram.percentiles(),
-                "degrade_entries": self._degrade_counter.value,
-                "degraded": self.degraded,
-            }
+        submitted = {cls.label: self._event_counters[cls].value
+                     for cls in DRAIN_ORDER}
+        total = sum(submitted.values())
+        coalesced = self._coalesced_counter.value
+        return {
+            "submitted": submitted,
+            "submitted_total": total,
+            "coalesced": coalesced,
+            "coalescing_ratio": (coalesced / total) if total else 0.0,
+            "dropped": self._dropped_counter.value,
+            "processed": self._processed_counter.value,
+            "batches": self._batch_counter.value,
+            "blocked": self._blocked_counter.value,
+            "queue_depth": self.queue.depth,
+            "queue_depth_percentiles":
+                self._depth_histogram.percentiles(),
+            "ingest_seconds": self._ingest_histogram.percentiles(),
+            "degrade_entries": self._degrade_counter.value,
+            "degraded": self.degraded,
+        }
 
     def __repr__(self) -> str:
-        mode = "threaded" if self._running else "step-driven"
-        return (f"ControlPlaneRuntime({mode}, depth={self.queue.depth}, "
+        return (f"ControlPlaneRuntime(depth={self.queue.depth}, "
                 f"policy={self.config.overload_policy.value})")

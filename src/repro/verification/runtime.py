@@ -119,8 +119,9 @@ def canonical_state(controller: SdxController) -> CanonicalState:
     """Snapshot ``controller`` for renaming-insensitive comparison."""
     route_server = controller.route_server
     prefixes = route_server.all_prefixes()
-    # Every route given is one of the ranked ones: each distinct route and
-    # prefix is spelled out once, not once per (participant, prefix).
+    # Each distinct ranked route and prefix is spelled out once, not once
+    # per (participant, prefix); a given route that is none of the ranked
+    # ones (a stale decision) is spelled out where it is met.
     names = {prefix: str(prefix) for prefix in prefixes}
     summaries: Dict[int, RouteSummary] = {}
     for prefix in prefixes:
@@ -137,7 +138,8 @@ def canonical_state(controller: SdxController) -> CanonicalState:
             best = route_server.decide(prefix).route_for(participant.name)
             best_routes.append((
                 participant.name, names[prefix],
-                None if best is None else summaries[id(best)]))
+                None if best is None
+                else summaries.get(id(best)) or _route_summary(best)))
     groups: Dict[str, List[str]] = {}
     unassigned: List[str] = []
     for prefix in prefixes:

@@ -21,7 +21,7 @@ them never perturbs unrelated code.
 from __future__ import annotations
 
 import random
-from typing import Optional, Union
+from typing import Union
 
 #: What generators accept as a seed: a replayable integer, a caller-owned
 #: stream, or ``None`` for the documented default of ``0``.

@@ -16,8 +16,8 @@ candidate routes (and makes the FEC computation non-trivial).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bgp.asn import AsPath
 from repro.core.controller import SdxController

@@ -13,7 +13,7 @@ bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.net.addresses import IPv4Prefix
 from repro.net.packet import Packet

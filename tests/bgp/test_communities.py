@@ -1,7 +1,5 @@
 """Tests for per-announcement export control via BGP communities."""
 
-import pytest
-
 from repro.bgp.asn import AsPath
 from repro.bgp.attributes import RouteAttributes
 from repro.bgp.routeserver import RouteServer

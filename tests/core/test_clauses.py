@@ -4,7 +4,7 @@ import pytest
 
 from repro.exceptions import PolicyError
 from repro.policy.policies import drop, fwd, identity, match, modify
-from repro.core.clauses import Clause, normalize_policy
+from repro.core.clauses import normalize_policy
 
 
 class TestBasicForms:

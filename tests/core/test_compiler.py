@@ -11,9 +11,9 @@ from repro.exceptions import CompilationError
 from repro.net.packet import Packet
 from repro.policy.classifier import Action, Classifier, Rule
 from repro.policy.headerspace import WILDCARD, HeaderSpace
-from repro.policy.policies import drop, fwd, match, modify
+from repro.policy.policies import drop, fwd, match
 
-from tests.core.scenarios import P1, P2, P3, P4, P5, figure1_controller, packet
+from tests.core.scenarios import P5, figure1_controller, packet
 
 
 class TestCompileClauseRules:

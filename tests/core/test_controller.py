@@ -5,9 +5,9 @@ import pytest
 from repro.bgp.asn import AsPath
 from repro.exceptions import OwnershipError, ParticipantError
 from repro.net.addresses import IPv4Prefix
-from repro.policy.policies import drop, fwd, match, modify
+from repro.policy.policies import drop, fwd, match
 
-from tests.core.scenarios import P1, P4, figure1_controller, packet
+from tests.core.scenarios import P1, figure1_controller, packet
 
 
 class TestConstruction:

@@ -9,7 +9,7 @@ from repro.exceptions import PolicyError
 from repro.net.addresses import IPv4Prefix
 from repro.policy.policies import fwd, match
 
-from tests.core.scenarios import figure1_controller, packet
+from tests.core.scenarios import packet
 
 YOUTUBE_ASN = 43515
 

@@ -5,7 +5,7 @@ import pytest
 from repro.core.participant import Participant
 from repro.dataplane.router import BorderRouter, RouterPort
 from repro.exceptions import ParticipantError, PolicyError
-from repro.net.addresses import IPv4Address, IPv4Prefix
+from repro.net.addresses import IPv4Address
 from repro.net.mac import MacAddress
 from repro.policy.policies import drop, fwd, match, modify
 

@@ -1,7 +1,5 @@
 """Tests for the closed-loop experiment harness (experiments.monitoring)."""
 
-import pytest
-
 from repro.experiments.monitoring import (
     LoopConfig,
     run_shifting_loop,

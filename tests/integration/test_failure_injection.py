@@ -9,7 +9,7 @@ import pytest
 
 from repro.bgp.asn import AsPath
 from repro.exceptions import PolicyError
-from repro.net.addresses import IPv4Address, IPv4Prefix
+from repro.net.addresses import IPv4Address
 from repro.policy.policies import fwd, match
 
 from tests.core.scenarios import P1, P3, P5, figure1_controller, packet

@@ -19,7 +19,7 @@ from repro.policy.classifier import (
     sequential_compose,
 )
 from repro.policy.headerspace import WILDCARD, HeaderSpace
-from repro.policy.policies import drop, fwd, identity, match, modify
+from repro.policy.policies import drop, fwd, match, modify
 
 from tests.policy.strategies import packets, policies, predicates
 

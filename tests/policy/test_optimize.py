@@ -8,7 +8,6 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.packet import Packet
 from repro.policy.classifier import Action, Classifier, Rule, merge_drop_tail
 from repro.policy.headerspace import WILDCARD, HeaderSpace
 from repro.policy.matchindex import MatchIndex

@@ -8,7 +8,6 @@ from repro.exceptions import PolicyError
 from repro.net.packet import Packet
 from repro.policy.policies import (
     Conjunction,
-    Forward,
     Parallel,
     Sequential,
     drop,

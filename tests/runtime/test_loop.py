@@ -1,6 +1,6 @@
 """End-to-end ControlPlaneRuntime behaviour against a real controller.
 
-Covers both execution modes, every overload policy, and the scheduler
+Covers the step-driven loop, every overload policy, and the scheduler
 integration — including the satellite acceptance cases: shedding shows
 up in loss accounting, degrade mode converges back to the fully
 composed table, and announce/withdraw/announce coalescing yields the
@@ -200,10 +200,16 @@ class TestShedOldest:
         runtime.submit_update(announce(sdx, "C", prefix, [65003, 2]))
         runtime.submit_update(
             announce(sdx, "C", FRESH[28], [65003, 111]))
-        # Shedding the coalesced head loses two submissions' worth.
+        # Shedding the coalesced head drops one event: the submission it
+        # absorbed is already counted as coalesced, and counts once.
         runtime.submit_update(
             announce(sdx, "C", FRESH[29], [65003, 111]))
-        assert runtime.stats()["dropped"] == 2
+        stats = runtime.stats()
+        assert (stats["dropped"], stats["coalesced"]) == (1, 1)
+        runtime.settle()
+        stats = runtime.stats()
+        assert stats["submitted_total"] == 4 == (
+            stats["processed"] + stats["coalesced"] + stats["dropped"])
 
 
 class TestDegradeMode:
@@ -264,32 +270,6 @@ class TestDegradeMode:
             inline.submit_update(update)
         inline.run_background_recompilation()
         assert not canonical_state(inline).diff(canonical_state(sdx))
-
-
-class TestThreadedMode:
-    def test_drains_everything_submitted(self):
-        sdx, runtime = started_runtime(coalesce=False, batch_size=8)
-        runtime.start()
-        assert runtime.is_running
-        try:
-            for index in range(40):
-                runtime.submit_update(announce(
-                    sdx, "C", FRESH[index % 16], [65003, 1000 + index]))
-        finally:
-            runtime.stop()
-        assert not runtime.is_running
-        stats = runtime.stats()
-        assert stats["processed"] == 40
-        assert stats["queue_depth"] == 0
-        assert not sdx.engine.dirty  # stop() settles by default
-
-    def test_restart_after_stop(self):
-        _, runtime = started_runtime()
-        runtime.start()
-        runtime.stop()
-        runtime.start()
-        runtime.stop()
-        assert not runtime.is_running
 
 
 class TestSchedulerIntegration:

@@ -87,6 +87,23 @@ class TestShedOldestFlood:
         assert stats["submitted_total"] == 60
         assert stats["dropped"] > 0  # the flood outran the drain cadence
 
+    def test_identity_holds_when_shedding_meets_coalescing(self):
+        # 8 (peer, prefix) keys into a depth-4 queue: events coalesce
+        # while pending and coalesced heads get shed. A shed event counts
+        # once — what it absorbed is already counted as coalesced.
+        sdx = seeded_controller()
+        runtime = sdx.build_runtime(RuntimeConfig(
+            max_queue_depth=4,
+            overload_policy=OverloadPolicy.SHED_OLDEST), clock=ManualClock())
+        flood = generate_withdrawal_flood(
+            SENDERS, PREFIXES[:4], count=40, seed=7)
+        for update in flood:
+            runtime.submit_update(update)
+        runtime.settle()
+        stats = assert_loss_identity(sdx, runtime)
+        assert stats["submitted_total"] == 40
+        assert stats["coalesced"] > 0 and stats["dropped"] > 0
+
     def test_coalescing_flood_drops_nothing(self):
         # Over a hot set of 4 prefixes the flood coalesces per
         # (peer, prefix) key: at most 8 distinct keys never overflow a

@@ -5,8 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.telemetry.registry import (
-    Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )

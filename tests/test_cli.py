@@ -4,6 +4,19 @@ import pytest
 
 from repro.__main__ import EXPERIMENTS, main
 
+#: The ``make soak-smoke`` exchange and trace.
+SOAK_SMOKE = ["soak", "--participants", "12", "--prefixes", "100",
+              "--updates", "400", "--burst-size", "100",
+              "--hot-prefixes", "12"]
+
+
+def soak_counts(out):
+    """The processed / coalesced / dropped counts a soak report prints."""
+    import re
+
+    return {name: int(re.search(rf"{name}: (\d+)", out).group(1))
+            for name in ("processed", "coalesced", "dropped")}
+
 
 class TestCli:
     def test_list_default(self, capsys):
@@ -192,14 +205,41 @@ class TestCli:
         assert "degraded now: False" in out
         assert "fast-path debt 0" in out
 
-    def test_soak_threaded_shed(self, capsys):
-        assert main(["soak", "--participants", "8", "--prefixes", "60",
-                     "--updates", "80", "--burst-size", "40",
-                     "--hot-prefixes", "6", "--threaded",
-                     "--overload", "shed-oldest", "--no-coalesce"]) == 0
+    def test_soak_shed_oldest(self, capsys):
+        assert main(SOAK_SMOKE + ["--queue-depth", "16", "--overload",
+                                  "shed-oldest", "--no-coalesce"]) == 0
         out = capsys.readouterr().out
-        assert "threaded mode" in out
         assert "overload=shed-oldest" in out
+        counts = soak_counts(out)
+        assert counts["dropped"] > 0
+        assert counts["processed"] + counts["dropped"] == 400
+
+    def test_soak_shed_with_coalescing_counts_each_update_once(self,
+                                                                capsys):
+        assert main(SOAK_SMOKE + ["--queue-depth", "8", "--overload",
+                                  "shed-oldest"]) == 0
+        counts = soak_counts(capsys.readouterr().out)
+        assert counts["dropped"] > 0 and counts["coalesced"] > 0
+        assert (counts["processed"] + counts["coalesced"]
+                + counts["dropped"]) == 400
+
+    def test_soak_degrade_enters_once_and_recovers(self, capsys):
+        assert main(SOAK_SMOKE + ["--queue-depth", "16", "--overload",
+                                  "degrade"]) == 0
+        out = capsys.readouterr().out
+        assert "degrade entries: 1; degraded now: False" in out
+        assert "fast-path debt 0" in out
+
+    def test_soak_exits_1_unless_converged(self, capsys, monkeypatch):
+        from repro.runtime import ControlPlaneRuntime
+
+        # Without the final recompile the fast-path debt stays.
+        monkeypatch.setattr(ControlPlaneRuntime, "settle",
+                            ControlPlaneRuntime.drain)
+        assert main(SOAK_SMOKE) == 1
+        out = capsys.readouterr().out
+        assert "NOT CONVERGED: fast-path debt left" in out
+        assert "fast-path debt 0" not in out
 
     def test_soak_in_listing(self, capsys):
         assert main(["list"]) == 0

@@ -545,6 +545,94 @@ class TestNoHiddenKnobs:
         assert reads == []
 
 
+def _unused_imports(tree):
+    """``(name, line)`` for each top-level import that nothing in the
+    module reads: no ``ast.Name`` and no string constant that parses to
+    an expression naming it (quoted annotations, ``__all__`` entries)."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                quoted = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            read.update(name.id for name in ast.walk(quoted)
+                        if isinstance(name, ast.Name))
+    return sorted((name, line) for name, line in bound.items()
+                  if name not in read)
+
+
+class TestNoUnusedImports:
+    """An import nothing reads is dead code that still costs a reader and
+    an import-time dependency. ``__init__`` modules are exempt: their
+    imports are the package's exports."""
+
+    def test_src_modules_read_every_import(self):
+        assert [(str(path.relative_to(REPO_ROOT / "src" / "repro")), name)
+                for path, tree in _src_trees().items()
+                if path.name != "__init__.py"
+                for name, _line in _unused_imports(tree)] == []
+
+    def test_the_guard_sees_an_unused_import(self):
+        tree = ast.parse(
+            "from __future__ import annotations\n"
+            "import itertools\n"
+            "import os.path\n"
+            "from typing import Dict, Optional\n"
+            "from a import Quoted, Exported, Unused as Alias\n"
+            "__all__ = ['Exported']\n"
+            "def f(x: 'Optional[Quoted]') -> Dict:\n"
+            "    return os.path.join(x)\n")
+        assert _unused_imports(tree) == [("Alias", 5), ("itertools", 2)]
+
+
+def _imports_threading(tree):
+    return any(
+        (isinstance(node, ast.Import)
+         and any(alias.name.split(".")[0] == "threading"
+                 for alias in node.names))
+        or (isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] == "threading")
+        for node in ast.walk(tree))
+
+
+class TestOneRuntimeDriver:
+    """The control-plane runtime is driven step by step by its caller; a
+    worker thread draining beside that path is a second driver no oracle
+    replays. Only the shareable telemetry and profiling objects
+    synchronise."""
+
+    def test_only_telemetry_and_profiling_import_threading(self):
+        packages = {path.relative_to(REPO_ROOT / "src" / "repro").parts[0]
+                    for path, tree in _src_trees().items()
+                    if _imports_threading(tree)}
+        assert packages <= {"telemetry", "profiling"}
+
+    def test_the_runtime_has_no_worker(self):
+        from repro.runtime import ControlPlaneRuntime, RuntimeConfig
+
+        assert not {"start", "stop", "is_running"} & set(
+            dir(ControlPlaneRuntime))
+        assert "poll_interval_seconds" not in RuntimeConfig.__dataclass_fields__
+
+    def test_the_guard_sees_a_threading_import(self):
+        assert _imports_threading(ast.parse(
+            "def run():\n    from threading import Thread\n"))
+        assert _imports_threading(ast.parse("import os, threading\n"))
+        assert not _imports_threading(ast.parse(
+            "import threadpoolctl\nthreading = None\n"))
+
+
 class TestLazyExports:
     def test_version(self):
         assert repro.__version__ == "1.0.0"

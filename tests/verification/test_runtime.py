@@ -102,6 +102,40 @@ class TestCanonicalState:
             for best in [server.best_route_for(participant.name, prefix)]]
 
 
+    def test_a_stale_route_is_reported_not_a_crash(self, monkeypatch):
+        """A participant given a route none of the prefix's ranked routes
+        is (a stale decision) is summarised on the spot and shows up as
+        a best-route mismatch against a healthy twin."""
+        import dataclasses
+
+        from repro.bgp.routeserver import Decision
+
+        healthy, *_ = figure1_controller()
+        stale, *_ = figure1_controller()
+        healthy.start()
+        stale.start()
+        server = stale.route_server
+        prefix = next(prefix for prefix in server.all_prefixes()
+                      if server.decide(prefix).best is not None)
+        good = server.decide(prefix)
+        peer = sorted(good.peers - {good.best.learned_from})[0]
+        other = dataclasses.replace(good.best, attributes=dataclasses.replace(
+            good.best.attributes,
+            local_pref=good.best.attributes.local_pref + 1))
+        real_decide = server.decide
+
+        def decide(asked):
+            if asked != prefix:
+                return real_decide(asked)
+            return Decision(good.ranked, {peer: other}, good.peers)
+
+        monkeypatch.setattr(server, "decide", decide)
+        problems = canonical_state(healthy).diff(canonical_state(stale))
+        assert any(problem.startswith(
+            f"best route mismatch for ('{peer}', '{prefix}')")
+            for problem in problems)
+
+
 class TestCleanEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_no_false_positives(self, seed):

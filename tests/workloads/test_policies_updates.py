@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.workloads.datasets import ALL_PROFILES, AMS_IX, IxpProfile
+from repro.workloads.datasets import ALL_PROFILES, AMS_IX
 from repro.workloads.policies import generate_policies, install_assignments
 from repro.workloads.topology import generate_ixp
 from repro.workloads.updates import (

@@ -7,7 +7,6 @@ from repro.workloads.routing import PrefixPool, synthesize_as_path
 from repro.workloads.topology import (
     CATEGORY_FRACTIONS,
     MULTI_PORT_FRACTION,
-    SyntheticIxp,
     generate_ixp,
 )
 

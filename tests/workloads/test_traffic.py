@@ -2,7 +2,6 @@
 
 from repro.workloads.topology import generate_ixp
 from repro.workloads.traffic import (
-    LocalityStats,
     generate_traffic_matrix,
     locality_stats,
 )
